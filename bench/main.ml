@@ -1,31 +1,14 @@
-(* Benchmark harness.
+(* Microbenchmarks (Bechamel): one [Test.make] per computational
+   kernel the protocols exercise per packet or per feedback, so the
+   cost-model claims (QTP_light's cheap receiver, the sender-side
+   reconstruction price) can be checked against real ns/op numbers.
 
-   Two layers, both driven from this one executable:
-
-   1. {b Experiment tables} — one per table/figure-equivalent of the
-      paper's claims (E1..E16 plus the design-choice ablations), printed
-      exactly as `bin/vtp_experiments` prints them.  These are the
-      "regenerate the evaluation" benchmarks.
-
-   2. {b Microbenchmarks} (Bechamel) — one [Test.make] per computational
-      kernel the protocols exercise per packet or per feedback, so the
-      cost-model claims (QTP_light's cheap receiver, the sender-side
-      reconstruction price) can be checked against real ns/op numbers.
-
-   3. {b Scale scenarios} ([Scale]) — 10/100/500 mixed-protocol flows
-      over a shared AF bottleneck, timed under both event-queue
-      backends; the machine-readable report for regression tracking.
+   End-to-end cost is measured by perfbench/ (workloads and metrics in
+   BENCHMARK.json, method in perfbench/README.md); the experiment tables
+   come from bin/vtp_experiments.
 
    Usage:
-     dune exec bench/main.exe                        # micro + all tables
-     dune exec bench/main.exe -- micro               # microbenchmarks only
-     dune exec bench/main.exe -- tables              # tables only
-     dune exec bench/main.exe -- tables e1 e5        # a table subset
-     dune exec bench/main.exe -- scale               # micro + scale -> BENCH_<date>.json
-     dune exec bench/main.exe -- scale --json F      # ... report into F
-     dune exec bench/main.exe -- scale --jobs 8      # fan scenarios over 8 domains
-     dune exec bench/main.exe -- smoke --json F      # one fast 10-flow scenario
-     dune exec bench/main.exe -- overhead            # tracing on/off, 100 flows *)
+     dune exec bench/main.exe *)
 
 open Bechamel
 open Toolkit
@@ -334,6 +317,20 @@ let micro_tests =
     bench_end_to_end;
   ]
 
+(* A row's slope is evidence only when the least-squares fit explains
+   the samples; below this r2 the row is refused, not reported. *)
+let r2_floor = 0.9
+
+(* Whether a rep's (ns, r2) fit replaces the best so far: a clean fit
+   beats a poor one, the smaller slope wins among clean fits, and the
+   better fit among poor ones (kept only to print the refusal). *)
+let better (ns, r2) ~than:(ns', r2') =
+  match (r2 >= r2_floor, r2' >= r2_floor) with
+  | true, true -> ns < ns'
+  | true, false -> true
+  | false, true -> false
+  | false, false -> Float.compare r2 r2' > 0
+
 (* Measure every microbenchmark, returning (name, ns/run, r2) rows
    sorted by benchmark name — [Hashtbl.iter] order is unspecified, and
    report rows must be stable across runs. *)
@@ -343,51 +340,41 @@ let measure_micro () =
   let ols =
     Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
   in
-  let ransac = Analyze.ransac ~filter_outliers:true ~predictor:Measure.run in
   let rows = ref [] in
   List.iter
     (fun test ->
       (* One quota window on a virtualised host can be poisoned
          wholesale by steal time, skewing the least-squares slope 2-3x
          while the true per-run cost is unchanged.  Noise only ever
-         inflates a timing, so measure each row up to [max_reps] times
-         and keep the smallest estimate.  A sustained slowdown still
+         inflates a timing, so measure each row [max_reps] times and
+         keep the smallest clean estimate.  A sustained slowdown still
          yields a clean fit on an inflated slope, so every rep runs —
-         there is no early exit on a good r2.  Within a rep, a poor fit
-         falls back to the outlier-filtered RANSAC slope. *)
+         there is no early exit on a good r2. *)
       let best = Hashtbl.create 4 in
       let max_reps = 3 in
       for _rep = 1 to max_reps do
-          (* Isolate GC state per rep: the big-window rows churn
-             hundreds of megabytes through the major heap, and the
-             pressure would otherwise bleed into later samples. *)
-          Gc.compact ();
-          let results = Benchmark.all cfg instances test in
-          let analysis = Analyze.all ols Instance.monotonic_clock results in
-          let robust = Analyze.all ransac Instance.monotonic_clock results in
-          Hashtbl.iter
-            (fun name ols_result ->
-              let ns =
-                match Analyze.OLS.estimates ols_result with
-                | Some (x :: _) -> x
-                | Some [] | None -> nan
-              in
-              let r2 =
-                match Analyze.OLS.r_square ols_result with
-                | Some r -> r
-                | None -> nan
-              in
-              let ns =
-                if r2 >= 0.9 then ns
-                else
-                  match Hashtbl.find_opt robust name with
-                  | Some rr -> Float.min ns (Analyze.RANSAC.mean rr)
-                  | None -> ns
-              in
-              match Hashtbl.find_opt best name with
-              | Some (ns', _) when ns' <= ns -> ()
-              | _ -> Hashtbl.replace best name (ns, r2))
-            analysis
+        (* Isolate GC state per rep: the big-window rows churn hundreds
+           of megabytes through the major heap, and the pressure would
+           otherwise bleed into later samples. *)
+        Gc.compact ();
+        let results = Benchmark.all cfg instances test in
+        let analysis = Analyze.all ols Instance.monotonic_clock results in
+        Hashtbl.iter
+          (fun name ols_result ->
+            let ns =
+              match Analyze.OLS.estimates ols_result with
+              | Some (x :: _) -> x
+              | Some [] | None -> nan
+            in
+            let r2 =
+              match Analyze.OLS.r_square ols_result with
+              | Some r -> r
+              | None -> nan
+            in
+            match Hashtbl.find_opt best name with
+            | Some fit when not (better (ns, r2) ~than:fit) -> ()
+            | _ -> Hashtbl.replace best name (ns, r2))
+          analysis
       done;
       Hashtbl.iter (fun name (ns, r2) -> rows := (name, ns, r2) :: !rows) best)
     micro_tests;
@@ -405,250 +392,12 @@ let print_micro rows =
   in
   List.iter
     (fun (name, ns, r2) ->
-      Stats.Table.add_row table
-        [
-          name;
-          Stats.Table.cell_f ~decimals:1 ns;
-          Stats.Table.cell_f ~decimals:4 r2;
-        ])
+      let cost =
+        if r2 >= r2_floor then Stats.Table.cell_f ~decimals:1 ns
+        else Printf.sprintf "refused (r2 %.2f)" r2
+      in
+      Stats.Table.add_row table [ name; cost; Stats.Table.cell_f ~decimals:4 r2 ])
     rows;
   Stats.Table.print table
 
-let run_micro () = print_micro (measure_micro ())
-
-let run_tables ids =
-  let ids = match ids with [] -> None | l -> Some l in
-  Experiments.Runner.run_all ?ids ~out:Format.std_formatter ()
-
-(* ------------------------------------------------------------------ *)
-(* Machine-readable report *)
-
-let json_of_micro rows =
-  Stats.Json.List
-    (List.map
-       (fun (name, ns, r2) ->
-         Stats.Json.Obj
-           [
-             ("name", Stats.Json.String name);
-             ("ns_per_run", Stats.Json.Float ns);
-             ("r2", Stats.Json.Float r2);
-           ])
-       rows)
-
-let today () =
-  let tm = Unix.localtime (Unix.time ()) in
-  Printf.sprintf "%04d-%02d-%02d" (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1)
-    tm.Unix.tm_mday
-
-(* ------------------------------------------------------------------ *)
-(* Pool speedup: the 200-seed fuzz soak and the pure-compute scenario
-   sweep, timed at every distinct jobs count in {1, default_jobs()}.
-   The summed delivered bytes and the failure count double as a
-   determinism check across jobs values.  On a single-core host the
-   list collapses to [1] and the recorded ratio is 1.0 — the figure is
-   measured, never extrapolated. *)
-
-type speedup_run = {
-  sp_jobs : int;
-  sp_fuzz_wall_s : float;
-  sp_fuzz_failures : int;
-  sp_sweep_wall_s : float;
-  sp_sweep_delivered : int;
-}
-
-let speedup_fuzz_seeds = 200
-let speedup_sweep_scenarios = 16
-
-let measure_speedup () =
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let x = f () in
-    (x, Unix.gettimeofday () -. t0)
-  in
-  let jobs_list =
-    List.sort_uniq Int.compare [ 1; Engine.Pool.default_jobs () ]
-  in
-  List.map
-    (fun jobs ->
-      let soak, fuzz_wall =
-        time (fun () -> Fuzz.Driver.soak ~jobs ~seeds:speedup_fuzz_seeds ())
-      in
-      let delivered, sweep_wall =
-        time (fun () ->
-            Scale.sweep ~jobs ~scenarios:speedup_sweep_scenarios ())
-      in
-      {
-        sp_jobs = jobs;
-        sp_fuzz_wall_s = fuzz_wall;
-        sp_fuzz_failures = List.length soak.Fuzz.Driver.found;
-        sp_sweep_wall_s = sweep_wall;
-        sp_sweep_delivered = delivered;
-      })
-    jobs_list
-
-let json_of_speedup runs =
-  let base = List.hd runs in
-  let ratio base_w w = if w > 0.0 then base_w /. w else 0.0 in
-  Stats.Json.Obj
-    [
-      ("default_jobs", Stats.Json.Int (Engine.Pool.default_jobs ()));
-      ("fuzz_seeds", Stats.Json.Int speedup_fuzz_seeds);
-      ("sweep_scenarios", Stats.Json.Int speedup_sweep_scenarios);
-      ( "runs",
-        Stats.Json.List
-          (List.map
-             (fun r ->
-               Stats.Json.Obj
-                 [
-                   ("jobs", Stats.Json.Int r.sp_jobs);
-                   ("fuzz_wall_s", Stats.Json.Float r.sp_fuzz_wall_s);
-                   ( "fuzz_speedup",
-                     Stats.Json.Float
-                       (ratio base.sp_fuzz_wall_s r.sp_fuzz_wall_s) );
-                   ("fuzz_failures", Stats.Json.Int r.sp_fuzz_failures);
-                   ("sweep_wall_s", Stats.Json.Float r.sp_sweep_wall_s);
-                   ( "sweep_speedup",
-                     Stats.Json.Float
-                       (ratio base.sp_sweep_wall_s r.sp_sweep_wall_s) );
-                   ("sweep_delivered", Stats.Json.Int r.sp_sweep_delivered);
-                 ])
-             runs) );
-    ]
-
-let print_speedup runs =
-  let base = List.hd runs in
-  List.iter
-    (fun r ->
-      Printf.printf
-        "pool speedup (jobs=%d): fuzz %.2fs (%.2fx), sweep %.2fs (%.2fx)\n"
-        r.sp_jobs r.sp_fuzz_wall_s
-        (if r.sp_fuzz_wall_s > 0.0 then base.sp_fuzz_wall_s /. r.sp_fuzz_wall_s
-         else 0.0)
-        r.sp_sweep_wall_s
-        (if r.sp_sweep_wall_s > 0.0 then
-           base.sp_sweep_wall_s /. r.sp_sweep_wall_s
-         else 0.0))
-    runs
-
-let report ?trace_overhead ?parallel_speedup ~mode ~micro ~scale_results () =
-  let overhead_field =
-    match trace_overhead with
-    | None -> []
-    | Some o -> [ ("trace_overhead", Scale.json_of_overhead o) ]
-  in
-  let speedup_field =
-    match parallel_speedup with
-    | None -> []
-    | Some runs -> [ ("parallel_speedup", json_of_speedup runs) ]
-  in
-  Stats.Json.Obj
-    ([
-       ("schema", Stats.Json.String "vtp-bench-2");
-       ("mode", Stats.Json.String mode);
-       ("date", Stats.Json.String (today ()));
-       ("micro", json_of_micro micro);
-       ( "scale",
-         Stats.Json.List (List.map Scale.json_of_result scale_results) );
-       ("wheel_vs_heap", Stats.Json.List (Scale.json_ratios scale_results));
-     ]
-    @ overhead_field @ speedup_field)
-
-let write_json path json =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> Stats.Json.to_channel oc json);
-  Printf.printf "wrote %s\n" path
-
-let print_overhead (o : Scale.overhead) =
-  Printf.printf
-    "trace overhead (%d flows): %.0f -> %.0f events/s (%.1f%%), %d trace \
-     events\n"
-    o.Scale.oh_untraced.Scale.flows o.Scale.oh_untraced.Scale.events_per_sec
-    o.Scale.oh_traced.Scale.events_per_sec
-    (100.0 *. Scale.overhead_fraction o)
-    o.Scale.oh_trace_events
-
-let run_scale ~json_file ~jobs () =
-  let micro = measure_micro () in
-  print_micro micro;
-  let results = Scale.suite ?jobs () in
-  Stats.Table.print (Scale.table results);
-  let overhead =
-    Scale.trace_overhead ~repeats:25 ~n_flows:100 ~sim_seconds:4.0 ()
-  in
-  print_overhead overhead;
-  let speedup = measure_speedup () in
-  print_speedup speedup;
-  let path =
-    match json_file with
-    | Some f -> f
-    | None -> Printf.sprintf "BENCH_%s.json" (today ())
-  in
-  write_json path
-    (report ~trace_overhead:overhead ~parallel_speedup:speedup ~mode:"scale"
-       ~micro ~scale_results:results ())
-
-let run_smoke ~json_file () =
-  let results = Scale.smoke () in
-  Stats.Table.print (Scale.table results);
-  let overhead = Scale.trace_overhead ~n_flows:10 ~sim_seconds:2.0 () in
-  print_overhead overhead;
-  match json_file with
-  | Some f ->
-      write_json f
-        (report ~trace_overhead:overhead ~mode:"smoke" ~micro:[]
-           ~scale_results:results ())
-  | None -> ()
-
-let () =
-  let rec extract_json acc = function
-    | "--json" :: file :: rest -> (Some file, List.rev_append acc rest)
-    | x :: rest -> extract_json (x :: acc) rest
-    | [] -> (None, List.rev acc)
-  in
-  let rec extract_jobs acc = function
-    | "--jobs" :: n :: rest -> (Some (int_of_string n), List.rev_append acc rest)
-    | x :: rest -> extract_jobs (x :: acc) rest
-    | [] -> (None, List.rev acc)
-  in
-  let json_file, args =
-    extract_json [] (List.tl (Array.to_list Sys.argv))
-  in
-  let jobs, args = extract_jobs [] args in
-  match args with
-  | "micro" :: _ -> (
-      let micro = measure_micro () in
-      print_micro micro;
-      match json_file with
-      | Some f ->
-          write_json f (report ~mode:"micro" ~micro ~scale_results:[] ())
-      | None -> ())
-  | "scale" :: _ -> run_scale ~json_file ~jobs ()
-  | "smoke" :: _ -> run_smoke ~json_file ()
-  | "trunk" :: _ ->
-      (* Just the trunking head-to-head, for iterating on the trunk
-         scenario without paying for the full scale suite. *)
-      Stats.Table.print
-        (Scale.table
-           [
-             Scale.run_trunk ~sched:`Wheel ~seed:Scale.default_seed
-               ~users:1000 ~sim_seconds:3.0 ();
-             Scale.run_trunk_flat ~sched:`Wheel ~seed:Scale.default_seed
-               ~users:1000 ~sim_seconds:3.0 ();
-           ])
-  | "overhead" :: _ -> (
-      let overhead =
-        Scale.trace_overhead ~repeats:25 ~n_flows:100 ~sim_seconds:4.0 ()
-      in
-      print_overhead overhead;
-      match json_file with
-      | Some f ->
-          write_json f
-            (report ~trace_overhead:overhead ~mode:"overhead" ~micro:[]
-               ~scale_results:[] ())
-      | None -> ())
-  | "tables" :: ids -> run_tables ids
-  | _ ->
-      run_micro ();
-      run_tables []
+let () = print_micro (measure_micro ())

@@ -1,7 +1,7 @@
 (* Paper- and RFC-derived protocol invariants, checked over an abstract
-   observation stream.  Observations come either live (the experiment
-   harness taps endpoints and the sender's rate updates) or offline
-   (Trace_check replays a Netsim.Tracer buffer). *)
+   observation stream.  Observations are fed live: the experiment
+   harness taps endpoints and the sender's rate updates, and tests feed
+   link and mangler taps directly. *)
 
 type rate_info = {
   at : float;

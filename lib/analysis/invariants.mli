@@ -16,9 +16,10 @@
     - {b packet-conservation}: [sent = delivered + lost + in_flight] —
       every frame accounted exactly once.
 
-    Observations are fed either live (the experiment harness under
-    [~checked:true]) or by replaying a {!Netsim.Tracer} buffer through
-    {!Trace_check}. *)
+    Observations are fed live, by the experiment harness under
+    [~checked:true] or by a caller tapping links directly
+    ({!Netsim.Link.connect}, {!Netsim.Link.on_drop},
+    {!Netsim.Mangler.on_duplicate}). *)
 
 type rate_info = {
   at : float;

@@ -1,5 +1,5 @@
 (** A reusable work-stealing domain pool for embarrassingly-parallel
-    fan-out (fuzz seeds, experiment tables, bench scenarios, golden
+    fan-out (fuzz seeds, experiment tables, seed sweeps, golden
     replays).
 
     The pool owns [jobs - 1] worker domains (the caller participates as

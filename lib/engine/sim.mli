@@ -100,8 +100,8 @@ type trace_op =
   | T_pop  (** the next live event fired *)
 
 val set_tracer : t -> (trace_op -> unit) option -> unit
-(** Observe the raw scheduler operation stream.  The benchmark suite
-    records a scenario's trace once, then replays it against each bare
-    queue backend to measure scheduler throughput in isolation from
-    protocol work.  [None] (the default) disables tracing; the hook
+(** Observe the raw scheduler operation stream.  The benchmark
+    (perfbench) records a run's stream once, then replays it through a
+    bare {!Wheel} to price the scheduler apart from the protocol
+    work.  [None] (the default) disables tracing; the hook
     costs one branch per operation when unset. *)

@@ -60,10 +60,10 @@ let af_rio ?(capacity_pkts = 100) ~rng () =
     ~out_params:(red_params ~min_th:(0.1 *. c) ~max_th:(0.3 *. c) ~max_p:0.5)
     ~rng ()
 
-let af_dumbbell ?sched ?capacity_pkts ~seed ~n_flows ~bottleneck_mbps
+let af_dumbbell ?capacity_pkts ~seed ~n_flows ~bottleneck_mbps
     ?(bottleneck_delay = 0.03) ~committed_mbps () =
   assert (Array.length committed_mbps = n_flows);
-  let sim = Engine.Sim.create ~seed ?sched () in
+  let sim = Engine.Sim.create ~seed () in
   let qdisc_rng = Engine.Sim.split_rng sim in
   let bottleneck =
     Netsim.Topology.spec

@@ -84,8 +84,8 @@ let pp fmt v = Format.pp_print_string fmt (to_string v)
 (* ------------------------------------------------------------------ *)
 (* Parsing.
 
-   A recursive-descent reader for standard JSON, added so tooling
-   (vtp_bench_diff) can read the reports this module writes back in.
+   A recursive-descent reader for standard JSON, so in-repo tooling
+   (Analysis.Baseline, perfbench) can read back what this module writes.
    Numbers without '.', 'e' or a leading '-that-overflows' parse as
    [Int]; everything else numeric parses as [Float].  \uXXXX escapes
    decode below 0x80 and degrade to '?' above (the emitter never

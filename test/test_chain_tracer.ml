@@ -1,4 +1,4 @@
-(* Netsim.Topology.chain and Netsim.Tracer. *)
+(* Netsim.Topology.chain and Netsim.Topology.parking_lot. *)
 
 let frame ?(flow = 0) uid =
   Netsim.Frame.make ~uid ~flow_id:flow ~size:1000 ~born:0.0
@@ -85,39 +85,6 @@ let test_chain_loss_compounds () =
     true
     (Float.abs (survival -. 0.81) < 0.02)
 
-let test_tracer_records_and_bounds () =
-  let sim = Engine.Sim.create () in
-  let tracer = Netsim.Tracer.create ~sim ~capacity:5 () in
-  let sunk = ref 0 in
-  let sink = Netsim.Tracer.tap tracer "probe" (fun _ -> incr sunk) in
-  for i = 1 to 8 do
-    sink (frame i)
-  done;
-  Alcotest.(check int) "all forwarded" 8 !sunk;
-  Alcotest.(check int) "total observed" 8 (Netsim.Tracer.count tracer);
-  let evs = Netsim.Tracer.events tracer in
-  Alcotest.(check int) "bounded buffer" 5 (List.length evs);
-  (match evs with
-  | first :: _ ->
-      Alcotest.(check int) "oldest kept is #4" 4 first.Netsim.Tracer.uid
-  | [] -> Alcotest.fail "no events");
-  Alcotest.(check int) "count_at" 5 (Netsim.Tracer.count_at tracer "probe");
-  Netsim.Tracer.clear tracer;
-  Alcotest.(check int) "cleared" 0 (List.length (Netsim.Tracer.events tracer))
-
-let test_tracer_multi_point () =
-  let sim = Engine.Sim.create () in
-  let tracer = Netsim.Tracer.create ~sim () in
-  let a = Netsim.Tracer.tap tracer "a" (fun _ -> ()) in
-  let b = Netsim.Tracer.tap tracer "b" (fun _ -> ()) in
-  a (frame 1);
-  b (frame 2);
-  a (frame 3);
-  Alcotest.(check int) "a" 2 (Netsim.Tracer.count_at tracer "a");
-  Alcotest.(check int) "b" 1 (Netsim.Tracer.count_at tracer "b");
-  let s = Format.asprintf "%t" (fun fmt -> Netsim.Tracer.dump tracer fmt) in
-  Alcotest.(check bool) "dump nonempty" true (String.length s > 10)
-
 let test_parking_lot_paths () =
   let sim = Engine.Sim.create () in
   (* Three hops; flow 0 crosses all, flow 1 only hop 1, flow 2 hops 1-2. *)
@@ -185,6 +152,4 @@ let suite =
     Alcotest.test_case "chain bottleneck" `Quick test_chain_bottleneck_is_slowest;
     Alcotest.test_case "chain rejects empty" `Quick test_chain_rejects_empty;
     Alcotest.test_case "chain loss compounds" `Quick test_chain_loss_compounds;
-    Alcotest.test_case "tracer bounds" `Quick test_tracer_records_and_bounds;
-    Alcotest.test_case "tracer multi point" `Quick test_tracer_multi_point;
   ]

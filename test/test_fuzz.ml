@@ -1,5 +1,5 @@
 (* The fuzz harness itself: generator determinism, executor soundness on
-   known-good seeds, trace replay on a mangled link, and the negative
+   known-good seeds, the checker fed from a mangled link, and the negative
    test — a deliberately-injected receiver bug must be caught and
    shrunk. *)
 
@@ -55,7 +55,7 @@ let test_exec_deterministic () =
   Alcotest.(check int) "same checker traffic" a.E.checker_events
     b.E.checker_events
 
-(* --- trace replay through the checker on a mangled link ----------- *)
+(* --- the checker fed from a mangled link's taps -------------------- *)
 
 let mk_frame i =
   Netsim.Frame.make
@@ -63,39 +63,49 @@ let mk_frame i =
     ~flow_id:0 ~size:1000 ~born:0.0 (Netsim.Frame.Raw i)
 
 (* Drive 200 frames over a link whose mangler duplicates aggressively,
-   tracing injections, deliveries and drops.  Unless the duplicates'
-   fresh uids are also recorded as sent, replaying the trace must
-   produce a conservation violation ("delivered but never sent"). *)
-let mangled_trace ~account_dups =
+   feeding injections, deliveries and drops straight into a fresh
+   checker from the link and mangler taps.  Unless the duplicates'
+   fresh uids are also fed as sent, the checker must report a
+   conservation violation ("delivered but never sent"). *)
+let mangled_checker ~account_dups =
   let sim = Engine.Sim.create () in
   let rng = Engine.Rng.create ~seed:11 in
   let mangler =
     Netsim.Mangler.create ~sim ~rng
       (Netsim.Mangler.profile ~p_duplicate:0.3 ())
   in
-  let tracer = Netsim.Tracer.create ~sim () in
-  let sink _ = () in
+  let checker = Analysis.Invariants.create () in
+  let observe role (f : Netsim.Frame.t) =
+    let at = Engine.Sim.now sim
+    and flow = f.Netsim.Frame.flow_id
+    and uid = f.Netsim.Frame.uid in
+    Analysis.Invariants.feed checker
+      (match role with
+      | `Sent -> Analysis.Invariants.Sent { at; flow; uid }
+      | `Delivered -> Analysis.Invariants.Delivered { at; flow; uid }
+      | `Dropped -> Analysis.Invariants.Dropped { at; flow; uid })
+  in
   let link =
     Netsim.Link.create ~sim ~rate_bps:8e6 ~delay:0.005
       ~qdisc:(Netsim.Qdisc.droptail ~capacity_pkts:1000)
       ~mangler ()
   in
-  Netsim.Link.connect link (Netsim.Tracer.tap tracer "delivered" sink);
-  Netsim.Link.on_drop link (Netsim.Tracer.tap tracer "dropped" sink);
+  Netsim.Link.connect link (observe `Delivered);
+  Netsim.Link.on_drop link (observe `Dropped);
   if account_dups then
-    Netsim.Mangler.on_duplicate mangler (fun ~orig:_ ~dup ->
-        Netsim.Tracer.tap tracer "sent" sink dup);
-  let send = Netsim.Tracer.tap tracer "sent" (Netsim.Link.send link) in
+    Netsim.Mangler.on_duplicate mangler (fun ~orig:_ ~dup -> observe `Sent dup);
   for i = 0 to 199 do
     ignore
       (Engine.Sim.schedule_at sim (0.002 *. float i) (fun () ->
-           send (mk_frame i)))
+           let f = mk_frame i in
+           observe `Sent f;
+           Netsim.Link.send link f))
   done;
   Engine.Sim.run ~until:5.0 sim;
   Alcotest.(check bool)
     "duplicates occurred" true
     ((Netsim.Mangler.stats mangler).Netsim.Mangler.duplicated > 0);
-  Netsim.Tracer.events tracer
+  checker
 
 let contains_sub ~sub s =
   let n = String.length sub and m = String.length s in
@@ -103,7 +113,8 @@ let contains_sub ~sub s =
   at 0
 
 let test_trace_check_catches_unaccounted_dups () =
-  match Analysis.Trace_check.check (mangled_trace ~account_dups:false) with
+  let checker = mangled_checker ~account_dups:false in
+  match Analysis.Invariants.first_violation checker with
   | Some v ->
       let msg = Format.asprintf "%a" Analysis.Invariants.pp_violation v in
       Alcotest.(check bool)
@@ -112,9 +123,7 @@ let test_trace_check_catches_unaccounted_dups () =
   | None -> Alcotest.fail "expected a conservation violation"
 
 let test_trace_replay_clean_when_dups_accounted () =
-  let events = mangled_trace ~account_dups:true in
-  let checker = Analysis.Invariants.create () in
-  Analysis.Trace_check.replay checker events;
+  let checker = mangled_checker ~account_dups:true in
   (match Analysis.Invariants.violations checker with
   | [] -> ()
   | v :: _ ->

@@ -1,6 +1,6 @@
 (* Every catalogue invariant gets a hand-built event sequence that
    violates it (and a neighbouring sequence that does not), then the
-   checker is exercised end-to-end: tracer replay, two full experiment
+   checker is exercised end-to-end: trace replay, two full experiment
    scenarios under [~checked:true], and a deliberately mis-configured
    gTFRC floor that must be caught. *)
 
@@ -107,50 +107,19 @@ let test_checker_plumbing () =
     (I.Violation (Option.get (I.first_violation c)))
     (fun () -> I.check_exn c)
 
-let tracer_event ~at ~point ~uid =
-  {
-    Netsim.Tracer.at;
-    point;
-    uid;
-    flow_id = 0;
-    size = 1500;
-    mark = Netsim.Mark.Best_effort;
-  }
-
+(* A timestamped frame trace fed in order, as a tap-driven run feeds
+   the checker. *)
 let test_trace_replay () =
-  let clean =
-    [
-      tracer_event ~at:0.1 ~point:"sent" ~uid:1;
-      tracer_event ~at:0.2 ~point:"delivered" ~uid:1;
-      tracer_event ~at:0.3 ~point:"sent" ~uid:2;
-      tracer_event ~at:0.4 ~point:"dropped" ~uid:2;
-      tracer_event ~at:0.5 ~point:"queue-in" ~uid:3 (* no role: ignored *);
-    ]
-  in
+  let sent at uid = I.Sent { at; flow = 0; uid } in
+  let dlv at uid = I.Delivered { at; flow = 0; uid } in
+  let drop at uid = I.Dropped { at; flow = 0; uid } in
   Alcotest.(check bool) "conserving trace passes" true
-    (Analysis.Trace_check.check clean = None);
-  let bad = [ tracer_event ~at:0.1 ~point:"delivered" ~uid:7 ] in
-  (match Analysis.Trace_check.check bad with
+    (first [ sent 0.1 1; dlv 0.2 1; sent 0.3 2; drop 0.4 2 ] = None);
+  match first [ dlv 0.1 7 ] with
   | Some v ->
       Alcotest.(check string) "conservation caught via trace"
         "packet-conservation" v.I.invariant
-  | None -> Alcotest.fail "expected a violation");
-  (* custom tap-point names via roles *)
-  let roles =
-    {
-      Analysis.Trace_check.sent = [ "ingress" ];
-      delivered = [ "egress" ];
-      dropped = [ "loss" ];
-    }
-  in
-  let renamed =
-    [
-      tracer_event ~at:0.1 ~point:"ingress" ~uid:1;
-      tracer_event ~at:0.2 ~point:"egress" ~uid:1;
-    ]
-  in
-  Alcotest.(check bool) "custom roles map points" true
-    (Analysis.Trace_check.check ~roles renamed = None)
+  | None -> Alcotest.fail "expected a violation"
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end: real scenarios under the live checker. *)
