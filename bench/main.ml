@@ -119,6 +119,58 @@ let[@vtp.ambient] bench_scoreboard_30k =
             ~on_lost:ignore)
      done)
 
+(* A fragmented large window, the lfn_bulk shape: every other packet
+   of 1000 SACKed (500 runs, the holes inferred lost), then 100
+   feedbacks that each extend the top block by one packet.  Loss
+   inference visits only what a feedback changed, so the 100 feedbacks
+   cost less than building the window; a walk over every hole per
+   feedback would make this row grow with the run count. *)
+let block a b =
+  {
+    Packet.Header.block_start = Packet.Serial.of_int a;
+    block_end = Packet.Serial.of_int b;
+  }
+
+let[@vtp.ambient] bench_scoreboard_fragmented =
+  (* ambient: the prebuilt serial/block arrays are written once here
+     and only read by the measured closure. *)
+  Test.make ~name:"sack.scoreboard.fragmented+fb"
+    (let n = 1000 and fbs = 100 in
+     let seqs = Array.init (n + fbs) Packet.Serial.of_int in
+     let alternate =
+       List.init (n / 2) (fun i -> block ((2 * i) + 1) ((2 * i) + 2))
+     in
+     let tops = Array.init fbs (fun k -> [ block (n - 1) (n + k + 1) ]) in
+     Staged.stage @@ fun () ->
+     let sb = Sack.Scoreboard.create ~capacity:(n + fbs) () in
+     for i = 0 to n + fbs - 1 do
+       Sack.Scoreboard.on_send sb ~seq:seqs.(i)
+         ~now:(float_of_int i *. 1e-5)
+         ~size:1500 ~is_retx:false
+     done;
+     ignore
+       (Sack.Scoreboard.iter_feedback sb ~cum_ack:seqs.(0) ~blocks:alternate
+          ~on_ack:ignore_cover ~on_sack:ignore_cover ~on_lost:ignore);
+     for k = 0 to fbs - 1 do
+       ignore
+         (Sack.Scoreboard.iter_feedback sb ~cum_ack:seqs.(0) ~blocks:tops.(k)
+            ~on_ack:ignore_cover ~on_sack:ignore_cover ~on_lost:ignore)
+     done)
+
+(* One SACK report from a receiver holding 500 out-of-order ranges
+   whose recency rises with sequence number, as in a large-window
+   transfer: the newest-first scan meets the top blocks first. *)
+let[@vtp.ambient] bench_sack_blocks =
+  (* ambient: the tracker is filled once here; the measured closure
+     only reads it (its top-k scratch is reset on every call). *)
+  Test.make ~name:"sack.rcv_tracker.sack_blocks.500ranges"
+    (let tr = Sack.Rcv_tracker.create () in
+     for i = 1 to 500 do
+       Sack.Rcv_tracker.on_data tr ~seq:(Packet.Serial.of_int (2 * i))
+     done;
+     assert (Sack.Rcv_tracker.ranges_held tr = 500);
+     Staged.stage @@ fun () -> ignore (Sack.Rcv_tracker.sack_blocks tr))
+
 let bench_reconstructor =
   Test.make ~name:"qtp.reconstruction.1000covers"
     (Staged.stage @@ fun () ->
@@ -306,6 +358,8 @@ let micro_tests =
     bench_rcv_tracker;
     bench_scoreboard;
     bench_scoreboard_30k;
+    bench_scoreboard_fragmented;
+    bench_sack_blocks;
     bench_reconstructor;
     bench_red;
     bench_token_bucket;

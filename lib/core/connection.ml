@@ -212,12 +212,7 @@ let send_reverse t segment =
 let fwd_point_now t =
   match (t.snd.scoreboard, t.snd.reliability) with
   | Some sb, Some rel ->
-      let fwd =
-        Sack.Reliability.fwd_point rel
-          ~highest_sent:(Sack.Scoreboard.next_seq sb)
-      in
-      Sack.Scoreboard.abandon_below sb fwd;
-      fwd
+      Sack.Reliability.fwd_point rel ~highest_sent:(Sack.Scoreboard.next_seq sb)
   | _ ->
       (* No SACK plane: the receiver should never wait for repairs. *)
       t.snd.plain_seq
@@ -699,11 +694,9 @@ let close_tick t =
   if t.state = Closing then begin
     (match (t.snd.scoreboard, t.snd.reliability) with
     | Some sb, Some rel ->
-        let fwd =
-          Sack.Reliability.fwd_point rel
-            ~highest_sent:(Sack.Scoreboard.next_seq sb)
-        in
-        Sack.Scoreboard.abandon_below sb fwd
+        ignore
+          (Sack.Reliability.fwd_point rel
+             ~highest_sent:(Sack.Scoreboard.next_seq sb))
     | _ -> ());
     t.close_ticks <- t.close_ticks + 1;
     if t.close_ticks > max_close_ticks then finish_close t

@@ -20,7 +20,10 @@ type t = {
   trace : Trace.Sink.t option;
   queue : Serial.t Queue.t;
   queued : (int, unit) Hashtbl.t;
-  abandoned_tbl : (int, unit) Hashtbl.t;
+  (* Abandoned numbers as scoreboard positions ({!Scoreboard.pos}).
+     [fwd_point] only reads from [una] upward and trims the set at the
+     [una] it leaves behind, so the set never outgrows the window. *)
+  gone : Runs.t;
   mutable abandoned : int;
 }
 
@@ -32,7 +35,7 @@ let create ?cost ?trace policy ~scoreboard () =
     trace;
     queue = Queue.create ();
     queued = Hashtbl.create 64;
-    abandoned_tbl = Hashtbl.create 64;
+    gone = Runs.create 0;
     abandoned = 0;
   }
 
@@ -42,7 +45,8 @@ let charge t name =
 let key = Serial.to_int
 
 let abandon t seq =
-  Hashtbl.replace t.abandoned_tbl (key seq) ();
+  let a = Scoreboard.pos t.scoreboard seq in
+  Runs.add t.gone a (a + 1);
   t.abandoned <- t.abandoned + 1;
   charge t "send.reliability.abandon";
   if Trace.Sink.on t.trace then
@@ -89,20 +93,38 @@ let rec next_decision t ~now =
 
 let fwd_point t ~highest_sent =
   (* Walk up from snd_una through numbers the receiver need not wait
-     for: abandoned holes and SACK-covered (already received) ones. *)
+     for: abandoned holes and SACK-covered (already received) ones.
+     Everything below the result is then given up on by the scoreboard
+     and forgotten here. *)
+  let sb = t.scoreboard in
   let rec go s =
     if Serial.( >= ) s highest_sent then s
-    else if Hashtbl.mem t.abandoned_tbl (key s) then go (Serial.succ s)
+    else if Runs.mem t.gone (Scoreboard.pos sb s) then go (Serial.succ s)
     else
-      match Scoreboard.status t.scoreboard s with
+      match Scoreboard.status sb s with
       | `Sacked -> go (Serial.succ s)
       | `Untracked -> go (Serial.succ s)
       | `In_flight | `Lost -> s
   in
-  go (Scoreboard.una t.scoreboard)
+  let fwd = go (Scoreboard.una sb) in
+  Scoreboard.abandon_below sb fwd;
+  Runs.trim_below t.gone (Scoreboard.pos sb (Scoreboard.una sb));
+  fwd
 
 let policy t = t.policy
 
 let abandoned t = t.abandoned
+
+let abandoned_held t =
+  let sb = t.scoreboard in
+  let una = Scoreboard.una sb in
+  let base = Scoreboard.pos sb una in
+  let acc = ref [] in
+  for i = t.gone.Runs.len - 1 downto 0 do
+    for a = t.gone.Runs.hi.(i) - 1 downto t.gone.Runs.lo.(i) do
+      acc := Serial.add una (a - base) :: !acc
+    done
+  done;
+  !acc
 
 let retransmissions_queued t = Queue.length t.queue

@@ -55,9 +55,17 @@ val next_decision : t -> now:float -> decision
     (the composition layer does). *)
 
 val fwd_point : t -> highest_sent:Packet.Serial.t -> Packet.Serial.t
-(** The forward point to advertise in the next data header. *)
+(** The forward point to advertise in the next data header: the lowest
+    number the receiver must still wait for.  Everything below it is
+    given up on ({!Scoreboard.abandon_below}), so the scoreboard's
+    [una] moves to it. *)
 
 val abandoned : t -> int
 (** Segments the policy gave up on. *)
 
 val retransmissions_queued : t -> int
+
+val abandoned_held : t -> Packet.Serial.t list
+(** The abandoned numbers the engine still remembers, ascending.  Every
+    {!fwd_point} trims the set at the [una] it leaves, so it never
+    outgrows the window. *)

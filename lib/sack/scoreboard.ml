@@ -3,11 +3,12 @@ module Serial = Packet.Serial
 (* Run-length scoreboard: instead of one hashtable entry per in-flight
    sequence number, per-packet metadata (send times, size, retransmit
    count) lives in ring arrays indexed by an absolute position, and the
-   SACKed / inferred-lost state lives in two sorted, coalesced run
-   arrays.  Feedback for a large-BDP window (tens of thousands of
-   packets) then merges in O(log runs + newly-covered) instead of
-   iterating every sequence number.  [Scoreboard_ref] keeps the
-   per-entry implementation as the differential oracle.
+   SACKed / inferred-lost state lives in sorted, coalesced run sets
+   ([Runs]).  Feedback for a large-BDP window (tens of thousands of
+   packets) then costs what it changes — the newly covered positions
+   and the new dupthresh span — instead of the window's width or its
+   number of holes.  [Scoreboard_ref] keeps the per-entry
+   implementation as the differential oracle.
 
    Sequence numbers are mapped to monotone absolute positions through
    an advancing anchor: [abs = una_abs + Serial.diff s snd_una].  The
@@ -27,142 +28,6 @@ type feedback_result = {
   cum_advanced : bool;
 }
 
-(* Sorted, coalesced, half-open [lo, hi) runs over absolute positions,
-   in growable parallel arrays. *)
-module Runs = struct
-  type t = { mutable lo : int array; mutable hi : int array; mutable len : int }
-
-  let create () = { lo = Array.make 8 0; hi = Array.make 8 0; len = 0 }
-
-  (* Smallest index whose run ends strictly after [x] — the only run
-     that can contain [x].  Plain accumulator recursion so the
-     per-packet membership test allocates nothing. *)
-  let[@vtp.hot] rec seek_from t x lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) lsr 1 in
-      if Array.unsafe_get t.hi mid > x then seek_from t x lo mid
-      else seek_from t x (mid + 1) hi
-
-  let[@vtp.hot] seek t x = seek_from t x 0 t.len
-
-  let[@vtp.hot] mem t x =
-    let i = seek t x in
-    i < t.len && Array.unsafe_get t.lo i <= x
-
-  let ensure t extra =
-    let cap = Array.length t.lo in
-    if t.len + extra > cap then begin
-      let ncap = Stdlib.max (t.len + extra) (2 * cap) in
-      let nlo = Array.make ncap 0 and nhi = Array.make ncap 0 in
-      Array.blit t.lo 0 nlo 0 t.len;
-      Array.blit t.hi 0 nhi 0 t.len;
-      t.lo <- nlo;
-      t.hi <- nhi
-    end
-
-  (* Replace runs [i, j) by the single run [l, h); [j = i] inserts. *)
-  let splice t i j l h =
-    if j - i = 1 then begin
-      t.lo.(i) <- l;
-      t.hi.(i) <- h
-    end
-    else if j > i then begin
-      t.lo.(i) <- l;
-      t.hi.(i) <- h;
-      Array.blit t.lo j t.lo (i + 1) (t.len - j);
-      Array.blit t.hi j t.hi (i + 1) (t.len - j);
-      t.len <- t.len - (j - i - 1)
-    end
-    else begin
-      ensure t 1;
-      Array.blit t.lo i t.lo (i + 1) (t.len - i);
-      Array.blit t.hi i t.hi (i + 1) (t.len - i);
-      t.lo.(i) <- l;
-      t.hi.(i) <- h;
-      t.len <- t.len + 1
-    end
-
-  (* Add [l, h), coalescing with every overlapping or touching run. *)
-  let add t l h =
-    if l < h then begin
-      let i = seek t (l - 1) in
-      let j = ref i in
-      while !j < t.len && t.lo.(!j) <= h do
-        incr j
-      done;
-      if i = !j then splice t i i l h
-      else splice t i !j (Stdlib.min l t.lo.(i)) (Stdlib.max h t.hi.(!j - 1))
-    end
-
-  (* Remove [l, h), trimming straddlers and splitting a container. *)
-  let remove t l h =
-    if l < h then begin
-      let i = seek t l in
-      if i < t.len && t.lo.(i) < h then begin
-        if t.lo.(i) < l && t.hi.(i) > h then begin
-          (* one run strictly contains [l, h): split it *)
-          ensure t 1;
-          Array.blit t.lo i t.lo (i + 1) (t.len - i);
-          Array.blit t.hi i t.hi (i + 1) (t.len - i);
-          t.len <- t.len + 1;
-          t.hi.(i) <- l;
-          t.lo.(i + 1) <- h
-        end
-        else begin
-          let i = if t.lo.(i) < l then begin t.hi.(i) <- l; i + 1 end else i in
-          let j = ref i in
-          while !j < t.len && t.hi.(!j) <= h do
-            incr j
-          done;
-          if !j < t.len && t.lo.(!j) < h then t.lo.(!j) <- h;
-          if !j > i then begin
-            Array.blit t.lo !j t.lo i (t.len - !j);
-            Array.blit t.hi !j t.hi i (t.len - !j);
-            t.len <- t.len - (!j - i)
-          end
-        end
-      end
-    end
-
-  (* Drop everything below [x]. *)
-  let trim_below t x =
-    let i = seek t x in
-    if i > 0 then begin
-      Array.blit t.lo i t.lo 0 (t.len - i);
-      Array.blit t.hi i t.hi 0 (t.len - i);
-      t.len <- t.len - i
-    end;
-    if t.len > 0 && t.lo.(0) < x then t.lo.(0) <- x
-
-  (* Absolute position of the [k]-th highest covered point, or
-     [min_int] when fewer than [k] points are covered. *)
-  let rec kth_from_top_at t i k =
-    if i < 0 then min_int
-    else
-      let w = t.hi.(i) - t.lo.(i) in
-      if k <= w then t.hi.(i) - k
-      else kth_from_top_at t (i - 1) (k - w)
-
-  let kth_from_top t k = kth_from_top_at t (t.len - 1) k
-
-  (* Apply [f gl gh] to every maximal uncovered gap within [l, h),
-     ascending. *)
-  let iter_gaps t l h f =
-    let a = ref l and i = ref (seek t l) in
-    while !a < h do
-      if !i >= t.len || !a < t.lo.(!i) then begin
-        let stop = if !i >= t.len then h else Stdlib.min h t.lo.(!i) in
-        f !a stop;
-        a := stop
-      end
-      else begin
-        a := Stdlib.max !a t.hi.(!i);
-        incr i
-      end
-    done
-end
-
 type t = {
   dupthresh : int;
   cost : Stats.Cost.t option;
@@ -179,6 +44,14 @@ type t = {
   mutable snd_nxt : Serial.t;
   sacked : Runs.t;
   lost : Runs.t;
+  (* Incremental loss inference.  [frontier] is the highest dupthresh
+     point already processed; it only rises.  Every tracked position
+     below it is SACKed, lost, or in [pending]: retransmitted since it
+     was marked lost, so the next feedback must mark it lost again.
+     [pending] starts with empty arrays — flows that never retransmit
+     below the frontier never pay for it. *)
+  mutable frontier : int;
+  pending : Runs.t;
   mutable unsacked_bytes : int;
   mutable sent : int;
   mutable retx : int;
@@ -215,8 +88,10 @@ let create ?(dupthresh = 3) ?(capacity = 256) ?cost ?trace () =
     nxt_abs = 0;
     snd_una = Serial.zero;
     snd_nxt = Serial.zero;
-    sacked = Runs.create ();
-    lost = Runs.create ();
+    sacked = Runs.create 8;
+    lost = Runs.create 8;
+    frontier = 0;
+    pending = Runs.create 0;
     unsacked_bytes = 0;
     sent = 0;
     retx = 0;
@@ -258,6 +133,7 @@ let[@vtp.hot] on_send t ~seq ~now ~size ~is_retx =
     t.last_sent.(i) <- now;
     t.meta.(i) <- t.meta.(i) + (1 lsl retx_shift);
     Runs.remove t.lost a (a + 1);
+    if a < t.frontier then Runs.add t.pending a (a + 1);
     t.retx <- t.retx + 1;
     if Trace.Sink.on t.trace then
       Trace.Sink.emit t.trace
@@ -287,6 +163,8 @@ let next_seq t = t.snd_nxt
 
 let una t = t.snd_una
 
+let pos = abs_of
+
 let size_at t a = t.meta.(a land t.mask) land size_mask
 
 type feedback_summary = {
@@ -305,7 +183,10 @@ type feedback_summary = {
    next block is scanned, so a later block can only uncover positions
    above everything an earlier one emitted).  The emitted set and the
    final run state are both order-independent, which keeps this
-   byte-compatible with the list-building wrapper below. *)
+   byte-compatible with the list-building wrapper below.
+
+   Every walk is a top-level loop over the run arrays: no closure is
+   built per call or per gap. *)
 let ensure_scr t n =
   let cap = Array.length t.scr_lo in
   if n > cap then begin
@@ -317,105 +198,207 @@ let ensure_scr t n =
     t.scr_hi <- nhi
   end
 
-let iter_feedback t ~cum_ack ~blocks ~on_ack ~on_sack ~on_lost =
-  charge t "send.scoreboard.feedback";
-  let n_acked = ref 0 and n_sacked = ref 0 and n_lost = ref 0 in
-  let emit on a =
+(* Report every position of [a, stop) as a cover through [on]. *)
+let[@vtp.hot] rec emit_covers t on a stop =
+  if a < stop then begin
     let i = a land t.mask in
     let meta = Array.unsafe_get t.meta i in
     t.unsacked_bytes <- t.unsacked_bytes - (meta land size_mask);
     on ~seq:(ser_of t a)
       ~sent_at:(Array.unsafe_get t.first_sent i)
-      ~was_retx:(meta lsr retx_shift > 0)
-  in
+      ~was_retx:(meta lsr retx_shift > 0);
+    emit_covers t on (a + 1) stop
+  end
+
+(* Cover every not-yet-SACKed position of [a, h), ascending; [i] is the
+   first SACKed run ending after [a].  Returns [n] plus the covers. *)
+let[@vtp.hot] rec cover_gaps t on i a h n =
+  let s = t.sacked in
+  if a >= h then n
+  else if i < s.Runs.len && s.Runs.lo.(i) <= a then
+    cover_gaps t on (i + 1) (Stdlib.max a s.Runs.hi.(i)) h n
+  else begin
+    let stop = if i >= s.Runs.len then h else Stdlib.min h s.Runs.lo.(i) in
+    emit_covers t on a stop;
+    cover_gaps t on i stop h (n + stop - a)
+  end
+
+(* Clip each block to the window and insertion-sort the results into
+   the scratch by lower bound (stable; real feedback carries at most a
+   handful of blocks).  Returns the number kept. *)
+let[@vtp.hot] rec clip_blocks t blocks n =
+  match blocks with
+  | [] -> n
+  | b :: rest ->
+      let l = Stdlib.max (abs_of t b.Packet.Header.block_start) t.una_abs in
+      let h = Stdlib.min (abs_of t b.Packet.Header.block_end) t.nxt_abs in
+      if l < h then begin
+        ensure_scr t (n + 1);
+        let j = insert_slot t l n in
+        t.scr_lo.(j) <- l;
+        t.scr_hi.(j) <- h;
+        clip_blocks t rest (n + 1)
+      end
+      else clip_blocks t rest n
+
+(* Shift scratch entries above [l] up one slot, from index [j] down;
+   returns the free slot. *)
+and[@vtp.hot] insert_slot t l j =
+  if j > 0 && t.scr_lo.(j - 1) > l then begin
+    t.scr_lo.(j) <- t.scr_lo.(j - 1);
+    t.scr_hi.(j) <- t.scr_hi.(j - 1);
+    insert_slot t l (j - 1)
+  end
+  else j
+
+(* Append the fresh loss run [l, h) to the scratch at index [nf],
+   extending the last run when it touches; returns the new count. *)
+let[@vtp.hot] stage t nf l h =
+  if nf > 0 && t.scr_hi.(nf - 1) = l then begin
+    t.scr_hi.(nf - 1) <- h;
+    nf
+  end
+  else begin
+    ensure_scr t (nf + 1);
+    t.scr_lo.(nf) <- l;
+    t.scr_hi.(nf) <- h;
+    nf + 1
+  end
+
+(* Stage the parts of [a, h) not already lost; [j] is the first lost
+   run ending after [a]. *)
+let[@vtp.hot] rec stage_unlost t j a h nf =
+  let l = t.lost in
+  if a >= h then nf
+  else if j < l.Runs.len && l.Runs.lo.(j) <= a then
+    stage_unlost t (j + 1) (Stdlib.max a l.Runs.hi.(j)) h nf
+  else begin
+    let stop = if j >= l.Runs.len then h else Stdlib.min h l.Runs.lo.(j) in
+    stage_unlost t j stop h (stage t nf a stop)
+  end
+
+(* Stage every position of [a, h) that is neither SACKed nor lost — the
+   walk above the frontier; [i] is the first SACKed run ending after
+   [a]. *)
+let[@vtp.hot] rec stage_gaps t i a h nf =
+  let s = t.sacked in
+  if a >= h then nf
+  else if i < s.Runs.len && s.Runs.lo.(i) <= a then
+    stage_gaps t (i + 1) (Stdlib.max a s.Runs.hi.(i)) h nf
+  else begin
+    let stop = if i >= s.Runs.len then h else Stdlib.min h s.Runs.lo.(i) in
+    stage_gaps t i stop h (stage_unlost t (Runs.seek t.lost a) a stop nf)
+  end
+
+(* Stage the retransmitted positions of [a, h) that are again neither
+   SACKed nor lost. *)
+let[@vtp.hot] rec stage_retransmitted t a h nf =
+  if a >= h then nf
+  else if Runs.mem t.sacked a || Runs.mem t.lost a then
+    stage_retransmitted t (a + 1) h nf
+  else stage_retransmitted t (a + 1) h (stage t nf a (a + 1))
+
+(* The walk below the frontier: [pending] runs from index [k] on,
+   clipped to [lo, hi). *)
+let[@vtp.hot] rec stage_pending t k lo hi nf =
+  let pd = t.pending in
+  if k >= pd.Runs.len || pd.Runs.lo.(k) >= hi then nf
+  else
+    stage_pending t (k + 1) lo hi
+      (stage_retransmitted t
+         (Stdlib.max lo pd.Runs.lo.(k))
+         (Stdlib.min hi pd.Runs.hi.(k))
+         nf)
+
+(* Merge the clipped blocks [k, nclip) of the scratch into the SACKed
+   set, covering their gaps; returns [n] plus the covers. *)
+let[@vtp.hot] rec merge_blocks t on k nclip n =
+  if k >= nclip then n
+  else begin
+    let l = t.scr_lo.(k) and h = t.scr_hi.(k) in
+    let n = cover_gaps t on (Runs.seek t.sacked l) l h n in
+    Runs.remove t.lost l h;
+    Runs.add t.sacked l h;
+    merge_blocks t on (k + 1) nclip n
+  end
+
+(* Report the staged fresh losses [k, nfresh) ascending; returns [n]
+   plus their count. *)
+let[@vtp.hot] rec report_lost t on_lost k nfresh n =
+  if k >= nfresh then n
+  else begin
+    for a = t.scr_lo.(k) to t.scr_hi.(k) - 1 do
+      on_lost (ser_of t a)
+    done;
+    report_lost t on_lost (k + 1) nfresh (n + t.scr_hi.(k) - t.scr_lo.(k))
+  end
+
+let[@vtp.hot] iter_feedback t ~cum_ack ~blocks ~on_ack ~on_sack ~on_lost =
+  charge t "send.scoreboard.feedback";
   (* 1. Cumulative advance: every not-yet-SACKed position up to the
      (clipped) ack point is a fresh cover. *)
   let cum_advanced = Serial.( > ) cum_ack t.snd_una in
-  if cum_advanced then begin
-    let target = Stdlib.min (abs_of t cum_ack) t.nxt_abs in
-    Runs.iter_gaps t.sacked t.una_abs target (fun gl gh ->
-        for a = gl to gh - 1 do
-          incr n_acked;
-          emit on_ack a
-        done);
-    t.acked <- t.acked + (target - t.una_abs);
-    Runs.trim_below t.sacked target;
-    Runs.trim_below t.lost target;
-    t.una_abs <- target;
-    t.snd_una <- Serial.max t.snd_una (Serial.min cum_ack t.snd_nxt)
-  end;
+  let n_acked =
+    if cum_advanced then begin
+      let target = Stdlib.min (abs_of t cum_ack) t.nxt_abs in
+      let n =
+        cover_gaps t on_ack (Runs.seek t.sacked t.una_abs) t.una_abs target 0
+      in
+      t.acked <- t.acked + (target - t.una_abs);
+      Runs.trim_below t.sacked target;
+      Runs.trim_below t.lost target;
+      Runs.trim_below t.pending target;
+      t.una_abs <- target;
+      t.snd_una <- Serial.max t.snd_una (Serial.min cum_ack t.snd_nxt);
+      n
+    end
+    else 0
+  in
   (* 2. SACK coverage: the uncovered gaps of each (clipped) block are
      the newly SACKed positions; then the block merges into the run
-     set in one splice.  The clipped runs go through the reusable
-     scratch arrays, insertion-sorted by lower bound (stable, like the
-     [List.sort] this replaces; real feedback carries at most a
-     handful of blocks). *)
-  let nclip = ref 0 in
-  List.iter
-    (fun (b : Blocks.t) ->
-      let l = Stdlib.max (abs_of t b.block_start) t.una_abs in
-      let h = Stdlib.min (abs_of t b.block_end) t.nxt_abs in
-      if l < h then begin
-        ensure_scr t (!nclip + 1);
-        let j = ref !nclip in
-        while !j > 0 && t.scr_lo.(!j - 1) > l do
-          t.scr_lo.(!j) <- t.scr_lo.(!j - 1);
-          t.scr_hi.(!j) <- t.scr_hi.(!j - 1);
-          decr j
-        done;
-        t.scr_lo.(!j) <- l;
-        t.scr_hi.(!j) <- h;
-        incr nclip
-      end)
-    blocks;
-  for k = 0 to !nclip - 1 do
-    let l = t.scr_lo.(k) and h = t.scr_hi.(k) in
-    Runs.iter_gaps t.sacked l h (fun gl gh ->
-        for a = gl to gh - 1 do
-          incr n_sacked;
-          emit on_sack a
-        done);
-    Runs.remove t.lost l h;
-    Runs.add t.sacked l h
-  done;
+     set in one splice. *)
+  let n_sacked = merge_blocks t on_sack 0 (clip_blocks t blocks 0) 0 in
   (* 3. Loss inference: a position is lost once [dupthresh] SACKed
      positions lie above it, i.e. everything below the dupthresh-th
-     highest SACKed point that is neither SACKed nor already lost.
-     The fresh runs reuse the same scratch (phase 2 is done with it),
-     collected in ascending order. *)
-  let nfresh = ref 0 in
+     highest SACKed point [p] that is neither SACKed nor already lost.
+     [p] never falls while it is above [una], so only two parts can
+     hold such positions: the retransmitted ones below the frontier,
+     then the gaps between the frontier and [p].  The first part lies
+     wholly below the second, so the fresh runs reach the scratch
+     (phase 2 is done with it) in ascending order. *)
   let p = Runs.kth_from_top t.sacked t.dupthresh in
-  if p > t.una_abs then begin
-    Runs.iter_gaps t.sacked t.una_abs p (fun gl gh ->
-        Runs.iter_gaps t.lost gl gh (fun ll lh ->
-            ensure_scr t (!nfresh + 1);
-            t.scr_lo.(!nfresh) <- ll;
-            t.scr_hi.(!nfresh) <- lh;
-            incr nfresh));
-    for k = 0 to !nfresh - 1 do
-      Runs.add t.lost t.scr_lo.(k) t.scr_hi.(k)
-    done;
-    (* The reference walk marks from the top down; emit in the same
-       descending order so traces stay byte-identical. *)
-    if Trace.Sink.on t.trace then
-      for k = !nfresh - 1 downto 0 do
-        for a = t.scr_hi.(k) - 1 downto t.scr_lo.(k) do
-          Trace.Sink.emit t.trace
-            (Trace.Event.Loss_inferred
-               { seq = ser_of t a; by = Trace.Event.I_dupthresh })
-        done
-      done;
-    for k = 0 to !nfresh - 1 do
-      for a = t.scr_lo.(k) to t.scr_hi.(k) - 1 do
-        incr n_lost;
-        on_lost (ser_of t a)
+  let nfresh =
+    if p > t.una_abs then begin
+      let below = Stdlib.min t.frontier p in
+      let nf =
+        stage_pending t (Runs.seek t.pending t.una_abs) t.una_abs below 0
+      in
+      Runs.trim_below t.pending below;
+      let above = Stdlib.max t.frontier t.una_abs in
+      let nf = stage_gaps t (Runs.seek t.sacked above) above p nf in
+      t.frontier <- Stdlib.max t.frontier p;
+      nf
+    end
+    else 0
+  in
+  for k = 0 to nfresh - 1 do
+    Runs.add t.lost t.scr_lo.(k) t.scr_hi.(k)
+  done;
+  (* The reference walk marks from the top down; emit in the same
+     descending order so traces stay byte-identical. *)
+  if Trace.Sink.on t.trace then
+    for k = nfresh - 1 downto 0 do
+      for a = t.scr_hi.(k) - 1 downto t.scr_lo.(k) do
+        Trace.Sink.emit t.trace
+          (Trace.Event.Loss_inferred
+             { seq = ser_of t a; by = Trace.Event.I_dupthresh })
       done
-    done
-  end;
+    done;
+  let n_lost = report_lost t on_lost 0 nfresh 0 in
   {
-    fb_acked = !n_acked;
-    fb_sacked = !n_sacked;
-    fb_lost = !n_lost;
+    fb_acked = n_acked;
+    fb_sacked = n_sacked;
+    fb_lost = n_lost;
     fb_cum_advanced = cum_advanced;
   }
 
@@ -480,6 +463,7 @@ let abandon_below t limit =
         done);
     Runs.trim_below t.sacked target;
     Runs.trim_below t.lost target;
+    Runs.trim_below t.pending target;
     t.una_abs <- target;
     t.snd_una <- limit
   end

@@ -49,6 +49,13 @@ val next_seq : t -> Packet.Serial.t
 val una : t -> Packet.Serial.t
 (** Lowest unacknowledged sequence number ([snd_una]). *)
 
+val pos : t -> Packet.Serial.t -> int
+(** Absolute position of a number in this scoreboard's numbering.
+    Positions are monotone and never wrap, even though serials do: a
+    number below {!una} maps below [pos t (una t)], for the life of the
+    scoreboard, so a position set trimmed at that point never holds a
+    stale entry that could alias a live number after the 32-bit wrap. *)
+
 type feedback_summary = {
   fb_acked : int;
   fb_sacked : int;

@@ -100,6 +100,90 @@ let test_full_fwd_point_is_una () =
   let fwd = RL.fwd_point rl ~highest_sent:(SB.next_seq sb) in
   Alcotest.(check int) "fwd = una" 2 (S.to_int fwd)
 
+(* A long partial-reliability transfer over a lossy channel into a real
+   receive tracker: every abandoned number the engine remembers must
+   lie at or above [una] after each forward-point step (the sender
+   advertises one per packet), and the set must stay within the window
+   however many numbers were abandoned. *)
+let test_abandoned_set_trimmed () =
+  let sb, rl = setup (RL.Partial { max_retx = 1; deadline = 0.08 }) in
+  let tr = Sack.Rcv_tracker.create () in
+  let rng = Engine.Rng.create ~seed:11 in
+  (* A 30-step one-way path: (arrival step, seq, forward point). *)
+  let path = Queue.create () in
+  let worst = ref 0 in
+  for step = 1 to 20_000 do
+    let now = float_of_int step *. 0.001 in
+    let seq =
+      match RL.next_decision rl ~now with
+      | RL.Retransmit s ->
+          SB.on_send sb ~seq:s ~now ~size:1000 ~is_retx:true;
+          s
+      | RL.Fresh_data ->
+          let s = SB.next_seq sb in
+          SB.on_send sb ~seq:s ~now ~size:1000 ~is_retx:false;
+          s
+    in
+    let fwd = RL.fwd_point rl ~highest_sent:(SB.next_seq sb) in
+    let una = SB.una sb in
+    let held = RL.abandoned_held rl in
+    if List.exists (fun s -> S.( < ) s una) held then
+      Alcotest.failf "step %d: abandoned entry below una %d" step (S.to_int una);
+    if List.length held > SB.outstanding sb then
+      Alcotest.failf "step %d: %d abandoned held, window %d" step
+        (List.length held) (SB.outstanding sb);
+    worst := Stdlib.max !worst (List.length held);
+    if Engine.Rng.int rng 5 > 0 then Queue.add (step + 30, seq, fwd) path;
+    while
+      (not (Queue.is_empty path))
+      &&
+      let at, _, _ = Queue.peek path in
+      at <= step
+    do
+      let _, s, f = Queue.pop path in
+      Sack.Rcv_tracker.apply_fwd_point tr f;
+      Sack.Rcv_tracker.on_data tr ~seq:s
+    done;
+    if step mod 4 = 0 then begin
+      let r =
+        SB.on_feedback sb
+          ~cum_ack:(Sack.Rcv_tracker.cum_ack tr)
+          ~blocks:(Sack.Rcv_tracker.sack_blocks tr)
+      in
+      RL.on_losses rl ~now r.SB.newly_lost;
+      RL.on_losses rl ~now (SB.mark_expired sb ~now ~timeout:0.1)
+    end
+  done;
+  Alcotest.(check bool) "thousands abandoned" true (RL.abandoned rl > 1000);
+  Alcotest.(check bool) "held set stayed small" true (!worst < 50)
+
+(* An abandoned number above a live hole is remembered (the forward
+   point must wait at the hole, then skip it) and forgotten once the
+   forward point passes it. *)
+let test_abandoned_above_live_hole () =
+  let sb, rl = setup (RL.Partial { max_retx = 5; deadline = 0.5 }) in
+  send_n sb 10;
+  let r = SB.on_feedback sb ~cum_ack:(S.of_int 0) ~blocks:[ blk 2 3; blk 4 10 ] in
+  RL.on_losses rl ~now:0.1 r.SB.newly_lost;
+  (match RL.next_decision rl ~now:0.1 with
+  | RL.Retransmit s ->
+      Alcotest.(check int) "hole 0 repaired first" 0 (S.to_int s);
+      SB.on_send sb ~seq:s ~now:0.1 ~size:1000 ~is_retx:true
+  | RL.Fresh_data -> Alcotest.fail "expected a retransmission");
+  (* Past the deadline by the next opportunity: 1 and 3 are abandoned. *)
+  (match RL.next_decision rl ~now:1.0 with
+  | RL.Fresh_data -> ()
+  | RL.Retransmit _ -> Alcotest.fail "1 and 3 are past their deadline");
+  Alcotest.(check int) "fwd waits at the live hole" 0
+    (S.to_int (RL.fwd_point rl ~highest_sent:(SB.next_seq sb)));
+  Alcotest.(check (list int)) "held above it" [ 1; 3 ]
+    (List.map S.to_int (RL.abandoned_held rl));
+  ignore (SB.on_feedback sb ~cum_ack:(S.of_int 1) ~blocks:[]);
+  Alcotest.(check int) "fwd skips both once 0 is acked" 10
+    (S.to_int (RL.fwd_point rl ~highest_sent:(SB.next_seq sb)));
+  Alcotest.(check (list int)) "and forgets them" []
+    (List.map S.to_int (RL.abandoned_held rl))
+
 let test_policy_pp () =
   Alcotest.(check string) "pp full" "full"
     (Format.asprintf "%a" RL.pp_policy RL.Full);
@@ -118,4 +202,8 @@ let suite =
       test_duplicate_loss_reports_queued_once;
     Alcotest.test_case "full fwd = una" `Quick test_full_fwd_point_is_una;
     Alcotest.test_case "policy pp" `Quick test_policy_pp;
+    Alcotest.test_case "abandoned set trimmed at una" `Quick
+      test_abandoned_set_trimmed;
+    Alcotest.test_case "abandoned above a live hole" `Quick
+      test_abandoned_above_live_hole;
   ]

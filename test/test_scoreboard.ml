@@ -180,11 +180,15 @@ let prop_una_monotone =
 (* ------------------------------------------------------------------ *)
 (* Differential testing against the frozen per-entry reference
    implementation: a random operation stream — send bursts, SACK
-   feedback, retransmission of every pending loss, timeout expiry and
-   abandonment — is replayed through both the run-length scoreboard and
-   [Sack.Scoreboard_ref], and every externally observable result must
-   match exactly: feedback covers, loss inferences, expiry lists,
-   per-sequence status and the aggregate counters. *)
+   feedback, retransmission of a random subset of the pending losses,
+   timeout expiry, abandonment, and the large-window shapes that drive
+   the incremental loss inference (a top SACK block growing by a few
+   packets per feedback over hundreds in flight; an expiry, a
+   retransmit high in the window, then a cumulative jump) — is replayed
+   through both the run-length scoreboard and [Sack.Scoreboard_ref],
+   and every externally observable result must match exactly: feedback
+   covers, loss inferences, expiry lists, per-sequence status and the
+   aggregate counters. *)
 
 module SBR = Sack.Scoreboard_ref
 
@@ -193,6 +197,18 @@ let cover_repr (c : SB.cover) =
 
 let cover_repr_ref (c : SBR.cover) =
   (S.to_int c.SBR.cov_seq, c.SBR.cov_sent_at, c.SBR.cov_was_retx)
+
+(* Feed the same feedback to both and report whether every result
+   matches. *)
+let feedback_agrees sb sbr ~cum ~blocks =
+  let r = SB.on_feedback sb ~cum_ack:(S.of_int cum) ~blocks in
+  let rr = SBR.on_feedback sbr ~cum_ack:(S.of_int cum) ~blocks in
+  r.SB.cum_advanced = rr.SBR.cum_advanced
+  && List.map cover_repr r.SB.newly_acked
+     = List.map cover_repr_ref rr.SBR.newly_acked
+  && List.map cover_repr r.SB.newly_sacked
+     = List.map cover_repr_ref rr.SBR.newly_sacked
+  && List.map S.to_int r.SB.newly_lost = List.map S.to_int rr.SBR.newly_lost
 
 let differential_run ~seed ~steps =
   let rng = Engine.Rng.create ~seed in
@@ -205,14 +221,23 @@ let differential_run ~seed ~steps =
     SB.on_send sb ~seq ~now:!now ~size:1000 ~is_retx;
     SBR.on_send sbr ~seq ~now:!now ~size:1000 ~is_retx
   in
+  let send_fresh n =
+    for _ = 1 to n do
+      both_send (SB.next_seq sb) ~is_retx:false
+    done
+  in
+  let expire () =
+    let timeout = 0.001 +. Engine.Rng.float rng 0.05 in
+    expect "mark_expired"
+      (List.map S.to_int (SB.mark_expired sb ~now:!now ~timeout)
+      = List.map S.to_int (SBR.mark_expired sbr ~now:!now ~timeout))
+  in
+  (* The top SACK block [top_lo, top_hi) the large-window op extends. *)
+  let top_lo = ref 0 and top_hi = ref 0 in
   for _ = 1 to steps do
     now := !now +. 0.001 +. Engine.Rng.float rng 0.01;
-    (match Engine.Rng.int rng 8 with
-    | 0 | 1 ->
-        let n = 1 + Engine.Rng.int rng 24 in
-        for _ = 1 to n do
-          both_send (SB.next_seq sb) ~is_retx:false
-        done
+    (match Engine.Rng.int rng 11 with
+    | 0 | 1 -> send_fresh (1 + Engine.Rng.int rng 24)
     | 2 | 3 | 4 ->
         let una = S.to_int (SB.una sb) in
         let nxt = S.to_int (SB.next_seq sb) in
@@ -223,34 +248,46 @@ let differential_run ~seed ~steps =
               let a = cum + 1 + Engine.Rng.int rng (Stdlib.max 1 (nxt - cum) + 2) in
               blk a (a + 1 + Engine.Rng.int rng 6))
         in
-        let r = SB.on_feedback sb ~cum_ack:(S.of_int cum) ~blocks in
-        let rr = SBR.on_feedback sbr ~cum_ack:(S.of_int cum) ~blocks in
-        expect "cum_advanced" (r.SB.cum_advanced = rr.SBR.cum_advanced);
-        expect "newly_acked"
-          (List.map cover_repr r.SB.newly_acked
-          = List.map cover_repr_ref rr.SBR.newly_acked);
-        expect "newly_sacked"
-          (List.map cover_repr r.SB.newly_sacked
-          = List.map cover_repr_ref rr.SBR.newly_sacked);
-        expect "newly_lost"
-          (List.map S.to_int r.SB.newly_lost
-          = List.map S.to_int rr.SBR.newly_lost)
+        expect "feedback" (feedback_agrees sb sbr ~cum ~blocks)
     | 5 ->
         let lp = SB.lost_pending sb in
         expect "lost_pending"
           (List.map S.to_int lp = List.map S.to_int (SBR.lost_pending sbr));
-        List.iter (fun s -> both_send s ~is_retx:true) lp
-    | 6 ->
-        let timeout = 0.001 +. Engine.Rng.float rng 0.05 in
-        expect "mark_expired"
-          (List.map S.to_int (SB.mark_expired sb ~now:!now ~timeout)
-          = List.map S.to_int (SBR.mark_expired sbr ~now:!now ~timeout))
-    | _ ->
+        List.iter
+          (fun s -> if Engine.Rng.int rng 2 = 0 then both_send s ~is_retx:true)
+          lp
+    | 6 -> expire ()
+    | 7 ->
         let una = S.to_int (SB.una sb) in
         let window = S.to_int (SB.next_seq sb) - una in
         let upto = S.of_int (una + Engine.Rng.int rng (window + 1)) in
         SB.abandon_below sb upto;
-        SBR.abandon_below sbr upto);
+        SBR.abandon_below sbr upto
+    | 8 | 9 ->
+        (* Large window, top block growing by 1-3 packets per report. *)
+        let una = S.to_int (SB.una sb) in
+        if S.to_int (SB.next_seq sb) - una < 200 then
+          send_fresh (200 + Engine.Rng.int rng 200);
+        let nxt = S.to_int (SB.next_seq sb) in
+        if !top_lo <= una || !top_hi >= nxt then begin
+          top_lo := una + 1 + Engine.Rng.int rng ((nxt - una) / 2);
+          top_hi := !top_lo
+        end;
+        top_hi := Stdlib.min nxt (!top_hi + 1 + Engine.Rng.int rng 3);
+        expect "top-block feedback"
+          (feedback_agrees sb sbr ~cum:una ~blocks:[ blk !top_lo !top_hi ])
+    | _ ->
+        (* Expiry, a retransmit high in the window (above the dupthresh
+           point unless the top is SACKed), then a cumulative jump into
+           the upper part of the window. *)
+        expire ();
+        (match List.rev (SB.lost_pending sb) with
+        | top :: _ -> both_send top ~is_retx:true
+        | [] -> ());
+        let una = S.to_int (SB.una sb) in
+        let nxt = S.to_int (SB.next_seq sb) in
+        let cum = nxt - Engine.Rng.int rng (((nxt - una) / 4) + 1) in
+        expect "cum jump" (feedback_agrees sb sbr ~cum ~blocks:[]));
     expect "una" (S.equal (SB.una sb) (SBR.una sbr));
     expect "next_seq" (S.equal (SB.next_seq sb) (SBR.next_seq sbr));
     expect "outstanding" (SB.outstanding sb = SBR.outstanding sbr);
@@ -273,6 +310,52 @@ let prop_differential_vs_reference =
     ~name:"run-length scoreboard matches the frozen reference" ~count:250
     QCheck.(pair (int_range 1 1_000_000) (int_range 1 120))
     (fun (seed, steps) -> differential_run ~seed ~steps)
+
+(* A retransmission below the dupthresh point is in flight again; the
+   next feedback, even one that changes nothing, must infer it lost
+   again (the reference re-walks the whole window every time), and
+   SACK coverage of it must clear it for good. *)
+let test_retransmit_below_frontier_relost () =
+  let sb = SB.create ~dupthresh:3 () in
+  let sbr = SBR.create ~dupthresh:3 () in
+  for i = 0 to 19 do
+    let seq = S.of_int i and now = float_of_int i in
+    SB.on_send sb ~seq ~now ~size:1000 ~is_retx:false;
+    SBR.on_send sbr ~seq ~now ~size:1000 ~is_retx:false
+  done;
+  let lost_both ~cum ~blocks =
+    let r = SB.on_feedback sb ~cum_ack:(S.of_int cum) ~blocks in
+    let rr = SBR.on_feedback sbr ~cum_ack:(S.of_int cum) ~blocks in
+    let l = List.map S.to_int r.SB.newly_lost in
+    Alcotest.(check (list int)) "same as the reference" l
+      (List.map S.to_int rr.SBR.newly_lost);
+    l
+  in
+  let retx s =
+    SB.on_send sb ~seq:(S.of_int s) ~now:30.0 ~size:1000 ~is_retx:true;
+    SBR.on_send sbr ~seq:(S.of_int s) ~now:30.0 ~size:1000 ~is_retx:true
+  in
+  Alcotest.(check (list int)) "holes below the dupthresh point" [ 0; 2; 4 ]
+    (lost_both ~cum:0 ~blocks:[ blk 1 2; blk 3 4; blk 5 12 ]);
+  retx 2;
+  retx 4;
+  Alcotest.(check bool) "retransmit is in flight" true
+    (SB.status sb (S.of_int 2) = `In_flight);
+  Alcotest.(check (list int)) "unchanged feedback re-infers both" [ 2; 4 ]
+    (lost_both ~cum:0 ~blocks:[ blk 5 12 ]);
+  retx 2;
+  retx 4;
+  Alcotest.(check (list int)) "a SACKed retransmit is not re-inferred" [ 4 ]
+    (lost_both ~cum:0 ~blocks:[ blk 2 3; blk 12 13 ]);
+  Alcotest.(check (list int)) "pending losses agree"
+    (List.map S.to_int (SBR.lost_pending sbr))
+    (List.map S.to_int (SB.lost_pending sb));
+  for i = 0 to 20 do
+    Alcotest.(check bool)
+      (Printf.sprintf "status %d" i)
+      true
+      (SB.status sb (S.of_int i) = SBR.status sbr (S.of_int i))
+  done
 
 (* Adversarial fragmentation: SACK every second packet of a large
    window in one feedback — the worst case for any run-length scheme.
@@ -376,6 +459,8 @@ let suite =
     Alcotest.test_case "in-flight bytes" `Quick test_in_flight_bytes;
     Alcotest.test_case "alternating-loss fragmentation bounded" `Quick
       test_alternating_sack_fragmentation;
+    Alcotest.test_case "retransmit below the frontier is re-inferred" `Quick
+      test_retransmit_below_frontier_relost;
     QCheck_alcotest.to_alcotest prop_sacked_and_lost_disjoint;
     QCheck_alcotest.to_alcotest prop_una_monotone;
     QCheck_alcotest.to_alcotest prop_differential_vs_reference;
