@@ -207,71 +207,6 @@ let[@vtp.ambient] bench_token_bucket =
           ~now:(float_of_int !i *. 1e-4)
           ~bytes:1500))
 
-let bench_wire_encode =
-  Test.make ~name:"packet.wire.encode_data"
-    (let hdr =
-       Packet.Header.Data
-         {
-           seq = Packet.Serial.of_int 123456;
-           tstamp = 1.5;
-           rtt_estimate = 0.05;
-           is_retransmit = false;
-           fwd_point = Packet.Serial.of_int 123000;
-         }
-     in
-     Staged.stage @@ fun () -> ignore (Packet.Wire.encode hdr))
-
-let bench_wire_roundtrip =
-  Test.make ~name:"packet.wire.sack_roundtrip"
-    (let hdr =
-       Packet.Header.Sack_feedback
-         {
-           cum_ack = Packet.Serial.of_int 1000;
-           blocks =
-             List.init 4 (fun i ->
-                 {
-                   Packet.Header.block_start =
-                     Packet.Serial.of_int (1010 + (i * 10));
-                   block_end = Packet.Serial.of_int (1015 + (i * 10));
-                 });
-           sack_tstamp_echo = 1.0;
-           sack_t_delay = 0.001;
-           sack_x_recv = 1e6;
-           sack_ce_count = 2;
-         }
-     in
-     Staged.stage @@ fun () ->
-     ignore (Packet.Wire.decode (Packet.Wire.encode hdr)))
-
-(* The zero-copy packed roundtrip: encode a 4-block SACK into the
-   domain-local scratch, validate in place, and fold every field with
-   the composed in-place reader — no intermediate [Header.t], no
-   allocation (the property suite asserts < 1 word/op). *)
-let bench_wire_inplace =
-  Test.make ~name:"packet.wire.inplace"
-    (let hdr =
-       Packet.Header.Sack_feedback
-         {
-           cum_ack = Packet.Serial.of_int 1000;
-           blocks =
-             List.init 4 (fun i ->
-                 {
-                   Packet.Header.block_start =
-                     Packet.Serial.of_int (1010 + (i * 10));
-                   block_end = Packet.Serial.of_int (1015 + (i * 10));
-                 });
-           sack_tstamp_echo = 1.0;
-           sack_t_delay = 0.001;
-           sack_x_recv = 1e6;
-           sack_ce_count = 2;
-         }
-     in
-     let buf = Packet.Wire.Packed.scratch () in
-     Staged.stage @@ fun () ->
-     let len = Packet.Wire.Packed.encode_into hdr buf ~pos:0 in
-     Packet.Wire.Packed.check buf ~pos:0 ~len;
-     ignore (Packet.Wire.Packed.read_digest buf ~pos:0))
-
 (* The trunk framing fast path: batch-encode eight sub-frames into the
    domain-local scratch and demultiplex them back with the in-place
    iterator — the per-segment duty cycle of a loaded mux, no
@@ -363,9 +298,6 @@ let micro_tests =
     bench_reconstructor;
     bench_red;
     bench_token_bucket;
-    bench_wire_encode;
-    bench_wire_roundtrip;
-    bench_wire_inplace;
     bench_trunk_frame;
     bench_trace_record;
     bench_end_to_end;

@@ -1,4 +1,4 @@
-(* CLI: lint + structural analysis of the protocol sources.
+(* CLI: the source analyzer (Analysis.Check) over the protocol sources.
 
    Examples:
      vtp_lint lib bin                       # scan (the default roots)
@@ -10,18 +10,13 @@
      vtp_lint --list-rules
 
    Exit codes: 0 clean (no new gating findings), 1 new findings,
-   2 usage error / missing directory / malformed baseline. *)
+   2 usage error / unknown rule id / missing directory / malformed
+   baseline. *)
 
 open Cmdliner
 
 let list_rules =
   Arg.(value & flag & info [ "list-rules" ] ~doc:"List the rule table and exit.")
-
-let warnings_only_exit =
-  Arg.(
-    value & flag
-    & info [ "warnings" ]
-        ~doc:"Also fail (exit 1) on warning-severity findings.")
 
 let jobs =
   Arg.(
@@ -57,7 +52,8 @@ let rule_filter =
   Arg.(
     value & opt_all string []
     & info [ "rule" ] ~docv:"ID"
-        ~doc:"Restrict the scan to this rule id (repeatable).")
+        ~doc:"Restrict the scan to this rule id (repeatable).  An id \
+              $(b,--list-rules) does not show exits 2.")
 
 let explain =
   Arg.(
@@ -74,68 +70,37 @@ let roots =
 
 (* ------------------------------------------------------------------ *)
 
-let print_rule_line id severity doc dirs allow =
-  Format.printf "%-18s %-8s %s@." id severity doc;
-  (match dirs with
+let print_rule_line (p : Analysis.Pass.t) =
+  Format.printf "%-18s %-8s %s: %s@." p.Analysis.Pass.id "error"
+    p.Analysis.Pass.family p.Analysis.Pass.doc;
+  (match p.Analysis.Pass.dirs with
   | [] -> ()
   | dirs -> Format.printf "%-18s   scope: %s@." "" (String.concat " " dirs));
-  match allow with
+  match p.Analysis.Pass.allow with
   | [] -> ()
   | allow -> Format.printf "%-18s   allow: %s@." "" (String.concat " " allow)
 
 let do_list_rules () =
-  List.iter
-    (fun (r : Analysis.Lint.rule) ->
-      print_rule_line r.Analysis.Lint.id
-        (Analysis.Lint.severity_name r.Analysis.Lint.severity)
-        r.Analysis.Lint.doc r.Analysis.Lint.dirs r.Analysis.Lint.allow)
-    Analysis.Lint.rules;
-  List.iter
-    (fun (p : Analysis.Pass.t) ->
-      print_rule_line p.Analysis.Pass.id "error"
-        (p.Analysis.Pass.family ^ ": " ^ p.Analysis.Pass.doc)
-        p.Analysis.Pass.dirs p.Analysis.Pass.allow)
-    Analysis.Check.passes;
+  List.iter print_rule_line Analysis.Check.passes;
   0
 
-let print_explain ~id ~doc ~rationale ~bad ~good =
-  Format.printf "%s — %s@.@.%s@.@.Offender:@.  %s@.@.Fix:@.  %s@." id doc
-    rationale bad good
+let unknown_rule rid =
+  Format.eprintf "vtp_lint: unknown rule %s (try --list-rules)@." rid;
+  2
 
 let do_explain rid =
   match Analysis.Check.find_pass rid with
   | Some p ->
-      print_explain ~id:p.Analysis.Pass.id
-        ~doc:(p.Analysis.Pass.family ^ ": " ^ p.Analysis.Pass.doc)
-        ~rationale:p.Analysis.Pass.rationale ~bad:p.Analysis.Pass.bad
-        ~good:p.Analysis.Pass.good;
+      Format.printf "%s — %s: %s@.@.%s@.@.Offender:@.  %s@.@.Fix:@.  %s@."
+        p.Analysis.Pass.id p.Analysis.Pass.family p.Analysis.Pass.doc
+        p.Analysis.Pass.rationale p.Analysis.Pass.bad p.Analysis.Pass.good;
       0
-  | None -> (
-      match
-        List.find_opt
-          (fun (r : Analysis.Lint.rule) -> r.Analysis.Lint.id = rid)
-          Analysis.Lint.rules
-      with
-      | Some r ->
-          print_explain ~id:r.Analysis.Lint.id
-            ~doc:("lint: " ^ r.Analysis.Lint.doc)
-            ~rationale:r.Analysis.Lint.rationale ~bad:r.Analysis.Lint.bad
-            ~good:r.Analysis.Lint.good;
-          0
-      | None ->
-          Format.eprintf
-            "vtp_lint: unknown rule %s (try --list-rules)@." rid;
-          2)
+  | None -> unknown_rule rid
 
 let rule_meta () =
   List.map
-    (fun (r : Analysis.Lint.rule) ->
-      (r.Analysis.Lint.id, r.Analysis.Lint.doc))
-    Analysis.Lint.rules
-  @ List.map
-      (fun (p : Analysis.Pass.t) ->
-        (p.Analysis.Pass.id, p.Analysis.Pass.doc))
-      Analysis.Check.passes
+    (fun (p : Analysis.Pass.t) -> (p.Analysis.Pass.id, p.Analysis.Pass.doc))
+    Analysis.Check.passes
 
 let write_file path contents =
   let oc = open_out_bin path in
@@ -143,95 +108,78 @@ let write_file path contents =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc contents)
 
-let run list_only strict jobs json_out baseline_file update_baseline
-    rule_filter explain roots =
+let report ~json_out classified =
+  let json_to_stdout = match json_out with Some "-" -> true | _ -> false in
+  (match json_out with
+  | None -> ()
+  | Some dest ->
+      let doc = Analysis.Report.sarif ~rules:(rule_meta ()) classified in
+      let text = Stats.Json.to_string doc ^ "\n" in
+      if json_to_stdout then print_string text else write_file dest text);
+  let new_gating = List.filter snd classified in
+  if not json_to_stdout then begin
+    List.iter (fun c -> Format.printf "%a@." Analysis.Report.pp_entry c)
+      classified;
+    Format.printf "vtp_lint: %d finding(s), %d baselined, %d gating@."
+      (List.length classified)
+      (List.length classified - List.length new_gating)
+      (List.length new_gating)
+  end;
+  if new_gating = [] then 0 else 1
+
+let scan ~jobs ~json_out ~baseline_file ~update_baseline ~rule_filter roots =
+  (* Check.run_tree sorts by (path, line, rule, message), the order
+     Baseline.classify needs. *)
+  let entries =
+    Analysis.Report.of_check (Analysis.Check.run_tree ?jobs ~roots ())
+  in
+  let entries =
+    match rule_filter with
+    | [] -> entries
+    | rs ->
+        List.filter
+          (fun (e : Analysis.Report.entry) ->
+            List.mem e.Analysis.Report.rule rs)
+          entries
+  in
+  if update_baseline then begin
+    let path = Option.value baseline_file ~default:"analysis/BASELINE.json" in
+    Analysis.Baseline.save path entries;
+    Format.printf "vtp_lint: baseline updated: %d finding(s) -> %s@."
+      (List.length entries) path;
+    0
+  end
+  else
+    match baseline_file with
+    | None -> report ~json_out (List.map (fun e -> (e, true)) entries)
+    | Some p -> (
+        match Analysis.Baseline.load p with
+        | bl -> report ~json_out (Analysis.Baseline.classify bl entries)
+        | exception Analysis.Baseline.Malformed m ->
+            Format.eprintf "vtp_lint: malformed baseline %s: %s@." p m;
+            2)
+
+let run list_only jobs json_out baseline_file update_baseline rule_filter
+    explain roots =
   match explain with
   | Some rid -> do_explain rid
-  | None ->
+  | None -> (
       if list_only then do_list_rules ()
-      else begin
-        let missing = List.filter (fun r -> not (Sys.file_exists r)) roots in
-        match missing with
-        | d :: _ ->
-            Format.eprintf "vtp_lint: no such directory: %s@." d;
-            2
-        | [] ->
-            let lint_findings = Analysis.Lint.lint_tree ?jobs ~roots () in
-            let check_findings = Analysis.Check.run_tree ?jobs ~roots () in
-            let entries =
-              Analysis.Report.sort
-                (Analysis.Report.of_lint lint_findings
-                @ Analysis.Report.of_check check_findings)
-            in
-            let entries =
-              match rule_filter with
-              | [] -> entries
-              | rs ->
-                  List.filter
-                    (fun (e : Analysis.Report.entry) ->
-                      List.mem e.Analysis.Report.rule rs)
-                    entries
-            in
-            let gating_severity (e : Analysis.Report.entry) =
-              strict || e.Analysis.Report.severity = "error"
-            in
-            if update_baseline then begin
-              let path =
-                Option.value baseline_file ~default:"analysis/BASELINE.json"
-              in
-              let tracked = List.filter gating_severity entries in
-              Analysis.Baseline.save path tracked;
-              Format.printf "vtp_lint: baseline updated: %d finding(s) -> %s@."
-                (List.length tracked) path;
-              0
-            end
-            else begin
-              match
-                match baseline_file with
-                | None -> Ok (List.map (fun e -> (e, true)) entries)
-                | Some p -> (
-                    try
-                      Ok
-                        (Analysis.Baseline.classify
-                           (Analysis.Baseline.load p)
-                           entries)
-                    with Analysis.Baseline.Malformed m -> Error (p, m))
-              with
-              | Error (p, m) ->
-                  Format.eprintf "vtp_lint: malformed baseline %s: %s@." p m;
-                  2
-              | Ok classified ->
-                  let json_to_stdout =
-                    match json_out with Some "-" -> true | _ -> false
-                  in
-                  (match json_out with
-                  | None -> ()
-                  | Some dest ->
-                      let doc =
-                        Analysis.Report.sarif ~rules:(rule_meta ()) classified
-                      in
-                      let text = Stats.Json.to_string doc ^ "\n" in
-                      if json_to_stdout then print_string text
-                      else write_file dest text);
-                  let new_gating =
-                    List.filter
-                      (fun (e, is_new) -> is_new && gating_severity e)
-                      classified
-                  in
-                  if not json_to_stdout then begin
-                    List.iter
-                      (fun c ->
-                        Format.printf "%a@." Analysis.Report.pp_entry c)
-                      classified;
-                    Format.printf
-                      "vtp_lint: %d finding(s), %d baselined, %d gating@."
-                      (List.length classified)
-                      (List.length classified - List.length new_gating)
-                      (List.length new_gating)
-                  end;
-                  if new_gating = [] then 0 else 1
-            end
-      end
+      else
+        match
+          List.find_opt
+            (fun rid -> Option.is_none (Analysis.Check.find_pass rid))
+            rule_filter
+        with
+        | Some rid -> unknown_rule rid
+        | None -> (
+            match List.filter (fun r -> not (Sys.file_exists r)) roots with
+            | d :: _ ->
+                Format.eprintf "vtp_lint: no such directory: %s@." d;
+                2
+            | [] ->
+                scan ~jobs ~json_out ~baseline_file ~update_baseline
+                  ~rule_filter roots))
 
 let cmd =
   let doc =
@@ -241,7 +189,7 @@ let cmd =
   Cmd.v
     (Cmd.info "vtp_lint" ~doc)
     Term.(
-      const run $ list_rules $ warnings_only_exit $ jobs $ json_out
+      const run $ list_rules $ jobs $ json_out
       $ baseline_file $ update_baseline $ rule_filter $ explain $ roots)
 
 let () = exit (Cmd.eval' cmd)

@@ -1,7 +1,7 @@
-(* The structure-aware analyzer: assembles the pass registry and
-   drives it — per-file passes fan out over Engine.Pool in submission
-   order, tree passes run once over the collected file set, and the
-   final sort makes the report identical at any worker count. *)
+(* The analyzer: assembles the pass registry and drives it — per-file
+   passes fan out over Engine.Pool in submission order, tree passes run
+   once over the collected file set, and the final sort makes the
+   report identical at any worker count. *)
 
 let passes : Pass.t list =
   Determinism.passes @ Hotpath.passes @ Constants.passes @ Hygiene.passes
@@ -9,10 +9,10 @@ let passes : Pass.t list =
 let find_pass id = List.find_opt (fun (p : Pass.t) -> p.Pass.id = id) passes
 
 let source_ctx ~path src =
-  let tokens = Array.of_list (Lint.tokenize src) in
+  let tokens = Array.of_list (Lexer.tokenize src) in
   let items = Parser.parse tokens in
   {
-    Pass.sc_path = Lint.normalise_path path;
+    Pass.sc_path = Lexer.normalise_path path;
     sc_tokens = tokens;
     sc_items = items;
     sc_contexts = Parser.contexts items;
@@ -42,7 +42,7 @@ let run_string ~path src =
 
 let run_files ?jobs (files : (string * string) list) =
   let files =
-    List.map (fun (p, src) -> (Lint.normalise_path p, src)) files
+    List.map (fun (p, src) -> (Lexer.normalise_path p, src)) files
   in
   let mls =
     Array.of_list
@@ -75,5 +75,5 @@ let run_files ?jobs (files : (string * string) list) =
   List.sort compare_finding (file_findings @ tree_findings)
 
 let run_tree ?jobs ~roots () =
-  let files = List.concat_map Lint.walk roots in
-  run_files ?jobs (List.map (fun p -> (p, Lint.read_file p)) files)
+  let files = List.concat_map Lexer.walk roots in
+  run_files ?jobs (List.map (fun p -> (p, Lexer.read_file p)) files)

@@ -1,12 +1,11 @@
-(** The structure-aware analyzer: a registry of passes over the
-    {!Parser} item structure (determinism/race, hot-path allocation,
-    protocol-constant conformance, API hygiene) with deterministic
-    parallel driving.
+(** The analyzer: one registry of passes over the {!Lexer} token
+    stream and the {!Parser} item structure (determinism/race, hot-path
+    allocation, protocol-constant conformance, API hygiene) with
+    deterministic parallel driving.
 
-    Complements {!Lint}: the token lint pattern-matches short windows,
-    these passes reason about scope — which binding a token lives in,
-    whether that binding is top-level state, whether it is marked
-    [\[@vtp.hot\]]. *)
+    Token rules pattern-match short windows; structural passes reason
+    about scope — which binding a token lives in, whether that binding
+    is top-level state, whether it is marked [\[@vtp.hot\]]. *)
 
 val passes : Pass.t list
 (** Registry order: determinism, hot-path, constants, hygiene. *)

@@ -1,4 +1,4 @@
-(* A structural parser over the lint lexer's token stream.
+(* A structural parser over the Lexer token stream.
 
    It recovers just enough of the shape of an OCaml compilation unit for
    the rule passes to reason about scope: the sequence of structure
@@ -50,29 +50,29 @@ let non_enders =
     "initializer"; "constraint"; "virtual";
   ]
 
-let is_ender (t : Lint.token) =
+let is_ender (t : Lexer.token) =
   match t.kind with
-  | Lint.Int_lit | Lint.Float_lit | Lint.String_lit -> true
-  | Lint.Ident -> not (List.mem t.text non_enders)
-  | Lint.Op -> ( match t.text with ")" | "]" | "}" -> true | _ -> false)
+  | Lexer.Int_lit | Lexer.Float_lit | Lexer.String_lit -> true
+  | Lexer.Ident -> not (List.mem t.text non_enders)
+  | Lexer.Op -> ( match t.text with ")" | "]" | "}" -> true | _ -> false)
 
 (* Bracket/block nesting.  `match`/`if` need no closer so they do not
    count; `do...done` covers for/while bodies. *)
-let depth_delta (t : Lint.token) =
+let depth_delta (t : Lexer.token) =
   match t.text with
   | "(" | "[" | "{" | "begin" | "struct" | "sig" | "object" | "do" -> 1
   | ")" | "]" | "}" | "end" | "done" -> -1
   | _ -> 0
 
-let parse (ts : Lint.token array) : item list =
+let parse (ts : Lexer.token array) : item list =
   let n = Array.length ts in
-  let text i = if i >= 0 && i < n then ts.(i).Lint.text else "" in
+  let text i = if i >= 0 && i < n then ts.(i).Lexer.text else "" in
   let is_ident i =
-    i >= 0 && i < n && (match ts.(i).Lint.kind with Lint.Ident -> true | _ -> false)
+    i >= 0 && i < n && (match ts.(i).Lexer.kind with Lexer.Ident -> true | _ -> false)
   in
   let line i =
-    if i >= 0 && i < n then ts.(i).Lint.tline
-    else if n > 0 then ts.(n - 1).Lint.tline
+    if i >= 0 && i < n then ts.(i).Lexer.tline
+    else if n > 0 then ts.(n - 1).Lexer.tline
     else 1
   in
   let all_at s = s <> "" && String.for_all (fun c -> c = '@') s in
@@ -127,7 +127,7 @@ let parse (ts : Lint.token array) : item list =
       end
       else begin
         if !depth = 0 && !i > start then begin
-          match t.Lint.text with
+          match t.Lexer.text with
           | "let" -> incr inner_lets
           | "in" -> if !inner_lets > 0 then decr inner_lets
           | _ -> ()
@@ -169,8 +169,8 @@ let parse (ts : Lint.token array) : item list =
       let depth = ref 0 and k = ref scan_start and found = ref (-1) in
       while !found < 0 && !k < e do
         let t = ts.(!k) in
-        if !depth = 0 && t.Lint.text = "="
-           && (match t.Lint.kind with Lint.Op -> true | _ -> false)
+        if !depth = 0 && t.Lexer.text = "="
+           && (match t.Lexer.kind with Lexer.Op -> true | _ -> false)
         then found := !k
         else begin
           depth := Stdlib.max 0 (!depth + depth_delta t);
@@ -237,8 +237,8 @@ let parse (ts : Lint.token array) : item list =
         let d = depth_delta t in
         if d < 0 && !depth = 0 then stop := true
         else if
-          !depth = 0 && t.Lint.text = "="
-          && match t.Lint.kind with Lint.Op -> true | _ -> false
+          !depth = 0 && t.Lexer.text = "="
+          && match t.Lexer.kind with Lexer.Op -> true | _ -> false
         then found := !k
         else if !depth = 0 && is_item_kw !k && is_ender ts.(!k - 1) then
           stop := true

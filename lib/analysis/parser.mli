@@ -1,4 +1,4 @@
-(** Structural parser over {!Lint.tokenize} output.
+(** Structural parser over {!Lexer.tokenize} output.
 
     Recovers the item structure of one OCaml source file — let-bindings
     (with attributes, function-ness and body span), [struct ... end]
@@ -36,12 +36,12 @@ type context = {
       (** floating attribute names of every enclosing structure *)
 }
 
-val is_ender : Lint.token -> bool
+val is_ender : Lexer.token -> bool
 (** Can this token end an expression (identifier, literal, closer)?
     The boundary test behind item splitting, exposed for rules that
     need the same "what precedes me" classification. *)
 
-val parse : Lint.token array -> item list
+val parse : Lexer.token array -> item list
 
 val contexts : item list -> context list
 (** Every binding in the file, each with its enclosing module path and

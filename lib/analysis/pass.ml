@@ -1,7 +1,7 @@
-(* Shared vocabulary of the structural analyzer: the finding record,
-   the two pass shapes (per-file over tokens+structure, or once over
-   the whole scanned tree), and the token-classification helpers more
-   than one rule family needs. *)
+(* Shared vocabulary of the analyzer: the finding record, the two pass
+   shapes (per-file over tokens+structure, or once over the whole
+   scanned tree), and the token-classification helpers more than one
+   rule family needs. *)
 
 type finding = {
   rule : string;
@@ -14,7 +14,7 @@ type finding = {
 
 type source_ctx = {
   sc_path : string;
-  sc_tokens : Lint.token array;
+  sc_tokens : Lexer.token array;
   sc_items : Parser.item list;
   sc_contexts : Parser.context list;
 }
@@ -41,9 +41,12 @@ type t = {
 }
 
 let applies p path =
-  let path = Lint.normalise_path path in
-  (p.dirs = [] || List.exists (fun d -> Lint.contains_sub ~sub:d path) p.dirs)
-  && not (List.exists (fun a -> Lint.contains_sub ~sub:a path) p.allow)
+  let path = Lexer.normalise_path path in
+  (p.dirs = [] || List.exists (fun d -> Lexer.contains_sub ~sub:d path) p.dirs)
+  && not (List.exists (fun a -> Lexer.contains_sub ~sub:a path) p.allow)
+
+let text_at (ts : Lexer.token array) i =
+  if i >= 0 && i < Array.length ts then ts.(i).Lexer.text else ""
 
 let components s = String.split_on_char '.' s
 
@@ -62,11 +65,11 @@ let strip_stdlib s =
    expression.  Heuristic — deeply nested constructor patterns inside
    parens classify as expressions — but exact on the match/function
    arms that make up nearly all real pattern positions. *)
-let expr_position (ts : Lint.token array) i =
+let expr_position (ts : Lexer.token array) i =
   let rec back j =
     if j < 0 then true
     else
-      match ts.(j).Lint.text with
+      match ts.(j).Lexer.text with
       | "|" | "with" -> false
       | "->" | ":=" | "<-" | "=" | "in" | "then" | "else" | "begin" | "("
       | "[" | ";" | "do" | "try" | "when" | "if" | "&&" | "||" ->
@@ -77,3 +80,23 @@ let expr_position (ts : Lint.token array) i =
 
 let finding ~rule ~family ~path ~line ~message ~context =
   { rule; family; path; line; message; context }
+
+let token_pass ~rule ~family test sc =
+  let ts = sc.sc_tokens in
+  let out = ref [] in
+  Array.iteri
+    (fun i (t : Lexer.token) ->
+      match test ts i t with
+      | None -> ()
+      | Some message ->
+          let context =
+            match Parser.enclosing sc.sc_contexts i with
+            | Some c -> Parser.qualified_name c
+            | None -> ""
+          in
+          out :=
+            finding ~rule ~family ~path:sc.sc_path ~line:t.Lexer.tline
+              ~message ~context
+            :: !out)
+    ts;
+  List.rev !out

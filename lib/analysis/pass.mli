@@ -1,6 +1,6 @@
-(** Shared vocabulary of the structural analyzer ({!Check}): findings,
-    the two pass shapes, and token-classification helpers used by more
-    than one rule family. *)
+(** Shared vocabulary of the analyzer ({!Check}): findings, the two
+    pass shapes, and token-classification helpers used by more than one
+    rule family. *)
 
 type finding = {
   rule : string;
@@ -13,7 +13,7 @@ type finding = {
 
 type source_ctx = {
   sc_path : string;
-  sc_tokens : Lint.token array;
+  sc_tokens : Lexer.token array;
   sc_items : Parser.item list;
   sc_contexts : Parser.context list;
 }
@@ -42,6 +42,9 @@ type t = {
 val applies : t -> string -> bool
 (** Directory scoping + allowlist, on normalised paths. *)
 
+val text_at : Lexer.token array -> int -> string
+(** The token's text, or [""] when the index is out of range. *)
+
 val components : string -> string list
 (** Dotted-path components of a glued identifier token. *)
 
@@ -50,7 +53,7 @@ val last_component : string -> string
 val strip_stdlib : string -> string
 (** Drop one leading ["Stdlib."] qualifier. *)
 
-val expr_position : Lint.token array -> int -> bool
+val expr_position : Lexer.token array -> int -> bool
 (** Heuristic: is the token at this index in expression (not pattern)
     position?  Used for [Some], [::] and list literals. *)
 
@@ -62,3 +65,14 @@ val finding :
   message:string ->
   context:string ->
   finding
+
+val token_pass :
+  rule:string ->
+  family:string ->
+  (Lexer.token array -> int -> Lexer.token -> string option) ->
+  source_ctx ->
+  finding list
+(** A per-file pass that judges each token on its own: [test ts i t]
+    returns the message when the token at index [i] offends.  A
+    finding's context is its enclosing binding (["Mod.name"]), or [""]
+    outside any binding. *)

@@ -1,12 +1,11 @@
-(* Unified report over both scanners (token lint + structural check):
-   one entry shape, a line-insensitive fingerprint for baseline
-   matching, and SARIF 2.1.0-style JSON built on Stats.Json so the
-   output is byte-deterministic. *)
+(* The analyzer's report: one entry shape, a line-insensitive
+   fingerprint for baseline matching, and SARIF 2.1.0-style JSON built
+   on Stats.Json so the output is byte-deterministic.  Every rule is
+   error severity, so the level is a constant. *)
 
 type entry = {
   rule : string;
   family : string;
-  severity : string;  (** "error" | "warning" *)
   path : string;
   line : int;
   message : string;
@@ -21,11 +20,10 @@ let fingerprint ~rule ~path ~context ~message =
   Digest.to_hex
     (Digest.string (String.concat "|" [ rule; path; context; message ]))
 
-let make ~rule ~family ~severity ~path ~line ~message ~context =
+let make ~rule ~family ~path ~line ~message ~context =
   {
     rule;
     family;
-    severity;
     path;
     line;
     message;
@@ -33,19 +31,11 @@ let make ~rule ~family ~severity ~path ~line ~message ~context =
     fingerprint = fingerprint ~rule ~path ~context ~message;
   }
 
-let of_lint (fs : Lint.finding list) =
-  List.map
-    (fun (f : Lint.finding) ->
-      make ~rule:f.rule_id ~family:"lint"
-        ~severity:(Lint.severity_name f.severity)
-        ~path:f.path ~line:f.line ~message:f.message ~context:"")
-    fs
-
 let of_check (fs : Pass.finding list) =
   List.map
     (fun (f : Pass.finding) ->
-      make ~rule:f.rule ~family:f.family ~severity:"error" ~path:f.path
-        ~line:f.line ~message:f.message ~context:f.context)
+      make ~rule:f.rule ~family:f.family ~path:f.path ~line:f.line
+        ~message:f.message ~context:f.context)
     fs
 
 let compare_entry a b =
@@ -81,7 +71,7 @@ let sarif ~rules (classified : (entry * bool) list) : Stats.Json.t =
         Obj
           [
             ("ruleId", String e.rule);
-            ("level", String e.severity);
+            ("level", String "error");
             ("message", Obj [ ("text", String e.message) ]);
             ( "locations",
               List
@@ -135,6 +125,5 @@ let sarif ~rules (classified : (entry * bool) list) : Stats.Json.t =
     ]
 
 let pp_entry fmt (e, is_new) =
-  Format.fprintf fmt "%s:%d: [%s] %s: %s%s" e.path e.line e.rule e.severity
-    e.message
+  Format.fprintf fmt "%s:%d: [%s] error: %s%s" e.path e.line e.rule e.message
     (if is_new then "" else " (baselined)")

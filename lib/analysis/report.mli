@@ -1,11 +1,10 @@
-(** Unified report over the token lint and the structural check: entry
-    records with line-insensitive fingerprints, deterministic ordering,
-    and SARIF 2.1.0-style JSON emission. *)
+(** The analyzer's report: entry records with line-insensitive
+    fingerprints, deterministic ordering, and SARIF 2.1.0-style JSON
+    emission.  Every rule is error severity. *)
 
 type entry = {
   rule : string;
   family : string;
-  severity : string;  (** "error" | "warning" *)
   path : string;
   line : int;
   message : string;
@@ -21,14 +20,11 @@ val fingerprint :
 val make :
   rule:string ->
   family:string ->
-  severity:string ->
   path:string ->
   line:int ->
   message:string ->
   context:string ->
   entry
-
-val of_lint : Lint.finding list -> entry list
 
 val of_check : Pass.finding list -> entry list
 
@@ -43,5 +39,5 @@ val sarif : rules:(string * string) list -> (entry * bool) list -> Stats.Json.t
     [baselineState]). *)
 
 val pp_entry : Format.formatter -> entry * bool -> unit
-(** [file:line: [rule] severity: message] with a ["(baselined)"]
-    suffix on suppressed findings. *)
+(** [file:line: [rule] error: message] with a ["(baselined)"] suffix on
+    suppressed findings. *)

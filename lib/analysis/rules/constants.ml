@@ -163,13 +163,13 @@ let literal_run (sc : Pass.source_ctx) (lo, hi) proj =
   for i = lo to hi - 1 do
     let t = sc.Pass.sc_tokens.(i) in
     let keep =
-      match t.Lint.kind with
-      | Lint.Float_lit -> true
-      | Lint.Int_lit -> proj = All_numeric
+      match t.Lexer.kind with
+      | Lexer.Float_lit -> true
+      | Lexer.Int_lit -> proj = All_numeric
       | _ -> false
     in
     if keep then
-      match float_of_string_opt t.Lint.text with
+      match float_of_string_opt t.Lexer.text with
       | Some v -> out := v :: !out
       | None -> ()
   done;

@@ -2,9 +2,9 @@
 
    The multicore pool's correctness rests on a static contract: no
    top-level mutable state outside Domain.DLS, no output ordered by
-   Hashtbl iteration, no wall-clock reads outside the sim clock (the
-   token lint's random-call / domain-spawn rules cover the RNG and
-   domain halves of the same contract). *)
+   Hashtbl iteration, no wall-clock reads outside the sim clock, no
+   draws from the global Random state and no domains spawned outside
+   Engine.Pool. *)
 
 let family = "determinism"
 
@@ -31,9 +31,9 @@ let run_top_state (sc : Pass.source_ctx) =
         let dls = ref false and alloc = ref "" in
         for i = lo to hi - 1 do
           let t = sc.Pass.sc_tokens.(i) in
-          match t.Lint.kind with
-          | Lint.Ident ->
-              let text = Pass.strip_stdlib t.Lint.text in
+          match t.Lexer.kind with
+          | Lexer.Ident ->
+              let text = Pass.strip_stdlib t.Lexer.text in
               if is_dls_key text then dls := true;
               if !alloc = "" && List.mem text alloc_heads then alloc := text
           | _ -> ()
@@ -62,13 +62,13 @@ let starts_with prefix s = String.starts_with ~prefix s
 
 (* Tokens that commit an ordering: consing onto an accumulator,
    assigning one, or printing/serialising directly. *)
-let ordered_sink (ts : Lint.token array) j =
+let ordered_sink (ts : Lexer.token array) j =
   let t = ts.(j) in
-  match t.Lint.kind with
-  | Lint.Ident ->
-      let cs = Pass.components (Pass.strip_stdlib t.Lint.text) in
+  match t.Lexer.kind with
+  | Lexer.Ident ->
+      let cs = Pass.components (Pass.strip_stdlib t.Lexer.text) in
       (match cs with
-      | "Buffer" :: _ when starts_with "add" (Pass.last_component t.Lint.text)
+      | "Buffer" :: _ when starts_with "add" (Pass.last_component t.Lexer.text)
         ->
           Some "Buffer.add*"
       | ("Printf" | "Format") :: _ -> Some (List.hd cs)
@@ -77,26 +77,26 @@ let ordered_sink (ts : Lint.token array) j =
             List.exists
               (fun c -> starts_with "output_" c || starts_with "print_" c)
               cs
-          then Some t.Lint.text
+          then Some t.Lexer.text
           else None)
-  | Lint.Op ->
-      if t.Lint.text = ":=" then Some ":="
-      else if t.Lint.text = "::" && Pass.expr_position ts j then Some "::"
+  | Lexer.Op ->
+      if t.Lexer.text = ":=" then Some ":="
+      else if t.Lexer.text = "::" && Pass.expr_position ts j then Some "::"
       else None
   | _ -> None
 
-let sortish (ts : Lint.token array) j =
-  match ts.(j).Lint.kind with
-  | Lint.Ident ->
-      List.exists (starts_with "sort") (Pass.components ts.(j).Lint.text)
+let sortish (ts : Lexer.token array) j =
+  match ts.(j).Lexer.kind with
+  | Lexer.Ident ->
+      List.exists (starts_with "sort") (Pass.components ts.(j).Lexer.text)
   | _ -> false
 
 let run_hashtbl_order (sc : Pass.source_ctx) =
   let ts = sc.Pass.sc_tokens in
   let out = ref [] in
   Array.iteri
-    (fun i (t : Lint.token) ->
-      if t.Lint.kind = Lint.Ident && is_hashtbl_iteration t.Lint.text then
+    (fun i (t : Lexer.token) ->
+      if t.Lexer.kind = Lexer.Ident && is_hashtbl_iteration t.Lexer.text then
         match Parser.enclosing sc.Pass.sc_contexts i with
         | None -> ()
         | Some c ->
@@ -115,13 +115,13 @@ let run_hashtbl_order (sc : Pass.source_ctx) =
               if !sink <> "" && not !sorted then
                 out :=
                   Pass.finding ~rule:"hashtbl-order" ~family
-                    ~path:sc.Pass.sc_path ~line:t.Lint.tline
+                    ~path:sc.Pass.sc_path ~line:t.Lexer.tline
                     ~message:
                       (Printf.sprintf
                          "%s feeds an ordered sink (%s) in '%s'; Hashtbl \
                           iteration order is unspecified — sort the keys \
                           first or mark the binding [@vtp.unordered]"
-                         t.Lint.text !sink b.Parser.bname)
+                         t.Lexer.text !sink b.Parser.bname)
                     ~context:(Parser.qualified_name c)
                   :: !out
             end)
@@ -132,31 +132,39 @@ let clock_calls =
   [ "Unix.gettimeofday"; "Unix.time"; "Unix.gmtime"; "Unix.localtime";
     "Sys.time" ]
 
-let run_wall_clock (sc : Pass.source_ctx) =
-  let ts = sc.Pass.sc_tokens in
-  let out = ref [] in
-  Array.iteri
-    (fun i (t : Lint.token) ->
-      if
-        t.Lint.kind = Lint.Ident
-        && List.mem (Pass.strip_stdlib t.Lint.text) clock_calls
-      then
-        let context =
-          match Parser.enclosing sc.Pass.sc_contexts i with
-          | Some c -> Parser.qualified_name c
-          | None -> ""
-        in
-        out :=
-          Pass.finding ~rule:"wall-clock" ~family ~path:sc.Pass.sc_path
-            ~line:t.Lint.tline
-            ~message:
-              (t.Lint.text
-              ^ " reads the wall clock; simulated components must take \
-                 time from Engine.Sim.now so runs replay identically")
-            ~context
-          :: !out)
-    ts;
-  List.rev !out
+let wall_clock _ _ (t : Lexer.token) =
+  if
+    t.Lexer.kind = Lexer.Ident
+    && List.mem (Pass.strip_stdlib t.Lexer.text) clock_calls
+  then
+    Some
+      (t.Lexer.text
+      ^ " reads the wall clock; simulated components must take time from \
+         Engine.Sim.now so runs replay identically")
+  else None
+
+(* Any [Random.*] call outside the engine's seeded RNG shim breaks
+   experiment reproducibility. *)
+let random_call _ _ (t : Lexer.token) =
+  match (t.Lexer.kind, Pass.components t.Lexer.text) with
+  | Lexer.Ident, "Random" :: _ ->
+      Some
+        "global Random used; draw from Engine.Rng (seeded, splittable) \
+         instead"
+  | _ -> None
+
+(* [Domain.spawn] outside the engine's pool: ad-hoc domains bypass the
+   pool's determinism contract (submission-order collection, bounded
+   worker count) and its shutdown accounting. *)
+let domain_spawn _ _ (t : Lexer.token) =
+  if
+    t.Lexer.kind = Lexer.Ident
+    && String.ends_with ~suffix:"Domain.spawn" t.Lexer.text
+  then
+    Some
+      "Domain.spawn outside Engine.Pool; submit tasks to the work-stealing \
+       pool instead"
+  else None
 
 let passes : Pass.t list =
   [
@@ -209,6 +217,40 @@ let passes : Pass.t list =
       good = "let deadline = Engine.Sim.now sim +. rto";
       dirs = [];
       allow = [ "bench/" ];
-      kind = File_pass run_wall_clock;
+      kind = File_pass (Pass.token_pass ~rule:"wall-clock" ~family wall_clock);
+    };
+    {
+      id = "random-call";
+      family;
+      doc =
+        "Random.* outside lib/engine/rng.ml (experiments must be \
+         reproducible from the root seed)";
+      rationale =
+        "The global Random state is shared, unseeded by default and \
+         domain-local in OCaml 5, so any draw outside the engine's \
+         splittable RNG makes runs irreproducible and schedule-dependent.";
+      bad = "let jitter () = Random.float 0.01";
+      good = "let jitter rng = Engine.Rng.float rng 0.01";
+      dirs = [];
+      allow = [ "lib/engine/rng.ml" ];
+      kind =
+        File_pass (Pass.token_pass ~rule:"random-call" ~family random_call);
+    };
+    {
+      id = "domain-spawn";
+      family;
+      doc =
+        "Domain.spawn outside lib/engine/pool.ml (all parallelism goes \
+         through the work-stealing pool)";
+      rationale =
+        "Ad-hoc domains bypass the pool's determinism contract \
+         (submission-order collection, bounded worker count) and its \
+         shutdown accounting, so results depend on the scheduler.";
+      bad = "let d = Domain.spawn (fun () -> run seed)";
+      good = "Engine.Pool.with_pool (fun p -> Engine.Pool.map p run seeds)";
+      dirs = [];
+      allow = [ "lib/engine/pool.ml" ];
+      kind =
+        File_pass (Pass.token_pass ~rule:"domain-spawn" ~family domain_spawn);
     };
   ]

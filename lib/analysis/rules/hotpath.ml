@@ -26,12 +26,9 @@ let mk (sc : Pass.source_ctx) c ~rule ~line message =
   Pass.finding ~rule ~family ~path:sc.Pass.sc_path ~line ~message
     ~context:(Parser.qualified_name c)
 
-let text (ts : Lint.token array) i =
-  if i >= 0 && i < Array.length ts then ts.(i).Lint.text else ""
-
-let is_ident (ts : Lint.token array) i =
+let is_ident (ts : Lexer.token array) i =
   i >= 0 && i < Array.length ts
-  && match ts.(i).Lint.kind with Lint.Ident -> true | _ -> false
+  && match ts.(i).Lexer.kind with Lexer.Ident -> true | _ -> false
 
 let run_closure (sc : Pass.source_ctx) =
   let ts = sc.Pass.sc_tokens in
@@ -40,33 +37,38 @@ let run_closure (sc : Pass.source_ctx) =
       let out = ref [] in
       for j = lo to hi - 1 do
         if is_ident ts j then
-          match text ts j with
+          match Pass.text_at ts j with
           | ("fun" | "function") when j > lo ->
               (* a leading fun/function IS the binding, not a per-call
                  allocation *)
               out :=
-                mk sc c ~rule:"hot-closure" ~line:ts.(j).Lint.tline
+                mk sc c ~rule:"hot-closure" ~line:ts.(j).Lexer.tline
                   (Printf.sprintf
                      "'%s' in hot '%s' allocates a closure per call; lift \
                       it to a top-level function (or mark the binding \
                       [@vtp.alloc_ok])"
-                     (text ts j) c.Parser.cx_binding.Parser.bname)
+                     (Pass.text_at ts j) c.Parser.cx_binding.Parser.bname)
                 :: !out
           | "let" ->
-              let k = if text ts (j + 1) = "rec" then j + 2 else j + 1 in
+              let k =
+                if Pass.text_at ts (j + 1) = "rec" then j + 2 else j + 1
+              in
               if
                 is_ident ts k
-                && (match text ts k with
+                && (match Pass.text_at ts k with
                    | "rec" | "open" | "module" | "exception" -> false
                    | _ -> true)
-                && not (List.mem (text ts (k + 1)) [ "="; ":"; ","; "::" ])
+                && not
+                     (List.mem
+                        (Pass.text_at ts (k + 1))
+                        [ "="; ":"; ","; "::" ])
               then
                 out :=
-                  mk sc c ~rule:"hot-closure" ~line:ts.(j).Lint.tline
+                  mk sc c ~rule:"hot-closure" ~line:ts.(j).Lexer.tline
                     (Printf.sprintf
                        "nested function '%s' in hot '%s' allocates a \
                         closure per call; lift it to the top level"
-                       (text ts k) c.Parser.cx_binding.Parser.bname)
+                       (Pass.text_at ts k) c.Parser.cx_binding.Parser.bname)
                   :: !out
           | _ -> ()
       done;
@@ -88,7 +90,7 @@ let run_list (sc : Pass.source_ctx) =
       let out = ref [] in
       let flag j what =
         out :=
-          mk sc c ~rule:"hot-list" ~line:ts.(j).Lint.tline
+          mk sc c ~rule:"hot-list" ~line:ts.(j).Lexer.tline
             (Printf.sprintf
                "%s in hot '%s' builds a list per call; use the \
                 preallocated scratch buffer or an index loop"
@@ -97,22 +99,22 @@ let run_list (sc : Pass.source_ctx) =
       in
       for j = lo to hi - 1 do
         let t = ts.(j) in
-        match t.Lint.kind with
-        | Lint.Ident ->
-            if List.mem (Pass.strip_stdlib t.Lint.text) list_builders then
-              flag j t.Lint.text
-        | Lint.Op ->
-            if t.Lint.text = "::" && Pass.expr_position ts j then
+        match t.Lexer.kind with
+        | Lexer.Ident ->
+            if List.mem (Pass.strip_stdlib t.Lexer.text) list_builders then
+              flag j t.Lexer.text
+        | Lexer.Op ->
+            if t.Lexer.text = "::" && Pass.expr_position ts j then
               flag j "list cons (::)"
             else if
-              t.Lint.text = "@" && j > lo && Parser.is_ender ts.(j - 1)
+              t.Lexer.text = "@" && j > lo && Parser.is_ender ts.(j - 1)
             then flag j "list append (@)"
             else if
-              t.Lint.text = "["
-              && (match text ts (j + 1) with
+              t.Lexer.text = "["
+              && (match Pass.text_at ts (j + 1) with
                  | "]" | "|" -> false
                  | s -> not (s <> "" && String.for_all (fun ch -> ch = '@') s))
-              && text ts (j - 1) <> "."
+              && Pass.text_at ts (j - 1) <> "."
               && Pass.expr_position ts j
             then flag j "list literal"
         | _ -> ()
@@ -127,7 +129,7 @@ let run_box (sc : Pass.source_ctx) =
       for j = lo to hi - 1 do
         if is_ident ts j then
           let what =
-            match text ts j with
+            match Pass.text_at ts j with
             | "Some" when Pass.expr_position ts j -> "Some"
             | "ref" -> "ref cell"
             | "lazy" -> "lazy block"
@@ -135,7 +137,7 @@ let run_box (sc : Pass.source_ctx) =
           in
           if what <> "" then
             out :=
-              mk sc c ~rule:"hot-box" ~line:ts.(j).Lint.tline
+              mk sc c ~rule:"hot-box" ~line:ts.(j).Lexer.tline
                 (Printf.sprintf
                    "%s allocation in hot '%s'; restructure to avoid \
                     boxing per call (or mark the binding [@vtp.alloc_ok])"
@@ -151,7 +153,7 @@ let run_format (sc : Pass.source_ctx) =
       let out = ref [] in
       let flag j what =
         out :=
-          mk sc c ~rule:"hot-format" ~line:ts.(j).Lint.tline
+          mk sc c ~rule:"hot-format" ~line:ts.(j).Lexer.tline
             (Printf.sprintf
                "%s in hot '%s' formats per call; move formatting off \
                 the fast path (record raw values, render lazily)"
@@ -160,16 +162,16 @@ let run_format (sc : Pass.source_ctx) =
       in
       for j = lo to hi - 1 do
         let t = ts.(j) in
-        match t.Lint.kind with
-        | Lint.Ident -> (
-            match Pass.components (Pass.strip_stdlib t.Lint.text) with
-            | ("Printf" | "Format") :: _ -> flag j t.Lint.text
+        match t.Lexer.kind with
+        | Lexer.Ident -> (
+            match Pass.components (Pass.strip_stdlib t.Lexer.text) with
+            | ("Printf" | "Format") :: _ -> flag j t.Lexer.text
             | cs ->
                 if
                   List.exists (String.starts_with ~prefix:"string_of_") cs
-                then flag j t.Lint.text)
-        | Lint.Op ->
-            if t.Lint.text = "^" || t.Lint.text = "^^" then
+                then flag j t.Lexer.text)
+        | Lexer.Op ->
+            if t.Lexer.text = "^" || t.Lexer.text = "^^" then
               flag j "string concatenation (^)"
         | _ -> ()
       done;

@@ -1,5 +1,5 @@
-(* Slab-packed implementation; [Loss_reconstructor_ref] is the
-   record-based oracle.  The virtual-arrival clock is the one hot
+(* Slab-packed implementation; the record-based oracle is
+   test/loss_reconstructor_ref.ml.  The virtual-arrival clock is the one hot
    mutable float here — it advances once per replayed cover, and a
    mutable float field in this mixed record would box two words per
    push.  In-simulation instances share the owning sim's arena;

@@ -2,10 +2,10 @@
    AF-class bottleneck at satellite-grade RTTs (250 and 500 ms).  The
    bandwidth-delay product puts thousands of packets in flight per
    flow, so the run-length scoreboard / receiver tracker / loss history
-   and the packed wire codec carry the whole window on every feedback
-   round — this experiment is the end-to-end witness that the large-BDP
-   fast path sustains the paper's QoS story at RTTs where the
-   per-packet representations used to dominate. *)
+   carry the whole window on every feedback round — this experiment is
+   the end-to-end witness that the large-BDP fast path sustains the
+   paper's QoS story at RTTs where the per-packet representations used
+   to dominate. *)
 
 type proto = Af | Light | Tcp
 

@@ -35,8 +35,17 @@ type t =
   | Sack_feedback of sack_feedback
   | Handshake of handshake
 
-(* Sizes mirror the wire codec layout (see Wire): a 4-byte common prefix
-   (type tag + checksum) plus the per-kind fields. *)
+(* On-wire sizes in bytes.  Every segment opens with a 4-byte common
+   prefix (1-byte type tag, 1 reserved byte, 16-bit checksum), then:
+   - data: seq 4, tstamp 8, rtt_estimate 8, is_retransmit 1,
+     fwd_point 4 — 29 bytes before the payload;
+   - feedback: tstamp_echo, t_delay, x_recv and p 8 each, recv_seq 4 —
+     40 bytes;
+   - SACK: cum_ack 4, block count 1, 8 per block (two 4-byte edges),
+     tstamp echo, t_delay and x_recv 8 each, CE count 4 — 37 bytes plus
+     8 per block;
+   - handshake: kind 1, payload length 2, then the payload — 7 bytes
+     plus the payload. *)
 let common_prefix_bytes = 4
 
 let data_header_bytes = common_prefix_bytes + 4 + 8 + 8 + 1 + 4

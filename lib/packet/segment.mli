@@ -2,8 +2,8 @@
 
     Pairs a {!Header.t} with the payload length and bookkeeping identity.
     The payload content itself is never materialised — simulations care
-    about sizes and sequence numbers, not bytes — but the wire codec
-    ({!Wire}) can serialise the header for systems that need real frames. *)
+    about sizes and sequence numbers, not bytes; {!Header.wire_size}
+    gives the bytes a segment occupies on the wire. *)
 
 type t = {
   id : int;  (** globally unique per simulation, for tracing *)

@@ -3,8 +3,8 @@ module Serial = Packet.Serial
 (* Run-length receiver tracking: the out-of-order ranges live in sorted
    parallel int arrays (absolute positions, half-open) with a moving
    front offset, so the per-segment paths are a binary search plus O(1)
-   amortised editing instead of a list walk.  [Rcv_tracker_ref] keeps
-   the list implementation as the differential oracle.
+   amortised editing instead of a list walk.  The list implementation
+   lives on as the differential oracle in test/rcv_tracker_ref.ml.
 
    Absolute positions are anchored at the cumulative ack:
    [abs = cum_abs + Serial.diff s cum]; the anchor only moves forward,

@@ -7,8 +7,8 @@ module Serial = Packet.Serial
    ([Runs]).  Feedback for a large-BDP window (tens of thousands of
    packets) then costs what it changes — the newly covered positions
    and the new dupthresh span — instead of the window's width or its
-   number of holes.  [Scoreboard_ref] keeps the per-entry
-   implementation as the differential oracle.
+   number of holes.  The per-entry implementation lives on as the
+   differential oracle in test/scoreboard_ref.ml.
 
    Sequence numbers are mapped to monotone absolute positions through
    an advancing anchor: [abs = una_abs + Serial.diff s snd_una].  The

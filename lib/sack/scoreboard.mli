@@ -86,7 +86,8 @@ val iter_feedback :
 val on_feedback :
   t -> cum_ack:Packet.Serial.t -> blocks:Blocks.t list -> feedback_result
 (** List-building wrapper over {!iter_feedback} (kept as the
-    differential-test surface against [Scoreboard_ref]). *)
+    differential-test surface against the per-entry oracle in
+    test/scoreboard_ref.ml). *)
 
 val lost_pending : t -> Packet.Serial.t list
 (** Numbers currently inferred lost and not yet retransmitted,

@@ -7,8 +7,8 @@ module Serial = Packet.Serial
    of touching every hole, and a run born at epoch [b] has seen
    [epoch - b + 1] later packets.  Births are non-decreasing along the
    array, so ripe holes are always a prefix and promotion is O(ripe).
-   [Loss_history_ref] keeps the per-hole list implementation as the
-   differential oracle.
+   The per-hole list implementation lives on as the differential oracle
+   in test/loss_history_ref.ml.
 
    Absolute positions are anchored at the highest sequence seen:
    [abs = max_abs + Serial.diff s max_seq]. *)

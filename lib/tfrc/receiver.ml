@@ -1,5 +1,5 @@
-(* Slab-packed implementation; [Receiver_ref] is the record-based
-   oracle.  The per-packet bookkeeping (rate window, timestamp echo,
+(* Slab-packed implementation; the record-based oracle is
+   test/receiver_ref.ml.  The per-packet bookkeeping (rate window, timestamp echo,
    RTT adoption) writes only into the slab slot's flat arrays, so
    receiving a data segment allocates nothing here — the old record
    boxed a float per mutable-float write plus a [Some (tstamp,

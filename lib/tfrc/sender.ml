@@ -1,4 +1,5 @@
-(* Slab-packed implementation; [Sender_ref] is the record-based oracle.
+(* Slab-packed implementation; the record-based oracle is
+   test/sender_ref.ml.
 
    All mutable numeric state lives in one {!Engine.Slab} slot so that
    10k senders share two flat arrays and — critically — rate/clock

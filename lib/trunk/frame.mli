@@ -19,9 +19,9 @@
     segment's payload is self-contained, so a lost segment costs only
     its own frames and never desyncs a neighbour.
 
-    Encoding mirrors {!Packet.Wire.Packed}: header and payload are
-    written in place into a caller (or domain-scratch) buffer, zero
-    allocations on the batch-encode fast path. *)
+    Header and payload are written in place into a caller (or
+    domain-scratch) buffer, zero allocations on the batch-encode fast
+    path. *)
 
 val header_bytes : int
 (** 6 — per-sub-frame framing overhead. *)

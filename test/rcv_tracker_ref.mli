@@ -14,6 +14,8 @@
     amortised — so experiments can contrast this against the standard
     receiver's loss-history charges. *)
 
+open Sack
+
 type t
 
 val create : ?max_blocks:int -> ?cost:Stats.Cost.t -> unit -> t

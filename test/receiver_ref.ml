@@ -1,6 +1,8 @@
 (* Frozen record-based reference implementation of [Receiver], kept as
    the differential-testing oracle for the slab-packed rewrite. *)
 
+open Tfrc
+
 type t = {
   sim : Engine.Sim.t;
   cost : Stats.Cost.t option;

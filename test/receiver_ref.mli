@@ -11,6 +11,8 @@
     The receiver is transport-agnostic: it consumes data headers and
     produces {!Packet.Header.feedback} records through a callback. *)
 
+open Tfrc
+
 type t
 
 val create :

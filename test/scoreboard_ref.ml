@@ -1,3 +1,5 @@
+open Sack
+
 module Serial = Packet.Serial
 
 type entry = {

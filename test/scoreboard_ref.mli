@@ -11,6 +11,8 @@
     time-based expiry as a last-resort loss detector when SACK
     information stalls. *)
 
+open Sack
+
 type cover = {
   cov_seq : Packet.Serial.t;
   cov_sent_at : float;  (** first transmission time *)

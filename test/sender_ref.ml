@@ -3,6 +3,8 @@
    optimise this file; its value is being the obviously-correct,
    field-per-record twin. *)
 
+open Tfrc
+
 type params = {
   packet_size : int;
   initial_rtt : float;

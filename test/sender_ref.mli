@@ -19,6 +19,8 @@
     network contractually forwards [g] worth of in-profile (Green)
     traffic.  Setting [min_rate_bps = 0] recovers standard TFRC. *)
 
+open Tfrc
+
 type params = {
   packet_size : int;  (** segment payload+header bytes, the equation [s] *)
   initial_rtt : float;  (** seed RTT before the first measurement *)

@@ -1,8 +1,8 @@
-(* The structural analyzer: parser shape recovery, one firing and one
-   structurally-similar clean fixture per pass, report fingerprints,
-   baseline gating, and the jobs-independence contract — all driven
-   through [Check.run_string] / [Check.run_files] so no files need
-   creating. *)
+(* The analyzer: lexer and parser shape recovery, one firing and one
+   structurally-similar clean fixture per pass, the pass registry,
+   report rendering, fingerprints, baseline gating, and the
+   jobs-independence contract — all driven through [Check.run_string] /
+   [Check.run_files] so no files need creating. *)
 
 module P = Analysis.Parser
 module Pass = Analysis.Pass
@@ -10,7 +10,7 @@ module Check = Analysis.Check
 module Report = Analysis.Report
 module Baseline = Analysis.Baseline
 
-let parse src = P.parse (Array.of_list (Analysis.Lint.tokenize src))
+let parse src = P.parse (Array.of_list (Analysis.Lexer.tokenize src))
 
 let contexts src = P.contexts (parse src)
 
@@ -164,6 +164,27 @@ let test_wall_clock () =
   check_clean "wall-clock" ~path:"bench/main.ml"
     "let t0 = Unix.gettimeofday ()\n"
 
+let test_random_call () =
+  check_fires "random-call" ~path:proto "let x = Random.int 5\n";
+  check_fires "random-call" ~path:"bin/tool.ml" "Random.self_init ()\n";
+  (* the seeded shim is the one allowed user *)
+  check_clean "random-call" ~path:"lib/engine/rng.ml" "let x = Random.int 5\n";
+  check_clean "random-call" ~path:proto "let x = Engine.Rng.int rng 5\n"
+
+let test_domain_spawn () =
+  check_fires "domain-spawn" ~path:proto "let d = Domain.spawn work\n";
+  check_fires "domain-spawn" ~path:"bin/tool.ml"
+    "ignore (Stdlib.Domain.spawn f)\n";
+  (* the pool is the one allowed user *)
+  check_clean "domain-spawn" ~path:"lib/engine/pool.ml"
+    "let d = Domain.spawn work\n";
+  check_clean "domain-spawn" ~path:proto
+    "let x = Engine.Pool.with_pool run\n";
+  (* other Domain.* uses (DLS, join) stay legal everywhere *)
+  check_clean "domain-spawn" ~path:proto
+    "let k = Domain.DLS.new_key (fun () -> ref None)\n";
+  check_clean "domain-spawn" ~path:proto "Domain.join d\n"
+
 (* ------------------------------------------------------------------ *)
 (* Hot-path family *)
 
@@ -302,14 +323,130 @@ let test_undeclared_export () =
        (exports_findings "val bucket_push : t -> int -> Event.t -> unit\n"));
   (* an [include] makes the surface non-evident: stay silent *)
   Alcotest.(check int) "include suppresses the check" 0
-    (List.length (exports_findings "include module type of Impl\n"))
+    (List.length (exports_findings "include module type of Impl\n"));
+  (* every wrapped library root is mapped, Trunk included *)
+  let undeclared =
+    List.filter
+      (fun (f : Pass.finding) -> f.Pass.rule = "undeclared-export")
+      (Check.run_files
+         [
+           ("lib/sack/scoreboard.mli", "val on_feedback : int\n");
+           ("lib/trunk/mux.mli", "val pack : int\n");
+           ( "lib/fuzz/x.ml",
+             "let a () = Sack.Scoreboard.bogus 1\n\
+              let b () = Trunk.Mux.bogus 2\n" );
+         ])
+  in
+  Alcotest.(check (list int)) "Sack and Trunk references both checked"
+    [ 1; 2 ]
+    (List.map (fun (f : Pass.finding) -> f.Pass.line) undeclared)
+
+let test_poly_compare () =
+  check_fires "poly-compare" ~path:proto "let c = compare a b\n";
+  check_fires "poly-compare" ~path:proto "List.sort Stdlib.compare xs\n";
+  check_clean "poly-compare" ~path:proto "let c = Int.compare a b\n";
+  (* definitions and labels are exempt *)
+  check_clean "poly-compare" ~path:proto "let compare a b = Int.compare a b\n";
+  check_clean "poly-compare" ~path:proto "sort ~compare:Int.compare xs\n";
+  (* out of scope: the rule only polices protocol directories *)
+  check_clean "poly-compare" ~path:"lib/workload/media.ml" "let c = compare a b\n"
+
+let test_float_eq () =
+  check_fires "float-eq" ~path:proto "let f x = if x = 0.0 then 1 else 2\n";
+  check_fires "float-eq" ~path:proto "let g a = a <> 1.0\n";
+  (* binders and optional-argument defaults are not comparisons *)
+  check_clean "float-eq" ~path:proto "let x = 1.0\n";
+  check_clean "float-eq" ~path:proto "let f ?(eps = 1e-9) () = eps\n";
+  check_clean "float-eq" ~path:proto "let rate ~s ~r () = 8.0 *. s /. r\n";
+  check_clean "float-eq" ~path:proto "let f x = Float.equal x 0.0\n"
+
+let test_obj_magic () =
+  check_fires "obj-magic" ~path:"lib/workload/media.ml" "let y = Obj.magic x\n";
+  check_clean "obj-magic" ~path:"lib/workload/media.ml" "let y = Obj.repr x\n"
+
+let test_assert_false () =
+  check_fires "assert-false" ~path:proto "let f () = assert false\n";
+  check_clean "assert-false" ~path:proto "let f x = assert (x > 0)\n"
+
+let test_failwith_empty () =
+  check_fires "failwith-empty" ~path:proto "let f () = failwith \"\"\n";
+  check_clean "failwith-empty" ~path:proto "let f () = failwith \"boom\"\n"
+
+let test_missing_mli () =
+  let has files =
+    List.mem "missing-mli"
+      (rules (Check.run_files (List.map (fun f -> (f, "")) files)))
+  in
+  Alcotest.(check bool) "lib .ml without .mli" true (has [ "lib/foo/a.ml" ]);
+  Alcotest.(check bool)
+    "paired .mli satisfies" false
+    (has [ "lib/foo/a.ml"; "lib/foo/a.mli" ]);
+  Alcotest.(check bool) "executables exempt" false (has [ "bin/b.ml" ])
+
+(* ------------------------------------------------------------------ *)
+(* Lexer *)
+
+let assert_false_findings src =
+  List.filter
+    (fun (f : Pass.finding) -> f.Pass.rule = "assert-false")
+    (Check.run_string ~path:proto src)
+
+let test_lexer_blind_spots () =
+  (* Findings must never come from comments or string literals. *)
+  check_clean "assert-false" ~path:proto "(* assert false *) let x = 1\n";
+  check_clean "assert-false" ~path:proto "let s = \"assert false\"\n";
+  check_clean "random-call" ~path:proto
+    "(* nested (* Random.int *) with a \"*)\" string *) let x = 1\n";
+  (* ... and line numbers survive multi-line comments *)
+  match
+    assert_false_findings "(* one\n   two *)\nlet f () = assert false\n"
+  with
+  | [ f ] -> Alcotest.(check int) "line after comment" 3 f.Pass.line
+  | _ -> Alcotest.fail "expected exactly one finding"
+
+(* ------------------------------------------------------------------ *)
+(* Registry + report *)
+
+let test_registry () =
+  let ids = List.map (fun (p : Pass.t) -> p.Pass.id) Check.passes in
+  Alcotest.(check int) "18 passes" 18 (List.length ids);
+  Alcotest.(check int) "ids unique" 18
+    (List.length (List.sort_uniq String.compare ids));
+  List.iter
+    (fun (p : Pass.t) ->
+      List.iter
+        (fun (field, v) ->
+          Alcotest.(check bool) (p.Pass.id ^ " has a " ^ field) true (v <> ""))
+        [
+          ("doc", p.Pass.doc);
+          ("rationale", p.Pass.rationale);
+          ("bad", p.Pass.bad);
+          ("good", p.Pass.good);
+        ];
+      Alcotest.(check bool)
+        (p.Pass.id ^ " resolves")
+        true
+        (match Check.find_pass p.Pass.id with
+        | Some q -> q.Pass.id = p.Pass.id
+        | None -> false))
+    Check.passes
+
+let test_rendered_line () =
+  match Report.of_check (assert_false_findings "let f () = assert false\n") with
+  | [ e ] ->
+      Alcotest.(check string) "machine-readable rendering"
+        "lib/tfrc/fixture.ml:1: [assert-false] error: bare 'assert false'; \
+         raise an informative error (invalid_arg/failwith with a message) \
+         instead"
+        (Format.asprintf "%a" Report.pp_entry (e, true))
+  | _ -> Alcotest.fail "expected exactly one finding"
 
 (* ------------------------------------------------------------------ *)
 (* Report + baseline *)
 
 let entry ?(line = 10) ?(rule = "hot-box") ?(msg = "boxing") () =
-  Report.make ~rule ~family:"hot-path" ~severity:"error"
-    ~path:"lib/engine/wheel.ml" ~line ~message:msg ~context:"Wheel.pop"
+  Report.make ~rule ~family:"hot-path" ~path:"lib/engine/wheel.ml" ~line
+    ~message:msg ~context:"Wheel.pop"
 
 let test_fingerprints () =
   (* line-insensitive: edits above a finding don't churn the baseline *)
@@ -364,7 +501,7 @@ let test_sarif_shape () =
       [ (entry (), true); (entry ~msg:"old boxing" (), false) ]
   in
   let s = Stats.Json.to_string doc in
-  let has sub = Analysis.Lint.contains_sub ~sub s in
+  let has sub = Analysis.Lexer.contains_sub ~sub s in
   Alcotest.(check bool) "driver name" true (has "\"vtp_lint\"");
   Alcotest.(check bool) "ruleId" true (has "\"ruleId\": \"hot-box\"");
   Alcotest.(check bool) "new finding" true (has "\"baselineState\": \"new\"");
@@ -429,6 +566,8 @@ let suite =
     ("top-level-state", `Quick, test_top_level_state);
     ("hashtbl-order", `Quick, test_hashtbl_order);
     ("wall-clock", `Quick, test_wall_clock);
+    ("random-call", `Quick, test_random_call);
+    ("domain-spawn", `Quick, test_domain_spawn);
     ("hot-closure", `Quick, test_hot_closure);
     ("hot-list", `Quick, test_hot_list);
     ("hot-box", `Quick, test_hot_box);
@@ -436,6 +575,15 @@ let suite =
     ("proto-const", `Quick, test_proto_const);
     ("test-only-escape", `Quick, test_test_only_escape);
     ("undeclared-export", `Quick, test_undeclared_export);
+    ("poly-compare", `Quick, test_poly_compare);
+    ("float-eq", `Quick, test_float_eq);
+    ("obj-magic", `Quick, test_obj_magic);
+    ("assert-false", `Quick, test_assert_false);
+    ("failwith-empty", `Quick, test_failwith_empty);
+    ("missing-mli", `Quick, test_missing_mli);
+    ("lexer blind spots", `Quick, test_lexer_blind_spots);
+    ("registry", `Quick, test_registry);
+    ("rendered line", `Quick, test_rendered_line);
     ("fingerprints", `Quick, test_fingerprints);
     ("baseline classify", `Quick, test_baseline_classify);
     ("baseline malformed", `Quick, test_baseline_malformed);

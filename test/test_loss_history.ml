@@ -254,7 +254,7 @@ let prop_p_in_unit_interval =
    loss counts, event grouping, the closed-interval list (bitwise — the
    float pipeline is shared), and the resulting loss event rate. *)
 
-module LHR = Tfrc.Loss_history_ref
+module LHR = Loss_history_ref
 
 let differential_history_run ~seed ~steps =
   let rng = Engine.Rng.create ~seed in

@@ -164,7 +164,7 @@ let prop_tracker_vs_reference =
    the full range list, the bounded SACK report (recency order
    included) and the counters must match exactly at every step. *)
 
-module TR = Sack.Rcv_tracker_ref
+module TR = Rcv_tracker_ref
 
 let block_ints (b : Sack.Blocks.t) =
   (S.to_int b.Packet.Header.block_start, S.to_int b.Packet.Header.block_end)

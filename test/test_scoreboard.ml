@@ -185,12 +185,12 @@ let prop_una_monotone =
    the incremental loss inference (a top SACK block growing by a few
    packets per feedback over hundreds in flight; an expiry, a
    retransmit high in the window, then a cumulative jump) — is replayed
-   through both the run-length scoreboard and [Sack.Scoreboard_ref],
+   through both the run-length scoreboard and [Scoreboard_ref],
    and every externally observable result must match exactly: feedback
    covers, loss inferences, expiry lists, per-sequence status and the
    aggregate counters. *)
 
-module SBR = Sack.Scoreboard_ref
+module SBR = Scoreboard_ref
 
 let cover_repr (c : SB.cover) =
   (S.to_int c.SB.cov_seq, c.SB.cov_sent_at, c.SB.cov_was_retx)

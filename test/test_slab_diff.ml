@@ -3,7 +3,8 @@
    The arena rewrite moved the mutable per-flow state of the TFRC
    sender, the TFRC receiver and the QTP_light loss reconstructor into
    struct-of-arrays slabs; the record-based originals were frozen as
-   [Tfrc.Sender_ref] / [Tfrc.Receiver_ref] / [Qtp.Loss_reconstructor_ref].
+   [Sender_ref] / [Receiver_ref] / [Loss_reconstructor_ref] beside
+   these tests.
    Each property drives the packed module and its oracle through one
    random operation script — feedback storms, idle gaps, handover
    reseeds, LFN-sized sequence jumps — and requires every observable to
@@ -11,11 +12,11 @@
    not change a single IEEE operation). *)
 
 module S = Tfrc.Sender
-module SR = Tfrc.Sender_ref
+module SR = Sender_ref
 module R = Tfrc.Receiver
-module RR = Tfrc.Receiver_ref
+module RR = Receiver_ref
 module LR = Qtp.Loss_reconstructor
-module LRR = Qtp.Loss_reconstructor_ref
+module LRR = Loss_reconstructor_ref
 
 let feq = Float.equal
 

@@ -147,8 +147,8 @@ let test_header_bounds_rejected () =
   bad (fun () -> F.put_header buf ~pos:60 ~user:0 ~len:5)
 
 let test_pack_demux_zero_alloc () =
-  (* Mirror of the wire codec's bar (and the [trunk.frame] bench row):
-     packing 8 sub-frames into the domain scratch and demultiplexing
+  (* The zero-allocation bar (also priced by the [trunk.frame] bench
+     row): packing 8 sub-frames into the domain scratch and demultiplexing
      them back allocates nothing once warm. *)
   let src = Bytes.make 256 'x' in
   let buf = F.scratch () in
