@@ -80,43 +80,49 @@ module Dig = struct
   let value d u = mix (mix d.acc.(u) d.pend.(u)) d.pk.(u)
 end
 
-(* Per-user admission queue: a compacting byte FIFO.  Bytes.blit is
-   memmove-safe, so compaction within the same buffer is fine. *)
+(* Per-user admission queue: a circular byte FIFO over a power-of-two
+   buffer.  [append] and [pop_into] copy only the bytes they move, in at
+   most two blits each (one per side of the wrap point); growth
+   linearises the backlog into a buffer doubled until it fits.  The
+   buffer is allocated on the first append: a user that never offers
+   a byte costs no buffer. *)
 module Q = struct
   type t = { mutable buf : Bytes.t; mutable head : int; mutable len : int }
 
-  let create () = { buf = Bytes.create 256; head = 0; len = 0 }
+  let create () = { buf = Bytes.empty; head = 0; len = 0 }
 
   let length q = q.len
 
-  let ensure q extra =
-    let need = q.len + extra in
-    if q.head + need > Bytes.length q.buf then
-      if need <= Bytes.length q.buf then begin
-        Bytes.blit q.buf q.head q.buf 0 q.len;
-        q.head <- 0
-      end
-      else begin
-        let cap = ref (Bytes.length q.buf) in
-        while !cap < need do
-          cap := !cap * 2
-        done;
-        let nb = Bytes.create !cap in
-        Bytes.blit q.buf q.head nb 0 q.len;
-        q.buf <- nb;
-        q.head <- 0
-      end
+  let rec pow2_at_least cap need =
+    if cap >= need then cap else pow2_at_least (2 * cap) need
 
-  let append q src pos len =
-    ensure q len;
-    Bytes.blit src pos q.buf (q.head + q.len) len;
+  let grow q need =
+    let cap = Bytes.length q.buf in
+    let nb = Bytes.create (pow2_at_least (Stdlib.max 256 cap) need) in
+    let first = Stdlib.min q.len (cap - q.head) in
+    Bytes.blit q.buf q.head nb 0 first;
+    Bytes.blit q.buf 0 nb first (q.len - first);
+    q.buf <- nb;
+    q.head <- 0
+
+  let[@vtp.hot] append q src pos len =
+    if q.len + len > Bytes.length q.buf then grow q (q.len + len);
+    let cap = Bytes.length q.buf in
+    let tail = (q.head + q.len) land (cap - 1) in
+    let first = Stdlib.min len (cap - tail) in
+    Bytes.blit src pos q.buf tail first;
+    if first < len then Bytes.blit src (pos + first) q.buf 0 (len - first);
     q.len <- q.len + len
 
-  let pop_into q dst ~pos ~len =
-    Bytes.blit q.buf q.head dst pos len;
-    q.head <- q.head + len;
+  (* An emptied queue restarts at offset 0, so a user that keeps up
+     with its share never splits a copy at the wrap point. *)
+  let[@vtp.hot] pop_into q dst ~pos ~len =
+    let cap = Bytes.length q.buf in
+    let first = Stdlib.min len (cap - q.head) in
+    Bytes.blit q.buf q.head dst pos first;
+    if first < len then Bytes.blit q.buf 0 dst (pos + first) (len - first);
     q.len <- q.len - len;
-    if q.len = 0 then q.head <- 0
+    q.head <- (if q.len = 0 then 0 else (q.head + len) land (cap - 1))
 end
 
 type t = {
@@ -132,11 +138,13 @@ type t = {
   adm_dig : Dig.t;
   shp_dig : Dig.t;
   dlv_dig : Dig.t;
-  mutable segs : Bytes.t array;  (* k-th packed segment, freed on delivery *)
-  mutable seg_lens : int array;  (* packed bytes of segs.(k): buffers are
-                                    sized for the full budget up front so
-                                    pack can write in place without a
-                                    trailing Bytes.sub copy *)
+  (* The segment window: a power-of-two ring over the packing ordinals
+     [base, nsegs), segment k in slot [k land (capacity - 1)].  A slot
+     keeps its buffer after release, so the window is also the buffer
+     pool: pack writes the next segment into whatever the slot held. *)
+  mutable segs : Bytes.t array;
+  mutable seg_lens : int array;  (* packed bytes; 0 once released *)
+  mutable base : int;  (* oldest ordinal not yet delivered or skipped *)
   mutable nsegs : int;
   mutable rejected : int;
   mutable frames_packed : int;
@@ -144,11 +152,28 @@ type t = {
   mutable on_data : (user:int -> buf:Bytes.t -> pos:int -> len:int -> unit) option;
 }
 
+(* Called only when full, so every old slot is live and moves to its
+   ordinal's slot in the doubled ring. *)
+let grow_window t =
+  let mask = Array.length t.segs - 1 in
+  let segs = Array.make (2 * (mask + 1)) Bytes.empty in
+  let lens = Array.make (2 * (mask + 1)) 0 in
+  for k = t.base to t.nsegs - 1 do
+    segs.(k land ((2 * mask) + 1)) <- t.segs.(k land mask);
+    lens.(k land ((2 * mask) + 1)) <- t.seg_lens.(k land mask)
+  done;
+  t.segs <- segs;
+  t.seg_lens <- lens
+
 let pack t =
   if t.seg_payload = 0 || Sched.total t.sched = 0 then false
   else begin
+    if t.nsegs - t.base = Array.length t.segs then grow_window t;
+    let slot = t.nsegs land (Array.length t.segs - 1) in
     let budget = t.seg_payload in
-    let buf = Bytes.create budget in
+    if Bytes.length t.segs.(slot) < budget then
+      t.segs.(slot) <- Bytes.create budget;
+    let buf = t.segs.(slot) in
     let wpos = ref 0 in
     let frames = ref 0 in
     let used =
@@ -164,57 +189,43 @@ let pack t =
     in
     if used = 0 then false
     else begin
-      let k = t.nsegs in
-      if k = Array.length t.segs then begin
-        let nb = Array.make (2 * Array.length t.segs) Bytes.empty in
-        Array.blit t.segs 0 nb 0 t.nsegs;
-        t.segs <- nb;
-        let nl = Array.make (2 * Array.length t.seg_lens) 0 in
-        Array.blit t.seg_lens 0 nl 0 t.nsegs;
-        t.seg_lens <- nl
-      end;
-      t.segs.(k) <- buf;
-      t.seg_lens.(k) <- used;
-      t.nsegs <- k + 1;
+      t.seg_lens.(slot) <- used;
+      t.nsegs <- t.nsegs + 1;
       t.frames_packed <- t.frames_packed + !frames;
-      (match Tap.hooks () with
-      | Some h ->
-          h.Tap.on_segment
-            {
-              Tap.sg_index = k;
-              sg_frames = !frames;
-              sg_payload = used;
-              sg_budget = budget;
-            }
-      | None -> ());
       true
     end
   end
 
+(* Release ordinals [base, k]: k was just delivered, and partial
+   reliability skipped every earlier one still held (delivery is in
+   order, so none of them will ever be delivered). *)
+let[@vtp.hot] release_through t k =
+  let mask = Array.length t.seg_lens - 1 in
+  for i = t.base to k do
+    t.seg_lens.(i land mask) <- 0
+  done;
+  t.base <- k + 1
+
 let deliver t ~seq =
-  let k = Packet.Serial.to_int seq in
-  if k >= 0 && k < t.nsegs then begin
-    let seg = t.segs.(k) in
-    let seg_len = t.seg_lens.(k) in
-    if seg_len > 0 then begin
-      Frame.iter seg ~pos:0 ~len:seg_len
-        ~frame:(fun ~user ~off ~len ->
-          t.delivered.(user) <- t.delivered.(user) + len;
-          if t.cfg.audit then Dig.update t.dlv_dig user seg ~pos:off ~len;
-          (match Tap.hooks () with
-          | Some h ->
-              h.Tap.on_user_deliver { Tap.dv_user = user; dv_bytes = len }
-          | None -> ());
-          match t.on_data with
-          | Some f -> f ~user ~buf:seg ~pos:off ~len
-          | None -> ())
-        ~junk:(fun ~bytes -> t.junk <- t.junk + bytes);
-      (* Exactly-once: reassembly delivers each sequence once; freeing
-         the slot also makes any accounting bug loud instead of a
-         silent double count. *)
-      t.segs.(k) <- Bytes.empty;
-      t.seg_lens.(k) <- 0
-    end
+  let d = Packet.Serial.diff seq (Packet.Serial.of_int t.base) in
+  if d >= 0 && d < t.nsegs - t.base then begin
+    let k = t.base + d in
+    let slot = k land (Array.length t.segs - 1) in
+    let seg = t.segs.(slot) in
+    Frame.iter seg ~pos:0 ~len:t.seg_lens.(slot)
+      ~frame:(fun ~user ~off ~len ->
+        t.delivered.(user) <- t.delivered.(user) + len;
+        if t.cfg.audit then Dig.update t.dlv_dig user seg ~pos:off ~len;
+        match t.on_data with
+        | Some f -> f ~user ~buf:seg ~pos:off ~len
+        | None -> ())
+      ~junk:(fun ~bytes -> t.junk <- t.junk + bytes);
+    (* Exactly-once: a released ordinal falls below [base] and its slot
+       reads as empty, so a repeated delivery is ignored rather than
+       counted twice.  Release after the demux: the callbacks may see
+       the buffer until they return, and a pack they trigger must not
+       reuse it mid-parse. *)
+    release_through t k
   end
 
 let create ?weights cfg =
@@ -242,6 +253,7 @@ let create ?weights cfg =
       dlv_dig = Dig.create cfg.users;
       segs = Array.make 64 Bytes.empty;
       seg_lens = Array.make 64 0;
+      base = 0;
       nsegs = 0;
       rejected = 0;
       frames_packed = 0;
@@ -278,16 +290,6 @@ let admit t ~user ~src ~pos ~len =
     Qtp.Source.wake t.src
   end;
   t.rejected <- t.rejected + (len - acc);
-  (match Tap.hooks () with
-  | Some h ->
-      h.Tap.on_admit
-        {
-          Tap.au_user = user;
-          au_offered = len;
-          au_accepted = acc;
-          au_backlog = Q.length t.queues.(user);
-        }
-  | None -> ());
   acc
 
 let set_on_data t f = t.on_data <- Some f
@@ -299,28 +301,35 @@ let feed t ~sim ~workloads ?(chunk = 4096) ?(period = 0.05) ?(seed = 0)
   if chunk < 1 || period <= 0.0 then invalid_arg "Trunk.Mux.feed";
   let n = Array.length workloads in
   let sent = Array.make t.cfg.users 0 in
-  let scratch = Bytes.create chunk in
+  (* Byte o of user u's stream is (s + 31*o) mod 256 with
+     s = seed + u*131.  As 223 = 31^-1 mod 256 that is
+     31*(o + 223*s) mod 256: every stream is a rotation of the one
+     256-periodic sequence 31*i, so any offer is a slice of this table
+     starting at phase (o + 223*s) mod 256.  One period is rendered,
+     then the filled prefix is doubled in place until the table is full. *)
+  let table = Bytes.create (256 + chunk) in
+  for i = 0 to 255 do
+    Bytes.unsafe_set table i (Char.unsafe_chr ((31 * i) land 0xff))
+  done;
+  let filled = ref 256 in
+  while !filled < Bytes.length table do
+    let len = Stdlib.min !filled (Bytes.length table - !filled) in
+    Bytes.blit table 0 table !filled len;
+    filled := !filled + len
+  done;
   let rec tick () =
     if Engine.Sim.now sim < stop_at then begin
       let pending = ref false in
       for u = 0 to n - 1 do
         let remaining = workloads.(u) - sent.(u) in
         if remaining > 0 then begin
-          (* Only render the bytes admission has room for — a
-             backpressured user would otherwise regenerate (and then
-             discard) a full chunk every tick. *)
+          (* Offer only what admission has room for: the feed's own
+             backpressure is not counted as refused bytes. *)
           let space = t.cfg.per_user_cap - Q.length t.queues.(u) in
           let want = Stdlib.min (Stdlib.min chunk remaining) space in
           if want > 0 then begin
-            (* Byte o of user u's stream is (seed + u*131 + o*31) mod 256;
-               stepping the accumulator by 31 keeps the render loop free
-               of per-byte multiplies. *)
-            let b = ref (seed + (u * 131) + (sent.(u) * 31)) in
-            for i = 0 to want - 1 do
-              Bytes.unsafe_set scratch i (Char.unsafe_chr (!b land 0xff));
-              b := !b + 31
-            done;
-            let acc = admit t ~user:u ~src:scratch ~pos:0 ~len:want in
+            let phase = (sent.(u) + (223 * (seed + (u * 131)))) land 0xff in
+            let acc = admit t ~user:u ~src:table ~pos:phase ~len:want in
             sent.(u) <- sent.(u) + acc
           end;
           if sent.(u) < workloads.(u) then pending := true
@@ -355,6 +364,8 @@ let delivered_per_user t = Array.map float_of_int t.delivered
 let segments_packed t = t.nsegs
 
 let frames_packed t = t.frames_packed
+
+let window_slots t = Array.length t.segs
 
 let rejected t = t.rejected
 

@@ -18,11 +18,21 @@
     carries user bytes out-of-band alongside the simulated connection:
     the k-th segment packed by a successful source [take] corresponds
     exactly to the k-th fresh wire sequence (retransmissions re-send a
-    recorded segment; the handshake consumes no takes).  The sender
-    stores each packed segment; {!Qtp.Connection.set_on_deliver}
-    surfaces the in-order delivery of sequence k, at which point the
-    stored bytes are parsed with {!Frame.iter} and handed to the
-    per-user delivery callback, exactly once.
+    recorded segment; the handshake consumes no takes).
+    {!Qtp.Connection.set_on_deliver} surfaces the in-order delivery of
+    sequence k, at which point the stored bytes are parsed with
+    {!Frame.iter} and handed to the per-user delivery callback, exactly
+    once.
+
+    Each admitted byte is copied twice: into its user's admission
+    queue, a circular FIFO that never compacts, and from there into its
+    segment.  Packed segments live in a bounded window over the
+    ordinals not yet delivered, indexed by serial distance from the
+    oldest, so it is safe across the 32-bit sequence wrap.  Delivery
+    of k releases k and every earlier ordinal partial reliability
+    skipped, and a released slot keeps its buffer for a later segment:
+    in steady state packing allocates no buffer, and the window's size
+    follows the segments in flight, not the segments ever packed.
 
     Under full reliability every packed byte is eventually delivered,
     byte-identical — the conservation oracle checks the per-user byte
@@ -88,7 +98,9 @@ val admit : t -> user:int -> src:Bytes.t -> pos:int -> len:int -> int
 
 val set_on_data : t -> (user:int -> buf:Bytes.t -> pos:int -> len:int -> unit) -> unit
 (** Per-user delivery callback: [buf.[pos .. pos+len)] is the delivered
-    sub-frame payload (read-only; valid only during the call). *)
+    sub-frame payload, read-only and valid only during the call.  [buf]
+    is the segment window's buffer, which a later segment overwrites
+    once the callback returns: copy out any bytes to keep. *)
 
 val feed :
   t ->
@@ -130,6 +142,12 @@ val delivered_per_user : t -> float array
 
 val segments_packed : t -> int
 val frames_packed : t -> int
+
+val window_slots : t -> int
+(** Capacity of the segment window: a power of two, 64 at first, that
+    doubles only when every slot holds a packed, undelivered segment,
+    so it never exceeds the larger of 64 and twice the most segments
+    in flight at once. *)
 
 val rejected : t -> int
 (** Offered bytes refused by admission control. *)

@@ -12,35 +12,36 @@ let duration = 3.0
 
 let drain = 20.0
 
+(* The trunk's connection on endpoint 0 of [topo], negotiated from
+   [offer], with the mux attached as its source. *)
+let connect mux ~sim ~topo offer =
+  let conn =
+    Qtp.Connection.create ~sim
+      ~endpoint:(Netsim.Topology.endpoint topo 0)
+      ~source:(M.source mux)
+      (Qtp.Connection.config ~initial_rtt:0.2
+         (Qtp.Profile.agreed_exn offer (Qtp.Profile.anything ())))
+  in
+  M.attach mux ~conn ~seg_payload:(1500 - Packet.Header.data_header_bytes);
+  conn
+
 (* One trunked QTP_AF connection over a clean dumbbell; the per-user
    delivery callback replays the feed's pattern formula against every
    delivered byte at the user's running stream offset — an oracle that
    shares nothing with the mux's internal digests. *)
-let run_clean ?(audit = true) ?weights ?chunk ?period ~discipline ~users
-    ~per_user () =
+let run_clean ?(audit = true) ?weights ?per_user_cap ?chunk ?period
+    ?(feed_seed = 0) ~discipline ~users ~per_user () =
   let seed = 9 in
   let sim, topo =
     Experiments.Common.af_dumbbell ~seed ~n_flows:1 ~bottleneck_mbps:10.0
       ~committed_mbps:[| 5.0 |] ()
   in
   let mux =
-    M.create ?weights (M.config ~discipline ~audit ~users ())
+    M.create ?weights (M.config ~discipline ~audit ?per_user_cap ~users ())
   in
-  let agreed =
-    Qtp.Profile.agreed_exn
-      (Qtp.Profile.qtp_af ~g_bps:5e6 ())
-      (Qtp.Profile.anything ())
-  in
-  let conn =
-    Qtp.Connection.create ~sim
-      ~endpoint:(Netsim.Topology.endpoint topo 0)
-      ~source:(M.source mux)
-      (Qtp.Connection.config ~initial_rtt:0.2 agreed)
-  in
-  M.attach mux ~conn ~seg_payload:(1500 - Packet.Header.data_header_bytes);
+  let conn = connect mux ~sim ~topo (Qtp.Profile.qtp_af ~g_bps:5e6 ()) in
   let offsets = Array.make users 0 in
   let pattern_errors = ref 0 in
-  let feed_seed = 0 in
   M.set_on_data mux (fun ~user ~buf ~pos ~len ->
       for i = 0 to len - 1 do
         let o = offsets.(user) + i in
@@ -58,10 +59,11 @@ let run_clean ?(audit = true) ?weights ?chunk ?period ~discipline ~users
   Engine.Sim.run ~until:(duration +. drain) sim;
   (mux, !pattern_errors)
 
-let check_clean ~label ?audit ?weights ?chunk ?period ~discipline ~users
-    ~per_user () =
+let check_clean ~label ?audit ?weights ?per_user_cap ?chunk ?period
+    ?feed_seed ~discipline ~users ~per_user () =
   let mux, pattern_errors =
-    run_clean ?audit ?weights ?chunk ?period ~discipline ~users ~per_user ()
+    run_clean ?audit ?weights ?per_user_cap ?chunk ?period ?feed_seed
+      ~discipline ~users ~per_user ()
   in
   Alcotest.(check int) (label ^ ": pattern mismatches") 0 pattern_errors;
   Alcotest.(check int) (label ^ ": junk bytes") 0 (M.junk_bytes mux);
@@ -118,6 +120,111 @@ let test_weighted_shares () =
     true
     (ratio > 3.2 && ratio < 4.8)
 
+let test_ring_wrap_and_phase () =
+  (* A cap that is not a power of two leaves the admission ring slack
+     past the cap, so offers topped up to the free space keep landing
+     across the wrap point.  A chunk above the cap makes every offer
+     the free space itself.  A fed seed above 255 checks the feed
+     table's phase against the closed form. *)
+  ignore
+    (check_clean ~label:"wrap" ~per_user_cap:5000 ~chunk:6000 ~period:0.005
+       ~feed_seed:1000 ~discipline:Trunk.Sched.Drr ~users:8
+       ~per_user:60_000 ());
+  (* Offers of 1500 bytes every 5 ms outpace each user's share, so the
+     backlog outgrows a ring that already wraps. *)
+  ignore
+    (check_clean ~label:"grow-wrapped" ~per_user_cap:5000 ~chunk:1500
+       ~period:0.005 ~feed_seed:777 ~discipline:Trunk.Sched.Fifo ~users:8
+       ~per_user:60_000 ())
+
+(* --- bounded segment window over long runs ------------------------ *)
+
+(* A 16-user trunk over an 80 Mb/s path that drops 2% of its segments;
+   the AF floor [g] holds the rate up despite the loss, so 20 simulated
+   seconds pack tens of thousands of segments with hundreds in flight.
+   The in-flight count (packed, not yet delivered or skipped) is
+   sampled every 5 ms. *)
+let long_run offer =
+  let sim, topo =
+    Experiments.Common.lossy_path ~seed:21 ~rate_mbps:80.0
+      ~loss:(Experiments.Common.bernoulli 0.02) ()
+  in
+  let users = 16 in
+  let mux = M.create (M.config ~users ()) in
+  let conn = connect mux ~sim ~topo offer in
+  let seconds = 20.0 in
+  ignore
+    (M.feed mux ~sim ~chunk:16384 ~period:0.01
+       ~workloads:(Array.make users 4_000_000)
+       ~stop_at:seconds ());
+  let peak = ref 0 in
+  let rec sample () =
+    let held =
+      M.segments_packed mux - Qtp.Connection.delivered conn
+      - Qtp.Connection.skipped conn
+    in
+    if held > !peak then peak := held;
+    if Engine.Sim.now sim < seconds then Engine.Sim.post_after sim 0.005 sample
+  in
+  Engine.Sim.post_after sim 0.0 sample;
+  Engine.Sim.run ~until:seconds sim;
+  Qtp.Connection.close conn;
+  Engine.Sim.run ~until:(seconds +. drain) sim;
+  (mux, conn, !peak)
+
+let check_bounded ~label mux ~peak =
+  let slots = M.window_slots mux and packed = M.segments_packed mux in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: %d segments packed" label packed)
+    true (packed >= 20_000);
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: %d window slots, at most 4x the %d in flight"
+       label slots peak)
+    true
+    (slots <= Stdlib.max 64 (4 * peak));
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: %d window slots, far below %d packed" label slots
+       packed)
+    true
+    (slots * 20 <= packed)
+
+let test_window_bounded_full () =
+  let mux, conn, peak = long_run (Qtp.Profile.qtp_af ~g_bps:40e6 ()) in
+  check_bounded ~label:"full" mux ~peak;
+  Alcotest.(check bool)
+    "full: lossy path forced retransmissions" true
+    (Qtp.Connection.retransmissions conn > 0);
+  match M.check_conservation mux with
+  | Ok () -> ()
+  | Error what -> Alcotest.failf "full: conservation: %s" what
+
+let test_window_bounded_partial () =
+  (* One retransmission within 100 ms, then the receiver skips the
+     hole: the window must release skipped ordinals on the next
+     delivery rather than hold them forever. *)
+  let offer =
+    {
+      (Qtp.Profile.qtp_af ~g_bps:40e6 ()) with
+      Qtp.Capabilities.reliability = [ Qtp.Capabilities.R_partial ];
+      partial_max_retx = 1;
+      partial_deadline = 0.1;
+    }
+  in
+  let mux, conn, peak = long_run offer in
+  check_bounded ~label:"partial" mux ~peak;
+  Alcotest.(check bool)
+    (Printf.sprintf "partial: receiver skipped (%d)"
+       (Qtp.Connection.skipped conn))
+    true
+    (Qtp.Connection.skipped conn > 0);
+  Alcotest.(check int) "partial: junk" 0 (M.junk_bytes mux);
+  for u = 0 to M.users mux - 1 do
+    Alcotest.(check bool)
+      (Printf.sprintf "partial: user %d delivered <= shipped" u)
+      true
+      (M.delivered_bytes mux ~user:u <= M.shipped_bytes mux ~user:u)
+  done
+
 (* --- conservation through mangled links --------------------------- *)
 
 let test_mangled_conservation () =
@@ -164,6 +271,12 @@ let suite =
     Alcotest.test_case "audit off: counts still conserved" `Quick
       test_clean_unaudited;
     Alcotest.test_case "weighted DRR shares" `Quick test_weighted_shares;
+    Alcotest.test_case "admission ring wraps, grows, keeps the feed phase"
+      `Quick test_ring_wrap_and_phase;
+    Alcotest.test_case "segment window bounded: full reliability" `Quick
+      test_window_bounded_full;
+    Alcotest.test_case "segment window bounded: partial reliability" `Quick
+      test_window_bounded_partial;
     Alcotest.test_case "mangled links conserve every byte" `Slow
       test_mangled_conservation;
   ]
