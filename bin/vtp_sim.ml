@@ -51,12 +51,16 @@ let delay =
   Arg.(value & opt float 0.04 & info [ "delay" ] ~docv:"S" ~doc:"One-way delay (s).")
 
 let loss =
-  Arg.(value & opt float 0.0 & info [ "loss" ] ~docv:"P" ~doc:"Stationary loss rate.")
+  Arg.(value & opt float 0.0
+       & info [ "loss" ] ~docv:"P"
+           ~doc:"Stationary loss rate, in [0, 1]; with $(b,--burstiness), \
+                 below 0.5 (above a third only with enough burstiness).")
 
 let burstiness =
   Arg.(value & opt float 0.0
        & info [ "burstiness" ] ~docv:"B"
-           ~doc:"0 = random (Bernoulli); >0 = Gilbert-Elliott burstiness.")
+           ~doc:"0 = random (Bernoulli); in (0, 1] = Gilbert-Elliott \
+                 burstiness.")
 
 let g =
   Arg.(value & opt float 2e6 & info [ "g" ] ~docv:"BPS" ~doc:"AF target rate for --proto af.")
@@ -85,15 +89,16 @@ let reliability =
   Arg.(value & opt rel_conv Qtp.Capabilities.R_none
        & info [ "reliability" ] ~docv:"MODE" ~doc:"none | partial | full (for --proto light).")
 
+let loss_model ~loss ~burstiness rng =
+  if loss <= 0.0 then Netsim.Loss_model.none
+  else if burstiness <= 0.0 then Netsim.Loss_model.bernoulli ~p:loss ~rng
+  else Netsim.Loss_model.gilbert ~loss ~burstiness ~rng
+
 (* One scenario on one seed, rendered to a string so a --seeds sweep can
    run scenarios concurrently and still print in seed order. *)
 let render_one ~proto ~rate ~delay ~loss ~burstiness ~g ~duration ~reliability
     ~seed =
-  let loss_of rng =
-    if loss <= 0.0 then Netsim.Loss_model.none
-    else if burstiness <= 0.0 then Netsim.Loss_model.bernoulli ~p:loss ~rng
-    else Experiments.Common.gilbert ~loss ~burstiness rng
-  in
+  let loss_of = loss_model ~loss ~burstiness in
   match proto with
   | P_af ->
       let r =
@@ -148,9 +153,11 @@ let render_one ~proto ~rate ~delay ~loss ~burstiness ~g ~duration ~reliability
               Qtp.Profile.mobile_receiver () )
       in
       let agreed = Qtp.Profile.agreed_exn offer responder in
+      let endpoint, arrivals =
+        Experiments.Common.probe_arrivals ~sim (Netsim.Topology.endpoint topo 0)
+      in
       let conn =
-        Qtp.Connection.create ~sim
-          ~endpoint:(Netsim.Topology.endpoint topo 0)
+        Qtp.Connection.create ~sim ~endpoint
           (Qtp.Connection.config ~initial_rtt:0.2 agreed)
       in
       Engine.Sim.run ~until:duration sim;
@@ -158,9 +165,7 @@ let render_one ~proto ~rate ~delay ~loss ~burstiness ~g ~duration ~reliability
         "%a: throughput %.2f Mb/s over [1s,%gs); sent %d, retx %d, delivered \
          %d, skipped %d, p=%.4f@."
         Qtp.Capabilities.pp_agreed agreed
-        (Stats.Series.rate_bps (Qtp.Connection.arrivals conn) ~from_:1.0
-           ~until:duration
-        /. 1e6)
+        (Stats.Series.rate_bps arrivals ~from_:1.0 ~until:duration /. 1e6)
         duration
         (Qtp.Connection.data_sent conn)
         (Qtp.Connection.retransmissions conn)
@@ -168,23 +173,43 @@ let render_one ~proto ~rate ~delay ~loss ~burstiness ~g ~duration ~reliability
         (Qtp.Connection.skipped conn)
         (Qtp.Connection.sender_loss_estimate conn)
 
+(* Loss flags are checked before any run: an out-of-range value is a
+   usage error (exit 124), not an exception mid-run.  Past the flags'
+   own ranges, the loss model's constructor is the judge. *)
+let check_loss ~loss ~burstiness =
+  if not (loss >= 0.0 && loss <= 1.0) then
+    Error (Printf.sprintf "--loss %g is outside [0, 1]" loss)
+  else if not (burstiness >= 0.0 && burstiness <= 1.0) then
+    Error (Printf.sprintf "--burstiness %g is outside [0, 1]" burstiness)
+  else
+    match loss_model ~loss ~burstiness (Engine.Rng.create ~seed:0) with
+    | (_ : Netsim.Loss_model.t) -> Ok ()
+    | exception Invalid_argument msg ->
+        Error
+          (Printf.sprintf "--loss %g --burstiness %g: %s" loss burstiness msg)
+
 let run proto rate delay loss burstiness g duration seed seeds jobs reliability
     =
-  let render seed =
-    render_one ~proto ~rate ~delay ~loss ~burstiness ~g ~duration ~reliability
-      ~seed
-  in
-  if seeds <= 1 then print_string (render seed)
-  else
-    Engine.Pool.with_pool ?jobs (fun pool ->
-        Engine.Pool.tabulate pool seeds (fun i -> render (seed + i)))
-    |> Array.iteri (fun i s -> Printf.printf "[seed %d] %s" (seed + i) s)
+  match check_loss ~loss ~burstiness with
+  | Error msg -> `Error (true, msg)
+  | Ok () ->
+      let render seed =
+        render_one ~proto ~rate ~delay ~loss ~burstiness ~g ~duration
+          ~reliability ~seed
+      in
+      (if seeds <= 1 then print_string (render seed)
+       else
+         Engine.Pool.with_pool ?jobs (fun pool ->
+             Engine.Pool.tabulate pool seeds (fun i -> render (seed + i)))
+         |> Array.iteri (fun i s -> Printf.printf "[seed %d] %s" (seed + i) s));
+      `Ok ()
 
 let cmd =
   let doc = "Run one transport scenario on the VTP network simulator." in
   Cmd.v (Cmd.info "vtp_sim" ~doc)
     Term.(
-      const run $ proto $ rate $ delay $ loss $ burstiness $ g $ duration
-      $ seed $ seeds $ jobs $ reliability)
+      ret
+        (const run $ proto $ rate $ delay $ loss $ burstiness $ g $ duration
+        $ seed $ seeds $ jobs $ reliability))
 
 let () = exit (Cmd.eval cmd)

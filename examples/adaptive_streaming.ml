@@ -24,10 +24,12 @@ let () =
   (* Two channel regimes; the forward link consults whichever is
      current. *)
   let mild =
-    Experiments.Common.gilbert ~loss:0.01 ~burstiness:0.5 (Engine.Rng.split rng)
+    Netsim.Loss_model.gilbert ~loss:0.01 ~burstiness:0.5
+      ~rng:(Engine.Rng.split rng)
   in
   let harsh =
-    Experiments.Common.gilbert ~loss:0.06 ~burstiness:0.7 (Engine.Rng.split rng)
+    Netsim.Loss_model.gilbert ~loss:0.06 ~burstiness:0.7
+      ~rng:(Engine.Rng.split rng)
   in
   let regime = ref mild in
   let forward =

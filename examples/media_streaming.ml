@@ -22,8 +22,8 @@ let run ~light =
     Netsim.Topology.spec ~rate_bps:5e6 ~delay:0.03
       ~qdisc:(fun () -> Netsim.Qdisc.droptail ~capacity_pkts:50)
       ~loss:(fun () ->
-        Experiments.Common.gilbert ~loss:0.02 ~burstiness:0.6
-          (Engine.Rng.split rng))
+        Netsim.Loss_model.gilbert ~loss:0.02 ~burstiness:0.6
+          ~rng:(Engine.Rng.split rng))
       ()
   in
   let topo = Netsim.Topology.duplex_path ~sim ~forward () in
@@ -43,20 +43,27 @@ let run ~light =
     Workload.Media.start ~sim ~rng:(Engine.Rng.split rng)
       Workload.Media.default_params ~push ~stop_at:duration ()
   in
+  (* Endpoint probes: the receiver's arrival log and per-segment
+     delivery delays. *)
+  let endpoint, arrivals =
+    Experiments.Common.probe_arrivals ~sim (Netsim.Topology.endpoint topo 0)
+  in
+  let endpoint, delays = Experiments.Common.probe_delays ~sim endpoint in
   let conn =
-    Qtp.Connection.create ~sim
-      ~endpoint:(Netsim.Topology.endpoint topo 0)
-      ~cost_receiver ~source
+    Qtp.Connection.create ~sim ~endpoint ~cost_receiver ~source
       (Qtp.Connection.config ~initial_rtt:0.2 agreed)
   in
+  Experiments.Common.attach_delays delays conn;
   Engine.Sim.run ~until:duration sim;
-  (conn, cost_receiver, media)
+  ( conn,
+    cost_receiver,
+    media,
+    Stats.Series.count arrivals,
+    Experiments.Common.delivery_delays delays )
 
-let describe name (conn, cost, media) =
+let describe name (conn, cost, media, pkts, delays) =
   let delivered = Qtp.Connection.delivered conn in
   let skipped = Qtp.Connection.skipped conn in
-  let pkts = Stats.Series.count (Qtp.Connection.arrivals conn) in
-  let delays = Qtp.Connection.delivery_delays conn in
   Format.printf "@.--- %s ---@." name;
   Format.printf "video: %d frames (%.2f Mb/s mean)@."
     (Workload.Media.frames_emitted media)

@@ -15,22 +15,26 @@ let () =
   in
   let topo = Netsim.Topology.duplex_path ~sim ~forward () in
 
-  (* 2. Negotiate: a streaming server offers QTP_light; the peer is a
+  (* 2. Measure at the endpoint: log every data arrival at the receiver
+     (the connection itself keeps counters, not per-packet logs). *)
+  let endpoint, arrivals =
+    Experiments.Common.probe_arrivals ~sim (Netsim.Topology.endpoint topo 0)
+  in
+
+  (* 3. Negotiate: a streaming server offers QTP_light; the peer is a
      constrained mobile receiver.  The SYN / SYN-ACK / ACK handshake
      runs in-band. *)
   let conn =
-    Qtp.Connection.create_negotiated ~sim
-      ~endpoint:(Netsim.Topology.endpoint topo 0)
-      ~initial_rtt:0.2
+    Qtp.Connection.create_negotiated ~sim ~endpoint ~initial_rtt:0.2
       ~initiator:(Qtp.Profile.qtp_light ())
       ~responder:(Qtp.Profile.mobile_receiver ())
       ()
   in
 
-  (* 3. Run virtual time. *)
+  (* 4. Run virtual time. *)
   Engine.Sim.run ~until:duration sim;
 
-  (* 4. Inspect. *)
+  (* 5. Inspect. *)
   (match Qtp.Connection.state conn with
   | Qtp.Connection.Established agreed ->
       Format.printf "established: %a@." Qtp.Capabilities.pp_agreed agreed
@@ -39,8 +43,7 @@ let () =
   | Qtp.Connection.Closed ->
       Format.printf "unexpected connection state@.");
   let rate =
-    Stats.Series.rate_bps (Qtp.Connection.arrivals conn)
-      ~from_:(0.1 *. duration) ~until:duration
+    Stats.Series.rate_bps arrivals ~from_:(0.1 *. duration) ~until:duration
   in
   Format.printf
     "sent %d segments, delivered %d in order, throughput %.2f Mb/s@."

@@ -9,6 +9,10 @@
    about — a receiver claiming packets it never got would also be
    telling the reliability plane not to repair them.
 
+   The lie is told where a real one would be: on the wire.  The
+   receiving endpoint is wrapped so that each report it sends carries
+   p = 0; the connection itself stays honest.
+
    Run with:  dune exec examples/selfish_receiver.exe *)
 
 let loss = 0.02
@@ -34,16 +38,17 @@ let run ~light ~selfish =
     if light then Qtp.Profile.mobile_receiver () else Qtp.Profile.anything ()
   in
   let agreed = Qtp.Profile.agreed_exn offer responder in
-  let conn =
-    Qtp.Connection.create ~sim
-      ~endpoint:(Netsim.Topology.endpoint topo 0)
-      (Qtp.Connection.config ~initial_rtt:0.2
-         ~selfish_p_factor:(if selfish then 0.0 else 1.0)
-         agreed)
+  let endpoint = Netsim.Topology.endpoint topo 0 in
+  let endpoint =
+    if selfish then Experiments.Common.selfish_receiver ~p_factor:0.0 endpoint
+    else endpoint
   in
+  let endpoint, arrivals = Experiments.Common.probe_arrivals ~sim endpoint in
+  ignore
+    (Qtp.Connection.create ~sim ~endpoint
+       (Qtp.Connection.config ~initial_rtt:0.2 agreed));
   Engine.Sim.run ~until:duration sim;
-  Stats.Series.rate_bps (Qtp.Connection.arrivals conn)
-    ~from_:(duration /. 6.0) ~until:duration
+  Stats.Series.rate_bps arrivals ~from_:(duration /. 6.0) ~until:duration
   /. 1e6
 
 let () =

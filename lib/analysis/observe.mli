@@ -14,15 +14,6 @@ val instrument : Invariants.t -> Netsim.Topology.t -> unit
     endpoints.  Feeds {!Invariants.Epoch} first, so flow ids may be
     reused across successive topologies on one checker. *)
 
-val instrument_mangler : Invariants.t -> sim:Engine.Sim.t -> Netsim.Mangler.t -> unit
-(** Register fault-accounting hooks on a mangler: a duplicated VTP
-    frame's fresh uid is fed as {!Invariants.Sent} (it is a new frame
-    injected mid-network) and a corrupted VTP frame is fed as
-    {!Invariants.Dropped} (its body is wrapped, so no endpoint will
-    ever count it as delivered).  {!instrument} already does this for
-    every mangler reachable from the topology's links; call this only
-    for manglers wired up by hand. *)
-
 val install_rate_hook : Invariants.t -> unit
 (** Install the global {!Qtp.Inspect} hook feeding every TFRC rate
     sample to the checker.  One simulation at a time; pair with

@@ -5,15 +5,11 @@ let log_src = Logs.Src.create "qtp.connection" ~doc:"VTP connection events"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-type sack_cadence = Per_packet | Per_rtt
-
 type config = {
   agreed : Capabilities.agreed;
   packet_size : int;
   initial_rtt : float;
   max_rate_bps : float option;
-  cadence : sack_cadence;
-  selfish_p_factor : float;
   sack_blocks : int;
   oscillation_damping : bool;
   handover : Tfrc.Handover.policy;
@@ -25,16 +21,14 @@ type config = {
 let config_pool : config Engine.Intern.pool = Engine.Intern.pool ()
 
 let config ?(packet_size = 1500) ?(initial_rtt = 0.5) ?max_rate_bps
-    ?(cadence = Per_rtt) ?(selfish_p_factor = 1.0) ?(sack_blocks = 4)
-    ?(oscillation_damping = false) ?(handover = `Keep) agreed =
+    ?(sack_blocks = 4) ?(oscillation_damping = false) ?(handover = `Keep)
+    agreed =
   Engine.Intern.share config_pool
     {
       agreed;
       packet_size;
       initial_rtt;
       max_rate_bps;
-      cadence;
-      selfish_p_factor;
       sack_blocks;
       oscillation_damping;
       handover;
@@ -79,65 +73,6 @@ let[@inline] rxf_set r j v = Engine.Slab.fset r.rx_ar r.rx_slot j v
 let[@inline] rxi r j = Engine.Slab.iget r.rx_ar r.rx_slot j
 let[@inline] rxi_set r j v = Engine.Slab.iset r.rx_ar r.rx_slot j v
 
-module Sent_times = struct
-  (* Original send time per fresh-data sequence number, replacing a
-     seq→time hashtable: sends record monotonically increasing numbers
-     and the reassembly queue takes them back in order, so a ring over
-     [base, base+cap) with in-order base advance covers the live range
-     with zero steady-state allocation.  NaN marks an absent entry;
-     entries the advancing base passes over (numbers that will never be
-     delivered, e.g. abandoned ones) are dropped — the hashtable kept
-     them forever and merely never looked them up again. *)
-  type t = {
-    mutable buf : float array;  (* NaN = absent *)
-    mutable mask : int;
-    mutable base : Serial.t;  (* lowest possibly-live seq *)
-    mutable span : int;  (* highest recorded (diff seq base) + 1 *)
-  }
-
-  let create () =
-    { buf = Array.make 64 Float.nan; mask = 63; base = Serial.zero; span = 0 }
-
-  let grow t need =
-    let cap = ref (Array.length t.buf) in
-    while !cap < need do
-      cap := 2 * !cap
-    done;
-    let buf = Array.make !cap Float.nan in
-    let mask = !cap - 1 in
-    for off = 0 to t.span - 1 do
-      let s = Serial.to_int (Serial.add t.base off) in
-      buf.(s land mask) <- t.buf.(s land t.mask)
-    done;
-    t.buf <- buf;
-    t.mask <- mask
-
-  let[@vtp.hot] record t seq now =
-    let off = Serial.diff seq t.base in
-    if off >= 0 then begin
-      if off >= Array.length t.buf then grow t (off + 1);
-      if off >= t.span then t.span <- off + 1;
-      Array.unsafe_set t.buf (Serial.to_int seq land t.mask) now
-    end
-
-  (* NaN result = no record (delivery of a number never freshly sent
-     here, or one already dropped). *)
-  let[@vtp.hot] take t seq =
-    let off = Serial.diff seq t.base in
-    if off < 0 || off >= t.span then Float.nan
-    else begin
-      let v = t.buf.(Serial.to_int seq land t.mask) in
-      (* Deliveries are in-order: numbers at or below [seq] can never
-         be asked for again, so drop them and advance the base. *)
-      for o = 0 to off do
-        t.buf.(Serial.to_int (Serial.add t.base o) land t.mask) <- Float.nan
-      done;
-      t.base <- Serial.succ seq;
-      t.span <- t.span - (off + 1);
-      v
-    end
-end
-
 type sender_side = {
   cc : Tfrc.Sender.t;
   scoreboard : Sack.Scoreboard.t option;
@@ -171,9 +106,6 @@ type t = {
   snd : sender_side;
   rcv : receiver_side;
   goodput : Stats.Series.t;
-  arrivals : Stats.Series.t;
-  first_sent : Sent_times.t;  (* seq -> original send time *)
-  delays : Stats.Fvec.t;  (* in-order delivery delays, oldest first *)
   mutable feedback_packets : int;
   mutable feedback_bytes : int;
   mutable handshake_packets : int;
@@ -230,8 +162,8 @@ let emit_data t ~seq ~is_retx =
       }
   in
   let segment =
-    Vtp_wire.segment ~sim:t.sim ~flow_id:t.endpoint.Netsim.Topology.flow_id
-      ~hdr ~payload:(payload_of t.cfg)
+    Vtp_wire.segment ~flow_id:t.endpoint.Netsim.Topology.flow_id ~hdr
+      ~payload:(payload_of t.cfg)
   in
   let frame =
     Vtp_wire.frame_of ~sim:t.sim ~flow_id:t.endpoint.Netsim.Topology.flow_id
@@ -275,7 +207,6 @@ let transmit_opportunity t =
               t.snd.plain_seq <- Serial.succ s;
               s
         in
-        Sent_times.record t.first_sent seq now;
         emit_data t ~seq ~is_retx:false;
         true
       end
@@ -449,8 +380,8 @@ let emit_sack t =
             }
         in
         let segment =
-          Vtp_wire.segment ~sim:t.sim
-            ~flow_id:t.endpoint.Netsim.Topology.flow_id ~hdr ~payload:0
+          Vtp_wire.segment ~flow_id:t.endpoint.Netsim.Topology.flow_id ~hdr
+            ~payload:0
         in
         t.feedback_packets <- t.feedback_packets + 1;
         t.feedback_bytes <- t.feedback_bytes + Packet.Segment.size segment;
@@ -475,7 +406,6 @@ let arm_sack_timer t =
 let[@vtp.hot] receiver_on_data t (d : Header.data) ~ce ~wire_size ~payload =
   let now = Engine.Sim.now t.sim in
   let r = t.rcv in
-  Stats.Series.record t.arrivals ~time:now ~bytes:wire_size;
   Trace.Sink.seg_recv t.trace ~seq:d.seq ~size:wire_size ~ce
     ~retx:d.is_retransmit;
   if d.rtt_estimate > 0.0 then rxf_set r rxf_last_rtt d.rtt_estimate;
@@ -510,25 +440,24 @@ let[@vtp.hot] receiver_on_data t (d : Header.data) ~ce ~wire_size ~payload =
       (* Reliability ack-clock alongside RFC 3448 reports. *)
       emit_sack t
   | Capabilities.Standard, None -> ()
-  | Capabilities.Light, Some _ -> (
-      match t.cfg.cadence with
-      | Per_packet -> emit_sack t
-      | Per_rtt ->
-          if new_hole || first || ce then begin
-            emit_sack t;
-            match r.sack_timer with
-            | Some tm ->
-                Engine.Timer.start tm
-                  ~after:(Float.max (rxf r rxf_last_rtt) 1e-3)
-            | None -> ()
-          end
-          else begin
-            match r.sack_timer with
-            | Some tm when not (Engine.Timer.is_armed tm) ->
-                Engine.Timer.start tm
-                  ~after:(Float.max (rxf r rxf_last_rtt) 1e-3)
-            | Some _ | None -> ()
-          end)
+  | Capabilities.Light, Some _ ->
+      (* One report per RTT, expedited on a new hole, the first packet
+         and a CE mark. *)
+      if new_hole || first || ce then begin
+        emit_sack t;
+        match r.sack_timer with
+        | Some tm ->
+            Engine.Timer.start tm
+              ~after:(Float.max (rxf r rxf_last_rtt) 1e-3)
+        | None -> ()
+      end
+      else begin
+        match r.sack_timer with
+        | Some tm when not (Engine.Timer.is_armed tm) ->
+            Engine.Timer.start tm
+              ~after:(Float.max (rxf r rxf_last_rtt) 1e-3)
+        | Some _ | None -> ()
+      end
   | Capabilities.Light, None -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -537,8 +466,8 @@ let[@vtp.hot] receiver_on_data t (d : Header.data) ~ce ~wire_size ~payload =
 let send_handshake t ~forward kind payload =
   let hdr = Header.Handshake { kind; payload } in
   let segment =
-    Vtp_wire.segment ~sim:t.sim ~flow_id:t.endpoint.Netsim.Topology.flow_id
-      ~hdr ~payload:0
+    Vtp_wire.segment ~flow_id:t.endpoint.Netsim.Topology.flow_id ~hdr
+      ~payload:0
   in
   t.handshake_packets <- t.handshake_packets + 1;
   if forward then send_forward t segment else send_reverse t segment
@@ -771,11 +700,8 @@ let build ~sim ~endpoint ?cost_sender ?cost_receiver ?source ~start_at
     Sack.Reassembly.create ?cost:cost_receiver
       ~deliver:(fun ~seq ~size ->
         with_t (fun t ->
-            let now = Engine.Sim.now sim in
-            Stats.Series.record t.goodput ~time:now ~bytes:size;
-            let sent = Sent_times.take t.first_sent seq in
-            if not (Float.is_nan sent) then
-              Stats.Fvec.push t.delays (now -. sent);
+            Stats.Series.record t.goodput ~time:(Engine.Sim.now sim)
+              ~bytes:size;
             match t.on_deliver with
             | Some f -> f ~seq ~size
             | None -> ()))
@@ -836,9 +762,6 @@ let build ~sim ~endpoint ?cost_sender ?cost_receiver ?source ~start_at
            sack_timer = None;
          });
       goodput = Stats.Series.create ();
-      arrivals = Stats.Series.create ();
-      first_sent = Sent_times.create ();
-      delays = Stats.Fvec.create ();
       feedback_packets = 0;
       feedback_bytes = 0;
       handshake_packets = 0;
@@ -856,14 +779,8 @@ let build ~sim ~endpoint ?cost_sender ?cost_receiver ?source ~start_at
   Source.set_notify source (fun () -> Tfrc.Sender.notify_data cc);
   if agreed.Capabilities.plane = Capabilities.Standard then begin
     let send_feedback (f : Header.feedback) =
-      (* The selfish-receiver knob only exists where the receiver
-         computes p — that is the attack surface QTP_light removes. *)
-      let f =
-        if Float.equal cfg.selfish_p_factor 1.0 then f
-        else { f with p = f.p *. cfg.selfish_p_factor }
-      in
       let segment =
-        Vtp_wire.segment ~sim ~flow_id:endpoint.Netsim.Topology.flow_id
+        Vtp_wire.segment ~flow_id:endpoint.Netsim.Topology.flow_id
           ~hdr:(Header.Feedback f) ~payload:0
       in
       t.feedback_packets <- t.feedback_packets + 1;
@@ -874,8 +791,7 @@ let build ~sim ~endpoint ?cost_sender ?cost_receiver ?source ~start_at
       Some
         (Tfrc.Receiver.create ~sim ?cost:cost_receiver ~trace ~send_feedback ())
   end;
-  if agreed.Capabilities.plane = Capabilities.Light && cfg.cadence = Per_rtt
-  then arm_sack_timer t;
+  if agreed.Capabilities.plane = Capabilities.Light then arm_sack_timer t;
   endpoint.Netsim.Topology.on_receiver_rx (fun frame ->
       match frame.Netsim.Frame.body with
       | Vtp_wire.Vtp seg -> (
@@ -968,11 +884,17 @@ let notify_migration t ~link =
 
 let state t = t.state
 
-let set_on_deliver t f = t.on_deliver <- Some f
+let set_on_deliver t f =
+  t.on_deliver <-
+    Some
+      (match t.on_deliver with
+      | None -> f
+      | Some g ->
+          fun ~seq ~size ->
+            g ~seq ~size;
+            f ~seq ~size)
 
 let goodput t = t.goodput
-
-let arrivals t = t.arrivals
 
 let cc t = t.snd.cc
 
@@ -1007,8 +929,6 @@ let abandoned t =
 let delivered t = Sack.Reassembly.delivered t.rcv.reassembly
 
 let skipped t = Sack.Reassembly.skipped t.rcv.reassembly
-
-let delivery_delays t = Stats.Fvec.to_array t.delays
 
 let feedback_packets t = t.feedback_packets
 

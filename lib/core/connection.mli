@@ -13,24 +13,18 @@
       [p] remotely; when reliability is on, per-packet SACK reports run
       alongside as the repair ack-clock;
     - feedback plane [Light]: the receiver runs only a
-      {!Sack.Rcv_tracker}; the sender reconstructs loss events with
-      {!Loss_reconstructor} (QTP_light);
+      {!Sack.Rcv_tracker} and reports once per RTT, at once on a new
+      hole, the first packet or a CE mark; the sender reconstructs
+      loss events with {!Loss_reconstructor} (QTP_light);
     - reliability: {!Sack.Scoreboard} + {!Sack.Reliability} decide
       retransmissions; abandoned holes propagate to the receiver through
       the data-header forward point. *)
-
-type sack_cadence = Per_packet | Per_rtt
 
 type config = {
   agreed : Capabilities.agreed;
   packet_size : int;  (** on-wire bytes per data segment *)
   initial_rtt : float;
   max_rate_bps : float option;
-  cadence : sack_cadence;  (** light-plane report cadence *)
-  selfish_p_factor : float;
-      (** receiver misbehaviour knob for the standard plane: reported
-          [p] is multiplied by this (1.0 = honest, 0.0 = claims a
-          loss-free path).  The light plane has no [p] to lie about. *)
   sack_blocks : int;  (** SACK blocks carried per report (default 4) *)
   oscillation_damping : bool;  (** RFC 3448 §4.5 (default off) *)
   handover : Tfrc.Handover.policy;
@@ -38,9 +32,8 @@ type config = {
 }
 
 val config : ?packet_size:int -> ?initial_rtt:float -> ?max_rate_bps:float ->
-  ?cadence:sack_cadence -> ?selfish_p_factor:float -> ?sack_blocks:int ->
-  ?oscillation_damping:bool -> ?handover:Tfrc.Handover.policy ->
-  Capabilities.agreed -> config
+  ?sack_blocks:int -> ?oscillation_damping:bool ->
+  ?handover:Tfrc.Handover.policy -> Capabilities.agreed -> config
 
 type state =
   | Negotiating
@@ -89,7 +82,8 @@ val set_on_deliver :
 (** Install a per-segment in-order delivery tap on the receiving side:
     called for every payload the reassembly hands to the application, in
     sequence order, exactly once per sequence number.  The trunk layer's
-    demultiplex point. *)
+    demultiplex point.  Taps accumulate: a later call runs its tap
+    after the ones already installed and never replaces them. *)
 
 val notify_migration : t -> link:Tfrc.Handover.link_info -> unit
 (** Tell the connection its path just migrated to a link with the given
@@ -105,14 +99,19 @@ val close : t -> unit
     sender eventually closes unilaterally if the peer vanished).
     Idempotent. *)
 
-(** {2 Observation} *)
+(** {2 Observation}
+
+    A connection records protocol state and counters; its one
+    per-packet log is {!goodput}.  Other per-packet measurement and any
+    misbehaviour belong to the harness, at the endpoint: wrap the
+    {!Netsim.Topology.endpoint} before {!create} — its [on_receiver_rx]
+    sees every arrival, its [to_receiver] every first send, its
+    [to_sender] every report — and pair it with {!set_on_deliver} for
+    in-order delivery.  [Experiments.Common]'s endpoint probes (arrival
+    log, delivery delays, a selfish receiver) are built this way. *)
 
 val goodput : t -> Stats.Series.t
 (** Payload bytes delivered in order to the receiving application. *)
-
-val arrivals : t -> Stats.Series.t
-(** Wire bytes of every data segment reaching the receiver (includes
-    out-of-order and duplicates) — the throughput view. *)
 
 val cc : t -> Tfrc.Sender.t
 
@@ -124,10 +123,6 @@ val sender_loss_estimate : t -> float
 
 val receiver_loss_estimate : t -> float option
 (** The RFC 3448 receiver's own estimate (standard plane only). *)
-
-val delivery_delays : t -> float array
-(** Per-segment time from first transmission to in-order delivery, in
-    delivery order (retransmission and reassembly waits included). *)
 
 val data_sent : t -> int
 val retransmissions : t -> int

@@ -11,8 +11,7 @@ let frame_of ~sim ~flow_id segment =
    id is a debugging label, unique within a domain's run. *)
 let next_pkt_id = Domain.DLS.new_key (fun () -> ref 0)
 
-let segment ~sim ~flow_id ~hdr ~payload =
+let segment ~flow_id ~hdr ~payload =
   let c = Domain.DLS.get next_pkt_id in
   incr c;
   Packet.Segment.make ~id:!c ~flow_id ~hdr ~payload
-    ~sent_at:(Engine.Sim.now sim)

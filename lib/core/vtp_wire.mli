@@ -6,11 +6,7 @@
 type Netsim.Frame.body += Vtp of Packet.Segment.t
 
 val segment :
-  sim:Engine.Sim.t ->
-  flow_id:int ->
-  hdr:Packet.Header.t ->
-  payload:int ->
-  Packet.Segment.t
+  flow_id:int -> hdr:Packet.Header.t -> payload:int -> Packet.Segment.t
 
 val frame_of :
   sim:Engine.Sim.t -> flow_id:int -> Packet.Segment.t -> Netsim.Frame.t

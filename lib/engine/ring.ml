@@ -40,8 +40,6 @@ let[@vtp.hot] pop t =
   t.n <- t.n - 1;
   x
 
-let peek_opt t = if t.n = 0 then None else Some t.arr.(t.head)
-
 let iter f t =
   let cap = Array.length t.arr in
   for k = 0 to t.n - 1 do

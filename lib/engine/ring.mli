@@ -21,9 +21,6 @@ val push : 'a t -> 'a -> unit
 val pop : 'a t -> 'a
 (** Remove the head.  Raises [Invalid_argument] when empty. *)
 
-val peek_opt : 'a t -> 'a option
-(** The head without removing it, or [None] when empty. *)
-
 val iter : ('a -> unit) -> 'a t -> unit
 (** Head-to-tail iteration. *)
 

@@ -17,16 +17,17 @@ let run_case ~seed ~damping =
   let agreed =
     Qtp.Profile.agreed_exn (Qtp.Profile.qtp_tfrc ()) (Qtp.Profile.anything ())
   in
-  let conn =
-    Qtp.Connection.create ~sim
-      ~endpoint:(Netsim.Topology.endpoint topo 0)
-      (Qtp.Connection.config ~initial_rtt:0.05 ~oscillation_damping:damping
-         agreed)
+  let endpoint, arrivals =
+    Common.probe_arrivals ~sim (Netsim.Topology.endpoint topo 0)
   in
+  ignore
+    (Qtp.Connection.create ~sim ~endpoint
+       (Qtp.Connection.config ~initial_rtt:0.05 ~oscillation_damping:damping
+          agreed));
   Engine.Sim.run ~until:Common.duration sim;
   let rates =
-    Stats.Series.windowed_rates_bps (Qtp.Connection.arrivals conn)
-      ~from_:Common.warmup ~until:Common.duration ~window:0.25
+    Stats.Series.windowed_rates_bps arrivals ~from_:Common.warmup
+      ~until:Common.duration ~window:0.25
   in
   let rate_summary = Stats.Summary.of_array rates in
   let q = Netsim.Monitor.samples_pkts monitor in

@@ -38,7 +38,8 @@ let loss_event_grouping ?(seed = 42) () =
       let lm =
         match model with
         | `Bernoulli p -> Common.bernoulli p rng
-        | `Gilbert (l, b) -> Common.gilbert ~loss:l ~burstiness:b rng
+        | `Gilbert (l, b) ->
+            Netsim.Loss_model.gilbert ~loss:l ~burstiness:b ~rng
       in
       let pattern =
         Array.init n_packets (fun _ -> not (Netsim.Loss_model.drops lm))
@@ -149,17 +150,15 @@ let sack_block_budget ?(seed = 42) () =
       let cfg =
         Qtp.Connection.config ~initial_rtt:0.2 ~sack_blocks:blocks agreed
       in
-      let conn =
-        Qtp.Connection.create ~sim
-          ~endpoint:(Netsim.Topology.endpoint topo 0)
-          cfg
+      let endpoint, arrivals =
+        Common.probe_arrivals ~sim (Netsim.Topology.endpoint topo 0)
       in
+      let conn = Qtp.Connection.create ~sim ~endpoint cfg in
       Engine.Sim.run ~until:Common.duration sim;
       Stats.Table.add_row table
         [
           Stats.Table.cell_i blocks;
-          Stats.Table.cell_f
-            (Common.measured_rate (Qtp.Connection.arrivals conn) /. 1e6);
+          Stats.Table.cell_f (Common.measured_rate arrivals /. 1e6);
           Stats.Table.cell_f ~decimals:4
             (Qtp.Connection.sender_loss_estimate conn);
           Stats.Table.cell_i (Qtp.Connection.retransmissions conn);

@@ -121,24 +121,83 @@ let bernoulli p rng =
   if p <= 0.0 then Netsim.Loss_model.none
   else Netsim.Loss_model.bernoulli ~p ~rng
 
-(* Stationary loss = pi_bad * loss_bad with loss_good = 0.  We fix
-   loss_bad and derive the state probabilities; burstiness shrinks the
-   bad->good escape probability, lengthening loss bursts. *)
-let gilbert ~loss ~burstiness rng =
-  assert (loss > 0.0 && loss < 0.5);
-  assert (burstiness >= 0.0 && burstiness <= 1.0);
-  let loss_bad = 0.5 in
-  let pi_bad = loss /. loss_bad in
-  let p_bg = 0.5 *. (1.0 -. (0.9 *. burstiness)) in
-  let p_gb = p_bg *. pi_bad /. (1.0 -. pi_bad) in
-  Netsim.Loss_model.gilbert_elliott ~p_good_to_bad:p_gb ~p_bad_to_good:p_bg
-    ~loss_good:0.0 ~loss_bad ~rng
-
 let sink_background (ep : Netsim.Topology.endpoint) =
   ep.Netsim.Topology.on_receiver_rx (fun _ -> ())
 
 let measured_rate series =
   Stats.Series.rate_bps series ~from_:warmup ~until:duration
+
+(* ------------------------------------------------------------------ *)
+(* Endpoint probes: per-packet measurement and receiver misbehaviour,
+   wrapped around an endpoint instead of living in Qtp.Connection. *)
+
+let probe_arrivals ~sim (ep : Netsim.Topology.endpoint) =
+  let series = Stats.Series.create () in
+  let on_receiver_rx sink =
+    ep.Netsim.Topology.on_receiver_rx (fun (frame : Netsim.Frame.t) ->
+        (match frame.Netsim.Frame.body with
+        | Qtp.Vtp_wire.Vtp
+            ({ Packet.Segment.hdr = Packet.Header.Data _; _ } as seg) ->
+            Stats.Series.record series ~time:(Engine.Sim.now sim)
+              ~bytes:(Packet.Segment.size seg)
+        | _ -> ());
+        sink frame)
+  in
+  ({ ep with Netsim.Topology.on_receiver_rx }, series)
+
+type delay_probe = {
+  sim : Engine.Sim.t;
+  (* First sends not yet delivered, in sequence order. *)
+  first_sent : (Packet.Serial.t * float) Queue.t;
+  samples : Stats.Fvec.t;
+}
+
+let probe_delays ~sim (ep : Netsim.Topology.endpoint) =
+  let d =
+    { sim; first_sent = Queue.create (); samples = Stats.Fvec.create () }
+  in
+  let to_receiver (frame : Netsim.Frame.t) =
+    (match frame.Netsim.Frame.body with
+    | Qtp.Vtp_wire.Vtp { Packet.Segment.hdr = Packet.Header.Data h; _ }
+      when not h.Packet.Header.is_retransmit ->
+        Queue.push (h.Packet.Header.seq, Engine.Sim.now sim) d.first_sent
+    | _ -> ());
+    ep.Netsim.Topology.to_receiver frame
+  in
+  ({ ep with Netsim.Topology.to_receiver }, d)
+
+(* Both first sends and deliveries come in sequence order, so every
+   number queued ahead of a delivered one was skipped (partial
+   reliability) and will never be delivered. *)
+let rec settle d seq =
+  match Queue.peek_opt d.first_sent with
+  | Some (s, at) when Packet.Serial.equal s seq ->
+      ignore (Queue.pop d.first_sent);
+      Stats.Fvec.push d.samples (Engine.Sim.now d.sim -. at)
+  | Some (s, _) when Packet.Serial.( < ) s seq ->
+      ignore (Queue.pop d.first_sent);
+      settle d seq
+  | Some _ | None -> ()
+
+let attach_delays d conn =
+  Qtp.Connection.set_on_deliver conn (fun ~seq ~size:_ -> settle d seq)
+
+let delivery_delays d = Stats.Fvec.to_array d.samples
+
+let selfish_receiver ~p_factor (ep : Netsim.Topology.endpoint) =
+  let to_sender (frame : Netsim.Frame.t) =
+    match frame.Netsim.Frame.body with
+    | Qtp.Vtp_wire.Vtp
+        ({ Packet.Segment.hdr = Packet.Header.Feedback f; _ } as seg) ->
+        let hdr =
+          Packet.Header.Feedback
+            { f with Packet.Header.p = f.Packet.Header.p *. p_factor }
+        in
+        let body = Qtp.Vtp_wire.Vtp { seg with Packet.Segment.hdr } in
+        ep.Netsim.Topology.to_sender { frame with Netsim.Frame.body }
+    | _ -> ep.Netsim.Topology.to_sender frame
+  in
+  { ep with Netsim.Topology.to_sender }
 
 (* ------------------------------------------------------------------ *)
 (* Mobility: a single flow over several candidate duplex paths, for

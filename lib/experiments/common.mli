@@ -78,16 +78,49 @@ val lossy_path :
 
 val bernoulli : float -> Engine.Rng.t -> Netsim.Loss_model.t
 
-val gilbert : loss:float -> burstiness:float -> Engine.Rng.t -> Netsim.Loss_model.t
-(** Gilbert–Elliott model with the given stationary [loss] rate; higher
-    [burstiness] (0..1) concentrates losses into longer bad periods
-    while keeping the stationary rate. *)
-
 val sink_background : Netsim.Topology.endpoint -> unit
 (** Install a discarding receiver on a background flow's endpoint. *)
 
 val measured_rate : Stats.Series.t -> float
 (** Rate in bits/s over [warmup, duration). *)
+
+(** {1 Endpoint probes}
+
+    Per-packet measurement and receiver misbehaviour, kept out of
+    {!Qtp.Connection}: each probe wraps an endpoint before the
+    connection attaches to it.  Probes compose, schedule nothing and
+    draw no randomness, so a probed run is the same simulation. *)
+
+val probe_arrivals :
+  sim:Engine.Sim.t ->
+  Netsim.Topology.endpoint ->
+  Netsim.Topology.endpoint * Stats.Series.t
+(** Log the wire bytes of every VTP data segment reaching the receiver
+    (duplicates and out-of-order ones included) at its arrival time. *)
+
+type delay_probe
+
+val probe_delays :
+  sim:Engine.Sim.t ->
+  Netsim.Topology.endpoint ->
+  Netsim.Topology.endpoint * delay_probe
+(** Note each data segment's first send ([is_retransmit = false]);
+    {!attach_delays} the probe to the connection built on the returned
+    endpoint. *)
+
+val attach_delays : delay_probe -> Qtp.Connection.t -> unit
+(** Add a {!Qtp.Connection.set_on_deliver} tap (earlier taps are kept)
+    that turns each in-order delivery into a delay sample. *)
+
+val delivery_delays : delay_probe -> float array
+(** First send to in-order delivery, per delivered segment, in delivery
+    order; a number the reassembly skipped gives no sample. *)
+
+val selfish_receiver :
+  p_factor:float -> Netsim.Topology.endpoint -> Netsim.Topology.endpoint
+(** Lie on the wire: scale [p] by [p_factor] in every standard-plane
+    [Feedback] frame the receiver sends, keeping the frame's uid.
+    [Sack_feedback] passes untouched: the light plane reports no [p]. *)
 
 val mobile_path :
   seed:int ->

@@ -30,14 +30,17 @@ let run_case ~seed ~light ~ecn =
     if light then Qtp.Profile.mobile_receiver () else Qtp.Profile.anything ()
   in
   let agreed = Qtp.Profile.agreed_exn offer responder in
+  let endpoint, probe =
+    Common.probe_delays ~sim (Netsim.Topology.endpoint topo 0)
+  in
   let conn =
-    Qtp.Connection.create ~sim
-      ~endpoint:(Netsim.Topology.endpoint topo 0)
+    Qtp.Connection.create ~sim ~endpoint
       (Qtp.Connection.config ~initial_rtt:0.2 agreed)
   in
+  Common.attach_delays probe conn;
   Engine.Sim.run ~until:Common.duration sim;
   let st = Netsim.Qdisc.stats (Netsim.Link.qdisc topo.Netsim.Topology.bottleneck) in
-  let delays = Qtp.Connection.delivery_delays conn in
+  let delays = Common.delivery_delays probe in
   let p99 =
     if Array.length delays = 0 then nan
     else 1000.0 *. Stats.Summary.percentile delays 0.99

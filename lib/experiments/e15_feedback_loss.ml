@@ -18,13 +18,15 @@ let run_case ~seed ~light ~rev =
     if light then Qtp.Profile.mobile_receiver () else Qtp.Profile.anything ()
   in
   let agreed = Qtp.Profile.agreed_exn offer responder in
+  let endpoint, arrivals =
+    Common.probe_arrivals ~sim (Netsim.Topology.endpoint topo 0)
+  in
   let conn =
-    Qtp.Connection.create ~sim
-      ~endpoint:(Netsim.Topology.endpoint topo 0)
+    Qtp.Connection.create ~sim ~endpoint
       (Qtp.Connection.config ~initial_rtt:0.2 agreed)
   in
   Engine.Sim.run ~until:Common.duration sim;
-  ( Common.measured_rate (Qtp.Connection.arrivals conn) /. 1e6,
+  ( Common.measured_rate arrivals /. 1e6,
     Qtp.Connection.sender_loss_estimate conn )
 
 let run ?(seed = 42) () =

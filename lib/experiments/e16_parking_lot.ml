@@ -33,13 +33,14 @@ let run_case ~seed ~long_is_tfrc =
         Qtp.Profile.agreed_exn (Qtp.Profile.qtp_tfrc ())
           (Qtp.Profile.anything ())
       in
-      let conn =
-        Qtp.Connection.create ~sim
-          ~endpoint:(Netsim.Topology.endpoint topo 0)
-          (Qtp.Connection.config ~initial_rtt:0.2 agreed)
+      let endpoint, arrivals =
+        Common.probe_arrivals ~sim (Netsim.Topology.endpoint topo 0)
       in
+      ignore
+        (Qtp.Connection.create ~sim ~endpoint
+           (Qtp.Connection.config ~initial_rtt:0.2 agreed));
       Engine.Sim.run ~until:Common.duration sim;
-      Common.measured_rate (Qtp.Connection.arrivals conn)
+      Common.measured_rate arrivals
     end
     else begin
       let flow =

@@ -17,13 +17,14 @@ let run_tfrc ~seed ~loss =
   let agreed =
     Qtp.Profile.agreed_exn (Qtp.Profile.qtp_tfrc ()) (Qtp.Profile.anything ())
   in
-  let conn =
-    Qtp.Connection.create ~sim
-      ~endpoint:(Netsim.Topology.endpoint topo 0)
-      (Qtp.Connection.config ~initial_rtt:0.2 agreed)
+  let endpoint, arrivals =
+    Common.probe_arrivals ~sim (Netsim.Topology.endpoint topo 0)
   in
+  ignore
+    (Qtp.Connection.create ~sim ~endpoint
+       (Qtp.Connection.config ~initial_rtt:0.2 agreed));
   Engine.Sim.run ~until:Common.duration sim;
-  cov_of (Qtp.Connection.arrivals conn)
+  cov_of arrivals
 
 let run_tcp ~seed ~loss =
   let sim, topo =

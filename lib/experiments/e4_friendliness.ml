@@ -6,15 +6,19 @@ let run_one ~seed ~n =
     Common.plain_dumbbell ~seed ~n_flows ~bottleneck_mbps:10.0 ()
   in
   (* Flows 0..n-1: TFRC; flows n..2n-1: TCP. *)
-  let tfrc_conns =
+  let tfrc_arrivals =
     List.init n (fun i ->
         let agreed =
           Qtp.Profile.agreed_exn (Qtp.Profile.qtp_tfrc ())
             (Qtp.Profile.anything ())
         in
-        Qtp.Connection.create ~sim
-          ~endpoint:(Netsim.Topology.endpoint topo i)
-          (Qtp.Connection.config ~initial_rtt:0.2 agreed))
+        let endpoint, arrivals =
+          Common.probe_arrivals ~sim (Netsim.Topology.endpoint topo i)
+        in
+        ignore
+          (Qtp.Connection.create ~sim ~endpoint
+             (Qtp.Connection.config ~initial_rtt:0.2 agreed));
+        arrivals)
   in
   let tcp_flows =
     List.init n (fun i ->
@@ -22,10 +26,7 @@ let run_one ~seed ~n =
   in
   Engine.Sim.run ~until:Common.duration sim;
   let tfrc_rates =
-    Array.of_list
-      (List.map
-         (fun c -> Common.measured_rate (Qtp.Connection.arrivals c))
-         tfrc_conns)
+    Array.of_list (List.map Common.measured_rate tfrc_arrivals)
   in
   let tcp_rates =
     Array.of_list

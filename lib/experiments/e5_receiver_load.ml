@@ -21,14 +21,15 @@ let run_plane ~seed ~loss ~light =
     else Qtp.Profile.qtp_tfrc ()
   in
   let agreed = Qtp.Profile.agreed_exn offer (Qtp.Profile.anything ()) in
+  let endpoint, arrivals =
+    Common.probe_arrivals ~sim (Netsim.Topology.endpoint topo 0)
+  in
   let conn =
-    Qtp.Connection.create ~sim
-      ~endpoint:(Netsim.Topology.endpoint topo 0)
-      ~cost_sender ~cost_receiver
+    Qtp.Connection.create ~sim ~endpoint ~cost_sender ~cost_receiver
       (Qtp.Connection.config ~initial_rtt:0.2 agreed)
   in
   Engine.Sim.run ~until:Common.duration sim;
-  let packets = Stats.Series.count (Qtp.Connection.arrivals conn) in
+  let packets = Stats.Series.count arrivals in
   let recv_ops = Stats.Cost.total_ops cost_receiver in
   {
     plane = (if light then "QTP_light" else "standard TFRC");
@@ -40,7 +41,7 @@ let run_plane ~seed ~loss ~light =
     send_ops = Stats.Cost.total_ops cost_sender;
     fb_packets = Qtp.Connection.feedback_packets conn;
     fb_bytes = Qtp.Connection.feedback_bytes conn;
-    rate_mbps = Common.measured_rate (Qtp.Connection.arrivals conn) /. 1e6;
+    rate_mbps = Common.measured_rate arrivals /. 1e6;
   }
 
 let run ?(seed = 42) () =

@@ -10,7 +10,8 @@ let survive_pattern ~seed ~model =
   let lm =
     match model with
     | `Bernoulli p -> Common.bernoulli p rng
-    | `Gilbert (loss, burst) -> Common.gilbert ~loss ~burstiness:burst rng
+    | `Gilbert (loss, burst) ->
+        Netsim.Loss_model.gilbert ~loss ~burstiness:burst ~rng
   in
   Array.init n_packets (fun _ -> not (Netsim.Loss_model.drops lm))
 

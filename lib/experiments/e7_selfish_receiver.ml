@@ -9,15 +9,19 @@ let run_case ~seed ~light ~selfish_factor =
     else Qtp.Profile.qtp_tfrc ()
   in
   let agreed = Qtp.Profile.agreed_exn offer (Qtp.Profile.anything ()) in
-  let cfg =
-    Qtp.Connection.config ~initial_rtt:0.2 ~selfish_p_factor:selfish_factor
-      agreed
+  (* The lie is a rewrite of the receiver's reports on the wire; a
+     factor of 1.0 leaves every report as it was. *)
+  let endpoint, arrivals =
+    Common.probe_arrivals ~sim
+      (Common.selfish_receiver ~p_factor:selfish_factor
+         (Netsim.Topology.endpoint topo 0))
   in
   let conn =
-    Qtp.Connection.create ~sim ~endpoint:(Netsim.Topology.endpoint topo 0) cfg
+    Qtp.Connection.create ~sim ~endpoint
+      (Qtp.Connection.config ~initial_rtt:0.2 agreed)
   in
   Engine.Sim.run ~until:Common.duration sim;
-  ( Common.measured_rate (Qtp.Connection.arrivals conn) /. 1e6,
+  ( Common.measured_rate arrivals /. 1e6,
     Qtp.Connection.sender_loss_estimate conn )
 
 let run ?(seed = 42) () =

@@ -14,7 +14,8 @@ let modes =
 let run_mode ~seed ~reliability =
   let sim, topo =
     Common.lossy_path ~seed ~rate_mbps:10.0
-      ~loss:(fun rng -> Common.gilbert ~loss:path_loss ~burstiness rng)
+      ~loss:(fun rng ->
+        Netsim.Loss_model.gilbert ~loss:path_loss ~burstiness ~rng)
       ()
   in
   let agreed =
@@ -25,14 +26,16 @@ let run_mode ~seed ~reliability =
   let source =
     Qtp.Source.cbr ~sim ~rate_bps:media_rate ~packet_size:1500 ()
   in
+  let endpoint, delays =
+    Common.probe_delays ~sim (Netsim.Topology.endpoint topo 0)
+  in
   let conn =
-    Qtp.Connection.create ~sim
-      ~endpoint:(Netsim.Topology.endpoint topo 0)
-      ~source
+    Qtp.Connection.create ~sim ~endpoint ~source
       (Qtp.Connection.config ~initial_rtt:0.2 agreed)
   in
+  Common.attach_delays delays conn;
   Engine.Sim.run ~until:Common.duration sim;
-  conn
+  (conn, Common.delivery_delays delays)
 
 let run ?(seed = 42) () =
   let table =
@@ -57,10 +60,9 @@ let run ?(seed = 42) () =
   in
   List.iter
     (fun (name, reliability) ->
-      let conn = run_mode ~seed ~reliability in
+      let conn, delays = run_mode ~seed ~reliability in
       let delivered = Qtp.Connection.delivered conn in
       let skipped = Qtp.Connection.skipped conn in
-      let delays = Qtp.Connection.delivery_delays conn in
       let pct q =
         if Array.length delays = 0 then nan
         else 1000.0 *. Stats.Summary.percentile delays q

@@ -5,7 +5,7 @@ let burstiness = 0.6
 let run_tcp ~seed ~loss =
   let sim, topo =
     Common.lossy_path ~seed ~rate_mbps:5.0 ~delay:0.06
-      ~loss:(fun rng -> Common.gilbert ~loss ~burstiness rng)
+      ~loss:(fun rng -> Netsim.Loss_model.gilbert ~loss ~burstiness ~rng)
       ()
   in
   let flow =
@@ -19,7 +19,7 @@ let run_tcp ~seed ~loss =
 let run_qtp ~seed ~loss ~light =
   let sim, topo =
     Common.lossy_path ~seed ~rate_mbps:5.0 ~delay:0.06
-      ~loss:(fun rng -> Common.gilbert ~loss ~burstiness rng)
+      ~loss:(fun rng -> Netsim.Loss_model.gilbert ~loss ~burstiness ~rng)
       ()
   in
   let offer =
@@ -32,13 +32,14 @@ let run_qtp ~seed ~loss ~light =
       (if light then Qtp.Profile.mobile_receiver ()
        else Qtp.Profile.anything ())
   in
-  let conn =
-    Qtp.Connection.create ~sim
-      ~endpoint:(Netsim.Topology.endpoint topo 0)
-      (Qtp.Connection.config ~initial_rtt:0.2 agreed)
+  let endpoint, arrivals =
+    Common.probe_arrivals ~sim (Netsim.Topology.endpoint topo 0)
   in
+  ignore
+    (Qtp.Connection.create ~sim ~endpoint
+       (Qtp.Connection.config ~initial_rtt:0.2 agreed));
   Engine.Sim.run ~until:Common.duration sim;
-  Common.measured_rate (Qtp.Connection.arrivals conn) /. 1e6
+  Common.measured_rate arrivals /. 1e6
 
 let run ?(seed = 42) () =
   let table =

@@ -20,8 +20,6 @@ let run_scenario ?(shrink = false) sc =
   else if not shrink then { report; shrunk = None }
   else { report; shrunk = Some (Shrink.shrink ~still_fails sc) }
 
-let run_seed ?shrink seed = run_scenario ?shrink (Scenario.generate ~seed)
-
 (* A report is a pure function of its scenario, so its rendering is a
    stable fingerprint: the @par-smoke gate diffs these digests across
    --jobs values to prove schedule independence. *)

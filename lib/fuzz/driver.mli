@@ -30,9 +30,6 @@ val run_scenario : ?shrink:bool -> Scenario.t -> found
 (** Execute one scenario; when [shrink] (default false) and it failed,
     greedily minimise it. *)
 
-val run_seed : ?shrink:bool -> int -> found
-(** [run_scenario] of [Scenario.generate ~seed]. *)
-
 val digest : Exec.report -> string
 (** Stable hex fingerprint of a report (MD5 of its rendering).  A
     report is a pure function of its scenario, so equal digests across

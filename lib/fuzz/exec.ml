@@ -53,16 +53,6 @@ let state_str : Qtp.Connection.state -> string = function
   | Qtp.Connection.Closed -> "closed"
   | Qtp.Connection.Failed r -> "failed: " ^ r
 
-(* Stationary loss = pi_bad * loss_bad with loss_good = 0 (same
-   derivation as the experiment harness's canned model). *)
-let gilbert ~loss ~burstiness rng =
-  let loss_bad = 0.5 in
-  let pi_bad = loss /. loss_bad in
-  let p_bg = 0.5 *. (1.0 -. (0.9 *. burstiness)) in
-  let p_gb = p_bg *. pi_bad /. (1.0 -. pi_bad) in
-  Netsim.Loss_model.gilbert_elliott ~p_good_to_bad:p_gb ~p_bad_to_good:p_bg
-    ~loss_good:0.0 ~loss_bad ~rng
-
 let red_params ~buffer_pkts ~rate_bps =
   {
     Netsim.Red.min_th = Float.max 4.0 (0.25 *. float_of_int buffer_pkts);
@@ -89,7 +79,7 @@ let build_topology ~sim ~rng (sc : Scenario.t) ~n_total =
     | Scenario.Bernoulli p ->
         Netsim.Loss_model.bernoulli ~p ~rng:(Engine.Rng.split rng)
     | Scenario.Gilbert { loss; burstiness } ->
-        gilbert ~loss ~burstiness (Engine.Rng.split rng)
+        Netsim.Loss_model.gilbert ~loss ~burstiness ~rng:(Engine.Rng.split rng)
   in
   let mangle () =
     if Netsim.Mangler.is_active sc.Scenario.mangle then

@@ -18,7 +18,8 @@ type t = kind
 let none = None_
 
 let bernoulli ~p ~rng =
-  assert (p >= 0.0 && p <= 1.0);
+  if not (p >= 0.0 && p <= 1.0) then
+    invalid_arg "Loss_model.bernoulli: p outside [0, 1]";
   Bernoulli { p; rng }
 
 let gilbert_elliott ~p_good_to_bad ~p_bad_to_good ~loss_good ~loss_bad ~rng =
@@ -33,6 +34,25 @@ let gilbert_elliott ~p_good_to_bad ~p_bad_to_good ~loss_good ~loss_bad ~rng =
       rng;
       state = Good;
     }
+
+(* Stationary loss = pi_bad * loss_bad with loss_good = 0.  We fix
+   loss_bad and derive the state probabilities; burstiness shrinks the
+   bad->good escape probability, lengthening loss bursts. *)
+let gilbert ~loss ~burstiness ~rng =
+  if not (loss > 0.0 && loss < 0.5) then
+    invalid_arg "Loss_model.gilbert: loss outside (0, 0.5)";
+  if not (burstiness >= 0.0 && burstiness <= 1.0) then
+    invalid_arg "Loss_model.gilbert: burstiness outside [0, 1]";
+  let loss_bad = 0.5 in
+  let pi_bad = loss /. loss_bad in
+  let p_bg = 0.5 *. (1.0 -. (0.9 *. burstiness)) in
+  let p_gb = p_bg *. pi_bad /. (1.0 -. pi_bad) in
+  (* A high loss needs the Bad state often, which a fast Bad->Good
+     escape can only give with p_gb > 1. *)
+  if p_gb > 1.0 then
+    invalid_arg "Loss_model.gilbert: loss too high for this burstiness";
+  gilbert_elliott ~p_good_to_bad:p_gb ~p_bad_to_good:p_bg ~loss_good:0.0
+    ~loss_bad ~rng
 
 let custom ~expected oracle = Custom { expected; oracle }
 

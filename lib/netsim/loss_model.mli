@@ -17,6 +17,7 @@ type t
 val none : t
 
 val bernoulli : p:float -> rng:Engine.Rng.t -> t
+(** Raises [Invalid_argument] unless [0 <= p <= 1]. *)
 
 val gilbert_elliott :
   p_good_to_bad:float ->
@@ -25,6 +26,17 @@ val gilbert_elliott :
   loss_bad:float ->
   rng:Engine.Rng.t ->
   t
+
+val gilbert : loss:float -> burstiness:float -> rng:Engine.Rng.t -> t
+(** The Gilbert–Elliott chain with stationary loss rate [loss]: the
+    Good state never drops, the Bad state drops half its packets, and
+    the state probabilities follow from [loss].  Higher [burstiness]
+    lowers the Bad->Good escape probability, so losses bunch into
+    longer bursts at the same stationary rate.  Raises
+    [Invalid_argument] unless [0 < loss < 0.5] and
+    [0 <= burstiness <= 1], and when the derived Good->Bad probability
+    would exceed 1: above a third, a loss needs enough burstiness
+    (0.45 needs about 0.9). *)
 
 val custom : expected:float -> (unit -> bool) -> t
 (** Arbitrary per-packet loss oracle (e.g. a time-varying regime built

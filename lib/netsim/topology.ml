@@ -300,8 +300,6 @@ let mobile ~sim ~paths:specs ?reverse () =
   { net; paths; active; migrate_hook = ref ignore_migrate }
 
 let mobile_net m = m.net
-let active_path m = !(m.active)
-let n_paths m = Array.length m.paths
 let path_fwd m i = m.paths.(i).fwd
 let path_rev m i = m.paths.(i).rev
 let on_migrate m f = m.migrate_hook := f

@@ -144,9 +144,6 @@ val on_migrate : mobile -> (int -> unit) -> unit
     migration — the connection layer uses it to apply its handover rate
     policy.  One hook; later registrations replace earlier ones. *)
 
-val active_path : mobile -> int
-val n_paths : mobile -> int
-
 val path_fwd : mobile -> int -> Link.t
 (** Forward link of path [i] — its {!Link.rate_bps}/{!Link.delay} are
     the "declared" parameters an informed handover policy consumes. *)

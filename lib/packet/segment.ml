@@ -3,11 +3,9 @@ type t = {
   flow_id : int;
   hdr : Header.t;
   payload : int;
-  sent_at : float;
 }
 
-let make ~id ~flow_id ~hdr ~payload ~sent_at =
-  { id; flow_id; hdr; payload; sent_at }
+let make ~id ~flow_id ~hdr ~payload = { id; flow_id; hdr; payload }
 
 let size t = Header.wire_size t.hdr ~payload:t.payload
 

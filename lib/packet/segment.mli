@@ -10,11 +10,9 @@ type t = {
   flow_id : int;  (** connection this segment belongs to *)
   hdr : Header.t;
   payload : int;  (** user bytes carried (0 except for [Data]) *)
-  sent_at : float;  (** virtual time of first transmission *)
 }
 
-val make :
-  id:int -> flow_id:int -> hdr:Header.t -> payload:int -> sent_at:float -> t
+val make : id:int -> flow_id:int -> hdr:Header.t -> payload:int -> t
 
 val size : t -> int
 (** Total on-wire bytes (header + payload). *)

@@ -34,5 +34,3 @@ let sorted_entries table =
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let counters t = sorted_entries t.counters
-
-let watermarks t = sorted_entries t.marks

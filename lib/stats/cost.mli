@@ -31,5 +31,3 @@ val high_water : t -> string -> int
 
 val counters : t -> (string * int) list
 (** All counters, sorted by name. *)
-
-val watermarks : t -> (string * int) list

@@ -278,7 +278,6 @@ let cwnd t = t.cc.cwnd
 let ssthresh t = t.cc.ssthresh
 let srtt t = if Float.is_nan t.cc.srtt then None else Some t.cc.srtt
 let rto t = rto_value t
-let in_fast_recovery t = t.in_recovery
 let segments_sent t = t.sent
 let retransmits t = t.retx
 let timeouts t = t.timeouts

@@ -37,7 +37,6 @@ val cwnd : t -> float
 val ssthresh : t -> float
 val srtt : t -> float option
 val rto : t -> float
-val in_fast_recovery : t -> bool
 val segments_sent : t -> int
 val retransmits : t -> int
 val timeouts : t -> int

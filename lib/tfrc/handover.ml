@@ -17,12 +17,6 @@ let policy_name = function
   | `Reset -> "reset"
   | `Informed -> "informed"
 
-let policy_of_string = function
-  | "keep" -> Some `Keep
-  | "reset" -> Some `Reset
-  | "informed" -> Some `Informed
-  | _ -> None
-
 (* The informed policy claims half the declared bandwidth — the paper's
    conservative starting share, leaving room for cross traffic the
    declaration cannot know about. *)

@@ -24,8 +24,6 @@ type link_info = {
 val policy_name : policy -> string
 (** ["keep"] / ["reset"] / ["informed"]. *)
 
-val policy_of_string : string -> policy option
-
 val informed_share : float
 (** Fraction of the declared bandwidth the informed policy claims
     initially (0.5 — conservative, leaves room for unknown cross

@@ -353,12 +353,6 @@ let shipped_bytes t ~user = t.shipped.(user)
 
 let delivered_bytes t ~user = t.delivered.(user)
 
-let admit_digest t ~user = Dig.value t.adm_dig user
-
-let ship_digest t ~user = Dig.value t.shp_dig user
-
-let deliver_digest t ~user = Dig.value t.dlv_dig user
-
 let delivered_per_user t = Array.map float_of_int t.delivered
 
 let segments_packed t = t.nsegs

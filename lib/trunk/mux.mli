@@ -132,9 +132,6 @@ val backlog_user : t -> user:int -> int
 val admitted_bytes : t -> user:int -> int
 val shipped_bytes : t -> user:int -> int
 val delivered_bytes : t -> user:int -> int
-val admit_digest : t -> user:int -> int
-val ship_digest : t -> user:int -> int
-val deliver_digest : t -> user:int -> int
 
 val delivered_per_user : t -> float array
 (** Per-user delivered byte counts as floats ({!Stats.Fairness.jain}

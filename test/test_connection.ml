@@ -7,35 +7,40 @@ let duplex ?(rate_mbps = 10.0) ?(loss = 0.0) ?(seed = 101) () =
 
 let agreed_of offer responder = Qtp.Profile.agreed_exn offer responder
 
-let run_conn ?(until = 20.0) ?source ?(cfg_of = fun a -> Qtp.Connection.config ~initial_rtt:0.2 a) ~loss offer responder =
+(* Run one connection with the harness's arrival log and delivery-delay
+   probes on its endpoint. *)
+let run_probed ?(until = 20.0) ?source ?(cfg_of = fun a -> Qtp.Connection.config ~initial_rtt:0.2 a) ~loss offer responder =
   let sim, topo = duplex ~loss () in
+  let endpoint, arrivals =
+    Experiments.Common.probe_arrivals ~sim (Netsim.Topology.endpoint topo 0)
+  in
+  let endpoint, delays = Experiments.Common.probe_delays ~sim endpoint in
   let conn =
-    Qtp.Connection.create ~sim
-      ~endpoint:(Netsim.Topology.endpoint topo 0)
-      ?source
+    Qtp.Connection.create ~sim ~endpoint ?source
       (cfg_of (agreed_of offer responder))
   in
+  Experiments.Common.attach_delays delays conn;
   Engine.Sim.run ~until sim;
+  (conn, arrivals, Experiments.Common.delivery_delays delays)
+
+let run_conn ?until ?source ?cfg_of ~loss offer responder =
+  let conn, _, _ = run_probed ?until ?source ?cfg_of ~loss offer responder in
   conn
 
 let test_clean_path_fills_link () =
-  let conn =
-    run_conn ~loss:0.0 (Qtp.Profile.qtp_tfrc ()) (Qtp.Profile.anything ())
+  let _, arrivals, _ =
+    run_probed ~loss:0.0 (Qtp.Profile.qtp_tfrc ()) (Qtp.Profile.anything ())
   in
-  let rate =
-    Stats.Series.rate_bps (Qtp.Connection.arrivals conn) ~from_:5.0 ~until:20.0
-  in
+  let rate = Stats.Series.rate_bps arrivals ~from_:5.0 ~until:20.0 in
   Alcotest.(check bool)
     (Printf.sprintf "rate %.0f near link" rate)
     true (rate > 8.0e6)
 
 let test_loss_throttles () =
-  let conn =
-    run_conn ~loss:0.02 (Qtp.Profile.qtp_tfrc ()) (Qtp.Profile.anything ())
+  let conn, arrivals, _ =
+    run_probed ~loss:0.02 (Qtp.Profile.qtp_tfrc ()) (Qtp.Profile.anything ())
   in
-  let rate =
-    Stats.Series.rate_bps (Qtp.Connection.arrivals conn) ~from_:5.0 ~until:20.0
-  in
+  let rate = Stats.Series.rate_bps arrivals ~from_:5.0 ~until:20.0 in
   Alcotest.(check bool) "well below link rate" true (rate < 5.0e6);
   Alcotest.(check bool) "but alive" true (rate > 2.0e5);
   Alcotest.(check bool) "p estimated" true
@@ -90,15 +95,44 @@ let test_light_plane_estimates_loss () =
     (Qtp.Connection.receiver_loss_estimate conn = None)
 
 let test_delivery_delays_recorded () =
-  let conn =
-    run_conn ~loss:0.02 (Qtp.Profile.qtp_full ()) (Qtp.Profile.anything ())
+  let _, _, d =
+    run_probed ~loss:0.02 (Qtp.Profile.qtp_full ()) (Qtp.Profile.anything ())
   in
-  let d = Qtp.Connection.delivery_delays conn in
   Alcotest.(check bool) "delays recorded" true (Array.length d > 100);
   Alcotest.(check bool) "all positive" true (Array.for_all (fun x -> x > 0.0) d);
   (* One-way delay is 40 ms; nothing can be faster. *)
   Alcotest.(check bool) "lower bound respected" true
     (Array.for_all (fun x -> x >= 0.039) d)
+
+(* Under partial reliability (here on a 30%-loss path, where repairs
+   run out) the reassembly skips abandoned numbers: the delay probe
+   must give one sample per delivered segment, none for a skipped one,
+   and must keep a delivery tap installed before it. *)
+let test_delay_probe_partial_reliability () =
+  let sim, topo = duplex ~loss:0.3 () in
+  let endpoint, probe =
+    Experiments.Common.probe_delays ~sim (Netsim.Topology.endpoint topo 0)
+  in
+  let conn =
+    Qtp.Connection.create ~sim ~endpoint
+      (Qtp.Connection.config ~initial_rtt:0.2
+         (agreed_of
+            (Qtp.Profile.qtp_light ~reliability:[ Qtp.Capabilities.R_partial ] ())
+            (Qtp.Profile.mobile_receiver ())))
+  in
+  let tapped = ref 0 in
+  Qtp.Connection.set_on_deliver conn (fun ~seq:_ ~size:_ -> incr tapped);
+  Experiments.Common.attach_delays probe conn;
+  Engine.Sim.run ~until:20.0 sim;
+  let d = Experiments.Common.delivery_delays probe in
+  let delivered = Qtp.Connection.delivered conn in
+  Alcotest.(check bool) "segments were skipped" true
+    (Qtp.Connection.skipped conn > 0);
+  Alcotest.(check int) "one delay per delivered segment" delivered
+    (Array.length d);
+  Alcotest.(check int) "earlier tap kept" delivered !tapped;
+  Alcotest.(check bool) "each delay at least the one-way delay" true
+    (Array.for_all (fun x -> x >= 0.04) d)
 
 let test_gtfrc_target_respected_under_loss () =
   let g = 2.0e6 in
@@ -114,17 +148,15 @@ let test_cbr_source_limits_rate () =
   let sim, topo = duplex ~loss:0.0 () in
   let media = 1.0e6 in
   let source = Qtp.Source.cbr ~sim ~rate_bps:media ~packet_size:1500 () in
-  let conn =
-    Qtp.Connection.create ~sim
-      ~endpoint:(Netsim.Topology.endpoint topo 0)
-      ~source
-      (Qtp.Connection.config ~initial_rtt:0.2
-         (agreed_of (Qtp.Profile.qtp_tfrc ()) (Qtp.Profile.anything ())))
+  let endpoint, arrivals =
+    Experiments.Common.probe_arrivals ~sim (Netsim.Topology.endpoint topo 0)
   in
+  ignore
+    (Qtp.Connection.create ~sim ~endpoint ~source
+       (Qtp.Connection.config ~initial_rtt:0.2
+          (agreed_of (Qtp.Profile.qtp_tfrc ()) (Qtp.Profile.anything ()))));
   Engine.Sim.run ~until:20.0 sim;
-  let rate =
-    Stats.Series.rate_bps (Qtp.Connection.arrivals conn) ~from_:5.0 ~until:20.0
-  in
+  let rate = Stats.Series.rate_bps arrivals ~from_:5.0 ~until:20.0 in
   Alcotest.(check bool)
     (Printf.sprintf "rate %.0f ~ media rate" rate)
     true
@@ -193,6 +225,8 @@ let suite =
     Alcotest.test_case "light plane loss estimate" `Quick
       test_light_plane_estimates_loss;
     Alcotest.test_case "delivery delays" `Quick test_delivery_delays_recorded;
+    Alcotest.test_case "delay probe under partial reliability" `Quick
+      test_delay_probe_partial_reliability;
     Alcotest.test_case "gTFRC floor" `Quick
       test_gtfrc_target_respected_under_loss;
     Alcotest.test_case "cbr source limit" `Quick test_cbr_source_limits_rate;

@@ -128,30 +128,30 @@ let run_ecn_conn ~light ~ecn =
     if light then Qtp.Profile.mobile_receiver () else Qtp.Profile.anything ()
   in
   let agreed = Qtp.Profile.agreed_exn offer responder in
+  let endpoint, arrivals =
+    Experiments.Common.probe_arrivals ~sim (Netsim.Topology.endpoint topo 0)
+  in
   let conn =
-    Qtp.Connection.create ~sim
-      ~endpoint:(Netsim.Topology.endpoint topo 0)
+    Qtp.Connection.create ~sim ~endpoint
       (Qtp.Connection.config ~initial_rtt:0.2 agreed)
   in
   Engine.Sim.run ~until:20.0 sim;
   let st = Netsim.Qdisc.stats (Netsim.Link.qdisc topo.Netsim.Topology.bottleneck) in
-  (conn, st)
+  (conn, arrivals, st)
 
 let test_e2e_std_plane_reacts_to_marks () =
-  let conn, st = run_ecn_conn ~light:false ~ecn:true in
+  let conn, arrivals, st = run_ecn_conn ~light:false ~ecn:true in
   Alcotest.(check bool) "marks happened" true (st.Netsim.Qdisc.ce_marked > 10);
   (* The sender's p must be driven by marks (the path loses only via the
      rare hard-limit overflow). *)
   Alcotest.(check bool) "sender reacts" true
     (Qtp.Connection.sender_loss_estimate conn > 0.0001);
   (* And the rate must stay below the link (i.e. it is not blasting). *)
-  let rate =
-    Stats.Series.rate_bps (Qtp.Connection.arrivals conn) ~from_:5.0 ~until:20.0
-  in
+  let rate = Stats.Series.rate_bps arrivals ~from_:5.0 ~until:20.0 in
   Alcotest.(check bool) "rate sane" true (rate < 10.5e6)
 
 let test_e2e_light_plane_echoes_marks () =
-  let conn, st = run_ecn_conn ~light:true ~ecn:true in
+  let conn, _, st = run_ecn_conn ~light:true ~ecn:true in
   Alcotest.(check bool) "marks happened" true (st.Netsim.Qdisc.ce_marked > 10);
   Alcotest.(check bool) "sender-side p from CE echo" true
     (Qtp.Connection.sender_loss_estimate conn > 0.0001)
@@ -159,10 +159,9 @@ let test_e2e_light_plane_echoes_marks () =
 let test_e2e_without_negotiation_no_marks () =
   (* ECN-capable queue, but the endpoints did not negotiate it: frames
      go out without ECT, so the queue drops instead. *)
-  let conn, st = run_ecn_conn ~light:true ~ecn:false in
+  let _, _, st = run_ecn_conn ~light:true ~ecn:false in
   Alcotest.(check int) "no marks" 0 st.Netsim.Qdisc.ce_marked;
-  Alcotest.(check bool) "drops instead" true (st.Netsim.Qdisc.dropped > 0);
-  ignore conn
+  Alcotest.(check bool) "drops instead" true (st.Netsim.Qdisc.dropped > 0)
 
 let suite =
   [

@@ -101,7 +101,7 @@ let test_seq_of () =
 
 let test_segment_size_and_flags () =
   let seg =
-    Packet.Segment.make ~id:1 ~flow_id:2 ~hdr:data ~payload:1000 ~sent_at:0.5
+    Packet.Segment.make ~id:1 ~flow_id:2 ~hdr:data ~payload:1000
   in
   Alcotest.(check int) "size" (H.data_header_bytes + 1000)
     (Packet.Segment.size seg);

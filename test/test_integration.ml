@@ -37,14 +37,14 @@ let test_receiver_load_shift () =
       else Qtp.Profile.qtp_tfrc ()
     in
     let agreed = Qtp.Profile.agreed_exn offer (Qtp.Profile.anything ()) in
-    let conn =
-      Qtp.Connection.create ~sim
-        ~endpoint:(Netsim.Topology.endpoint topo 0)
-        ~cost_sender ~cost_receiver
-        (Qtp.Connection.config ~initial_rtt:0.2 agreed)
+    let endpoint, arrivals =
+      Experiments.Common.probe_arrivals ~sim (Netsim.Topology.endpoint topo 0)
     in
+    ignore
+      (Qtp.Connection.create ~sim ~endpoint ~cost_sender ~cost_receiver
+         (Qtp.Connection.config ~initial_rtt:0.2 agreed));
     Engine.Sim.run ~until:30.0 sim;
-    let pkts = Stats.Series.count (Qtp.Connection.arrivals conn) in
+    let pkts = Stats.Series.count arrivals in
     ( float_of_int (Stats.Cost.total_ops cost_receiver) /. float_of_int pkts,
       Stats.Cost.high_water cost_receiver "lh.entries",
       Stats.Cost.high_water cost_sender "lh.entries" )
@@ -74,13 +74,16 @@ let test_selfish_receiver_immunity () =
       else Qtp.Profile.qtp_tfrc ()
     in
     let agreed = Qtp.Profile.agreed_exn offer (Qtp.Profile.anything ()) in
-    let conn =
-      Qtp.Connection.create ~sim
-        ~endpoint:(Netsim.Topology.endpoint topo 0)
-        (Qtp.Connection.config ~initial_rtt:0.2 ~selfish_p_factor:factor agreed)
+    let endpoint, arrivals =
+      Experiments.Common.probe_arrivals ~sim
+        (Experiments.Common.selfish_receiver ~p_factor:factor
+           (Netsim.Topology.endpoint topo 0))
     in
+    ignore
+      (Qtp.Connection.create ~sim ~endpoint
+         (Qtp.Connection.config ~initial_rtt:0.2 agreed));
     Engine.Sim.run ~until:30.0 sim;
-    Stats.Series.rate_bps (Qtp.Connection.arrivals conn) ~from_:5.0 ~until:30.0
+    Stats.Series.rate_bps arrivals ~from_:5.0 ~until:30.0
   in
   let honest_std = run ~light:false ~factor:1.0 in
   let lying_std = run ~light:false ~factor:0.0 in
@@ -94,30 +97,65 @@ let test_selfish_receiver_immunity () =
   Alcotest.(check (float 1.0)) "light plane ignores the knob entirely"
     honest_light lying_light
 
+(* On the light plane the selfish wrapper has nothing to rewrite: the
+   whole run, traced event by event, is the same with and without it. *)
+let test_selfish_wrapper_inert_on_light () =
+  let digest ~selfish =
+    let (), recorder =
+      Trace.Recorder.with_recorder (fun () ->
+          let sim, topo =
+            Experiments.Common.lossy_path ~seed:9 ~rate_mbps:10.0
+              ~loss:(Experiments.Common.bernoulli 0.02)
+              ()
+          in
+          let endpoint = Netsim.Topology.endpoint topo 0 in
+          let endpoint =
+            if selfish then
+              Experiments.Common.selfish_receiver ~p_factor:0.0 endpoint
+            else endpoint
+          in
+          let agreed =
+            Qtp.Profile.agreed_exn
+              (Qtp.Profile.qtp_light ~reliability:[ Qtp.Capabilities.R_none ] ())
+              (Qtp.Profile.mobile_receiver ())
+          in
+          ignore
+            (Qtp.Connection.create ~sim ~endpoint
+               (Qtp.Connection.config ~initial_rtt:0.2 agreed));
+          Engine.Sim.run ~until:10.0 sim)
+    in
+    Alcotest.(check bool) "the run was traced" true
+      (Trace.Recorder.events recorder > 1000);
+    Trace.Export.digest recorder
+  in
+  Alcotest.(check string) "same trace with and without the lie"
+    (digest ~selfish:false) (digest ~selfish:true)
+
 let test_wireless_tfrc_beats_tcp () =
   let seed = 21 in
   let loss = 0.05 in
   let run_tfrc () =
     let sim, topo =
       Experiments.Common.lossy_path ~seed ~rate_mbps:5.0 ~delay:0.06
-        ~loss:(fun rng -> Experiments.Common.gilbert ~loss ~burstiness:0.6 rng)
+        ~loss:(fun rng -> Netsim.Loss_model.gilbert ~loss ~burstiness:0.6 ~rng)
         ()
     in
     let agreed =
       Qtp.Profile.agreed_exn (Qtp.Profile.qtp_tfrc ()) (Qtp.Profile.anything ())
     in
-    let conn =
-      Qtp.Connection.create ~sim
-        ~endpoint:(Netsim.Topology.endpoint topo 0)
-        (Qtp.Connection.config ~initial_rtt:0.2 agreed)
+    let endpoint, arrivals =
+      Experiments.Common.probe_arrivals ~sim (Netsim.Topology.endpoint topo 0)
     in
+    ignore
+      (Qtp.Connection.create ~sim ~endpoint
+         (Qtp.Connection.config ~initial_rtt:0.2 agreed));
     Engine.Sim.run ~until:40.0 sim;
-    Stats.Series.rate_bps (Qtp.Connection.arrivals conn) ~from_:5.0 ~until:40.0
+    Stats.Series.rate_bps arrivals ~from_:5.0 ~until:40.0
   in
   let run_tcp () =
     let sim, topo =
       Experiments.Common.lossy_path ~seed ~rate_mbps:5.0 ~delay:0.06
-        ~loss:(fun rng -> Experiments.Common.gilbert ~loss ~burstiness:0.6 rng)
+        ~loss:(fun rng -> Netsim.Loss_model.gilbert ~loss ~burstiness:0.6 ~rng)
         ()
     in
     let flow =
@@ -187,6 +225,8 @@ let suite =
     Alcotest.test_case "receiver load shift" `Slow test_receiver_load_shift;
     Alcotest.test_case "selfish receiver immunity" `Slow
       test_selfish_receiver_immunity;
+    Alcotest.test_case "selfish wrapper inert on the light plane" `Quick
+      test_selfish_wrapper_inert_on_light;
     Alcotest.test_case "wireless: TFRC > TCP" `Slow test_wireless_tfrc_beats_tcp;
     Alcotest.test_case "smoothness: TFRC < TCP CoV" `Slow
       test_smoothness_tfrc_vs_tcp;

@@ -138,6 +138,63 @@ let test_e7_checked () =
   in
   ()
 
+(* The selfish receiver lies on the wire: its reports are rewritten
+   after they leave an honest receiver.  Under the checker the run
+   breaks no invariant (each rewritten frame keeps its uid, so packet
+   conservation holds), and the trace shows the receiver's [Fb_sent]
+   honest and the sender's [Fb_rcvd] scaled. *)
+let test_selfish_lies_on_the_wire () =
+  let factor = 0.25 in
+  let (), recorder =
+    Trace.Recorder.with_recorder (fun () ->
+        Analysis.Observe.with_checker (fun checker ->
+            let sim, topo =
+              Experiments.Common.lossy_path ~seed:9 ~rate_mbps:10.0
+                ~loss:(Experiments.Common.bernoulli 0.02)
+                ()
+            in
+            Analysis.Observe.instrument checker topo;
+            let endpoint =
+              Experiments.Common.selfish_receiver ~p_factor:factor
+                (Netsim.Topology.endpoint topo 0)
+            in
+            let agreed =
+              Qtp.Profile.agreed_exn (Qtp.Profile.qtp_tfrc ())
+                (Qtp.Profile.anything ())
+            in
+            ignore
+              (Qtp.Connection.create ~sim ~endpoint
+                 (Qtp.Connection.config ~initial_rtt:0.2 agreed));
+            Engine.Sim.run ~until:10.0 sim;
+            Alcotest.(check bool) "the checker saw the run" true
+              (I.events_seen checker > 1000)))
+  in
+  let sent = ref [] and rcvd = ref [] in
+  (match Trace.Recorder.ring recorder ~flow:0 with
+  | None -> Alcotest.fail "flow 0 recorded nothing"
+  | Some ring ->
+      Trace.Ring.iter
+        (fun { Trace.Ring.ev; _ } ->
+          match ev with
+          | Trace.Event.Fb_sent { p; _ } -> sent := p :: !sent
+          | Trace.Event.Fb_rcvd { p; _ } -> rcvd := p :: !rcvd
+          | _ -> ())
+        ring);
+  let sent = Array.of_list (List.rev !sent)
+  and rcvd = Array.of_list (List.rev !rcvd) in
+  Alcotest.(check bool) "the receiver reported a loss" true
+    (Array.exists (fun p -> p > 0.0) sent);
+  Alcotest.(check bool) "reports reached the sender" true
+    (Array.length rcvd > 10 && Array.length rcvd <= Array.length sent);
+  (* The reverse path is lossless and FIFO: the sender gets the
+     receiver's reports in order, each with p scaled. *)
+  Array.iteri
+    (fun i p ->
+      if not (Float.equal p (sent.(i) *. factor)) then
+        Alcotest.failf "report %d: sender got p = %g, receiver sent %g" i p
+          sent.(i))
+    rcvd
+
 (* A ceiling below the negotiated AF target makes the sender's clamp
    genuinely break the gTFRC floor (the cap is applied after the floor);
    the checker must catch the mis-configuration. *)
@@ -181,5 +238,7 @@ let suite =
     ("trace replay", `Quick, test_trace_replay);
     ("e1 under the checker", `Slow, test_e1_checked);
     ("e7 under the checker", `Slow, test_e7_checked);
+    ("selfish receiver lies on the wire", `Quick,
+     test_selfish_lies_on_the_wire);
     ("broken gTFRC floor is caught", `Quick, test_broken_floor_caught);
   ]

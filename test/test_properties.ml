@@ -4,7 +4,7 @@
    Each property builds a short (8 s) simulation so qcheck can afford
    dozens of cases. *)
 
-let run_random_connection ~seed ~loss ~burst ~mode ~light ~cadence =
+let run_random_connection ~seed ~loss ~burst ~mode ~light =
   let sim = Engine.Sim.create ~seed () in
   let rng = Engine.Sim.split_rng sim in
   let forward =
@@ -13,8 +13,8 @@ let run_random_connection ~seed ~loss ~burst ~mode ~light ~cadence =
       ~loss:(fun () ->
         if loss <= 0.0 then Netsim.Loss_model.none
         else if burst then
-          Experiments.Common.gilbert ~loss ~burstiness:0.6
-            (Engine.Rng.split rng)
+          Netsim.Loss_model.gilbert ~loss ~burstiness:0.6
+            ~rng:(Engine.Rng.split rng)
         else Netsim.Loss_model.bernoulli ~p:loss ~rng:(Engine.Rng.split rng))
       ()
   in
@@ -28,13 +28,16 @@ let run_random_connection ~seed ~loss ~burst ~mode ~light ~cadence =
       }
   in
   let agreed = Qtp.Profile.agreed_exn offer (Qtp.Profile.anything ()) in
-  let conn =
-    Qtp.Connection.create ~sim
-      ~endpoint:(Netsim.Topology.endpoint topo 0)
-      (Qtp.Connection.config ~initial_rtt:0.2 ~cadence agreed)
+  let endpoint, delays =
+    Experiments.Common.probe_delays ~sim (Netsim.Topology.endpoint topo 0)
   in
+  let conn =
+    Qtp.Connection.create ~sim ~endpoint
+      (Qtp.Connection.config ~initial_rtt:0.2 agreed)
+  in
+  Experiments.Common.attach_delays delays conn;
   Engine.Sim.run ~until:8.0 sim;
-  conn
+  (conn, Experiments.Common.delivery_delays delays)
 
 let gen_case =
   QCheck.Gen.(
@@ -57,10 +60,7 @@ let prop_conservation =
   QCheck.Test.make ~name:"delivered + skipped never exceeds data sent"
     ~count:30 arb_case
     (fun (seed, loss, burst, mode, light) ->
-      let conn =
-        run_random_connection ~seed ~loss ~burst ~mode ~light
-          ~cadence:Qtp.Connection.Per_rtt
-      in
+      let conn, _ = run_random_connection ~seed ~loss ~burst ~mode ~light in
       let sent = Qtp.Connection.data_sent conn in
       let accounted =
         Qtp.Connection.delivered conn + Qtp.Connection.skipped conn
@@ -70,18 +70,18 @@ let prop_conservation =
 let prop_unreliable_never_retransmits =
   QCheck.Test.make ~name:"R_none never retransmits" ~count:20 arb_case
     (fun (seed, loss, burst, _mode, light) ->
-      let conn =
+      let conn, _ =
         run_random_connection ~seed ~loss ~burst ~mode:Qtp.Capabilities.R_none
-          ~light ~cadence:Qtp.Connection.Per_rtt
+          ~light
       in
       Qtp.Connection.retransmissions conn = 0)
 
 let prop_full_never_skips =
   QCheck.Test.make ~name:"R_full never skips" ~count:20 arb_case
     (fun (seed, loss, burst, _mode, light) ->
-      let conn =
+      let conn, _ =
         run_random_connection ~seed ~loss ~burst ~mode:Qtp.Capabilities.R_full
-          ~light ~cadence:Qtp.Connection.Per_rtt
+          ~light
       in
       Qtp.Connection.skipped conn = 0)
 
@@ -89,10 +89,7 @@ let prop_loss_estimate_sane =
   QCheck.Test.make ~name:"sender loss estimate stays in [0,1]" ~count:20
     arb_case
     (fun (seed, loss, burst, mode, light) ->
-      let conn =
-        run_random_connection ~seed ~loss ~burst ~mode ~light
-          ~cadence:Qtp.Connection.Per_packet
-      in
+      let conn, _ = run_random_connection ~seed ~loss ~burst ~mode ~light in
       let p = Qtp.Connection.sender_loss_estimate conn in
       p >= 0.0 && p <= 1.0)
 
@@ -100,22 +97,14 @@ let prop_progress_on_lossy_paths =
   QCheck.Test.make ~name:"connection always makes progress (loss <= 10%)"
     ~count:20 arb_case
     (fun (seed, loss, burst, mode, light) ->
-      let conn =
-        run_random_connection ~seed ~loss ~burst ~mode ~light
-          ~cadence:Qtp.Connection.Per_rtt
-      in
+      let conn, _ = run_random_connection ~seed ~loss ~burst ~mode ~light in
       Qtp.Connection.delivered conn > 0)
 
 let prop_delays_bounded_below =
   QCheck.Test.make ~name:"delivery delays >= one-way delay" ~count:15 arb_case
     (fun (seed, loss, burst, mode, light) ->
-      let conn =
-        run_random_connection ~seed ~loss ~burst ~mode ~light
-          ~cadence:Qtp.Connection.Per_rtt
-      in
-      Array.for_all
-        (fun d -> d >= 0.019)
-        (Qtp.Connection.delivery_delays conn))
+      let _, delays = run_random_connection ~seed ~loss ~burst ~mode ~light in
+      Array.for_all (fun d -> d >= 0.019) delays)
 
 let suite =
   [
