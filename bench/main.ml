@@ -76,7 +76,7 @@ let bench_scoreboard =
        ignore
          (Sack.Scoreboard.iter_feedback sb
             ~cum_ack:(Packet.Serial.of_int (100 * (k + 1)))
-            ~blocks:[] ~on_ack:ignore_cover ~on_sack:ignore_cover
+            ~blocks:[] ~reo_wnd:0.0 ~on_ack:ignore_cover ~on_sack:ignore_cover
             ~on_lost:ignore)
      done)
 
@@ -115,7 +115,7 @@ let[@vtp.ambient] bench_scoreboard_30k =
      for k = 0 to 9 do
        ignore
          (Sack.Scoreboard.iter_feedback sb ~cum_ack:cums.(k)
-            ~blocks:blocks.(k) ~on_ack:ignore_cover ~on_sack:ignore_cover
+            ~blocks:blocks.(k) ~reo_wnd:0.0 ~on_ack:ignore_cover ~on_sack:ignore_cover
             ~on_lost:ignore)
      done)
 
@@ -150,11 +150,11 @@ let[@vtp.ambient] bench_scoreboard_fragmented =
      done;
      ignore
        (Sack.Scoreboard.iter_feedback sb ~cum_ack:seqs.(0) ~blocks:alternate
-          ~on_ack:ignore_cover ~on_sack:ignore_cover ~on_lost:ignore);
+          ~reo_wnd:0.0 ~on_ack:ignore_cover ~on_sack:ignore_cover ~on_lost:ignore);
      for k = 0 to fbs - 1 do
        ignore
          (Sack.Scoreboard.iter_feedback sb ~cum_ack:seqs.(0) ~blocks:tops.(k)
-            ~on_ack:ignore_cover ~on_sack:ignore_cover ~on_lost:ignore)
+            ~reo_wnd:0.0 ~on_ack:ignore_cover ~on_sack:ignore_cover ~on_lost:ignore)
      done)
 
 (* One SACK report from a receiver holding 500 out-of-order ranges

@@ -3,7 +3,7 @@
    Examples:
      vtp_sim --proto tfrc --loss 0.02
      vtp_sim --proto light --reliability partial --loss 0.05 --burstiness 0.7
-     vtp_sim --proto af --g 3e6 --duration 30
+     vtp_sim --proto af -g 3e6 --duration 30
      vtp_sim --proto tcp --rate 5e6 --delay 0.06
      vtp_sim --proto tfrc --loss 0.02 --seeds 20 --jobs 8   # seed sweep *)
 
@@ -66,7 +66,10 @@ let g =
   Arg.(value & opt float 2e6 & info [ "g" ] ~docv:"BPS" ~doc:"AF target rate for --proto af.")
 
 let duration =
-  Arg.(value & opt float 30.0 & info [ "duration" ] ~docv:"S" ~doc:"Simulated seconds.")
+  Arg.(value & opt float 30.0
+       & info [ "duration" ] ~docv:"S"
+           ~doc:"Simulated seconds, above 1 (throughput is measured from \
+                 1 s).")
 
 let seed = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"RNG seed.")
 
@@ -173,9 +176,26 @@ let render_one ~proto ~rate ~delay ~loss ~burstiness ~g ~duration ~reliability
         (Qtp.Connection.skipped conn)
         (Qtp.Connection.sender_loss_estimate conn)
 
-(* Loss flags are checked before any run: an out-of-range value is a
-   usage error (exit 124), not an exception mid-run.  Past the flags'
-   own ranges, the loss model's constructor is the judge. *)
+(* Flags are checked before any run: an out-of-range value is a usage
+   error (exit 124), not an exception or a nonsense report mid-run.
+   Throughput is measured over [1 s, duration), so a run must last
+   longer than 1 s. *)
+let check_numbers ~rate ~delay ~duration ~seeds =
+  if not (Float.is_finite rate && rate > 0.0) then
+    Error (Printf.sprintf "--rate %g is not a finite rate above 0" rate)
+  else if not (Float.is_finite delay && delay >= 0.0) then
+    Error (Printf.sprintf "--delay %g is not a finite delay of 0 or more" delay)
+  else if not (Float.is_finite duration && duration > 1.0) then
+    Error
+      (Printf.sprintf
+         "--duration %g is not a finite time above 1 s (throughput is \
+          measured from 1 s)"
+         duration)
+  else if seeds < 1 then Error (Printf.sprintf "--seeds %d is below 1" seeds)
+  else Ok ()
+
+(* Past the loss flags' own ranges, the loss model's constructor is the
+   judge. *)
 let check_loss ~loss ~burstiness =
   if not (loss >= 0.0 && loss <= 1.0) then
     Error (Printf.sprintf "--loss %g is outside [0, 1]" loss)
@@ -190,7 +210,10 @@ let check_loss ~loss ~burstiness =
 
 let run proto rate delay loss burstiness g duration seed seeds jobs reliability
     =
-  match check_loss ~loss ~burstiness with
+  match
+    Result.bind (check_numbers ~rate ~delay ~duration ~seeds) (fun () ->
+        check_loss ~loss ~burstiness)
+  with
   | Error msg -> `Error (true, msg)
   | Ok () ->
       let render seed =

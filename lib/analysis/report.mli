@@ -28,8 +28,6 @@ val make :
 
 val of_check : Pass.finding list -> entry list
 
-val compare_entry : entry -> entry -> int
-
 val sort : entry list -> entry list
 (** By (path, line, rule, message) — identical at any worker count. *)
 

@@ -274,8 +274,12 @@ let sender_on_sack t (sf : Header.sack_feedback) =
         | None -> ()
       in
       t.snd.loss_n <- 0;
+      (* RFC 8985 §6.2's reordering window: a repair counts as lost
+         again once something sent a quarter of the minimum RTT after
+         it has arrived. *)
       let summary =
         Sack.Scoreboard.iter_feedback sb ~cum_ack:sf.cum_ack ~blocks:sf.blocks
+          ~reo_wnd:(Tfrc.Sender.min_rtt t.snd.cc /. 4.0)
           ~on_ack:on_cover ~on_sack:on_cover
           ~on_lost:(fun seq -> push_loss t seq)
       in
@@ -919,6 +923,16 @@ let data_sent t =
 let retransmissions t =
   match t.snd.scoreboard with
   | Some sb -> Sack.Scoreboard.stats_retx sb
+  | None -> 0
+
+let expiry_losses t =
+  match t.snd.scoreboard with
+  | Some sb -> Sack.Scoreboard.stats_expired sb
+  | None -> 0
+
+let duplicates_received t =
+  match t.rcv.tracker with
+  | Some tr -> Sack.Rcv_tracker.duplicates tr
   | None -> 0
 
 let abandoned t =

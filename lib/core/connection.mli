@@ -126,6 +126,15 @@ val receiver_loss_estimate : t -> float option
 
 val data_sent : t -> int
 val retransmissions : t -> int
+
+val expiry_losses : t -> int
+(** Segments the sender's expiry timer (the 4×RTT last resort) inferred
+    lost; 0 without a SACK plane. *)
+
+val duplicates_received : t -> int
+(** Data segments that reached the receiving side already received; 0
+    without a SACK plane. *)
+
 val abandoned : t -> int
 val delivered : t -> int
 val skipped : t -> int

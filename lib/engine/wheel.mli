@@ -36,10 +36,6 @@ val min : t -> Event.t option
 val pop_min : t -> Event.t option
 (** Remove and return the next event in (time, seq) order. *)
 
-val tick_of_time : float -> int
-(** The quantisation applied to due times (1 µs granularity), exposed
-    for white-box tests. *)
-
 val census : t -> int * int * int * int
 (** White-box accounting snapshot for tests:
     [(bucket_events, live_ready_events, size, cursor)].  The invariant

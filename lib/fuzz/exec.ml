@@ -313,6 +313,10 @@ let run ?sched (sc : Scenario.t) : report =
   (* Oracles. *)
   let oracle_failures = ref [] in
   let fail flow what = oracle_failures := Oracle { flow; what } :: !oracle_failures in
+  let unmangled_path =
+    (not (Netsim.Mangler.is_active sc.Scenario.mangle))
+    && sc.Scenario.handover = None
+  in
   let handshake_timeouts = ref 0 in
   let flows =
     Array.to_list
@@ -383,7 +387,26 @@ let run ?sched (sc : Scenario.t) : report =
                         "full reliability: delivered %d of %d distinct \
                          segments"
                         delivered sent)
-               end);
+               end;
+               (* A repair arrives once: on one unmangled path, a
+                  standard-plane flow is SACKed per data packet, so
+                  only an expiry can send a segment the receiver
+                  already holds.  (The light plane reports once per RTT
+                  in at most a few blocks, and may never report a hole
+                  a repair filled.) *)
+               if
+                 unmangled_path && a.Caps.plane = Caps.Standard
+                 && a.Caps.mode <> Caps.R_none
+                 && Qtp.Connection.expiry_losses c = 0
+                 && Qtp.Connection.duplicates_received c > 0
+               then
+                 fail i
+                   (Printf.sprintf
+                      "repair arrives once: receiver counted %d duplicate \
+                       segment(s) with no expiry-inferred loss (%d \
+                       retransmissions)"
+                      (Qtp.Connection.duplicates_received c)
+                      (Qtp.Connection.retransmissions c)));
            {
              flow = i;
              final = state_str (Qtp.Connection.state c);

@@ -15,6 +15,11 @@
     - {b full reliability}: a connection that agreed [R_full] and
       closed cleanly delivered exactly the prefix of distinct segments
       it sent — nothing skipped, nothing abandoned;
+    - {b a repair arrives once}: on a scenario with no active mangler
+      and no handover, a standard-plane flow with a SACK plane whose
+      expiry timer inferred no loss received no duplicate data segment
+      (light-plane flows are exempt: a per-RTT report of a few blocks
+      can leave a filled hole unreported);
     - {b trunk conservation} (trunk scenarios): every user byte shipped
       through the trunk was delivered exactly once, byte-identical
       (running digests compared per user), and drained users shipped

@@ -137,9 +137,4 @@ val pp : Format.formatter -> t -> unit
 val summary : t -> string
 (** One line: seed, shape, profile, loss, duration. *)
 
-val pp_shape : Format.formatter -> shape -> unit
-val pp_loss : Format.formatter -> loss -> unit
 val pp_profile : Format.formatter -> profile -> unit
-val pp_workload : Format.formatter -> workload -> unit
-val pp_handover : Format.formatter -> handover -> unit
-val pp_trunk : Format.formatter -> trunk -> unit

@@ -84,7 +84,11 @@ and complete t =
 
 let create ~sim ~rate_bps ~delay ~qdisc ?(loss = Loss_model.none) ?mangler
     ?(name = "link") () =
-  assert (rate_bps > 0.0 && delay >= 0.0);
+  if not (rate_bps > 0.0) then
+    invalid_arg
+      (Printf.sprintf "Link.create: rate_bps %g is not above 0" rate_bps);
+  if not (delay >= 0.0) then
+    invalid_arg (Printf.sprintf "Link.create: delay %g is not 0 or more" delay);
   let t =
     {
       sim;

@@ -26,7 +26,9 @@ val create :
   unit ->
   t
 (** [mangler], when given, is applied after propagation and before the
-    sink: frames may be reordered, duplicated or corrupted there. *)
+    sink: frames may be reordered, duplicated or corrupted there.
+    Raises [Invalid_argument] naming the value unless [rate_bps > 0]
+    and [delay >= 0] (so NaN is refused too). *)
 
 val connect : t -> (Frame.t -> unit) -> unit
 (** Set the receiver-side sink. Must be called before traffic flows. *)

@@ -46,16 +46,29 @@ type t = {
   lost : Runs.t;
   (* Incremental loss inference.  [frontier] is the highest dupthresh
      point already processed; it only rises.  Every tracked position
-     below it is SACKed, lost, or in [pending]: retransmitted since it
-     was marked lost, so the next feedback must mark it lost again.
-     [pending] starts with empty arrays — flows that never retransmit
-     below the frontier never pay for it. *)
+     below it is SACKed, lost, or a repair in flight: retransmitted
+     since it was marked lost, and queued in [repairs].  A repair is
+     presumed lost again only once something sent more than [reo_wnd]
+     after it has been delivered (RFC 8985 RACK).  [newest_xmit.(0)] is
+     the latest last-transmission time of any position acked or SACKed
+     so far: a one-cell float array, because a mutable float in this
+     mixed record would box on every write.
+     [repairs] is a FIFO ring in send order, holding
+     [Array.length repairs / 2] entries (a power of two, or none until
+     the first repair).  Slot [k] keeps a position at [2k] and, at
+     [2k + 1], its retransmission count when queued, which tells a live
+     entry from one a later retransmission superseded; [repair_head] is
+     the head slot and [repair_n] the entries held. *)
   mutable frontier : int;
-  pending : Runs.t;
+  newest_xmit : float array;
+  mutable repairs : int array;
+  mutable repair_head : int;
+  mutable repair_n : int;
   mutable unsacked_bytes : int;
   mutable sent : int;
   mutable retx : int;
   mutable acked : int;
+  mutable expired : int;
   (* reusable per-feedback scratch runs: the clipped SACK blocks
      (phase 2) and the freshly inferred loss runs (phase 3) of
      [iter_feedback] — per-call lists here would be the last
@@ -91,11 +104,15 @@ let create ?(dupthresh = 3) ?(capacity = 256) ?cost ?trace () =
     sacked = Runs.create 8;
     lost = Runs.create 8;
     frontier = 0;
-    pending = Runs.create 0;
+    newest_xmit = [| Float.neg_infinity |];
+    repairs = [||];
+    repair_head = 0;
+    repair_n = 0;
     unsacked_bytes = 0;
     sent = 0;
     retx = 0;
     acked = 0;
+    expired = 0;
     scr_lo = Array.make 8 0;
     scr_hi = Array.make 8 0;
   }
@@ -123,6 +140,27 @@ let grow t =
   t.meta <- nmeta;
   t.mask <- nmask
 
+(* Append a repair to the tail of the FIFO ring, doubling it when full
+   (the first repair allocates it). *)
+let push_repair t a count =
+  let cap = Array.length t.repairs / 2 in
+  if t.repair_n = cap then begin
+    let ncap = Stdlib.max 8 (2 * cap) in
+    let nr = Array.make (2 * ncap) 0 in
+    for k = 0 to t.repair_n - 1 do
+      let j = 2 * ((t.repair_head + k) land (cap - 1)) in
+      nr.(2 * k) <- t.repairs.(j);
+      nr.((2 * k) + 1) <- t.repairs.(j + 1)
+    done;
+    t.repairs <- nr;
+    t.repair_head <- 0
+  end;
+  let mask = (Array.length t.repairs / 2) - 1 in
+  let j = 2 * ((t.repair_head + t.repair_n) land mask) in
+  t.repairs.(j) <- a;
+  t.repairs.(j + 1) <- count;
+  t.repair_n <- t.repair_n + 1
+
 let[@vtp.hot] on_send t ~seq ~now ~size ~is_retx =
   charge t "send.scoreboard.send";
   if is_retx then begin
@@ -133,7 +171,7 @@ let[@vtp.hot] on_send t ~seq ~now ~size ~is_retx =
     t.last_sent.(i) <- now;
     t.meta.(i) <- t.meta.(i) + (1 lsl retx_shift);
     Runs.remove t.lost a (a + 1);
-    if a < t.frontier then Runs.add t.pending a (a + 1);
+    if a < t.frontier then push_repair t a (t.meta.(i) lsr retx_shift);
     t.retx <- t.retx + 1;
     if Trace.Sink.on t.trace then
       Trace.Sink.emit t.trace
@@ -198,12 +236,16 @@ let ensure_scr t n =
     t.scr_hi <- nhi
   end
 
-(* Report every position of [a, stop) as a cover through [on]. *)
+(* Report every position of [a, stop) as a cover through [on], folding
+   its last transmission time into [newest_xmit]. *)
 let[@vtp.hot] rec emit_covers t on a stop =
   if a < stop then begin
     let i = a land t.mask in
     let meta = Array.unsafe_get t.meta i in
     t.unsacked_bytes <- t.unsacked_bytes - (meta land size_mask);
+    let xmit = Array.unsafe_get t.last_sent i in
+    if xmit > Array.unsafe_get t.newest_xmit 0 then
+      Array.unsafe_set t.newest_xmit 0 xmit;
     on ~seq:(ser_of t a)
       ~sent_at:(Array.unsafe_get t.first_sent i)
       ~was_retx:(meta lsr retx_shift > 0);
@@ -290,25 +332,47 @@ let[@vtp.hot] rec stage_gaps t i a h nf =
     stage_gaps t i stop h (stage_unlost t (Runs.seek t.lost a) a stop nf)
   end
 
-(* Stage the retransmitted positions of [a, h) that are again neither
-   SACKed nor lost. *)
-let[@vtp.hot] rec stage_retransmitted t a h nf =
-  if a >= h then nf
-  else if Runs.mem t.sacked a || Runs.mem t.lost a then
-    stage_retransmitted t (a + 1) h nf
-  else stage_retransmitted t (a + 1) h (stage t nf a (a + 1))
+(* Stage the single position [a] among the first [nf] scratch runs,
+   keeping them sorted (repairs leave the FIFO in send order, which is
+   nearly ascending). *)
+let[@vtp.hot] stage_sorted t nf a =
+  ensure_scr t (nf + 1);
+  let j = insert_slot t a nf in
+  t.scr_lo.(j) <- a;
+  t.scr_hi.(j) <- a + 1;
+  nf + 1
 
-(* The walk below the frontier: [pending] runs from index [k] on,
-   clipped to [lo, hi). *)
-let[@vtp.hot] rec stage_pending t k lo hi nf =
-  let pd = t.pending in
-  if k >= pd.Runs.len || pd.Runs.lo.(k) >= hi then nf
-  else
-    stage_pending t (k + 1) lo hi
-      (stage_retransmitted t
-         (Stdlib.max lo pd.Runs.lo.(k))
-         (Stdlib.min hi pd.Runs.hi.(k))
-         nf)
+let[@vtp.hot] pop_repair t =
+  t.repair_head <- (t.repair_head + 1) land ((Array.length t.repairs / 2) - 1);
+  t.repair_n <- t.repair_n - 1
+
+(* The walk below the frontier, over the repair FIFO from its head: pop
+   the entries that are settled — acked, SACKed, retransmitted again
+   since they were queued, or already lost by expiry — and stage lost
+   the repairs sent more than [reo_wnd] before [newest_xmit]; stop at
+   the first live repair that is not, since every entry behind it was
+   sent no earlier.  The [una] test comes first: the ring slot of an
+   acked position may already hold a newer one. *)
+let[@vtp.hot] rec walk_repairs t reo_wnd nf =
+  if t.repair_n = 0 then nf
+  else begin
+    let j = 2 * t.repair_head in
+    let a = t.repairs.(j) in
+    if
+      a < t.una_abs
+      || t.meta.(a land t.mask) lsr retx_shift <> t.repairs.(j + 1)
+      || Runs.mem t.sacked a || Runs.mem t.lost a
+    then begin
+      pop_repair t;
+      walk_repairs t reo_wnd nf
+    end
+    else if t.newest_xmit.(0) > t.last_sent.(a land t.mask) +. reo_wnd
+    then begin
+      pop_repair t;
+      walk_repairs t reo_wnd (stage_sorted t nf a)
+    end
+    else nf
+  end
 
 (* Merge the clipped blocks [k, nclip) of the scratch into the SACKed
    set, covering their gaps; returns [n] plus the covers. *)
@@ -333,7 +397,8 @@ let[@vtp.hot] rec report_lost t on_lost k nfresh n =
     report_lost t on_lost (k + 1) nfresh (n + t.scr_hi.(k) - t.scr_lo.(k))
   end
 
-let[@vtp.hot] iter_feedback t ~cum_ack ~blocks ~on_ack ~on_sack ~on_lost =
+let[@vtp.hot] iter_feedback t ~cum_ack ~blocks ~reo_wnd ~on_ack ~on_sack
+    ~on_lost =
   charge t "send.scoreboard.feedback";
   (* 1. Cumulative advance: every not-yet-SACKed position up to the
      (clipped) ack point is a fresh cover. *)
@@ -347,7 +412,6 @@ let[@vtp.hot] iter_feedback t ~cum_ack ~blocks ~on_ack ~on_sack ~on_lost =
       t.acked <- t.acked + (target - t.una_abs);
       Runs.trim_below t.sacked target;
       Runs.trim_below t.lost target;
-      Runs.trim_below t.pending target;
       t.una_abs <- target;
       t.snd_una <- Serial.max t.snd_una (Serial.min cum_ack t.snd_nxt);
       n
@@ -358,28 +422,25 @@ let[@vtp.hot] iter_feedback t ~cum_ack ~blocks ~on_ack ~on_sack ~on_lost =
      the newly SACKed positions; then the block merges into the run
      set in one splice. *)
   let n_sacked = merge_blocks t on_sack 0 (clip_blocks t blocks 0) 0 in
-  (* 3. Loss inference: a position is lost once [dupthresh] SACKed
-     positions lie above it, i.e. everything below the dupthresh-th
-     highest SACKed point [p] that is neither SACKed nor already lost.
-     [p] never falls while it is above [una], so only two parts can
-     hold such positions: the retransmitted ones below the frontier,
-     then the gaps between the frontier and [p].  The first part lies
-     wholly below the second, so the fresh runs reach the scratch
-     (phase 2 is done with it) in ascending order. *)
+  (* 3. Loss inference, in two parts.  Below the frontier, the repair
+     FIFO re-infers lost the repairs that something sent later has
+     overtaken (the walk above).  From the frontier up, a position is
+     lost once [dupthresh] SACKed positions lie above it, i.e.
+     everything below the dupthresh-th highest SACKed point [p] that is
+     neither SACKed nor already lost; [p] never falls while it is above
+     [una], so only the gaps between the frontier and [p] are new.  The
+     first part lies wholly below the second, so the fresh runs reach
+     the scratch (phase 2 is done with it) in ascending order. *)
+  let nf = walk_repairs t reo_wnd 0 in
   let p = Runs.kth_from_top t.sacked t.dupthresh in
   let nfresh =
     if p > t.una_abs then begin
-      let below = Stdlib.min t.frontier p in
-      let nf =
-        stage_pending t (Runs.seek t.pending t.una_abs) t.una_abs below 0
-      in
-      Runs.trim_below t.pending below;
       let above = Stdlib.max t.frontier t.una_abs in
       let nf = stage_gaps t (Runs.seek t.sacked above) above p nf in
       t.frontier <- Stdlib.max t.frontier p;
       nf
     end
-    else 0
+    else nf
   in
   for k = 0 to nfresh - 1 do
     Runs.add t.lost t.scr_lo.(k) t.scr_hi.(k)
@@ -402,14 +463,15 @@ let[@vtp.hot] iter_feedback t ~cum_ack ~blocks ~on_ack ~on_sack ~on_lost =
     fb_cum_advanced = cum_advanced;
   }
 
-let on_feedback t ~cum_ack ~blocks =
+let on_feedback t ~cum_ack ~blocks ~reo_wnd =
   let acked = ref [] and sacked = ref [] and lost = ref [] in
   let push acc ~seq ~sent_at ~was_retx =
     acc := { cov_seq = seq; cov_sent_at = sent_at; cov_was_retx = was_retx }
            :: !acc
   in
   let s =
-    iter_feedback t ~cum_ack ~blocks ~on_ack:(push acked) ~on_sack:(push sacked)
+    iter_feedback t ~cum_ack ~blocks ~reo_wnd ~on_ack:(push acked)
+      ~on_sack:(push sacked)
       ~on_lost:(fun seq -> lost := seq :: !lost)
   in
   {
@@ -445,6 +507,7 @@ let mark_expired t ~now ~timeout =
                      { seq = ser_of t a; by = Trace.Event.I_timeout })
             end
           done));
+  t.expired <- t.expired + !nfresh;
   let acc = ref [] in
   for k = !nfresh - 1 downto 0 do
     let a = t.scr_lo.(k) in
@@ -463,7 +526,6 @@ let abandon_below t limit =
         done);
     Runs.trim_below t.sacked target;
     Runs.trim_below t.lost target;
-    Runs.trim_below t.pending target;
     t.una_abs <- target;
     t.snd_una <- limit
   end
@@ -494,3 +556,4 @@ let runs_held t = (t.sacked.Runs.len, t.lost.Runs.len)
 let stats_sent t = t.sent
 let stats_retx t = t.retx
 let stats_acked t = t.acked
+let stats_expired t = t.expired

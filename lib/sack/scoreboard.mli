@@ -2,11 +2,17 @@
 
     Tracks every transmitted-but-unacknowledged sequence number with its
     send time and retransmission count; digests SACK feedback into
-    cumulative-ack advances, newly SACKed numbers, and loss inferences
-    (a hole is deemed lost once [dupthresh] SACKed numbers lie above it
-    — the SACK analogue of TCP's three duplicate ACKs); and supports
-    time-based expiry as a last-resort loss detector when SACK
-    information stalls. *)
+    cumulative-ack advances, newly SACKed numbers, and loss inferences;
+    and supports time-based expiry as a last-resort loss detector when
+    SACK information stalls.
+
+    Two rules infer loss from feedback.  A hole is deemed lost once
+    [dupthresh] SACKed numbers lie above it — the SACK analogue of
+    TCP's three duplicate ACKs.  A repair of such a hole is in flight
+    again, and is deemed lost again only by send order (RFC 8985 RACK):
+    once a number whose last transmission went out more than [reo_wnd]
+    after the repair's has been cumulatively acked or SACKed.  So each
+    repair is sent once per loss, not once per report. *)
 
 type cover = {
   cov_seq : Packet.Serial.t;
@@ -69,6 +75,7 @@ val iter_feedback :
   t ->
   cum_ack:Packet.Serial.t ->
   blocks:Blocks.t list ->
+  reo_wnd:float ->
   on_ack:(seq:Packet.Serial.t -> sent_at:float -> was_retx:bool -> unit) ->
   on_sack:(seq:Packet.Serial.t -> sent_at:float -> was_retx:bool -> unit) ->
   on_lost:(Packet.Serial.t -> unit) ->
@@ -80,11 +87,20 @@ val iter_feedback :
     [on_sack] for every fresh SACK cover, each ascending, all acks
     before all sacks (so a single callback passed to both observes the
     merged covers in globally ascending sequence order).  [on_lost]
-    fires ascending for every fresh dupthresh loss inference, after all
-    covers.  [sent_at] is the cover's first transmission time. *)
+    fires ascending for every fresh loss inference, after all covers:
+    dupthresh holes, and repairs overtaken by a number sent more than
+    [reo_wnd] seconds after them (the reordering window; a connection
+    passes a quarter of its minimum RTT).  [sent_at] is the cover's
+    first transmission time.  The repair check looks only at the head
+    of a send-ordered FIFO of the repairs below the dupthresh point, so
+    a digest still costs what it changes. *)
 
 val on_feedback :
-  t -> cum_ack:Packet.Serial.t -> blocks:Blocks.t list -> feedback_result
+  t ->
+  cum_ack:Packet.Serial.t ->
+  blocks:Blocks.t list ->
+  reo_wnd:float ->
+  feedback_result
 (** List-building wrapper over {!iter_feedback} (kept as the
     differential-test surface against the per-entry oracle in
     test/scoreboard_ref.ml). *)
@@ -126,3 +142,6 @@ val runs_held : t -> int * int
 val stats_sent : t -> int
 val stats_retx : t -> int
 val stats_acked : t -> int
+
+val stats_expired : t -> int
+(** Numbers {!mark_expired} has inferred lost so far. *)

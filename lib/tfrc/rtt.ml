@@ -6,24 +6,34 @@ type t = {
   q : float;
   mutable estimate : float;
   mutable count : float;
+  mutable min_sample : float;
 }
 
 let create ?(q = 0.9) ~initial () =
   assert (initial > 0.0 && q >= 0.0 && q < 1.0);
-  { q; estimate = initial; count = 0.0 }
+  { q; estimate = initial; count = 0.0; min_sample = initial }
 
 let sample t r =
   assert (r > 0.0);
-  if Float.equal t.count 0.0 then t.estimate <- r
-  else t.estimate <- (t.q *. t.estimate) +. ((1.0 -. t.q) *. r);
+  if Float.equal t.count 0.0 then begin
+    t.estimate <- r;
+    t.min_sample <- r
+  end
+  else begin
+    t.estimate <- (t.q *. t.estimate) +. ((1.0 -. t.q) *. r);
+    if r < t.min_sample then t.min_sample <- r
+  end;
   t.count <- t.count +. 1.0
 
 let reseed t r =
   assert (r > 0.0);
   t.estimate <- r;
+  t.min_sample <- r;
   t.count <- 0.0
 
 let smoothed t = t.estimate
+
+let min_rtt t = t.min_sample
 
 let has_sample t = t.count > 0.0
 

@@ -12,15 +12,20 @@ val create : ?q:float -> initial:float -> unit -> t
 
 val sample : t -> float -> unit
 (** Feed one measurement (seconds, must be positive). The first sample
-    replaces the seed entirely. *)
+    replaces the seed entirely, in both {!smoothed} and {!min_rtt}. *)
 
 val reseed : t -> float -> unit
-(** Replace the estimate with a fresh seed (handover onto a link with a
-    declared latency) and forget the sample count, so the next
-    measurement replaces the seed entirely as at creation. *)
+(** Replace the estimate and the minimum with a fresh seed (handover
+    onto a link with a declared latency) and forget the sample count,
+    so the next measurement replaces the seed entirely as at creation. *)
 
 val smoothed : t -> float
 (** Current estimate (the seed if no sample yet). *)
+
+val min_rtt : t -> float
+(** Smallest sample since creation or the last {!reseed} (the seed if
+    no sample yet).  The SACK scoreboard's reordering window is a
+    quarter of it (RFC 8985 §6.2). *)
 
 val has_sample : t -> bool
 

@@ -300,6 +300,7 @@ let apply_handover t ~policy ~(link : Handover.link_info) =
       restart_nofeedback t
 
 let rtt t = Rtt.smoothed t.rtt
+let min_rtt t = Rtt.min_rtt t.rtt
 let has_rtt_sample t = Rtt.has_sample t.rtt
 let in_slow_start t = flag t fl_slow_start
 let packets_sent t = iget t i_sent

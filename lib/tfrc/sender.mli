@@ -81,6 +81,10 @@ val instantaneous_rate_bps : t -> float
 val rtt : t -> float
 (** Smoothed RTT estimate (seed until first feedback). *)
 
+val min_rtt : t -> float
+(** Smallest RTT sample ({!Rtt.min_rtt}): the seed until the first
+    feedback, and again after a handover policy reseeds the estimate. *)
+
 val has_rtt_sample : t -> bool
 
 val in_slow_start : t -> bool

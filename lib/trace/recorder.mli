@@ -17,10 +17,8 @@
 
 type t
 
-val default_capacity : int
-(** Per-flow ring capacity when none is given (16384). *)
-
 val create : ?capacity:int -> unit -> t
+(** [capacity] is each flow's ring size (default 16384). *)
 
 val install : t -> unit
 (** Make [t] the ambient recorder.  Replaces any previous one. *)

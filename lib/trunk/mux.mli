@@ -89,13 +89,6 @@ val attach : t -> conn:Qtp.Connection.t -> seg_payload:int -> unit
 
 val connection : t -> Qtp.Connection.t option
 
-val admit : t -> user:int -> src:Bytes.t -> pos:int -> len:int -> int
-(** Offer [len] bytes from a user; returns how many were accepted
-    (clipped to the user's remaining [per_user_cap] space — the rest is
-    counted in {!rejected} and the caller may retry later).  Accepted
-    bytes join the user's queue, the scheduler backlog, and the
-    admitted digest; the connection is woken. *)
-
 val set_on_data : t -> (user:int -> buf:Bytes.t -> pos:int -> len:int -> unit) -> unit
 (** Per-user delivery callback: [buf.[pos .. pos+len)] is the delivered
     sub-frame payload, read-only and valid only during the call.  [buf]

@@ -10,6 +10,8 @@ type entry = {
   mutable retx : int;
   mutable sacked : bool;
   mutable lost : bool;  (* inferred lost, retransmission due *)
+  mutable passed : bool;  (* ever had [dupthresh] SACKed entries above *)
+  mutable repair : bool;  (* retransmitted once [passed], not yet settled *)
 }
 
 type cover = {
@@ -32,6 +34,7 @@ type t = {
   tbl : (int, entry) Hashtbl.t;
   mutable snd_una : Serial.t;
   mutable snd_nxt : Serial.t;
+  mutable newest_xmit : float;  (* latest last_sent of any covered entry *)
   mutable sent : int;
   mutable retx : int;
   mutable acked : int;
@@ -46,6 +49,7 @@ let create ?(dupthresh = 3) ?cost ?trace () =
     tbl = Hashtbl.create 256;
     snd_una = Serial.zero;
     snd_nxt = Serial.zero;
+    newest_xmit = Float.neg_infinity;
     sent = 0;
     retx = 0;
     acked = 0;
@@ -67,6 +71,7 @@ let[@vtp.hot] on_send t ~seq ~now ~size ~is_retx =
         e.last_sent <- now;
         e.retx <- e.retx + 1;
         e.lost <- false;
+        e.repair <- e.passed;
         t.retx <- t.retx + 1;
         if Trace.Sink.on t.trace then
           Trace.Sink.emit t.trace
@@ -84,6 +89,8 @@ let[@vtp.hot] on_send t ~seq ~now ~size ~is_retx =
         retx = 0;
         sacked = false;
         lost = false;
+        passed = false;
+        repair = false;
       };
     t.snd_nxt <- Serial.succ seq;
     t.sent <- t.sent + 1
@@ -96,7 +103,9 @@ let next_seq t = t.snd_nxt
 
 let una t = t.snd_una
 
-let cover_of (e : entry) =
+(* Every cover also advances the newest delivered transmission time. *)
+let cover_of t (e : entry) =
+  t.newest_xmit <- Float.max t.newest_xmit e.last_sent;
   { cov_seq = e.seq; cov_sent_at = e.first_sent; cov_was_retx = e.retx > 0 }
 
 (* Entries between una and nxt in ascending sequence order. *)
@@ -113,7 +122,7 @@ let entries_in_order t =
   in
   if n <= 0 then [] else collect (n - 1) []
 
-let on_feedback t ~cum_ack ~blocks =
+let on_feedback t ~cum_ack ~blocks ~reo_wnd =
   charge t "send.scoreboard.feedback";
   (* 1. Cumulative advance. *)
   let newly_acked = ref [] in
@@ -125,7 +134,7 @@ let on_feedback t ~cum_ack ~blocks =
         | Some e ->
             (* Entries already SACKed were reported as covered when the
                SACK arrived; don't surface them twice. *)
-            if not e.sacked then newly_acked := cover_of e :: !newly_acked;
+            if not e.sacked then newly_acked := cover_of t e :: !newly_acked;
             t.acked <- t.acked + 1;
             Hashtbl.remove t.tbl (key s)
         | None -> ())
@@ -143,12 +152,16 @@ let on_feedback t ~cum_ack ~blocks =
           | Some e when not e.sacked ->
               e.sacked <- true;
               e.lost <- false;
-              newly_sacked := cover_of e :: !newly_sacked
+              e.repair <- false;
+              newly_sacked := cover_of t e :: !newly_sacked
           | Some _ | None -> ())
         b.block_start b.block_end)
     blocks;
-  (* 3. Loss inference: dupthresh SACKed numbers above an uncovered one.
-     Walk from highest to lowest sequence counting SACKed entries. *)
+  (* 3. Loss inference.  Walk from highest to lowest sequence counting
+     SACKed entries.  An uncovered entry with [dupthresh] SACKed ones
+     above it is lost, unless it is a repair of an earlier such loss: a
+     repair is lost once an entry last sent more than [reo_wnd] after it
+     has been covered. *)
   let sacked_above = ref 0 in
   let newly_lost = ref [] in
   let span = Serial.diff t.snd_nxt t.snd_una in
@@ -156,13 +169,21 @@ let on_feedback t ~cum_ack ~blocks =
     match find t (Serial.add t.snd_una i) with
     | Some e ->
         if e.sacked then incr sacked_above
-        else if !sacked_above >= t.dupthresh && not e.lost then begin
-          e.lost <- true;
-          newly_lost := e.seq :: !newly_lost;
-          if Trace.Sink.on t.trace then
-            Trace.Sink.emit t.trace
-              (Trace.Event.Loss_inferred
-                 { seq = e.seq; by = Trace.Event.I_dupthresh })
+        else begin
+          if !sacked_above >= t.dupthresh then e.passed <- true;
+          let lost_now =
+            if e.repair then t.newest_xmit > e.last_sent +. reo_wnd
+            else e.passed && not e.lost
+          in
+          if lost_now then begin
+            e.lost <- true;
+            e.repair <- false;
+            newly_lost := e.seq :: !newly_lost;
+            if Trace.Sink.on t.trace then
+              Trace.Sink.emit t.trace
+                (Trace.Event.Loss_inferred
+                   { seq = e.seq; by = Trace.Event.I_dupthresh })
+          end
         end
     | None -> ()
   done;
@@ -185,6 +206,7 @@ let mark_expired t ~now ~timeout =
     (fun e ->
       if (not e.sacked) && (not e.lost) && now -. e.last_sent > timeout then begin
         e.lost <- true;
+        e.repair <- false;
         fresh := e.seq :: !fresh;
         if Trace.Sink.on t.trace then
           Trace.Sink.emit t.trace

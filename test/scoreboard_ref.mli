@@ -7,9 +7,11 @@
     send time and retransmission count; digests SACK feedback into
     cumulative-ack advances, newly SACKed numbers, and loss inferences
     (a hole is deemed lost once [dupthresh] SACKed numbers lie above it
-    — the SACK analogue of TCP's three duplicate ACKs); and supports
-    time-based expiry as a last-resort loss detector when SACK
-    information stalls. *)
+    — the SACK analogue of TCP's three duplicate ACKs — and a repair of
+    such a hole once a number last sent more than [reo_wnd] after it
+    has been acked or SACKed); and supports time-based expiry as a
+    last-resort loss detector when SACK information stalls.  Each entry
+    carries its own flags and every feedback re-walks the window. *)
 
 open Sack
 
@@ -46,7 +48,11 @@ val una : t -> Packet.Serial.t
 (** Lowest unacknowledged sequence number ([snd_una]). *)
 
 val on_feedback :
-  t -> cum_ack:Packet.Serial.t -> blocks:Blocks.t list -> feedback_result
+  t ->
+  cum_ack:Packet.Serial.t ->
+  blocks:Blocks.t list ->
+  reo_wnd:float ->
+  feedback_result
 
 val lost_pending : t -> Packet.Serial.t list
 (** Numbers currently inferred lost and not yet retransmitted,

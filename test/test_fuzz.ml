@@ -55,6 +55,19 @@ let test_exec_deterministic () =
   Alcotest.(check int) "same checker traffic" a.E.checker_events
     b.E.checker_events
 
+(* Smoke seed 119 is in the repair-arrives-once oracle's scope — one
+   unmangled path, a standard-plane flow with a SACK plane — and loses
+   enough to repair a hundred-odd segments; each repair must reach the
+   receiver once. *)
+let test_repair_arrives_once () =
+  let sc = S.generate ~seed:119 in
+  Alcotest.(check bool) "one unmangled path" true
+    ((not (Netsim.Mangler.is_active sc.S.mangle)) && sc.S.handover = None);
+  let r = E.run sc in
+  if not (E.passed r) then Alcotest.failf "%a" E.pp_report r;
+  Alcotest.(check bool) "repairs were sent" true
+    (List.exists (fun f -> f.E.retx > 0) r.E.flows)
+
 (* --- the checker fed from a mangled link's taps -------------------- *)
 
 let mk_frame i =
@@ -208,6 +221,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_generated_in_bounds;
     Alcotest.test_case "mini soak passes" `Slow test_mini_soak;
     Alcotest.test_case "executor deterministic" `Slow test_exec_deterministic;
+    Alcotest.test_case "a repair arrives once" `Quick test_repair_arrives_once;
     Alcotest.test_case "trace check catches unaccounted dups" `Quick
       test_trace_check_catches_unaccounted_dups;
     Alcotest.test_case "trace replay clean when dups accounted" `Quick

@@ -107,6 +107,23 @@ let test_no_sink_fails () =
        false
      with Failure _ -> true)
 
+let test_create_rejects_bad_values () =
+  let sim = Engine.Sim.create () in
+  let rejected ~rate_bps ~delay =
+    match make_link ~rate_bps ~delay sim with
+    | (_ : Netsim.Link.t) -> false
+    | exception Invalid_argument _ -> true
+  in
+  List.iter
+    (fun (rate_bps, delay) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "rate %g delay %g rejected" rate_bps delay)
+        true
+        (rejected ~rate_bps ~delay))
+    [ (0.0, 0.1); (-5.0, 0.1); (Float.nan, 0.1); (1e6, -0.01); (1e6, Float.nan) ];
+  Alcotest.(check bool) "zero delay accepted" false
+    (rejected ~rate_bps:1e6 ~delay:0.0)
+
 let suite =
   [
     Alcotest.test_case "tx + propagation timing" `Quick
@@ -118,4 +135,6 @@ let suite =
     Alcotest.test_case "utilisation" `Quick test_utilisation;
     Alcotest.test_case "hop count" `Quick test_hop_count;
     Alcotest.test_case "no sink fails" `Quick test_no_sink_fails;
+    Alcotest.test_case "bad rate or delay rejected" `Quick
+      test_create_rejects_bad_values;
   ]

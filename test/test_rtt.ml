@@ -37,6 +37,24 @@ let test_sample_count () =
   Tfrc.Rtt.sample r 0.1;
   Alcotest.(check int) "counted" 2 (Tfrc.Rtt.samples r)
 
+(* The minimum holds the seed until the first sample, which replaces
+   it even when larger; later samples only lower it; a reseed (a
+   migration) starts over from the new seed. *)
+let test_min_rtt () =
+  let r = Tfrc.Rtt.create ~initial:0.5 () in
+  Alcotest.(check (float 1e-9)) "seed" 0.5 (Tfrc.Rtt.min_rtt r);
+  Tfrc.Rtt.sample r 0.8;
+  Alcotest.(check (float 1e-9)) "first sample replaces the seed" 0.8
+    (Tfrc.Rtt.min_rtt r);
+  Tfrc.Rtt.sample r 0.2;
+  Tfrc.Rtt.sample r 0.3;
+  Alcotest.(check (float 1e-9)) "smallest sample" 0.2 (Tfrc.Rtt.min_rtt r);
+  Tfrc.Rtt.reseed r 0.6;
+  Alcotest.(check (float 1e-9)) "reseed replaces it" 0.6 (Tfrc.Rtt.min_rtt r);
+  Tfrc.Rtt.sample r 0.9;
+  Alcotest.(check (float 1e-9)) "next sample replaces the reseed" 0.9
+    (Tfrc.Rtt.min_rtt r)
+
 let suite =
   [
     Alcotest.test_case "seed" `Quick test_seed_used_before_samples;
@@ -45,4 +63,5 @@ let suite =
     Alcotest.test_case "convergence" `Quick test_converges;
     Alcotest.test_case "t_rto" `Quick test_t_rto;
     Alcotest.test_case "sample count" `Quick test_sample_count;
+    Alcotest.test_case "minimum" `Quick test_min_rtt;
   ]

@@ -32,7 +32,7 @@ let test_out_of_order_send_rejected () =
 let test_cum_ack_advances () =
   let sb = SB.create () in
   send_n sb 5;
-  let res = SB.on_feedback sb ~cum_ack:(S.of_int 3) ~blocks:[] in
+  let res = SB.on_feedback sb ~reo_wnd:0.0 ~cum_ack:(S.of_int 3) ~blocks:[] in
   Alcotest.(check bool) "cum advanced" true res.SB.cum_advanced;
   Alcotest.(check int) "3 newly acked" 3 (List.length res.SB.newly_acked);
   Alcotest.(check int) "una" 3 (S.to_int (SB.una sb));
@@ -48,21 +48,21 @@ let test_cum_ack_advances () =
 let test_sack_marks () =
   let sb = SB.create () in
   send_n sb 10;
-  let res = SB.on_feedback sb ~cum_ack:(S.of_int 0) ~blocks:[ blk 5 8 ] in
+  let res = SB.on_feedback sb ~reo_wnd:0.0 ~cum_ack:(S.of_int 0) ~blocks:[ blk 5 8 ] in
   Alcotest.(check int) "newly sacked" 3 (List.length res.SB.newly_sacked);
   Alcotest.(check bool) "status sacked" true (SB.status sb (S.of_int 6) = `Sacked);
   (* Re-reporting the same block adds nothing. *)
-  let res2 = SB.on_feedback sb ~cum_ack:(S.of_int 0) ~blocks:[ blk 5 8 ] in
+  let res2 = SB.on_feedback sb ~reo_wnd:0.0 ~cum_ack:(S.of_int 0) ~blocks:[ blk 5 8 ] in
   Alcotest.(check int) "idempotent" 0 (List.length res2.SB.newly_sacked)
 
 let test_loss_inference_dupthresh () =
   let sb = SB.create ~dupthresh:3 () in
   send_n sb 10;
   (* 0 missing; sacked 1-2 -> only 2 above: not yet lost. *)
-  let r1 = SB.on_feedback sb ~cum_ack:(S.of_int 0) ~blocks:[ blk 1 3 ] in
+  let r1 = SB.on_feedback sb ~reo_wnd:0.0 ~cum_ack:(S.of_int 0) ~blocks:[ blk 1 3 ] in
   Alcotest.(check (list int)) "not yet" []
     (List.map S.to_int r1.SB.newly_lost);
-  let r2 = SB.on_feedback sb ~cum_ack:(S.of_int 0) ~blocks:[ blk 1 4 ] in
+  let r2 = SB.on_feedback sb ~reo_wnd:0.0 ~cum_ack:(S.of_int 0) ~blocks:[ blk 1 4 ] in
   Alcotest.(check (list int)) "now lost" [ 0 ]
     (List.map S.to_int r2.SB.newly_lost);
   Alcotest.(check bool) "status lost" true (SB.status sb (S.of_int 0) = `Lost);
@@ -74,7 +74,7 @@ let test_multiple_holes_inferred () =
   send_n sb 12;
   (* Holes at 0,1 and 5; sacked 2..5? sacked blocks [2,5) and [6,12). *)
   let r =
-    SB.on_feedback sb ~cum_ack:(S.of_int 0) ~blocks:[ blk 2 5; blk 6 12 ]
+    SB.on_feedback sb ~reo_wnd:0.0 ~cum_ack:(S.of_int 0) ~blocks:[ blk 2 5; blk 6 12 ]
   in
   Alcotest.(check (list int)) "holes below enough sacks" [ 0; 1; 5 ]
     (List.map S.to_int r.SB.newly_lost)
@@ -82,7 +82,7 @@ let test_multiple_holes_inferred () =
 let test_retransmit_resets () =
   let sb = SB.create () in
   send_n sb 6;
-  ignore (SB.on_feedback sb ~cum_ack:(S.of_int 0) ~blocks:[ blk 1 6 ]);
+  ignore (SB.on_feedback sb ~reo_wnd:0.0 ~cum_ack:(S.of_int 0) ~blocks:[ blk 1 6 ]);
   Alcotest.(check bool) "lost" true (SB.status sb (S.of_int 0) = `Lost);
   SB.on_send sb ~seq:(S.of_int 0) ~now:1.0 ~size:1000 ~is_retx:true;
   Alcotest.(check bool) "in flight again" true
@@ -91,7 +91,7 @@ let test_retransmit_resets () =
   Alcotest.(check int) "stats" 1 (SB.stats_retx sb);
   (* Cum ack after repair: cover reports the original send time and the
      retransmit flag. *)
-  let r = SB.on_feedback sb ~cum_ack:(S.of_int 6) ~blocks:[] in
+  let r = SB.on_feedback sb ~reo_wnd:0.0 ~cum_ack:(S.of_int 6) ~blocks:[] in
   match r.SB.newly_acked with
   | [ c ] ->
       Alcotest.(check bool) "was retx" true c.SB.cov_was_retx;
@@ -118,7 +118,7 @@ let test_mark_expired () =
 let test_expiry_skips_sacked_and_fresh () =
   let sb = SB.create () in
   send_n sb 4;
-  ignore (SB.on_feedback sb ~cum_ack:(S.of_int 0) ~blocks:[ blk 2 3 ]);
+  ignore (SB.on_feedback sb ~reo_wnd:0.0 ~cum_ack:(S.of_int 0) ~blocks:[ blk 2 3 ]);
   (* seq 3 sent at t=3ms; with now=0.1 and timeout=0.098 only 0,1 are old
      enough; 2 is sacked. *)
   let expired = SB.mark_expired sb ~now:0.1 ~timeout:0.0975 in
@@ -137,7 +137,7 @@ let test_in_flight_bytes () =
   let sb = SB.create () in
   send_n sb 4;
   Alcotest.(check int) "4 kB" 4000 (SB.in_flight_bytes sb);
-  ignore (SB.on_feedback sb ~cum_ack:(S.of_int 0) ~blocks:[ blk 1 2 ]);
+  ignore (SB.on_feedback sb ~reo_wnd:0.0 ~cum_ack:(S.of_int 0) ~blocks:[ blk 1 2 ]);
   Alcotest.(check int) "sacked not in flight" 3000 (SB.in_flight_bytes sb)
 
 let prop_sacked_and_lost_disjoint =
@@ -149,7 +149,7 @@ let prop_sacked_and_lost_disjoint =
       List.iter
         (fun (a, len) ->
           if len > 0 && a + len <= 32 then
-            ignore (SB.on_feedback sb ~cum_ack:(S.of_int 0) ~blocks:[ blk a (a + len) ]))
+            ignore (SB.on_feedback sb ~reo_wnd:0.0 ~cum_ack:(S.of_int 0) ~blocks:[ blk a (a + len) ]))
         raw_blocks;
       List.for_all
         (fun i ->
@@ -170,7 +170,7 @@ let prop_una_monotone =
       let prev = ref 0 in
       List.iter
         (fun a ->
-          ignore (SB.on_feedback sb ~cum_ack:(S.of_int a) ~blocks:[]);
+          ignore (SB.on_feedback sb ~reo_wnd:0.0 ~cum_ack:(S.of_int a) ~blocks:[]);
           let u = S.to_int (SB.una sb) in
           if u < !prev then ok := false;
           prev := u)
@@ -200,9 +200,9 @@ let cover_repr_ref (c : SBR.cover) =
 
 (* Feed the same feedback to both and report whether every result
    matches. *)
-let feedback_agrees sb sbr ~cum ~blocks =
-  let r = SB.on_feedback sb ~cum_ack:(S.of_int cum) ~blocks in
-  let rr = SBR.on_feedback sbr ~cum_ack:(S.of_int cum) ~blocks in
+let feedback_agrees sb sbr ~cum ~blocks ~reo_wnd =
+  let r = SB.on_feedback sb ~reo_wnd ~cum_ack:(S.of_int cum) ~blocks in
+  let rr = SBR.on_feedback sbr ~reo_wnd ~cum_ack:(S.of_int cum) ~blocks in
   r.SB.cum_advanced = rr.SBR.cum_advanced
   && List.map cover_repr r.SB.newly_acked
      = List.map cover_repr_ref rr.SBR.newly_acked
@@ -232,6 +232,12 @@ let differential_run ~seed ~steps =
       (List.map S.to_int (SB.mark_expired sb ~now:!now ~timeout)
       = List.map S.to_int (SBR.mark_expired sbr ~now:!now ~timeout))
   in
+  (* The reordering window of each feedback: none, or up to a few
+     steps' worth, so repairs are overtaken both at once and only after
+     a while. *)
+  let reo_wnd () =
+    if Engine.Rng.int rng 3 = 0 then 0.0 else Engine.Rng.float rng 0.03
+  in
   (* The top SACK block [top_lo, top_hi) the large-window op extends. *)
   let top_lo = ref 0 and top_hi = ref 0 in
   for _ = 1 to steps do
@@ -248,7 +254,8 @@ let differential_run ~seed ~steps =
               let a = cum + 1 + Engine.Rng.int rng (Stdlib.max 1 (nxt - cum) + 2) in
               blk a (a + 1 + Engine.Rng.int rng 6))
         in
-        expect "feedback" (feedback_agrees sb sbr ~cum ~blocks)
+        expect "feedback"
+          (feedback_agrees sb sbr ~cum ~blocks ~reo_wnd:(reo_wnd ()))
     | 5 ->
         let lp = SB.lost_pending sb in
         expect "lost_pending"
@@ -275,7 +282,9 @@ let differential_run ~seed ~steps =
         end;
         top_hi := Stdlib.min nxt (!top_hi + 1 + Engine.Rng.int rng 3);
         expect "top-block feedback"
-          (feedback_agrees sb sbr ~cum:una ~blocks:[ blk !top_lo !top_hi ])
+          (feedback_agrees sb sbr ~cum:una
+             ~blocks:[ blk !top_lo !top_hi ]
+             ~reo_wnd:(reo_wnd ()))
     | _ ->
         (* Expiry, a retransmit high in the window (above the dupthresh
            point unless the top is SACKed), then a cumulative jump into
@@ -287,7 +296,8 @@ let differential_run ~seed ~steps =
         let una = S.to_int (SB.una sb) in
         let nxt = S.to_int (SB.next_seq sb) in
         let cum = nxt - Engine.Rng.int rng (((nxt - una) / 4) + 1) in
-        expect "cum jump" (feedback_agrees sb sbr ~cum ~blocks:[]));
+        expect "cum jump"
+          (feedback_agrees sb sbr ~cum ~blocks:[] ~reo_wnd:(reo_wnd ())));
     expect "una" (S.equal (SB.una sb) (SBR.una sbr));
     expect "next_seq" (S.equal (SB.next_seq sb) (SBR.next_seq sbr));
     expect "outstanding" (SB.outstanding sb = SBR.outstanding sbr);
@@ -311,51 +321,64 @@ let prop_differential_vs_reference =
     QCheck.(pair (int_range 1 1_000_000) (int_range 1 120))
     (fun (seed, steps) -> differential_run ~seed ~steps)
 
-(* A retransmission below the dupthresh point is in flight again; the
-   next feedback, even one that changes nothing, must infer it lost
-   again (the reference re-walks the whole window every time), and
-   SACK coverage of it must clear it for good. *)
-let test_retransmit_below_frontier_relost () =
+(* A repair below the dupthresh point is in flight again, and only send
+   order re-infers it: feedback that covers numbers sent before it, or
+   within the reordering window after it, leaves it alone; a SACK of a
+   number sent later than that marks it lost again; SACK coverage of the
+   repair itself settles it for good.  The reference agrees at every
+   step. *)
+let test_repair_relost_by_send_order () =
   let sb = SB.create ~dupthresh:3 () in
   let sbr = SBR.create ~dupthresh:3 () in
+  let send s ~now ~is_retx =
+    SB.on_send sb ~seq:(S.of_int s) ~now ~size:1000 ~is_retx;
+    SBR.on_send sbr ~seq:(S.of_int s) ~now ~size:1000 ~is_retx
+  in
   for i = 0 to 19 do
-    let seq = S.of_int i and now = float_of_int i in
-    SB.on_send sb ~seq ~now ~size:1000 ~is_retx:false;
-    SBR.on_send sbr ~seq ~now ~size:1000 ~is_retx:false
+    send i ~now:(float_of_int i) ~is_retx:false
   done;
-  let lost_both ~cum ~blocks =
-    let r = SB.on_feedback sb ~cum_ack:(S.of_int cum) ~blocks in
-    let rr = SBR.on_feedback sbr ~cum_ack:(S.of_int cum) ~blocks in
+  let lost_both ~blocks =
+    let reo_wnd = 0.5 in
+    let r = SB.on_feedback sb ~cum_ack:(S.of_int 0) ~blocks ~reo_wnd in
+    let rr = SBR.on_feedback sbr ~cum_ack:(S.of_int 0) ~blocks ~reo_wnd in
     let l = List.map S.to_int r.SB.newly_lost in
     Alcotest.(check (list int)) "same as the reference" l
       (List.map S.to_int rr.SBR.newly_lost);
     l
   in
-  let retx s =
-    SB.on_send sb ~seq:(S.of_int s) ~now:30.0 ~size:1000 ~is_retx:true;
-    SBR.on_send sbr ~seq:(S.of_int s) ~now:30.0 ~size:1000 ~is_retx:true
-  in
   Alcotest.(check (list int)) "holes below the dupthresh point" [ 0; 2; 4 ]
-    (lost_both ~cum:0 ~blocks:[ blk 1 2; blk 3 4; blk 5 12 ]);
-  retx 2;
-  retx 4;
-  Alcotest.(check bool) "retransmit is in flight" true
+    (lost_both ~blocks:[ blk 1 2; blk 3 4; blk 5 12 ]);
+  send 2 ~now:30.0 ~is_retx:true;
+  send 4 ~now:30.0 ~is_retx:true;
+  Alcotest.(check bool) "repair is in flight" true
     (SB.status sb (S.of_int 2) = `In_flight);
-  Alcotest.(check (list int)) "unchanged feedback re-infers both" [ 2; 4 ]
-    (lost_both ~cum:0 ~blocks:[ blk 5 12 ]);
-  retx 2;
-  retx 4;
-  Alcotest.(check (list int)) "a SACKed retransmit is not re-inferred" [ 4 ]
-    (lost_both ~cum:0 ~blocks:[ blk 2 3; blk 12 13 ]);
+  Alcotest.(check (list int)) "unchanged feedback re-infers nothing" []
+    (lost_both ~blocks:[ blk 5 12 ]);
+  Alcotest.(check (list int)) "numbers sent before the repairs do not" []
+    (lost_both ~blocks:[ blk 12 16 ]);
+  send 20 ~now:30.25 ~is_retx:false;
+  send 21 ~now:31.0 ~is_retx:false;
+  Alcotest.(check (list int)) "a number sent within the window does not" []
+    (lost_both ~blocks:[ blk 20 21 ]);
+  Alcotest.(check (list int)) "the repair's own SACK settles it" []
+    (lost_both ~blocks:[ blk 2 3 ]);
+  Alcotest.(check (list int)) "a number sent later re-infers the other" [ 4 ]
+    (lost_both ~blocks:[ blk 21 22 ]);
+  send 4 ~now:32.0 ~is_retx:true;
+  Alcotest.(check (list int)) "the second repair waits for its own" []
+    (lost_both ~blocks:[ blk 16 20 ]);
   Alcotest.(check (list int)) "pending losses agree"
     (List.map S.to_int (SBR.lost_pending sbr))
     (List.map S.to_int (SB.lost_pending sb));
-  for i = 0 to 20 do
+  for i = 0 to 22 do
     Alcotest.(check bool)
       (Printf.sprintf "status %d" i)
       true
       (SB.status sb (S.of_int i) = SBR.status sbr (S.of_int i))
-  done
+  done;
+  Alcotest.(check bool) "2 SACKed, 4 in flight" true
+    (SB.status sb (S.of_int 2) = `Sacked
+    && SB.status sb (S.of_int 4) = `In_flight)
 
 (* Adversarial fragmentation: SACK every second packet of a large
    window in one feedback — the worst case for any run-length scheme.
@@ -367,7 +390,7 @@ let test_alternating_sack_fragmentation () =
   let sb = SB.create ~dupthresh:3 () in
   send_n sb n;
   let blocks = List.init (n / 2) (fun i -> blk ((2 * i) + 1) ((2 * i) + 2)) in
-  let r = SB.on_feedback sb ~cum_ack:(S.of_int 0) ~blocks in
+  let r = SB.on_feedback sb ~reo_wnd:0.0 ~cum_ack:(S.of_int 0) ~blocks in
   Alcotest.(check int) "every block newly sacked" (n / 2)
     (List.length r.SB.newly_sacked);
   let sacked_runs, lost_runs = SB.runs_held sb in
@@ -378,7 +401,7 @@ let test_alternating_sack_fragmentation () =
      even numbers except the last two. *)
   Alcotest.(check int) "holes inferred lost" ((n / 2) - 2)
     (List.length r.SB.newly_lost);
-  let r2 = SB.on_feedback sb ~cum_ack:(S.of_int n) ~blocks:[] in
+  let r2 = SB.on_feedback sb ~reo_wnd:0.0 ~cum_ack:(S.of_int n) ~blocks:[] in
   Alcotest.(check int) "cum sweep acks the holes" (n / 2)
     (List.length r2.SB.newly_acked);
   Alcotest.(check (pair int int)) "runs collapse to nothing" (0, 0)
@@ -402,7 +425,7 @@ let test_iter_feedback_ordering () =
   let cum_ack = S.of_int 3 and blocks = [ blk 5 6; blk 8 11 ] in
   let events = ref [] in
   let sum =
-    SB.iter_feedback (prep ()) ~cum_ack ~blocks
+    SB.iter_feedback (prep ()) ~cum_ack ~blocks ~reo_wnd:0.0
       ~on_ack:(fun ~seq ~sent_at ~was_retx:_ ->
         events := `Ack (S.to_int seq, sent_at) :: !events)
       ~on_sack:(fun ~seq ~sent_at ~was_retx:_ ->
@@ -420,7 +443,7 @@ let test_iter_feedback_ordering () =
   in
   Alcotest.(check bool) "acks, then sacks, then losses; each ascending" true
     (phases_ascend ev);
-  let r = SB.on_feedback (prep ()) ~cum_ack ~blocks in
+  let r = SB.on_feedback (prep ()) ~cum_ack ~blocks ~reo_wnd:0.0 in
   let covers k l =
     List.map (fun c -> k (S.to_int c.SB.cov_seq, c.SB.cov_sent_at)) l
   in
@@ -459,8 +482,9 @@ let suite =
     Alcotest.test_case "in-flight bytes" `Quick test_in_flight_bytes;
     Alcotest.test_case "alternating-loss fragmentation bounded" `Quick
       test_alternating_sack_fragmentation;
-    Alcotest.test_case "retransmit below the frontier is re-inferred" `Quick
-      test_retransmit_below_frontier_relost;
+    Alcotest.test_case
+      "retransmit below the frontier is re-inferred by send order" `Quick
+      test_repair_relost_by_send_order;
     QCheck_alcotest.to_alcotest prop_sacked_and_lost_disjoint;
     QCheck_alcotest.to_alcotest prop_una_monotone;
     QCheck_alcotest.to_alcotest prop_differential_vs_reference;
