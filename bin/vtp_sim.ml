@@ -63,7 +63,9 @@ let burstiness =
                  burstiness.")
 
 let g =
-  Arg.(value & opt float 2e6 & info [ "g" ] ~docv:"BPS" ~doc:"AF target rate for --proto af.")
+  Arg.(value & opt float 2e6
+       & info [ "g" ] ~docv:"BPS"
+           ~doc:"AF target rate for --proto af (b/s), finite and above 0.")
 
 let duration =
   Arg.(value & opt float 30.0
@@ -84,9 +86,9 @@ let jobs =
   Arg.(
     value & opt (some int) None
     & info [ "jobs"; "j" ] ~docv:"N"
-        ~doc:"Worker domains for the $(b,--seeds) sweep (default \
-              $(b,VTP_JOBS) if set, else the recommended domain count).  \
-              Output is identical at any value.")
+        ~doc:"Worker domains for the $(b,--seeds) sweep, at least 1 \
+              (default $(b,VTP_JOBS) if set, else the recommended domain \
+              count).  Output is identical at any value.")
 
 let reliability =
   Arg.(value & opt rel_conv Qtp.Capabilities.R_none
@@ -180,9 +182,11 @@ let render_one ~proto ~rate ~delay ~loss ~burstiness ~g ~duration ~reliability
    error (exit 124), not an exception or a nonsense report mid-run.
    Throughput is measured over [1 s, duration), so a run must last
    longer than 1 s. *)
-let check_numbers ~rate ~delay ~duration ~seeds =
+let check_numbers ~rate ~delay ~g ~duration ~seeds ~jobs =
   if not (Float.is_finite rate && rate > 0.0) then
     Error (Printf.sprintf "--rate %g is not a finite rate above 0" rate)
+  else if not (Float.is_finite g && g > 0.0) then
+    Error (Printf.sprintf "-g %g is not a finite rate above 0" g)
   else if not (Float.is_finite delay && delay >= 0.0) then
     Error (Printf.sprintf "--delay %g is not a finite delay of 0 or more" delay)
   else if not (Float.is_finite duration && duration > 1.0) then
@@ -192,7 +196,10 @@ let check_numbers ~rate ~delay ~duration ~seeds =
           measured from 1 s)"
          duration)
   else if seeds < 1 then Error (Printf.sprintf "--seeds %d is below 1" seeds)
-  else Ok ()
+  else
+    match jobs with
+    | Some j when j < 1 -> Error (Printf.sprintf "--jobs %d is below 1" j)
+    | Some _ | None -> Ok ()
 
 (* Past the loss flags' own ranges, the loss model's constructor is the
    judge. *)
@@ -211,8 +218,8 @@ let check_loss ~loss ~burstiness =
 let run proto rate delay loss burstiness g duration seed seeds jobs reliability
     =
   match
-    Result.bind (check_numbers ~rate ~delay ~duration ~seeds) (fun () ->
-        check_loss ~loss ~burstiness)
+    Result.bind (check_numbers ~rate ~delay ~g ~duration ~seeds ~jobs)
+      (fun () -> check_loss ~loss ~burstiness)
   with
   | Error msg -> `Error (true, msg)
   | Ok () ->

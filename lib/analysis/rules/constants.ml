@@ -126,9 +126,9 @@ let table =
       anchor = "create";
       cdoc = "SACK dupthresh 3 (fast-retransmit trigger)";
       proj = All_numeric;
-      (* dupthresh 3, default ring capacity 256, the >= 1 assert, and
-         the power-of-two rounding loop's 256 floor and 2 factor. *)
-      expect = [ 3.; 256.; 1.; 256.; 2. ];
+      (* dupthresh 3, default ring capacity 16, the >= 1 assert, and
+         the power-of-two rounding loop's 16 floor and 2 factor. *)
+      expect = [ 3.; 16.; 1.; 16.; 2. ];
     };
     {
       cid = "trunk.drr-quantum";

@@ -68,13 +68,3 @@ let pop_min t =
   end
 
 let clear t = t.size <- 0
-
-let to_sorted_list t =
-  if t.size = 0 then []
-  else begin
-    let copy = { t with data = Array.sub t.data 0 t.size } in
-    let rec drain acc =
-      match pop_min copy with None -> List.rev acc | Some x -> drain (x :: acc)
-    in
-    drain []
-  end

@@ -26,6 +26,3 @@ val pop_min : 'a t -> 'a option
 
 val clear : 'a t -> unit
 (** Remove every element, keeping the underlying storage. *)
-
-val to_sorted_list : 'a t -> 'a list
-(** Non-destructive ascending enumeration (O(n log n), copies the heap). *)

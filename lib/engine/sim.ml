@@ -23,6 +23,7 @@ type t = {
   mutable executed : int;
   mutable tracer : (trace_op -> unit) option;
   mutable arenas : Slab.t option array;  (* indexed by Slab.key *)
+  idle : Event.t;  (* never live: [next] on an empty heap *)
 }
 
 let create ?(seed = 42) ?(sched = `Wheel) () =
@@ -39,6 +40,7 @@ let create ?(seed = 42) ?(sched = `Wheel) () =
     executed = 0;
     tracer = None;
     arenas = [||];
+    idle = Event.make_dummy ();
   }
 
 let arena t lay =
@@ -156,44 +158,51 @@ let cancel t { ev; h_gen } = cancel_ev t ev ~gen:h_gen
 let pending t =
   match t.queue with Q_heap h -> Heap.length h | Q_wheel w -> Wheel.length w
 
-(* Next live event, shedding cancelled heap entries as they surface.
-   Cancelled events never run and never advance the clock, under either
-   scheduler. *)
-let rec live_min t =
+(* The next live event, or a dead record when none is left.  Cancelled
+   events never run and never advance the clock, under either
+   scheduler: the heap sheds its cancelled entries as they surface. *)
+let[@vtp.hot] rec next t =
   match t.queue with
-  | Q_wheel w -> Wheel.min w
+  | Q_wheel w -> Wheel.peek w
   | Q_heap h -> (
       match Heap.min h with
       | Some ev when not ev.Event.live ->
           ignore (Heap.pop_min h);
           release t ev;
-          live_min t
-      | head -> head)
+          next t
+      | Some ev -> ev
+      | None -> t.idle)
 
-let step t =
-  match live_min t with
-  | None -> false
-  | Some ev ->
-      (match t.queue with
-      | Q_heap h -> ignore (Heap.pop_min h)
-      | Q_wheel w -> ignore (Wheel.pop_min w));
-      t.clock <- ev.Event.time;
-      t.executed <- t.executed + 1;
-      (match t.tracer with Some f -> f T_pop | None -> ());
-      let run = ev.Event.run in
-      release t ev;
-      run ();
-      true
+(* Remove [ev], just returned live by [next], from the queue and run it.
+   On the wheel this and [next] allocate nothing. *)
+let[@vtp.hot] fire t (ev : Event.t) =
+  (match t.queue with
+  | Q_wheel w -> Wheel.take w ev
+  | Q_heap h -> ignore (Heap.pop_min h));
+  t.clock <- ev.Event.time;
+  t.executed <- t.executed + 1;
+  (match t.tracer with Some f -> f T_pop | None -> ());
+  let run = ev.Event.run in
+  release t ev;
+  run ()
+
+let[@vtp.hot] step t =
+  let ev = next t in
+  ev.Event.live
+  && begin
+       fire t ev;
+       true
+     end
+
+let[@vtp.hot] rec run_until t horizon =
+  let ev = next t in
+  if ev.Event.live && ev.Event.time <= horizon then begin
+    fire t ev;
+    run_until t horizon
+  end
+  else t.clock <- Stdlib.max t.clock horizon
 
 let run ?until t =
   match until with
   | None -> while step t do () done
-  | Some horizon ->
-      let continue = ref true in
-      while !continue do
-        match live_min t with
-        | Some ev when ev.Event.time <= horizon -> ignore (step t)
-        | Some _ | None ->
-            t.clock <- Stdlib.max t.clock horizon;
-            continue := false
-      done
+  | Some horizon -> run_until t horizon

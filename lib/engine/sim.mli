@@ -89,7 +89,9 @@ val executed : t -> int
 val run : ?until:float -> t -> unit
 (** Drain the event queue in time order.  With [until], stops once the
     next live event is strictly later than [until] and advances the
-    clock to [until].  Without it, runs until the queue empties. *)
+    clock to [until].  Without it, runs until the queue empties.  On
+    the wheel, each event is peeked and taken once ({!Wheel.peek},
+    {!Wheel.take}) and firing it allocates nothing in the engine. *)
 
 val step : t -> bool
 (** Execute the single next live event. [false] if none remain. *)

@@ -13,7 +13,10 @@
    "ready" binary heap ordered by (time, seq), which resolves both
    sub-tick ordering (several float times can share a tick) and FIFO
    ties — so the observable event order is byte-identical to the
-   reference binary-heap scheduler.
+   reference binary-heap scheduler.  The ready heap is private: a flat
+   [Event.t] array compared inline, with no comparison closure and no
+   option per peek, so {!Sim} fires an event with one [peek] and one
+   [take] and allocates nothing.
 
    Cancellation is eager: every event knows its bucket and index, so a
    cancel is an O(1) swap-remove and the record can be recycled
@@ -39,11 +42,14 @@ let tick_of_time time = int_of_float (time *. ticks_per_second)
 type bucket = { mutable arr : Event.t array; mutable n : int }
 
 type t = {
-  dummy : Event.t;  (** filler for vacated array slots *)
+  dummy : Event.t;  (** filler for vacated array slots; never live *)
   buckets : bucket array;  (** [levels * slots] wheel slots + overflow *)
   masks : int array;  (** per-level slot-occupancy bitmaps *)
   mutable cursor : int;  (** first tick not yet drained *)
-  ready : Event.t Heap.t;  (** staged events, ordered by (time, seq) *)
+  mutable ready : Event.t array;
+      (** staged events: a binary min-heap by (time, seq) over
+          [0, ready_n) *)
+  mutable ready_n : int;
   mutable size : int;  (** live events across buckets and ready *)
 }
 
@@ -54,11 +60,67 @@ let create () =
     buckets = Array.init (overflow_id + 1) (fun _ -> { arr = [||]; n = 0 });
     masks = Array.make levels 0;
     cursor = 0;
-    ready = Heap.create ~compare:Event.compare;
+    ready = Array.make 8 dummy;
+    ready_n = 0;
     size = 0;
   }
 
 let length t = t.size
+
+(* The ready heap.  [earlier] is {!Event.compare}'s (time, seq) order,
+   inline; [seq] is unique, so any heap pops the one canonical order. *)
+let[@inline] earlier (a : Event.t) (b : Event.t) =
+  let c = Float.compare a.Event.time b.Event.time in
+  c < 0 || (c = 0 && a.Event.seq < b.Event.seq)
+
+(* Move the hole at [i] toward the root until [ev] fits there. *)
+let[@vtp.hot] rec sift_up heap i (ev : Event.t) =
+  if i = 0 then heap.(0) <- ev
+  else begin
+    let p = (i - 1) / 2 in
+    let pe = heap.(p) in
+    if earlier ev pe then begin
+      heap.(i) <- pe;
+      sift_up heap p ev
+    end
+    else heap.(i) <- ev
+  end
+
+(* Move the hole at [i] toward the leaves of [heap.(0 .. n-1)] until
+   [ev] fits there. *)
+let[@vtp.hot] rec sift_down heap n i (ev : Event.t) =
+  let l = (2 * i) + 1 in
+  if l >= n then heap.(i) <- ev
+  else begin
+    let c = if l + 1 < n && earlier heap.(l + 1) heap.(l) then l + 1 else l in
+    let ce = heap.(c) in
+    if earlier ce ev then begin
+      heap.(i) <- ce;
+      sift_down heap n c ev
+    end
+    else heap.(i) <- ev
+  end
+
+let[@vtp.hot] stage t (ev : Event.t) =
+  ev.Event.where <- Event.in_ready;
+  let n = t.ready_n in
+  if n = Array.length t.ready then begin
+    let grown = Array.make (2 * n) t.dummy in
+    Array.blit t.ready 0 grown 0 n;
+    t.ready <- grown
+  end;
+  t.ready_n <- n + 1;
+  sift_up t.ready n ev
+
+(* Drop the ready heap's root. *)
+let[@vtp.hot] unstage t =
+  let root = t.ready.(0) in
+  let n = t.ready_n - 1 in
+  let last = t.ready.(n) in
+  t.ready.(n) <- t.dummy;
+  t.ready_n <- n;
+  if n > 0 then sift_down t.ready n 0 last;
+  root.Event.where <- Event.in_none
 
 let[@vtp.hot] bucket_push t id (ev : Event.t) =
   let b = t.buckets.(id) in
@@ -73,15 +135,39 @@ let[@vtp.hot] bucket_push t id (ev : Event.t) =
   ev.Event.pos <- b.n;
   b.n <- b.n + 1
 
-(* The level at which [tick] parts ways with the cursor: index of the
-   highest differing 5-bit slot group ([levels] = beyond the horizon).
-   Equal ticks file at level 0, in the cursor's own slot. *)
-let[@vtp.hot] rec find_level x l =
-  if l >= levels then levels
-  else if x < 1 lsl (slot_bits * (l + 1)) then l
-  else find_level x (l + 1)
+(* The index of the lowest set bit, in constant time: isolate the bit
+   with [m land (-m)] and hash the power of two through a de Bruijn
+   multiply (Leiserson, Prokop & Randall, 1998);
+   [debruijn.[debruijn_slot (1 lsl i)]] is [i]. *)
+let debruijn_slot p = ((p * 0x077CB531) land 0xFFFFFFFF) lsr 27
 
-let[@vtp.hot] level_of t tick = find_level (tick lxor t.cursor) 0
+let debruijn =
+  String.init 32 (fun slot ->
+      let rec find i =
+        if debruijn_slot (1 lsl i) = slot then i else find (i + 1)
+      in
+      Char.chr (find 0))
+
+(* For a slot-occupancy mask: 0 < m < 2^32. *)
+let[@vtp.hot] lowest_bit_index m =
+  Char.code debruijn.[debruijn_slot (m land (-m))]
+
+(* The level at which [tick] parts ways with the cursor, from
+   [x = tick lxor cursor]: the index of the highest differing 5-bit
+   slot group, i.e. [l] when 32^l <= x < 32^(l+1), and [levels] beyond
+   the horizon.  Equal ticks file at level 0, in the cursor's own slot.
+   A fixed tree of compares over the nine levels, shallowest for the
+   near levels most events file at: measured faster than a loop over
+   the levels, and than a de Bruijn lookup of the highest set bit. *)
+let[@vtp.hot] find_level x =
+  if x < 1 lsl 10 then if x < 1 lsl 5 then 0 else 1
+  else if x < 1 lsl 20 then if x < 1 lsl 15 then 2 else 3
+  else if x < 1 lsl 30 then if x < 1 lsl 25 then 4 else 5
+  else if x < 1 lsl 40 then if x < 1 lsl 35 then 6 else 7
+  else if x < 1 lsl 45 then 8
+  else levels
+
+let[@vtp.hot] level_of t tick = find_level (tick lxor t.cursor)
 
 let[@vtp.hot] place t (ev : Event.t) =
   let l = level_of t ev.Event.tick in
@@ -98,8 +184,7 @@ let[@vtp.hot] add t (ev : Event.t) =
   if ev.Event.tick < t.cursor then begin
     (* Due inside the already-drained region (the cursor may sit ahead
        of the sim clock after a peek): stage directly. *)
-    ev.Event.where <- Event.in_ready;
-    Heap.add t.ready ev
+    stage t ev
   end
   else place t ev
 
@@ -135,8 +220,7 @@ let[@vtp.hot] drain_slot t s =
   for i = 0 to n - 1 do
     let ev = b.arr.(i) in
     b.arr.(i) <- t.dummy;
-    ev.Event.where <- Event.in_ready;
-    Heap.add t.ready ev
+    stage t ev
   done;
   b.n <- 0;
   t.masks.(0) <- t.masks.(0) land lnot (1 lsl s);
@@ -170,11 +254,6 @@ let respread_overflow t =
   Array.fill b.arr 0 n t.dummy;
   b.n <- 0;
   Array.iter (fun ev -> place t ev) stash
-
-let[@vtp.hot] rec lowest_bit_from i m =
-  if m land 1 = 1 then i else lowest_bit_from (i + 1) (m lsr 1)
-
-let[@vtp.hot] lowest_bit_index m = lowest_bit_from 0 m
 
 (* The cursor just carried across a window boundary (its level-0 group
    wrapped to 0).  Cascade the slot it now occupies at every level the
@@ -231,29 +310,39 @@ and climb t l =
   end
 [@@vtp.hot]
 
-let[@vtp.hot] rec ensure t =
-  match Heap.min t.ready with
-  | Some ev when not ev.Event.live ->
+(* The ready heap's root once it is live, refilling from the wheel as
+   needed; [t.dummy] (never live) when the wheel is empty. *)
+let[@vtp.hot] rec peek t =
+  if t.ready_n > 0 then begin
+    let ev = t.ready.(0) in
+    if ev.Event.live then ev
+    else begin
       (* cancelled while staged: drop the corpse and keep looking *)
-      ignore (Heap.pop_min t.ready);
-      ev.Event.where <- Event.in_none;
-      ensure t
-  | Some _ as head -> head
-  | None ->
-      if t.size = 0 then None
-      else if refill t then ensure t
-      else failwith "Engine.Wheel: size accounting out of sync"
+      unstage t;
+      peek t
+    end
+  end
+  else if t.size = 0 then t.dummy
+  else if refill t then peek t
+  else failwith "Engine.Wheel: size accounting out of sync"
 
-let[@vtp.hot] min t = ensure t
+let[@vtp.hot] take t (ev : Event.t) =
+  if t.ready_n = 0 || t.ready.(0) != ev || not ev.Event.live then
+    invalid_arg "Engine.Wheel.take: not the event peek returned";
+  unstage t;
+  t.size <- t.size - 1
+
+let min t =
+  let ev = peek t in
+  if ev.Event.live then Some ev else None
 
 let pop_min t =
-  match ensure t with
-  | None -> None
-  | Some ev ->
-      ignore (Heap.pop_min t.ready);
-      ev.Event.where <- Event.in_none;
-      t.size <- t.size - 1;
-      Some ev
+  let ev = peek t in
+  if ev.Event.live then begin
+    take t ev;
+    Some ev
+  end
+  else None
 
 (* White-box accounting census for tests: every live event must be
    held exactly once, in a bucket or staged in the ready heap. *)
@@ -261,6 +350,7 @@ let census t =
   let live = ref 0 in
   Array.iter (fun b -> live := !live + b.n) t.buckets;
   let ready_live = ref 0 in
-  List.iter (fun (ev : Event.t) -> if ev.live then incr ready_live)
-    (Heap.to_sorted_list t.ready);
+  for i = 0 to t.ready_n - 1 do
+    if t.ready.(i).Event.live then incr ready_live
+  done;
   (!live, !ready_live, t.size, t.cursor)

@@ -5,7 +5,9 @@
     later deadlines overflow into a respread bucket).  Insert and cancel
     are O(1) amortized; finding the next event costs O(1) amortized via
     per-level occupancy bitmaps plus an O(log k) ready heap over the k
-    events of the current tick.
+    events of the current tick.  The ready heap is the wheel's own flat
+    array of events compared inline by (time, seq), and {!peek} and
+    {!take} allocate nothing: {!Sim} fires each event with one of each.
 
     Events pop in exactly the (time, seq) order of the reference
     {!Heap}-based scheduler; the two are differentially tested.  Unlike
@@ -29,12 +31,22 @@ val remove : t -> Event.t -> bool
 val length : t -> int
 (** Number of live (uncancelled, unfired) events. *)
 
+val peek : t -> Event.t
+(** The next live event in (time, seq) order, left in place; when the
+    wheel is empty, a sentinel record whose [live] is [false].  May
+    advance the internal cursor (cascading far slots down), which is
+    unobservable. *)
+
+val take : t -> Event.t -> unit
+(** Remove the event the last {!peek} returned.  Raises
+    [Invalid_argument] if it is not that live event. *)
+
 val min : t -> Event.t option
-(** Peek the next event without firing it.  May advance the internal
-    cursor (cascading far slots down), which is unobservable. *)
+(** {!peek} as an option: [None] when the wheel is empty. *)
 
 val pop_min : t -> Event.t option
-(** Remove and return the next event in (time, seq) order. *)
+(** {!peek} then {!take}: remove and return the next event in (time,
+    seq) order. *)
 
 val census : t -> int * int * int * int
 (** White-box accounting snapshot for tests:

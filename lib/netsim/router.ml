@@ -1,26 +1,44 @@
+(* Routes live in an array indexed by flow id: a topology numbers its
+   flows densely from 0, so forwarding a frame is one bounds check and
+   one load, with no hashing and no option per frame.  [no_route] fills
+   the entries no route was added for. *)
+let no_route (_ : Frame.t) = ()
+
 type t = {
   name : string;
-  routes : (int, Frame.t -> unit) Hashtbl.t;
+  mutable routes : (Frame.t -> unit) array;
   mutable default : (Frame.t -> unit) option;
   mutable unroutable : int;
 }
 
 let create ?(name = "router") () =
-  { name; routes = Hashtbl.create 16; default = None; unroutable = 0 }
+  { name; routes = [||]; default = None; unroutable = 0 }
 
-let add_route t ~flow_id sink = Hashtbl.replace t.routes flow_id sink
+let add_route t ~flow_id sink =
+  if flow_id < 0 then
+    invalid_arg
+      (Printf.sprintf "Router.add_route: negative flow_id %d" flow_id);
+  let n = Array.length t.routes in
+  if flow_id >= n then begin
+    let grown = Array.make (Stdlib.max (flow_id + 1) (2 * n)) no_route in
+    Array.blit t.routes 0 grown 0 n;
+    t.routes <- grown
+  end;
+  t.routes.(flow_id) <- sink
 
 let set_default t sink = t.default <- Some sink
 
 let forward t frame =
-  match Hashtbl.find_opt t.routes frame.Frame.flow_id with
-  | Some sink -> sink frame
-  | None -> (
-      match t.default with
-      | Some sink -> sink frame
-      | None ->
-          t.unroutable <- t.unroutable + 1;
-          Logs.debug (fun m ->
-              m "%s: no route for flow %d" t.name frame.Frame.flow_id))
+  let id = frame.Frame.flow_id in
+  let sink =
+    if id >= 0 && id < Array.length t.routes then t.routes.(id) else no_route
+  in
+  if sink != no_route then sink frame
+  else
+    match t.default with
+    | Some sink -> sink frame
+    | None ->
+        t.unroutable <- t.unroutable + 1;
+        Logs.debug (fun m -> m "%s: no route for flow %d" t.name id)
 
 let unroutable t = t.unroutable

@@ -15,7 +15,7 @@ let create ?cost ~deliver ~on_gap () =
     cost;
     deliver;
     on_gap;
-    buffer = Hashtbl.create 64;
+    buffer = Hashtbl.create 8;
     next = Serial.zero;
     delivered = 0;
     skipped = 0;

@@ -34,7 +34,7 @@ let create ?cost ?trace policy ~scoreboard () =
     cost;
     trace;
     queue = Queue.create ();
-    queued = Hashtbl.create 64;
+    queued = Hashtbl.create 8;
     gone = Runs.create 0;
     abandoned = 0;
   }

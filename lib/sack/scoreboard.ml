@@ -80,11 +80,13 @@ type t = {
 let retx_shift = 30
 let size_mask = (1 lsl retx_shift) - 1
 
-let create ?(dupthresh = 3) ?(capacity = 256) ?cost ?trace () =
+let create ?(dupthresh = 3) ?(capacity = 16) ?cost ?trace () =
   assert (dupthresh >= 1);
-  (* Round the ring up to a power of two; large-BDP senders pass their
+  (* Round the ring up to a power of two.  It starts small, because
+     most flows keep a few packets in flight and an idle flow should
+     cost little; it doubles on demand, and large-BDP senders pass their
      expected window so steady state never pays the doubling copies. *)
-  let cap = ref 256 in
+  let cap = ref 16 in
   while !cap < capacity do
     cap := 2 * !cap
   done;

@@ -41,8 +41,8 @@ val create :
     inferences (dupthresh and timeout) into the flight recorder; the
     sink supplies the clock the scoreboard itself does not hold.
     [capacity] pre-sizes the per-packet ring (rounded up to a power of
-    two, default 256); the ring grows on demand either way, so this is
-    purely a steady-state hint for large-BDP windows. *)
+    two, default and floor 16); the ring doubles on demand either way,
+    so this is purely a steady-state hint for large-BDP windows. *)
 
 val on_send :
   t -> seq:Packet.Serial.t -> now:float -> size:int -> is_retx:bool -> unit

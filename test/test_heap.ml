@@ -42,12 +42,6 @@ let test_clear () =
   Engine.Heap.add h 7;
   Alcotest.(check (option int)) "usable after clear" (Some 7) (Engine.Heap.pop_min h)
 
-let test_to_sorted_list () =
-  let h = Engine.Heap.create ~compare:Int.compare in
-  List.iter (Engine.Heap.add h) [ 4; 2; 8; 6 ];
-  Alcotest.(check (list int)) "sorted" [ 2; 4; 6; 8 ] (Engine.Heap.to_sorted_list h);
-  check_int "non-destructive" 4 (Engine.Heap.length h)
-
 let prop_heap_sorts =
   QCheck.Test.make ~name:"heap drains sorted" ~count:200
     QCheck.(list int)
@@ -80,7 +74,6 @@ let suite =
     Alcotest.test_case "drains in order" `Quick test_ordering;
     Alcotest.test_case "min peeks" `Quick test_min_not_removed;
     Alcotest.test_case "clear" `Quick test_clear;
-    Alcotest.test_case "to_sorted_list" `Quick test_to_sorted_list;
     QCheck_alcotest.to_alcotest prop_heap_sorts;
     QCheck_alcotest.to_alcotest prop_custom_order;
   ]

@@ -2,8 +2,9 @@
    must be observationally identical (pending-count accounting aside).
 
    - boundary behaviours pinned under each backend;
-   - a qcheck differential property replaying random scheduler programs
-     under both and comparing the full firing traces byte for byte;
+   - qcheck differential properties replaying random scheduler programs
+     under both and comparing the full firing traces byte for byte, one
+     of them with due times at every wheel level and past its horizon;
    - a white-box census property over the wheel's internal accounting;
    - a determinism regression: every fuzz smoke-corpus seed must
      produce digest-identical reports under both backends. *)
@@ -50,6 +51,35 @@ let test_horizon_reached_on_early_drain sched () =
   Engine.Sim.run ~until:10.0 sim;
   Alcotest.(check (float 1e-9))
     "clock lands on horizon after queue empties" 10.0 (Engine.Sim.now sim)
+
+(* The cursor carries into a new window at every level: event A sits on
+   the last tick before a 32^l-tick boundary, B just past it, and A
+   schedules C 100 µs later.  Draining A carries the cursor across the
+   boundary, and B, filed at level l, must be cascaded down then, or C
+   would be drained first. *)
+let test_carry_every_level sched () =
+  for l = 1 to 8 do
+    let sim = Engine.Sim.create ~sched () in
+    let log = ref [] in
+    let boundary = 32.0 ** float_of_int l in
+    let at_tick tick = (tick +. 0.5) *. 1e-6 in
+    ignore
+      (Engine.Sim.schedule_at sim
+         (at_tick (boundary -. 1.0))
+         (fun () ->
+           log := "A" :: !log;
+           ignore
+             (Engine.Sim.schedule_after sim 100e-6 (fun () ->
+                  log := "C" :: !log))));
+    ignore
+      (Engine.Sim.schedule_at sim
+         (at_tick (boundary +. 5.0))
+         (fun () -> log := "B" :: !log));
+    Engine.Sim.run sim;
+    Alcotest.(check (list string))
+      (Printf.sprintf "order across the level-%d boundary" l)
+      [ "A"; "B"; "C" ] (List.rev !log)
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Differential property.  A program is a list of (tag, arg) pairs —
@@ -108,6 +138,52 @@ let prop_differential =
     arb_program (fun prog ->
       String.equal (run_trace ~sched:`Wheel prog) (run_trace ~sched:`Heap prog))
 
+(* Far levels.  Delays of the random programs above are about a second
+   at most, so they file at wheel levels 0 to 3 only.  Here element
+   [(level, m)] is a delay of [(m + 1) / 7] level-[level] slots, one
+   slot spanning 32^level ticks of 1 µs, for levels 0 to 9: level 9
+   lies past the 2^45-tick horizon, in the overflow bucket.  Even
+   elements are scheduled up front; each firing schedules the next odd
+   one, so far slots are filed at many cursor positions and cascade
+   down through every level. *)
+let far_trace ~sched prog =
+  let buf = Buffer.create 256 in
+  let sim = Engine.Sim.create ~sched () in
+  let prog = Array.of_list prog in
+  let delay i =
+    let level, m = prog.(i) in
+    float_of_int ((m mod 50) + 1)
+    /. 7.0
+    *. (32.0 ** float_of_int (level mod 10))
+    *. 1e-6
+  in
+  let next_odd = ref 1 in
+  let rec note id () =
+    Buffer.add_string buf
+      (Printf.sprintf "%d@%.17g;" id (Engine.Sim.now sim));
+    if !next_odd < Array.length prog then begin
+      let i = !next_odd in
+      next_odd := i + 2;
+      ignore (Engine.Sim.schedule_after sim (delay i) (note i))
+    end
+  in
+  Array.iteri
+    (fun i _ ->
+      if i mod 2 = 0 then
+        ignore (Engine.Sim.schedule_after sim (delay i) (note i)))
+    prog;
+  Engine.Sim.run sim;
+  Buffer.add_string buf
+    (Printf.sprintf "end@%.17g#%d" (Engine.Sim.now sim)
+       (Engine.Sim.executed sim));
+  Buffer.contents buf
+
+let prop_far_levels =
+  QCheck.Test.make ~count:200
+    ~name:"every level and the overflow: wheel trace = heap trace"
+    arb_program (fun prog ->
+      String.equal (far_trace ~sched:`Wheel prog) (far_trace ~sched:`Heap prog))
+
 (* ------------------------------------------------------------------ *)
 (* White-box census: after every operation on a bare wheel, events held
    in buckets plus live events staged in the ready heap must equal the
@@ -120,6 +196,31 @@ let fresh_ev time seq =
   ev.Engine.Event.seq <- seq;
   ev.Engine.Event.live <- true;
   ev
+
+(* [take] removes only the live event [peek] returned: another event,
+   or that one cancelled since, is refused; an empty wheel peeks a
+   record that is not live. *)
+let test_take_checks () =
+  let w = Engine.Wheel.create () in
+  Alcotest.(check bool)
+    "empty: sentinel is not live" false
+    (Engine.Wheel.peek w).Engine.Event.live;
+  let a = fresh_ev 1.0 0 and b = fresh_ev 2.0 1 in
+  Engine.Wheel.add w a;
+  Engine.Wheel.add w b;
+  let refused =
+    Invalid_argument "Engine.Wheel.take: not the event peek returned"
+  in
+  Alcotest.(check bool) "peek is a" true (Engine.Wheel.peek w == a);
+  Alcotest.check_raises "b is not the head" refused (fun () ->
+      Engine.Wheel.take w b);
+  a.Engine.Event.live <- false;
+  Alcotest.check_raises "a was cancelled" refused (fun () ->
+      Engine.Wheel.take w a);
+  ignore (Engine.Wheel.remove w a : bool);
+  Alcotest.(check bool) "peek skips the corpse" true (Engine.Wheel.peek w == b);
+  Engine.Wheel.take w b;
+  Alcotest.(check int) "empty" 0 (Engine.Wheel.length w)
 
 let prop_census =
   QCheck.Test.make ~count:200 ~name:"wheel census invariant under random ops"
@@ -198,11 +299,18 @@ let suite =
           (Printf.sprintf "horizon reached on early drain [%s]" name)
           `Quick
           (test_horizon_reached_on_early_drain sched);
+        Alcotest.test_case
+          (Printf.sprintf "carry into every level [%s]" name)
+          `Quick
+          (test_carry_every_level sched);
       ])
     scheds
   @ [
       QCheck_alcotest.to_alcotest prop_differential;
+      QCheck_alcotest.to_alcotest prop_far_levels;
       QCheck_alcotest.to_alcotest prop_census;
+      Alcotest.test_case "take checks the peeked event" `Quick
+        test_take_checks;
       Alcotest.test_case "fuzz smoke corpus digests (wheel = heap)" `Quick
         test_fuzz_corpus_digests;
     ]

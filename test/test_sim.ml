@@ -100,6 +100,37 @@ let test_cascading_events () =
     "clock advanced by chain" true
     (Float.abs (Engine.Sim.now sim -. 9.9) < 1e-6)
 
+(* Firing an event allocates nothing in the engine: the wheel is
+   peeked and taken once per event, with no option, closure or tuple.
+   What remains is the boxed due time of the event each firing
+   schedules (2 words).  1,000 self-rearming timers with spread
+   periods plus one preallocated [post_after] thunk. *)
+let test_fire_allocation () =
+  let sim = Engine.Sim.create () in
+  for i = 0 to 999 do
+    let self = ref None in
+    let period = 0.01 +. (1e-5 *. float_of_int i) in
+    let t =
+      Engine.Timer.create sim ~on_expire:(fun () ->
+          match !self with
+          | Some t -> Engine.Timer.start t ~after:period
+          | None -> ())
+    in
+    self := Some t;
+    Engine.Timer.start t ~after:period
+  done;
+  let rec tick () = Engine.Sim.post_after sim 0.001 tick in
+  tick ();
+  Engine.Sim.run ~until:1.0 sim;
+  let events0 = Engine.Sim.executed sim and words0 = Gc.minor_words () in
+  Engine.Sim.run ~until:11.0 sim;
+  let words = Gc.minor_words () -. words0 in
+  let events = Engine.Sim.executed sim - events0 in
+  Alcotest.(check bool) "ran the timers" true (events > 600_000);
+  let per_event = words /. float_of_int events in
+  if per_event > 3.0 then
+    Alcotest.failf "%.2f minor words per fired event (at most 3)" per_event
+
 let suite =
   [
     Alcotest.test_case "time order" `Quick test_runs_in_time_order;
@@ -112,4 +143,6 @@ let suite =
     Alcotest.test_case "run ~until" `Quick test_until_horizon;
     Alcotest.test_case "step" `Quick test_step;
     Alcotest.test_case "cascading events" `Quick test_cascading_events;
+    Alcotest.test_case "firing allocates at most 3 words" `Quick
+      test_fire_allocation;
   ]

@@ -24,6 +24,42 @@ let test_router_default_and_unroutable () =
   Alcotest.(check int) "default used" 1 !d;
   Alcotest.(check int) "no new unroutable" 1 (Netsim.Router.unroutable r)
 
+(* Routes are indexed by flow id: a negative id is refused when routed
+   and falls to the default when forwarded, as does an id past the
+   table; a sparse id grows the table without disturbing the others. *)
+let test_router_ids () =
+  let r = Netsim.Router.create () in
+  Alcotest.check_raises "negative flow_id"
+    (Invalid_argument "Router.add_route: negative flow_id -1") (fun () ->
+      Netsim.Router.add_route r ~flow_id:(-1) ignore);
+  let a = ref 0 and sparse = ref 0 in
+  Netsim.Router.add_route r ~flow_id:0 (fun _ -> incr a);
+  Netsim.Router.forward r (frame ~flow:(-1) 1);
+  Netsim.Router.forward r (frame ~flow:1 2);
+  Netsim.Router.forward r (frame ~flow:1_000_000 3);
+  Alcotest.(check int) "negative, unset and past the table: unroutable" 3
+    (Netsim.Router.unroutable r);
+  let d = ref 0 in
+  Netsim.Router.set_default r (fun _ -> incr d);
+  Netsim.Router.forward r (frame ~flow:(-1) 4);
+  Netsim.Router.forward r (frame ~flow:1_000_000 5);
+  Alcotest.(check int) "negative and past the table: default" 2 !d;
+  Netsim.Router.add_route r ~flow_id:5_000 (fun _ -> incr sparse);
+  Netsim.Router.forward r (frame ~flow:5_000 6);
+  Netsim.Router.forward r (frame ~flow:4_999 7);
+  Netsim.Router.forward r (frame ~flow:0 8);
+  Alcotest.(check int) "sparse id routed" 1 !sparse;
+  Alcotest.(check int) "gap below it: default" 3 !d;
+  Alcotest.(check int) "earlier route kept" 1 !a;
+  Alcotest.(check int) "no new unroutable" 3 (Netsim.Router.unroutable r);
+  let fresh = Netsim.Router.create () in
+  let s = ref 0 in
+  Netsim.Router.add_route fresh ~flow_id:5_000 (fun _ -> incr s);
+  Netsim.Router.forward fresh (frame ~flow:5_000 9);
+  Netsim.Router.forward fresh (frame ~flow:0 10);
+  Alcotest.(check int) "sparse id on a fresh router" 1 !s;
+  Alcotest.(check int) "below it, unroutable" 1 (Netsim.Router.unroutable fresh)
+
 let test_marker_colours () =
   let sim = Engine.Sim.create () in
   (* 0.8 Mb/s committed, 2000 B burst: the first two 1000 B packets are
@@ -117,6 +153,7 @@ let suite =
   [
     Alcotest.test_case "router by flow" `Quick test_router_routes_by_flow;
     Alcotest.test_case "router default" `Quick test_router_default_and_unroutable;
+    Alcotest.test_case "router ids" `Quick test_router_ids;
     Alcotest.test_case "marker colours" `Quick test_marker_colours;
     Alcotest.test_case "duplex round trip" `Quick test_duplex_path_round_trip;
     Alcotest.test_case "dumbbell isolates flows" `Quick
