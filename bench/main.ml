@@ -245,19 +245,18 @@ let bench_heap =
        ignore (Engine.Heap.pop_min h)
      done)
 
-(* The flight recorder's zero-allocation fast path: one packed journal
-   write plus the per-flow count bump, cycling over 64 flows so the tag
-   word varies like a real mixed-flow run. *)
+(* The flight recorder's per-segment cost: build the [Seg_send] event,
+   then one packed journal write plus the per-flow count bump, cycling
+   over 64 flows so the tag word varies like a real mixed-flow run. *)
 let[@vtp.ambient] bench_trace_record =
   Test.make ~name:"trace.record_seg_send"
     (let r = Trace.Recorder.create () in
      let i = ref 0 in
      Staged.stage @@ fun () ->
      incr i;
-     Trace.Recorder.record_seg_send r ~flow:(!i land 63)
-       ~at:(float_of_int !i)
-       ~seq:(Packet.Serial.of_int !i)
-       ~size:1500 ~retx:false)
+     Trace.Recorder.record r ~flow:(!i land 63) ~at:(float_of_int !i)
+       (Trace.Event.Seg_send
+          { seq = Packet.Serial.of_int !i; size = 1500; retx = false }))
 
 (* A full end-to-end simulated second of a TFRC transfer, to price the
    whole stack rather than one kernel. *)

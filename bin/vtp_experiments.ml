@@ -35,12 +35,10 @@ let trace =
            entry's event count and canonical trace digest.")
 
 let jobs =
-  Arg.(
-    value & opt (some int) None
-    & info [ "jobs"; "j" ] ~docv:"N"
-        ~doc:"Worker domains for the fan-out (default $(b,VTP_JOBS) if set, \
-              else the recommended domain count).  Output is identical at \
-              any value.")
+  Vtp_cli.jobs
+    ~doc:"Worker domains for the fan-out (default $(b,VTP_JOBS) if set, \
+          else the recommended domain count).  Output is identical at \
+          any value."
 
 let ids =
   Arg.(value & pos_all string [] & info [] ~docv:"ID" ~doc:"Experiment ids (default: all).")

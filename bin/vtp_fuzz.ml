@@ -81,11 +81,9 @@ let band =
               gTFRC connection).")
 
 let jobs =
-  Arg.(
-    value & opt (some int) None
-    & info [ "jobs"; "j" ] ~docv:"N"
-        ~doc:"Worker domains for the fan-out (default $(b,VTP_JOBS) if set, \
-              else the recommended domain count).")
+  Vtp_cli.jobs
+    ~doc:"Worker domains for the fan-out (default $(b,VTP_JOBS) if set, \
+          else the recommended domain count)."
 
 let verbose =
   Arg.(
@@ -129,7 +127,7 @@ let summarise ~digest (s : Fuzz.Driver.soak) =
   end;
   if s.Fuzz.Driver.found = [] then 0 else 1
 
-let run seeds base band replay shrink matrix smoke digest jobs verbose =
+let fuzz seeds base band replay shrink matrix smoke digest jobs verbose =
   match replay with
   | Some seed ->
       let f =
@@ -166,6 +164,10 @@ let run seeds base band replay shrink matrix smoke digest jobs verbose =
         summarise ~digest
           (Fuzz.Driver.soak ~base ~band ~shrink ?progress ?jobs ~seeds ())
 
+let run seeds base band replay shrink matrix smoke digest jobs verbose =
+  if seeds < 1 then `Error (true, Printf.sprintf "--seeds %d is below 1" seeds)
+  else `Ok (fuzz seeds base band replay shrink matrix smoke digest jobs verbose)
+
 let cmd =
   let doc =
     "Deterministic scenario fuzzing of the versatile transport protocol."
@@ -173,7 +175,8 @@ let cmd =
   Cmd.v
     (Cmd.info "vtp_fuzz" ~doc)
     Term.(
-      const run $ seeds $ base $ band $ replay $ shrink $ matrix $ smoke
-      $ digest $ jobs $ verbose)
+      ret
+        (const run $ seeds $ base $ band $ replay $ shrink $ matrix $ smoke
+        $ digest $ jobs $ verbose))
 
 let () = exit (Cmd.eval' cmd)

@@ -19,12 +19,10 @@ let list_rules =
   Arg.(value & flag & info [ "list-rules" ] ~doc:"List the rule table and exit.")
 
 let jobs =
-  Arg.(
-    value & opt (some int) None
-    & info [ "jobs"; "j" ] ~docv:"N"
-        ~doc:"Worker domains for the per-file scan (default $(b,VTP_JOBS) \
-              if set, else the recommended domain count).  Output is \
-              identical at any value.")
+  Vtp_cli.jobs
+    ~doc:"Worker domains for the per-file scan (default $(b,VTP_JOBS) \
+          if set, else the recommended domain count).  Output is \
+          identical at any value."
 
 let json_out =
   Arg.(

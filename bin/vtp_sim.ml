@@ -83,12 +83,10 @@ let seeds =
               $(b,--seed)) and print one line per seed, in seed order.")
 
 let jobs =
-  Arg.(
-    value & opt (some int) None
-    & info [ "jobs"; "j" ] ~docv:"N"
-        ~doc:"Worker domains for the $(b,--seeds) sweep, at least 1 \
-              (default $(b,VTP_JOBS) if set, else the recommended domain \
-              count).  Output is identical at any value.")
+  Vtp_cli.jobs
+    ~doc:"Worker domains for the $(b,--seeds) sweep (default \
+          $(b,VTP_JOBS) if set, else the recommended domain count).  \
+          Output is identical at any value."
 
 let reliability =
   Arg.(value & opt rel_conv Qtp.Capabilities.R_none
@@ -182,7 +180,7 @@ let render_one ~proto ~rate ~delay ~loss ~burstiness ~g ~duration ~reliability
    error (exit 124), not an exception or a nonsense report mid-run.
    Throughput is measured over [1 s, duration), so a run must last
    longer than 1 s. *)
-let check_numbers ~rate ~delay ~g ~duration ~seeds ~jobs =
+let check_numbers ~rate ~delay ~g ~duration ~seeds =
   if not (Float.is_finite rate && rate > 0.0) then
     Error (Printf.sprintf "--rate %g is not a finite rate above 0" rate)
   else if not (Float.is_finite g && g > 0.0) then
@@ -196,10 +194,7 @@ let check_numbers ~rate ~delay ~g ~duration ~seeds ~jobs =
           measured from 1 s)"
          duration)
   else if seeds < 1 then Error (Printf.sprintf "--seeds %d is below 1" seeds)
-  else
-    match jobs with
-    | Some j when j < 1 -> Error (Printf.sprintf "--jobs %d is below 1" j)
-    | Some _ | None -> Ok ()
+  else Ok ()
 
 (* Past the loss flags' own ranges, the loss model's constructor is the
    judge. *)
@@ -218,7 +213,7 @@ let check_loss ~loss ~burstiness =
 let run proto rate delay loss burstiness g duration seed seeds jobs reliability
     =
   match
-    Result.bind (check_numbers ~rate ~delay ~g ~duration ~seeds ~jobs)
+    Result.bind (check_numbers ~rate ~delay ~g ~duration ~seeds)
       (fun () -> check_loss ~loss ~burstiness)
   with
   | Error msg -> `Error (true, msg)

@@ -96,13 +96,10 @@ let check =
            (exit 1 on any mismatch).")
 
 let jobs =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "jobs"; "j" ] ~docv:"N"
-        ~doc:"Worker domains for $(b,--regen)/$(b,--check) replay (default \
-              $(b,VTP_JOBS) if set, else the recommended domain count).  \
-              Output is identical at any value.")
+  Vtp_cli.jobs
+    ~doc:"Worker domains for $(b,--regen)/$(b,--check) replay (default \
+          $(b,VTP_JOBS) if set, else the recommended domain count).  \
+          Output is identical at any value."
 
 let do_diff a b =
   let ta = read_file a and tb = read_file b in

@@ -233,7 +233,9 @@ let passes : Pass.t list =
          processing; the trace subsystem records raw values and \
          renders them only when a report is requested.";
       bad = "let[@vtp.hot] emit t = log (Printf.sprintf \"seq=%d\" t.seq)";
-      good = "let[@vtp.hot] emit t = Trace.Sink.seg_send t.sink ~seq:t.seq ~size ~retx";
+      good =
+        "let[@vtp.hot] emit t = if Trace.Sink.on t.sink then Trace.Sink.emit \
+         t.sink (Trace.Event.Abandoned { seq = t.seq })";
       dirs = [];
       allow = [];
       kind = File_pass run_format;

@@ -170,7 +170,10 @@ let emit_data t ~seq ~is_retx =
       segment
   in
   frame.Netsim.Frame.ect <- t.cfg.agreed.Capabilities.use_ecn;
-  Trace.Sink.seg_send t.trace ~seq ~size:t.cfg.packet_size ~retx:is_retx;
+  if Trace.Sink.on t.trace then
+    Trace.Sink.emit t.trace
+      (Trace.Event.Seg_send
+         { seq; size = t.cfg.packet_size; retx = is_retx });
   t.endpoint.Netsim.Topology.to_receiver frame
 
 let transmit_opportunity t =
@@ -284,11 +287,15 @@ let sender_on_sack t (sf : Header.sack_feedback) =
           ~on_lost:(fun seq -> push_loss t seq)
       in
       if Trace.Sink.on t.trace then
-        Trace.Sink.sack_rcvd t.trace ~cum_ack:sf.cum_ack
-          ~blocks:(List.length sf.blocks)
-          ~acked:summary.Sack.Scoreboard.fb_acked
-          ~sacked:summary.Sack.Scoreboard.fb_sacked
-          ~lost:summary.Sack.Scoreboard.fb_lost;
+        Trace.Sink.emit t.trace
+          (Trace.Event.Sack_rcvd
+             {
+               cum_ack = sf.cum_ack;
+               blocks = List.length sf.blocks;
+               acked = summary.Sack.Scoreboard.fb_acked;
+               sacked = summary.Sack.Scoreboard.fb_sacked;
+               lost = summary.Sack.Scoreboard.fb_lost;
+             });
       (* Feed the staged losses (ascending) after the Sack_rcvd emit. *)
       (match t.snd.reliability with
       | Some rel when t.snd.loss_n > 0 ->
@@ -390,9 +397,13 @@ let emit_sack t =
         t.feedback_packets <- t.feedback_packets + 1;
         t.feedback_bytes <- t.feedback_bytes + Packet.Segment.size segment;
         if Trace.Sink.on t.trace then
-          Trace.Sink.sack_sent t.trace
-            ~cum_ack:(Sack.Rcv_tracker.cum_ack tr)
-            ~blocks:(List.length blocks) ~x_recv:(rxf r rxf_x_recv);
+          Trace.Sink.emit t.trace
+            (Trace.Event.Sack_sent
+               {
+                 cum_ack = Sack.Rcv_tracker.cum_ack tr;
+                 blocks = List.length blocks;
+                 x_recv = rxf r rxf_x_recv;
+               });
         send_reverse t segment
       end
 
@@ -410,8 +421,10 @@ let arm_sack_timer t =
 let[@vtp.hot] receiver_on_data t (d : Header.data) ~ce ~wire_size ~payload =
   let now = Engine.Sim.now t.sim in
   let r = t.rcv in
-  Trace.Sink.seg_recv t.trace ~seq:d.seq ~size:wire_size ~ce
-    ~retx:d.is_retransmit;
+  if Trace.Sink.on t.trace then
+    Trace.Sink.emit t.trace
+      (Trace.Event.Seg_recv
+         { seq = d.seq; size = wire_size; ce; retx = d.is_retransmit });
   if d.rtt_estimate > 0.0 then rxf_set r rxf_last_rtt d.rtt_estimate;
   let first = rxi r rxi_has_last = 0 in
   rxi_set r rxi_has_last 1;

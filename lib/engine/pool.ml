@@ -42,13 +42,18 @@ type t = {
 
 let max_jobs = 128
 
+let jobs_of_string s =
+  match int_of_string_opt (String.trim s) with
+  | Some j when j >= 1 -> Ok (Stdlib.min j max_jobs)
+  | Some _ | None ->
+      Error (Printf.sprintf "%S is not an integer of at least 1" s)
+
 let default_jobs () =
   match Sys.getenv_opt "VTP_JOBS" with
   | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some j when j >= 1 -> Stdlib.min j max_jobs
-      | Some _ | None ->
-          invalid_arg (Printf.sprintf "VTP_JOBS=%S is not a positive integer" s))
+      match jobs_of_string s with
+      | Ok j -> j
+      | Error msg -> invalid_arg ("VTP_JOBS: " ^ msg))
   | None -> Stdlib.max 1 (Domain.recommended_domain_count ())
 
 let jobs t = t.n_jobs

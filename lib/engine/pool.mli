@@ -25,9 +25,14 @@
 
 type t
 
+val jobs_of_string : string -> (int, string) result
+(** The worker-count rule for [--jobs] and [$VTP_JOBS] alike: an integer
+    of at least 1, clamped to 128; anything else is an [Error] naming
+    the value. *)
+
 val default_jobs : unit -> int
-(** [$VTP_JOBS] if set (clamped to [\[1, 128\]]), else
-    [Domain.recommended_domain_count ()]. *)
+(** [$VTP_JOBS] read by {!jobs_of_string} if set (a bad value raises
+    [Invalid_argument]), else [Domain.recommended_domain_count ()]. *)
 
 val create : ?jobs:int -> unit -> t
 (** Spawn a pool of [jobs] workers (default {!default_jobs}).  The

@@ -155,9 +155,6 @@ let cancel_ev t ev ~gen =
 
 let cancel t { ev; h_gen } = cancel_ev t ev ~gen:h_gen
 
-let pending t =
-  match t.queue with Q_heap h -> Heap.length h | Q_wheel w -> Wheel.length w
-
 (* The next live event, or a dead record when none is left.  Cancelled
    events never run and never advance the clock, under either
    scheduler: the heap sheds its cancelled entries as they surface. *)

@@ -9,8 +9,7 @@
     timer wheel ({!Wheel}, the default — O(1) amortized insert/cancel)
     and a binary heap ({!Heap} — O(log n), kept as the differential
     reference).  Both fire events in identical (time, insertion) order;
-    the choice is observable only through performance and through
-    {!pending}'s accounting of cancelled events. *)
+    the choice is observable only through performance. *)
 
 type t
 
@@ -75,12 +74,6 @@ val cancel : t -> handle -> unit
 (** Cancel a pending event; cancelling a fired or cancelled event is a
     no-op.  A cancelled event never runs and never advances the
     clock. *)
-
-val pending : t -> int
-(** Number of events still queued.  Under [`Wheel] cancelled events are
-    removed immediately so this counts live events exactly; under
-    [`Heap] cancelled placeholders linger (and are counted) until they
-    would have fired. *)
 
 val executed : t -> int
 (** Events run so far — the denominator for events/sec throughput

@@ -332,10 +332,6 @@ let[@vtp.hot] take t (ev : Event.t) =
   unstage t;
   t.size <- t.size - 1
 
-let min t =
-  let ev = peek t in
-  if ev.Event.live then Some ev else None
-
 let pop_min t =
   let ev = peek t in
   if ev.Event.live then begin

@@ -41,9 +41,6 @@ val take : t -> Event.t -> unit
 (** Remove the event the last {!peek} returned.  Raises
     [Invalid_argument] if it is not that live event. *)
 
-val min : t -> Event.t option
-(** {!peek} as an option: [None] when the wheel is empty. *)
-
 val pop_min : t -> Event.t option
 (** {!peek} then {!take}: remove and return the next event in (time,
     seq) order. *)

@@ -38,8 +38,10 @@ let create ~sim ~endpoint ?(params = Tcp_sender.default_params)
   let trace = Some trace in
   (* Sender side: emit data frames on the forward path. *)
   let transmit seg ~payload =
-    Trace.Sink.tcp_send trace ~seq:seg.Tcp_wire.seq
-      ~retx:seg.Tcp_wire.is_retx;
+    if Trace.Sink.on trace then
+      Trace.Sink.emit trace
+        (Trace.Event.Tcp_send
+           { seq = seg.Tcp_wire.seq; retx = seg.Tcp_wire.is_retx });
     let frame =
       Netsim.Frame.make ~uid:(uid ()) ~flow_id
         ~size:(Tcp_wire.seg_size ~payload)
@@ -65,9 +67,14 @@ let create ~sim ~endpoint ?(params = Tcp_sender.default_params)
       match frame.Netsim.Frame.body with
       | Tcp_wire.Ack ack ->
           Tcp_sender.on_ack sender ack;
-          Trace.Sink.tcp_ack trace ~cum_ack:ack.Tcp_wire.cum_ack
-            ~cwnd:(Tcp_sender.cwnd sender)
-            ~ssthresh:(Tcp_sender.ssthresh sender)
+          if Trace.Sink.on trace then
+            Trace.Sink.emit trace
+              (Trace.Event.Tcp_ack_rcvd
+                 {
+                   cum_ack = ack.Tcp_wire.cum_ack;
+                   cwnd = Tcp_sender.cwnd sender;
+                   ssthresh = Tcp_sender.ssthresh sender;
+                 })
       | _ -> ());
   ignore
     (Engine.Sim.schedule_at sim start_at (fun () -> Tcp_sender.start sender));

@@ -39,8 +39,6 @@ type t =
   | Tcp_ack_rcvd of { cum_ack : Serial.t; cwnd : float; ssthresh : float }
   | Handover of { from_path : string; to_path : string; cut : bool }
 
-let dummy = Conn_state { state = "" }
-
 let name = function
   | Seg_send _ -> "segment_sent"
   | Seg_recv _ -> "segment_received"

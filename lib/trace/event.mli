@@ -76,9 +76,6 @@ type t =
       (** the flow's path migrated between named link pairs; [cut]
           distinguishes [`Cut] (old path severed) from [`Drain] *)
 
-val dummy : t
-(** Inert placeholder for preallocated ring slots. *)
-
 val name : t -> string
 (** Short stable event name (also the qlog event name). *)
 

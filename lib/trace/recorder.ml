@@ -5,16 +5,13 @@
    while a single sequential journal streams at near-bandwidth.
    Per-flow bounded rings — the exported shape — are materialised on
    demand from the journal's flow labels; only per-flow event COUNTS
-   are maintained online, in a direct-mapped array so the hot path
-   stays allocation-free. *)
-
-let max_slot = 1024
+   are maintained online, in an array indexed by flow id (ids are
+   dense, and {!Ring.push} bounds them to [0, 2^20)). *)
 
 type t = {
   capacity : int;  (* bound for materialised per-flow rings *)
   journal : Ring.t;
-  counts : int array;
-  more : (int, int ref) Hashtbl.t;  (* flows outside [0, max_slot) *)
+  mutable counts : int array;  (* grown on demand, indexed by flow id *)
   mutable total : int;
 }
 
@@ -32,8 +29,7 @@ let create ?(capacity = default_capacity) () =
   {
     capacity;
     journal = Ring.create ~capacity:(journal_factor * capacity);
-    counts = Array.make max_slot 0;
-    more = Hashtbl.create 16;
+    counts = [||];
     total = 0;
   }
 
@@ -45,76 +41,43 @@ let create ?(capacity = default_capacity) () =
 let ambient : t option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
-let install t = Domain.DLS.get ambient := Some t
-
-let clear () = Domain.DLS.get ambient := None
-
-let installed () = !(Domain.DLS.get ambient)
-
 let on () =
   match !(Domain.DLS.get ambient) with Some _ -> true | None -> false
 
-let bump t flow =
-  if flow >= 0 && flow < max_slot then t.counts.(flow) <- t.counts.(flow) + 1
-  else begin
-    match Hashtbl.find_opt t.more flow with
-    | Some r -> incr r
-    | None -> Hashtbl.add t.more flow (ref 1)
-  end;
-  t.total <- t.total + 1
-
+(* [Ring.push] validates the flow id first, so a rejected id leaves the
+   counts and the total untouched. *)
 let record t ~flow ~at ev =
   Ring.push ~flow t.journal ~at ev;
-  bump t flow
+  let n = Array.length t.counts in
+  if flow >= n then begin
+    let grown = Array.make (Stdlib.max (flow + 1) (2 * n)) 0 in
+    Array.blit t.counts 0 grown 0 n;
+    t.counts <- grown
+  end;
+  t.counts.(flow) <- t.counts.(flow) + 1;
+  t.total <- t.total + 1
 
 let emit ~flow ~at ev =
   match !(Domain.DLS.get ambient) with
   | None -> ()
   | Some t -> record t ~flow ~at ev
 
-(* Fast-path mirrors of {!Ring}'s zero-allocation pushes; {!Sink}'s
-   wrappers check {!installed} before evaluating any argument, so an
-   untraced run pays only that load. *)
-
-let record_seg_send t ~flow ~at ~seq ~size ~retx =
-  Ring.push_seg_send ~flow t.journal ~at ~seq ~size ~retx;
-  bump t flow
-
-let record_seg_recv t ~flow ~at ~seq ~size ~ce ~retx =
-  Ring.push_seg_recv ~flow t.journal ~at ~seq ~size ~ce ~retx;
-  bump t flow
-
-let record_sack_sent t ~flow ~at ~cum_ack ~blocks ~x_recv =
-  Ring.push_sack_sent ~flow t.journal ~at ~cum_ack ~blocks ~x_recv;
-  bump t flow
-
-let record_sack_rcvd t ~flow ~at ~cum_ack ~blocks ~acked ~sacked ~lost =
-  Ring.push_sack_rcvd ~flow t.journal ~at ~cum_ack ~blocks ~acked ~sacked
-    ~lost;
-  bump t flow
-
-let record_tcp_send t ~flow ~at ~seq ~retx =
-  Ring.push_tcp_send ~flow t.journal ~at ~seq ~retx;
-  bump t flow
-
-let record_tcp_ack t ~flow ~at ~cum_ack ~cwnd ~ssthresh =
-  Ring.push_tcp_ack ~flow t.journal ~at ~cum_ack ~cwnd ~ssthresh;
-  bump t flow
-
 let with_recorder ?capacity f =
   let t = create ?capacity () in
-  install t;
-  let x = Fun.protect ~finally:clear f in
+  let slot = Domain.DLS.get ambient in
+  slot := Some t;
+  let x = Fun.protect ~finally:(fun () -> slot := None) f in
   (x, t)
 
 let count t flow =
-  if flow >= 0 && flow < max_slot then t.counts.(flow)
-  else match Hashtbl.find_opt t.more flow with Some r -> !r | None -> 0
+  if flow >= 0 && flow < Array.length t.counts then t.counts.(flow) else 0
 
 let flows t =
-  let ids = ref (Hashtbl.fold (fun k _ acc -> k :: acc) t.more []) in
-  Array.iteri (fun i c -> if c > 0 then ids := i :: !ids) t.counts;
-  List.sort Int.compare !ids
+  let ids = ref [] in
+  for i = Array.length t.counts - 1 downto 0 do
+    if t.counts.(i) > 0 then ids := i :: !ids
+  done;
+  !ids
 
 let ring t ~flow =
   let n = count t flow in

@@ -272,100 +272,15 @@ let decode t slot =
   in
   ((tagw lsr 6) land max_flow, { at = f 0; ev })
 
-let check_flow flow =
+let push ?(flow = 0) t ~at ev =
   if flow < 0 || flow > max_flow then
-    invalid_arg "Trace.Ring.push: flow outside [0, 2^20)"
-
-let next_slot t =
+    invalid_arg "Trace.Ring.push: flow outside [0, 2^20)";
   let s = t.head + t.len in
-  if s >= t.capacity then s - t.capacity else s
-
-let advance t =
+  encode t (if s >= t.capacity then s - t.capacity else s) ~flow ~at ev;
   if t.len = t.capacity then
     t.head <- (if t.head + 1 >= t.capacity then 0 else t.head + 1)
   else t.len <- t.len + 1;
   t.total <- t.total + 1
-
-let push ?(flow = 0) t ~at ev =
-  check_flow flow;
-  encode t (next_slot t) ~flow ~at ev;
-  advance t
-
-(* Fast paths for the event shapes that dominate a busy trace, encoded
-   straight from scalar arguments: no [Event.t] allocation, no
-   constructor dispatch, three to five unboxed stores.  Each writes
-   bit-for-bit what [encode] writes for the equivalent event, so decode
-   and the canonical serialisation cannot tell them apart — the golden
-   corpus pins that equivalence. *)
-
-let push_seg_send ?(flow = 0) t ~at ~seq ~size ~retx =
-  check_flow flow;
-  let slot = next_slot t in
-  let w = chunk_for t slot in
-  let b = (slot land chunk_mask) * stride in
-  w.(b) <- at;
-  w.(b + 1) <- fi (tag ~flow 0 lor b1 retx);
-  w.(b + 2) <- serial seq;
-  w.(b + 3) <- fi size;
-  advance t
-
-let push_seg_recv ?(flow = 0) t ~at ~seq ~size ~ce ~retx =
-  check_flow flow;
-  let slot = next_slot t in
-  let w = chunk_for t slot in
-  let b = (slot land chunk_mask) * stride in
-  w.(b) <- at;
-  w.(b + 1) <- fi (tag ~flow 1 lor b1 ce lor (b1 retx lsl 1));
-  w.(b + 2) <- serial seq;
-  w.(b + 3) <- fi size;
-  advance t
-
-let push_sack_sent ?(flow = 0) t ~at ~cum_ack ~blocks ~x_recv =
-  check_flow flow;
-  let slot = next_slot t in
-  let w = chunk_for t slot in
-  let b = (slot land chunk_mask) * stride in
-  w.(b) <- at;
-  w.(b + 1) <- fi (tag ~flow 2);
-  w.(b + 2) <- serial cum_ack;
-  w.(b + 3) <- fi blocks;
-  w.(b + 4) <- x_recv;
-  advance t
-
-let push_sack_rcvd ?(flow = 0) t ~at ~cum_ack ~blocks ~acked ~sacked ~lost =
-  check_flow flow;
-  let slot = next_slot t in
-  let w = chunk_for t slot in
-  let b = (slot land chunk_mask) * stride in
-  w.(b) <- at;
-  w.(b + 1) <- fi (tag ~flow 3 lor ((blocks land 0xFFFF) lsl aux0));
-  w.(b + 2) <- serial cum_ack;
-  w.(b + 3) <- fi acked;
-  w.(b + 4) <- fi sacked;
-  w.(b + 5) <- fi lost;
-  advance t
-
-let push_tcp_send ?(flow = 0) t ~at ~seq ~retx =
-  check_flow flow;
-  let slot = next_slot t in
-  let w = chunk_for t slot in
-  let b = (slot land chunk_mask) * stride in
-  w.(b) <- at;
-  w.(b + 1) <- fi (tag ~flow 16 lor b1 retx);
-  w.(b + 2) <- serial seq;
-  advance t
-
-let push_tcp_ack ?(flow = 0) t ~at ~cum_ack ~cwnd ~ssthresh =
-  check_flow flow;
-  let slot = next_slot t in
-  let w = chunk_for t slot in
-  let b = (slot land chunk_mask) * stride in
-  w.(b) <- at;
-  w.(b + 1) <- fi (tag ~flow 17);
-  w.(b + 2) <- serial cum_ack;
-  w.(b + 3) <- cwnd;
-  w.(b + 4) <- ssthresh;
-  advance t
 
 let note_dropped t n =
   if n < 0 then invalid_arg "Trace.Ring.note_dropped: n < 0";

@@ -2,12 +2,13 @@
 
     A bounded circular buffer of timestamped events, packed into flat
     float chunks that are allocated lazily as the ring fills (so
-    short-lived flows stay small and recording allocates nothing per
-    event).  When full, the oldest entry is overwritten and {!dropped}
-    counts the eviction,
-    so a long run keeps the newest window at O(capacity) memory while
-    the canonical serialisation still states exactly how much history
-    was shed (keeping digests a pure function of the recorded run). *)
+    short-lived flows stay small and a push allocates nothing).  When
+    full, the oldest entry is overwritten and {!dropped} counts the
+    eviction, so a long run keeps the newest window at O(capacity)
+    memory while the canonical serialisation still states exactly how
+    much history was shed (keeping digests a pure function of the
+    recorded run).  {!push} is the only encoder: every event shape is
+    packed by the one function that {!iter_tagged} mirrors. *)
 
 type entry = { at : float;  (** virtual time *) ev : Event.t }
 
@@ -22,34 +23,8 @@ val push : ?flow:int -> t -> at:float -> Event.t -> unit
     recorder uses it to journal every connection through one shared
     ring (a single sequential write stream stays cache-friendly where
     many interleaved rings do not) and to rebuild per-flow rings at
-    export via {!iter_tagged}. *)
-
-val push_seg_send :
-  ?flow:int -> t -> at:float -> seq:Packet.Serial.t -> size:int ->
-  retx:bool -> unit
-
-val push_seg_recv :
-  ?flow:int -> t -> at:float -> seq:Packet.Serial.t -> size:int ->
-  ce:bool -> retx:bool -> unit
-
-val push_sack_sent :
-  ?flow:int -> t -> at:float -> cum_ack:Packet.Serial.t -> blocks:int ->
-  x_recv:float -> unit
-
-val push_sack_rcvd :
-  ?flow:int -> t -> at:float -> cum_ack:Packet.Serial.t -> blocks:int ->
-  acked:int -> sacked:int -> lost:int -> unit
-
-val push_tcp_send :
-  ?flow:int -> t -> at:float -> seq:Packet.Serial.t -> retx:bool -> unit
-
-val push_tcp_ack :
-  ?flow:int -> t -> at:float -> cum_ack:Packet.Serial.t -> cwnd:float ->
-  ssthresh:float -> unit
-(** Zero-allocation fast paths for the hot event shapes: encode the
-    fields directly, bit-for-bit identical to {!push} of the
-    corresponding {!Event.t} (the golden corpus pins the
-    equivalence). *)
+    export via {!iter_tagged}.  Raises [Invalid_argument] when [flow]
+    is outside [\[0, 2^20)], leaving the ring unchanged. *)
 
 val length : t -> int
 (** Entries currently held (<= capacity). *)

@@ -1,4 +1,4 @@
-(* every wrapper below sits on the per-segment fast path *)
+(* [on] and [emit] sit on the per-segment fast path *)
 [@@@vtp.hot]
 
 type t = { flow : int; now : unit -> float }
@@ -15,66 +15,3 @@ let emit sink ev =
   match sink with
   | None -> ()
   | Some s -> Recorder.emit ~flow:s.flow ~at:(s.now ()) ev
-
-(* Hot-path wrappers: gate on the ambient registry BEFORE touching any
-   argument (in particular before reading the clock), so an untraced
-   run pays one load and two branches per call, same as [on]+[emit]. *)
-
-let seg_send sink ~seq ~size ~retx =
-  match sink with
-  | None -> ()
-  | Some s -> (
-      match Recorder.installed () with
-      | None -> ()
-      | Some t ->
-          Recorder.record_seg_send t ~flow:s.flow ~at:(s.now ()) ~seq ~size
-            ~retx)
-
-let seg_recv sink ~seq ~size ~ce ~retx =
-  match sink with
-  | None -> ()
-  | Some s -> (
-      match Recorder.installed () with
-      | None -> ()
-      | Some t ->
-          Recorder.record_seg_recv t ~flow:s.flow ~at:(s.now ()) ~seq ~size
-            ~ce ~retx)
-
-let sack_sent sink ~cum_ack ~blocks ~x_recv =
-  match sink with
-  | None -> ()
-  | Some s -> (
-      match Recorder.installed () with
-      | None -> ()
-      | Some t ->
-          Recorder.record_sack_sent t ~flow:s.flow ~at:(s.now ()) ~cum_ack
-            ~blocks ~x_recv)
-
-let sack_rcvd sink ~cum_ack ~blocks ~acked ~sacked ~lost =
-  match sink with
-  | None -> ()
-  | Some s -> (
-      match Recorder.installed () with
-      | None -> ()
-      | Some t ->
-          Recorder.record_sack_rcvd t ~flow:s.flow ~at:(s.now ()) ~cum_ack
-            ~blocks ~acked ~sacked ~lost)
-
-let tcp_send sink ~seq ~retx =
-  match sink with
-  | None -> ()
-  | Some s -> (
-      match Recorder.installed () with
-      | None -> ()
-      | Some t ->
-          Recorder.record_tcp_send t ~flow:s.flow ~at:(s.now ()) ~seq ~retx)
-
-let tcp_ack sink ~cum_ack ~cwnd ~ssthresh =
-  match sink with
-  | None -> ()
-  | Some s -> (
-      match Recorder.installed () with
-      | None -> ()
-      | Some t ->
-          Recorder.record_tcp_ack t ~flow:s.flow ~at:(s.now ()) ~cum_ack
-            ~cwnd ~ssthresh)

@@ -21,27 +21,3 @@ val on : t option -> bool
 val emit : t option -> Event.t -> unit
 (** Record into the ambient recorder, stamped with the sink's flow and
     current time.  No-op when the sink is [None] or tracing is off. *)
-
-val seg_send :
-  t option -> seq:Packet.Serial.t -> size:int -> retx:bool -> unit
-
-val seg_recv :
-  t option -> seq:Packet.Serial.t -> size:int -> ce:bool -> retx:bool ->
-  unit
-
-val sack_sent :
-  t option -> cum_ack:Packet.Serial.t -> blocks:int -> x_recv:float -> unit
-
-val sack_rcvd :
-  t option -> cum_ack:Packet.Serial.t -> blocks:int -> acked:int ->
-  sacked:int -> lost:int -> unit
-
-val tcp_send : t option -> seq:Packet.Serial.t -> retx:bool -> unit
-
-val tcp_ack :
-  t option -> cum_ack:Packet.Serial.t -> cwnd:float -> ssthresh:float ->
-  unit
-(** Zero-allocation equivalents of {!emit} for the hot event shapes
-    (same gating, identical recorded bytes): the fields are encoded
-    directly instead of building an {!Event.t} on a per-packet
-    path. *)

@@ -237,7 +237,7 @@ let test_hot_format () =
   check_clean "hot-format" ~path:proto
     "let emit t = log (Printf.sprintf \"seq=%d\" t.seq)\n";
   check_clean "hot-format" ~path:proto
-    "let[@vtp.hot] record t = Trace.Sink.seg_send t.sink 1\n"
+    "let[@vtp.hot] record t = Trace.Sink.emit t.sink t.ev\n"
 
 (* ------------------------------------------------------------------ *)
 (* Protocol constants *)

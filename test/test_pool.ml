@@ -127,6 +127,23 @@ let test_deterministic_across_jobs () =
   let seq = run ~jobs:1 and par = run ~jobs:4 in
   Alcotest.(check (array int64)) "jobs 1 = jobs 4" seq par
 
+(* The worker-count rule the CLIs read --jobs and VTP_JOBS through. *)
+let test_jobs_of_string () =
+  let check s want =
+    Alcotest.(check (result int string)) s want
+      (match Pool.jobs_of_string s with
+      | Ok j -> Ok j
+      | Error _ -> Error "refused")
+  in
+  check "1" (Ok 1);
+  check " 4 " (Ok 4);
+  check "128" (Ok 128);
+  check "500" (Ok 128);
+  check "0" (Error "refused");
+  check "-2" (Error "refused");
+  check "abc" (Error "refused");
+  check "" (Error "refused")
+
 let prop_map_is_array_map =
   QCheck.Test.make ~name:"map = Array.map at any jobs" ~count:50
     QCheck.(pair (int_range 1 6) (list small_int))
@@ -155,5 +172,7 @@ let suite =
       test_uneven_durations;
     Alcotest.test_case "derive-keyed fan-out deterministic" `Quick
       test_deterministic_across_jobs;
+    Alcotest.test_case "worker count: at least 1, clamped to 128" `Quick
+      test_jobs_of_string;
     QCheck_alcotest.to_alcotest prop_map_is_array_map;
   ]

@@ -43,15 +43,33 @@ let test_recorder_ambient () =
         Alcotest.(check bool) "on inside" true (Trace.Recorder.on ());
         Trace.Recorder.emit ~flow:3 ~at:1.0 (ev_state "x");
         Trace.Recorder.emit ~flow:1 ~at:2.0 (ev_state "y");
-        Trace.Recorder.emit ~flow:3 ~at:3.0 (ev_state "z"))
+        Trace.Recorder.emit ~flow:3 ~at:3.0 (ev_state "z");
+        (* a sparse id grows the per-flow counts past their last size *)
+        Trace.Recorder.emit ~flow:5_000 ~at:4.0 (ev_state "far");
+        Trace.Recorder.emit ~flow:3 ~at:5.0 (ev_state "w"))
   in
   Alcotest.(check bool) "off after" false (Trace.Recorder.on ());
-  Alcotest.(check int) "events" 3 (Trace.Recorder.events rec_);
-  Alcotest.(check (list int)) "flows ascending" [ 1; 3 ]
+  Alcotest.(check int) "events" 5 (Trace.Recorder.events rec_);
+  Alcotest.(check (list int)) "flows ascending" [ 1; 3; 5_000 ]
     (Trace.Recorder.flows rec_);
-  match Trace.Recorder.ring rec_ ~flow:3 with
-  | None -> Alcotest.fail "flow 3 ring missing"
-  | Some ring -> Alcotest.(check int) "flow 3 events" 2 (Trace.Ring.total ring)
+  let total flow =
+    match Trace.Recorder.ring rec_ ~flow with
+    | None -> 0
+    | Some ring -> Trace.Ring.total ring
+  in
+  Alcotest.(check (list int)) "per-flow totals" [ 0; 1; 3; 1; 0 ]
+    (List.map total [ 0; 1; 3; 5_000; 5_001 ]);
+  (* out-of-range ids are refused before anything is counted *)
+  List.iter
+    (fun flow ->
+      Alcotest.check_raises
+        (Printf.sprintf "flow %d refused" flow)
+        (Invalid_argument "Trace.Ring.push: flow outside [0, 2^20)")
+        (fun () -> Trace.Recorder.record rec_ ~flow ~at:6.0 (ev_state "bad")))
+    [ -1; 1 lsl 20 ];
+  Alcotest.(check int) "events unchanged" 5 (Trace.Recorder.events rec_);
+  Alcotest.(check (list int)) "flows unchanged" [ 1; 3; 5_000 ]
+    (Trace.Recorder.flows rec_)
 
 let test_recorder_clear_on_exception () =
   (try
@@ -82,39 +100,106 @@ let test_sink_gating () =
           Alcotest.(check (float 0.0)) "sink stamped t2" 6.5 b.Trace.Ring.at
       | l -> Alcotest.failf "expected 2 sink events, got %d" (List.length l))
 
-(* The packed codec round-trips the handover vocabulary: tag-18
-   [Handover] with interned path names, and the 2-bit drop-reason aux
-   including [D_cut]. *)
-let test_codec_handover_roundtrip () =
-  let evs =
-    [
-      Trace.Event.Handover
-        { from_path = "wifi"; to_path = "cellular"; cut = false };
-      Trace.Event.Handover
-        { from_path = "cellular"; to_path = "sat"; cut = true };
-      (* repeat an interned name to exercise the string table *)
-      Trace.Event.Handover { from_path = "sat"; to_path = "wifi"; cut = false };
-      Trace.Event.Drop { link = "l0"; reason = Trace.Event.D_loss; size = 1500 };
-      Trace.Event.Drop { link = "l0"; reason = Trace.Event.D_queue; size = 576 };
-      Trace.Event.Drop { link = "l1"; reason = Trace.Event.D_cut; size = 1500 };
-    ]
+(* The packed codec round-trips the whole event vocabulary: every
+   constructor, with the boundary values each field is packed at — the
+   32-bit serial range, a 16-bit SACK block count in the tag word, both
+   [Seg_recv] flags, an infinite equation rate, every drop reason and
+   interned strings, one of them repeated to exercise the string
+   table. *)
+let every_event =
+  let open Trace.Event in
+  let s0 = Packet.Serial.zero and smax = Packet.Serial.of_int 0xFFFF_FFFF in
+  [
+    Seg_send { seq = s0; size = 1500; retx = false };
+    Seg_send { seq = smax; size = 40; retx = true };
+    Seg_recv { seq = smax; size = 1500; ce = true; retx = true };
+    Seg_recv { seq = s0; size = 576; ce = false; retx = false };
+    Sack_sent { cum_ack = smax; blocks = 3; x_recv = 1.25e6 };
+    Sack_rcvd
+      { cum_ack = s0; blocks = 0xFFFF; acked = 7; sacked = 2; lost = 1 };
+    Fb_sent { x_recv = 5e5; p = 0.01 };
+    Fb_rcvd { x_recv = 0.0; p = 1.0 };
+    Loss_event { side = S_receiver; events = 1; p = 0.02 };
+    Loss_event { side = S_sender; events = 9; p = 0.125 };
+    Loss_inferred { seq = smax; by = I_dupthresh };
+    Loss_inferred { seq = s0; by = I_timeout };
+    Rate_change
+      {
+        x_bps = 1e6;
+        x_calc_bps = Float.infinity;
+        x_recv_bps = 5e5;
+        p = 0.0;
+        slow_start = true;
+      };
+    Rate_change
+      {
+        x_bps = 2e6;
+        x_calc_bps = 3.5e6;
+        x_recv_bps = 0.0;
+        p = 0.003;
+        slow_start = false;
+      };
+    Rtt_sample { sample = 0.061; srtt = 0.06 };
+    Retransmit { seq = smax; count = 2 };
+    Abandoned { seq = s0 };
+    Negotiated { plane = "light"; mode = "partial"; g_bps = 3e6 };
+    Nego_failed { reason = "no common plane" };
+    Conn_state { state = "closing" };
+    Drop { link = "l0"; reason = D_loss; size = 1500 };
+    Drop { link = "l0"; reason = D_queue; size = 576 };
+    Drop { link = "l1"; reason = D_cut; size = 1500 };
+    Tcp_send { seq = smax; retx = true };
+    Tcp_send { seq = s0; retx = false };
+    Tcp_ack_rcvd { cum_ack = smax; cwnd = 14.5; ssthresh = 64.0 };
+    Handover { from_path = "wifi"; to_path = "cellular"; cut = false };
+    Handover { from_path = "cellular"; to_path = "sat"; cut = true };
+    Handover { from_path = "sat"; to_path = "wifi"; cut = false };
+  ]
+
+let test_codec_roundtrip () =
+  let names =
+    List.sort_uniq String.compare (List.map Trace.Event.name every_event)
   in
-  let r = Trace.Ring.create ~capacity:16 in
-  List.iteri (fun i ev -> Trace.Ring.push r ~at:(float_of_int i) ev) evs;
+  Alcotest.(check int) "all 19 constructors covered" 19 (List.length names);
+  let r = Trace.Ring.create ~capacity:64 in
+  List.iteri
+    (fun i ev -> Trace.Ring.push r ~at:(float_of_int i) ev)
+    every_event;
   let back = List.map (fun e -> e.Trace.Ring.ev) (Trace.Ring.to_list r) in
-  Alcotest.(check int) "all entries survive" (List.length evs)
+  Alcotest.(check int) "all entries survive" (List.length every_event)
     (List.length back);
   List.iteri
     (fun i (orig, dec) ->
       Alcotest.(check bool)
-        (Printf.sprintf "event %d round-trips" i)
+        (Printf.sprintf "event %d (%s) round-trips" i (Trace.Event.name orig))
         true (orig = dec))
-    (List.combine evs back);
-  (* Canonical bodies are injective over the new fields. *)
+    (List.combine every_event back);
+  (* Canonical bodies are injective over the vocabulary. *)
   let line ev = Format.asprintf "%a" Trace.Event.pp_canonical ev in
   let lines = List.map line back in
-  Alcotest.(check int) "canonical lines distinct" (List.length evs)
-    (List.length (List.sort_uniq compare lines))
+  Alcotest.(check int) "canonical lines distinct" (List.length every_event)
+    (List.length (List.sort_uniq String.compare lines));
+  (* The widest flow label survives beside the widest aux field. *)
+  let top = (1 lsl 20) - 1 in
+  let widest =
+    Trace.Event.Sack_rcvd
+      {
+        cum_ack = Packet.Serial.of_int 0xFFFF_FFFF;
+        blocks = 0xFFFF;
+        acked = 1;
+        sacked = 1;
+        lost = 1;
+      }
+  in
+  Trace.Ring.push ~flow:top r ~at:99.0 widest;
+  let tagged = ref [] in
+  Trace.Ring.iter_tagged (fun fl e -> tagged := (fl, e) :: !tagged) r;
+  match !tagged with
+  | (fl, e) :: _ ->
+      Alcotest.(check int) "flow label 2^20 - 1" top fl;
+      Alcotest.(check bool) "event beside the top label" true
+        (e.Trace.Ring.ev = widest)
+  | [] -> Alcotest.fail "tagged entry missing"
 
 let test_canonical_shape () =
   let (), rec_ =
@@ -208,8 +293,8 @@ let suite =
     Alcotest.test_case "recorder clears on exception" `Quick
       test_recorder_clear_on_exception;
     Alcotest.test_case "sink gating and stamping" `Quick test_sink_gating;
-    Alcotest.test_case "handover/D_cut codec round-trip" `Quick
-      test_codec_handover_roundtrip;
+    Alcotest.test_case "handover/D_cut codec round-trip, every event" `Quick
+      test_codec_roundtrip;
     Alcotest.test_case "canonical shape" `Quick test_canonical_shape;
     Alcotest.test_case "diff pinpoints first divergence" `Quick test_diff;
     Alcotest.test_case "qlog JSON export" `Quick test_json_export;
