@@ -11,7 +11,7 @@
 
    Exit codes: 0 clean (no new gating findings), 1 new findings,
    2 usage error / unknown rule id / missing directory / malformed
-   baseline. *)
+   baseline / unwritable --json report. *)
 
 open Cmdliner
 
@@ -29,7 +29,8 @@ let json_out =
     value & opt (some string) None
     & info [ "json" ] ~docv:"FILE"
         ~doc:"Write a SARIF-style JSON report to $(docv) ($(b,-) for \
-              stdout, suppressing the text report).")
+              stdout, suppressing the text report).  An unwritable \
+              $(docv) exits 2.")
 
 let baseline_file =
   Arg.(
@@ -108,22 +109,29 @@ let write_file path contents =
 
 let report ~json_out classified =
   let json_to_stdout = match json_out with Some "-" -> true | _ -> false in
-  (match json_out with
-  | None -> ()
-  | Some dest ->
-      let doc = Analysis.Report.sarif ~rules:(rule_meta ()) classified in
-      let text = Stats.Json.to_string doc ^ "\n" in
-      if json_to_stdout then print_string text else write_file dest text);
-  let new_gating = List.filter snd classified in
-  if not json_to_stdout then begin
-    List.iter (fun c -> Format.printf "%a@." Analysis.Report.pp_entry c)
-      classified;
-    Format.printf "vtp_lint: %d finding(s), %d baselined, %d gating@."
-      (List.length classified)
-      (List.length classified - List.length new_gating)
-      (List.length new_gating)
-  end;
-  if new_gating = [] then 0 else 1
+  let write_json () =
+    match json_out with
+    | None -> ()
+    | Some dest ->
+        let doc = Analysis.Report.sarif ~rules:(rule_meta ()) classified in
+        let text = Stats.Json.to_string doc ^ "\n" in
+        if json_to_stdout then print_string text else write_file dest text
+  in
+  match write_json () with
+  | exception Sys_error msg ->
+      Format.eprintf "vtp_lint: cannot write --json report: %s@." msg;
+      2
+  | () ->
+      let new_gating = List.filter snd classified in
+      if not json_to_stdout then begin
+        List.iter (fun c -> Format.printf "%a@." Analysis.Report.pp_entry c)
+          classified;
+        Format.printf "vtp_lint: %d finding(s), %d baselined, %d gating@."
+          (List.length classified)
+          (List.length classified - List.length new_gating)
+          (List.length new_gating)
+      end;
+      if new_gating = [] then 0 else 1
 
 let scan ~jobs ~json_out ~baseline_file ~update_baseline ~rule_filter roots =
   (* Check.run_tree sorts by (path, line, rule, message), the order

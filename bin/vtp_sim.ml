@@ -224,8 +224,7 @@ let run proto rate delay loss burstiness g duration seed seeds jobs reliability
       in
       (if seeds <= 1 then print_string (render seed)
        else
-         Engine.Pool.with_pool ?jobs (fun pool ->
-             Engine.Pool.tabulate pool seeds (fun i -> render (seed + i)))
+         Engine.Pool.map ?jobs render (Array.init seeds (fun i -> seed + i))
          |> Array.iteri (fun i s -> Printf.printf "[seed %d] %s" (seed + i) s));
       `Ok ()
 

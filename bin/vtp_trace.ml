@@ -17,11 +17,19 @@
 
 open Cmdliner
 
-let read_file path =
-  In_channel.with_open_bin path In_channel.input_all
+(* A path that cannot be read or written is a usage error naming its
+   flag (exit 124), not an uncaught [Sys_error]; [run] turns it into
+   cmdliner's [`Error]. *)
+exception Bad_path of string
 
-let write_file path s =
-  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
+let read_file ~flag path =
+  try In_channel.with_open_bin path In_channel.input_all
+  with Sys_error msg -> raise (Bad_path (flag ^ ": " ^ msg))
+
+let write_file ~flag path s =
+  try
+    Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
+  with Sys_error msg -> raise (Bad_path (flag ^ ": " ^ msg))
 
 let list_flag =
   Arg.(value & flag & info [ "list" ] ~doc:"List the golden corpus and exit.")
@@ -102,7 +110,7 @@ let jobs =
           Output is identical at any value."
 
 let do_diff a b =
-  let ta = read_file a and tb = read_file b in
+  let ta = read_file ~flag:"--diff" a and tb = read_file ~flag:"--diff" b in
   match Trace.Export.diff ta tb with
   | None ->
       Format.printf "traces identical (%s)@."
@@ -122,15 +130,12 @@ let capture_entry ~sched (e : Fuzz.Golden.entry) =
   warn_failed e report;
   recorder
 
-(* Replay the whole corpus over the pool; entries come back — and the
-   oracle warnings fire — in corpus order, so --regen/--check output is
-   identical at any --jobs. *)
+(* Replay the whole corpus on [jobs] domains; entries come back — and
+   the oracle warnings fire — in corpus order, so --regen/--check output
+   is identical at any --jobs. *)
 let capture_corpus ~sched ~jobs =
   let entries = Array.of_list Fuzz.Golden.corpus in
-  let captured =
-    Engine.Pool.with_pool ?jobs (fun pool ->
-        Engine.Pool.map pool (fun e -> Fuzz.Golden.capture ~sched e) entries)
-  in
+  let captured = Engine.Pool.map ?jobs (Fuzz.Golden.capture ~sched) entries in
   Array.map2
     (fun e (report, recorder) ->
       warn_failed e report;
@@ -138,11 +143,13 @@ let capture_corpus ~sched ~jobs =
     entries captured
 
 let do_regen ~sched ~jobs dir =
+  if not (Sys.file_exists dir && Sys.is_directory dir) then
+    raise (Bad_path ("--regen: no such directory: " ^ dir));
   Array.iter
     (fun ((e : Fuzz.Golden.entry), recorder) ->
       let text = Trace.Export.canonical recorder in
       let path = Filename.concat dir (e.name ^ ".trace") in
-      write_file path text;
+      write_file ~flag:"--regen" path text;
       Format.printf "%-18s %s  (%d events)@." e.name
         (Trace.Export.digest_of_string text)
         (Trace.Recorder.events recorder))
@@ -159,7 +166,7 @@ let do_check ~sched ~jobs dir =
         Format.printf "%-18s MISSING (%s)@." e.name path
       end
       else begin
-        let want = read_file path in
+        let want = read_file ~flag:"--check" path in
         let got = Trace.Export.canonical recorder in
         match Trace.Export.diff want got with
         | None -> Format.printf "%-18s ok@." e.name
@@ -182,48 +189,58 @@ let run list_only run_name seed sched export json digest diff diff_pos regen
     `Ok ()
   end
   else
-    match (diff, diff_pos, regen, check) with
-    | Some (a, b), _, _, _ -> do_diff a b
-    | None, [ a; b ], _, _ -> do_diff a b
-    | None, _, Some dir, _ -> do_regen ~sched ~jobs dir
-    | None, _, None, Some dir -> do_check ~sched ~jobs dir
-    | None, _, None, None -> (
-        let entry =
-          match (run_name, seed) with
-          | Some name, _ -> Fuzz.Golden.find name
-          | None, Some seed ->
-              Some
-                {
-                  Fuzz.Golden.name = Printf.sprintf "seed_%d" seed;
-                  descr = "generated scenario";
-                  scenario = Fuzz.Scenario.generate ~seed;
-                }
-          | None, None -> None
-        in
-        match entry with
-        | None ->
-            `Error
-              ( true,
-                "nothing to do: pass --run NAME or --seed N (or --list, \
-                 --diff, --regen, --check)" )
-        | Some e ->
-            let recorder = capture_entry ~sched e in
-            let text = Trace.Export.canonical recorder in
-            (match json with
-            | Some path ->
-                write_file path
-                  (Stats.Json.to_string
-                     (Trace.Export.to_json
-                        ~meta:[ ("entry", Stats.Json.String e.name) ]
-                        recorder))
-            | None -> ());
-            (match export with
-            | Some path -> write_file path text
-            | None -> ());
-            if digest then
-              Format.printf "%s@." (Trace.Export.digest_of_string text)
-            else if export = None && json = None then print_string text;
-            `Ok ())
+    try
+      match (diff, diff_pos, regen, check) with
+      | Some (a, b), _, _, _ -> do_diff a b
+      | None, [ a; b ], _, _ -> do_diff a b
+      | None, _, Some dir, _ -> do_regen ~sched ~jobs dir
+      | None, _, None, Some dir -> do_check ~sched ~jobs dir
+      | None, _, None, None -> (
+          let entry =
+            match (run_name, seed) with
+            | Some name, _ -> (
+                match Fuzz.Golden.find name with
+                | Some e -> Ok e
+                | None ->
+                    Error
+                      ( false,
+                        Printf.sprintf
+                          "--run: no corpus entry named %S (see --list)" name
+                      ))
+            | None, Some seed ->
+                Ok
+                  {
+                    Fuzz.Golden.name = Printf.sprintf "seed_%d" seed;
+                    descr = "generated scenario";
+                    scenario = Fuzz.Scenario.generate ~seed;
+                  }
+            | None, None ->
+                Error
+                  ( true,
+                    "nothing to do: pass --run NAME or --seed N (or --list, \
+                     --diff, --regen, --check)" )
+          in
+          match entry with
+          | Error e -> `Error e
+          | Ok e ->
+              let recorder = capture_entry ~sched e in
+              let text = Trace.Export.canonical recorder in
+              (match json with
+              | Some path ->
+                  write_file ~flag:"--json" path
+                    (Stats.Json.to_string
+                       (Trace.Export.to_json
+                          ~meta:[ ("entry", Stats.Json.String e.name) ]
+                          recorder))
+              | None -> ());
+              (match export with
+              | Some path -> write_file ~flag:"--export" path text
+              | None -> ());
+              if digest then
+                Format.printf "%s@." (Trace.Export.digest_of_string text)
+              else if export = None && json = None then print_string text;
+              `Ok ())
+    with Bad_path msg -> `Error (false, msg)
 
 let cmd =
   let doc = "Flight-recorder traces: replay, export, digest, diff, corpus." in

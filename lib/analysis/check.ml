@@ -49,10 +49,9 @@ let run_files ?jobs (files : (string * string) list) =
       (List.filter (fun (p, _) -> Filename.check_suffix p ".ml") files)
   in
   let file_findings =
-    Engine.Pool.with_pool ?jobs (fun pool ->
-        Engine.Pool.map pool
-          (fun (p, src) -> run_source (source_ctx ~path:p src))
-          mls)
+    Engine.Pool.map ?jobs
+      (fun (p, src) -> run_source (source_ctx ~path:p src))
+      mls
     |> Array.to_list |> List.concat
   in
   let tc =

@@ -3,22 +3,9 @@
    harness taps endpoints and the sender's rate updates, and tests feed
    link and mangler taps directly. *)
 
-type rate_info = {
-  at : float;
-  flow : int;
-  x_bps : float;
-  x_calc_bps : float;  (* infinity while no loss event has been seen *)
-  x_recv_bps : float;
-  p : float;
-  g_bps : float;  (* negotiated AF floor; 0 = none *)
-  cap_bps : float option;  (* application/interface ceiling *)
-  mbi_floor_bps : float;  (* s/t_mbi, RFC 3448's absolute floor *)
-  slow_start : bool;
-}
-
 type event =
   | Epoch
-  | Rate of rate_info
+  | Rate of Qtp.Inspect.rate_sample
   | Sent of { at : float; flow : int; uid : int }
   | Delivered of { at : float; flow : int; uid : int }
   | Dropped of { at : float; flow : int; uid : int }
@@ -60,7 +47,7 @@ let gtfrc_floor () : check = function
          && r.x_bps +. tol r.g_bps < Float.min r.g_bps r.x_calc_bps ->
       Some
         ( r.at,
-          r.flow,
+          r.flow_id,
           Printf.sprintf
             "X = %.0f bit/s below min(g = %.0f, X_calc = %.0f): the \
              negotiated AF floor is not being honoured"
@@ -74,7 +61,7 @@ let tfrc_rate_bounds () : check = function
   | Rate r when r.x_bps +. tol r.mbi_floor_bps < r.mbi_floor_bps ->
       Some
         ( r.at,
-          r.flow,
+          r.flow_id,
           Printf.sprintf
             "X = %.3f bit/s below the one-packet-per-t_mbi floor %.3f"
             r.x_bps r.mbi_floor_bps )
@@ -84,7 +71,7 @@ let tfrc_rate_bounds () : check = function
          | None -> false) ->
       Some
         ( r.at,
-          r.flow,
+          r.flow_id,
           Printf.sprintf "X = %.0f bit/s above the negotiated ceiling %.0f"
             r.x_bps
             (Option.value r.cap_bps ~default:0.0) )
@@ -99,7 +86,7 @@ let tfrc_rate_bounds () : check = function
          r.x_bps > bound +. tol bound ->
       Some
         ( r.at,
-          r.flow,
+          r.flow_id,
           Printf.sprintf
             "X = %.0f bit/s exceeds max(2*X_recv = %.0f, g = %.0f, \
              s/t_mbi = %.0f)"

@@ -21,26 +21,14 @@
     ({!Netsim.Link.connect}, {!Netsim.Link.on_drop},
     {!Netsim.Mangler.on_duplicate}). *)
 
-type rate_info = {
-  at : float;
-  flow : int;
-  x_bps : float;  (** allowed sending rate *)
-  x_calc_bps : float;  (** equation rate; [infinity] while p = 0 *)
-  x_recv_bps : float;  (** rate last reported by the receiver *)
-  p : float;  (** loss event rate driving the sender *)
-  g_bps : float;  (** negotiated AF floor; 0 = none *)
-  cap_bps : float option;  (** application/interface ceiling *)
-  mbi_floor_bps : float;  (** one packet per t_mbi, in bit/s *)
-  slow_start : bool;
-}
-
 type event =
   | Epoch
       (** A new topology / set of connections is starting (flow ids may
           be reused); per-flow feedback state resets.  Frame uids are
           global, so packet-conservation accounting carries across
           epochs. *)
-  | Rate of rate_info
+  | Rate of Qtp.Inspect.rate_sample
+      (** One TFRC rate update, as {!Qtp.Inspect} reports it. *)
   | Sent of { at : float; flow : int; uid : int }
   | Delivered of { at : float; flow : int; uid : int }
   | Dropped of { at : float; flow : int; uid : int }

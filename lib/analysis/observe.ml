@@ -136,25 +136,7 @@ let instrument checker (topo : Netsim.Topology.t) =
     topo.Topology.links
 
 let install_rate_hook checker =
-  Qtp.Inspect.install
-    {
-      Qtp.Inspect.on_rate_sample =
-        (fun s ->
-          Invariants.feed checker
-            (Invariants.Rate
-               {
-                 at = s.Qtp.Inspect.at;
-                 flow = s.Qtp.Inspect.flow_id;
-                 x_bps = s.Qtp.Inspect.x_bps;
-                 x_calc_bps = s.Qtp.Inspect.x_calc_bps;
-                 x_recv_bps = s.Qtp.Inspect.x_recv_bps;
-                 p = s.Qtp.Inspect.p;
-                 g_bps = s.Qtp.Inspect.g_bps;
-                 cap_bps = s.Qtp.Inspect.cap_bps;
-                 mbi_floor_bps = s.Qtp.Inspect.mbi_floor_bps;
-                 slow_start = s.Qtp.Inspect.slow_start;
-               }));
-    }
+  Qtp.Inspect.install (fun s -> Invariants.feed checker (Invariants.Rate s))
 
 let clear_rate_hook = Qtp.Inspect.clear
 

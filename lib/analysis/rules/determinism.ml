@@ -155,15 +155,15 @@ let random_call _ _ (t : Lexer.token) =
 
 (* [Domain.spawn] outside the engine's pool: ad-hoc domains bypass the
    pool's determinism contract (submission-order collection, bounded
-   worker count) and its shutdown accounting. *)
+   worker count, every domain joined before results are read). *)
 let domain_spawn _ _ (t : Lexer.token) =
   if
     t.Lexer.kind = Lexer.Ident
     && String.ends_with ~suffix:"Domain.spawn" t.Lexer.text
   then
     Some
-      "Domain.spawn outside Engine.Pool; submit tasks to the work-stealing \
-       pool instead"
+      "Domain.spawn outside Engine.Pool; fan tasks out with \
+       Engine.Pool.map instead"
   else None
 
 let passes : Pass.t list =
@@ -241,13 +241,14 @@ let passes : Pass.t list =
       family;
       doc =
         "Domain.spawn outside lib/engine/pool.ml (all parallelism goes \
-         through the work-stealing pool)";
+         through Engine.Pool.map)";
       rationale =
         "Ad-hoc domains bypass the pool's determinism contract \
-         (submission-order collection, bounded worker count) and its \
-         shutdown accounting, so results depend on the scheduler.";
+         (submission-order collection, bounded worker count, every \
+         domain joined before results are read), so results depend on \
+         the scheduler.";
       bad = "let d = Domain.spawn (fun () -> run seed)";
-      good = "Engine.Pool.with_pool (fun p -> Engine.Pool.map p run seeds)";
+      good = "Engine.Pool.map ?jobs run seeds";
       dirs = [];
       allow = [ "lib/engine/pool.ml" ];
       kind =

@@ -230,9 +230,9 @@ let push_loss t seq =
    installed (the harness's checked mode).  [x_recv] and [p] are the
    bytes/s inputs the sender was just fed. *)
 let inspect_sample t ~x_recv ~p =
-  match Inspect.hooks () with
+  match Inspect.hook () with
   | None -> ()
-  | Some h ->
+  | Some report ->
       let cc = t.snd.cc in
       let prm = Tfrc.Sender.params cc in
       let s = prm.Tfrc.Sender.packet_size in
@@ -240,7 +240,7 @@ let inspect_sample t ~x_recv ~p =
         if p > 0.0 then Tfrc.Equation.rate_bps ~s ~r:(Tfrc.Sender.rtt cc) ~p ()
         else infinity
       in
-      h.Inspect.on_rate_sample
+      report
         {
           Inspect.at = Engine.Sim.now t.sim;
           flow_id = t.endpoint.Netsim.Topology.flow_id;

@@ -11,16 +11,14 @@ type rate_sample = {
   slow_start : bool;
 }
 
-type hooks = { on_rate_sample : rate_sample -> unit }
-
 (* Domain-local so parallel suites (Engine.Pool) can each run a checked
-   simulation with its own hooks; within a domain the "one simulation
+   simulation with its own hook; within a domain the "one simulation
    at a time" discipline is unchanged. *)
-let current : hooks option ref Domain.DLS.key =
+let current : (rate_sample -> unit) option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
-let install h = Domain.DLS.get current := Some h
+let install f = Domain.DLS.get current := Some f
 
 let clear () = Domain.DLS.get current := None
 
-let hooks () = !(Domain.DLS.get current)
+let hook () = !(Domain.DLS.get current)

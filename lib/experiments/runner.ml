@@ -224,19 +224,19 @@ let run_all ?(seed = 42) ?ids ?(format = `Table) ?(checked = false)
     | None -> all
     | Some ids -> List.filter (fun e -> List.mem e.id ids) all
   in
-  (* Fan the entries over the pool but emit in registry order; an
-     entry's exception (e.g. an invariant violation under ~checked) is
-     re-raised only after every earlier entry's output is printed, so
-     the bytes up to the failure match a sequential run's. *)
+  (* Fan the entries out but emit in registry order; an entry's
+     exception (e.g. an invariant violation under ~checked) is caught
+     here rather than by [Engine.Pool.map], so it is re-raised only
+     after every earlier entry's output is printed and the bytes up to
+     the failure match a sequential run's. *)
   let rendered =
-    Engine.Pool.with_pool ?jobs (fun pool ->
-        Engine.Pool.map_list pool
-          (fun e ->
-            try Ok (render_entry ~seed ~format ~checked ~trace e)
-            with exn -> Error exn)
-          selected)
+    Engine.Pool.map ?jobs
+      (fun e ->
+        try Ok (render_entry ~seed ~format ~checked ~trace e)
+        with exn -> Error exn)
+      (Array.of_list selected)
   in
-  List.iter
+  Array.iter
     (function
       | Ok s ->
           Format.pp_print_string out s;

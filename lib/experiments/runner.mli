@@ -29,8 +29,8 @@ val run_all :
     entry runs under {!Common.with_trace} and (in table format) a
     per-entry event count and canonical digest is printed.
 
-    Entries are fanned over an {!Engine.Pool} of [jobs] workers
-    (default {!Engine.Pool.default_jobs}); output is buffered per entry
-    and emitted in registry order, so the bytes printed — including the
-    prefix before a [~checked] violation is re-raised — are identical
-    at any [jobs]. *)
+    Entries are fanned out by {!Engine.Pool.map} on [jobs] workers
+    (default [$VTP_JOBS] or the recommended domain count); output is
+    buffered per entry and emitted in registry order, so the bytes
+    printed — including the prefix before a [~checked] violation is
+    re-raised — are identical at any [jobs]. *)

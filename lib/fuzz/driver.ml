@@ -26,15 +26,12 @@ let run_scenario ?(shrink = false) sc =
 let digest (r : Exec.report) =
   Digest.to_hex (Digest.string (Format.asprintf "%a" Exec.pp_report r))
 
-(* Shared fan-out core: execute every scenario (in parallel when the
-   pool has more than one worker), then aggregate and fire the
-   progress callback sequentially in submission order — so logs and
-   summaries are byte-identical whatever --jobs was. *)
+(* Shared fan-out core: execute every scenario (on [jobs] domains when
+   that is more than one), then aggregate and fire the progress
+   callback sequentially in submission order — so logs and summaries
+   are byte-identical whatever --jobs was. *)
 let run_batch ?(shrink = false) ?progress ?jobs scenarios =
-  let results =
-    Engine.Pool.with_pool ?jobs (fun pool ->
-        Engine.Pool.map pool (fun sc -> run_scenario ~shrink sc) scenarios)
-  in
+  let results = Engine.Pool.map ?jobs (run_scenario ~shrink) scenarios in
   let found = ref [] in
   let timeouts = ref 0 in
   Array.iteri

@@ -1,12 +1,12 @@
 (** Fuzzing campaigns: seed sweeps, the profile matrix and the fixed
     smoke corpus.
 
-    Every campaign fans its per-seed executions over an
-    {!Engine.Pool} ([jobs] workers, default {!Engine.Pool.default_jobs})
-    and then aggregates — and fires the [progress] callback — in seed
-    order, so a campaign's output is byte-identical at [jobs = 1] and
-    [jobs = N].  Each scenario is a pure function of its seed; nothing
-    crosses tasks. *)
+    Every campaign fans its per-seed executions out with
+    {!Engine.Pool.map} ([jobs] workers, default [$VTP_JOBS] or the
+    recommended domain count) and then aggregates — and fires the
+    [progress] callback — in seed order, so a campaign's output is
+    byte-identical at [jobs = 1] and [jobs = N].  Each scenario is a
+    pure function of its seed; nothing crosses tasks. *)
 
 type found = {
   report : Exec.report;

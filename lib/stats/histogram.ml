@@ -32,17 +32,6 @@ let of_samples ?(bins = 20) samples =
   Array.iter (add t) samples;
   t
 
-let merge a b =
-  if
-    Array.length a.counts <> Array.length b.counts
-    || not (Float.equal a.lo b.lo)
-    || not (Float.equal a.hi b.hi)
-  then invalid_arg "Histogram.merge: incompatible bounds or bin counts";
-  let t = create ~lo:a.lo ~hi:a.hi ~bins:(Array.length a.counts) in
-  Array.iteri (fun i c -> t.counts.(i) <- c + b.counts.(i)) a.counts;
-  t.total <- a.total + b.total;
-  t
-
 let count t = t.total
 
 let bin_counts t = Array.copy t.counts

@@ -1,7 +1,8 @@
-(** Fixed-bin histograms with a terminal rendering.
+(** Fixed-bin histograms with a terminal rendering, for delay /
+    occupancy distributions without external plotting.
 
-    Used by the examples and CLIs to show delay / occupancy
-    distributions without external plotting. *)
+    Only the tests use it today; its planned user is the metrics fold
+    over the trace stream (ROADMAP.md, item 4). *)
 
 type t
 
@@ -14,12 +15,6 @@ val of_samples : ?bins:int -> float array -> t
     defaults to 20.  Raises [Invalid_argument] on empty input. *)
 
 val add : t -> float -> unit
-
-val merge : t -> t -> t
-(** Fresh histogram with bin-wise summed counts.  Both inputs must
-    share [lo], [hi] and bin count ([Invalid_argument] otherwise).
-    Associative and commutative, so per-shard histograms from a
-    parallel fan-out fold to exactly the sequential accumulation. *)
 
 val count : t -> int
 (** Total samples. *)

@@ -54,37 +54,6 @@ let windowed_rates_bps t ~from_ ~until ~window =
   done;
   out
 
-(* Stable two-pointer merge by time, [a] winning ties: associative, so
-   shards folded in any grouping (though not any order, for tied
-   timestamps) reproduce the sequentially-accumulated series. *)
-let merge a b =
-  let n = a.len + b.len in
-  let t =
-    {
-      times = Array.make (Stdlib.max 1 n) 0.0;
-      bytes = Array.make (Stdlib.max 1 n) 0;
-      len = n;
-      total = a.total + b.total;
-    }
-  in
-  let i = ref 0 and j = ref 0 in
-  for k = 0 to n - 1 do
-    let take_a =
-      !j >= b.len || (!i < a.len && a.times.(!i) <= b.times.(!j))
-    in
-    if take_a then begin
-      t.times.(k) <- a.times.(!i);
-      t.bytes.(k) <- a.bytes.(!i);
-      incr i
-    end
-    else begin
-      t.times.(k) <- b.times.(!j);
-      t.bytes.(k) <- b.bytes.(!j);
-      incr j
-    end
-  done;
-  t
-
 let interarrival_times t =
   if t.len < 2 then [||]
   else Array.init (t.len - 1) (fun i -> t.times.(i + 1) -. t.times.(i))

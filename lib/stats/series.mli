@@ -14,13 +14,6 @@ val record : t -> time:float -> bytes:int -> unit
 val total_bytes : t -> int
 val count : t -> int
 
-val merge : t -> t -> t
-(** [merge a b] is a fresh series holding both inputs' events, ordered
-    by time ([a] first on ties).  Associative, so per-shard
-    accumulators combined pairwise (e.g. from a parallel fan-out)
-    equal the sequentially-recorded series.  The inputs are not
-    mutated. *)
-
 val rate_bps : t -> from_:float -> until:float -> float
 (** Average rate over [\[from_, until)] in bits/s. *)
 

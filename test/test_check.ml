@@ -179,7 +179,7 @@ let test_domain_spawn () =
   check_clean "domain-spawn" ~path:"lib/engine/pool.ml"
     "let d = Domain.spawn work\n";
   check_clean "domain-spawn" ~path:proto
-    "let x = Engine.Pool.with_pool run\n";
+    "let x = Engine.Pool.map run seeds\n";
   (* other Domain.* uses (DLS, join) stay legal everywhere *)
   check_clean "domain-spawn" ~path:proto
     "let k = Domain.DLS.new_key (fun () -> ref None)\n";

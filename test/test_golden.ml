@@ -20,8 +20,9 @@ let pp_failure name (d : Trace.Export.divergence) =
 
 (* One replay per (entry, backend), shared across the test cases so the
    corpus is not re-simulated for every assertion.  All captures fan
-   over the domain pool on first use; each capture's recorder is
-   ambient per domain, so concurrent replays never share state. *)
+   out through one [Engine.Pool.map] on first use; each capture's
+   recorder is ambient per domain, so concurrent replays never share
+   state. *)
 let captured = Hashtbl.create 16
 
 let populate () =
@@ -32,12 +33,11 @@ let populate () =
         Fuzz.Golden.corpus
     in
     let results =
-      Engine.Pool.with_pool (fun pool ->
-          Engine.Pool.map_list pool
-            (fun (e, sched) -> (e, sched, Fuzz.Golden.capture ~sched e))
-            work)
+      Engine.Pool.map
+        (fun (e, sched) -> (e, sched, Fuzz.Golden.capture ~sched e))
+        (Array.of_list work)
     in
-    List.iter
+    Array.iter
       (fun ((e : Fuzz.Golden.entry), sched, (report, recorder)) ->
         (* A scenario that stops passing its oracles would silently
            turn the golden file into a record of broken behaviour. *)

@@ -24,8 +24,8 @@ let rate ?(at = 1.0) ?(flow = 0) ~x ?(x_calc = infinity) ?(x_recv = 1e6)
     ?(p = 0.0) ?(g = 0.0) ?cap ?(mbi = 9600.0) ?(ss = false) () =
   I.Rate
     {
-      at;
-      flow;
+      Qtp.Inspect.at;
+      flow_id = flow;
       x_bps = x;
       x_calc_bps = x_calc;
       x_recv_bps = x_recv;

@@ -261,106 +261,6 @@ let test_histogram_of_samples () =
   Alcotest.(check int) "ten lines" 10
     (List.length (List.filter (fun s -> s <> "") (String.split_on_char '\n' r)))
 
-(* Merge laws: shard accumulators folded together must equal the
-   sequential accumulation — the property the parallel fan-out's
-   per-domain stats rely on. *)
-
-let series_of events =
-  let s = Stats.Series.create () in
-  List.iter (fun (t, b) -> Stats.Series.record s ~time:t ~bytes:b) events;
-  s
-
-let series_fingerprint s =
-  ( Stats.Series.count s,
-    Stats.Series.total_bytes s,
-    Array.to_list (Stats.Series.interarrival_times s),
-    Stats.Series.rate_bps s ~from_:0.0 ~until:100.0 )
-
-let test_series_merge_basic () =
-  let a = series_of [ (1.0, 10); (3.0, 30) ] in
-  let b = series_of [ (2.0, 20); (4.0, 40) ] in
-  let m = Stats.Series.merge a b in
-  Alcotest.(check int) "count" 4 (Stats.Series.count m);
-  Alcotest.(check int) "total" 100 (Stats.Series.total_bytes m);
-  Alcotest.(check (array (float 1e-9)))
-    "interleaved by time" [| 1.0; 1.0; 1.0 |]
-    (Stats.Series.interarrival_times m);
-  (* Inputs untouched. *)
-  Alcotest.(check int) "a intact" 2 (Stats.Series.count a);
-  Alcotest.(check int) "b intact" 2 (Stats.Series.count b)
-
-let events_gen =
-  (* Sorted event lists: Series.record requires non-decreasing time. *)
-  QCheck.Gen.(
-    list_size (int_bound 30)
-      (pair (float_bound_exclusive 50.0) (int_bound 5000))
-    |> map (fun evs ->
-           List.sort (fun (t1, _) (t2, _) -> Float.compare t1 t2) evs))
-
-let prop_series_merge_is_sequential =
-  QCheck.Test.make ~name:"Series.merge shards = sequential accumulation"
-    ~count:200
-    (QCheck.make
-       QCheck.Gen.(pair events_gen events_gen)
-       ~print:
-         QCheck.Print.(
-           pair (list (pair float int)) (list (pair float int))))
-    (fun (ea, eb) ->
-      let merged = Stats.Series.merge (series_of ea) (series_of eb) in
-      let sequential =
-        series_of
-          (List.stable_sort
-             (fun (t1, _) (t2, _) -> Float.compare t1 t2)
-             (ea @ eb))
-      in
-      series_fingerprint merged = series_fingerprint sequential)
-
-let test_histogram_merge_basic () =
-  let a = Stats.Histogram.create ~lo:0.0 ~hi:10.0 ~bins:5 in
-  let b = Stats.Histogram.create ~lo:0.0 ~hi:10.0 ~bins:5 in
-  List.iter (Stats.Histogram.add a) [ 1.0; 3.0 ];
-  List.iter (Stats.Histogram.add b) [ 3.5; 9.0; -1.0 ];
-  let m = Stats.Histogram.merge a b in
-  Alcotest.(check int) "count" 5 (Stats.Histogram.count m);
-  Alcotest.(check (array int)) "bin-wise sum" [| 2; 2; 0; 0; 1 |]
-    (Stats.Histogram.bin_counts m);
-  Alcotest.(check (array int)) "a intact" [| 1; 1; 0; 0; 0 |]
-    (Stats.Histogram.bin_counts a)
-
-let test_histogram_merge_mismatch () =
-  let check_rejects msg a b =
-    Alcotest.(check bool) msg true
-      (try
-         ignore (Stats.Histogram.merge a b);
-         false
-       with Invalid_argument _ -> true)
-  in
-  let base = Stats.Histogram.create ~lo:0.0 ~hi:10.0 ~bins:5 in
-  check_rejects "bin count differs" base
-    (Stats.Histogram.create ~lo:0.0 ~hi:10.0 ~bins:4);
-  check_rejects "lo differs" base
-    (Stats.Histogram.create ~lo:1.0 ~hi:10.0 ~bins:5);
-  check_rejects "hi differs" base
-    (Stats.Histogram.create ~lo:0.0 ~hi:9.0 ~bins:5)
-
-let prop_histogram_merge_is_sequential =
-  QCheck.Test.make ~name:"Histogram.merge shards = sequential accumulation"
-    ~count:200
-    QCheck.(
-      pair
-        (list (float_bound_inclusive 12.0))
-        (list (float_bound_inclusive 12.0)))
-    (fun (xs, ys) ->
-      let shard samples =
-        let h = Stats.Histogram.create ~lo:0.0 ~hi:10.0 ~bins:7 in
-        List.iter (Stats.Histogram.add h) samples;
-        h
-      in
-      let merged = Stats.Histogram.merge (shard xs) (shard ys) in
-      let sequential = shard (xs @ ys) in
-      Stats.Histogram.bin_counts merged = Stats.Histogram.bin_counts sequential
-      && Stats.Histogram.count merged = Stats.Histogram.count sequential)
-
 let test_histogram_degenerate () =
   let h = Stats.Histogram.of_samples [| 5.0; 5.0; 5.0 |] in
   Alcotest.(check int) "count" 3 (Stats.Histogram.count h);
@@ -402,10 +302,4 @@ let suite =
     Alcotest.test_case "table render" `Quick test_table_render;
     Alcotest.test_case "table arity" `Quick test_table_arity_checked;
     Alcotest.test_case "cells" `Quick test_cells;
-    Alcotest.test_case "series merge" `Quick test_series_merge_basic;
-    Alcotest.test_case "histogram merge" `Quick test_histogram_merge_basic;
-    Alcotest.test_case "histogram merge mismatch" `Quick
-      test_histogram_merge_mismatch;
-    QCheck_alcotest.to_alcotest prop_series_merge_is_sequential;
-    QCheck_alcotest.to_alcotest prop_histogram_merge_is_sequential;
   ]
