@@ -1,4 +1,4 @@
-(** Command-line pieces shared by the [vtp_*] tools. *)
+(** Command-line pieces shared by the [vtp_*] tools that fan out. *)
 
 val jobs : doc:string -> int option Cmdliner.Term.t
 (** [--jobs N] / [-j N], falling back to [$VTP_JOBS] when the flag is

@@ -1,4 +1,4 @@
-(* CLI: the source analyzer (Analysis.Check) over the protocol sources.
+(* CLI: the source analyzer (Lint.Check) over the protocol sources.
 
    Examples:
      vtp_lint lib bin                       # scan (the default roots)
@@ -10,19 +10,14 @@
      vtp_lint --list-rules
 
    Exit codes: 0 clean (no new gating findings), 1 new findings,
-   2 usage error / unknown rule id / missing directory / malformed
-   baseline / unwritable --json report. *)
+   2 usage error / unknown rule id / a root that is missing or not a
+   directory / a file the OCaml parser rejects or that cannot be read /
+   malformed baseline / unwritable --json report or baseline. *)
 
 open Cmdliner
 
 let list_rules =
   Arg.(value & flag & info [ "list-rules" ] ~doc:"List the rule table and exit.")
-
-let jobs =
-  Vtp_cli.jobs
-    ~doc:"Worker domains for the per-file scan (default $(b,VTP_JOBS) \
-          if set, else the recommended domain count).  Output is \
-          identical at any value."
 
 let json_out =
   Arg.(
@@ -45,7 +40,7 @@ let update_baseline =
     value & flag
     & info [ "update-baseline" ]
         ~doc:"Rewrite the $(b,--baseline) file from the current scan and \
-              exit 0.")
+              exit 0.  An unwritable file exits 2.")
 
 let rule_filter =
   Arg.(
@@ -65,22 +60,24 @@ let roots =
   Arg.(
     value
     & pos_all string [ "lib"; "bin" ]
-    & info [] ~docv:"DIR" ~doc:"Directories to scan (default: lib bin).")
+    & info [] ~docv:"DIR"
+        ~doc:"Directories to scan (default: lib bin).  A file that does \
+              not parse exits 2, naming its path and line.")
 
 (* ------------------------------------------------------------------ *)
 
-let print_rule_line (p : Analysis.Pass.t) =
-  Format.printf "%-18s %-8s %s: %s@." p.Analysis.Pass.id "error"
-    p.Analysis.Pass.family p.Analysis.Pass.doc;
-  (match p.Analysis.Pass.dirs with
+let print_rule_line (p : Lint.Pass.t) =
+  Format.printf "%-18s %-8s %s: %s@." p.Lint.Pass.id "error"
+    p.Lint.Pass.family p.Lint.Pass.doc;
+  (match p.Lint.Pass.dirs with
   | [] -> ()
   | dirs -> Format.printf "%-18s   scope: %s@." "" (String.concat " " dirs));
-  match p.Analysis.Pass.allow with
+  match p.Lint.Pass.allow with
   | [] -> ()
   | allow -> Format.printf "%-18s   allow: %s@." "" (String.concat " " allow)
 
 let do_list_rules () =
-  List.iter print_rule_line Analysis.Check.passes;
+  List.iter print_rule_line Lint.Check.passes;
   0
 
 let unknown_rule rid =
@@ -88,18 +85,18 @@ let unknown_rule rid =
   2
 
 let do_explain rid =
-  match Analysis.Check.find_pass rid with
+  match Lint.Check.find_pass rid with
   | Some p ->
       Format.printf "%s — %s: %s@.@.%s@.@.Offender:@.  %s@.@.Fix:@.  %s@."
-        p.Analysis.Pass.id p.Analysis.Pass.family p.Analysis.Pass.doc
-        p.Analysis.Pass.rationale p.Analysis.Pass.bad p.Analysis.Pass.good;
+        p.Lint.Pass.id p.Lint.Pass.family p.Lint.Pass.doc
+        p.Lint.Pass.rationale p.Lint.Pass.bad p.Lint.Pass.good;
       0
   | None -> unknown_rule rid
 
 let rule_meta () =
   List.map
-    (fun (p : Analysis.Pass.t) -> (p.Analysis.Pass.id, p.Analysis.Pass.doc))
-    Analysis.Check.passes
+    (fun (p : Lint.Pass.t) -> (p.Lint.Pass.id, p.Lint.Pass.doc))
+    Lint.Check.passes
 
 let write_file path contents =
   let oc = open_out_bin path in
@@ -113,7 +110,7 @@ let report ~json_out classified =
     match json_out with
     | None -> ()
     | Some dest ->
-        let doc = Analysis.Report.sarif ~rules:(rule_meta ()) classified in
+        let doc = Lint.Report.sarif ~rules:(rule_meta ()) classified in
         let text = Stats.Json.to_string doc ^ "\n" in
         if json_to_stdout then print_string text else write_file dest text
   in
@@ -124,7 +121,7 @@ let report ~json_out classified =
   | () ->
       let new_gating = List.filter snd classified in
       if not json_to_stdout then begin
-        List.iter (fun c -> Format.printf "%a@." Analysis.Report.pp_entry c)
+        List.iter (fun c -> Format.printf "%a@." Lint.Report.pp_entry c)
           classified;
         Format.printf "vtp_lint: %d finding(s), %d baselined, %d gating@."
           (List.length classified)
@@ -133,40 +130,46 @@ let report ~json_out classified =
       end;
       if new_gating = [] then 0 else 1
 
-let scan ~jobs ~json_out ~baseline_file ~update_baseline ~rule_filter roots =
+let scan ~json_out ~baseline_file ~update_baseline ~rule_filter roots =
   (* Check.run_tree sorts by (path, line, rule, message), the order
      Baseline.classify needs. *)
-  let entries =
-    Analysis.Report.of_check (Analysis.Check.run_tree ?jobs ~roots ())
-  in
+  let entries = Lint.Report.of_check (Lint.Check.run_tree ~roots) in
   let entries =
     match rule_filter with
     | [] -> entries
     | rs ->
         List.filter
-          (fun (e : Analysis.Report.entry) ->
-            List.mem e.Analysis.Report.rule rs)
+          (fun (e : Lint.Report.entry) -> List.mem e.Lint.Report.rule rs)
           entries
   in
   if update_baseline then begin
     let path = Option.value baseline_file ~default:"analysis/BASELINE.json" in
-    Analysis.Baseline.save path entries;
-    Format.printf "vtp_lint: baseline updated: %d finding(s) -> %s@."
-      (List.length entries) path;
-    0
+    match Lint.Baseline.save path entries with
+    | exception Sys_error msg ->
+        Format.eprintf "vtp_lint: cannot write baseline: %s@." msg;
+        2
+    | () ->
+        Format.printf "vtp_lint: baseline updated: %d finding(s) -> %s@."
+          (List.length entries) path;
+        0
   end
   else
     match baseline_file with
     | None -> report ~json_out (List.map (fun e -> (e, true)) entries)
     | Some p -> (
-        match Analysis.Baseline.load p with
-        | bl -> report ~json_out (Analysis.Baseline.classify bl entries)
-        | exception Analysis.Baseline.Malformed m ->
+        match Lint.Baseline.load p with
+        | bl -> report ~json_out (Lint.Baseline.classify bl entries)
+        | exception Lint.Baseline.Malformed m ->
             Format.eprintf "vtp_lint: malformed baseline %s: %s@." p m;
             2)
 
-let run list_only jobs json_out baseline_file update_baseline rule_filter
-    explain roots =
+let bad_root r =
+  if not (Sys.file_exists r) then Some ("no such directory: " ^ r)
+  else if not (Sys.is_directory r) then Some ("not a directory: " ^ r)
+  else None
+
+let run list_only json_out baseline_file update_baseline rule_filter explain
+    roots =
   match explain with
   | Some rid -> do_explain rid
   | None -> (
@@ -174,18 +177,27 @@ let run list_only jobs json_out baseline_file update_baseline rule_filter
       else
         match
           List.find_opt
-            (fun rid -> Option.is_none (Analysis.Check.find_pass rid))
+            (fun rid -> Option.is_none (Lint.Check.find_pass rid))
             rule_filter
         with
         | Some rid -> unknown_rule rid
         | None -> (
-            match List.filter (fun r -> not (Sys.file_exists r)) roots with
-            | d :: _ ->
-                Format.eprintf "vtp_lint: no such directory: %s@." d;
+            match List.find_map bad_root roots with
+            | Some msg ->
+                Format.eprintf "vtp_lint: %s@." msg;
                 2
-            | [] ->
-                scan ~jobs ~json_out ~baseline_file ~update_baseline
-                  ~rule_filter roots))
+            | None -> (
+                match
+                  scan ~json_out ~baseline_file ~update_baseline ~rule_filter
+                    roots
+                with
+                | code -> code
+                | exception Lint.Pass.Syntax_error { path; line; message } ->
+                    Format.eprintf "vtp_lint: %s:%d: %s@." path line message;
+                    2
+                | exception Sys_error msg ->
+                    Format.eprintf "vtp_lint: %s@." msg;
+                    2)))
 
 let cmd =
   let doc =
@@ -195,7 +207,7 @@ let cmd =
   Cmd.v
     (Cmd.info "vtp_lint" ~doc)
     Term.(
-      const run $ list_rules $ jobs $ json_out
+      const run $ list_rules $ json_out
       $ baseline_file $ update_baseline $ rule_filter $ explain $ roots)
 
 let () = exit (Cmd.eval' cmd)

@@ -1,6 +1,5 @@
 (** One-shot work-stealing fan-out for embarrassingly-parallel batches
-    (fuzz seeds, experiment tables, seed sweeps, golden replays, the
-    lint scan).
+    (fuzz seeds, experiment tables, seed sweeps, golden replays).
 
     {!map} splits a batch of [n] independent tasks into [min jobs n]
     contiguous lanes, each with its own atomic cursor, and spawns one

@@ -29,7 +29,8 @@ val make :
 val of_check : Pass.finding list -> entry list
 
 val sort : entry list -> entry list
-(** By (path, line, rule, message) — identical at any worker count. *)
+(** By (path, line, rule, message), so the order is a function of the
+    findings alone. *)
 
 val sarif : rules:(string * string) list -> (entry * bool) list -> Stats.Json.t
 (** SARIF-style report; [rules] is (id, doc) metadata for the tool

@@ -4,7 +4,7 @@
    loss-interval weight vector, the throughput-equation coefficients,
    the nofeedback backoff, the dupack threshold.  Each is declared once
    here as (file, anchor binding, expected numeric run) and the pass
-   re-derives the run from the source tokens, so silent drift in any
+   re-derives the run from the parsed literals, so silent drift in any
    copy fails @lint with a pointer to the authority. *)
 
 let family = "protocol-constants"
@@ -158,68 +158,81 @@ let has_run nums expect =
   let rec search i = i + m <= n && (at i 0 || search (i + 1)) in
   m = 0 || search 0
 
-let literal_run (sc : Pass.source_ctx) (lo, hi) proj =
+(* The binding's numeric literals, in source order: its patterns'
+   included, as each one is a written constant. *)
+let literal_run (b : Pass.binding) proj =
   let out = ref [] in
-  for i = lo to hi - 1 do
-    let t = sc.Pass.sc_tokens.(i) in
-    let keep =
-      match t.Lexer.kind with
-      | Lexer.Float_lit -> true
-      | Lexer.Int_lit -> proj = All_numeric
-      | _ -> false
+  let add (loc : Location.t) (c : Parsetree.constant) =
+    let text =
+      match c with
+      | Pconst_float (s, _) -> Some s
+      | Pconst_integer (s, _) when proj = All_numeric -> Some s
+      | _ -> None
     in
-    if keep then
-      match float_of_string_opt t.Lexer.text with
-      | Some v -> out := v :: !out
-      | None -> ()
-  done;
-  List.rev !out
+    match Option.bind text float_of_string_opt with
+    | Some v -> out := (loc.loc_start.pos_cnum, v) :: !out
+    | None -> ()
+  in
+  let default = Ast_iterator.default_iterator in
+  let it =
+    {
+      default with
+      expr =
+        (fun it e ->
+          (match e.pexp_desc with
+          | Pexp_constant c -> add e.pexp_loc c
+          | _ -> ());
+          default.expr it e);
+      pat =
+        (fun it p ->
+          (match p.ppat_desc with
+          | Ppat_constant c -> add p.ppat_loc c
+          | _ -> ());
+          default.pat it p);
+    }
+  in
+  it.value_binding it b.vb;
+  List.map snd (List.sort (fun (a, _) (b, _) -> Int.compare a b) !out)
 
 let pp_expect expect =
   String.concat ", "
     (List.map (fun v -> Printf.sprintf "%g" v) expect)
 
 let run (sc : Pass.source_ctx) =
-  let entries =
-    List.filter
-      (fun e -> String.ends_with ~suffix:e.cfile sc.Pass.sc_path)
-      table
-  in
   List.filter_map
     (fun e ->
-      match
-        List.find_opt
-          (fun (c : Parser.context) ->
-            c.Parser.cx_binding.Parser.bname = e.anchor
-            && c.Parser.cx_mods = [])
-          sc.Pass.sc_contexts
-      with
-      | None ->
-          Some
-            (Pass.finding ~rule:"proto-const" ~family ~path:sc.Pass.sc_path
-               ~line:1
-               ~message:
-                 (Printf.sprintf
-                    "declared constant anchor '%s' (%s: %s) not found; \
-                     update the table in rules/constants.ml alongside the \
-                     refactor"
-                    e.anchor e.cid e.cdoc)
-               ~context:e.cid)
-      | Some c ->
-          let nums = literal_run sc c.Parser.cx_binding.Parser.bspan e.proj in
-          if has_run nums e.expect then None
-          else
+      if not (String.ends_with ~suffix:e.cfile sc.sc_path) then None
+      else
+        (* the anchor is a top-level binding: its context is its name *)
+        match
+          List.find_opt
+            (fun (b : Pass.binding) -> b.context = e.anchor)
+            sc.sc_bindings
+        with
+        | None ->
             Some
-              (Pass.finding ~rule:"proto-const" ~family
-                 ~path:sc.Pass.sc_path
-                 ~line:c.Parser.cx_binding.Parser.bline
+              (Pass.finding ~rule:"proto-const" ~family ~path:sc.sc_path
+                 ~line:1
                  ~message:
                    (Printf.sprintf
-                      "constants in '%s' drifted from %s (%s): expected \
-                       the literal run [%s]"
-                      e.anchor e.cid e.cdoc (pp_expect e.expect))
-                 ~context:e.cid))
-    entries
+                      "declared constant anchor '%s' (%s: %s) not found; \
+                       update the table in rules/constants.ml alongside the \
+                       refactor"
+                      e.anchor e.cid e.cdoc)
+                 ~context:e.cid)
+        | Some b ->
+            if has_run (literal_run b e.proj) e.expect then None
+            else
+              Some
+                (Pass.finding ~rule:"proto-const" ~family ~path:sc.sc_path
+                   ~line:b.line
+                   ~message:
+                     (Printf.sprintf
+                        "constants in '%s' drifted from %s (%s): expected \
+                         the literal run [%s]"
+                        e.anchor e.cid e.cdoc (pp_expect e.expect))
+                   ~context:e.cid))
+    table
 
 let passes : Pass.t list =
   [
@@ -233,7 +246,7 @@ let passes : Pass.t list =
         "The weight vector, equation coefficients and timer floors are \
          normative: a typo'd 0.6 still converges and passes unit tests \
          but changes fairness.  Declaring each constant run once and \
-         re-deriving it from the tokens turns silent drift into a lint \
+         re-deriving it from the source turns silent drift into a lint \
          failure naming the RFC section.";
       bad = "let weight i = [| 1.0; 1.0; 1.0; 1.0; 0.8; 0.7; 0.4; 0.2 |].(i)";
       good = "let weight i = [| 1.0; 1.0; 1.0; 1.0; 0.8; 0.6; 0.4; 0.2 |].(i)";

@@ -10,144 +10,128 @@ let family = "determinism"
 
 (* Allocators whose result, bound at the top level, is state shared by
    every domain that touches the module. *)
-let alloc_heads =
-  [
-    "ref"; "Hashtbl.create"; "Buffer.create"; "Queue.create";
-    "Stack.create"; "Bytes.create"; "Array.make"; "Array.init";
-    "Array.create_float"; "Atomic.make";
-  ]
-
-let is_dls_key text =
-  let cs = Pass.components text in
-  List.mem "DLS" cs && Pass.last_component text = "new_key"
+let alloc_head = function
+  | [ "ref" ]
+  | [ ("Hashtbl" | "Buffer" | "Queue" | "Stack" | "Bytes"); "create" ]
+  | [ "Array"; ("make" | "init" | "create_float") ]
+  | [ "Atomic"; "make" ] ->
+      true
+  | _ -> false
 
 let run_top_state (sc : Pass.source_ctx) =
   List.filter_map
-    (fun (c : Parser.context) ->
-      let b = c.Parser.cx_binding in
-      if b.Parser.bfun || List.mem "vtp.ambient" b.Parser.battrs then None
+    (fun (b : Pass.binding) ->
+      if b.is_fun || List.mem "vtp.ambient" b.attrs then None
       else begin
-        let lo, hi = b.Parser.bbody in
         let dls = ref false and alloc = ref "" in
-        for i = lo to hi - 1 do
-          let t = sc.Pass.sc_tokens.(i) in
-          match t.Lexer.kind with
-          | Lexer.Ident ->
-              let text = Pass.strip_stdlib t.Lexer.text in
-              if is_dls_key text then dls := true;
-              if !alloc = "" && List.mem text alloc_heads then alloc := text
-          | _ -> ()
-        done;
+        Pass.iter_expr
+          (fun e ->
+            match Pass.strip_stdlib (Pass.ident e) with
+            | [ "DLS"; "new_key" ] | [ "Domain"; "DLS"; "new_key" ] ->
+                dls := true
+            | cs when !alloc = "" && alloc_head cs ->
+                alloc := String.concat "." cs
+            | _ -> ())
+          b.vb.pvb_expr;
         if !alloc = "" || !dls then None
         else
           Some
-            (Pass.finding ~rule:"top-level-state" ~family
-               ~path:sc.Pass.sc_path ~line:b.Parser.bline
+            (Pass.finding ~rule:"top-level-state" ~family ~path:sc.sc_path
+               ~line:b.line
                ~message:
                  (Printf.sprintf
                     "top-level binding '%s' allocates mutable state (%s) \
                      shared across domains; register it through \
                      Domain.DLS.new_key or mark it [@vtp.ambient]"
-                    b.Parser.bname !alloc)
-               ~context:(Parser.qualified_name c))
+                    b.name !alloc)
+               ~context:b.context)
       end)
-    sc.Pass.sc_contexts
-
-let is_hashtbl_iteration text =
-  let cs = Pass.components text in
-  List.mem "Hashtbl" cs
-  && match Pass.last_component text with "iter" | "fold" -> true | _ -> false
+    sc.sc_bindings
 
 let starts_with prefix s = String.starts_with ~prefix s
 
-(* Tokens that commit an ordering: consing onto an accumulator,
-   assigning one, or printing/serialising directly. *)
-let ordered_sink (ts : Lexer.token array) j =
-  let t = ts.(j) in
-  match t.Lexer.kind with
-  | Lexer.Ident ->
-      let cs = Pass.components (Pass.strip_stdlib t.Lexer.text) in
-      (match cs with
-      | "Buffer" :: _ when starts_with "add" (Pass.last_component t.Lexer.text)
-        ->
-          Some "Buffer.add*"
-      | ("Printf" | "Format") :: _ -> Some (List.hd cs)
-      | _ ->
+(* Expressions that commit an ordering: consing onto an accumulator,
+   assigning one, or printing/serialising directly.  The sink's name
+   and its offset in the file. *)
+let ordered_sink (e : Parsetree.expression) =
+  let at (loc : Location.t) s = Some (loc.loc_start.pos_cnum, s) in
+  match (Pass.written_cons e, Pass.ident e) with
+  | Some loc, _ -> at loc "::"
+  | None, [] -> None
+  | None, written -> (
+      match Pass.strip_stdlib written with
+      | [ ":=" ] -> at e.pexp_loc ":="
+      | "Buffer" :: last :: _ when starts_with "add" last ->
+          at e.pexp_loc "Buffer.add*"
+      | (("Printf" | "Format") as m) :: _ -> at e.pexp_loc m
+      | cs ->
           if
             List.exists
               (fun c -> starts_with "output_" c || starts_with "print_" c)
               cs
-          then Some t.Lexer.text
+          then at e.pexp_loc (String.concat "." written)
           else None)
-  | Lexer.Op ->
-      if t.Lexer.text = ":=" then Some ":="
-      else if t.Lexer.text = "::" && Pass.expr_position ts j then Some "::"
-      else None
-  | _ -> None
 
-let sortish (ts : Lexer.token array) j =
-  match ts.(j).Lexer.kind with
-  | Lexer.Ident ->
-      List.exists (starts_with "sort") (Pass.components ts.(j).Lexer.text)
+let is_hashtbl_iteration e =
+  match Pass.strip_stdlib (Pass.ident e) with
+  | [ "Hashtbl"; ("iter" | "fold") ] -> true
   | _ -> false
 
 let run_hashtbl_order (sc : Pass.source_ctx) =
-  let ts = sc.Pass.sc_tokens in
-  let out = ref [] in
-  Array.iteri
-    (fun i (t : Lexer.token) ->
-      if t.Lexer.kind = Lexer.Ident && is_hashtbl_iteration t.Lexer.text then
-        match Parser.enclosing sc.Pass.sc_contexts i with
-        | None -> ()
-        | Some c ->
-            let b = c.Parser.cx_binding in
-            if List.mem "vtp.unordered" b.Parser.battrs then ()
-            else begin
-              let lo, hi = b.Parser.bspan in
-              let sorted = ref false and sink = ref "" in
-              for j = lo to hi - 1 do
-                if sortish ts j then sorted := true;
-                if !sink = "" then
-                  match ordered_sink ts j with
-                  | Some s -> sink := s
-                  | None -> ()
-              done;
-              if !sink <> "" && not !sorted then
-                out :=
-                  Pass.finding ~rule:"hashtbl-order" ~family
-                    ~path:sc.Pass.sc_path ~line:t.Lexer.tline
-                    ~message:
-                      (Printf.sprintf
-                         "%s feeds an ordered sink (%s) in '%s'; Hashtbl \
-                          iteration order is unspecified — sort the keys \
-                          first or mark the binding [@vtp.unordered]"
-                         t.Lexer.text !sink b.Parser.bname)
-                    ~context:(Parser.qualified_name c)
-                  :: !out
-            end)
-    ts;
-  List.rev !out
+  List.concat_map
+    (fun (b : Pass.binding) ->
+      let iterations = ref [] in
+      if not (List.mem "vtp.unordered" b.attrs) then
+        Pass.iter_expr
+          (fun e ->
+            if is_hashtbl_iteration e then iterations := e :: !iterations)
+          b.vb.pvb_expr;
+      if !iterations = [] then []
+      else begin
+        let sorted = ref false and sink = ref None in
+        Pass.iter_expr
+          (fun e ->
+            if List.exists (starts_with "sort") (Pass.ident e) then
+              sorted := true;
+            match (ordered_sink e, !sink) with
+            | Some (o, _), Some (first, _) when o >= first -> ()
+            | Some s, _ -> sink := Some s
+            | None, _ -> ())
+          b.vb.pvb_expr;
+        match !sink with
+        | Some (_, sink) when not !sorted ->
+            List.rev_map
+              (fun (e : Parsetree.expression) ->
+                Pass.finding ~rule:"hashtbl-order" ~family ~path:sc.sc_path
+                  ~line:(Pass.line e.pexp_loc)
+                  ~message:
+                    (Printf.sprintf
+                       "%s feeds an ordered sink (%s) in '%s'; Hashtbl \
+                        iteration order is unspecified — sort the keys \
+                        first or mark the binding [@vtp.unordered]"
+                       (String.concat "." (Pass.ident e))
+                       sink b.name)
+                  ~context:b.context)
+              !iterations
+        | _ -> []
+      end)
+    sc.sc_bindings
 
-let clock_calls =
-  [ "Unix.gettimeofday"; "Unix.time"; "Unix.gmtime"; "Unix.localtime";
-    "Sys.time" ]
-
-let wall_clock _ _ (t : Lexer.token) =
-  if
-    t.Lexer.kind = Lexer.Ident
-    && List.mem (Pass.strip_stdlib t.Lexer.text) clock_calls
-  then
-    Some
-      (t.Lexer.text
-      ^ " reads the wall clock; simulated components must take time from \
-         Engine.Sim.now so runs replay identically")
-  else None
+let wall_clock e =
+  match Pass.strip_stdlib (Pass.ident e) with
+  | [ "Unix"; ("gettimeofday" | "time" | "gmtime" | "localtime") ]
+  | [ "Sys"; "time" ] ->
+      Some
+        (String.concat "." (Pass.ident e)
+        ^ " reads the wall clock; simulated components must take time from \
+           Engine.Sim.now so runs replay identically")
+  | _ -> None
 
 (* Any [Random.*] call outside the engine's seeded RNG shim breaks
    experiment reproducibility. *)
-let random_call _ _ (t : Lexer.token) =
-  match (t.Lexer.kind, Pass.components t.Lexer.text) with
-  | Lexer.Ident, "Random" :: _ ->
+let random_call e =
+  match Pass.ident e with
+  | "Random" :: _ ->
       Some
         "global Random used; draw from Engine.Rng (seeded, splittable) \
          instead"
@@ -156,15 +140,13 @@ let random_call _ _ (t : Lexer.token) =
 (* [Domain.spawn] outside the engine's pool: ad-hoc domains bypass the
    pool's determinism contract (submission-order collection, bounded
    worker count, every domain joined before results are read). *)
-let domain_spawn _ _ (t : Lexer.token) =
-  if
-    t.Lexer.kind = Lexer.Ident
-    && String.ends_with ~suffix:"Domain.spawn" t.Lexer.text
-  then
-    Some
-      "Domain.spawn outside Engine.Pool; fan tasks out with \
-       Engine.Pool.map instead"
-  else None
+let domain_spawn e =
+  match Pass.strip_stdlib (Pass.ident e) with
+  | [ "Domain"; "spawn" ] ->
+      Some
+        "Domain.spawn outside Engine.Pool; fan tasks out with \
+         Engine.Pool.map instead"
+  | _ -> None
 
 let passes : Pass.t list =
   [
@@ -217,7 +199,7 @@ let passes : Pass.t list =
       good = "let deadline = Engine.Sim.now sim +. rto";
       dirs = [];
       allow = [ "bench/" ];
-      kind = File_pass (Pass.token_pass ~rule:"wall-clock" ~family wall_clock);
+      kind = Expr_pass wall_clock;
     };
     {
       id = "random-call";
@@ -233,8 +215,7 @@ let passes : Pass.t list =
       good = "let jitter rng = Engine.Rng.float rng 0.01";
       dirs = [];
       allow = [ "lib/engine/rng.ml" ];
-      kind =
-        File_pass (Pass.token_pass ~rule:"random-call" ~family random_call);
+      kind = Expr_pass random_call;
     };
     {
       id = "domain-spawn";
@@ -251,7 +232,6 @@ let passes : Pass.t list =
       good = "Engine.Pool.map ?jobs run seeds";
       dirs = [];
       allow = [ "lib/engine/pool.ml" ];
-      kind =
-        File_pass (Pass.token_pass ~rule:"domain-spawn" ~family domain_spawn);
+      kind = Expr_pass domain_spawn;
     };
   ]

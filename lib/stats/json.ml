@@ -85,7 +85,7 @@ let pp fmt v = Format.pp_print_string fmt (to_string v)
 (* Parsing.
 
    A recursive-descent reader for standard JSON, so in-repo tooling
-   (Analysis.Baseline, perfbench) can read back what this module writes.
+   (Lint.Baseline, perfbench) can read back what this module writes.
    Numbers without '.', 'e' or a leading '-that-overflows' parse as
    [Int]; everything else numeric parses as [Float].  \uXXXX escapes
    decode below 0x80 and degrade to '?' above (the emitter never

@@ -5,7 +5,7 @@
     Serialisation is deterministic (object fields print in the order
     given), NaN and infinities are emitted as [null] so the output
     always parses, and strings are escaped per RFC 8259.  The reader
-    ({!of_string}) exists so in-repo tooling ([Analysis.Baseline],
+    ({!of_string}) exists so in-repo tooling ([Lint.Baseline],
     perfbench) can load what this module writes back in; it accepts
     standard JSON, not just our own output. *)
 

@@ -303,7 +303,7 @@ let mean_of t ~with_open =
           num := !num +. (w *. len);
           den := !den +. w)
         terms;
-      if !den = 0.0 then infinity else !num /. !den
+      if Float.equal !den 0.0 then infinity else !num /. !den
 
 let mean_interval t =
   if t.intervals = [] && t.current = None then infinity

@@ -1,26 +1,24 @@
-(* The analyzer: lexer and parser shape recovery, one firing and one
+(* The analyzer: the let-binding walk, one firing and one
    structurally-similar clean fixture per pass, the pass registry,
-   report rendering, fingerprints, baseline gating, and the
-   jobs-independence contract — all driven through [Check.run_string] /
-   [Check.run_files] so no files need creating. *)
+   report rendering, fingerprints, baseline gating and syntax errors —
+   all driven through [Check.run_string] / [Check.run_files] so no files
+   need creating. *)
 
-module P = Analysis.Parser
-module Pass = Analysis.Pass
-module Check = Analysis.Check
-module Report = Analysis.Report
-module Baseline = Analysis.Baseline
+module Pass = Lint.Pass
+module Check = Lint.Check
+module Report = Lint.Report
+module Baseline = Lint.Baseline
 
-let parse src = P.parse (Array.of_list (Analysis.Lexer.tokenize src))
-
-let contexts src = P.contexts (parse src)
+let bindings src = (Check.source_ctx ~path:"lib/x/fixture.ml" src).sc_bindings
 
 let binding_named name src =
   match
-    List.find_opt (fun (c : P.context) -> c.P.cx_binding.P.bname = name)
-      (contexts src)
+    List.find_opt (fun (b : Pass.binding) -> b.Pass.name = name) (bindings src)
   with
-  | Some c -> c
-  | None -> Alcotest.failf "no binding %S parsed out of %S" name src
+  | Some b -> b
+  | None -> Alcotest.failf "no binding %S walked out of %S" name src
+
+let names src = List.map (fun (b : Pass.binding) -> b.Pass.name) (bindings src)
 
 let rules fs = List.map (fun (f : Pass.finding) -> f.Pass.rule) fs
 
@@ -39,7 +37,7 @@ let check_clean rule ~path src =
 let proto = "lib/tfrc/fixture.ml"
 
 (* ------------------------------------------------------------------ *)
-(* Parser *)
+(* The let-binding walk *)
 
 let test_parser_structure () =
   (* nested modules give qualified contexts *)
@@ -50,78 +48,64 @@ let test_parser_structure () =
      end\n\
      let z = 3\n"
   in
-  let c = binding_named "x" src in
-  Alcotest.(check (list string)) "x sits in A.B" [ "A"; "B" ] c.P.cx_mods;
-  Alcotest.(check string) "qualified" "A.B.x" (P.qualified_name c);
-  Alcotest.(check (list string)) "y sits in A" [ "A" ]
-    (binding_named "y" src).P.cx_mods;
-  Alcotest.(check (list string)) "z at top" [] (binding_named "z" src).P.cx_mods;
+  Alcotest.(check string) "x sits in A.B" "A.B.x"
+    (binding_named "x" src).Pass.context;
+  Alcotest.(check string) "y sits in A" "A.y"
+    (binding_named "y" src).Pass.context;
+  Alcotest.(check string) "z at top" "z" (binding_named "z" src).Pass.context;
   (* functor bodies are still walked *)
   let fsrc = "module F (X : Set.S) = struct let pick s = X.min_elt s end\n" in
-  Alcotest.(check (list string)) "functor member" [ "F" ]
-    (binding_named "pick" fsrc).P.cx_mods;
-  (* a module alias is not a struct *)
-  (match parse "module M = Map.Make (Int)\nlet a = 1\n" with
-  | [ P.Other { okw = "module"; _ }; P.Let _ ] -> ()
-  | _ -> Alcotest.fail "module alias should parse as Other + Let")
+  Alcotest.(check string) "functor member" "F.pick"
+    (binding_named "pick" fsrc).Pass.context;
+  (* a module alias is not a struct: it holds no binding *)
+  Alcotest.(check (list string)) "module alias" [ "a" ]
+    (names "module M = Map.Make (Int)\nlet a = 1\n")
 
 let test_parser_attributes () =
-  let b = (binding_named "f" "let[@vtp.hot] f x = x + 1\n").P.cx_binding in
-  Alcotest.(check (list string)) "prefix attr" [ "vtp.hot" ] b.P.battrs;
-  Alcotest.(check bool) "f is a function" true b.P.bfun;
-  let b =
-    (binding_named "g" "let g x = x + 1 [@@vtp.alloc_ok]\nlet h = 2\n")
-      .P.cx_binding
-  in
-  Alcotest.(check (list string)) "trailing attr" [ "vtp.alloc_ok" ] b.P.battrs;
-  let c =
-    binding_named "k" "[@@@vtp.hot]\n\nlet k x = x * 2\n"
-  in
+  let b = binding_named "f" "let[@vtp.hot] f x = x + 1\n" in
+  Alcotest.(check (list string)) "prefix attr" [ "vtp.hot" ] b.Pass.attrs;
+  Alcotest.(check bool) "f is a function" true b.Pass.is_fun;
+  let b = binding_named "g" "let g x = x + 1 [@@vtp.alloc_ok]\nlet h = 2\n" in
+  Alcotest.(check (list string))
+    "trailing attr" [ "vtp.alloc_ok" ] b.Pass.attrs;
+  let b = binding_named "k" "[@@@vtp.hot]\n\nlet k x = x * 2\n" in
   Alcotest.(check bool) "floating attr reaches the binding" true
-    (List.mem "vtp.hot" c.P.cx_floating);
+    (List.mem "vtp.hot" b.Pass.floating);
   let b =
-    (binding_named "r" "let[@vtp.hot] rec r n = if n = 0 then 1 else r (n - 1)\n")
-      .P.cx_binding
+    binding_named "r" "let[@vtp.hot] rec r n = if n = 0 then 1 else r (n - 1)\n"
   in
-  Alcotest.(check (list string)) "attr before rec" [ "vtp.hot" ] b.P.battrs
+  Alcotest.(check (list string)) "attr before rec" [ "vtp.hot" ] b.Pass.attrs
 
 let test_parser_blind_spots () =
   (* keywords inside comments and strings are invisible *)
-  let src =
-    "(* let bogus = ref 0 *)\n\
-     let s = \"let fake = ref 0\"\n\
-     let k x = x\n"
-  in
-  let names =
-    List.map (fun (c : P.context) -> c.P.cx_binding.P.bname) (contexts src)
-  in
-  Alcotest.(check (list string)) "only real bindings" [ "s"; "k" ] names;
+  Alcotest.(check (list string)) "only real bindings" [ "s"; "k" ]
+    (names
+       "(* let bogus = ref 0 *)\n\
+        let s = \"let fake = ref 0\"\n\
+        let k x = x\n");
   (* expression-level and-chains stay inside their function *)
   let src = "let f x =\n  let a = ref 0 and b = ref x in\n  !a + !b\n" in
-  let names =
-    List.map (fun (c : P.context) -> c.P.cx_binding.P.bname) (contexts src)
-  in
-  Alcotest.(check (list string)) "let..and..in is one binding" [ "f" ] names;
+  Alcotest.(check (list string)) "let..and..in is one binding" [ "f" ]
+    (names src);
   Alcotest.(check bool) "f is a function" true
-    (binding_named "f" src).P.cx_binding.P.bfun;
-  (* top-level rec..and chains split into members *)
+    (binding_named "f" src).Pass.is_fun;
+  (* top-level rec..and chains split into members, each on its line *)
   let src = "let rec even n = odd (n - 1)\nand odd n = even (n - 1)\n" in
-  let names =
-    List.map (fun (c : P.context) -> c.P.cx_binding.P.bname) (contexts src)
-  in
-  Alcotest.(check (list string)) "rec/and members" [ "even"; "odd" ] names
+  Alcotest.(check (list string)) "rec/and members" [ "even"; "odd" ]
+    (names src);
+  Alcotest.(check int) "and member's line" 2 (binding_named "odd" src).Pass.line
 
 let test_parser_bfun () =
-  let bfun name src = (binding_named name src).P.cx_binding.P.bfun in
-  Alcotest.(check bool) "parameters" true (bfun "f" "let f x = x\n");
-  Alcotest.(check bool) "fun body" true (bfun "g" "let g = fun x -> x\n");
+  let is_fun name src = (binding_named name src).Pass.is_fun in
+  Alcotest.(check bool) "parameters" true (is_fun "f" "let f x = x\n");
+  Alcotest.(check bool) "fun body" true (is_fun "g" "let g = fun x -> x\n");
   Alcotest.(check bool) "function body" true
-    (bfun "h" "let h = function [] -> 0 | _ -> 1\n");
-  Alcotest.(check bool) "plain value" false (bfun "v" "let v = 5\n");
+    (is_fun "h" "let h = function [] -> 0 | _ -> 1\n");
+  Alcotest.(check bool) "plain value" false (is_fun "v" "let v = 5\n");
   Alcotest.(check bool) "annotated value" false
-    (bfun "c" "let c : int = 5\n");
+    (is_fun "c" "let c : int = 5\n");
   (* a unit binding is an effectful statement, not a function *)
-  Alcotest.(check bool) "unit pattern" false (bfun "()" "let () = run ()\n")
+  Alcotest.(check bool) "unit pattern" false (is_fun "()" "let () = run ()\n")
 
 (* ------------------------------------------------------------------ *)
 (* Determinism family *)
@@ -227,7 +211,11 @@ let test_hot_box () =
     "let[@vtp.alloc_ok] peek t = if t.n = 0 then None else Some t.arr.(0)\n";
   (* floating [@@@vtp.hot] marks every function in the structure *)
   check_fires "hot-box" ~path:proto "[@@@vtp.hot]\nlet wrap x = Some x\n";
-  check_clean "hot-box" ~path:proto "let wrap x = Some x\n"
+  check_clean "hot-box" ~path:proto "let wrap x = Some x\n";
+  (* a pattern or a type is not an allocation *)
+  check_clean "hot-box" ~path:proto
+    "let[@vtp.hot] f t = match t with (Some x, _) -> x | _ -> 0\n";
+  check_clean "hot-box" ~path:proto "let[@vtp.hot] f x = (x : int ref) := 1\n"
 
 let test_hot_format () =
   check_fires "hot-format" ~path:proto
@@ -324,7 +312,7 @@ let test_undeclared_export () =
   (* an [include] makes the surface non-evident: stay silent *)
   Alcotest.(check int) "include suppresses the check" 0
     (List.length (exports_findings "include module type of Impl\n"));
-  (* every wrapped library root is mapped, Trunk included *)
+  (* every wrapped library root is mapped, Trunk and Lint included *)
   let undeclared =
     List.filter
       (fun (f : Pass.finding) -> f.Pass.rule = "undeclared-export")
@@ -332,13 +320,15 @@ let test_undeclared_export () =
          [
            ("lib/sack/scoreboard.mli", "val on_feedback : int\n");
            ("lib/trunk/mux.mli", "val pack : int\n");
+           ("lib/lint/check.mli", "val passes : int\n");
            ( "lib/fuzz/x.ml",
              "let a () = Sack.Scoreboard.bogus 1\n\
-              let b () = Trunk.Mux.bogus 2\n" );
+              let b () = Trunk.Mux.bogus 2\n\
+              let c () = Lint.Check.bogus 3\n" );
          ])
   in
-  Alcotest.(check (list int)) "Sack and Trunk references both checked"
-    [ 1; 2 ]
+  Alcotest.(check (list int)) "Sack, Trunk and Lint references all checked"
+    [ 1; 2; 3 ]
     (List.map (fun (f : Pass.finding) -> f.Pass.line) undeclared)
 
 let test_poly_compare () =
@@ -354,6 +344,9 @@ let test_poly_compare () =
 let test_float_eq () =
   check_fires "float-eq" ~path:proto "let f x = if x = 0.0 then 1 else 2\n";
   check_fires "float-eq" ~path:proto "let g a = a <> 1.0\n";
+  (* whatever the left operand: an application, a dereference *)
+  check_fires "float-eq" ~path:proto "let f g x = if g x = 0.0 then 1 else 2\n";
+  check_fires "float-eq" ~path:proto "let f d = if !d = 0.0 then 1 else 2\n";
   (* binders and optional-argument defaults are not comparisons *)
   check_clean "float-eq" ~path:proto "let x = 1.0\n";
   check_clean "float-eq" ~path:proto "let f ?(eps = 1e-9) () = eps\n";
@@ -384,17 +377,22 @@ let test_missing_mli () =
   Alcotest.(check bool) "executables exempt" false (has [ "bin/b.ml" ])
 
 (* ------------------------------------------------------------------ *)
-(* Lexer *)
+(* What the parse tree does not hold *)
 
 let assert_false_findings src =
   List.filter
     (fun (f : Pass.finding) -> f.Pass.rule = "assert-false")
     (Check.run_string ~path:proto src)
 
-let test_lexer_blind_spots () =
+let test_parse_tree_blind_spots () =
   (* Findings must never come from comments or string literals. *)
   check_clean "assert-false" ~path:proto "(* assert false *) let x = 1\n";
   check_clean "assert-false" ~path:proto "let s = \"assert false\"\n";
+  check_clean "assert-false" ~path:proto "let s = {|assert false|}\n";
+  check_clean "random-call" ~path:proto
+    "let t = {x| Random.int 3 ; Obj.magic |x}\n";
+  check_clean "obj-magic" ~path:proto
+    "let t = {x| Random.int 3 ; Obj.magic |x}\n";
   check_clean "random-call" ~path:proto
     "(* nested (* Random.int *) with a \"*)\" string *) let x = 1\n";
   (* ... and line numbers survive multi-line comments *)
@@ -501,7 +499,7 @@ let test_sarif_shape () =
       [ (entry (), true); (entry ~msg:"old boxing" (), false) ]
   in
   let s = Stats.Json.to_string doc in
-  let has sub = Analysis.Lexer.contains_sub ~sub s in
+  let has sub = Pass.contains_sub ~sub s in
   Alcotest.(check bool) "driver name" true (has "\"vtp_lint\"");
   Alcotest.(check bool) "ruleId" true (has "\"ruleId\": \"hot-box\"");
   Alcotest.(check bool) "new finding" true (has "\"baselineState\": \"new\"");
@@ -510,45 +508,28 @@ let test_sarif_shape () =
   Alcotest.(check bool) "fingerprints" true (has "\"vtp/v1\"")
 
 (* ------------------------------------------------------------------ *)
-(* Determinism of the driver itself *)
+(* Files the OCaml parser rejects *)
 
-let test_jobs_contract () =
-  (* a small in-memory tree always available *)
+let test_syntax_error () =
   let files =
     [
-      ("lib/tfrc/equation.ml", eq_good);
-      ("lib/core/a.ml", "let bad = ref 0\n");
-      ("lib/core/b.ml", "let[@vtp.hot] f t = Some t.x\n");
-      ("lib/core/c.ml", "let fine x = x + 1\n");
+      ("lib/core/a.ml", "let fine x = x + 1\n");
+      ("lib/core/b.ml", "let f x = (x");
+      ("lib/core/b.mli", "val f : int -> int\n");
     ]
   in
-  let f1 = Check.run_files ~jobs:1 files in
-  let f4 = Check.run_files ~jobs:4 files in
-  Alcotest.(check int) "same findings" (List.length f1) (List.length f4);
-  List.iter2
-    (fun (a : Pass.finding) (b : Pass.finding) ->
-      Alcotest.(check string) "same rule order" a.Pass.rule b.Pass.rule;
-      Alcotest.(check string) "same path order" a.Pass.path b.Pass.path;
-      Alcotest.(check int) "same lines" a.Pass.line b.Pass.line)
-    f1 f4;
-  (* and over the real tree when visible, as byte-identical SARIF *)
-  if Sys.file_exists "lib" && Sys.file_exists "bin" then begin
-    let sarif jobs =
-      let fs = Check.run_tree ~jobs ~roots:[ "lib"; "bin" ] () in
-      Stats.Json.to_string
-        (Report.sarif ~rules:[]
-           (List.map (fun e -> (e, true)) (Report.of_check fs)))
-    in
-    Alcotest.(check string) "tree report identical at jobs 1 vs 4" (sarif 1)
-      (sarif 4)
-  end
+  match Check.run_files files with
+  | exception Pass.Syntax_error { path; line; _ } ->
+      Alcotest.(check string) "names the file" "lib/core/b.ml" path;
+      Alcotest.(check int) "and the line" 1 line
+  | _ -> Alcotest.fail "an unparsable file must raise Syntax_error"
 
 let test_tree_is_clean () =
   (* The repository's own sources must stay analyzer-clean (the
      committed baseline is empty); only assert when the tree is
      visible — dune sandboxes test execution. *)
   if Sys.file_exists "lib" && Sys.file_exists "bin" then begin
-    let fs = Check.run_tree ~roots:[ "lib"; "bin" ] () in
+    let fs = Check.run_tree ~roots:[ "lib"; "bin" ] in
     List.iter
       (fun (f : Pass.finding) ->
         Printf.eprintf "unexpected: %s:%d %s %s\n" f.Pass.path f.Pass.line
@@ -581,13 +562,17 @@ let suite =
     ("assert-false", `Quick, test_assert_false);
     ("failwith-empty", `Quick, test_failwith_empty);
     ("missing-mli", `Quick, test_missing_mli);
-    ("lexer blind spots", `Quick, test_lexer_blind_spots);
+    ("parse-tree blind spots", `Quick, test_parse_tree_blind_spots);
     ("registry", `Quick, test_registry);
     ("rendered line", `Quick, test_rendered_line);
     ("fingerprints", `Quick, test_fingerprints);
     ("baseline classify", `Quick, test_baseline_classify);
     ("baseline malformed", `Quick, test_baseline_malformed);
     ("sarif shape", `Quick, test_sarif_shape);
-    ("jobs contract", `Quick, test_jobs_contract);
+    ("syntax error", `Quick, test_syntax_error);
     ("tree is clean", `Quick, test_tree_is_clean);
   ]
+
+(* The suite keeps the name it had in the main runner, so its test ids
+   stay stable. *)
+let () = Alcotest.run "lint" [ ("analysis.check", suite) ]
