@@ -41,37 +41,29 @@ type state =
   | Closed
   | Failed of string
 
-(* The receiver half's per-packet numeric state (rate window, timestamp
-   echo, CE accounting) is slab-packed: the old mutable-float record
-   fields boxed two words per write on every data arrival, and the
-   [(tstamp, arrival) option] echo added a tuple per packet. *)
-let rx_lay = Engine.Slab.layout ~floats:5 ~ints:3
-
-(* float cells *)
-let rxf_window_start = 0
-let rxf_x_recv = 1
-let rxf_last_tstamp = 2 (* sender tstamp of the newest data packet *)
-let rxf_last_arrival = 3
-let rxf_last_rtt = 4
-
-(* int cells *)
-let rxi_window_bytes = 0
-let rxi_has_last = 1 (* any data seen yet? (guards the echo cells) *)
-let rxi_ce_count = 2 (* cumulative CE marks seen (light echo) *)
+(* The receiver half's per-packet floats (rate window, timestamp echo)
+   sit in one all-float record, flat in the heap: a mutable float field
+   in the mixed [receiver_side] record would box two words per write on
+   every data arrival, and a [(tstamp, arrival) option] echo would add
+   a tuple per packet. *)
+type rx_window = {
+  mutable window_start : float;
+  mutable x_recv : float;
+  mutable last_tstamp : float;  (* sender tstamp of the newest data packet *)
+  mutable last_arrival : float;
+  mutable last_rtt : float;
+}
 
 type receiver_side = {
   mutable std_recv : Tfrc.Receiver.t option;
   tracker : Sack.Rcv_tracker.t option;
   reassembly : Sack.Reassembly.t;
-  rx_ar : Engine.Slab.t;
-  rx_slot : int;
+  rx : rx_window;
+  mutable window_bytes : int;
+  mutable has_last : bool;  (* any data seen yet? (guards the echo fields) *)
+  mutable ce_count : int;  (* cumulative CE marks seen (light echo) *)
   mutable sack_timer : Engine.Timer.t option;
 }
-
-let[@inline] rxf r j = Engine.Slab.fget r.rx_ar r.rx_slot j
-let[@inline] rxf_set r j v = Engine.Slab.fset r.rx_ar r.rx_slot j v
-let[@inline] rxi r j = Engine.Slab.iget r.rx_ar r.rx_slot j
-let[@inline] rxi_set r j v = Engine.Slab.iset r.rx_ar r.rx_slot j v
 
 type sender_side = {
   cc : Tfrc.Sender.t;
@@ -356,16 +348,15 @@ let arm_expiry_timer t =
 
 let update_x_recv t ~now =
   let r = t.rcv in
-  let elapsed = now -. rxf r rxf_window_start in
+  let elapsed = now -. r.rx.window_start in
   (* Re-estimate only over windows of at least half an RTT so that
      per-packet SACK cadences don't produce a wildly noisy x_recv. *)
   if
-    elapsed >= 0.5 *. Float.max (rxf r rxf_last_rtt) 1e-3
-    && rxi r rxi_window_bytes > 0
+    elapsed >= 0.5 *. Float.max r.rx.last_rtt 1e-3 && r.window_bytes > 0
   then begin
-    rxf_set r rxf_x_recv (float_of_int (rxi r rxi_window_bytes) /. elapsed);
-    rxi_set r rxi_window_bytes 0;
-    rxf_set r rxf_window_start now
+    r.rx.x_recv <- float_of_int r.window_bytes /. elapsed;
+    r.window_bytes <- 0;
+    r.rx.window_start <- now
   end
 
 let emit_sack t =
@@ -373,9 +364,8 @@ let emit_sack t =
   | None -> ()
   | Some tr ->
       let r = t.rcv in
-      if rxi r rxi_has_last <> 0 then begin
-        let tstamp = rxf r rxf_last_tstamp
-        and arrival = rxf r rxf_last_arrival in
+      if r.has_last then begin
+        let tstamp = r.rx.last_tstamp and arrival = r.rx.last_arrival in
         let now = Engine.Sim.now t.sim in
         update_x_recv t ~now;
         let blocks = Sack.Rcv_tracker.sack_blocks tr in
@@ -386,8 +376,8 @@ let emit_sack t =
               blocks;
               sack_tstamp_echo = tstamp;
               sack_t_delay = now -. arrival;
-              sack_x_recv = rxf r rxf_x_recv;
-              sack_ce_count = rxi r rxi_ce_count;
+              sack_x_recv = r.rx.x_recv;
+              sack_ce_count = r.ce_count;
             }
         in
         let segment =
@@ -402,17 +392,17 @@ let emit_sack t =
                {
                  cum_ack = Sack.Rcv_tracker.cum_ack tr;
                  blocks = List.length blocks;
-                 x_recv = rxf r rxf_x_recv;
+                 x_recv = r.rx.x_recv;
                });
         send_reverse t segment
       end
 
 let arm_sack_timer t =
   let fire () =
-    if rxi t.rcv rxi_has_last <> 0 then emit_sack t;
+    if t.rcv.has_last then emit_sack t;
     match t.rcv.sack_timer with
     | Some tm ->
-        Engine.Timer.start tm ~after:(Float.max (rxf t.rcv rxf_last_rtt) 1e-3)
+        Engine.Timer.start tm ~after:(Float.max t.rcv.rx.last_rtt 1e-3)
     | None -> ()
   in
   let tm = Engine.Timer.create t.sim ~on_expire:fire in
@@ -425,13 +415,13 @@ let[@vtp.hot] receiver_on_data t (d : Header.data) ~ce ~wire_size ~payload =
     Trace.Sink.emit t.trace
       (Trace.Event.Seg_recv
          { seq = d.seq; size = wire_size; ce; retx = d.is_retransmit });
-  if d.rtt_estimate > 0.0 then rxf_set r rxf_last_rtt d.rtt_estimate;
-  let first = rxi r rxi_has_last = 0 in
-  rxi_set r rxi_has_last 1;
-  rxf_set r rxf_last_tstamp d.tstamp;
-  rxf_set r rxf_last_arrival now;
-  rxi_set r rxi_window_bytes (rxi r rxi_window_bytes + wire_size);
-  if ce then rxi_set r rxi_ce_count (rxi r rxi_ce_count + 1);
+  if d.rtt_estimate > 0.0 then r.rx.last_rtt <- d.rtt_estimate;
+  let first = not r.has_last in
+  r.has_last <- true;
+  r.rx.last_tstamp <- d.tstamp;
+  r.rx.last_arrival <- now;
+  r.window_bytes <- r.window_bytes + wire_size;
+  if ce then r.ce_count <- r.ce_count + 1;
   (* Standard plane: the heavy RFC 3448 receiver. *)
   (match r.std_recv with
   | Some sr -> Tfrc.Receiver.on_data sr ~ce d ~size:wire_size
@@ -465,14 +455,14 @@ let[@vtp.hot] receiver_on_data t (d : Header.data) ~ce ~wire_size ~payload =
         match r.sack_timer with
         | Some tm ->
             Engine.Timer.start tm
-              ~after:(Float.max (rxf r rxf_last_rtt) 1e-3)
+              ~after:(Float.max r.rx.last_rtt 1e-3)
         | None -> ()
       end
       else begin
         match r.sack_timer with
         | Some tm when not (Engine.Timer.is_armed tm) ->
             Engine.Timer.start tm
-              ~after:(Float.max (rxf r rxf_last_rtt) 1e-3)
+              ~after:(Float.max r.rx.last_rtt 1e-3)
         | Some _ | None -> ()
       end
   | Capabilities.Light, None -> ()
@@ -707,7 +697,7 @@ let build ~sim ~endpoint ?cost_sender ?cost_receiver ?source ~start_at
   in
   let reconstructor =
     if agreed.Capabilities.plane = Capabilities.Light then
-      Some (Loss_reconstructor.create ~sim ?cost:cost_sender ~trace ())
+      Some (Loss_reconstructor.create ?cost:cost_sender ~trace ())
     else None
   in
   let source = match source with Some s -> s | None -> Source.greedy () in
@@ -764,20 +754,28 @@ let build ~sim ~endpoint ?cost_sender ?cost_receiver ?source ~start_at
           loss_n = 0;
         };
       rcv =
-        (let rx_ar = Engine.Sim.arena sim rx_lay in
-         {
-           std_recv = None;
-           tracker =
-             (if uses_sack_plane then
-                Some
-                  (Sack.Rcv_tracker.create ~max_blocks:cfg.sack_blocks
-                     ?cost:cost_receiver ())
-              else None);
-           reassembly;
-           rx_ar;
-           rx_slot = Engine.Slab.alloc rx_ar;
-           sack_timer = None;
-         });
+        {
+          std_recv = None;
+          tracker =
+            (if uses_sack_plane then
+               Some
+                 (Sack.Rcv_tracker.create ~max_blocks:cfg.sack_blocks
+                    ?cost:cost_receiver ())
+             else None);
+          reassembly;
+          rx =
+            {
+              window_start = Engine.Sim.now sim;
+              x_recv = 0.0;
+              last_tstamp = 0.0;
+              last_arrival = 0.0;
+              last_rtt = cfg.initial_rtt;
+            };
+          window_bytes = 0;
+          has_last = false;
+          ce_count = 0;
+          sack_timer = None;
+        };
       goodput = Stats.Series.create ();
       feedback_packets = 0;
       feedback_bytes = 0;
@@ -791,8 +789,6 @@ let build ~sim ~endpoint ?cost_sender ?cost_receiver ?source ~start_at
     }
   in
   t_ref := Some t;
-  rxf_set t.rcv rxf_window_start (Engine.Sim.now sim);
-  rxf_set t.rcv rxf_last_rtt cfg.initial_rtt;
   Source.set_notify source (fun () -> Tfrc.Sender.notify_data cc);
   if agreed.Capabilities.plane = Capabilities.Standard then begin
     let send_feedback (f : Header.feedback) =

@@ -1,33 +1,24 @@
-(* Slab-packed implementation; the record-based oracle is
-   test/loss_reconstructor_ref.ml.  The virtual-arrival clock is the one hot
-   mutable float here — it advances once per replayed cover, and a
-   mutable float field in this mixed record would box two words per
-   push.  In-simulation instances share the owning sim's arena;
-   standalone instances (tests, experiments) get a private one. *)
+(* The virtual-arrival clock is the one hot mutable float here — it
+   advances once per replayed cover, and a mutable float field in the
+   mixed record would box two words per push — so it sits alone in an
+   all-float record, flat in the heap.  test/loss_reconstructor_ref.ml
+   is the mixed-record oracle. *)
 
-let lay = Engine.Slab.layout ~floats:1 ~ints:1
-
-let f_last_arrival = 0
-let i_seeded = 0
+type clock = { mutable last_arrival : float }
 
 type t = {
   lh : Tfrc.Loss_history.t;
   trace : Trace.Sink.t option;
-  ar : Engine.Slab.t;
-  slot : int;
+  clock : clock;
+  mutable seeded : bool;
 }
 
-let create ?sim ?ndup ?discount ?cost ?trace () =
-  let ar =
-    match sim with
-    | Some sim -> Engine.Sim.arena sim lay
-    | None -> Engine.Slab.create lay
-  in
+let create ?ndup ?discount ?cost ?trace () =
   {
     lh = Tfrc.Loss_history.create ?ndup ?discount ?cost ();
     trace;
-    ar;
-    slot = Engine.Slab.alloc ar;
+    clock = { last_arrival = 0.0 };
+    seeded = false;
   }
 
 let trace_new_events t ~before =
@@ -45,11 +36,8 @@ let trace_new_events t ~before =
    appears — checking only at batch boundaries would make the estimate
    depend on how covers were batched into feedback packets. *)
 let maybe_seed t ~rtt ~x_recv ~packet_size =
-  if
-    Engine.Slab.iget t.ar t.slot i_seeded = 0
-    && Tfrc.Loss_history.loss_events t.lh >= 1
-  then begin
-    Engine.Slab.iset t.ar t.slot i_seeded 1;
+  if (not t.seeded) && Tfrc.Loss_history.loss_events t.lh >= 1 then begin
+    t.seeded <- true;
     let x_target =
       Float.max (float_of_int packet_size /. Float.max rtt 1e-3) x_recv
     in
@@ -68,10 +56,8 @@ let begin_batch t = Tfrc.Loss_history.loss_events t.lh
 let[@vtp.hot] push_cover t ~seq ~sent_at ~was_retx ~rtt ~x_recv ~packet_size =
   (* Clamp to keep the virtual clock monotone even when covers from
      reordered feedback interleave. *)
-  let arrival =
-    Float.max (Engine.Slab.fget t.ar t.slot f_last_arrival) (sent_at +. rtt)
-  in
-  Engine.Slab.fset t.ar t.slot f_last_arrival arrival;
+  let arrival = Float.max t.clock.last_arrival (sent_at +. rtt) in
+  t.clock.last_arrival <- arrival;
   Tfrc.Loss_history.on_packet t.lh ~seq ~arrival ~rtt ~is_retx:was_retx;
   maybe_seed t ~rtt ~x_recv ~packet_size
 
@@ -94,7 +80,7 @@ let on_ce_marks t ~new_marks ~rtt ~x_recv ~packet_size =
       | Some s -> s
       | None -> Packet.Serial.zero
     in
-    let arrival = Engine.Slab.fget t.ar t.slot f_last_arrival in
+    let arrival = t.clock.last_arrival in
     for _ = 1 to new_marks do
       Tfrc.Loss_history.on_congestion_mark t.lh ~seq ~arrival ~rtt
     done;
@@ -110,11 +96,11 @@ let on_handover t ~policy ~packet_size ~(link : Tfrc.Handover.link_info) =
   | `Keep -> ()
   | `Reset ->
       Tfrc.Loss_history.reseed t.lh 0.0;
-      Engine.Slab.iset t.ar t.slot i_seeded 0
+      t.seeded <- false
   | `Informed ->
       let p = Tfrc.Handover.informed_p ~s:(Stdlib.max 1 packet_size) link in
       Tfrc.Loss_history.reseed t.lh (if p > 0.0 then 1.0 /. p else 0.0);
-      Engine.Slab.iset t.ar t.slot i_seeded 1
+      t.seeded <- true
 
 let loss_event_rate t = Tfrc.Loss_history.loss_event_rate t.lh
 

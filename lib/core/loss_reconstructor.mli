@@ -18,7 +18,6 @@
 type t
 
 val create :
-  ?sim:Engine.Sim.t ->
   ?ndup:int ->
   ?discount:bool ->
   ?cost:Stats.Cost.t ->
@@ -26,9 +25,7 @@ val create :
   unit ->
   t
 (** [trace] records a sender-side loss event whenever a replay batch
-    opens one.  [sim] packs this instance's hot state into the owning
-    simulation's shared arena; without it a private arena is used
-    (standalone/test instances). *)
+    opens one. *)
 
 val on_covers :
   t ->

@@ -22,7 +22,6 @@ type t = {
   mutable pool_n : int;
   mutable executed : int;
   mutable tracer : (trace_op -> unit) option;
-  mutable arenas : Slab.t option array;  (* indexed by Slab.key *)
   idle : Event.t;  (* never live: [next] on an empty heap *)
 }
 
@@ -39,23 +38,8 @@ let create ?(seed = 42) ?(sched = `Wheel) () =
     pool_n = 0;
     executed = 0;
     tracer = None;
-    arenas = [||];
     idle = Event.make_dummy ();
   }
-
-let arena t lay =
-  let k = Slab.key lay in
-  if k >= Array.length t.arenas then begin
-    let grown = Array.make (Slab.registered ()) None in
-    Array.blit t.arenas 0 grown 0 (Array.length t.arenas);
-    t.arenas <- grown
-  end;
-  match t.arenas.(k) with
-  | Some a -> a
-  | None ->
-      let a = Slab.create lay in
-      t.arenas.(k) <- Some a;
-      a
 
 let sched t = match t.queue with Q_heap _ -> `Heap | Q_wheel _ -> `Wheel
 
@@ -111,8 +95,10 @@ let release t (ev : Event.t) =
   end
 (* else: pool full, let the GC have it *)
 
+(* [not (time >= clock)] also refuses NaN, which compares false both
+   ways and would otherwise slip past the check. *)
 let enqueue t time run =
-  if time < t.clock then
+  if not (time >= t.clock) then
     invalid_arg
       (Printf.sprintf "Sim.schedule_at: time %g is before now %g" time t.clock);
   let ev = alloc t time run in

@@ -37,15 +37,9 @@ val rng : t -> Rng.t
 val split_rng : t -> Rng.t
 (** Convenience for [Rng.split (rng t)]. *)
 
-val arena : t -> Slab.layout -> Slab.t
-(** The simulation's shared arena for [layout], created lazily on first
-    request.  All flows of one state family inside a simulation pack
-    their slots into this one arena, so per-flow state is two flat
-    arrays per family instead of a record per flow. *)
-
 val schedule_at : t -> float -> (unit -> unit) -> handle
 (** [schedule_at t time f] runs [f] at virtual [time].  Scheduling in the
-    past raises [Invalid_argument]. *)
+    past, or at NaN, raises [Invalid_argument]. *)
 
 val schedule_after : t -> float -> (unit -> unit) -> handle
 (** [schedule_after t delay f] = [schedule_at t (now t +. delay) f]. *)

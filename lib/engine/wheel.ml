@@ -2,12 +2,13 @@
 
    Virtual time is quantised to 1 µs ticks.  Nine levels of 32 slots
    give 2^45 ticks (~400 virtual days) of horizon; anything further
-   lands in an overflow bucket that is respread when reached.  Level 0
-   slots are single ticks; a level-l slot spans 32^l ticks.  An event is
-   filed at the highest level in which its tick differs from the cursor,
-   so it cascades toward level 0 as the cursor approaches — classic
-   hashed-and-hierarchical wheel (Varghese & Lauck) with absolute slot
-   indexing.
+   lands in an overflow bucket that is respread when reached, and due
+   times past 2^61 ticks saturate at that tick ([tick_of_time]).
+   Level 0 slots are single ticks; a level-l slot spans 32^l ticks.  An
+   event is filed at the highest level in which its tick differs from
+   the cursor, so it cascades toward level 0 as the cursor approaches —
+   classic hashed-and-hierarchical wheel (Varghese & Lauck) with
+   absolute slot indexing.
 
    Firing order: the next occupied level-0 slot is drained into a small
    "ready" binary heap ordered by (time, seq), which resolves both
@@ -37,7 +38,17 @@ let overflow_id = levels * slots
 
 let ticks_per_second = 1e6
 
-let tick_of_time time = int_of_float (time *. ticks_per_second)
+(* Due times at or past [max_tick] µs (≈73,000 years, [infinity]
+   included) all share that one tick: [int_of_float] is undefined past
+   the int range, and on amd64 turns such times into tick 0, ahead of
+   every event still in a bucket.  No earlier deadline can carry the
+   cursor past [max_tick], so these events wait in the overflow bucket
+   and pop in (time, seq) order from the ready heap. *)
+let max_tick = 1 lsl 61
+
+let tick_of_time time =
+  let x = time *. ticks_per_second in
+  if x < float_of_int max_tick then int_of_float x else max_tick
 
 type bucket = { mutable arr : Event.t array; mutable n : int }
 

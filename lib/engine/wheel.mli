@@ -2,12 +2,14 @@
 
     Stores {!Event.t} records keyed by their [time], quantised to 1 µs
     ticks across nine levels of 32 slots (≈400 virtual days of horizon;
-    later deadlines overflow into a respread bucket).  Insert and cancel
-    are O(1) amortized; finding the next event costs O(1) amortized via
-    per-level occupancy bitmaps plus an O(log k) ready heap over the k
-    events of the current tick.  The ready heap is the wheel's own flat
-    array of events compared inline by (time, seq), and {!peek} and
-    {!take} allocate nothing: {!Sim} fires each event with one of each.
+    later deadlines overflow into a respread bucket, and those past 2^61
+    ticks, [infinity] included, share that one tick).  Insert and
+    cancel are O(1) amortized; finding the next event costs O(1)
+    amortized via per-level occupancy bitmaps plus an O(log k) ready
+    heap over the k events of the current tick.  The ready heap is the
+    wheel's own flat array of events compared inline by (time, seq),
+    and {!peek} and {!take} allocate nothing: {!Sim} fires each event
+    with one of each.
 
     Events pop in exactly the (time, seq) order of the reference
     {!Heap}-based scheduler; the two are differentially tested.  Unlike

@@ -22,7 +22,7 @@ val create :
 (** [trace] makes the receiver record each loss event it opens and each
     feedback report it emits. *)
 
-val on_data : t -> ?ce:bool -> Packet.Header.data -> size:int -> unit
+val on_data : t -> ce:bool -> Packet.Header.data -> size:int -> unit
 (** Process one arriving data segment of [size] on-wire bytes.  [ce]
     signals an ECN Congestion-Experienced mark on the packet: it is
     accounted as a congestion event (RFC 3168) though nothing was

@@ -1,13 +1,11 @@
-(* Slab-packed implementation; the record-based oracle is
-   test/sender_ref.ml.
-
-   All mutable numeric state lives in one {!Engine.Slab} slot so that
-   10k senders share two flat arrays and — critically — rate/clock
-   updates never allocate: a mutable float field in the old mixed
-   record boxed two words on every write, which on the tick path meant
-   garbage proportional to packets sent.  The send tick keeps the
-   pending event inline (event + generation, preallocated fire thunk)
-   instead of an option-wrapped handle, mirroring {!Engine.Timer}. *)
+(* The rate machine's floats live in one all-float record, flat in the
+   heap, so rate/clock updates never allocate: a mutable float field in
+   a mixed record boxes two words on every write, which on the tick path
+   is garbage proportional to packets sent.  The counters and flags
+   are plain mutable fields; test/sender_ref.ml is the mixed-record
+   oracle.  The send tick keeps the pending event inline (event +
+   generation, preallocated fire thunk) instead of an option-wrapped
+   handle, mirroring {!Engine.Timer}. *)
 
 type params = {
   packet_size : int;
@@ -32,24 +30,13 @@ let default_params =
    scenario's flows: intern them so 10k flows hold one copy. *)
 let params_pool : params Engine.Intern.pool = Engine.Intern.pool ()
 
-let lay = Engine.Slab.layout ~floats:5 ~ints:4
-
-(* float cells *)
-let f_x = 0 (* allowed rate, bytes/s *)
-let f_next_at = 1 (* deadline of the pending tick *)
-let f_last_p = 2
-let f_r_sqmean = 3 (* §4.5 EWMA of sqrt(R_sample); 0 = no sample *)
-let f_r_sample_last = 4
-
-(* int cells *)
-let i_sent = 0
-let i_feedbacks = 1
-let i_nfb_expiries = 2
-let i_flags = 3
-
-let fl_slow_start = 1
-let fl_running = 2
-let fl_idle = 4
+type state = {
+  mutable x : float;  (* allowed rate, bytes/s *)
+  mutable next_at : float;  (* deadline of the pending tick *)
+  mutable last_p : float;
+  mutable r_sqmean : float;  (* §4.5 EWMA of sqrt(R_sample); 0 = no sample *)
+  mutable r_sample_last : float;
+}
 
 type t = {
   sim : Engine.Sim.t;
@@ -58,26 +45,19 @@ type t = {
   p : params;
   on_transmit : unit -> bool;
   rtt : Rtt.t;
-  ar : Engine.Slab.t;
-  slot : int;
+  st : state;
+  mutable sent : int;
+  mutable feedbacks : int;
+  mutable nfb_expiries : int;
+  mutable slow_start : bool;
+  mutable running : bool;
+  mutable idle : bool;
   mutable fire : unit -> unit;  (* built once in [create] *)
   mutable tick_ev : Engine.Event.t;  (* meaningful only when armed *)
   mutable tick_gen : int;
   mutable tick_armed : bool;
   mutable nofeedback : Engine.Timer.t option;
 }
-
-let[@inline] x t = Engine.Slab.fget t.ar t.slot f_x
-let[@inline] set_x t v = Engine.Slab.fset t.ar t.slot f_x v
-let[@inline] fget t j = Engine.Slab.fget t.ar t.slot j
-let[@inline] fset t j v = Engine.Slab.fset t.ar t.slot j v
-let[@inline] iget t j = Engine.Slab.iget t.ar t.slot j
-let[@inline] iset t j v = Engine.Slab.iset t.ar t.slot j v
-let[@inline] flag t m = iget t i_flags land m <> 0
-
-let[@inline] set_flag t m b =
-  let fl = iget t i_flags in
-  iset t i_flags (if b then fl lor m else fl land lnot m)
 
 let charge t ?ops name =
   match t.cost with Some c -> Stats.Cost.charge c ?ops name | None -> ()
@@ -87,11 +67,11 @@ let trace_rate t ~x_calc ~x_recv ~p =
     Trace.Sink.emit t.trace
       (Trace.Event.Rate_change
          {
-           x_bps = 8.0 *. x t;
+           x_bps = 8.0 *. t.st.x;
            x_calc_bps = 8.0 *. x_calc;
            x_recv_bps = 8.0 *. x_recv;
            p;
-           slow_start = flag t fl_slow_start;
+           slow_start = t.slow_start;
          })
 
 let s_float t = float_of_int t.p.packet_size
@@ -106,16 +86,16 @@ let clamp t v =
   | Some cap -> Float.min v (cap /. 8.0)
   | None -> v
 
-let rate_bps t = 8.0 *. x t
+let rate_bps t = 8.0 *. t.st.x
 
 (* §4.5: the instantaneous rate is damped by sqrt(R_sample)/R_sqmean; a
    rising RTT (queue building) slows the sender below X before the next
    equation update, and vice versa. *)
 let[@vtp.hot] instantaneous_rate t =
-  let r_sqmean = fget t f_r_sqmean and r_sample_last = fget t f_r_sample_last in
+  let r_sqmean = t.st.r_sqmean and r_sample_last = t.st.r_sample_last in
   if t.p.oscillation_damping && r_sqmean > 0.0 && r_sample_last > 0.0 then
-    x t *. r_sqmean /. sqrt r_sample_last
-  else x t
+    t.st.x *. r_sqmean /. sqrt r_sample_last
+  else t.st.x
 
 let instantaneous_rate_bps t = 8.0 *. instantaneous_rate t
 
@@ -123,7 +103,7 @@ let[@vtp.hot] inter_packet_interval t = s_float t /. instantaneous_rate t
 
 let[@vtp.hot] schedule_tick t ~after =
   if t.tick_armed then Engine.Sim.cancel_ev t.sim t.tick_ev ~gen:t.tick_gen;
-  fset t f_next_at (Engine.Sim.now t.sim +. after);
+  t.st.next_at <- Engine.Sim.now t.sim +. after;
   let ev = Engine.Sim.schedule_after_ev t.sim after t.fire in
   t.tick_ev <- ev;
   t.tick_gen <- ev.Engine.Event.gen;
@@ -131,12 +111,12 @@ let[@vtp.hot] schedule_tick t ~after =
 
 let[@vtp.hot] fire t =
   t.tick_armed <- false;
-  if flag t fl_running then begin
+  if t.running then begin
     if t.on_transmit () then begin
-      iset t i_sent (iget t i_sent + 1);
+      t.sent <- t.sent + 1;
       schedule_tick t ~after:(inter_packet_interval t)
     end
-    else set_flag t fl_idle true
+    else t.idle <- true
   end
 
 let nofeedback_timer t =
@@ -148,15 +128,15 @@ let nofeedback_timer t =
             (* RFC 3448 §4.4: no report for a while — halve the rate.
                The gTFRC floor still applies via [clamp]: the AF
                reservation remains paid for while the connection lives. *)
-            iset t i_nfb_expiries (iget t i_nfb_expiries + 1);
+            t.nfb_expiries <- t.nfb_expiries + 1;
             charge t "send.nofeedback";
-            set_x t (clamp t (x t /. 2.0));
-            trace_rate t ~x_calc:0.0 ~x_recv:0.0 ~p:(fget t f_last_p);
+            t.st.x <- clamp t (t.st.x /. 2.0);
+            trace_rate t ~x_calc:0.0 ~x_recv:0.0 ~p:t.st.last_p;
             let tm2 = Option.get t.nofeedback in
             Engine.Timer.start tm2
               ~after:
                 (Float.max (4.0 *. Rtt.smoothed t.rtt)
-                   (2.0 *. s_float t /. x t)))
+                   (2.0 *. s_float t /. t.st.x)))
       in
       t.nofeedback <- Some tm;
       tm
@@ -164,13 +144,12 @@ let nofeedback_timer t =
 let restart_nofeedback t =
   let tm = nofeedback_timer t in
   Engine.Timer.start tm
-    ~after:(Float.max (4.0 *. Rtt.smoothed t.rtt) (2.0 *. s_float t /. x t))
+    ~after:(Float.max (4.0 *. Rtt.smoothed t.rtt) (2.0 *. s_float t /. t.st.x))
 
 let create ~sim ?cost ?trace p ~on_transmit () =
   assert (p.packet_size > 0 && p.initial_rtt > 0.0 && p.t_mbi > 0.0);
   let p = Engine.Intern.share params_pool p in
   let rtt = Rtt.create ~initial:p.initial_rtt () in
-  let ar = Engine.Sim.arena sim lay in
   let t =
     {
       sim;
@@ -179,8 +158,20 @@ let create ~sim ?cost ?trace p ~on_transmit () =
       p;
       on_transmit;
       rtt;
-      ar;
-      slot = Engine.Slab.alloc ar;
+      st =
+        {
+          x = 0.0;
+          next_at = 0.0;
+          last_p = 0.0;
+          r_sqmean = 0.0;
+          r_sample_last = 0.0;
+        };
+      sent = 0;
+      feedbacks = 0;
+      nfb_expiries = 0;
+      slow_start = true;
+      running = false;
+      idle = false;
       fire = Engine.Event.noop;
       tick_ev = Engine.Event.make_dummy ();
       tick_gen = 0;
@@ -189,22 +180,21 @@ let create ~sim ?cost ?trace p ~on_transmit () =
     }
   in
   t.fire <- (fun () -> fire t);
-  set_flag t fl_slow_start true;
   (* Initial rate: two segments per (seeded) RTT — within RFC 3448's
      allowance, conservative for long paths. *)
-  set_x t (clamp t (2.0 *. s_float t /. p.initial_rtt));
+  t.st.x <- clamp t (2.0 *. s_float t /. p.initial_rtt);
   t
 
 let start t =
-  if not (flag t fl_running) then begin
-    set_flag t fl_running true;
-    set_flag t fl_idle false;
+  if not t.running then begin
+    t.running <- true;
+    t.idle <- false;
     restart_nofeedback t;
     schedule_tick t ~after:0.0
   end
 
 let stop t =
-  set_flag t fl_running false;
+  t.running <- false;
   if t.tick_armed then begin
     Engine.Sim.cancel_ev t.sim t.tick_ev ~gen:t.tick_gen;
     t.tick_armed <- false
@@ -212,22 +202,22 @@ let stop t =
   match t.nofeedback with Some tm -> Engine.Timer.stop tm | None -> ()
 
 let notify_data t =
-  if flag t fl_running && flag t fl_idle then begin
-    set_flag t fl_idle false;
+  if t.running && t.idle then begin
+    t.idle <- false;
     schedule_tick t ~after:0.0
   end
 
 let[@vtp.hot] on_feedback t ~tstamp_echo ~t_delay ~x_recv ~p =
   charge t "send.std.feedback_proc";
-  iset t i_feedbacks (iget t i_feedbacks + 1);
-  fset t f_last_p p;
+  t.feedbacks <- t.feedbacks + 1;
+  t.st.last_p <- p;
   let now = Engine.Sim.now t.sim in
   let sample = now -. tstamp_echo -. t_delay in
   if sample > 0.0 then begin
     Rtt.sample t.rtt sample;
-    fset t f_r_sample_last sample;
-    let r_sqmean = fget t f_r_sqmean in
-    fset t f_r_sqmean
+    t.st.r_sample_last <- sample;
+    let r_sqmean = t.st.r_sqmean in
+    t.st.r_sqmean <-
       (if Float.equal r_sqmean 0.0 then sqrt sample
        else (0.9 *. r_sqmean) +. (0.1 *. sqrt sample));
     if Trace.Sink.on t.trace then
@@ -237,17 +227,17 @@ let[@vtp.hot] on_feedback t ~tstamp_echo ~t_delay ~x_recv ~p =
   let r = Rtt.smoothed t.rtt in
   let x_calc =
     if p > 0.0 then begin
-      set_flag t fl_slow_start false;
+      t.slow_start <- false;
       let x_calc = Equation.rate ~s:t.p.packet_size ~r ~p () in
-      set_x t (clamp t (Float.min x_calc (2.0 *. x_recv)));
+      t.st.x <- clamp t (Float.min x_calc (2.0 *. x_recv));
       x_calc
     end
     else begin
       (* Slow start: double once per feedback, bounded by twice the rate
          the receiver actually saw. *)
-      let doubled = 2.0 *. x t in
+      let doubled = 2.0 *. t.st.x in
       let bound = if x_recv > 0.0 then 2.0 *. x_recv else doubled in
-      set_x t (clamp t (Float.min doubled bound));
+      t.st.x <- clamp t (Float.min doubled bound);
       Float.infinity
     end
   in
@@ -255,9 +245,9 @@ let[@vtp.hot] on_feedback t ~tstamp_echo ~t_delay ~x_recv ~p =
   (* A rate increase takes effect immediately rather than waiting out a
      long previously-scheduled gap — but never push the pending
      opportunity further away. *)
-  if flag t fl_running && not (flag t fl_idle) then begin
+  if t.running && not t.idle then begin
     let gap = inter_packet_interval t in
-    if t.tick_armed && now +. gap < fget t f_next_at then
+    if t.tick_armed && now +. gap < t.st.next_at then
       schedule_tick t ~after:gap
   end;
   restart_nofeedback t
@@ -270,31 +260,32 @@ let apply_handover t ~policy ~(link : Handover.link_info) =
   | `Keep -> ()
   | `Reset ->
       Rtt.reseed t.rtt link.Handover.rtt;
-      set_flag t fl_slow_start true;
-      fset t f_last_p 0.0;
-      fset t f_r_sqmean 0.0;
-      fset t f_r_sample_last 0.0;
-      set_x t (clamp t (Handover.reset_rate ~s:(s_float t) ~rtt:link.Handover.rtt));
+      t.slow_start <- true;
+      t.st.last_p <- 0.0;
+      t.st.r_sqmean <- 0.0;
+      t.st.r_sample_last <- 0.0;
+      t.st.x <-
+        clamp t (Handover.reset_rate ~s:(s_float t) ~rtt:link.Handover.rtt);
       trace_rate t ~x_calc:0.0 ~x_recv:0.0 ~p:0.0
   | `Informed ->
       Rtt.reseed t.rtt link.Handover.rtt;
-      set_flag t fl_slow_start false;
-      fset t f_r_sqmean 0.0;
-      fset t f_r_sample_last 0.0;
+      t.slow_start <- false;
+      t.st.r_sqmean <- 0.0;
+      t.st.r_sample_last <- 0.0;
       let target = Handover.informed_rate link in
       let p = Handover.informed_p ~s:t.p.packet_size link in
-      fset t f_last_p p;
-      set_x t (clamp t target);
+      t.st.last_p <- p;
+      t.st.x <- clamp t target;
       trace_rate t ~x_calc:target ~x_recv:0.0 ~p);
   match (policy : Handover.policy) with
   | `Keep -> ()
   | `Reset | `Informed ->
       (* Take a rate increase immediately (cf. [on_feedback]); a
          decrease naturally stretches the next gap. *)
-      if flag t fl_running && not (flag t fl_idle) then begin
+      if t.running && not t.idle then begin
         let gap = inter_packet_interval t in
         let now = Engine.Sim.now t.sim in
-        if t.tick_armed && now +. gap < fget t f_next_at then
+        if t.tick_armed && now +. gap < t.st.next_at then
           schedule_tick t ~after:gap
       end;
       restart_nofeedback t
@@ -302,8 +293,8 @@ let apply_handover t ~policy ~(link : Handover.link_info) =
 let rtt t = Rtt.smoothed t.rtt
 let min_rtt t = Rtt.min_rtt t.rtt
 let has_rtt_sample t = Rtt.has_sample t.rtt
-let in_slow_start t = flag t fl_slow_start
-let packets_sent t = iget t i_sent
-let feedbacks_processed t = iget t i_feedbacks
-let nofeedback_expiries t = iget t i_nfb_expiries
+let in_slow_start t = t.slow_start
+let packets_sent t = t.sent
+let feedbacks_processed t = t.feedbacks
+let nofeedback_expiries t = t.nfb_expiries
 let params t = t.p

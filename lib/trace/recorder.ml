@@ -85,7 +85,7 @@ let ring t ~flow =
   else begin
     let r = Ring.create ~capacity:t.capacity in
     Ring.iter_tagged
-      (fun fl e -> if fl = flow then Ring.push r ~at:e.Ring.at e.Ring.ev)
+      (fun fl e -> if fl = flow then Ring.push ~flow r ~at:e.Ring.at e.Ring.ev)
       t.journal;
     Ring.note_dropped r (n - Ring.total r);
     Some r

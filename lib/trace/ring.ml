@@ -24,7 +24,7 @@ type entry = { at : float; ev : Event.t }
    mostly-idle flow stays small.  Events are re-materialised only at
    export.
 
-   The flow label (default 0) exists because the recorder journals
+   The flow label exists because the recorder journals
    every flow through one shared ring — a single sequential write
    stream the hardware prefetcher can track, where a hundred
    interleaved per-flow rings each miss the cache — and reconstructs
@@ -272,7 +272,7 @@ let decode t slot =
   in
   ((tagw lsr 6) land max_flow, { at = f 0; ev })
 
-let push ?(flow = 0) t ~at ev =
+let push ~flow t ~at ev =
   if flow < 0 || flow > max_flow then
     invalid_arg "Trace.Ring.push: flow outside [0, 2^20)";
   let s = t.head + t.len in

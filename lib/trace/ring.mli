@@ -17,13 +17,13 @@ type t
 val create : capacity:int -> t
 (** [capacity >= 1]. *)
 
-val push : ?flow:int -> t -> at:float -> Event.t -> unit
-(** Append an entry, evicting the oldest when full.  [flow]
-    (default 0) is an integer label stored alongside the entry; the
-    recorder uses it to journal every connection through one shared
-    ring (a single sequential write stream stays cache-friendly where
-    many interleaved rings do not) and to rebuild per-flow rings at
-    export via {!iter_tagged}.  Raises [Invalid_argument] when [flow]
+val push : flow:int -> t -> at:float -> Event.t -> unit
+(** Append an entry, evicting the oldest when full.  [flow] is an
+    integer label stored alongside the entry; the recorder uses it to
+    journal every connection through one shared ring (a single
+    sequential write stream stays cache-friendly where many interleaved
+    rings do not) and to rebuild per-flow rings at export via
+    {!iter_tagged}.  Raises [Invalid_argument] when [flow]
     is outside [\[0, 2^20)], leaving the ring unchanged. *)
 
 val length : t -> int

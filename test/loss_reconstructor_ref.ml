@@ -1,5 +1,6 @@
 (* Frozen record-based reference implementation of [Loss_reconstructor],
-   kept as the differential-testing oracle for the slab-packed rewrite. *)
+   kept as the differential-testing oracle for the flat float record of
+   the live module: here the clock is a mixed-record field. *)
 
 type t = {
   lh : Tfrc.Loss_history.t;

@@ -1,6 +1,6 @@
 (** Frozen record-based reference implementation of
     {!Loss_reconstructor}, kept as the differential-testing oracle for
-    the slab-packed rewrite.
+    the flat float record of the live module.
 
     Sender-side loss-event reconstruction — the heart of QTP_light.
 

@@ -1,5 +1,6 @@
 (** Frozen record-based reference implementation of {!Receiver}, kept as
-    the differential-testing oracle for the slab-packed rewrite.
+    the differential-testing oracle for the flat float record of the
+    live module.
 
     The standard (RFC 3448) TFRC receiver.
 

@@ -1,7 +1,8 @@
 (* Frozen record-based reference implementation of [Sender], kept as the
-   differential-testing oracle for the slab-packed rewrite.  Do not
-   optimise this file; its value is being the obviously-correct,
-   field-per-record twin. *)
+   differential-testing oracle for the flat float records of the live
+   module: here the floats are mixed-record fields.  Do not optimise
+   this file; its value is being the obviously-correct, field-per-record
+   twin. *)
 
 open Tfrc
 

@@ -1,5 +1,6 @@
 (** Frozen record-based reference implementation of {!Sender}, kept as
-    the differential-testing oracle for the slab-packed rewrite.
+    the differential-testing oracle for the flat float records of the
+    live module.
 
     The TFRC sender (RFC 3448 §4) with the gTFRC extension.
 

@@ -124,7 +124,7 @@ let prop_matches_full_receiver =
             Engine.Sim.post_at sim
               (rtt +. (float_of_int i *. gap))
               (fun () ->
-                Tfrc.Receiver.on_data rcv
+                Tfrc.Receiver.on_data rcv ~ce:false
                   {
                     Packet.Header.seq = S.of_int i;
                     tstamp = float_of_int i *. gap;
@@ -153,6 +153,30 @@ let prop_matches_full_receiver =
       if p_r = 0.0 then p_s = 0.0
       else Float.abs (p_s -. p_r) /. p_r < 0.1)
 
+(* The virtual-arrival clock is a flat float record, so a replayed
+   cover writes it in place.  Constant arguments, so only the call is
+   priced: minor words per call over 10k calls after as many warm-up
+   calls. *)
+let test_push_cover_allocation () =
+  let lr = LR.create () in
+  let n = 10_000 in
+  let batch = LR.begin_batch lr in
+  let push i =
+    LR.push_cover lr ~seq:(S.of_int i) ~sent_at:1.0 ~was_retx:false ~rtt
+      ~x_recv:1.0e6 ~packet_size:1500
+  in
+  for i = 0 to n - 1 do
+    push i
+  done;
+  let w0 = Gc.minor_words () in
+  for i = n to (2 * n) - 1 do
+    push i
+  done;
+  let per_call = (Gc.minor_words () -. w0) /. float_of_int n in
+  LR.end_batch lr batch;
+  if per_call > 4.0 then
+    Alcotest.failf "%.2f minor words per push_cover (at most 4)" per_call
+
 let suite =
   [
     Alcotest.test_case "no loss" `Quick test_no_loss;
@@ -164,5 +188,7 @@ let suite =
     Alcotest.test_case "batching invariant" `Quick
       test_batched_covers_equal_unbatched;
     Alcotest.test_case "matches receiver side" `Quick test_matches_receiver_side;
+    Alcotest.test_case "push_cover allocates at most 4 words" `Quick
+      test_push_cover_allocation;
     QCheck_alcotest.to_alcotest prop_matches_full_receiver;
   ]

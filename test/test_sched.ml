@@ -1,7 +1,8 @@
 (* Cross-scheduler tests: the wheel and the heap backends of Engine.Sim
    must be observationally identical (pending-count accounting aside).
 
-   - boundary behaviours pinned under each backend;
+   - boundary behaviours pinned under each backend, due times past
+     the wheel's tick range and a refused NaN among them;
    - qcheck differential properties replaying random scheduler programs
      under both and comparing the full firing traces byte for byte, one
      of them with due times at every wheel level and past its horizon;
@@ -80,6 +81,52 @@ let test_carry_every_level sched () =
       (Printf.sprintf "order across the level-%d boundary" l)
       [ "A"; "B"; "C" ] (List.rev !log)
   done
+
+(* Due times past the wheel's tick range: 5e12 s lies past its 2^45
+   ticks of horizon, 1e300 s and infinity past the int range, and an
+   event at 2 s schedules one more 1e299 s later.  Both backends must
+   fire them in time order, so the clock never runs backwards.  A NaN
+   time compares false both ways: it is refused, and an event already
+   due at 1 s still fires. *)
+let far_future_trace sched =
+  let sim = Engine.Sim.create ~sched () in
+  let log = ref [] in
+  let note name () =
+    log := Printf.sprintf "%s@%g" name (Engine.Sim.now sim) :: !log
+  in
+  List.iter
+    (fun (name, time) -> ignore (Engine.Sim.schedule_at sim time (note name)))
+    [
+      ("a", 5e12);
+      ("b", 1e300);
+      ("c", Float.infinity);
+      ("d", Float.infinity);
+    ];
+  ignore
+    (Engine.Sim.schedule_at sim 2.0 (fun () ->
+         note "e" ();
+         ignore (Engine.Sim.schedule_after sim 1e299 (note "f"))));
+  Engine.Sim.run sim;
+  List.rev !log
+
+let test_far_future_and_nan () =
+  List.iter
+    (fun (name, sched) ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "time order past the tick range [%s]" name)
+        [ "e@2"; "a@5e+12"; "f@1e+299"; "b@1e+300"; "c@inf"; "d@inf" ]
+        (far_future_trace sched);
+      let sim = Engine.Sim.create ~sched () in
+      let fired = ref false in
+      ignore (Engine.Sim.schedule_at sim 1.0 (fun () -> fired := true));
+      (match Engine.Sim.schedule_at sim Float.nan ignore with
+      | _ -> Alcotest.failf "NaN time accepted [%s]" name
+      | exception Invalid_argument _ -> ());
+      Engine.Sim.run ~until:5.0 sim;
+      Alcotest.(check bool)
+        (Printf.sprintf "event at 1 s fired [%s]" name)
+        true !fired)
+    scheds
 
 (* ------------------------------------------------------------------ *)
 (* Differential property.  A program is a list of (tag, arg) pairs —
@@ -311,6 +358,8 @@ let suite =
       QCheck_alcotest.to_alcotest prop_census;
       Alcotest.test_case "take checks the peeked event" `Quick
         test_take_checks;
+      Alcotest.test_case "far-future times in order, NaN refused" `Quick
+        test_far_future_and_nan;
       Alcotest.test_case "fuzz smoke corpus digests (wheel = heap)" `Quick
         test_fuzz_corpus_digests;
     ]

@@ -1,15 +1,15 @@
-(* Differential qcheck suites for the slab-packed hot state.
+(* Differential qcheck suites for the flat-record hot state.
 
-   The arena rewrite moved the mutable per-flow state of the TFRC
-   sender, the TFRC receiver and the QTP_light loss reconstructor into
-   struct-of-arrays slabs; the record-based originals were frozen as
-   [Sender_ref] / [Receiver_ref] / [Loss_reconstructor_ref] beside
-   these tests.
-   Each property drives the packed module and its oracle through one
+   The mutable per-flow floats of the TFRC sender, the TFRC receiver
+   and the QTP_light loss reconstructor live in all-float records, flat
+   in the heap; the mixed-record originals, whose float fields box on
+   every write, are frozen as [Sender_ref] / [Receiver_ref] /
+   [Loss_reconstructor_ref] beside these tests.
+   Each property drives the live module and its oracle through one
    random operation script — feedback storms, idle gaps, handover
    reseeds, LFN-sized sequence jumps — and requires every observable to
-   stay bit-identical (Float.equal, not approximate: the packing must
-   not change a single IEEE operation). *)
+   stay bit-identical (Float.equal, not approximate: the state layout
+   must not change a single IEEE operation). *)
 
 module S = Tfrc.Sender
 module SR = Sender_ref
@@ -28,7 +28,7 @@ let policy_of = function
   | _ -> `Informed
 
 (* ------------------------------------------------------------------ *)
-(* Sender: packed vs reference *)
+(* Sender: live vs record oracle *)
 
 type snd_op =
   | S_feedback of { dt : float; echo_age : float; t_delay : float;
@@ -107,7 +107,7 @@ let sender_observables_agree a b =
   && S.nofeedback_expiries a = SR.nofeedback_expiries b
 
 let prop_sender_parity =
-  QCheck.Test.make ~name:"slab sender == record sender (bit-exact)"
+  QCheck.Test.make ~name:"sender == record oracle (bit-exact)"
     ~count:120
     (QCheck.make gen_snd_case)
     (fun (pcfg, ops) ->
@@ -149,7 +149,7 @@ let prop_sender_parity =
         ops)
 
 (* ------------------------------------------------------------------ *)
-(* Receiver: packed vs reference *)
+(* Receiver: live vs record oracle *)
 
 type rcv_op =
   | R_data of { dt : float; gap : int; size : int; ce : bool }
@@ -205,7 +205,7 @@ let feedbacks_agree (x : Packet.Header.feedback) (y : Packet.Header.feedback) =
   && Packet.Serial.equal x.Packet.Header.recv_seq y.Packet.Header.recv_seq
 
 let prop_receiver_parity =
-  QCheck.Test.make ~name:"slab receiver == record receiver (bit-exact)"
+  QCheck.Test.make ~name:"receiver == record oracle (bit-exact)"
     ~count:120
     (QCheck.make QCheck.Gen.(list_size (int_range 1 60) gen_rcv_op))
     (fun ops ->
@@ -256,7 +256,7 @@ let prop_receiver_parity =
         ops)
 
 (* ------------------------------------------------------------------ *)
-(* Loss reconstructor: packed vs reference (standalone arenas) *)
+(* Loss reconstructor: live vs record oracle *)
 
 type lr_op =
   | L_batch of { dt : float; covers : (int * bool) list; rtt : float;
@@ -306,8 +306,8 @@ let gen_lr_op =
       ])
 
 let prop_reconstructor_parity =
-  QCheck.Test.make
-    ~name:"slab reconstructor == record reconstructor (bit-exact)" ~count:120
+  QCheck.Test.make ~name:"reconstructor == record oracle (bit-exact)"
+    ~count:120
     (QCheck.make QCheck.Gen.(list_size (int_range 1 40) gen_lr_op))
     (fun ops ->
       let a = LR.create () in
@@ -319,7 +319,7 @@ let prop_reconstructor_parity =
           (match op with
           | L_batch { dt; covers; rtt; x_recv } ->
               now := !now +. dt;
-              (* the packed side streams through a batch, the oracle
+              (* the live side streams through a batch, the oracle
                  takes the equivalent cover list — also pins the
                  batch API against the list API *)
               let batch = LR.begin_batch a in

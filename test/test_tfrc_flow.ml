@@ -48,7 +48,7 @@ let make_pair ?(min_rate_bps = 0.0) ?(loss_every = 0) sim =
       in
       ignore
         (Engine.Sim.schedule_after sim owd (fun () ->
-             Tfrc.Receiver.on_data receiver d ~size:1000))
+             Tfrc.Receiver.on_data receiver ~ce:false d ~size:1000))
     end;
     true
   in
@@ -188,6 +188,63 @@ let test_stop () =
   Engine.Sim.run ~until:5.0 sim;
   Alcotest.(check int) "no sends after stop" at_stop !sent
 
+(* Minor words per call of [f], averaged over [n] calls after [n]
+   warm-up calls.  Arguments are built before measuring, so only the
+   call itself is priced. *)
+let words_per_call n f =
+  for i = 0 to n - 1 do
+    f i
+  done;
+  let w0 = Gc.minor_words () in
+  for i = n to (2 * n) - 1 do
+    f i
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+(* The rate machine's floats are one flat record, so a feedback writes
+   them in place instead of boxing each. *)
+let test_feedback_allocation () =
+  let sim = Engine.Sim.create () in
+  let sender =
+    Tfrc.Sender.create ~sim Tfrc.Sender.default_params
+      ~on_transmit:(fun () -> true)
+      ()
+  in
+  Tfrc.Sender.start sender;
+  Engine.Sim.run ~until:1.0 sim;
+  let per_call =
+    words_per_call 10_000 (fun _ ->
+        Tfrc.Sender.on_feedback sender ~tstamp_echo:0.9 ~t_delay:0.01
+          ~x_recv:1e5 ~p:0.01)
+  in
+  if per_call > 16.0 then
+    Alcotest.failf "%.2f minor words per on_feedback (at most 16)" per_call
+
+(* A data segment with a CE mark: [~ce] is a plain bool, not an
+   optional argument boxed into [Some ce] on every call.  The mark is
+   computed, as on the live path: a literal [Some true] is a static
+   constant and would hide the box. *)
+let test_on_data_allocation () =
+  let sim = Engine.Sim.create () in
+  let receiver = Tfrc.Receiver.create ~sim ~send_feedback:ignore () in
+  let n = 10_000 in
+  let data =
+    Array.init (2 * n) (fun i ->
+        {
+          Packet.Header.seq = Packet.Serial.of_int i;
+          tstamp = 0.0;
+          rtt_estimate = 0.1;
+          is_retransmit = false;
+          fwd_point = Packet.Serial.of_int i;
+        })
+  in
+  let per_call =
+    words_per_call n (fun i ->
+        Tfrc.Receiver.on_data receiver ~ce:(i >= 0) data.(i) ~size:1000)
+  in
+  if per_call > 4.0 then
+    Alcotest.failf "%.2f minor words per on_data (at most 4)" per_call
+
 let suite =
   [
     Alcotest.test_case "slow start doubles" `Quick test_slow_start_doubles;
@@ -199,4 +256,8 @@ let suite =
     Alcotest.test_case "no floor collapses" `Quick test_no_floor_collapses;
     Alcotest.test_case "idle and wake" `Quick test_idle_and_wake;
     Alcotest.test_case "stop" `Quick test_stop;
+    Alcotest.test_case "on_feedback allocates at most 16 words" `Quick
+      test_feedback_allocation;
+    Alcotest.test_case "on_data ~ce allocates at most 4 words" `Quick
+      test_on_data_allocation;
   ]

@@ -7,8 +7,8 @@ let ev_state s = Trace.Event.Conn_state { state = s }
 let test_ring_basic () =
   let r = Trace.Ring.create ~capacity:4 in
   Alcotest.(check int) "empty length" 0 (Trace.Ring.length r);
-  Trace.Ring.push r ~at:1.0 (ev_state "a");
-  Trace.Ring.push r ~at:2.0 (ev_state "b");
+  Trace.Ring.push ~flow:0 r ~at:1.0 (ev_state "a");
+  Trace.Ring.push ~flow:0 r ~at:2.0 (ev_state "b");
   Alcotest.(check int) "length" 2 (Trace.Ring.length r);
   Alcotest.(check int) "total" 2 (Trace.Ring.total r);
   Alcotest.(check int) "dropped" 0 (Trace.Ring.dropped r);
@@ -21,7 +21,7 @@ let test_ring_basic () =
 let test_ring_eviction () =
   let r = Trace.Ring.create ~capacity:3 in
   for i = 1 to 7 do
-    Trace.Ring.push r ~at:(float_of_int i) (ev_state (string_of_int i))
+    Trace.Ring.push ~flow:0 r ~at:(float_of_int i) (ev_state (string_of_int i))
   done;
   Alcotest.(check int) "length capped" 3 (Trace.Ring.length r);
   Alcotest.(check int) "total counts evictions" 7 (Trace.Ring.total r);
@@ -70,6 +70,24 @@ let test_recorder_ambient () =
   Alcotest.(check int) "events unchanged" 5 (Trace.Recorder.events rec_);
   Alcotest.(check (list int)) "flows unchanged" [ 1; 3; 5_000 ]
     (Trace.Recorder.flows rec_)
+
+(* [~flow] is a required argument down to [Ring.push], so recording
+   boxes no [Some flow]; the ring's chunks are reused once it is full.
+   Minor words per call over 10k calls after as many warm-up calls. *)
+let test_record_allocation () =
+  let r = Trace.Recorder.create ~capacity:64 () in
+  let ev = ev_state "x" in
+  let n = 10_000 in
+  for _ = 1 to n do
+    Trace.Recorder.record r ~flow:3 ~at:1.0 ev
+  done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    Trace.Recorder.record r ~flow:3 ~at:1.0 ev
+  done;
+  let per_call = (Gc.minor_words () -. w0) /. float_of_int n in
+  if per_call > 2.0 then
+    Alcotest.failf "%.2f minor words per record (at most 2)" per_call
 
 let test_recorder_clear_on_exception () =
   (try
@@ -163,7 +181,7 @@ let test_codec_roundtrip () =
   Alcotest.(check int) "all 19 constructors covered" 19 (List.length names);
   let r = Trace.Ring.create ~capacity:64 in
   List.iteri
-    (fun i ev -> Trace.Ring.push r ~at:(float_of_int i) ev)
+    (fun i ev -> Trace.Ring.push ~flow:0 r ~at:(float_of_int i) ev)
     every_event;
   let back = List.map (fun e -> e.Trace.Ring.ev) (Trace.Ring.to_list r) in
   Alcotest.(check int) "all entries survive" (List.length every_event)
@@ -290,6 +308,8 @@ let suite =
     Alcotest.test_case "ring capacity validated" `Quick
       test_ring_capacity_validation;
     Alcotest.test_case "recorder ambient registry" `Quick test_recorder_ambient;
+    Alcotest.test_case "record allocates at most 2 words" `Quick
+      test_record_allocation;
     Alcotest.test_case "recorder clears on exception" `Quick
       test_recorder_clear_on_exception;
     Alcotest.test_case "sink gating and stamping" `Quick test_sink_gating;
