@@ -48,7 +48,7 @@ let bench_loss_history =
 let bench_rcv_tracker =
   Test.make ~name:"recv.light.1000pkts(duty cycle)"
     (Staged.stage @@ fun () ->
-     let tr = Sack.Rcv_tracker.create () in
+     let tr = Sack.Rcv_tracker.create ~deliver:ignore () in
      for i = 0 to 999 do
        if i mod 100 <> 99 then
          Sack.Rcv_tracker.on_data tr ~seq:(Packet.Serial.of_int i);
@@ -164,7 +164,7 @@ let[@vtp.ambient] bench_sack_blocks =
   (* ambient: the tracker is filled once here; the measured closure
      only reads it (its top-k scratch is reset on every call). *)
   Test.make ~name:"sack.rcv_tracker.sack_blocks.500ranges"
-    (let tr = Sack.Rcv_tracker.create () in
+    (let tr = Sack.Rcv_tracker.create ~deliver:ignore () in
      for i = 1 to 500 do
        Sack.Rcv_tracker.on_data tr ~seq:(Packet.Serial.of_int (2 * i))
      done;

@@ -56,8 +56,10 @@ type rx_window = {
 
 type receiver_side = {
   mutable std_recv : Tfrc.Receiver.t option;
-  tracker : Sack.Rcv_tracker.t option;
-  reassembly : Sack.Reassembly.t;
+  (* The receive window on every plane: in-order delivery always, SACK
+     reports only where [uses_sack]. *)
+  tracker : Sack.Rcv_tracker.t;
+  cost : Stats.Cost.t option;
   rx : rx_window;
   mutable window_bytes : int;
   mutable has_last : bool;  (* any data seen yet? (guards the echo fields) *)
@@ -108,7 +110,7 @@ type t = {
   mutable close_ticks : int;
   (* Per-segment in-order delivery tap (the trunk layer's demultiplex
      point); [None] costs one branch per delivery. *)
-  mutable on_deliver : (seq:Serial.t -> size:int -> unit) option;
+  mutable on_deliver : (seq:Serial.t -> unit) option;
 }
 
 let uses_sack cfg =
@@ -153,10 +155,7 @@ let emit_data t ~seq ~is_retx =
         fwd_point = fwd_point_now t;
       }
   in
-  let segment =
-    Vtp_wire.segment ~flow_id:t.endpoint.Netsim.Topology.flow_id ~hdr
-      ~payload:(payload_of t.cfg)
-  in
+  let segment = Packet.Segment.make ~hdr ~payload:(payload_of t.cfg) in
   let frame =
     Vtp_wire.frame_of ~sim:t.sim ~flow_id:t.endpoint.Netsim.Topology.flow_id
       segment
@@ -360,42 +359,37 @@ let update_x_recv t ~now =
   end
 
 let emit_sack t =
-  match t.rcv.tracker with
-  | None -> ()
-  | Some tr ->
-      let r = t.rcv in
-      if r.has_last then begin
-        let tstamp = r.rx.last_tstamp and arrival = r.rx.last_arrival in
-        let now = Engine.Sim.now t.sim in
-        update_x_recv t ~now;
-        let blocks = Sack.Rcv_tracker.sack_blocks tr in
-        let hdr =
-          Header.Sack_feedback
-            {
-              cum_ack = Sack.Rcv_tracker.cum_ack tr;
-              blocks;
-              sack_tstamp_echo = tstamp;
-              sack_t_delay = now -. arrival;
-              sack_x_recv = r.rx.x_recv;
-              sack_ce_count = r.ce_count;
-            }
-        in
-        let segment =
-          Vtp_wire.segment ~flow_id:t.endpoint.Netsim.Topology.flow_id ~hdr
-            ~payload:0
-        in
-        t.feedback_packets <- t.feedback_packets + 1;
-        t.feedback_bytes <- t.feedback_bytes + Packet.Segment.size segment;
-        if Trace.Sink.on t.trace then
-          Trace.Sink.emit t.trace
-            (Trace.Event.Sack_sent
-               {
-                 cum_ack = Sack.Rcv_tracker.cum_ack tr;
-                 blocks = List.length blocks;
-                 x_recv = r.rx.x_recv;
-               });
-        send_reverse t segment
-      end
+  let r = t.rcv in
+  if r.has_last then begin
+    let tr = r.tracker in
+    let tstamp = r.rx.last_tstamp and arrival = r.rx.last_arrival in
+    let now = Engine.Sim.now t.sim in
+    update_x_recv t ~now;
+    let blocks = Sack.Rcv_tracker.sack_blocks tr in
+    let hdr =
+      Header.Sack_feedback
+        {
+          cum_ack = Sack.Rcv_tracker.cum_ack tr;
+          blocks;
+          sack_tstamp_echo = tstamp;
+          sack_t_delay = now -. arrival;
+          sack_x_recv = r.rx.x_recv;
+          sack_ce_count = r.ce_count;
+        }
+    in
+    let segment = Packet.Segment.make ~hdr ~payload:0 in
+    t.feedback_packets <- t.feedback_packets + 1;
+    t.feedback_bytes <- t.feedback_bytes + Packet.Segment.size segment;
+    if Trace.Sink.on t.trace then
+      Trace.Sink.emit t.trace
+        (Trace.Event.Sack_sent
+           {
+             cum_ack = Sack.Rcv_tracker.cum_ack tr;
+             blocks = List.length blocks;
+             x_recv = r.rx.x_recv;
+           });
+    send_reverse t segment
+  end
 
 let arm_sack_timer t =
   let fire () =
@@ -408,7 +402,7 @@ let arm_sack_timer t =
   let tm = Engine.Timer.create t.sim ~on_expire:fire in
   t.rcv.sack_timer <- Some tm
 
-let[@vtp.hot] receiver_on_data t (d : Header.data) ~ce ~wire_size ~payload =
+let[@vtp.hot] receiver_on_data t (d : Header.data) ~ce ~wire_size =
   let now = Engine.Sim.now t.sim in
   let r = t.rcv in
   if Trace.Sink.on t.trace then
@@ -426,28 +420,22 @@ let[@vtp.hot] receiver_on_data t (d : Header.data) ~ce ~wire_size ~payload =
   (match r.std_recv with
   | Some sr -> Tfrc.Receiver.on_data sr ~ce d ~size:wire_size
   | None -> ());
-  (* SACK plane: O(1) tracking; note whether this arrival opened a new
-     hole (a fresh loss indication worth an expedited report). *)
-  let new_hole =
-    match r.tracker with
-    | Some tr ->
-        let expected = Sack.Rcv_tracker.highest_expected tr in
-        let opened = Serial.( > ) d.seq expected in
-        Sack.Rcv_tracker.on_data tr ~seq:d.seq;
-        Sack.Rcv_tracker.apply_fwd_point tr d.fwd_point;
-        opened
-    | None -> false
-  in
-  (* Application delivery. *)
-  Sack.Reassembly.on_data r.reassembly ~seq:d.seq ~size:payload;
-  Sack.Reassembly.apply_fwd_point r.reassembly d.fwd_point;
+  (* The receive window: O(1) tracking and in-order delivery; note
+     whether this arrival opened a new hole (a fresh loss indication
+     worth an expedited report). *)
+  (match r.cost with
+  | Some c -> Stats.Cost.charge c "recv.reassembly"
+  | None -> ());
+  let tr = r.tracker in
+  let new_hole = Serial.( > ) d.seq (Sack.Rcv_tracker.highest_expected tr) in
+  Sack.Rcv_tracker.on_data tr ~seq:d.seq;
+  Sack.Rcv_tracker.apply_fwd_point tr d.fwd_point;
   (* Feedback emission policy. *)
-  match (t.cfg.agreed.Capabilities.plane, r.tracker) with
-  | Capabilities.Standard, Some _ ->
+  match t.cfg.agreed.Capabilities.plane with
+  | Capabilities.Standard ->
       (* Reliability ack-clock alongside RFC 3448 reports. *)
-      emit_sack t
-  | Capabilities.Standard, None -> ()
-  | Capabilities.Light, Some _ ->
+      if uses_sack t.cfg then emit_sack t
+  | Capabilities.Light ->
       (* One report per RTT, expedited on a new hole, the first packet
          and a CE mark. *)
       if new_hole || first || ce then begin
@@ -465,17 +453,13 @@ let[@vtp.hot] receiver_on_data t (d : Header.data) ~ce ~wire_size ~payload =
               ~after:(Float.max r.rx.last_rtt 1e-3)
         | Some _ | None -> ()
       end
-  | Capabilities.Light, None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Handshake *)
 
 let send_handshake t ~forward kind payload =
   let hdr = Header.Handshake { kind; payload } in
-  let segment =
-    Vtp_wire.segment ~flow_id:t.endpoint.Netsim.Topology.flow_id ~hdr
-      ~payload:0
-  in
+  let segment = Packet.Segment.make ~hdr ~payload:0 in
   t.handshake_packets <- t.handshake_packets + 1;
   if forward then send_forward t segment else send_reverse t segment
 
@@ -702,18 +686,13 @@ let build ~sim ~endpoint ?cost_sender ?cost_receiver ?source ~start_at
   in
   let source = match source with Some s -> s | None -> Source.greedy () in
   let t_ref = ref None in
-  let with_t f = match !t_ref with Some t -> f t | None -> () in
-  let reassembly =
-    Sack.Reassembly.create ?cost:cost_receiver
-      ~deliver:(fun ~seq ~size ->
-        with_t (fun t ->
-            Stats.Series.record t.goodput ~time:(Engine.Sim.now sim)
-              ~bytes:size;
-            match t.on_deliver with
-            | Some f -> f ~seq ~size
-            | None -> ()))
-      ~on_gap:(fun ~skipped:_ -> ())
-      ()
+  let deliver seq =
+    match !t_ref with
+    | Some t -> (
+        Stats.Series.record t.goodput ~time:(Engine.Sim.now sim)
+          ~bytes:(payload_of cfg);
+        match t.on_deliver with Some f -> f ~seq | None -> ())
+    | None -> ()
   in
   let cc =
     Tfrc.Sender.create ~sim ?cost:cost_sender ~trace
@@ -757,12 +736,10 @@ let build ~sim ~endpoint ?cost_sender ?cost_receiver ?source ~start_at
         {
           std_recv = None;
           tracker =
-            (if uses_sack_plane then
-               Some
-                 (Sack.Rcv_tracker.create ~max_blocks:cfg.sack_blocks
-                    ?cost:cost_receiver ())
-             else None);
-          reassembly;
+            Sack.Rcv_tracker.create ~max_blocks:cfg.sack_blocks
+              ?cost:(if uses_sack_plane then cost_receiver else None)
+              ~deliver ();
+          cost = cost_receiver;
           rx =
             {
               window_start = Engine.Sim.now sim;
@@ -792,10 +769,7 @@ let build ~sim ~endpoint ?cost_sender ?cost_receiver ?source ~start_at
   Source.set_notify source (fun () -> Tfrc.Sender.notify_data cc);
   if agreed.Capabilities.plane = Capabilities.Standard then begin
     let send_feedback (f : Header.feedback) =
-      let segment =
-        Vtp_wire.segment ~flow_id:endpoint.Netsim.Topology.flow_id
-          ~hdr:(Header.Feedback f) ~payload:0
-      in
+      let segment = Packet.Segment.make ~hdr:(Header.Feedback f) ~payload:0 in
       t.feedback_packets <- t.feedback_packets + 1;
       t.feedback_bytes <- t.feedback_bytes + Packet.Segment.size segment;
       send_reverse t segment
@@ -812,7 +786,6 @@ let build ~sim ~endpoint ?cost_sender ?cost_receiver ?source ~start_at
           | Header.Data d ->
               receiver_on_data t d ~ce:frame.Netsim.Frame.ce
                 ~wire_size:(Packet.Segment.size seg)
-                ~payload:seg.Packet.Segment.payload
           | Header.Handshake h -> handle_handshake_at_receiver t h
           | Header.Feedback _ | Header.Sack_feedback _ -> ())
       | _ -> ());
@@ -903,9 +876,9 @@ let set_on_deliver t f =
       (match t.on_deliver with
       | None -> f
       | Some g ->
-          fun ~seq ~size ->
-            g ~seq ~size;
-            f ~seq ~size)
+          fun ~seq ->
+            g ~seq;
+            f ~seq)
 
 let goodput t = t.goodput
 
@@ -939,19 +912,16 @@ let expiry_losses t =
   | Some sb -> Sack.Scoreboard.stats_expired sb
   | None -> 0
 
-let duplicates_received t =
-  match t.rcv.tracker with
-  | Some tr -> Sack.Rcv_tracker.duplicates tr
-  | None -> 0
+let duplicates_received t = Sack.Rcv_tracker.duplicates t.rcv.tracker
 
 let abandoned t =
   match t.snd.reliability with
   | Some rel -> Sack.Reliability.abandoned rel
   | None -> 0
 
-let delivered t = Sack.Reassembly.delivered t.rcv.reassembly
+let delivered t = Sack.Rcv_tracker.delivered t.rcv.tracker
 
-let skipped t = Sack.Reassembly.skipped t.rcv.reassembly
+let skipped t = Sack.Rcv_tracker.skipped t.rcv.tracker
 
 let feedback_packets t = t.feedback_packets
 

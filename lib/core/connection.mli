@@ -16,6 +16,9 @@
       {!Sack.Rcv_tracker} and reports once per RTT, at once on a new
       hole, the first packet or a CE mark; the sender reconstructs
       loss events with {!Loss_reconstructor} (QTP_light);
+    - receive window: one {!Sack.Rcv_tracker} on every plane holds the
+      received numbers and delivers them in order; it renders SACK
+      reports only where the plane sends them;
     - reliability: {!Sack.Scoreboard} + {!Sack.Reliability} decide
       retransmissions; abandoned holes propagate to the receiver through
       the data-header forward point. *)
@@ -77,13 +80,14 @@ val create_negotiated :
 
 val state : t -> state
 
-val set_on_deliver :
-  t -> (seq:Packet.Serial.t -> size:int -> unit) -> unit
+val set_on_deliver : t -> (seq:Packet.Serial.t -> unit) -> unit
 (** Install a per-segment in-order delivery tap on the receiving side:
-    called for every payload the reassembly hands to the application, in
-    sequence order, exactly once per sequence number.  The trunk layer's
-    demultiplex point.  Taps accumulate: a later call runs its tap
-    after the ones already installed and never replaces them. *)
+    called for every segment the receive window hands to the
+    application, in sequence order, exactly once per sequence number.
+    Every data segment carries the same payload, [packet_size] less the
+    data header.  The trunk layer's demultiplex point.  Taps accumulate:
+    a later call runs its tap after the ones already installed and
+    never replaces them. *)
 
 val notify_migration : t -> link:Tfrc.Handover.link_info -> unit
 (** Tell the connection its path just migrated to a link with the given
@@ -132,8 +136,10 @@ val expiry_losses : t -> int
     lost; 0 without a SACK plane. *)
 
 val duplicates_received : t -> int
-(** Data segments that reached the receiving side already received; 0
-    without a SACK plane. *)
+(** Data segments whose number the receive window already held, or had
+    passed at a forward point, when they arrived.  Counted on every
+    plane; without a SACK plane nothing is retransmitted, so only the
+    network's duplicates and late reordered segments count. *)
 
 val abandoned : t -> int
 val delivered : t -> int

@@ -80,10 +80,8 @@ let on_ce_marks t ~new_marks ~rtt ~x_recv ~packet_size =
       | Some s -> s
       | None -> Packet.Serial.zero
     in
-    let arrival = t.clock.last_arrival in
-    for _ = 1 to new_marks do
-      Tfrc.Loss_history.on_congestion_mark t.lh ~seq ~arrival ~rtt
-    done;
+    Tfrc.Loss_history.on_congestion_mark t.lh ~marks:new_marks ~seq
+      ~arrival:t.clock.last_arrival ~rtt;
     maybe_seed t ~rtt ~x_recv ~packet_size;
     trace_new_events t ~before
   end

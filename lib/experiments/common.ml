@@ -180,7 +180,7 @@ let rec settle d seq =
   | Some _ | None -> ()
 
 let attach_delays d conn =
-  Qtp.Connection.set_on_deliver conn (fun ~seq ~size:_ -> settle d seq)
+  Qtp.Connection.set_on_deliver conn (fun ~seq -> settle d seq)
 
 let delivery_delays d = Stats.Fvec.to_array d.samples
 

@@ -114,7 +114,7 @@ val attach_delays : delay_probe -> Qtp.Connection.t -> unit
 
 val delivery_delays : delay_probe -> float array
 (** First send to in-order delivery, per delivered segment, in delivery
-    order; a number the reassembly skipped gives no sample. *)
+    order; a number the receiver skipped gives no sample. *)
 
 val selfish_receiver :
   p_factor:float -> Netsim.Topology.endpoint -> Netsim.Topology.endpoint

@@ -42,11 +42,6 @@ let pp fmt t = Format.fprintf fmt "%u" t
 
 let to_string t = Format.asprintf "%a" pp t
 
-let range lo hi =
-  let n = diff hi lo in
-  if Stdlib.( <= ) n 0 then []
-  else List.init n (fun i -> add lo i)
-
 let iter_range f lo hi =
   let n = diff hi lo in
   for i = 0 to Stdlib.( - ) n 1 do

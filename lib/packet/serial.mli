@@ -38,10 +38,6 @@ val hash : t -> int
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
-val range : t -> t -> t list
-(** [range lo hi] is [lo; lo+1; …; hi-1] (empty if [lo >= hi]).  Intended
-    for short gaps; length is the circular distance. *)
-
 val iter_range : (t -> unit) -> t -> t -> unit
 (** [iter_range f lo hi] applies [f] to [lo; lo+1; …; hi-1] in order
-    without materialising the list — the allocation-free [range]. *)
+    (nothing if [lo >= hi]); the count is the circular distance. *)

@@ -6,40 +6,3 @@ let make a b =
   if Serial.( >= ) a b then invalid_arg "Blocks.make: empty range";
   { Packet.Header.block_start = a; block_end = b }
 
-let length (b : t) = Serial.diff b.block_end b.block_start
-
-let contains (b : t) s = Serial.( <= ) b.block_start s && Serial.( < ) s b.block_end
-
-let is_normalised blocks =
-  let rec check = function
-    | [] | [ _ ] -> true
-    | (a : t) :: (b : t) :: rest ->
-        Serial.( < ) a.block_end b.block_start && check ((b : t) :: rest)
-  in
-  List.for_all (fun b -> length b > 0) blocks && check blocks
-
-let normalise blocks =
-  let sorted =
-    List.sort
-      (fun (a : t) (b : t) -> Serial.compare a.block_start b.block_start)
-      (List.filter (fun b -> length b > 0) blocks)
-  in
-  let rec merge = function
-    | [] -> []
-    | [ b ] -> [ b ]
-    | (a : t) :: (b : t) :: rest ->
-        if Serial.( >= ) a.block_end b.block_start then
-          merge ({ a with block_end = Serial.max a.block_end b.block_end } :: rest)
-        else a :: merge (b :: rest)
-  in
-  merge sorted
-
-let insert blocks s =
-  normalise ({ Packet.Header.block_start = s; block_end = Serial.succ s } :: blocks)
-
-let mem blocks s = List.exists (fun b -> contains b s) blocks
-
-let total blocks = List.fold_left (fun acc b -> acc + length b) 0 blocks
-
-let pp fmt (b : t) =
-  Format.fprintf fmt "[%a,%a)" Serial.pp b.block_start Serial.pp b.block_end

@@ -1,30 +1,11 @@
-(** Pure algebra on SACK blocks.
+(** SACK blocks.
 
     A block is the half-open range [\[block_start, block_end)] of
-    received sequence numbers ({!Packet.Header.sack_block}).  Lists
-    here are kept *normalised*: ascending, non-empty, non-overlapping,
-    non-adjacent. *)
+    received sequence numbers ({!Packet.Header.sack_block}).  The
+    receiver renders them from its runs ({!Rcv_tracker.sack_blocks});
+    the sender merges them into its scoreboard. *)
 
 type t = Packet.Header.sack_block
 
 val make : Packet.Serial.t -> Packet.Serial.t -> t
 (** @raise Invalid_argument if the range is empty. *)
-
-val length : t -> int
-
-val contains : t -> Packet.Serial.t -> bool
-
-val normalise : t list -> t list
-(** Sort and coalesce arbitrary blocks into normal form. *)
-
-val insert : t list -> Packet.Serial.t -> t list
-(** Add one sequence number to a normalised list (stays normalised). *)
-
-val mem : t list -> Packet.Serial.t -> bool
-
-val total : t list -> int
-(** Sum of block lengths. *)
-
-val is_normalised : t list -> bool
-
-val pp : Format.formatter -> t -> unit

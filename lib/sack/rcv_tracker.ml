@@ -4,7 +4,9 @@ module Serial = Packet.Serial
    parallel int arrays (absolute positions, half-open) with a moving
    front offset, so the per-segment paths are a binary search plus O(1)
    amortised editing instead of a list walk.  The list implementation
-   lives on as the differential oracle in test/rcv_tracker_ref.ml.
+   lives on as the differential oracle in test/rcv_tracker_ref.ml, and
+   the hashtable reassembly this set replaced as the delivery oracle in
+   test/reassembly_ref.ml.
 
    Absolute positions are anchored at the cumulative ack:
    [abs = cum_abs + Serial.diff s cum]; the anchor only moves forward,
@@ -13,6 +15,7 @@ module Serial = Packet.Serial
 type t = {
   max_blocks : int;
   cost : Stats.Cost.t option;
+  deliver : Serial.t -> unit;
   mutable cum : Serial.t;
   mutable cum_abs : int;
   (* live ranges are [fst, len) of the parallel arrays *)
@@ -28,18 +31,23 @@ type t = {
   mutable stamp : int;
   mutable packets : int;
   mutable duplicates : int;
+  mutable delivered : int;
+  mutable skipped : int;
 }
 
-let create ?(max_blocks = 4) ?cost () =
+let create ?(max_blocks = 4) ?cost ~deliver () =
   assert (max_blocks >= 1);
   {
     max_blocks;
     cost;
+    deliver;
     cum = Serial.zero;
     cum_abs = 0;
-    lo = Array.make 16 0;
-    hi = Array.make 16 0;
-    touched = Array.make 16 0;
+    (* empty until the first out-of-order arrival: an in-order flow
+       never allocates them *)
+    lo = [||];
+    hi = [||];
+    touched = [||];
     fst = 0;
     len = 0;
     s_lo = Array.make max_blocks 0;
@@ -48,6 +56,8 @@ let create ?(max_blocks = 4) ?cost () =
     stamp = 0;
     packets = 0;
     duplicates = 0;
+    delivered = 0;
+    skipped = 0;
   }
 
 let charge t name =
@@ -84,20 +94,28 @@ let[@vtp.hot] received t s = Serial.( < ) s t.cum || covers t (abs_of t s)
    invariant must catch.  Never set outside tests. *)
 let[@vtp.ambient] test_only_skip_dup_check = ref false
 
+(* Move the cumulative point up to position [a], handing each number
+   it passes to the application, in order.  Every number between is
+   received: callers pass an arrival or the end of a range. *)
+let[@vtp.hot] move_cum t a =
+  for p = t.cum_abs to a - 1 do
+    t.deliver (ser_of t p)
+  done;
+  t.delivered <- t.delivered + (a - t.cum_abs);
+  t.cum <- ser_of t a;
+  t.cum_abs <- a
+
 (* Pull ranges that now touch the cumulative point into it. *)
 let[@vtp.hot] rec advance_cum t =
   if t.fst < t.len && Array.unsafe_get t.lo t.fst <= t.cum_abs then begin
     let h = Array.unsafe_get t.hi t.fst in
-    if h > t.cum_abs then begin
-      t.cum <- Serial.add t.cum (h - t.cum_abs);
-      t.cum_abs <- h
-    end;
+    if h > t.cum_abs then move_cum t h;
     t.fst <- t.fst + 1;
     advance_cum t
   end
 
 (* Make room for one more range, compacting the dead front first and
-   only growing when genuinely full. *)
+   only growing when genuinely full (from empty to 16 slots). *)
 let reserve t =
   let cap = Array.length t.lo in
   if t.len = cap then begin
@@ -108,7 +126,7 @@ let reserve t =
       Array.blit t.touched t.fst t.touched 0 live
     end
     else begin
-      let ncap = 2 * cap in
+      let ncap = Stdlib.max 16 (2 * cap) in
       let nlo = Array.make ncap 0
       and nhi = Array.make ncap 0
       and ntouch = Array.make ncap 0 in
@@ -168,25 +186,27 @@ let[@vtp.hot] on_data t ~seq =
   if (not !test_only_skip_dup_check) && received t seq then
     t.duplicates <- t.duplicates + 1
   else if Serial.equal seq t.cum then begin
-    t.cum <- Serial.succ t.cum;
-    t.cum_abs <- t.cum_abs + 1;
+    move_cum t (t.cum_abs + 1);
     advance_cum t
   end
   else insert_point t (abs_of t seq)
 
+(* Walk the cumulative point up to [target] a gap and a range at a
+   time: skip to the next range (or to [target]), counting the gap, and
+   absorb that range, delivering it whole even where it straddles
+   [target]. *)
+let rec skip_to t target =
+  let next = if t.fst < t.len then Stdlib.min t.lo.(t.fst) target else target in
+  if next > t.cum_abs then begin
+    t.skipped <- t.skipped + (next - t.cum_abs);
+    t.cum <- ser_of t next;
+    t.cum_abs <- next
+  end;
+  advance_cum t;
+  if t.cum_abs < target then skip_to t target
+
 let apply_fwd_point t fwd =
-  if Serial.( > ) fwd t.cum then begin
-    let d = Serial.diff fwd t.cum in
-    t.cum <- fwd;
-    t.cum_abs <- t.cum_abs + d;
-    (* Drop ranges now wholly below the cumulative point, trim a
-       straddler, then absorb a range touching it. *)
-    while t.fst < t.len && t.hi.(t.fst) <= t.cum_abs do
-      t.fst <- t.fst + 1
-    done;
-    if t.fst < t.len && t.lo.(t.fst) < t.cum_abs then t.lo.(t.fst) <- t.cum_abs;
-    advance_cum t
-  end
+  if Serial.( > ) fwd t.cum then skip_to t (t.cum_abs + Serial.diff fwd t.cum)
 
 let block_of t i =
   { Packet.Header.block_start = ser_of t t.lo.(i); block_end = ser_of t t.hi.(i) }
@@ -246,3 +266,7 @@ let ranges_held t = t.len - t.fst
 let packets t = t.packets
 
 let duplicates t = t.duplicates
+
+let delivered t = t.delivered
+
+let skipped t = t.skipped

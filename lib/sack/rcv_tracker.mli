@@ -1,10 +1,17 @@
 (** Receiver-side reception tracking — the whole per-packet work of a
-    QTP_light receiver.
+    QTP_light receiver, and every QTP receiver's one receive window.
 
     Maintains the cumulative acknowledgment point and the set of
-    out-of-order ranges, and renders RFC 2018-style SACK feedback: the
-    first reported block contains the most recently received segment,
-    then the most recently changed other blocks, up to [max_blocks].
+    out-of-order ranges, delivers in order, and renders RFC 2018-style
+    SACK feedback: the first reported block contains the most recently
+    received segment, then the most recently changed other blocks, up
+    to [max_blocks].
+
+    In-order delivery: whenever the cumulative point passes a received
+    number — an in-order arrival, a range it absorbs, or a forward
+    point — [deliver] is called once for it, in ascending order.  The
+    numbers a forward point passes without having received them are
+    counted as skipped, a gap at a time.
 
     Cost accounting: ["recv.light.packet"] is charged once per data
     packet and ["recv.light.feedback"] once per report — both O(1)
@@ -13,15 +20,24 @@
 
 type t
 
-val create : ?max_blocks:int -> ?cost:Stats.Cost.t -> unit -> t
-(** [max_blocks] defaults to 4, the SACK-option budget of RFC 2018. *)
+val create :
+  ?max_blocks:int ->
+  ?cost:Stats.Cost.t ->
+  deliver:(Packet.Serial.t -> unit) ->
+  unit ->
+  t
+(** [max_blocks] defaults to 4, the SACK-option budget of RFC 2018.
+    The range arrays start empty and grow on the first out-of-order
+    arrival. *)
 
 val on_data : t -> seq:Packet.Serial.t -> unit
 
 val apply_fwd_point : t -> Packet.Serial.t -> unit
 (** Honour a sender forward point: abandon holes below it, advancing the
-    cumulative ack to at least that sequence number.  Keeps receiver
-    state bounded when the sender runs partial or no reliability. *)
+    cumulative ack to at least that sequence number and delivering the
+    ranges it passes.  Keeps receiver state bounded when the sender runs
+    partial or no reliability.  Costs one step per range passed, plus
+    one delivery per received number, however far the point jumps. *)
 
 val cum_ack : t -> Packet.Serial.t
 (** Next expected sequence number (0 initially). *)
@@ -49,6 +65,12 @@ val packets : t -> int
 
 val duplicates : t -> int
 (** Data packets that were already covered when they arrived. *)
+
+val delivered : t -> int
+(** Numbers handed to [deliver]. *)
+
+val skipped : t -> int
+(** Numbers a forward point passed without their having arrived. *)
 
 val test_only_skip_dup_check : bool ref
 (** Deliberate-bug hook, for tests only (default [false]): disables the

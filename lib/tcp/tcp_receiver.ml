@@ -29,7 +29,7 @@ let create ?(use_sack = false) ?delayed_acks ~send_ack () =
   let t =
     {
       use_sack;
-      tracker = Sack.Rcv_tracker.create ~max_blocks:3 ();
+      tracker = Sack.Rcv_tracker.create ~max_blocks:3 ~deliver:ignore ();
       send_ack;
       delack = ref None;
       pending = 0;

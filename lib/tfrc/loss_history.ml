@@ -62,8 +62,13 @@ let create ?(ndup = 3) ?(history = 8) ?(discount = true) ?cost () =
     seen = 0;
   }
 
-let charge t ?ops name =
-  match t.cost with Some c -> Stats.Cost.charge c ?ops name | None -> ()
+let charge t name =
+  match t.cost with Some c -> Stats.Cost.charge c name | None -> ()
+
+(* A count is passed to [Stats.Cost.charge] only once a cost model is
+   known to be attached: [~ops:n] boxes [Some n]. *)
+let charge_n t n name =
+  match t.cost with Some c -> Stats.Cost.charge c ~ops:n name | None -> ()
 
 let watermark t =
   match t.cost with
@@ -116,9 +121,13 @@ let record_loss t ~seq ~time ~rtt =
   charge t "lh.loss";
   note_congestion_event t ~seq ~time ~rtt
 
-let on_congestion_mark t ~seq ~arrival ~rtt =
-  t.marks <- t.marks + 1;
-  charge t "lh.ce_mark";
+(* Marks of one report share [seq], [arrival] and [rtt]: the first
+   opens or joins an event, and every later one joins it too (same
+   arrival, so within any RTT >= 0 of the event start), so the rest
+   only count. *)
+let on_congestion_mark t ~marks ~seq ~arrival ~rtt =
+  t.marks <- t.marks + marks;
+  charge_n t marks "lh.ce_mark";
   note_congestion_event t ~seq ~time:arrival ~rtt
 
 let set_first_interval t len =
@@ -244,9 +253,7 @@ let on_packet t ~seq ~arrival ~rtt ~is_retx =
         let d = Serial.diff seq m in
         if d > 1 then begin
           append_run t (t.max_abs + 1) (t.max_abs + d);
-          for _ = 2 to d do
-            charge t "lh.hole"
-          done
+          charge_n t (d - 1) "lh.hole"
         end;
         t.max_abs <- t.max_abs + d;
         t.max_seq <- Some seq
@@ -275,7 +282,7 @@ let mean_of t ~with_open =
   match seq_terms with
   | [] -> infinity
   | terms ->
-      charge t ~ops:(List.length terms) "lh.rate_calc";
+      charge_n t (List.length terms) "lh.rate_calc";
       (* §5.5 history discounting: when the open interval dominates, old
          intervals' influence is reduced so the rate can rise quickly
          after a long loss-free period. *)

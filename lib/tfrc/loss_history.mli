@@ -42,11 +42,13 @@ val on_packet :
     (the reliability plane, not the congestion plane, owns them). *)
 
 val on_congestion_mark :
-  t -> seq:Packet.Serial.t -> arrival:float -> rtt:float -> unit
-(** Account an ECN Congestion-Experienced signal carried by the packet
-    at [seq]: it starts (or joins) a loss event exactly as a lost packet
-    would — RFC 3168 requires the transport to react to a mark as it
-    would to a drop — but no packet is actually missing. *)
+  t -> marks:int -> seq:Packet.Serial.t -> arrival:float -> rtt:float -> unit
+(** Account [marks] (at least 1) ECN Congestion-Experienced signals
+    carried at [seq]: they start (or join) one loss event exactly as a
+    lost packet would — RFC 3168 requires the transport to react to a
+    mark as it would to a drop — but no packet is actually missing.
+    O(1) in [marks]; for a finite [arrival] and [rtt >= 0], the same as
+    [marks] calls with [~marks:1]. *)
 
 val set_first_interval : t -> float -> unit
 (** Seed the synthetic interval preceding the first loss event

@@ -122,7 +122,8 @@ let[@vtp.hot] on_data t ~ce (d : Packet.Header.data) ~size =
   Loss_history.on_packet t.lh ~seq:d.seq ~arrival:now ~rtt:last_rtt
     ~is_retx:d.is_retransmit;
   if ce then
-    Loss_history.on_congestion_mark t.lh ~seq:d.seq ~arrival:now ~rtt:last_rtt;
+    Loss_history.on_congestion_mark t.lh ~marks:1 ~seq:d.seq ~arrival:now
+      ~rtt:last_rtt;
   let events_after = Loss_history.loss_events t.lh in
   if events_before = 0 && events_after = 1 then begin
     (* First loss event: synthesise the preceding interval from the

@@ -271,7 +271,7 @@ let attach t ~conn ~seg_payload =
     invalid_arg "Trunk.Mux.attach: seg_payload must exceed frame header";
   t.seg_payload <- Stdlib.min seg_payload (Bytes.length (Frame.scratch ()));
   t.conn <- Some conn;
-  Qtp.Connection.set_on_deliver conn (fun ~seq ~size:_ -> deliver t ~seq)
+  Qtp.Connection.set_on_deliver conn (deliver t)
 
 let connection t = t.conn
 

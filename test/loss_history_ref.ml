@@ -1,5 +1,11 @@
 module Serial = Packet.Serial
 
+(* [lo; lo+1; …; hi-1], empty if [lo >= hi]: the list [Serial.range]
+   built before it left [lib/]. *)
+let serial_range lo hi =
+  let n = Serial.diff hi lo in
+  if n <= 0 then [] else List.init n (fun i -> Serial.add lo i)
+
 type hole = { seq : Serial.t; mutable after : int }
 
 type event = { start_time : float; start_seq : Serial.t }
@@ -120,7 +126,7 @@ let on_packet t ~seq ~arrival ~rtt ~is_retx =
         (* New holes for every skipped number; every pre-existing hole
            saw one more subsequent packet. *)
         List.iter (fun h -> h.after <- h.after + 1) t.holes;
-        let skipped = Serial.range (Serial.succ m) seq in
+        let skipped = serial_range (Serial.succ m) seq in
         (* The arriving packet itself lies beyond each fresh hole, so it
            counts as the first confirming packet (after = 1). *)
         let fresh =

@@ -77,8 +77,8 @@ let on_ce_marks t ~new_marks ~rtt ~x_recv ~packet_size =
       | None -> Packet.Serial.zero
     in
     for _ = 1 to new_marks do
-      Tfrc.Loss_history.on_congestion_mark t.lh ~seq ~arrival:t.last_arrival
-        ~rtt
+      Tfrc.Loss_history.on_congestion_mark t.lh ~marks:1 ~seq
+        ~arrival:t.last_arrival ~rtt
     done;
     maybe_seed t ~rtt ~x_recv ~packet_size;
     trace_new_events t ~before

@@ -1,5 +1,11 @@
 module Serial = Packet.Serial
 
+(* [lo; lo+1; …; hi-1], empty if [lo >= hi]: the list [Serial.range]
+   built before it left [lib/]. *)
+let serial_range lo hi =
+  let n = Serial.diff hi lo in
+  if n <= 0 then [] else List.init n (fun i -> Serial.add lo i)
+
 type t = {
   cost : Stats.Cost.t option;
   deliver : seq:Serial.t -> size:int -> unit;
@@ -63,7 +69,7 @@ let apply_fwd_point t fwd =
         | None ->
             incr gap;
             t.skipped <- t.skipped + 1)
-      (Serial.range t.next fwd);
+      (serial_range t.next fwd);
     t.next <- fwd;
     if !gap > 0 then t.on_gap ~skipped:!gap;
     drain t

@@ -1,4 +1,8 @@
-(** Receiver-side in-order delivery buffer.
+(** Frozen hashtable reference implementation of in-order delivery, the
+    [Sack.Reassembly] module that {!Sack.Rcv_tracker}'s delivery
+    replaced, kept as the differential-testing oracle for it.
+
+    Receiver-side in-order delivery buffer.
 
     Segments arrive out of order; the application wants a byte/segment
     stream.  Under full reliability the buffer simply waits for holes to

@@ -1,15 +1,9 @@
-(* Sack.Blocks: normalisation algebra. *)
+(* Sack.Blocks: construction. *)
 
 module B = Sack.Blocks
 module S = Packet.Serial
 
 let blk a b = B.make (S.of_int a) (S.of_int b)
-
-let ints blocks =
-  List.map
-    (fun (b : B.t) ->
-      (S.to_int b.Packet.Header.block_start, S.to_int b.Packet.Header.block_end))
-    blocks
 
 let test_make_rejects_empty () =
   Alcotest.(check bool) "empty rejected" true
@@ -23,87 +17,5 @@ let test_make_rejects_empty () =
        false
      with Invalid_argument _ -> true)
 
-let test_length_contains () =
-  let b = blk 10 15 in
-  Alcotest.(check int) "length" 5 (B.length b);
-  Alcotest.(check bool) "contains start" true (B.contains b (S.of_int 10));
-  Alcotest.(check bool) "contains mid" true (B.contains b (S.of_int 12));
-  Alcotest.(check bool) "end excluded" false (B.contains b (S.of_int 15))
-
-let test_normalise_merges_overlap () =
-  Alcotest.(check (list (pair int int)))
-    "overlap merged"
-    [ (1, 8) ]
-    (ints (B.normalise [ blk 1 5; blk 3 8 ]))
-
-let test_normalise_merges_adjacent () =
-  Alcotest.(check (list (pair int int)))
-    "adjacent merged"
-    [ (1, 10) ]
-    (ints (B.normalise [ blk 5 10; blk 1 5 ]))
-
-let test_normalise_keeps_gaps () =
-  Alcotest.(check (list (pair int int)))
-    "gap preserved"
-    [ (1, 3); (5, 7) ]
-    (ints (B.normalise [ blk 5 7; blk 1 3 ]))
-
-let test_insert () =
-  let bs = B.normalise [ blk 1 3; blk 5 7 ] in
-  Alcotest.(check (list (pair int int)))
-    "insert extends the left block"
-    [ (1, 4); (5, 7) ]
-    (ints (B.insert bs (S.of_int 3)));
-  let bridged = B.insert (B.insert bs (S.of_int 3)) (S.of_int 4) in
-  Alcotest.(check (list (pair int int))) "fully merged" [ (1, 7) ] (ints bridged)
-
-let test_mem_total () =
-  let bs = B.normalise [ blk 1 3; blk 5 7 ] in
-  Alcotest.(check bool) "mem" true (B.mem bs (S.of_int 6));
-  Alcotest.(check bool) "not mem" false (B.mem bs (S.of_int 4));
-  Alcotest.(check int) "total" 4 (B.total bs)
-
-let test_is_normalised () =
-  Alcotest.(check bool) "good" true (B.is_normalised [ blk 1 3; blk 5 7 ]);
-  Alcotest.(check bool) "adjacent is not normal" false
-    (B.is_normalised [ blk 1 3; blk 3 7 ]);
-  Alcotest.(check bool) "out of order is not normal" false
-    (B.is_normalised [ blk 5 7; blk 1 3 ])
-
-let prop_normalise_idempotent_and_sound =
-  QCheck.Test.make ~name:"normalise: normal form + same membership" ~count:300
-    QCheck.(list (pair (int_bound 500) (int_range 1 20)))
-    (fun raw ->
-      let blocks = List.map (fun (a, len) -> blk a (a + len)) raw in
-      let norm = B.normalise blocks in
-      B.is_normalised norm
-      && B.normalise norm = norm
-      && List.for_all
-           (fun x ->
-             let s = S.of_int x in
-             B.mem norm s = List.exists (fun b -> B.contains b s) blocks)
-           (List.init 550 Fun.id))
-
-let prop_insert_preserves_normal_form =
-  QCheck.Test.make ~name:"insert keeps normal form and adds member" ~count:300
-    QCheck.(pair (list (pair (int_bound 200) (int_range 1 5))) (int_bound 220))
-    (fun (raw, x) ->
-      let norm = B.normalise (List.map (fun (a, len) -> blk a (a + len)) raw) in
-      let after = B.insert norm (S.of_int x) in
-      B.is_normalised after && B.mem after (S.of_int x))
-
 let suite =
-  [
-    Alcotest.test_case "make rejects empty" `Quick test_make_rejects_empty;
-    Alcotest.test_case "length/contains" `Quick test_length_contains;
-    Alcotest.test_case "normalise merges overlap" `Quick
-      test_normalise_merges_overlap;
-    Alcotest.test_case "normalise merges adjacent" `Quick
-      test_normalise_merges_adjacent;
-    Alcotest.test_case "normalise keeps gaps" `Quick test_normalise_keeps_gaps;
-    Alcotest.test_case "insert" `Quick test_insert;
-    Alcotest.test_case "mem/total" `Quick test_mem_total;
-    Alcotest.test_case "is_normalised" `Quick test_is_normalised;
-    QCheck_alcotest.to_alcotest prop_normalise_idempotent_and_sound;
-    QCheck_alcotest.to_alcotest prop_insert_preserves_normal_form;
-  ]
+  [ Alcotest.test_case "make rejects empty" `Quick test_make_rejects_empty ]

@@ -121,7 +121,7 @@ let test_delay_probe_partial_reliability () =
             (Qtp.Profile.mobile_receiver ())))
   in
   let tapped = ref 0 in
-  Qtp.Connection.set_on_deliver conn (fun ~seq:_ ~size:_ -> incr tapped);
+  Qtp.Connection.set_on_deliver conn (fun ~seq:_ -> incr tapped);
   Experiments.Common.attach_delays probe conn;
   Engine.Sim.run ~until:20.0 sim;
   let d = Experiments.Common.delivery_delays probe in
@@ -213,6 +213,55 @@ let test_feedback_flows_both_planes () =
   Alcotest.(check bool) "bytes counted" true
     (Qtp.Connection.feedback_bytes light > 0)
 
+(* A forward point far ahead costs the receiver one gap, not one step
+   per number: on a QTP_light partial-reliability connection, data 1
+   carrying forward point 2^20 delivers 1, skips the 2^20 - 2 numbers
+   in [\[2, 2^20)] and allocates almost nothing.  Frames are handed
+   straight to the receiver half; the simulation never runs. *)
+let test_far_forward_point_is_cheap () =
+  let sim = Engine.Sim.create () in
+  let rx = ref (fun (_ : Netsim.Frame.t) -> ()) in
+  let endpoint =
+    {
+      Netsim.Topology.flow_id = 0;
+      to_receiver = ignore;
+      to_sender = ignore;
+      on_receiver_rx = (fun f -> rx := f);
+      on_sender_rx = ignore;
+      marker = None;
+    }
+  in
+  let conn =
+    Qtp.Connection.create ~sim ~endpoint
+      (Qtp.Connection.config ~initial_rtt:0.2
+         (agreed_of
+            (Qtp.Profile.qtp_light ~reliability:[ Qtp.Capabilities.R_partial ] ())
+            (Qtp.Profile.mobile_receiver ())))
+  in
+  let data seq fwd =
+    Qtp.Vtp_wire.frame_of ~sim ~flow_id:0
+      (Packet.Segment.make ~payload:1000
+         ~hdr:
+           (Packet.Header.Data
+              {
+                seq = Packet.Serial.of_int seq;
+                tstamp = 0.0;
+                rtt_estimate = 0.1;
+                is_retransmit = false;
+                fwd_point = Packet.Serial.of_int fwd;
+              }))
+  in
+  let d0 = data 0 1 and d1 = data 1 (1 lsl 20) in
+  !rx d0;
+  let before = Gc.minor_words () in
+  !rx d1;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words allocated" words)
+    true (words < 100.0);
+  Alcotest.(check int) "delivered" 2 (Qtp.Connection.delivered conn);
+  Alcotest.(check int) "skipped" ((1 lsl 20) - 2) (Qtp.Connection.skipped conn)
+
 let suite =
   [
     Alcotest.test_case "clean path fills link" `Quick test_clean_path_fills_link;
@@ -236,4 +285,6 @@ let suite =
       test_negotiation_failure_is_clean;
     Alcotest.test_case "feedback on both planes" `Quick
       test_feedback_flows_both_planes;
+    Alcotest.test_case "far forward point is cheap" `Quick
+      test_far_forward_point_is_cheap;
   ]

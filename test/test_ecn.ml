@@ -59,7 +59,7 @@ let test_loss_history_counts_marks_as_events () =
       ~rtt ~is_retx:false;
     (* CE on packets 50 and 150: 1 s apart, two separate events. *)
     if i = 50 || i = 150 then
-      Tfrc.Loss_history.on_congestion_mark lh ~seq:(Packet.Serial.of_int i)
+      Tfrc.Loss_history.on_congestion_mark lh ~marks:1 ~seq:(Packet.Serial.of_int i)
         ~arrival:(float_of_int i *. 0.01)
         ~rtt
   done;
@@ -77,7 +77,7 @@ let test_marks_group_within_rtt () =
       ~arrival:(float_of_int i *. 0.001)
       ~rtt ~is_retx:false;
     (* every packet marked — all within one RTT *)
-    Tfrc.Loss_history.on_congestion_mark lh ~seq:(Packet.Serial.of_int i)
+    Tfrc.Loss_history.on_congestion_mark lh ~marks:1 ~seq:(Packet.Serial.of_int i)
       ~arrival:(float_of_int i *. 0.001)
       ~rtt
   done;

@@ -100,9 +100,7 @@ let test_seq_of () =
     (Option.map S.to_int (H.seq_of fb))
 
 let test_segment_size_and_flags () =
-  let seg =
-    Packet.Segment.make ~id:1 ~flow_id:2 ~hdr:data ~payload:1000
-  in
+  let seg = Packet.Segment.make ~hdr:data ~payload:1000 in
   Alcotest.(check int) "size" (H.data_header_bytes + 1000)
     (Packet.Segment.size seg);
   Alcotest.(check bool) "is data" true (Packet.Segment.is_data seg);

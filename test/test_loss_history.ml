@@ -173,6 +173,28 @@ let test_cost_charged () =
   Alcotest.(check int) "update charged per packet" 100
     (Stats.Cost.ops cost "lh.update")
 
+(* A sequence jump opens one hole run however wide, and its charge is
+   one counter update: 2^30 numbers past the highest seen take well
+   under 0.1 s of CPU, with or without a cost model, and [lh.hole]
+   still counts every number of the hole. *)
+let test_jump_is_constant_time () =
+  let jump lh =
+    LH.on_packet lh ~seq:(S.of_int 0) ~arrival:0.0 ~rtt ~is_retx:false;
+    let t0 = Sys.time () in
+    LH.on_packet lh ~seq:(S.of_int (1 lsl 30)) ~arrival:0.001 ~rtt
+      ~is_retx:false;
+    Sys.time () -. t0
+  in
+  let took = jump (LH.create ()) in
+  if took >= 0.1 then Alcotest.failf "2^30 jump took %.3f s of CPU" took;
+  let cost = Stats.Cost.create () in
+  let lh = LH.create ~cost () in
+  let took = jump lh in
+  if took >= 0.1 then
+    Alcotest.failf "2^30 jump took %.3f s of CPU with a cost model" took;
+  Alcotest.(check int) "lh.hole" ((1 lsl 30) - 1) (Stats.Cost.ops cost "lh.hole");
+  Alcotest.(check int) "one hole run" 1 (LH.holes_held lh)
+
 (* Reference model: loss events computed independently with a simple
    brute-force pass, compared against the incremental implementation. *)
 let prop_events_match_reference =
@@ -377,6 +399,8 @@ let suite =
     Alcotest.test_case "history bounded" `Quick test_history_bounded;
     Alcotest.test_case "max_seq" `Quick test_max_seq;
     Alcotest.test_case "cost charged" `Quick test_cost_charged;
+    Alcotest.test_case "jump is constant time" `Quick
+      test_jump_is_constant_time;
     Alcotest.test_case "alternating-loss holes bounded" `Quick
       test_alternating_loss_holes_bounded;
     QCheck_alcotest.to_alcotest prop_events_match_reference;

@@ -13,19 +13,19 @@ let blocks_ints t =
     (T.all_ranges t)
 
 let test_in_order () =
-  let t = T.create () in
+  let t = T.create ~deliver:ignore () in
   feed t [ 0; 1; 2; 3 ];
   Alcotest.(check int) "cum advances" 4 (S.to_int (T.cum_ack t));
   Alcotest.(check (list (pair int int))) "no ranges" [] (blocks_ints t)
 
 let test_gap_creates_range () =
-  let t = T.create () in
+  let t = T.create ~deliver:ignore () in
   feed t [ 0; 1; 5; 6 ];
   Alcotest.(check int) "cum stuck at hole" 2 (S.to_int (T.cum_ack t));
   Alcotest.(check (list (pair int int))) "range" [ (5, 7) ] (blocks_ints t)
 
 let test_fill_merges_back () =
-  let t = T.create () in
+  let t = T.create ~deliver:ignore () in
   feed t [ 0; 1; 5; 6; 3; 4 ];
   Alcotest.(check (list (pair int int))) "one merged range" [ (3, 7) ]
     (blocks_ints t);
@@ -35,7 +35,7 @@ let test_fill_merges_back () =
   Alcotest.(check (list (pair int int))) "ranges consumed" [] (blocks_ints t)
 
 let test_multiple_ranges_sorted () =
-  let t = T.create () in
+  let t = T.create ~deliver:ignore () in
   feed t [ 0; 10; 5; 20 ];
   Alcotest.(check (list (pair int int)))
     "ascending disjoint ranges"
@@ -43,7 +43,7 @@ let test_multiple_ranges_sorted () =
     (blocks_ints t)
 
 let test_duplicates_counted () =
-  let t = T.create () in
+  let t = T.create ~deliver:ignore () in
   feed t [ 0; 1; 1; 0; 5; 5 ];
   Alcotest.(check int) "dups" 3 (T.duplicates t);
   Alcotest.(check int) "packets counted raw" 6 (T.packets t)
@@ -51,7 +51,7 @@ let test_duplicates_counted () =
 (* Exact duplicates must leave the acknowledgment state untouched: no
    cum movement, no new or widened ranges, no SACK block changes. *)
 let test_duplicates_leave_state_untouched () =
-  let t = T.create () in
+  let t = T.create ~deliver:ignore () in
   feed t [ 0; 1; 5; 6; 10 ];
   let cum = S.to_int (T.cum_ack t) in
   let ranges = blocks_ints t in
@@ -69,7 +69,7 @@ let test_bug_hook_corrupts_ranges () =
   Fun.protect
     ~finally:(fun () -> Sack.Rcv_tracker.test_only_skip_dup_check := false)
     (fun () ->
-      let t = T.create () in
+      let t = T.create ~deliver:ignore () in
       feed t [ 0; 1; 2 ];
       (* A duplicate of 1 now re-inserts a range below the cum point. *)
       feed t [ 1 ];
@@ -77,13 +77,13 @@ let test_bug_hook_corrupts_ranges () =
         "bogus below-cum range present" true
         (List.exists (fun (lo, _) -> lo < S.to_int (T.cum_ack t))
            (blocks_ints t)));
-  let t = T.create () in
+  let t = T.create ~deliver:ignore () in
   feed t [ 0; 1; 2; 1 ];
   Alcotest.(check (list (pair int int))) "clean again with hook off" []
     (blocks_ints t)
 
 let test_sack_blocks_recency_first () =
-  let t = T.create ~max_blocks:2 () in
+  let t = T.create ~max_blocks:2 ~deliver:ignore () in
   feed t [ 0; 5; 10; 15; 20 ];
   (* Four ranges exist; the report must carry the two most recent. *)
   let blocks = T.sack_blocks t in
@@ -97,14 +97,14 @@ let test_sack_blocks_recency_first () =
   | _ -> Alcotest.fail "expected 2 blocks"
 
 let test_received_query () =
-  let t = T.create () in
+  let t = T.create ~deliver:ignore () in
   feed t [ 0; 1; 5 ];
   Alcotest.(check bool) "cum-covered" true (T.received t (S.of_int 1));
   Alcotest.(check bool) "ranged" true (T.received t (S.of_int 5));
   Alcotest.(check bool) "hole" false (T.received t (S.of_int 3))
 
 let test_fwd_point_abandons () =
-  let t = T.create () in
+  let t = T.create ~deliver:ignore () in
   feed t [ 0; 1; 5; 6 ];
   T.apply_fwd_point t (S.of_int 4);
   Alcotest.(check int) "cum at fwd" 4 (S.to_int (T.cum_ack t));
@@ -113,7 +113,7 @@ let test_fwd_point_abandons () =
     (S.to_int (T.cum_ack t))
 
 let test_fwd_point_into_range () =
-  let t = T.create () in
+  let t = T.create ~deliver:ignore () in
   feed t [ 0; 5; 6; 7 ];
   (* fwd into the middle of [5,8): everything below 6 abandoned, range
      trimmed and immediately consumed. *)
@@ -122,14 +122,14 @@ let test_fwd_point_into_range () =
     (S.to_int (T.cum_ack t))
 
 let test_fwd_point_backwards_ignored () =
-  let t = T.create () in
+  let t = T.create ~deliver:ignore () in
   feed t [ 0; 1; 2 ];
   T.apply_fwd_point t (S.of_int 1);
   Alcotest.(check int) "no regression" 3 (S.to_int (T.cum_ack t))
 
 let test_cost_o1 () =
   let cost = Stats.Cost.create () in
-  let t = T.create ~cost () in
+  let t = T.create ~cost ~deliver:ignore () in
   feed t (List.init 1000 Fun.id);
   Alcotest.(check int) "one charge per packet" 1000
     (Stats.Cost.ops cost "recv.light.packet")
@@ -139,7 +139,7 @@ let prop_tracker_vs_reference =
   QCheck.Test.make ~name:"tracker matches reference semantics" ~count:200
     QCheck.(list (int_bound 100))
     (fun arrivals ->
-      let t = T.create () in
+      let t = T.create ~deliver:ignore () in
       let received = Hashtbl.create 64 in
       List.iter
         (fun i ->
@@ -171,7 +171,7 @@ let block_ints (b : Sack.Blocks.t) =
 
 let differential_tracker_run ~seed ~steps =
   let rng = Engine.Rng.create ~seed in
-  let t = T.create ~max_blocks:4 () in
+  let t = T.create ~max_blocks:4 ~deliver:ignore () in
   let r = TR.create ~max_blocks:4 () in
   let ok = ref true in
   let expect b = if not b then ok := false in
@@ -225,6 +225,66 @@ let prop_differential_vs_reference =
     QCheck.(pair (int_range 1 1_000_000) (int_range 1 250))
     (fun (seed, steps) -> differential_tracker_run ~seed ~steps)
 
+(* ------------------------------------------------------------------ *)
+(* Delivery against the frozen hashtable reassembly: arrivals around the
+   cumulative point (fresh, duplicate and stale numbers), forward points
+   (some backwards), and 200–1,000-number jumps of both.  The numbers
+   each step delivers, the delivered and skipped counts and the
+   cumulative point must match at every step. *)
+
+module RR = Reassembly_ref
+
+let differential_delivery_run ~seed ~steps =
+  let rng = Engine.Rng.create ~seed in
+  let got = ref [] and want = ref [] in
+  let t = T.create ~deliver:(fun s -> got := S.to_int s :: !got) () in
+  let r =
+    RR.create
+      ~deliver:(fun ~seq ~size:_ -> want := S.to_int seq :: !want)
+      ~on_gap:(fun ~skipped:_ -> ())
+      ()
+  in
+  let ok = ref true in
+  let step () =
+    let cum = S.to_int (T.cum_ack t) in
+    let jump () = 200 + Engine.Rng.int rng 801 in
+    match Engine.Rng.int rng 20 with
+    | 0 ->
+        let s = S.to_int (T.highest_expected t) + jump () in
+        T.on_data t ~seq:(S.of_int s);
+        RR.on_data r ~seq:(S.of_int s) ~size:1
+    | 1 ->
+        let f = S.of_int (cum + jump ()) in
+        T.apply_fwd_point t f;
+        RR.apply_fwd_point r f
+    | 2 | 3 | 4 ->
+        let f = S.of_int (cum - 5 + Engine.Rng.int rng 30) in
+        T.apply_fwd_point t f;
+        RR.apply_fwd_point r f
+    | _ ->
+        let s = S.of_int (cum - 10 + Engine.Rng.int rng 60) in
+        T.on_data t ~seq:s;
+        RR.on_data r ~seq:s ~size:1
+  in
+  for _ = 1 to steps do
+    got := [];
+    want := [];
+    step ();
+    if
+      !got <> !want
+      || T.delivered t <> RR.delivered r
+      || T.skipped t <> RR.skipped r
+      || not (S.equal (T.cum_ack t) (RR.next_expected r))
+    then ok := false
+  done;
+  !ok
+
+let prop_delivery_vs_reassembly =
+  QCheck.Test.make
+    ~name:"delivery matches the frozen reassembly (with jumps)" ~count:300
+    QCheck.(int_range 1 1_000_000)
+    (fun seed -> differential_delivery_run ~seed ~steps:2_000)
+
 (* Adversarial duplicate flood: build a maximally fragmented range list
    (every second number received), then replay the whole pattern many
    times over.  Duplicates must be counted and change nothing — the
@@ -232,7 +292,7 @@ let prop_differential_vs_reference =
    cumulative ack does not move. *)
 let test_duplicate_flood_bounded () =
   let n = 500 in
-  let t = T.create () in
+  let t = T.create ~deliver:ignore () in
   let evens = List.init n (fun i -> 2 * i) in
   feed t evens;
   (* 0 advanced the cum point; every later even opened a range. *)
@@ -275,4 +335,5 @@ let suite =
       test_duplicate_flood_bounded;
     QCheck_alcotest.to_alcotest prop_tracker_vs_reference;
     QCheck_alcotest.to_alcotest prop_differential_vs_reference;
+    QCheck_alcotest.to_alcotest prop_delivery_vs_reassembly;
   ]

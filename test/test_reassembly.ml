@@ -1,94 +1,90 @@
-(* Sack.Reassembly: in-order delivery, buffering, forward points. *)
+(* In-order delivery from the receive window (Sack.Rcv_tracker):
+   buffering, duplicates, forward points.  The cases of the hashtable
+   reassembly it replaced, which lives on as test/reassembly_ref.ml. *)
 
-module R = Sack.Reassembly
+module T = Sack.Rcv_tracker
 module S = Packet.Serial
 
 let make () =
   let delivered = ref [] in
-  let gaps = ref [] in
-  let r =
-    R.create
-      ~deliver:(fun ~seq ~size -> delivered := (S.to_int seq, size) :: !delivered)
-      ~on_gap:(fun ~skipped -> gaps := skipped :: !gaps)
-      ()
-  in
-  (r, delivered, gaps)
+  let t = T.create ~deliver:(fun seq -> delivered := S.to_int seq :: !delivered) () in
+  (t, delivered)
 
-let feed r xs = List.iter (fun i -> R.on_data r ~seq:(S.of_int i) ~size:100) xs
+let feed t xs = List.iter (fun i -> T.on_data t ~seq:(S.of_int i)) xs
+
+(* Numbers received but not yet delivered. *)
+let buffered t =
+  List.fold_left
+    (fun acc (b : Sack.Blocks.t) ->
+      acc + S.diff b.Packet.Header.block_end b.Packet.Header.block_start)
+    0 (T.all_ranges t)
 
 let test_in_order_immediate () =
-  let r, delivered, _ = make () in
-  feed r [ 0; 1; 2 ];
-  Alcotest.(check (list (pair int int)))
-    "delivered in order"
-    [ (0, 100); (1, 100); (2, 100) ]
+  let t, delivered = make () in
+  feed t [ 0; 1; 2 ];
+  Alcotest.(check (list int)) "delivered in order" [ 0; 1; 2 ]
     (List.rev !delivered);
-  Alcotest.(check int) "counter" 3 (R.delivered r);
-  Alcotest.(check int) "nothing buffered" 0 (R.buffered r)
+  Alcotest.(check int) "counter" 3 (T.delivered t);
+  Alcotest.(check int) "nothing buffered" 0 (buffered t)
 
 let test_out_of_order_buffers () =
-  let r, delivered, _ = make () in
-  feed r [ 0; 2; 3 ];
-  Alcotest.(check (list (pair int int))) "only prefix" [ (0, 100) ]
+  let t, delivered = make () in
+  feed t [ 0; 2; 3 ];
+  Alcotest.(check (list int)) "only prefix" [ 0 ] (List.rev !delivered);
+  Alcotest.(check int) "buffered" 2 (buffered t);
+  feed t [ 1 ];
+  Alcotest.(check (list int)) "hole filled, drained" [ 0; 1; 2; 3 ]
     (List.rev !delivered);
-  Alcotest.(check int) "buffered" 2 (R.buffered r);
-  feed r [ 1 ];
-  Alcotest.(check (list int)) "hole filled, drained"
-    [ 0; 1; 2; 3 ]
-    (List.rev_map fst !delivered);
-  Alcotest.(check int) "buffer empty" 0 (R.buffered r)
+  Alcotest.(check int) "buffer empty" 0 (buffered t)
 
 let test_duplicates_dropped () =
-  let r, delivered, _ = make () in
-  feed r [ 0; 0; 1; 1; 1 ];
+  let t, delivered = make () in
+  feed t [ 0; 0; 1; 1; 1 ];
   Alcotest.(check int) "two deliveries" 2 (List.length !delivered)
 
 (* An exact duplicate of a still-buffered (out-of-order) segment must
    not double-deliver once the hole fills, and must not disturb the
    delivery counters the fuzz oracles key on. *)
 let test_duplicate_of_buffered_segment () =
-  let r, delivered, _ = make () in
-  feed r [ 0; 2; 2; 3; 2 ];
+  let t, delivered = make () in
+  feed t [ 0; 2; 2; 3; 2 ];
   Alcotest.(check int) "only the prefix so far" 1 (List.length !delivered);
-  Alcotest.(check int) "buffer holds each segment once" 2 (R.buffered r);
-  feed r [ 1 ];
-  Alcotest.(check (list int)) "each delivered exactly once"
-    [ 0; 1; 2; 3 ]
-    (List.rev_map fst !delivered);
-  Alcotest.(check int) "delivered counter" 4 (R.delivered r);
-  Alcotest.(check int) "nothing skipped" 0 (R.skipped r)
+  Alcotest.(check int) "buffer holds each segment once" 2 (buffered t);
+  feed t [ 1 ];
+  Alcotest.(check (list int)) "each delivered exactly once" [ 0; 1; 2; 3 ]
+    (List.rev !delivered);
+  Alcotest.(check int) "delivered counter" 4 (T.delivered t);
+  Alcotest.(check int) "nothing skipped" 0 (T.skipped t)
 
 let test_stale_dropped () =
-  let r, delivered, _ = make () in
-  feed r [ 0; 1; 2 ];
-  feed r [ 1 ];
+  let t, delivered = make () in
+  feed t [ 0; 1; 2 ];
+  feed t [ 1 ];
   Alcotest.(check int) "stale ignored" 3 (List.length !delivered)
 
 let test_fwd_point_skips_and_reports_gap () =
-  let r, delivered, gaps = make () in
-  feed r [ 0; 3; 4 ];
-  R.apply_fwd_point r (S.of_int 3);
-  Alcotest.(check (list int)) "buffered released after skip"
-    [ 0; 3; 4 ]
-    (List.rev_map fst !delivered);
-  Alcotest.(check (list int)) "gap of 2 reported" [ 2 ] !gaps;
-  Alcotest.(check int) "skip counter" 2 (R.skipped r);
-  Alcotest.(check int) "next expected" 5 (S.to_int (R.next_expected r))
+  let t, delivered = make () in
+  feed t [ 0; 3; 4 ];
+  T.apply_fwd_point t (S.of_int 3);
+  Alcotest.(check (list int)) "buffered released after skip" [ 0; 3; 4 ]
+    (List.rev !delivered);
+  Alcotest.(check int) "skip counter" 2 (T.skipped t);
+  Alcotest.(check int) "next expected" 5 (S.to_int (T.cum_ack t))
 
 let test_fwd_point_delivers_buffered_inside_range () =
-  let r, delivered, gaps = make () in
-  feed r [ 0; 2 ];
+  let t, delivered = make () in
+  feed t [ 0; 2 ];
   (* fwd to 3: hole at 1 abandoned, buffered 2 must be delivered. *)
-  R.apply_fwd_point r (S.of_int 3);
-  Alcotest.(check (list int)) "0 then 2" [ 0; 2 ] (List.rev_map fst !delivered);
-  Alcotest.(check (list int)) "one gap" [ 1 ] !gaps
+  T.apply_fwd_point t (S.of_int 3);
+  Alcotest.(check (list int)) "0 then 2" [ 0; 2 ] (List.rev !delivered);
+  Alcotest.(check int) "one skipped" 1 (T.skipped t)
 
 let test_fwd_point_noop_backwards () =
-  let r, delivered, _ = make () in
-  feed r [ 0; 1 ];
-  R.apply_fwd_point r (S.of_int 1);
+  let t, delivered = make () in
+  feed t [ 0; 1 ];
+  T.apply_fwd_point t (S.of_int 1);
   Alcotest.(check int) "unchanged" 2 (List.length !delivered);
-  Alcotest.(check int) "next" 2 (S.to_int (R.next_expected r))
+  Alcotest.(check int) "next" 2 (S.to_int (T.cum_ack t))
 
 let prop_full_delivery_when_everything_arrives =
   QCheck.Test.make
@@ -104,9 +100,9 @@ let prop_full_delivery_when_everything_arrives =
               not (List.mem i (List.filter (fun x -> x < n) perm_src)))
             (List.init n Fun.id)
       in
-      let r, delivered, _ = make () in
-      List.iter (fun i -> R.on_data r ~seq:(S.of_int i) ~size:1) order;
-      List.rev_map fst !delivered = List.init n Fun.id)
+      let t, delivered = make () in
+      feed t order;
+      List.rev !delivered = List.init n Fun.id)
 
 let suite =
   [

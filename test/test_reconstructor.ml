@@ -177,6 +177,22 @@ let test_push_cover_allocation () =
   if per_call > 4.0 then
     Alcotest.failf "%.2f minor words per push_cover (at most 4)" per_call
 
+(* A receiver's CE count is 4 bytes of untrusted input.  The marks of
+   one report share a position, arrival and RTT, so after the first the
+   rest only count: a 2^28-mark claim takes well under 0.1 s of CPU,
+   counts every mark and opens one congestion event. *)
+let test_ce_claim_is_constant_time () =
+  let lr = LR.create () in
+  feed lr (List.init 10 cover);
+  let t0 = Sys.time () in
+  LR.on_ce_marks lr ~new_marks:(1 lsl 28) ~rtt ~x_recv:1.0e6
+    ~packet_size:1500;
+  let took = Sys.time () -. t0 in
+  if took >= 0.1 then Alcotest.failf "2^28 marks took %.3f s of CPU" took;
+  Alcotest.(check int) "marks counted" (1 lsl 28)
+    (Tfrc.Loss_history.congestion_marks (LR.history lr));
+  Alcotest.(check int) "one event" 1 (LR.loss_events lr)
+
 let suite =
   [
     Alcotest.test_case "no loss" `Quick test_no_loss;
@@ -190,5 +206,7 @@ let suite =
     Alcotest.test_case "matches receiver side" `Quick test_matches_receiver_side;
     Alcotest.test_case "push_cover allocates at most 4 words" `Quick
       test_push_cover_allocation;
+    Alcotest.test_case "CE claim is constant time" `Quick
+      test_ce_claim_is_constant_time;
     QCheck_alcotest.to_alcotest prop_matches_full_receiver;
   ]

@@ -109,7 +109,7 @@ let test_full_fwd_point_is_una () =
    however many numbers were abandoned. *)
 let test_abandoned_set_trimmed () =
   let sb, rl = setup (RL.Partial { max_retx = 1; deadline = 0.08 }) in
-  let tr = Sack.Rcv_tracker.create () in
+  let tr = Sack.Rcv_tracker.create ~deliver:ignore () in
   let rng = Engine.Rng.create ~seed:11 in
   (* A 30-step one-way path: (arrival step, seq, forward point). *)
   let path = Queue.create () in

@@ -35,14 +35,18 @@ let test_min_max () =
     (S.to_int (S.max (s 0xFFFFFFFE) (s 1)))
 
 let test_range () =
-  Alcotest.(check (list int)) "simple range" [ 3; 4; 5 ]
-    (List.map S.to_int (S.range (s 3) (s 6)));
-  Alcotest.(check (list int)) "empty range" [] (List.map S.to_int (S.range (s 6) (s 6)));
-  Alcotest.(check (list int)) "reversed empty" [] (List.map S.to_int (S.range (s 7) (s 6)));
+  let range lo hi =
+    let acc = ref [] in
+    S.iter_range (fun x -> acc := S.to_int x :: !acc) (s lo) (s hi);
+    List.rev !acc
+  in
+  Alcotest.(check (list int)) "simple range" [ 3; 4; 5 ] (range 3 6);
+  Alcotest.(check (list int)) "empty range" [] (range 6 6);
+  Alcotest.(check (list int)) "reversed empty" [] (range 7 6);
   Alcotest.(check (list int))
     "range across wrap"
     [ 0xFFFFFFFF; 0 ]
-    (List.map S.to_int (S.range (s 0xFFFFFFFF) (s 1)))
+    (range 0xFFFFFFFF 1)
 
 let test_to_string () =
   Alcotest.(check string) "print unsigned" "4294967295" (S.to_string (s 0xFFFFFFFF))
