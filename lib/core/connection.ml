@@ -69,12 +69,13 @@ type receiver_side = {
 
 type sender_side = {
   cc : Tfrc.Sender.t;
-  scoreboard : Sack.Scoreboard.t option;
-  reliability : Sack.Reliability.t option;
+  (* The SACK plane: the scoreboard and the reliability plane built on
+     it, both or neither. *)
+  sack : (Sack.Scoreboard.t * Sack.Reliability.t) option;
   reconstructor : Loss_reconstructor.t option;
   source : Source.t;
   mutable expiry_timer : Engine.Timer.t option;
-  mutable plain_seq : Serial.t;  (* sequencing when no scoreboard *)
+  mutable plain_seq : Serial.t;  (* sequencing when no SACK plane *)
   mutable known_ce : int;  (* highest CE echo processed so far *)
   (* Loss scratch for the SACK feedback path: newly inferred losses
      are staged here (as raw serial ints) during the scoreboard digest
@@ -136,10 +137,10 @@ let send_reverse t segment =
 (* Sender side *)
 
 let fwd_point_now t =
-  match (t.snd.scoreboard, t.snd.reliability) with
-  | Some sb, Some rel ->
+  match t.snd.sack with
+  | Some (sb, rel) ->
       Sack.Reliability.fwd_point rel ~highest_sent:(Sack.Scoreboard.next_seq sb)
-  | _ ->
+  | None ->
       (* No SACK plane: the receiver should never wait for repairs. *)
       t.snd.plain_seq
 
@@ -167,44 +168,38 @@ let emit_data t ~seq ~is_retx =
          { seq; size = t.cfg.packet_size; retx = is_retx });
   t.endpoint.Netsim.Topology.to_receiver frame
 
+let fresh_data t ~now =
+  if t.state <> Closing && t.state <> Closed && Source.take t.snd.source
+  then begin
+    let seq =
+      match t.snd.sack with
+      | Some (sb, _) ->
+          let s = Sack.Scoreboard.next_seq sb in
+          Sack.Scoreboard.on_send sb ~seq:s ~now ~size:t.cfg.packet_size
+            ~is_retx:false;
+          s
+      | None ->
+          let s = t.snd.plain_seq in
+          t.snd.plain_seq <- Serial.succ s;
+          s
+    in
+    emit_data t ~seq ~is_retx:false;
+    true
+  end
+  else false
+
 let transmit_opportunity t =
   let now = Engine.Sim.now t.sim in
-  let decision =
-    match t.snd.reliability with
-    | Some rel -> Sack.Reliability.next_decision rel ~now
-    | None -> Sack.Reliability.Fresh_data
-  in
-  match decision with
-  | Sack.Reliability.Retransmit seq ->
-      (match t.snd.scoreboard with
-      | Some sb ->
+  match t.snd.sack with
+  | None -> fresh_data t ~now
+  | Some (sb, rel) -> (
+      match Sack.Reliability.next_decision rel ~now with
+      | Sack.Reliability.Retransmit seq ->
           Sack.Scoreboard.on_send sb ~seq ~now ~size:t.cfg.packet_size
-            ~is_retx:true
-      | None ->
-          failwith
-            "Connection: Retransmit decision without a scoreboard (the \
-             reliability plane exists only alongside one)");
-      emit_data t ~seq ~is_retx:true;
-      true
-  | Sack.Reliability.Fresh_data ->
-      if t.state <> Closing && t.state <> Closed && Source.take t.snd.source
-      then begin
-        let seq =
-          match t.snd.scoreboard with
-          | Some sb ->
-              let s = Sack.Scoreboard.next_seq sb in
-              Sack.Scoreboard.on_send sb ~seq:s ~now ~size:t.cfg.packet_size
-                ~is_retx:false;
-              s
-          | None ->
-              let s = t.snd.plain_seq in
-              t.snd.plain_seq <- Serial.succ s;
-              s
-        in
-        emit_data t ~seq ~is_retx:false;
-        true
-      end
-      else false
+            ~is_retx:true;
+          emit_data t ~seq ~is_retx:true;
+          true
+      | Sack.Reliability.Fresh_data -> fresh_data t ~now)
 
 let push_loss t seq =
   let n = t.snd.loss_n in
@@ -246,9 +241,9 @@ let inspect_sample t ~x_recv ~p =
         }
 
 let sender_on_sack t (sf : Header.sack_feedback) =
-  match t.snd.scoreboard with
+  match t.snd.sack with
   | None -> ()
-  | Some sb ->
+  | Some (sb, rel) ->
       let now = Engine.Sim.now t.sim in
       let rtt = Tfrc.Sender.rtt t.snd.cc in
       (* Streaming digest: covers flow straight from the scoreboard into
@@ -288,13 +283,13 @@ let sender_on_sack t (sf : Header.sack_feedback) =
                lost = summary.Sack.Scoreboard.fb_lost;
              });
       (* Feed the staged losses (ascending) after the Sack_rcvd emit. *)
-      (match t.snd.reliability with
-      | Some rel when t.snd.loss_n > 0 ->
-          for k = 0 to t.snd.loss_n - 1 do
-            Sack.Reliability.on_loss rel ~now (Serial.of_int t.snd.loss_scr.(k))
-          done;
-          Tfrc.Sender.notify_data t.snd.cc
-      | Some _ | None -> ());
+      if t.snd.loss_n > 0 then begin
+        for k = 0 to t.snd.loss_n - 1 do
+          Sack.Reliability.on_loss rel ~now
+            (Serial.of_int t.snd.loss_scr.(k))
+        done;
+        Tfrc.Sender.notify_data t.snd.cc
+      end;
       t.snd.loss_n <- 0;
       (match (t.snd.reconstructor, batch) with
       | Some lr, Some b ->
@@ -320,8 +315,8 @@ let sender_on_std_feedback t (f : Header.feedback) =
   inspect_sample t ~x_recv:f.x_recv ~p:f.p
 
 let arm_expiry_timer t =
-  match (t.snd.scoreboard, t.snd.reliability) with
-  | Some sb, Some rel ->
+  match t.snd.sack with
+  | Some (sb, rel) ->
       let timer = ref None in
       let fire () =
         let now = Engine.Sim.now t.sim in
@@ -340,7 +335,7 @@ let arm_expiry_timer t =
       timer := Some tm;
       t.snd.expiry_timer <- Some tm;
       Engine.Timer.start tm ~after:(Float.max t.cfg.initial_rtt 0.05)
-  | _ -> ()
+  | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Receiver side *)
@@ -598,9 +593,9 @@ let handle_handshake_at_sender t (h : Header.handshake) =
 (* Graceful close *)
 
 let drained t =
-  match t.snd.scoreboard with
+  match t.snd.sack with
   | None -> true
-  | Some sb -> Sack.Scoreboard.outstanding sb = 0
+  | Some (sb, _) -> Sack.Scoreboard.outstanding sb = 0
 
 let max_close_tries = 8
 
@@ -612,12 +607,12 @@ let max_close_ticks = 200  (* hard bound: never linger in Closing forever *)
    budget runs out. *)
 let close_tick t =
   if t.state = Closing then begin
-    (match (t.snd.scoreboard, t.snd.reliability) with
-    | Some sb, Some rel ->
+    (match t.snd.sack with
+    | Some (sb, rel) ->
         ignore
           (Sack.Reliability.fwd_point rel
              ~highest_sent:(Sack.Scoreboard.next_seq sb))
-    | _ -> ());
+    | None -> ());
     t.close_ticks <- t.close_ticks + 1;
     if t.close_ticks > max_close_ticks then finish_close t
     else begin
@@ -667,17 +662,15 @@ let build ~sim ~endpoint ?cost_sender ?cost_receiver ?source ~start_at
   let trace =
     Trace.Sink.of_sim sim ~flow:endpoint.Netsim.Topology.flow_id
   in
-  let scoreboard =
-    if uses_sack_plane then
-      Some (Sack.Scoreboard.create ?cost:cost_sender ~trace ())
+  let sack =
+    if uses_sack_plane then begin
+      let sb = Sack.Scoreboard.create ?cost:cost_sender ~trace () in
+      Some
+        ( sb,
+          Sack.Reliability.create ?cost:cost_sender ~trace policy
+            ~scoreboard:sb () )
+    end
     else None
-  in
-  let reliability =
-    Option.map
-      (fun sb ->
-        Sack.Reliability.create ?cost:cost_sender ~trace policy
-          ~scoreboard:sb ())
-      scoreboard
   in
   let reconstructor =
     if agreed.Capabilities.plane = Capabilities.Light then
@@ -722,8 +715,7 @@ let build ~sim ~endpoint ?cost_sender ?cost_receiver ?source ~start_at
       snd =
         {
           cc;
-          scoreboard;
-          reliability;
+          sack;
           reconstructor;
           source;
           expiry_timer = None;
@@ -898,25 +890,25 @@ let receiver_loss_estimate t =
   Option.map Tfrc.Receiver.loss_event_rate t.rcv.std_recv
 
 let data_sent t =
-  match t.snd.scoreboard with
-  | Some sb -> Sack.Scoreboard.stats_sent sb
+  match t.snd.sack with
+  | Some (sb, _) -> Sack.Scoreboard.stats_sent sb
   | None -> Tfrc.Sender.packets_sent t.snd.cc
 
 let retransmissions t =
-  match t.snd.scoreboard with
-  | Some sb -> Sack.Scoreboard.stats_retx sb
+  match t.snd.sack with
+  | Some (sb, _) -> Sack.Scoreboard.stats_retx sb
   | None -> 0
 
 let expiry_losses t =
-  match t.snd.scoreboard with
-  | Some sb -> Sack.Scoreboard.stats_expired sb
+  match t.snd.sack with
+  | Some (sb, _) -> Sack.Scoreboard.stats_expired sb
   | None -> 0
 
 let duplicates_received t = Sack.Rcv_tracker.duplicates t.rcv.tracker
 
 let abandoned t =
-  match t.snd.reliability with
-  | Some rel -> Sack.Reliability.abandoned rel
+  match t.snd.sack with
+  | Some (_, rel) -> Sack.Reliability.abandoned rel
   | None -> 0
 
 let delivered t = Sack.Rcv_tracker.delivered t.rcv.tracker

@@ -1,0 +1,59 @@
+(** Run-length position sets: sorted, coalesced, half-open [[lo, hi)]
+    runs over monotone absolute positions, each carrying one [int] tag,
+    held in growable parallel [int] arrays.  Searched by binary seek and
+    edited by splice, so an operation costs O(log runs) plus the runs it
+    touches, never the width of the positions covered.  The arrays are
+    exposed so hot loops can walk the runs without a callback.
+
+    The SACK scoreboard's SACKed and lost sets, the abandoned numbers
+    of the reliability plane, the receive window's out-of-order ranges
+    (tagged with a recency stamp) and the TFRC loss history's holes
+    (tagged with a birth epoch) are all one of these. *)
+
+type t = {
+  mutable lo : int array;
+  mutable hi : int array;
+  mutable tag : int array;
+  mutable fst : int;
+  mutable len : int;  (** live runs are indices [[fst, len)] *)
+}
+
+val create : unit -> t
+(** An empty set.  Its arrays are allocated on the first insertion, at
+    8 runs, and double when full; a full set first reclaims the dead
+    front that {!drop_first} and {!trim_below} leave, and grows only
+    when there is none. *)
+
+val length : t -> int
+(** Live runs. *)
+
+val seek : t -> int -> int
+(** Smallest live index whose run ends strictly after the position —
+    the only run that can contain it ([len] when none does). *)
+
+val mem : t -> int -> bool
+
+val add : t -> int -> int -> tag:int -> unit
+(** [add t l h ~tag] covers [[l, h)], coalescing with every overlapping
+    or touching run; the coalesced run takes [tag]. *)
+
+val remove : t -> int -> int -> unit
+(** [remove t l h] uncovers [[l, h)], trimming straddlers and splitting
+    a run that strictly contains it.  What is left of a run keeps its
+    tag, in both halves of a split. *)
+
+val drop_first : t -> unit
+(** Drop the lowest run, in O(1).  The set must not be empty. *)
+
+val trim_below : t -> int -> unit
+(** Drop every position below the given one, in O(log runs). *)
+
+val clear : t -> unit
+
+val kth_from_top : t -> int -> int
+(** Position of the [k]-th highest covered point, or [min_int] when
+    fewer than [k] points are covered. *)
+
+val iter_gaps : t -> int -> int -> (int -> int -> unit) -> unit
+(** [iter_gaps t l h f] applies [f gl gh] to every maximal uncovered gap
+    within [[l, h)], ascending. *)

@@ -1,4 +1,5 @@
 module Serial = Packet.Serial
+module Runs = Packet.Runs
 
 type policy =
   | Unreliable
@@ -35,7 +36,7 @@ let create ?cost ?trace policy ~scoreboard () =
     trace;
     queue = Queue.create ();
     queued = Hashtbl.create 8;
-    gone = Runs.create 0;
+    gone = Runs.create ();
     abandoned = 0;
   }
 
@@ -46,7 +47,7 @@ let key = Serial.to_int
 
 let abandon t seq =
   let a = Scoreboard.pos t.scoreboard seq in
-  Runs.add t.gone a (a + 1);
+  Runs.add t.gone a (a + 1) ~tag:0;
   t.abandoned <- t.abandoned + 1;
   charge t "send.reliability.abandon";
   if Trace.Sink.on t.trace then
@@ -120,7 +121,7 @@ let abandoned_held t =
   let una = Scoreboard.una sb in
   let base = Scoreboard.pos sb una in
   let acc = ref [] in
-  for i = t.gone.Runs.len - 1 downto 0 do
+  for i = t.gone.Runs.len - 1 downto t.gone.Runs.fst do
     for a = t.gone.Runs.hi.(i) - 1 downto t.gone.Runs.lo.(i) do
       acc := Serial.add una (a - base) :: !acc
     done

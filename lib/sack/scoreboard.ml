@@ -1,14 +1,16 @@
 module Serial = Packet.Serial
+module Runs = Packet.Runs
 
 (* Run-length scoreboard: instead of one hashtable entry per in-flight
    sequence number, per-packet metadata (send times, size, retransmit
    count) lives in ring arrays indexed by an absolute position, and the
-   SACKed / inferred-lost state lives in sorted, coalesced run sets
-   ([Runs]).  Feedback for a large-BDP window (tens of thousands of
-   packets) then costs what it changes — the newly covered positions
-   and the new dupthresh span — instead of the window's width or its
-   number of holes.  The per-entry implementation lives on as the
-   differential oracle in test/scoreboard_ref.ml.
+   SACKed / inferred-lost state lives in two sorted, coalesced run sets
+   ([Packet.Runs], untagged: every run carries tag 0).  Feedback for a
+   large-BDP window (tens of thousands of packets) then costs what it
+   changes — the newly covered positions and the new dupthresh span —
+   instead of the window's width or its number of holes.  The
+   per-entry implementation lives on as the differential oracle in
+   test/scoreboard_ref.ml.
 
    Sequence numbers are mapped to monotone absolute positions through
    an advancing anchor: [abs = una_abs + Serial.diff s snd_una].  The
@@ -103,8 +105,8 @@ let create ?(dupthresh = 3) ?(capacity = 16) ?cost ?trace () =
     nxt_abs = 0;
     snd_una = Serial.zero;
     snd_nxt = Serial.zero;
-    sacked = Runs.create 8;
-    lost = Runs.create 8;
+    sacked = Runs.create ();
+    lost = Runs.create ();
     frontier = 0;
     newest_xmit = [| Float.neg_infinity |];
     repairs = [||];
@@ -384,7 +386,7 @@ let[@vtp.hot] rec merge_blocks t on k nclip n =
     let l = t.scr_lo.(k) and h = t.scr_hi.(k) in
     let n = cover_gaps t on (Runs.seek t.sacked l) l h n in
     Runs.remove t.lost l h;
-    Runs.add t.sacked l h;
+    Runs.add t.sacked l h ~tag:0;
     merge_blocks t on (k + 1) nclip n
   end
 
@@ -445,7 +447,7 @@ let[@vtp.hot] iter_feedback t ~cum_ack ~blocks ~reo_wnd ~on_ack ~on_sack
     else nf
   in
   for k = 0 to nfresh - 1 do
-    Runs.add t.lost t.scr_lo.(k) t.scr_hi.(k)
+    Runs.add t.lost t.scr_lo.(k) t.scr_hi.(k) ~tag:0
   done;
   (* The reference walk marks from the top down; emit in the same
      descending order so traces stay byte-identical. *)
@@ -485,7 +487,7 @@ let on_feedback t ~cum_ack ~blocks ~reo_wnd =
 
 let lost_pending t =
   let acc = ref [] in
-  for i = t.lost.Runs.len - 1 downto 0 do
+  for i = t.lost.Runs.len - 1 downto t.lost.Runs.fst do
     for a = t.lost.Runs.hi.(i) - 1 downto t.lost.Runs.lo.(i) do
       acc := ser_of t a :: !acc
     done
@@ -513,7 +515,7 @@ let mark_expired t ~now ~timeout =
   let acc = ref [] in
   for k = !nfresh - 1 downto 0 do
     let a = t.scr_lo.(k) in
-    Runs.add t.lost a (a + 1);
+    Runs.add t.lost a (a + 1) ~tag:0;
     acc := ser_of t a :: !acc
   done;
   !acc
@@ -553,7 +555,7 @@ let outstanding t = t.nxt_abs - t.una_abs
 
 let in_flight_bytes t = t.unsacked_bytes
 
-let runs_held t = (t.sacked.Runs.len, t.lost.Runs.len)
+let runs_held t = (Runs.length t.sacked, Runs.length t.lost)
 
 let stats_sent t = t.sent
 let stats_retx t = t.retx

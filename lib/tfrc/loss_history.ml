@@ -1,14 +1,16 @@
 module Serial = Packet.Serial
+module Runs = Packet.Runs
 
-(* Run-length hole tracking: holes live in sorted parallel int arrays
-   of half-open [lo, hi) runs over absolute positions, and the
-   per-hole "packets seen after" counter is virtualised through a
-   global epoch — every new-maximum packet bumps [epoch] once instead
-   of touching every hole, and a run born at epoch [b] has seen
-   [epoch - b + 1] later packets.  Births are non-decreasing along the
-   array, so ripe holes are always a prefix and promotion is O(ripe).
-   The per-hole list implementation lives on as the differential oracle
-   in test/loss_history_ref.ml.
+(* Run-length hole tracking: holes are a run set ([Packet.Runs]) of
+   half-open [lo, hi) runs over absolute positions, and the per-hole
+   "packets seen after" counter is virtualised through a global epoch —
+   every new-maximum packet bumps [epoch] once instead of touching every
+   hole, and a run tagged with birth epoch [b] has seen [epoch - b + 1]
+   later packets.  Births are non-decreasing along the set (a late
+   arrival that splits a run leaves both halves its birth), so ripe
+   holes are always a prefix, promoted a run at a time: O(ripe runs),
+   however many numbers they hold.  The per-hole list implementation
+   lives on as the differential oracle in test/loss_history_ref.ml.
 
    Absolute positions are anchored at the highest sequence seen:
    [abs = max_abs + Serial.diff s max_seq]. *)
@@ -22,12 +24,7 @@ type t = {
   cost : Stats.Cost.t option;
   mutable max_seq : Serial.t option;
   mutable max_abs : int;
-  (* hole runs, live in [h_fst, h_len) of the parallel arrays *)
-  mutable h_lo : int array;
-  mutable h_hi : int array;
-  mutable h_born : int array;  (* epoch at creation *)
-  mutable h_fst : int;
-  mutable h_len : int;
+  holes : Runs.t;  (* tagged with the epoch at creation *)
   mutable epoch : int;  (* new-maximum packets accounted so far *)
   mutable hole_count : int;  (* sum of run widths *)
   mutable intervals : float list;  (* newest first, length <= history *)
@@ -47,11 +44,7 @@ let create ?(ndup = 3) ?(history = 8) ?(discount = true) ?cost () =
     cost;
     max_seq = None;
     max_abs = 0;
-    h_lo = Array.make 8 0;
-    h_hi = Array.make 8 0;
-    h_born = Array.make 8 0;
-    h_fst = 0;
-    h_len = 0;
+    holes = Runs.create ();
     epoch = 0;
     hole_count = 0;
     intervals = [];
@@ -116,11 +109,6 @@ let note_congestion_event t ~seq ~time ~rtt =
       t.current <- Some { start_time = time; start_seq = seq };
       t.events <- t.events + 1
 
-let record_loss t ~seq ~time ~rtt =
-  t.losses <- t.losses + 1;
-  charge t "lh.loss";
-  note_congestion_event t ~seq ~time ~rtt
-
 (* Marks of one report share [seq], [arrival] and [rtt]: the first
    opens or joins an event, and every later one joins it too (same
    arrival, so within any RTT >= 0 of the event start), so the rest
@@ -139,8 +127,7 @@ let set_first_interval t len =
    ([max_seq]/[max_abs]) is untouched — numbering continues across the
    migration. *)
 let reseed t len =
-  t.h_fst <- 0;
-  t.h_len <- 0;
+  Runs.clear t.holes;
   t.hole_count <- 0;
   t.current <- None;
   t.intervals <- (if len > 0.0 then [ len ] else [])
@@ -154,89 +141,25 @@ let ser_of t a = Serial.add (anchor t) (a - t.max_abs)
 
 (* A run born at epoch [b] has [epoch - b + 1] confirming later
    packets (the packet that created it counts as the first). *)
-let[@vtp.hot] ripe t i = t.epoch - Array.unsafe_get t.h_born i + 1 >= t.ndup
+let[@vtp.hot] ripe t i =
+  t.epoch - Array.unsafe_get t.holes.Runs.tag i + 1 >= t.ndup
 
-(* Ripe runs are a prefix (births are non-decreasing along the array):
-   promote each of their positions to a loss, in ascending order, by
-   advancing the front offset. *)
+(* Ripe runs are a prefix (births are non-decreasing along the set):
+   promote each whole, lowest first, by advancing the front.  The
+   numbers of a run share [arrival] and [rtt], so for a finite arrival
+   and [rtt >= 0] the first opens or joins a loss event and every later
+   one joins it: they only count. *)
 let promote_ripe_holes t ~arrival ~rtt =
-  while t.h_fst < t.h_len && ripe t t.h_fst do
-    let i = t.h_fst in
-    for a = t.h_lo.(i) to t.h_hi.(i) - 1 do
-      record_loss t ~seq:(ser_of t a) ~time:arrival ~rtt
-    done;
-    t.hole_count <- t.hole_count - (t.h_hi.(i) - t.h_lo.(i));
-    t.h_fst <- i + 1
+  let h = t.holes in
+  while h.Runs.fst < h.Runs.len && ripe t h.Runs.fst do
+    let lo = h.Runs.lo.(h.Runs.fst) in
+    let w = h.Runs.hi.(h.Runs.fst) - lo in
+    t.losses <- t.losses + w;
+    charge_n t w "lh.loss";
+    note_congestion_event t ~seq:(ser_of t lo) ~time:arrival ~rtt;
+    t.hole_count <- t.hole_count - w;
+    Runs.drop_first h
   done
-
-(* Make room for one more run at the back. *)
-let reserve t =
-  let cap = Array.length t.h_lo in
-  if t.h_len = cap then begin
-    let live = t.h_len - t.h_fst in
-    if t.h_fst > 0 then begin
-      Array.blit t.h_lo t.h_fst t.h_lo 0 live;
-      Array.blit t.h_hi t.h_fst t.h_hi 0 live;
-      Array.blit t.h_born t.h_fst t.h_born 0 live
-    end
-    else begin
-      let ncap = 2 * cap in
-      let nlo = Array.make ncap 0
-      and nhi = Array.make ncap 0
-      and nborn = Array.make ncap 0 in
-      Array.blit t.h_lo t.h_fst nlo 0 live;
-      Array.blit t.h_hi t.h_fst nhi 0 live;
-      Array.blit t.h_born t.h_fst nborn 0 live;
-      t.h_lo <- nlo;
-      t.h_hi <- nhi;
-      t.h_born <- nborn
-    end;
-    t.h_fst <- 0;
-    t.h_len <- live
-  end
-
-let append_run t l h =
-  reserve t;
-  t.h_lo.(t.h_len) <- l;
-  t.h_hi.(t.h_len) <- h;
-  t.h_born.(t.h_len) <- t.epoch;
-  t.h_len <- t.h_len + 1;
-  t.hole_count <- t.hole_count + (h - l)
-
-(* Smallest live index whose run ends strictly after [a]. *)
-let[@vtp.hot] rec seek_from t a lo hi =
-  if lo >= hi then lo
-  else
-    let mid = (lo + hi) lsr 1 in
-    if Array.unsafe_get t.h_hi mid > a then seek_from t a lo mid
-    else seek_from t a (mid + 1) hi
-
-(* A late arrival fills one hole: remove the single position [a],
-   splitting its run when it sits strictly inside. *)
-let fill_hole t a =
-  let i = seek_from t a t.h_fst t.h_len in
-  if i < t.h_len && t.h_lo.(i) <= a then begin
-    t.hole_count <- t.hole_count - 1;
-    if t.h_hi.(i) - t.h_lo.(i) = 1 then begin
-      Array.blit t.h_lo (i + 1) t.h_lo i (t.h_len - i - 1);
-      Array.blit t.h_hi (i + 1) t.h_hi i (t.h_len - i - 1);
-      Array.blit t.h_born (i + 1) t.h_born i (t.h_len - i - 1);
-      t.h_len <- t.h_len - 1
-    end
-    else if t.h_lo.(i) = a then t.h_lo.(i) <- a + 1
-    else if t.h_hi.(i) = a + 1 then t.h_hi.(i) <- a
-    else begin
-      (* split: both halves keep the birth epoch *)
-      reserve t;
-      let i = seek_from t a t.h_fst t.h_len in
-      Array.blit t.h_lo i t.h_lo (i + 1) (t.h_len - i);
-      Array.blit t.h_hi i t.h_hi (i + 1) (t.h_len - i);
-      Array.blit t.h_born i t.h_born (i + 1) (t.h_len - i);
-      t.h_len <- t.h_len + 1;
-      t.h_hi.(i) <- a;
-      t.h_lo.(i + 1) <- a + 1
-    end
-  end
 
 let on_packet t ~seq ~arrival ~rtt ~is_retx =
   if not is_retx then begin
@@ -252,14 +175,19 @@ let on_packet t ~seq ~arrival ~rtt ~is_retx =
         t.epoch <- t.epoch + 1;
         let d = Serial.diff seq m in
         if d > 1 then begin
-          append_run t (t.max_abs + 1) (t.max_abs + d);
+          Runs.add t.holes (t.max_abs + 1) (t.max_abs + d) ~tag:t.epoch;
+          t.hole_count <- t.hole_count + (d - 1);
           charge_n t (d - 1) "lh.hole"
         end;
         t.max_abs <- t.max_abs + d;
         t.max_seq <- Some seq
     | Some m ->
         (* Late arrival filling a hole: it was never lost. *)
-        fill_hole t (t.max_abs + Serial.diff seq m));
+        let a = t.max_abs + Serial.diff seq m in
+        if Runs.mem t.holes a then begin
+          t.hole_count <- t.hole_count - 1;
+          Runs.remove t.holes a (a + 1)
+        end);
     promote_ripe_holes t ~arrival ~rtt;
     watermark t
   end
@@ -326,4 +254,4 @@ let congestion_marks t = t.marks
 let packets_seen t = t.seen
 let max_seq t = t.max_seq
 let closed_intervals t = t.intervals
-let holes_held t = t.h_len - t.h_fst
+let holes_held t = Runs.length t.holes

@@ -13,12 +13,17 @@
     reuse is exactly the paper's point — the mechanism is unchanged,
     only its *location* moves.
 
+    Holes are kept as runs of missing numbers ({!Packet.Runs}), each
+    tagged with the epoch it was born at, so a sequence jump opens one
+    run however wide, and a ripe run is promoted to losses whole.
+
     When a [cost] accountant is supplied, the structure charges
-    ["lh.update"] per packet processed, ["lh.hole"] per hole tracked and
-    ["lh.rate_calc"] per interval term scanned when the rate is
-    (re)computed, plus a ["lh.entries"] memory watermark — giving
-    experiments an architecture-neutral view of who pays for loss
-    estimation. *)
+    ["lh.update"] per packet processed, ["lh.hole"] per hole tracked,
+    ["lh.loss"] per packet declared lost and ["lh.rate_calc"] per
+    interval term scanned when the rate is (re)computed, plus a
+    ["lh.entries"] memory watermark — giving experiments an
+    architecture-neutral view of who pays for loss estimation.  Each
+    count is one counter update, however large. *)
 
 type t
 
@@ -39,7 +44,11 @@ val on_packet :
 (** Account one packet of the (possibly reconstructed) arrival stream.
     [rtt] is the sender RTT estimate used for loss-event grouping;
     retransmissions ([is_retx]) are excluded from congestion accounting
-    (the reliability plane, not the congestion plane, owns them). *)
+    (the reliability plane, not the congestion plane, owns them).
+    [arrival] must be finite and [rtt >= 0]: the numbers of a hole that
+    ripens are then all lost at this arrival, so the first opens or
+    joins a loss event and the rest join it, and the whole hole is
+    promoted in O(1), however many numbers it spans. *)
 
 val on_congestion_mark :
   t -> marks:int -> seq:Packet.Serial.t -> arrival:float -> rtt:float -> unit

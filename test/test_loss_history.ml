@@ -174,26 +174,57 @@ let test_cost_charged () =
     (Stats.Cost.ops cost "lh.update")
 
 (* A sequence jump opens one hole run however wide, and its charge is
-   one counter update: 2^30 numbers past the highest seen take well
-   under 0.1 s of CPU, with or without a cost model, and [lh.hole]
-   still counts every number of the hole. *)
+   one counter update; once the packets after the jump ripen the hole,
+   it is promoted to losses whole, in one loss event.  2^30 numbers past
+   the highest seen, and their promotion, take well under 0.1 s of CPU,
+   with or without a cost model, and [lh.hole] and [lh.loss] still count
+   every number of the hole. *)
 let test_jump_is_constant_time () =
   let jump lh =
-    LH.on_packet lh ~seq:(S.of_int 0) ~arrival:0.0 ~rtt ~is_retx:false;
+    let feed i arrival =
+      LH.on_packet lh ~seq:(S.of_int i) ~arrival ~rtt ~is_retx:false
+    in
+    feed 0 0.0;
     let t0 = Sys.time () in
-    LH.on_packet lh ~seq:(S.of_int (1 lsl 30)) ~arrival:0.001 ~rtt
-      ~is_retx:false;
+    feed (1 lsl 30) 0.001;
+    Alcotest.(check int) "one hole run" 1 (LH.holes_held lh);
+    feed ((1 lsl 30) + 1) 0.002;
+    feed ((1 lsl 30) + 2) 0.003;
+    Alcotest.(check int) "no hole left" 0 (LH.holes_held lh);
     Sys.time () -. t0
   in
-  let took = jump (LH.create ()) in
+  let lh = LH.create () in
+  let took = jump lh in
   if took >= 0.1 then Alcotest.failf "2^30 jump took %.3f s of CPU" took;
+  Alcotest.(check int) "losses" ((1 lsl 30) - 1) (LH.losses lh);
+  Alcotest.(check int) "one loss event" 1 (LH.loss_events lh);
   let cost = Stats.Cost.create () in
   let lh = LH.create ~cost () in
   let took = jump lh in
   if took >= 0.1 then
     Alcotest.failf "2^30 jump took %.3f s of CPU with a cost model" took;
-  Alcotest.(check int) "lh.hole" ((1 lsl 30) - 1) (Stats.Cost.ops cost "lh.hole");
-  Alcotest.(check int) "one hole run" 1 (LH.holes_held lh)
+  Alcotest.(check int) "lh.hole" ((1 lsl 30) - 1)
+    (Stats.Cost.ops cost "lh.hole");
+  Alcotest.(check int) "lh.loss" ((1 lsl 30) - 1)
+    (Stats.Cost.ops cost "lh.loss");
+  Alcotest.(check int) "losses with a cost model" ((1 lsl 30) - 1)
+    (LH.losses lh);
+  Alcotest.(check int) "one loss event with a cost model" 1 (LH.loss_events lh)
+
+(* A swapped-pair stream (1, 0, 3, 2, ...): each new maximum opens a
+   one-number hole that the next packet fills before it ripens.  The
+   only allocation is the [Some] of each new maximum: one word a call. *)
+let test_on_packet_allocation () =
+  let lh = LH.create () in
+  let n = 10_000 in
+  let seqs = Array.init (2 * n) (fun i -> S.of_int (i lxor 1)) in
+  let per_call =
+    Test_tfrc_flow.words_per_call n (fun i ->
+        LH.on_packet lh ~seq:seqs.(i) ~arrival:0.0 ~rtt ~is_retx:false)
+  in
+  Alcotest.(check int) "no losses" 0 (LH.losses lh);
+  if per_call > 1.0 then
+    Alcotest.failf "%.2f minor words per on_packet (at most 1)" per_call
 
 (* Reference model: loss events computed independently with a simple
    brute-force pass, compared against the incremental implementation. *)
@@ -401,6 +432,8 @@ let suite =
     Alcotest.test_case "cost charged" `Quick test_cost_charged;
     Alcotest.test_case "jump is constant time" `Quick
       test_jump_is_constant_time;
+    Alcotest.test_case "on_packet allocates at most 1 word" `Quick
+      test_on_packet_allocation;
     Alcotest.test_case "alternating-loss holes bounded" `Quick
       test_alternating_loss_holes_bounded;
     QCheck_alcotest.to_alcotest prop_events_match_reference;

@@ -312,6 +312,27 @@ let test_duplicate_flood_bounded () =
   Alcotest.(check int) "SACK report stays bounded" 4
     (List.length (T.sack_blocks t))
 
+(* Out-of-order windows of eight: within each, arrivals open ranges,
+   extend them at either end, merge two across a one-wide gap, and the
+   in-order arrival that closes the window absorbs what is left.  After
+   the first windows have grown the range arrays, none of it
+   allocates. *)
+let test_on_data_allocation () =
+  let t = T.create ~deliver:ignore () in
+  let order = [| 2; 3; 5; 4; 7; 6; 1; 0 |] in
+  let n = 8_000 in
+  let seqs =
+    Array.init (2 * n) (fun i -> S.of_int ((i land -8) + order.(i land 7)))
+  in
+  let per_call =
+    Test_tfrc_flow.words_per_call n (fun i -> T.on_data t ~seq:seqs.(i))
+  in
+  Alcotest.(check int) "every window delivered" (2 * n)
+    (S.to_int (T.cum_ack t));
+  Alcotest.(check int) "no duplicates" 0 (T.duplicates t);
+  if per_call > 0.0 then
+    Alcotest.failf "%.2f minor words per on_data (none allowed)" per_call
+
 let suite =
   [
     Alcotest.test_case "in order" `Quick test_in_order;
@@ -333,6 +354,8 @@ let suite =
     Alcotest.test_case "O(1) cost per packet" `Quick test_cost_o1;
     Alcotest.test_case "duplicate flood bounded" `Quick
       test_duplicate_flood_bounded;
+    Alcotest.test_case "on_data allocates nothing" `Quick
+      test_on_data_allocation;
     QCheck_alcotest.to_alcotest prop_tracker_vs_reference;
     QCheck_alcotest.to_alcotest prop_differential_vs_reference;
     QCheck_alcotest.to_alcotest prop_delivery_vs_reassembly;
