@@ -19,7 +19,7 @@ open Toolkit
 let bench_equation =
   Test.make ~name:"tfrc.equation.rate"
     (Staged.stage @@ fun () ->
-     ignore (Tfrc.Equation.rate ~s:1500 ~r:0.1 ~p:0.02 ()))
+     ignore (Tfrc.Equation.rate ~s:1500 ~r:0.1 ~p:0.02))
 
 let bench_equation_inverse =
   Test.make ~name:"tfrc.equation.inverse"

@@ -258,22 +258,23 @@ type t = {
   checks : (string * check) list;
   mutable violations : violation list;  (* newest first, bounded *)
   mutable events : int;
-  limit : int;
 }
 
-let create ?(limit = 100) () =
+(* Violations retained per checker. *)
+let limit = 100
+
+let create () =
   {
     checks = List.map (fun s -> (s.name, s.make ())) catalogue;
     violations = [];
     events = 0;
-    limit;
   }
 
 let feed t ev =
   t.events <- t.events + 1;
   List.iter
     (fun (name, check) ->
-      if List.length t.violations < t.limit then
+      if List.length t.violations < limit then
         match check ev with
         | Some (at, flow, detail) ->
             t.violations <- { invariant = name; at; flow; detail } :: t.violations

@@ -63,9 +63,9 @@ val catalogue : spec list
 
 type t
 
-val create : ?limit:int -> unit -> t
+val create : unit -> t
 (** A fresh checker instantiating every catalogue invariant.  At most
-    [limit] (default 100) violations are retained. *)
+    100 violations are retained. *)
 
 val feed : t -> event -> unit
 

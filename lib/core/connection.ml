@@ -7,7 +7,6 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 
 type config = {
   agreed : Capabilities.agreed;
-  packet_size : int;
   initial_rtt : float;
   max_rate_bps : float option;
   sack_blocks : int;
@@ -20,13 +19,11 @@ type config = {
    [agreed]) instead of 10k copies. *)
 let config_pool : config Engine.Intern.pool = Engine.Intern.pool ()
 
-let config ?(packet_size = 1500) ?(initial_rtt = 0.5) ?max_rate_bps
-    ?(sack_blocks = 4) ?(oscillation_damping = false) ?(handover = `Keep)
-    agreed =
+let config ?(initial_rtt = 0.5) ?max_rate_bps ?(sack_blocks = 4)
+    ?(oscillation_damping = false) ?(handover = `Keep) agreed =
   Engine.Intern.share config_pool
     {
       agreed;
-      packet_size;
       initial_rtt;
       max_rate_bps;
       sack_blocks;
@@ -118,7 +115,9 @@ let uses_sack cfg =
   cfg.agreed.Capabilities.plane = Capabilities.Light
   || cfg.agreed.Capabilities.mode <> Capabilities.R_none
 
-let payload_of cfg = Stdlib.max 1 (cfg.packet_size - Header.data_header_bytes)
+(* On-wire bytes per data segment, and the payload each carries. *)
+let packet_size = 1500
+let payload = packet_size - Header.data_header_bytes
 
 (* ------------------------------------------------------------------ *)
 (* Emission helpers *)
@@ -156,7 +155,7 @@ let emit_data t ~seq ~is_retx =
         fwd_point = fwd_point_now t;
       }
   in
-  let segment = Packet.Segment.make ~hdr ~payload:(payload_of t.cfg) in
+  let segment = Packet.Segment.make ~hdr ~payload in
   let frame =
     Vtp_wire.frame_of ~sim:t.sim ~flow_id:t.endpoint.Netsim.Topology.flow_id
       segment
@@ -165,7 +164,7 @@ let emit_data t ~seq ~is_retx =
   if Trace.Sink.on t.trace then
     Trace.Sink.emit t.trace
       (Trace.Event.Seg_send
-         { seq; size = t.cfg.packet_size; retx = is_retx });
+         { seq; size = packet_size; retx = is_retx });
   t.endpoint.Netsim.Topology.to_receiver frame
 
 let fresh_data t ~now =
@@ -175,7 +174,7 @@ let fresh_data t ~now =
       match t.snd.sack with
       | Some (sb, _) ->
           let s = Sack.Scoreboard.next_seq sb in
-          Sack.Scoreboard.on_send sb ~seq:s ~now ~size:t.cfg.packet_size
+          Sack.Scoreboard.on_send sb ~seq:s ~now ~size:packet_size
             ~is_retx:false;
           s
       | None ->
@@ -195,7 +194,7 @@ let transmit_opportunity t =
   | Some (sb, rel) -> (
       match Sack.Reliability.next_decision rel ~now with
       | Sack.Reliability.Retransmit seq ->
-          Sack.Scoreboard.on_send sb ~seq ~now ~size:t.cfg.packet_size
+          Sack.Scoreboard.on_send sb ~seq ~now ~size:packet_size
             ~is_retx:true;
           emit_data t ~seq ~is_retx:true;
           true
@@ -223,7 +222,7 @@ let inspect_sample t ~x_recv ~p =
       let prm = Tfrc.Sender.params cc in
       let s = prm.Tfrc.Sender.packet_size in
       let x_calc_bps =
-        if p > 0.0 then Tfrc.Equation.rate_bps ~s ~r:(Tfrc.Sender.rtt cc) ~p ()
+        if p > 0.0 then Tfrc.Equation.rate_bps ~s ~r:(Tfrc.Sender.rtt cc) ~p
         else infinity
       in
       report
@@ -236,7 +235,7 @@ let inspect_sample t ~x_recv ~p =
           p;
           g_bps = t.cfg.agreed.Capabilities.target_bps;
           cap_bps = t.cfg.max_rate_bps;
-          mbi_floor_bps = 8.0 *. float_of_int s /. prm.Tfrc.Sender.t_mbi;
+          mbi_floor_bps = 8.0 *. float_of_int s /. Tfrc.Sender.t_mbi;
           slow_start = Tfrc.Sender.in_slow_start cc;
         }
 
@@ -259,7 +258,7 @@ let sender_on_sack t (sf : Header.sack_feedback) =
         match t.snd.reconstructor with
         | Some lr ->
             Loss_reconstructor.push_cover lr ~seq ~sent_at ~was_retx ~rtt
-              ~x_recv:sf.sack_x_recv ~packet_size:t.cfg.packet_size
+              ~x_recv:sf.sack_x_recv ~packet_size
         | None -> ()
       in
       t.snd.loss_n <- 0;
@@ -297,7 +296,7 @@ let sender_on_sack t (sf : Header.sack_feedback) =
           if sf.sack_ce_count > t.snd.known_ce then begin
             Loss_reconstructor.on_ce_marks lr
               ~new_marks:(sf.sack_ce_count - t.snd.known_ce)
-              ~rtt ~x_recv:sf.sack_x_recv ~packet_size:t.cfg.packet_size;
+              ~rtt ~x_recv:sf.sack_x_recv ~packet_size;
             t.snd.known_ce <- sf.sack_ce_count
           end;
           let p = Loss_reconstructor.loss_event_rate lr in
@@ -683,15 +682,14 @@ let build ~sim ~endpoint ?cost_sender ?cost_receiver ?source ~start_at
     match !t_ref with
     | Some t -> (
         Stats.Series.record t.goodput ~time:(Engine.Sim.now sim)
-          ~bytes:(payload_of cfg);
+          ~bytes:payload;
         match t.on_deliver with Some f -> f ~seq | None -> ())
     | None -> ()
   in
   let cc =
     Tfrc.Sender.create ~sim ?cost:cost_sender ~trace
       {
-        Tfrc.Sender.default_params with
-        packet_size = cfg.packet_size;
+        Tfrc.Sender.packet_size;
         initial_rtt = cfg.initial_rtt;
         min_rate_bps = agreed.Capabilities.target_bps;
         max_rate_bps = cfg.max_rate_bps;
@@ -810,11 +808,11 @@ let create ~sim ~endpoint ?cost_sender ?cost_receiver ?source
     ~responder_offer:None cfg
 
 let create_negotiated ~sim ~endpoint ?cost_sender ?cost_receiver ?source
-    ?(start_at = 0.0) ?packet_size ?initial_rtt ?handover ~initiator ~responder
+    ?(start_at = 0.0) ?initial_rtt ?handover ~initiator ~responder
     () =
   match Capabilities.negotiate ~initiator ~responder with
   | Ok agreed ->
-      let cfg = config ?packet_size ?initial_rtt ?handover agreed in
+      let cfg = config ?initial_rtt ?handover agreed in
       build ~sim ~endpoint ?cost_sender ?cost_receiver ?source ~start_at
         ~initial_state:Negotiating ~initiator_offer:(Some initiator)
         ~responder_offer:(Some responder) cfg
@@ -831,7 +829,7 @@ let create_negotiated ~sim ~endpoint ?cost_sender ?cost_receiver ?source
           use_ecn = false;
         }
       in
-      let cfg = config ?packet_size ?initial_rtt ?handover dummy in
+      let cfg = config ?initial_rtt ?handover dummy in
       let t =
         build ~sim ~endpoint ?cost_sender ?cost_receiver ?source ~start_at
           ~initial_state:Negotiating ~initiator_offer:(Some initiator)
@@ -854,7 +852,7 @@ let notify_migration t ~link =
   (match t.snd.reconstructor with
   | Some rc ->
       Loss_reconstructor.on_handover rc ~policy
-        ~packet_size:t.cfg.packet_size ~link
+        ~packet_size ~link
   | None -> ());
   match t.rcv.std_recv with
   | Some r -> Tfrc.Receiver.on_handover r ~policy ~link

@@ -25,7 +25,6 @@
 
 type config = {
   agreed : Capabilities.agreed;
-  packet_size : int;  (** on-wire bytes per data segment *)
   initial_rtt : float;
   max_rate_bps : float option;
   sack_blocks : int;  (** SACK blocks carried per report (default 4) *)
@@ -34,9 +33,10 @@ type config = {
       (** rate-policy applied on {!notify_migration} (default [`Keep]) *)
 }
 
-val config : ?packet_size:int -> ?initial_rtt:float -> ?max_rate_bps:float ->
-  ?sack_blocks:int -> ?oscillation_damping:bool ->
-  ?handover:Tfrc.Handover.policy -> Capabilities.agreed -> config
+val config : ?initial_rtt:float -> ?max_rate_bps:float -> ?sack_blocks:int ->
+  ?oscillation_damping:bool -> ?handover:Tfrc.Handover.policy ->
+  Capabilities.agreed -> config
+(** Every data segment is 1500 B on the wire. *)
 
 type state =
   | Negotiating
@@ -68,7 +68,6 @@ val create_negotiated :
   ?cost_receiver:Stats.Cost.t ->
   ?source:Source.t ->
   ?start_at:float ->
-  ?packet_size:int ->
   ?initial_rtt:float ->
   ?handover:Tfrc.Handover.policy ->
   initiator:Capabilities.offer ->
@@ -84,8 +83,8 @@ val set_on_deliver : t -> (seq:Packet.Serial.t -> unit) -> unit
 (** Install a per-segment in-order delivery tap on the receiving side:
     called for every segment the receive window hands to the
     application, in sequence order, exactly once per sequence number.
-    Every data segment carries the same payload, [packet_size] less the
-    data header.  The trunk layer's demultiplex point.  Taps accumulate:
+    Every data segment carries the same payload: 1500 B less the data
+    header.  The trunk layer's demultiplex point.  Taps accumulate:
     a later call runs its tap after the ones already installed and
     never replaces them. *)
 

@@ -13,9 +13,9 @@ type t = {
   mutable seeded : bool;
 }
 
-let create ?ndup ?discount ?cost ?trace () =
+let create ?cost ?trace () =
   {
-    lh = Tfrc.Loss_history.create ?ndup ?discount ?cost ();
+    lh = Tfrc.Loss_history.create ?cost ();
     trace;
     clock = { last_arrival = 0.0 };
     seeded = false;

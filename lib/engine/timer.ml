@@ -45,4 +45,4 @@ let[@vtp.hot] start t ~after =
 
 let is_armed t = t.armed
 
-let deadline t = if t.armed then Some t.ev.Event.time else None
+let deadline t = if t.armed then t.ev.Event.time else infinity

@@ -19,5 +19,6 @@ val stop : t -> unit
 
 val is_armed : t -> bool
 
-val deadline : t -> float option
-(** Absolute expiry time if armed. *)
+val deadline : t -> float
+(** Absolute expiry time of the armed deadline; [infinity] when
+    disarmed. *)

@@ -70,13 +70,11 @@ let run ~seed ~g_mbps ~proto ?(bottleneck_mbps = 10.0) ?(excess_mbps = 8.0)
   in
   match proto with
   | Tcp_newreno ->
-      let params = Tcp.Tcp_sender.default_params in
-      let flow = Tcp.Flow.create ~sim ~endpoint:ep ~params () in
+      let flow = Tcp.Flow.create ~sim ~endpoint:ep () in
       Engine.Sim.run ~until:duration sim;
       let rate = measure (Tcp.Flow.goodput_series flow) in
-      finish rate
-        ~wire:(Tcp.Tcp_wire.seg_size ~payload:params.packet_size)
-        ~payload:params.packet_size
+      let payload = Tcp.Tcp_sender.packet_size in
+      finish rate ~wire:(Tcp.Tcp_wire.seg_size ~payload) ~payload
         ~retx:(Tcp.Tcp_sender.retransmits (Tcp.Flow.sender flow))
   | Qtp_af | Tfrc_full_nofloor ->
       let offer =

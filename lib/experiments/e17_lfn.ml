@@ -50,10 +50,7 @@ let run_mix ~seed ~delay ~bottleneck_mbps =
     mk_qtp 1
       (Qtp.Profile.qtp_light ~reliability:[ Qtp.Capabilities.R_full ] ())
   in
-  let params = Tcp.Tcp_sender.default_params in
-  let tcp =
-    Tcp.Flow.create ~sim ~endpoint:(Netsim.Topology.endpoint topo 2) ~params ()
-  in
+  let tcp = Tcp.Flow.create ~sim ~endpoint:(Netsim.Topology.endpoint topo 2) () in
   Engine.Sim.run ~until:duration sim;
   let measure series = Stats.Series.rate_bps series ~from_:warmup ~until:duration in
   let window_pkts achieved = achieved *. rtt /. (8.0 *. 1500.0) in

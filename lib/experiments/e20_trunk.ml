@@ -74,21 +74,19 @@ let run_trunk ~seed ~discipline =
 let run_tcp ~seed =
   let committed = Array.make n_users (g_mbps /. float_of_int n_users) in
   let sim, topo = build ~seed ~committed in
-  let params = Tcp.Tcp_sender.default_params in
   let flows =
     Array.init n_users (fun i ->
-        Tcp.Flow.create ~sim
-          ~endpoint:(Netsim.Topology.endpoint topo i)
-          ~params ())
+        Tcp.Flow.create ~sim ~endpoint:(Netsim.Topology.endpoint topo i) ())
   in
   Engine.Sim.run ~until:Common.duration sim;
-  let wire = Tcp.Tcp_wire.seg_size ~payload:params.packet_size in
+  let payload = Tcp.Tcp_sender.packet_size in
+  let wire = Tcp.Tcp_wire.seg_size ~payload in
   let rates =
     Array.map
       (fun f ->
         measure (Tcp.Flow.goodput_series f)
         *. float_of_int wire
-        /. float_of_int params.packet_size)
+        /. float_of_int payload)
       flows
   in
   {

@@ -96,7 +96,7 @@ let run ?(seed = 42) () =
       in
       let eq p =
         if p <= 0.0 then nan
-        else Tfrc.Equation.rate_bps ~s:1500 ~r:rtt ~p () /. 1e6
+        else Tfrc.Equation.rate_bps ~s:1500 ~r:rtt ~p /. 1e6
       in
       Stats.Table.add_row table
         [

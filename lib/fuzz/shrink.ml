@@ -132,7 +132,10 @@ let candidates : (Scenario.t -> Scenario.t option) list =
       else None);
   ]
 
-let shrink ?(budget = 60) ~still_fails scenario =
+(* Scenario runs one shrink may spend. *)
+let budget = 60
+
+let shrink ~still_fails scenario =
   let executions = ref 0 in
   let steps = ref 0 in
   let try_one sc candidate =

@@ -13,9 +13,8 @@ type outcome = {
   steps : int;  (** accepted simplifications *)
 }
 
-val shrink :
-  ?budget:int -> still_fails:(Scenario.t -> bool) -> Scenario.t -> outcome
+val shrink : still_fails:(Scenario.t -> bool) -> Scenario.t -> outcome
 (** [shrink ~still_fails sc] greedily minimises [sc].  [still_fails]
     must re-execute the scenario and decide whether the original
     failure (or an equally interesting one) persists; it is called at
-    most [budget] (default 60) times. *)
+    most 60 times. *)

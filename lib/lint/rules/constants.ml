@@ -33,12 +33,20 @@ let table =
       expect = [ 0.8; 0.6; 0.4; 0.2 ];
     };
     {
-      cid = "rfc3448.ndup-history";
+      cid = "rfc3448.ndup";
       cfile = "lib/tfrc/loss_history.ml";
-      anchor = "create";
-      cdoc = "NDUPACK = 3, loss-interval history depth 8 (RFC 3448 §5.1)";
+      anchor = "ndup";
+      cdoc = "NDUPACK = 3 later packets make a hole a loss (RFC 3448 §5.1)";
       proj = All_numeric;
-      expect = [ 3.; 8. ];
+      expect = [ 3. ];
+    };
+    {
+      cid = "rfc3448.history-depth";
+      cfile = "lib/tfrc/loss_history.ml";
+      anchor = "history";
+      cdoc = "loss-interval history depth n = 8 (RFC 3448 §5.4)";
+      proj = All_numeric;
+      expect = [ 8. ];
     };
     {
       cid = "rfc3448.p-unit-ceiling";
@@ -62,19 +70,33 @@ let table =
       cid = "rfc3448.rto-coefficient";
       cfile = "lib/tfrc/equation.ml";
       anchor = "rate";
-      cdoc = "t_RTO = max(4R, ...) default coefficient (RFC 3448 §4.3)";
+      cdoc = "b = 1 packet per ACK, t_RTO = 4R (RFC 3448 §3.1)";
       proj = Floats_only;
       expect = [ 1.0; 4.0 ];
+    };
+    {
+      cid = "rfc3448.rtt-filter";
+      cfile = "lib/tfrc/rtt.ml";
+      anchor = "q";
+      cdoc = "RTT filter constant q = 0.9 (RFC 3448 §4.3)";
+      proj = Floats_only;
+      expect = [ 0.9 ];
     };
     {
       cid = "paper.sender-defaults";
       cfile = "lib/tfrc/sender.ml";
       anchor = "default_params";
-      cdoc =
-        "segment 1500 B, initial RTT 0.5 s, t_mbi 64 s (RFC 3448 §4.2, \
-         §4.3)";
+      cdoc = "segment 1500 B, initial RTT 0.5 s (RFC 3448 §4.2), no floor";
       proj = All_numeric;
-      expect = [ 1500.; 0.5; 0.0; 64.0 ];
+      expect = [ 1500.; 0.5; 0.0 ];
+    };
+    {
+      cid = "rfc3448.t-mbi";
+      cfile = "lib/tfrc/sender.ml";
+      anchor = "t_mbi";
+      cdoc = "maximum backoff interval t_mbi = 64 s (RFC 3448 §4.3)";
+      proj = Floats_only;
+      expect = [ 64.0 ];
     };
     {
       cid = "rfc3448.initial-window";
@@ -123,12 +145,20 @@ let table =
     {
       cid = "paper.dupack-threshold";
       cfile = "lib/sack/scoreboard.ml";
-      anchor = "create";
+      anchor = "dupthresh";
       cdoc = "SACK dupthresh 3 (fast-retransmit trigger)";
       proj = All_numeric;
-      (* dupthresh 3, default ring capacity 16, the >= 1 assert, and
-         the power-of-two rounding loop's 16 floor and 2 factor. *)
-      expect = [ 3.; 16.; 1.; 16.; 2. ];
+      expect = [ 3. ];
+    };
+    {
+      cid = "sack.scoreboard-ring";
+      cfile = "lib/sack/scoreboard.ml";
+      anchor = "create";
+      cdoc = "scoreboard ring: default and floor 16 slots, doubled to size";
+      proj = All_numeric;
+      (* default ring capacity 16, and the power-of-two rounding loop's
+         16 floor and 2 factor. *)
+      expect = [ 16.; 16.; 2. ];
     };
     {
       cid = "trunk.drr-quantum";

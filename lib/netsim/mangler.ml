@@ -38,7 +38,6 @@ type t = {
   sim : Engine.Sim.t;
   rng : Engine.Rng.t;
   prof : profile;
-  flush_after : float;
   mutable held : held list;  (* oldest first *)
   mutable emit : (Frame.t -> unit) option;
   mutable flush_timer : Engine.Timer.t option;
@@ -47,13 +46,15 @@ type t = {
   st : stats;
 }
 
-let create ~sim ~rng ?(flush_after = 0.25) prof =
-  assert (flush_after > 0.0);
+(* How long a held frame may wait when no later traffic overtakes
+   it. *)
+let flush_after = 0.25
+
+let create ~sim ~rng prof =
   {
     sim;
     rng;
     prof;
-    flush_after;
     held = [];
     emit = None;
     flush_timer = None;
@@ -112,7 +113,7 @@ let arm_flush t =
           t.flush_timer <- Some tm;
           tm
     in
-    Engine.Timer.start timer ~after:t.flush_after
+    Engine.Timer.start timer ~after:flush_after
   end
 
 let push t ~emit frame =

@@ -58,10 +58,9 @@ type stats = {
 
 type t
 
-val create :
-  sim:Engine.Sim.t -> rng:Engine.Rng.t -> ?flush_after:float -> profile -> t
-(** [flush_after] (default 0.25 s) bounds how long a held frame may wait
-    when no later traffic overtakes it. *)
+val create : sim:Engine.Sim.t -> rng:Engine.Rng.t -> profile -> t
+(** A held frame waits at most 0.25 s when no later traffic overtakes
+    it. *)
 
 val on_duplicate : t -> (orig:Frame.t -> dup:Frame.t -> unit) -> unit
 (** Observe every duplication, before either copy is emitted — the

@@ -108,9 +108,11 @@ let[@vtp.hot] add t l h ~tag =
   end
 
 let[@vtp.hot] remove t l h =
-  if l < h then begin
+  if l >= h then false
+  else begin
     let i = seek t l in
-    if i < t.len && t.lo.(i) < h then
+    if i >= t.len || t.lo.(i) >= h then false
+    else begin
       if t.lo.(i) < l && t.hi.(i) > h then begin
         (* one run strictly contains [l, h): split it *)
         let i = open_slot t i in
@@ -122,7 +124,9 @@ let[@vtp.hot] remove t l h =
         let j = ends_past t h i in
         if j < t.len && t.lo.(j) < h then t.lo.(j) <- h;
         if j > i then close_up t i j
-      end
+      end;
+      true
+    end
   end
 
 let drop_first t = t.fst <- t.fst + 1

@@ -37,10 +37,11 @@ val add : t -> int -> int -> tag:int -> unit
 (** [add t l h ~tag] covers [[l, h)], coalescing with every overlapping
     or touching run; the coalesced run takes [tag]. *)
 
-val remove : t -> int -> int -> unit
+val remove : t -> int -> int -> bool
 (** [remove t l h] uncovers [[l, h)], trimming straddlers and splitting
     a run that strictly contains it.  What is left of a run keeps its
-    tag, in both halves of a split. *)
+    tag, in both halves of a split.  Returns whether any position of
+    [[l, h)] was covered. *)
 
 val drop_first : t -> unit
 (** Drop the lowest run, in O(1).  The set must not be empty. *)

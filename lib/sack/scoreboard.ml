@@ -23,15 +23,7 @@ type cover = {
   cov_was_retx : bool;
 }
 
-type feedback_result = {
-  newly_acked : cover list;
-  newly_sacked : cover list;
-  newly_lost : Serial.t list;
-  cum_advanced : bool;
-}
-
 type t = {
-  dupthresh : int;
   cost : Stats.Cost.t option;
   trace : Trace.Sink.t option;
   (* ring arrays indexed by [abs land mask]; live slots are exactly
@@ -82,8 +74,11 @@ type t = {
 let retx_shift = 30
 let size_mask = (1 lsl retx_shift) - 1
 
-let create ?(dupthresh = 3) ?(capacity = 16) ?cost ?trace () =
-  assert (dupthresh >= 1);
+(* A hole is lost once 3 SACKed numbers lie above it: the SACK
+   analogue of TCP's three duplicate ACKs. *)
+let dupthresh = 3
+
+let create ?(capacity = 16) ?cost ?trace () =
   (* Round the ring up to a power of two.  It starts small, because
      most flows keep a few packets in flight and an idle flow should
      cost little; it doubles on demand, and large-BDP senders pass their
@@ -94,7 +89,6 @@ let create ?(dupthresh = 3) ?(capacity = 16) ?cost ?trace () =
   done;
   let cap = !cap in
   {
-    dupthresh;
     cost;
     trace;
     first_sent = Array.make cap 0.0;
@@ -174,7 +168,7 @@ let[@vtp.hot] on_send t ~seq ~now ~size ~is_retx =
     let i = a land t.mask in
     t.last_sent.(i) <- now;
     t.meta.(i) <- t.meta.(i) + (1 lsl retx_shift);
-    Runs.remove t.lost a (a + 1);
+    ignore (Runs.remove t.lost a (a + 1) : bool);
     if a < t.frontier then push_repair t a (t.meta.(i) lsr retx_shift);
     t.retx <- t.retx + 1;
     if Trace.Sink.on t.trace then
@@ -385,7 +379,7 @@ let[@vtp.hot] rec merge_blocks t on k nclip n =
   else begin
     let l = t.scr_lo.(k) and h = t.scr_hi.(k) in
     let n = cover_gaps t on (Runs.seek t.sacked l) l h n in
-    Runs.remove t.lost l h;
+    ignore (Runs.remove t.lost l h : bool);
     Runs.add t.sacked l h ~tag:0;
     merge_blocks t on (k + 1) nclip n
   end
@@ -436,7 +430,7 @@ let[@vtp.hot] iter_feedback t ~cum_ack ~blocks ~reo_wnd ~on_ack ~on_sack
      first part lies wholly below the second, so the fresh runs reach
      the scratch (phase 2 is done with it) in ascending order. *)
   let nf = walk_repairs t reo_wnd 0 in
-  let p = Runs.kth_from_top t.sacked t.dupthresh in
+  let p = Runs.kth_from_top t.sacked dupthresh in
   let nfresh =
     if p > t.una_abs then begin
       let above = Stdlib.max t.frontier t.una_abs in
@@ -465,24 +459,6 @@ let[@vtp.hot] iter_feedback t ~cum_ack ~blocks ~reo_wnd ~on_ack ~on_sack
     fb_sacked = n_sacked;
     fb_lost = n_lost;
     fb_cum_advanced = cum_advanced;
-  }
-
-let on_feedback t ~cum_ack ~blocks ~reo_wnd =
-  let acked = ref [] and sacked = ref [] and lost = ref [] in
-  let push acc ~seq ~sent_at ~was_retx =
-    acc := { cov_seq = seq; cov_sent_at = sent_at; cov_was_retx = was_retx }
-           :: !acc
-  in
-  let s =
-    iter_feedback t ~cum_ack ~blocks ~reo_wnd ~on_ack:(push acked)
-      ~on_sack:(push sacked)
-      ~on_lost:(fun seq -> lost := seq :: !lost)
-  in
-  {
-    newly_acked = List.rev !acked;
-    newly_sacked = List.rev !sacked;
-    newly_lost = List.rev !lost;
-    cum_advanced = s.fb_cum_advanced;
   }
 
 let lost_pending t =

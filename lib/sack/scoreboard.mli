@@ -7,8 +7,8 @@
     SACK information stalls.
 
     Two rules infer loss from feedback.  A hole is deemed lost once
-    [dupthresh] SACKed numbers lie above it — the SACK analogue of
-    TCP's three duplicate ACKs.  A repair of such a hole is in flight
+    3 SACKed numbers (the dupthresh) lie above it — the SACK analogue
+    of TCP's three duplicate ACKs.  A repair of such a hole is in flight
     again, and is deemed lost again only by send order (RFC 8985 RACK):
     once a number whose last transmission went out more than [reo_wnd]
     after the repair's has been cumulatively acked or SACKed.  So each
@@ -21,17 +21,9 @@ type cover = {
 }
 (** A sequence number newly known to have reached the receiver. *)
 
-type feedback_result = {
-  newly_acked : cover list;  (** cumulative-ack advance, ascending seq *)
-  newly_sacked : cover list;  (** new SACK coverage, ascending seq *)
-  newly_lost : Packet.Serial.t list;  (** fresh loss inferences, ascending *)
-  cum_advanced : bool;
-}
-
 type t
 
 val create :
-  ?dupthresh:int ->
   ?capacity:int ->
   ?cost:Stats.Cost.t ->
   ?trace:Trace.Sink.t ->
@@ -80,8 +72,7 @@ val iter_feedback :
   on_sack:(seq:Packet.Serial.t -> sent_at:float -> was_retx:bool -> unit) ->
   on_lost:(Packet.Serial.t -> unit) ->
   feedback_summary
-(** Streaming feedback digest: the iterator twin of {!on_feedback},
-    with identical state effects but no per-cover list materialisation —
+(** Streaming feedback digest, with no per-cover list materialisation —
     the fast path for bulk cumulative advances over trunk- and LFN-sized
     windows.  [on_ack] fires for every cumulative-ack cover and
     [on_sack] for every fresh SACK cover, each ascending, all acks
@@ -94,16 +85,6 @@ val iter_feedback :
     first transmission time.  The repair check looks only at the head
     of a send-ordered FIFO of the repairs below the dupthresh point, so
     a digest still costs what it changes. *)
-
-val on_feedback :
-  t ->
-  cum_ack:Packet.Serial.t ->
-  blocks:Blocks.t list ->
-  reo_wnd:float ->
-  feedback_result
-(** List-building wrapper over {!iter_feedback} (kept as the
-    differential-test surface against the per-entry oracle in
-    test/scoreboard_ref.ml). *)
 
 val lost_pending : t -> Packet.Serial.t list
 (** Numbers currently inferred lost and not yet retransmitted,

@@ -7,8 +7,7 @@
 
 type t = { mutable buf : float array; mutable len : int }
 
-let create ?(capacity = 16) () =
-  { buf = Array.make (Stdlib.max 1 capacity) 0.0; len = 0 }
+let create () = { buf = Array.make 16 0.0; len = 0 }
 
 let length t = t.len
 

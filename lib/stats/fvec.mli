@@ -5,7 +5,8 @@
 
 type t
 
-val create : ?capacity:int -> unit -> t
+val create : unit -> t
+(** An empty vector with room for 16 samples. *)
 
 val length : t -> int
 

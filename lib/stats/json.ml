@@ -35,8 +35,8 @@ let float_repr f =
          ambiguity — normalise bare integers to a trailing ".0". *)
       if String.contains s '.' || String.contains s 'e' then s else s ^ ".0"
 
-let rec emit buf ~indent ~level v =
-  let pad n = Buffer.add_string buf (String.make (indent * n) ' ') in
+let rec emit buf ~level v =
+  let pad n = Buffer.add_string buf (String.make (2 * n) ' ') in
   match v with
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
@@ -50,7 +50,7 @@ let rec emit buf ~indent ~level v =
         (fun i item ->
           if i > 0 then Buffer.add_string buf ",\n";
           pad (level + 1);
-          emit buf ~indent ~level:(level + 1) item)
+          emit buf ~level:(level + 1) item)
         items;
       Buffer.add_char buf '\n';
       pad level;
@@ -64,19 +64,19 @@ let rec emit buf ~indent ~level v =
           pad (level + 1);
           escape buf k;
           Buffer.add_string buf ": ";
-          emit buf ~indent ~level:(level + 1) item)
+          emit buf ~level:(level + 1) item)
         fields;
       Buffer.add_char buf '\n';
       pad level;
       Buffer.add_char buf '}'
 
-let to_string ?(indent = 2) v =
+let to_string v =
   let buf = Buffer.create 1024 in
-  emit buf ~indent ~level:0 v;
+  emit buf ~level:0 v;
   Buffer.contents buf
 
-let to_channel ?indent oc v =
-  output_string oc (to_string ?indent v);
+let to_channel oc v =
+  output_string oc (to_string v);
   output_char oc '\n'
 
 let pp fmt v = Format.pp_print_string fmt (to_string v)

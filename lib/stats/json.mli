@@ -18,10 +18,10 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-val to_string : ?indent:int -> t -> string
-(** Render with the given indent width (default 2). *)
+val to_string : t -> string
+(** Render with a 2-space indent. *)
 
-val to_channel : ?indent:int -> out_channel -> t -> unit
+val to_channel : out_channel -> t -> unit
 (** [to_string] plus a trailing newline. *)
 
 val pp : Format.formatter -> t -> unit

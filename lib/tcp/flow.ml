@@ -15,41 +15,36 @@ let uid () =
   incr c;
   !c
 
-let create ~sim ~endpoint ?(params = Tcp_sender.default_params)
-    ?(start_at = 0.0) () =
+let create ~sim ~endpoint ?(start_at = 0.0) () =
   let flow_id = endpoint.Netsim.Topology.flow_id in
   let goodput = Stats.Series.create () in
   (* Receiver side: deliver segments, emit ACK frames on the reverse
      path, and log in-order progress as goodput. *)
   let last_cum = ref Packet.Serial.zero in
-  let send_ack ack ~size =
+  let send_ack ack =
     let frame =
-      Netsim.Frame.make ~uid:(uid ()) ~flow_id ~size
+      Netsim.Frame.make ~uid:(uid ()) ~flow_id ~size:Tcp_wire.ack_size
         ~born:(Engine.Sim.now sim) (Tcp_wire.Ack ack)
     in
     endpoint.Netsim.Topology.to_sender frame
   in
-  let receiver =
-    Tcp_receiver.create ~use_sack:params.use_sack
-      ?delayed_acks:(if params.delayed_acks then Some sim else None)
-      ~send_ack ()
-  in
+  let receiver = Tcp_receiver.create ~send_ack () in
   let trace = Trace.Sink.of_sim sim ~flow:flow_id in
   let trace = Some trace in
   (* Sender side: emit data frames on the forward path. *)
-  let transmit seg ~payload =
+  let transmit seg =
     if Trace.Sink.on trace then
       Trace.Sink.emit trace
         (Trace.Event.Tcp_send
            { seq = seg.Tcp_wire.seq; retx = seg.Tcp_wire.is_retx });
     let frame =
       Netsim.Frame.make ~uid:(uid ()) ~flow_id
-        ~size:(Tcp_wire.seg_size ~payload)
+        ~size:(Tcp_wire.seg_size ~payload:Tcp_sender.packet_size)
         ~born:(Engine.Sim.now sim) (Tcp_wire.Seg seg)
     in
     endpoint.Netsim.Topology.to_receiver frame
   in
-  let sender = Tcp_sender.create ~sim params ~transmit () in
+  let sender = Tcp_sender.create ~sim ~transmit () in
   (* Delivery plumbing. *)
   endpoint.Netsim.Topology.on_receiver_rx (fun frame ->
       match frame.Netsim.Frame.body with
@@ -59,7 +54,7 @@ let create ~sim ~endpoint ?(params = Tcp_sender.default_params)
           let advance = Packet.Serial.diff cum !last_cum in
           if advance > 0 then begin
             Stats.Series.record goodput ~time:(Engine.Sim.now sim)
-              ~bytes:(advance * params.packet_size);
+              ~bytes:(advance * Tcp_sender.packet_size);
             last_cum := cum
           end
       | _ -> ());

@@ -9,7 +9,6 @@ type t
 val create :
   sim:Engine.Sim.t ->
   endpoint:Netsim.Topology.endpoint ->
-  ?params:Tcp_sender.params ->
   ?start_at:float ->
   unit ->
   t

@@ -1,18 +1,11 @@
-(** TCP receiver: cumulative ACKs (optionally with SACK blocks), with
-    optional RFC 1122 delayed ACKs (ack every second in-order segment or
-    after 200 ms, immediate on out-of-order), built on
+(** TCP receiver: one cumulative ACK per arriving segment, built on
     {!Sack.Rcv_tracker}. *)
 
 type t
 
-val create :
-  ?use_sack:bool ->
-  ?delayed_acks:Engine.Sim.t ->
-  send_ack:(Tcp_wire.ack -> size:int -> unit) ->
-  unit ->
-  t
-(** [delayed_acks] enables delack, using the given simulation for the
-    200 ms timer. *)
+val create : send_ack:(Tcp_wire.ack -> unit) -> unit -> t
+(** [send_ack] carries each ACK, {!Tcp_wire.ack_size} bytes on the
+    wire. *)
 
 val on_segment : t -> Tcp_wire.seg -> unit
 

@@ -1,25 +1,10 @@
 module Serial = Packet.Serial
 
-type params = {
-  packet_size : int;
-  initial_window : float;
-  initial_ssthresh : float;
-  min_rto : float;
-  max_rto : float;
-  use_sack : bool;
-  delayed_acks : bool;
-}
-
-let default_params =
-  {
-    packet_size = 1460;
-    initial_window = 2.0;
-    initial_ssthresh = 64.0;
-    min_rto = 0.2;
-    max_rto = 60.0;
-    use_sack = false;
-    delayed_acks = false;
-  }
+let packet_size = 1460
+let initial_window = 2.0
+let initial_ssthresh = 64.0
+let min_rto = 0.2
+let max_rto = 60.0
 
 (* Congestion-control numerics in one all-float record: flat in the
    heap, so the per-ack cwnd/RTT updates write in place instead of
@@ -35,15 +20,14 @@ type cc = {
 
 type t = {
   sim : Engine.Sim.t;
-  p : params;
-  transmit : Tcp_wire.seg -> payload:int -> unit;
-  (* Per-sequence flag bits (retransmitted / SACK-covered) for the
-     in-flight window [snd_una, snd_nxt), kept in a power-of-two ring
-     indexed by the sequence number — the hashtable version allocated a
-     bucket per send and a removal walk per ack.  A slot is cleared
-     when a fresh send claims its sequence number; growth keeps the
-     window span strictly below capacity so live slots never collide. *)
-  mutable meta : int array;
+  transmit : Tcp_wire.seg -> unit;
+  (* Per-sequence "retransmitted" flags for the in-flight window
+     [snd_una, snd_nxt), kept in a power-of-two ring indexed by the
+     sequence number — the hashtable version allocated a bucket per
+     send and a removal walk per ack.  A slot is cleared when a fresh
+     send claims its sequence number; growth keeps the window span
+     strictly below capacity so live slots never collide. *)
+  mutable was_retx : bool array;
   mutable mask : int;
   mutable running : bool;
   mutable snd_una : Serial.t;
@@ -59,31 +43,24 @@ type t = {
   mutable timeouts : int;
 }
 
-let m_retx = 1
-let m_sacked = 2
-
 let flight t = Stdlib.max 0 (Serial.diff t.snd_nxt t.snd_una)
 
-let grow_meta t =
-  let cap = 2 * Array.length t.meta in
-  let meta = Array.make cap 0 in
+let grow_ring t =
+  let cap = 2 * Array.length t.was_retx in
+  let ring = Array.make cap false in
   let mask = cap - 1 in
   Serial.iter_range
     (fun s ->
       let i = Serial.to_int s in
-      meta.(i land mask) <- t.meta.(i land t.mask))
+      ring.(i land mask) <- t.was_retx.(i land t.mask))
     t.snd_una t.snd_nxt;
-  t.meta <- meta;
+  t.was_retx <- ring;
   t.mask <- mask
 
-let[@inline] meta_get t seq = t.meta.(Serial.to_int seq land t.mask)
-
-let[@inline] meta_or t seq m =
-  let i = Serial.to_int seq land t.mask in
-  t.meta.(i) <- t.meta.(i) lor m
+let[@inline] slot t seq = Serial.to_int seq land t.mask
 
 let rto_value t =
-  Float.min t.p.max_rto (t.cc.rto *. float_of_int (1 lsl t.backoff))
+  Float.min max_rto (t.cc.rto *. float_of_int (1 lsl t.backoff))
 
 let arm_rto t =
   match !(t.rto_timer) with
@@ -99,16 +76,16 @@ let[@vtp.hot] send_segment t ~seq ~is_retx =
   let now = Engine.Sim.now t.sim in
   if is_retx then begin
     t.retx <- t.retx + 1;
-    meta_or t seq m_retx
+    t.was_retx.(slot t seq) <- true
   end
   else begin
     (* Fresh sends advance the window head: claim (and clear) the
        sequence number's ring slot. *)
-    if flight t >= Array.length t.meta then grow_meta t;
-    t.meta.(Serial.to_int seq land t.mask) <- 0;
+    if flight t >= Array.length t.was_retx then grow_ring t;
+    t.was_retx.(slot t seq) <- false;
     t.sent <- t.sent + 1
   end;
-  t.transmit { Tcp_wire.seq; tstamp = now; is_retx } ~payload:t.p.packet_size;
+  t.transmit { Tcp_wire.seq; tstamp = now; is_retx };
   if not (Engine.Timer.is_armed (Option.get !(t.rto_timer))) then arm_rto t
 
 (* Send as much new data as the window allows (the application is
@@ -138,8 +115,8 @@ let sample_rtt t ~tstamp_echo ~echo_is_retx ~acked_was_retx =
          t.cc.rttvar <- (0.75 *. t.cc.rttvar) +. (0.25 *. Float.abs err)
        end);
       t.cc.rto <-
-        Float.max t.p.min_rto
-          (Float.min t.p.max_rto (t.cc.srtt +. (4.0 *. t.cc.rttvar)))
+        Float.max min_rto
+          (Float.min max_rto (t.cc.srtt +. (4.0 *. t.cc.rttvar)))
     end
   end
 
@@ -163,21 +140,20 @@ let on_timeout t =
     arm_rto t
   end
 
-let create ~sim p ~transmit () =
+let create ~sim ~transmit () =
   let t =
     {
       sim;
-      p;
       transmit;
-      meta = Array.make 64 0;
+      was_retx = Array.make 64 false;
       mask = 63;
       running = false;
       snd_una = Serial.zero;
       snd_nxt = Serial.zero;
       cc =
         {
-          cwnd = p.initial_window;
-          ssthresh = p.initial_ssthresh;
+          cwnd = initial_window;
+          ssthresh = initial_ssthresh;
           srtt = Float.nan;
           rttvar = 0.0;
           rto = 1.0;
@@ -206,36 +182,11 @@ let stop t =
   t.running <- false;
   disarm_rto t
 
-(* First unsacked hole above una — the NewReno partial-ack retransmit
-   target, refined by SACK information when enabled. *)
-let next_hole t =
-  if not t.p.use_sack then t.snd_una
-  else begin
-    let rec scan s =
-      if Serial.( >= ) s t.snd_nxt then t.snd_una
-      else if meta_get t s land m_sacked <> 0 then scan (Serial.succ s)
-      else s
-    in
-    scan t.snd_una
-  end
-
-(* Cold path: only runs when use_sack is on and blocks are present. *)
-let mark_sacked t blocks =
-  List.iter
-    (fun (b : Sack.Blocks.t) ->
-      Serial.iter_range
-        (fun s -> if Serial.( >= ) s t.snd_una then meta_or t s m_sacked)
-        b.block_start b.block_end)
-    blocks
-
 let[@vtp.hot] on_ack t (ack : Tcp_wire.ack) =
-  (match ack.blocks with
-  | [] -> ()
-  | blocks -> if t.p.use_sack then mark_sacked t blocks);
   if Serial.( > ) ack.cum_ack t.snd_una then begin
     (* New data acknowledged.  Acked slots need no cleanup: the ring
        slot is cleared when a fresh send reclaims the number. *)
-    let acked_was_retx = meta_get t t.snd_una land m_retx <> 0 in
+    let acked_was_retx = t.was_retx.(slot t t.snd_una) in
     t.snd_una <- ack.cum_ack;
     t.backoff <- 0;
     sample_rtt t ~tstamp_echo:ack.tstamp_echo ~echo_is_retx:ack.echo_is_retx
@@ -249,7 +200,7 @@ let[@vtp.hot] on_ack t (ack : Tcp_wire.ack) =
       end
       else begin
         (* Partial ack: retransmit the next hole, stay in recovery. *)
-        send_segment t ~seq:(next_hole t) ~is_retx:true;
+        send_segment t ~seq:t.snd_una ~is_retx:true;
         t.cc.cwnd <- Float.max 1.0 (t.cc.cwnd -. 1.0)
       end
     end

@@ -4,27 +4,18 @@
     ACKs, NewReno fast recovery with partial-ACK retransmissions, and a
     Jacobson/Karn retransmission timer with exponential backoff.  The
     congestion window is counted in segments, as in packet-level
-    simulators; the application is greedy (always has data) unless a
-    rate cap is configured. *)
+    simulators; the application is greedy (always has data).  The
+    initial window is 2 segments, the initial ssthresh 64, and the RTO
+    is kept within [0.2, 60] s. *)
 
-type params = {
-  packet_size : int;  (** payload bytes per segment *)
-  initial_window : float;  (** segments; RFC 3390 allows up to 4 *)
-  initial_ssthresh : float;
-  min_rto : float;
-  max_rto : float;
-  use_sack : bool;  (** use SACK blocks for recovery bookkeeping *)
-  delayed_acks : bool;  (** receiver acks every other segment (RFC 1122) *)
-}
-
-val default_params : params
+val packet_size : int
+(** Payload bytes per segment: 1460. *)
 
 type t
 
 val create :
   sim:Engine.Sim.t ->
-  params ->
-  transmit:(Tcp_wire.seg -> payload:int -> unit) ->
+  transmit:(Tcp_wire.seg -> unit) ->
   unit ->
   t
 

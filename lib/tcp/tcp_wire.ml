@@ -6,7 +6,6 @@ type seg = {
 
 type ack = {
   cum_ack : Packet.Serial.t;
-  blocks : Sack.Blocks.t list;
   tstamp_echo : float;
   echo_is_retx : bool;
 }
@@ -15,4 +14,4 @@ type Netsim.Frame.body += Seg of seg | Ack of ack
 
 let seg_size ~payload = 40 + payload
 
-let ack_size ~blocks = 40 + (if blocks > 0 then 2 + (8 * blocks) else 0)
+let ack_size = 40

@@ -12,7 +12,6 @@ type seg = {
 
 type ack = {
   cum_ack : Packet.Serial.t;  (** next expected segment *)
-  blocks : Sack.Blocks.t list;  (** SACK option (empty when disabled) *)
   tstamp_echo : float;
   echo_is_retx : bool;  (** the echoed timestamp came from a retransmit *)
 }
@@ -22,5 +21,5 @@ type Netsim.Frame.body += Seg of seg | Ack of ack
 val seg_size : payload:int -> int
 (** 40 B TCP/IP header + payload. *)
 
-val ack_size : blocks:int -> int
-(** 40 B header + 8 B per SACK block (+2 B option overhead when any). *)
+val ack_size : int
+(** 40 B: a TCP/IP header without options. *)

@@ -1,9 +1,10 @@
-let[@vtp.hot] rate ~s ~r ~p ?(b = 1.0) ?t_rto () =
+let[@vtp.hot] rate ~s ~r ~p =
   assert (s > 0 && r > 0.0);
   if p <= 0.0 then infinity
   else begin
     let p = Float.min p 1.0 in
-    let t_rto = match t_rto with Some t -> t | None -> 4.0 *. r in
+    (* TFRC fixes b = 1 packet per ACK and t_RTO = 4R (RFC 3448 §3.1). *)
+    let b = 1.0 and t_rto = 4.0 *. r in
     let root1 = sqrt (2.0 *. b *. p /. 3.0) in
     let root2 = sqrt (3.0 *. b *. p /. 8.0) in
     let denom =
@@ -12,11 +13,11 @@ let[@vtp.hot] rate ~s ~r ~p ?(b = 1.0) ?t_rto () =
     float_of_int s /. denom
   end
 
-let rate_bps ~s ~r ~p ?b ?t_rto () = 8.0 *. rate ~s ~r ~p ?b ?t_rto ()
+let rate_bps ~s ~r ~p = 8.0 *. rate ~s ~r ~p
 
 let loss_rate_for ~s ~r ~target =
   assert (target > 0.0);
-  let f p = rate ~s ~r ~p () in
+  let f p = rate ~s ~r ~p in
   let lo = 1e-8 and hi = 1.0 in
   if f hi >= target then 1.0
   else if f lo <= target then lo

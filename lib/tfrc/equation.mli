@@ -4,15 +4,15 @@
 
     where [s] is the segment size (bytes), [R] the round-trip time (s),
     [p] the loss event rate, [b] the number of packets acknowledged per
-    ACK (1 for TFRC), and [t_RTO ~ 4R].  The result is in bytes/s. *)
+    ACK, and [t_RTO] the retransmission timeout.  TFRC fixes [b = 1] and
+    [t_RTO = 4R].  The result is in bytes/s. *)
 
-val rate : s:int -> r:float -> p:float -> ?b:float -> ?t_rto:float -> unit -> float
+val rate : s:int -> r:float -> p:float -> float
 (** Equation throughput in bytes/s.  [p <= 0] means "no loss observed";
     the equation diverges there, so we return [infinity] and let callers
-    clamp (RFC 3448 callers always take a [min] with [2*X_recv]).
-    [t_rto] defaults to [4*r]. *)
+    clamp (RFC 3448 callers always take a [min] with [2*X_recv]). *)
 
-val rate_bps : s:int -> r:float -> p:float -> ?b:float -> ?t_rto:float -> unit -> float
+val rate_bps : s:int -> r:float -> p:float -> float
 (** [rate] in bits/s. *)
 
 val loss_rate_for : s:int -> r:float -> target:float -> float

@@ -17,9 +17,12 @@ module Runs = Packet.Runs
 
 type event = { start_time : float; start_seq : Serial.t }
 
+(* RFC 3448 §5.1: a hole is lost once NDUPACK = 3 later packets have
+   arrived; §5.4: the average runs over the last n = 8 intervals. *)
+let ndup = 3
+let history = 8
+
 type t = {
-  ndup : int;
-  history : int;
   discount : bool;
   cost : Stats.Cost.t option;
   mutable max_seq : Serial.t option;
@@ -35,11 +38,8 @@ type t = {
   mutable seen : int;
 }
 
-let create ?(ndup = 3) ?(history = 8) ?(discount = true) ?cost () =
-  assert (ndup >= 1 && history >= 1);
+let create ?(discount = true) ?cost () =
   {
-    ndup;
-    history;
     discount;
     cost;
     max_seq = None;
@@ -70,22 +70,14 @@ let watermark t =
         (t.hole_count + List.length t.intervals)
   | None -> ()
 
-(* The weights of RFC 3448 §5.4 for n = 8; for other history depths we
-   keep full weight on the newer half and taper linearly on the older. *)
-let[@vtp.hot] weight ~history i =
-  if history = 8 then
-    match i with
-    | 0 | 1 | 2 | 3 -> 1.0
-    | 4 -> 0.8
-    | 5 -> 0.6
-    | 6 -> 0.4
-    | _ -> 0.2
-  else begin
-    let half = history / 2 in
-    if i < half then 1.0
-    else
-      float_of_int (history - i) /. float_of_int (history - half + 1)
-  end
+(* The weights of RFC 3448 §5.4 for n = 8. *)
+let[@vtp.hot] weight i =
+  match i with
+  | 0 | 1 | 2 | 3 -> 1.0
+  | 4 -> 0.8
+  | 5 -> 0.6
+  | 6 -> 0.4
+  | _ -> 0.2
 
 (* Shared event machinery: a congestion signal (drop or ECN mark) at
    [seq]/[time] joins the current loss event if within one RTT of its
@@ -100,8 +92,8 @@ let note_congestion_event t ~seq ~time ~rtt =
          (length counted in sequence space). *)
       let len = float_of_int (Stdlib.max 1 (Serial.diff seq ev.start_seq)) in
       t.intervals <-
-        (if List.length t.intervals >= t.history then
-           len :: List.filteri (fun i _ -> i < t.history - 1) t.intervals
+        (if List.length t.intervals >= history then
+           len :: List.filteri (fun i _ -> i < history - 1) t.intervals
          else len :: t.intervals);
       t.current <- Some { start_time = time; start_seq = seq };
       t.events <- t.events + 1
@@ -142,7 +134,7 @@ let ser_of t a = Serial.add (anchor t) (a - t.max_abs)
 (* A run born at epoch [b] has [epoch - b + 1] confirming later
    packets (the packet that created it counts as the first). *)
 let[@vtp.hot] ripe t i =
-  t.epoch - Array.unsafe_get t.holes.Runs.tag i + 1 >= t.ndup
+  t.epoch - Array.unsafe_get t.holes.Runs.tag i + 1 >= ndup
 
 (* Ripe runs are a prefix (births are non-decreasing along the set):
    promote each whole, lowest first, by advancing the front.  The
@@ -184,10 +176,8 @@ let on_packet t ~seq ~arrival ~rtt ~is_retx =
     | Some m ->
         (* Late arrival filling a hole: it was never lost. *)
         let a = t.max_abs + Serial.diff seq m in
-        if Runs.mem t.holes a then begin
-          t.hole_count <- t.hole_count - 1;
-          Runs.remove t.holes a (a + 1)
-        end);
+        if Runs.remove t.holes a (a + 1) then
+          t.hole_count <- t.hole_count - 1);
     promote_ripe_holes t ~arrival ~rtt;
     watermark t
   end
@@ -204,7 +194,7 @@ let mean_of t ~with_open =
   let closed = t.intervals in
   let seq_terms =
     if with_open then
-      open_interval t :: List.filteri (fun i _ -> i < t.history - 1) closed
+      open_interval t :: List.filteri (fun i _ -> i < history - 1) closed
     else closed
   in
   match seq_terms with
@@ -234,7 +224,7 @@ let mean_of t ~with_open =
       let num = ref 0.0 and den = ref 0.0 in
       List.iteri
         (fun i len ->
-          let w = weight ~history:t.history i *. discount_factor i in
+          let w = weight i *. discount_factor i in
           num := !num +. (w *. len);
           den := !den +. w)
         terms;

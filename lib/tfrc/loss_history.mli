@@ -27,15 +27,9 @@
 
 type t
 
-val create :
-  ?ndup:int ->
-  ?history:int ->
-  ?discount:bool ->
-  ?cost:Stats.Cost.t ->
-  unit ->
-  t
-(** [ndup] (default 3): later packets needed to declare a hole lost.
-    [history] (default 8): closed loss intervals retained.
+val create : ?discount:bool -> ?cost:Stats.Cost.t -> unit -> t
+(** A hole is lost once 3 later packets have arrived (NDUPACK, RFC 3448
+    §5.1), and the last 8 closed loss intervals are retained (§5.4).
     [discount] (default true): RFC 3448 §5.5 history discounting when
     the open interval grows beyond twice the closed mean. *)
 

@@ -80,13 +80,13 @@ let rec arm_timer t =
   in
   Engine.Timer.start timer ~after:(Float.max 1e-4 t.st.last_rtt)
 
-let create ~sim ?cost ?trace ?ndup ?discount ~send_feedback () =
+let create ~sim ?cost ?trace ~send_feedback () =
   {
     sim;
     cost;
     trace;
     send_feedback;
-    lh = Loss_history.create ?ndup ?discount ?cost ();
+    lh = Loss_history.create ?cost ();
     st =
       {
         last_tstamp = 0.0;

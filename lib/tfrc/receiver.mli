@@ -14,8 +14,6 @@ val create :
   sim:Engine.Sim.t ->
   ?cost:Stats.Cost.t ->
   ?trace:Trace.Sink.t ->
-  ?ndup:int ->
-  ?discount:bool ->
   send_feedback:(Packet.Header.feedback -> unit) ->
   unit ->
   t

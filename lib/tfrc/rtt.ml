@@ -3,15 +3,17 @@
    instead of boxing a fresh float (a mixed record would).  [count]
    carries an integer value in a float cell for the same reason. *)
 type t = {
-  q : float;
   mutable estimate : float;
   mutable count : float;
   mutable min_sample : float;
 }
 
-let create ?(q = 0.9) ~initial () =
-  assert (initial > 0.0 && q >= 0.0 && q < 1.0);
-  { q; estimate = initial; count = 0.0; min_sample = initial }
+(* RFC 3448 §4.3: the filter constant q of R = q*R + (1-q)*R_sample. *)
+let q = 0.9
+
+let create ~initial () =
+  assert (initial > 0.0);
+  { estimate = initial; count = 0.0; min_sample = initial }
 
 let sample t r =
   assert (r > 0.0);
@@ -20,7 +22,7 @@ let sample t r =
     t.min_sample <- r
   end
   else begin
-    t.estimate <- (t.q *. t.estimate) +. ((1.0 -. t.q) *. r);
+    t.estimate <- (q *. t.estimate) +. ((1.0 -. q) *. r);
     if r < t.min_sample then t.min_sample <- r
   end;
   t.count <- t.count +. 1.0

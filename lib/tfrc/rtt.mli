@@ -7,7 +7,7 @@
 
 type t
 
-val create : ?q:float -> initial:float -> unit -> t
+val create : initial:float -> unit -> t
 (** [initial] seeds the estimate used before the first sample. *)
 
 val sample : t -> float -> unit

@@ -3,16 +3,13 @@
    a mixed record boxes two words on every write, which on the tick path
    is garbage proportional to packets sent.  The counters and flags
    are plain mutable fields; test/sender_ref.ml is the mixed-record
-   oracle.  The send tick keeps the pending event inline (event +
-   generation, preallocated fire thunk) instead of an option-wrapped
-   handle, mirroring {!Engine.Timer}. *)
+   oracle. *)
 
 type params = {
   packet_size : int;
   initial_rtt : float;
   min_rate_bps : float;
   max_rate_bps : float option;
-  t_mbi : float;
   oscillation_damping : bool;
 }
 
@@ -22,9 +19,11 @@ let default_params =
     initial_rtt = 0.5;
     min_rate_bps = 0.0;
     max_rate_bps = None;
-    t_mbi = 64.0;
     oscillation_damping = false;
   }
+
+(* RFC 3448 §4.3: the maximum backoff interval, in seconds. *)
+let t_mbi = 64.0
 
 (* Params records are immutable and overwhelmingly shared across a
    scenario's flows: intern them so 10k flows hold one copy. *)
@@ -32,7 +31,6 @@ let params_pool : params Engine.Intern.pool = Engine.Intern.pool ()
 
 type state = {
   mutable x : float;  (* allowed rate, bytes/s *)
-  mutable next_at : float;  (* deadline of the pending tick *)
   mutable last_p : float;
   mutable r_sqmean : float;  (* §4.5 EWMA of sqrt(R_sample); 0 = no sample *)
   mutable r_sample_last : float;
@@ -52,10 +50,7 @@ type t = {
   mutable slow_start : bool;
   mutable running : bool;
   mutable idle : bool;
-  mutable fire : unit -> unit;  (* built once in [create] *)
-  mutable tick_ev : Engine.Event.t;  (* meaningful only when armed *)
-  mutable tick_gen : int;
-  mutable tick_armed : bool;
+  mutable tick : Engine.Timer.t option;  (* set in [create]: needs self *)
   mutable nofeedback : Engine.Timer.t option;
 }
 
@@ -80,7 +75,7 @@ let s_float t = float_of_int t.p.packet_size
    application/interface rate above, and never below one packet per
    maximum backoff interval. *)
 let clamp t v =
-  let v = Float.max v (s_float t /. t.p.t_mbi) in
+  let v = Float.max v (s_float t /. t_mbi) in
   let v = Float.max v (t.p.min_rate_bps /. 8.0) in
   match t.p.max_rate_bps with
   | Some cap -> Float.min v (cap /. 8.0)
@@ -101,22 +96,26 @@ let instantaneous_rate_bps t = 8.0 *. instantaneous_rate t
 
 let[@vtp.hot] inter_packet_interval t = s_float t /. instantaneous_rate t
 
-let[@vtp.hot] schedule_tick t ~after =
-  if t.tick_armed then Engine.Sim.cancel_ev t.sim t.tick_ev ~gen:t.tick_gen;
-  t.st.next_at <- Engine.Sim.now t.sim +. after;
-  let ev = Engine.Sim.schedule_after_ev t.sim after t.fire in
-  t.tick_ev <- ev;
-  t.tick_gen <- ev.Engine.Event.gen;
-  t.tick_armed <- true
+let[@inline] tick_timer t = Option.get t.tick
 
-let[@vtp.hot] fire t =
-  t.tick_armed <- false;
+let[@vtp.hot] on_tick t =
   if t.running then begin
     if t.on_transmit () then begin
       t.sent <- t.sent + 1;
-      schedule_tick t ~after:(inter_packet_interval t)
+      Engine.Timer.start (tick_timer t) ~after:(inter_packet_interval t)
     end
     else t.idle <- true
+  end
+
+(* A rate increase takes effect immediately rather than waiting out a
+   long previously-scheduled gap — but never push the pending
+   opportunity further away. *)
+let pull_in_tick t ~now =
+  if t.running && not t.idle then begin
+    let gap = inter_packet_interval t in
+    let tick = tick_timer t in
+    if Engine.Timer.is_armed tick && now +. gap < Engine.Timer.deadline tick
+    then Engine.Timer.start tick ~after:gap
   end
 
 let nofeedback_timer t =
@@ -147,7 +146,7 @@ let restart_nofeedback t =
     ~after:(Float.max (4.0 *. Rtt.smoothed t.rtt) (2.0 *. s_float t /. t.st.x))
 
 let create ~sim ?cost ?trace p ~on_transmit () =
-  assert (p.packet_size > 0 && p.initial_rtt > 0.0 && p.t_mbi > 0.0);
+  assert (p.packet_size > 0 && p.initial_rtt > 0.0);
   let p = Engine.Intern.share params_pool p in
   let rtt = Rtt.create ~initial:p.initial_rtt () in
   let t =
@@ -161,7 +160,6 @@ let create ~sim ?cost ?trace p ~on_transmit () =
       st =
         {
           x = 0.0;
-          next_at = 0.0;
           last_p = 0.0;
           r_sqmean = 0.0;
           r_sample_last = 0.0;
@@ -172,14 +170,11 @@ let create ~sim ?cost ?trace p ~on_transmit () =
       slow_start = true;
       running = false;
       idle = false;
-      fire = Engine.Event.noop;
-      tick_ev = Engine.Event.make_dummy ();
-      tick_gen = 0;
-      tick_armed = false;
+      tick = None;
       nofeedback = None;
     }
   in
-  t.fire <- (fun () -> fire t);
+  t.tick <- Some (Engine.Timer.create sim ~on_expire:(fun () -> on_tick t));
   (* Initial rate: two segments per (seeded) RTT — within RFC 3448's
      allowance, conservative for long paths. *)
   t.st.x <- clamp t (2.0 *. s_float t /. p.initial_rtt);
@@ -190,21 +185,18 @@ let start t =
     t.running <- true;
     t.idle <- false;
     restart_nofeedback t;
-    schedule_tick t ~after:0.0
+    Engine.Timer.start (tick_timer t) ~after:0.0
   end
 
 let stop t =
   t.running <- false;
-  if t.tick_armed then begin
-    Engine.Sim.cancel_ev t.sim t.tick_ev ~gen:t.tick_gen;
-    t.tick_armed <- false
-  end;
+  Engine.Timer.stop (tick_timer t);
   match t.nofeedback with Some tm -> Engine.Timer.stop tm | None -> ()
 
 let notify_data t =
   if t.running && t.idle then begin
     t.idle <- false;
-    schedule_tick t ~after:0.0
+    Engine.Timer.start (tick_timer t) ~after:0.0
   end
 
 let[@vtp.hot] on_feedback t ~tstamp_echo ~t_delay ~x_recv ~p =
@@ -228,7 +220,7 @@ let[@vtp.hot] on_feedback t ~tstamp_echo ~t_delay ~x_recv ~p =
   let x_calc =
     if p > 0.0 then begin
       t.slow_start <- false;
-      let x_calc = Equation.rate ~s:t.p.packet_size ~r ~p () in
+      let x_calc = Equation.rate ~s:t.p.packet_size ~r ~p in
       t.st.x <- clamp t (Float.min x_calc (2.0 *. x_recv));
       x_calc
     end
@@ -242,14 +234,7 @@ let[@vtp.hot] on_feedback t ~tstamp_echo ~t_delay ~x_recv ~p =
     end
   in
   trace_rate t ~x_calc ~x_recv ~p;
-  (* A rate increase takes effect immediately rather than waiting out a
-     long previously-scheduled gap — but never push the pending
-     opportunity further away. *)
-  if t.running && not t.idle then begin
-    let gap = inter_packet_interval t in
-    if t.tick_armed && now +. gap < t.st.next_at then
-      schedule_tick t ~after:gap
-  end;
+  pull_in_tick t ~now;
   restart_nofeedback t
 
 (* Migration notification.  [`Keep] is deliberately a no-op — the whole
@@ -280,14 +265,9 @@ let apply_handover t ~policy ~(link : Handover.link_info) =
   match (policy : Handover.policy) with
   | `Keep -> ()
   | `Reset | `Informed ->
-      (* Take a rate increase immediately (cf. [on_feedback]); a
-         decrease naturally stretches the next gap. *)
-      if t.running && not t.idle then begin
-        let gap = inter_packet_interval t in
-        let now = Engine.Sim.now t.sim in
-        if t.tick_armed && now +. gap < t.st.next_at then
-          schedule_tick t ~after:gap
-      end;
+      (* Take a rate increase immediately; a decrease naturally
+         stretches the next gap. *)
+      pull_in_tick t ~now:(Engine.Sim.now t.sim);
       restart_nofeedback t
 
 let rtt t = Rtt.smoothed t.rtt

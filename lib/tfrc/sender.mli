@@ -21,7 +21,6 @@ type params = {
   initial_rtt : float;  (** seed RTT before the first measurement *)
   min_rate_bps : float;  (** gTFRC floor [g] in bits/s; 0 disables *)
   max_rate_bps : float option;  (** application/interface ceiling *)
-  t_mbi : float;  (** maximum backoff interval, RFC 3448: 64 s *)
   oscillation_damping : bool;
       (** RFC 3448 §4.5: scale the instantaneous sending rate by
           [sqrt(R_sample)/R_sqmean] so that queueing-delay oscillations
@@ -30,8 +29,11 @@ type params = {
 }
 
 val default_params : params
-(** 1500 B segments, 0.5 s initial RTT, no floor, no ceiling, 64 s, no
+(** 1500 B segments, 0.5 s initial RTT, no floor, no ceiling, no
     oscillation damping. *)
+
+val t_mbi : float
+(** The maximum backoff interval of RFC 3448 §4.3: 64 s. *)
 
 type t
 

@@ -62,8 +62,8 @@ let emit ~flow ~at ev =
   | None -> ()
   | Some t -> record t ~flow ~at ev
 
-let with_recorder ?capacity f =
-  let t = create ?capacity () in
+let with_recorder f =
+  let t = create () in
   let slot = Domain.DLS.get ambient in
   slot := Some t;
   let x = Fun.protect ~finally:(fun () -> slot := None) f in

@@ -34,7 +34,7 @@ val record : t -> flow:int -> at:float -> Event.t -> unit
     [Invalid_argument] when [flow] is outside [\[0, 2^20)], leaving the
     recorder unchanged. *)
 
-val with_recorder : ?capacity:int -> (unit -> 'a) -> 'a * t
+val with_recorder : (unit -> 'a) -> 'a * t
 (** [with_recorder f] installs a fresh recorder, runs [f], clears the
     registry (also on exception) and returns [f]'s result with the
     recorder. *)

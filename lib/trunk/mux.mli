@@ -83,7 +83,7 @@ val source : t -> Qtp.Source.t
 
 val attach : t -> conn:Qtp.Connection.t -> seg_payload:int -> unit
 (** Bind the mux to its connection: sets the per-segment payload budget
-    (the connection's [packet_size - data-header bytes]) and installs
+    (the connection's 1500 B segment less its data header) and installs
     the delivery tap.  Raises [Invalid_argument] if [seg_payload] is
     not strictly larger than {!Frame.header_bytes}. *)
 

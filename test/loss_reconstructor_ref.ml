@@ -9,9 +9,9 @@ type t = {
   mutable seeded : bool;
 }
 
-let create ?ndup ?discount ?cost ?trace () =
+let create ?cost ?trace () =
   {
-    lh = Tfrc.Loss_history.create ?ndup ?discount ?cost ();
+    lh = Tfrc.Loss_history.create ?cost ();
     trace;
     last_arrival = 0.0;
     seeded = false;

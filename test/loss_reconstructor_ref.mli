@@ -21,13 +21,7 @@
 
 type t
 
-val create :
-  ?ndup:int ->
-  ?discount:bool ->
-  ?cost:Stats.Cost.t ->
-  ?trace:Trace.Sink.t ->
-  unit ->
-  t
+val create : ?cost:Stats.Cost.t -> ?trace:Trace.Sink.t -> unit -> t
 (** [trace] records a sender-side loss event whenever a replay batch
     opens one. *)
 

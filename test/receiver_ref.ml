@@ -74,13 +74,13 @@ let rec arm_timer t =
   in
   Engine.Timer.start timer ~after:(Float.max 1e-4 t.last_rtt)
 
-let create ~sim ?cost ?trace ?ndup ?discount ~send_feedback () =
+let create ~sim ?cost ?trace ~send_feedback () =
   {
     sim;
     cost;
     trace;
     send_feedback;
-    lh = Loss_history.create ?ndup ?discount ?cost ();
+    lh = Loss_history.create ?cost ();
     timer = None;
     last_data = None;
     last_rtt = 0.1;

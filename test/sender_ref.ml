@@ -202,7 +202,7 @@ let on_feedback t ~tstamp_echo ~t_delay ~x_recv ~p =
   let x_calc =
     if p > 0.0 then begin
       t.slow_start <- false;
-      let x_calc = Equation.rate ~s:t.p.packet_size ~r ~p () in
+      let x_calc = Equation.rate ~s:t.p.packet_size ~r ~p in
       t.x <- clamp t (Float.min x_calc (2.0 *. x_recv));
       x_calc
     end

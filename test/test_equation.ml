@@ -2,20 +2,20 @@
 
 let test_no_loss_infinite () =
   Alcotest.(check bool) "p=0 -> infinity" true
-    (Float.is_integer (Tfrc.Equation.rate ~s:1500 ~r:0.1 ~p:0.0 ()) = false
-     && Tfrc.Equation.rate ~s:1500 ~r:0.1 ~p:0.0 () = infinity)
+    (Float.is_integer (Tfrc.Equation.rate ~s:1500 ~r:0.1 ~p:0.0) = false
+     && Tfrc.Equation.rate ~s:1500 ~r:0.1 ~p:0.0 = infinity)
 
 let test_reference_point () =
   (* The simplified (first-term) equation gives s/(R*sqrt(2p/3));
      with the full RTO term the rate must be strictly below that. *)
   let s = 1500 and r = 0.1 and p = 0.01 in
-  let x = Tfrc.Equation.rate ~s ~r ~p () in
+  let x = Tfrc.Equation.rate ~s ~r ~p in
   let simple = float_of_int s /. (r *. sqrt (2.0 *. p /. 3.0)) in
   Alcotest.(check bool) "below sqrt-only model" true (x < simple);
   Alcotest.(check bool) "same ballpark" true (x > simple /. 2.0)
 
 let test_decreasing_in_p () =
-  let rate p = Tfrc.Equation.rate ~s:1500 ~r:0.1 ~p () in
+  let rate p = Tfrc.Equation.rate ~s:1500 ~r:0.1 ~p in
   let ps = [ 0.001; 0.005; 0.01; 0.05; 0.1; 0.3; 1.0 ] in
   let rec check = function
     | a :: b :: rest ->
@@ -30,23 +30,23 @@ let test_decreasing_in_p () =
 
 let test_decreasing_in_r () =
   Alcotest.(check bool) "longer RTT, lower rate" true
-    (Tfrc.Equation.rate ~s:1500 ~r:0.05 ~p:0.01 ()
-    > Tfrc.Equation.rate ~s:1500 ~r:0.2 ~p:0.01 ())
+    (Tfrc.Equation.rate ~s:1500 ~r:0.05 ~p:0.01
+    > Tfrc.Equation.rate ~s:1500 ~r:0.2 ~p:0.01)
 
 let test_linear_in_s () =
-  let x1 = Tfrc.Equation.rate ~s:500 ~r:0.1 ~p:0.01 () in
-  let x3 = Tfrc.Equation.rate ~s:1500 ~r:0.1 ~p:0.01 () in
+  let x1 = Tfrc.Equation.rate ~s:500 ~r:0.1 ~p:0.01 in
+  let x3 = Tfrc.Equation.rate ~s:1500 ~r:0.1 ~p:0.01 in
   Alcotest.(check (float 1e-6)) "scales with s" 3.0 (x3 /. x1)
 
 let test_rate_bps () =
   Alcotest.(check (float 1e-6)) "bps = 8 x bytes"
-    (8.0 *. Tfrc.Equation.rate ~s:1500 ~r:0.1 ~p:0.02 ())
-    (Tfrc.Equation.rate_bps ~s:1500 ~r:0.1 ~p:0.02 ())
+    (8.0 *. Tfrc.Equation.rate ~s:1500 ~r:0.1 ~p:0.02)
+    (Tfrc.Equation.rate_bps ~s:1500 ~r:0.1 ~p:0.02)
 
 let test_inverse_roundtrip () =
   List.iter
     (fun p_true ->
-      let target = Tfrc.Equation.rate ~s:1500 ~r:0.1 ~p:p_true () in
+      let target = Tfrc.Equation.rate ~s:1500 ~r:0.1 ~p:p_true in
       let p_found = Tfrc.Equation.loss_rate_for ~s:1500 ~r:0.1 ~target in
       Alcotest.(check bool)
         (Printf.sprintf "inverse(%f): %f" p_true p_found)
@@ -69,7 +69,7 @@ let prop_inverse_consistent =
       let p = Tfrc.Equation.loss_rate_for ~s:1500 ~r ~target in
       if p >= 1.0 || p <= 1e-8 then true
       else begin
-        let x = Tfrc.Equation.rate ~s:1500 ~r ~p () in
+        let x = Tfrc.Equation.rate ~s:1500 ~r ~p in
         Float.abs (x -. target) /. target < 0.01
       end)
 
@@ -78,7 +78,7 @@ let prop_inverse_consistent =
    X = s / (R*sqrt(2p/3) + 4R*3*sqrt(3p/8)*p*(1+32p^2)). *)
 let test_golden_values () =
   let check ~s ~r ~p ~expect =
-    let x = Tfrc.Equation.rate ~s ~r ~p () in
+    let x = Tfrc.Equation.rate ~s ~r ~p in
     Alcotest.(check bool)
       (Printf.sprintf "X(s=%d,R=%g,p=%g) = %.6g, got %.6g" s r p expect x)
       true
@@ -114,8 +114,8 @@ let test_golden_values () =
 let test_p_clamped_at_one () =
   Alcotest.(check (float 1e-9))
     "rate(p=5) = rate(p=1)"
-    (Tfrc.Equation.rate ~s:1500 ~r:0.1 ~p:1.0 ())
-    (Tfrc.Equation.rate ~s:1500 ~r:0.1 ~p:5.0 ())
+    (Tfrc.Equation.rate ~s:1500 ~r:0.1 ~p:1.0)
+    (Tfrc.Equation.rate ~s:1500 ~r:0.1 ~p:5.0)
 
 (* As p -> 0 the RTO term vanishes and X approaches the first-term
    model s/(R*sqrt(2p/3)) from below; the term ratio is exactly
@@ -123,7 +123,7 @@ let test_p_clamped_at_one () =
    with t_RTO = 4R, so at p = 1e-6 the relative gap is ~9e-6. *)
 let test_asymptote_near_zero () =
   let s = 1500 and r = 0.1 and p = 1e-6 in
-  let x = Tfrc.Equation.rate ~s ~r ~p () in
+  let x = Tfrc.Equation.rate ~s ~r ~p in
   let simple = float_of_int s /. (r *. sqrt (2.0 *. p /. 3.0)) in
   let ratio = x /. simple in
   Alcotest.(check bool)

@@ -311,8 +311,8 @@ module LHR = Loss_history_ref
 
 let differential_history_run ~seed ~steps =
   let rng = Engine.Rng.create ~seed in
-  let lh = LH.create ~ndup:3 () in
-  let lr = LHR.create ~ndup:3 () in
+  let lh = LH.create () in
+  let lr = LHR.create () in
   let ok = ref true in
   let expect b = if not b then ok := false in
   let next = ref 0 in
@@ -391,7 +391,7 @@ let prop_differential_vs_reference =
    prefix and leave immediately), never one run per historical hole. *)
 let test_alternating_loss_holes_bounded () =
   let n = 1000 in
-  let lh = LH.create ~ndup:3 () in
+  let lh = LH.create () in
   List.iter
     (fun i ->
       LH.on_packet lh ~seq:(S.of_int (2 * i))

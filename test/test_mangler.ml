@@ -132,7 +132,7 @@ let prop_bounded_reorder =
 let test_flush_timer () =
   let sim = Engine.Sim.create () in
   let rng = Engine.Rng.create ~seed:7 in
-  let m = M.create ~sim ~rng ~flush_after:0.1 (any_prof ~pr:1.0 ~pd:0.0 ~pc:0.0 ~hold:5) in
+  let m = M.create ~sim ~rng (any_prof ~pr:1.0 ~pd:0.0 ~pc:0.0 ~hold:5) in
   let out = ref [] in
   let emit f = out := f :: !out in
   M.push m ~emit (mk_frame 0);

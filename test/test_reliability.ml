@@ -1,7 +1,7 @@
 (* Sack.Reliability: policy-driven retransmission decisions and forward
    points. *)
 
-module SB = Sack.Scoreboard
+module SB = Scoreboard_lists
 module RL = Sack.Reliability
 module S = Packet.Serial
 

@@ -12,7 +12,7 @@ let test_first_sample_replaces_seed () =
   Alcotest.(check bool) "has sample" true (Tfrc.Rtt.has_sample r)
 
 let test_ewma () =
-  let r = Tfrc.Rtt.create ~q:0.9 ~initial:0.5 () in
+  let r = Tfrc.Rtt.create ~initial:0.5 () in
   Tfrc.Rtt.sample r 0.1;
   Tfrc.Rtt.sample r 0.2;
   (* 0.9*0.1 + 0.1*0.2 = 0.11 *)

@@ -3,8 +3,9 @@
    Random streams of add (with tags), remove, trim_below, drop_first
    and clear are replayed through both, and after every step the run
    list, each run's tag, [mem], [seek], [kth_from_top], [iter_gaps] and
-   [length] must agree.  The streams open enough runs to grow the
-   arrays and drop enough from the front to reclaim it. *)
+   [length] must agree, as must the flag [remove] returns.  The streams
+   open enough runs to grow the arrays and drop enough from the front
+   to reclaim it. *)
 
 module R = Packet.Runs
 
@@ -85,9 +86,18 @@ let model_step cover = function
       | [] -> ())
   | Clear -> fill cover 0 universe None
 
-let apply t = function
+let fail step what = QCheck.Test.fail_reportf "step %d: %s" step what
+
+(* [cover] is the model before the step: [remove]'s flag must say
+   whether any position of [l, h) was covered. *)
+let apply step t cover = function
   | Add (l, h, tag) -> R.add t l h ~tag
-  | Remove (l, h) -> R.remove t l h
+  | Remove (l, h) ->
+      let covered = ref false in
+      for p = l to h - 1 do
+        if cover.(p) <> None then covered := true
+      done;
+      if R.remove t l h <> !covered then fail step "remove's flag"
   | Trim_below x -> R.trim_below t x
   | Drop_first -> if R.length t > 0 then R.drop_first t
   | Clear -> R.clear t
@@ -116,8 +126,6 @@ let model_gaps cover l h =
     else incr p
   done;
   List.rev !acc
-
-let fail step what = QCheck.Test.fail_reportf "step %d: %s" step what
 
 let check_agree step t cover =
   let runs = runs_of cover in
@@ -157,7 +165,7 @@ let replay reach ops =
   List.iteri
     (fun step op ->
       let cap = Array.length t.R.lo and fst = t.R.fst in
-      apply t op;
+      apply step t cover op;
       model_step cover op;
       if Array.length t.R.lo > cap then reach.grew <- reach.grew + 1
       else if fst > 0 && t.R.fst = 0 && op <> Clear then

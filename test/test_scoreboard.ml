@@ -1,7 +1,7 @@
 (* Sack.Scoreboard: send tracking, feedback digestion, loss inference,
    expiry, abandonment. *)
 
-module SB = Sack.Scoreboard
+module SB = Scoreboard_lists
 module S = Packet.Serial
 
 let blk a b = Sack.Blocks.make (S.of_int a) (S.of_int b)
@@ -56,7 +56,7 @@ let test_sack_marks () =
   Alcotest.(check int) "idempotent" 0 (List.length res2.SB.newly_sacked)
 
 let test_loss_inference_dupthresh () =
-  let sb = SB.create ~dupthresh:3 () in
+  let sb = SB.create () in
   send_n sb 10;
   (* 0 missing; sacked 1-2 -> only 2 above: not yet lost. *)
   let r1 = SB.on_feedback sb ~reo_wnd:0.0 ~cum_ack:(S.of_int 0) ~blocks:[ blk 1 3 ] in
@@ -212,8 +212,8 @@ let feedback_agrees sb sbr ~cum ~blocks ~reo_wnd =
 
 let differential_run ~seed ~steps =
   let rng = Engine.Rng.create ~seed in
-  let sb = SB.create ~dupthresh:3 () in
-  let sbr = SBR.create ~dupthresh:3 () in
+  let sb = SB.create () in
+  let sbr = SBR.create () in
   let now = ref 0.0 in
   let ok = ref true in
   let expect _what b = if not b then ok := false in
@@ -328,8 +328,8 @@ let prop_differential_vs_reference =
    repair itself settles it for good.  The reference agrees at every
    step. *)
 let test_repair_relost_by_send_order () =
-  let sb = SB.create ~dupthresh:3 () in
-  let sbr = SBR.create ~dupthresh:3 () in
+  let sb = SB.create () in
+  let sbr = SBR.create () in
   let send s ~now ~is_retx =
     SB.on_send sb ~seq:(S.of_int s) ~now ~size:1000 ~is_retx;
     SBR.on_send sbr ~seq:(S.of_int s) ~now ~size:1000 ~is_retx
@@ -387,7 +387,7 @@ let test_repair_relost_by_send_order () =
    back to zero runs once the cumulative ack sweeps the window. *)
 let test_alternating_sack_fragmentation () =
   let n = 2000 in
-  let sb = SB.create ~dupthresh:3 () in
+  let sb = SB.create () in
   send_n sb n;
   let blocks = List.init (n / 2) (fun i -> blk ((2 * i) + 1) ((2 * i) + 2)) in
   let r = SB.on_feedback sb ~reo_wnd:0.0 ~cum_ack:(S.of_int 0) ~blocks in

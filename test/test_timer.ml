@@ -36,9 +36,11 @@ let test_is_armed_and_deadline () =
   Alcotest.(check bool) "initially disarmed" false (Engine.Timer.is_armed t);
   Engine.Timer.start t ~after:3.0;
   Alcotest.(check bool) "armed" true (Engine.Timer.is_armed t);
-  Alcotest.(check (option (float 1e-9))) "deadline" (Some 3.0) (Engine.Timer.deadline t);
+  Alcotest.(check (float 1e-9)) "deadline" 3.0 (Engine.Timer.deadline t);
   Engine.Sim.run sim;
-  Alcotest.(check bool) "disarmed after fire" false (Engine.Timer.is_armed t)
+  Alcotest.(check bool) "disarmed after fire" false (Engine.Timer.is_armed t);
+  Alcotest.(check bool) "no deadline when disarmed" true
+    (Float.equal (Engine.Timer.deadline t) infinity)
 
 let test_rearm_in_callback () =
   let sim = Engine.Sim.create () in
