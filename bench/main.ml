@@ -175,17 +175,14 @@ let bench_reconstructor =
   Test.make ~name:"qtp.reconstruction.1000covers"
     (Staged.stage @@ fun () ->
      let lr = Qtp.Loss_reconstructor.create () in
-     let covers =
-       List.init 990 (fun i ->
-           let i = if i mod 99 = 98 then i + 1 else i in
-           {
-             Sack.Scoreboard.cov_seq = Packet.Serial.of_int i;
-             cov_sent_at = float_of_int i *. 0.001;
-             cov_was_retx = false;
-           })
-     in
-     Qtp.Loss_reconstructor.on_covers lr ~covers ~rtt:0.05 ~x_recv:1e6
-       ~packet_size:1500)
+     let batch = Qtp.Loss_reconstructor.begin_batch lr in
+     for k = 0 to 989 do
+       let i = if k mod 99 = 98 then k + 1 else k in
+       Qtp.Loss_reconstructor.push_cover lr ~seq:(Packet.Serial.of_int i)
+         ~sent_at:(float_of_int i *. 0.001) ~was_retx:false ~rtt:0.05
+         ~x_recv:1e6
+     done;
+     Qtp.Loss_reconstructor.end_batch lr batch)
 
 let[@vtp.ambient] bench_red =
   Test.make ~name:"netsim.red.decide"

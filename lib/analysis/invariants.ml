@@ -207,48 +207,15 @@ let packet_conservation () : check =
 (* ------------------------------------------------------------------ *)
 (* Catalogue *)
 
-type spec = {
-  name : string;
-  provenance : string;
-  doc : string;
-  make : unit -> check;
-}
-
+(* Each invariant by the name a violation reports; the interface gives
+   the paper section or RFC each one encodes. *)
 let catalogue =
   [
-    {
-      name = "gtfrc-floor";
-      provenance = "paper §4; Lochin et al., gTFRC";
-      doc = "X >= min(g, X_calc) outside slow start";
-      make = gtfrc_floor;
-    };
-    {
-      name = "tfrc-rate-bounds";
-      provenance = "RFC 3448 §4.3";
-      doc = "s/t_mbi <= X <= max(2*X_recv, g); X <= interface ceiling";
-      make = tfrc_rate_bounds;
-    };
-    {
-      name = "sack-wellformed";
-      provenance = "RFC 2018 §4";
-      doc =
-        "SACK blocks non-empty, disjoint, above cum_ack, within what was \
-         sent";
-      make = sack_wellformed;
-    };
-    {
-      name = "cum-ack-monotone";
-      provenance = "RFC 2018 / paper §3 (QTP_light)";
-      doc = "the cumulative acknowledgment never regresses";
-      make = cum_ack_monotone;
-    };
-    {
-      name = "packet-conservation";
-      provenance = "conservation of frames in the simulated network";
-      doc = "sent = delivered + lost + in_flight (no duplication, no loss \
-             of accounting)";
-      make = packet_conservation;
-    };
+    ("gtfrc-floor", gtfrc_floor);
+    ("tfrc-rate-bounds", tfrc_rate_bounds);
+    ("sack-wellformed", sack_wellformed);
+    ("cum-ack-monotone", cum_ack_monotone);
+    ("packet-conservation", packet_conservation);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -265,7 +232,7 @@ let limit = 100
 
 let create () =
   {
-    checks = List.map (fun s -> (s.name, s.make ())) catalogue;
+    checks = List.map (fun (name, make) -> (name, make ())) catalogue;
     violations = [];
     events = 0;
   }

@@ -51,16 +51,6 @@ exception Violation of violation
 
 val pp_violation : Format.formatter -> violation -> unit
 
-type spec = {
-  name : string;
-  provenance : string;  (** paper section / RFC the invariant encodes *)
-  doc : string;
-  make : unit -> event -> (float * int * string) option;
-}
-
-val catalogue : spec list
-(** All registered invariants; adding one is adding a record here. *)
-
 type t
 
 val create : unit -> t

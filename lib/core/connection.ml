@@ -115,10 +115,6 @@ let uses_sack cfg =
   cfg.agreed.Capabilities.plane = Capabilities.Light
   || cfg.agreed.Capabilities.mode <> Capabilities.R_none
 
-(* On-wire bytes per data segment, and the payload each carries. *)
-let packet_size = 1500
-let payload = packet_size - Header.data_header_bytes
-
 (* ------------------------------------------------------------------ *)
 (* Emission helpers *)
 
@@ -155,7 +151,7 @@ let emit_data t ~seq ~is_retx =
         fwd_point = fwd_point_now t;
       }
   in
-  let segment = Packet.Segment.make ~hdr ~payload in
+  let segment = Packet.Segment.make ~hdr ~payload:Vtp_wire.payload in
   let frame =
     Vtp_wire.frame_of ~sim:t.sim ~flow_id:t.endpoint.Netsim.Topology.flow_id
       segment
@@ -164,7 +160,7 @@ let emit_data t ~seq ~is_retx =
   if Trace.Sink.on t.trace then
     Trace.Sink.emit t.trace
       (Trace.Event.Seg_send
-         { seq; size = packet_size; retx = is_retx });
+         { seq; size = Vtp_wire.packet_size; retx = is_retx });
   t.endpoint.Netsim.Topology.to_receiver frame
 
 let fresh_data t ~now =
@@ -174,7 +170,7 @@ let fresh_data t ~now =
       match t.snd.sack with
       | Some (sb, _) ->
           let s = Sack.Scoreboard.next_seq sb in
-          Sack.Scoreboard.on_send sb ~seq:s ~now ~size:packet_size
+          Sack.Scoreboard.on_send sb ~seq:s ~now ~size:Vtp_wire.packet_size
             ~is_retx:false;
           s
       | None ->
@@ -194,7 +190,7 @@ let transmit_opportunity t =
   | Some (sb, rel) -> (
       match Sack.Reliability.next_decision rel ~now with
       | Sack.Reliability.Retransmit seq ->
-          Sack.Scoreboard.on_send sb ~seq ~now ~size:packet_size
+          Sack.Scoreboard.on_send sb ~seq ~now ~size:Vtp_wire.packet_size
             ~is_retx:true;
           emit_data t ~seq ~is_retx:true;
           true
@@ -258,7 +254,7 @@ let sender_on_sack t (sf : Header.sack_feedback) =
         match t.snd.reconstructor with
         | Some lr ->
             Loss_reconstructor.push_cover lr ~seq ~sent_at ~was_retx ~rtt
-              ~x_recv:sf.sack_x_recv ~packet_size
+              ~x_recv:sf.sack_x_recv
         | None -> ()
       in
       t.snd.loss_n <- 0;
@@ -296,7 +292,7 @@ let sender_on_sack t (sf : Header.sack_feedback) =
           if sf.sack_ce_count > t.snd.known_ce then begin
             Loss_reconstructor.on_ce_marks lr
               ~new_marks:(sf.sack_ce_count - t.snd.known_ce)
-              ~rtt ~x_recv:sf.sack_x_recv ~packet_size;
+              ~rtt ~x_recv:sf.sack_x_recv;
             t.snd.known_ce <- sf.sack_ce_count
           end;
           let p = Loss_reconstructor.loss_event_rate lr in
@@ -682,14 +678,14 @@ let build ~sim ~endpoint ?cost_sender ?cost_receiver ?source ~start_at
     match !t_ref with
     | Some t -> (
         Stats.Series.record t.goodput ~time:(Engine.Sim.now sim)
-          ~bytes:payload;
+          ~bytes:Vtp_wire.payload;
         match t.on_deliver with Some f -> f ~seq | None -> ())
     | None -> ()
   in
   let cc =
     Tfrc.Sender.create ~sim ?cost:cost_sender ~trace
       {
-        Tfrc.Sender.packet_size;
+        Tfrc.Sender.packet_size = Vtp_wire.packet_size;
         initial_rtt = cfg.initial_rtt;
         min_rate_bps = agreed.Capabilities.target_bps;
         max_rate_bps = cfg.max_rate_bps;
@@ -851,8 +847,7 @@ let notify_migration t ~link =
   Tfrc.Sender.apply_handover t.snd.cc ~policy ~link;
   (match t.snd.reconstructor with
   | Some rc ->
-      Loss_reconstructor.on_handover rc ~policy
-        ~packet_size ~link
+      Loss_reconstructor.on_handover rc ~policy ~link
   | None -> ());
   match t.rcv.std_recv with
   | Some r -> Tfrc.Receiver.on_handover r ~policy ~link
@@ -871,8 +866,6 @@ let set_on_deliver t f =
             f ~seq)
 
 let goodput t = t.goodput
-
-let cc t = t.snd.cc
 
 let current_rate_bps t = Tfrc.Sender.rate_bps t.snd.cc
 

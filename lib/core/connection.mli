@@ -36,7 +36,7 @@ type config = {
 val config : ?initial_rtt:float -> ?max_rate_bps:float -> ?sack_blocks:int ->
   ?oscillation_damping:bool -> ?handover:Tfrc.Handover.policy ->
   Capabilities.agreed -> config
-(** Every data segment is 1500 B on the wire. *)
+(** Every data segment is {!Vtp_wire.packet_size} B on the wire. *)
 
 type state =
   | Negotiating
@@ -83,10 +83,10 @@ val set_on_deliver : t -> (seq:Packet.Serial.t -> unit) -> unit
 (** Install a per-segment in-order delivery tap on the receiving side:
     called for every segment the receive window hands to the
     application, in sequence order, exactly once per sequence number.
-    Every data segment carries the same payload: 1500 B less the data
-    header.  The trunk layer's demultiplex point.  Taps accumulate:
-    a later call runs its tap after the ones already installed and
-    never replaces them. *)
+    Every data segment carries the same payload, {!Vtp_wire.payload}.
+    The trunk layer's demultiplex point.  Taps accumulate: a later call
+    runs its tap after the ones already installed and never replaces
+    them. *)
 
 val notify_migration : t -> link:Tfrc.Handover.link_info -> unit
 (** Tell the connection its path just migrated to a link with the given
@@ -115,8 +115,6 @@ val close : t -> unit
 
 val goodput : t -> Stats.Series.t
 (** Payload bytes delivered in order to the receiving application. *)
-
-val cc : t -> Tfrc.Sender.t
 
 val current_rate_bps : t -> float
 

@@ -35,14 +35,14 @@ let trace_new_events t ~before =
 (* §6.3.1 seeding must happen immediately when the first loss event
    appears — checking only at batch boundaries would make the estimate
    depend on how covers were batched into feedback packets. *)
-let maybe_seed t ~rtt ~x_recv ~packet_size =
+let maybe_seed t ~rtt ~x_recv =
   if (not t.seeded) && Tfrc.Loss_history.loss_events t.lh >= 1 then begin
     t.seeded <- true;
     let x_target =
-      Float.max (float_of_int packet_size /. Float.max rtt 1e-3) x_recv
+      Float.max (float_of_int Vtp_wire.packet_size /. Float.max rtt 1e-3) x_recv
     in
     let p_seed =
-      Tfrc.Equation.loss_rate_for ~s:(Stdlib.max 1 packet_size)
+      Tfrc.Equation.loss_rate_for ~s:Vtp_wire.packet_size
         ~r:(Float.max rtt 1e-3) ~target:x_target
     in
     if p_seed > 0.0 then
@@ -53,26 +53,17 @@ type batch = int
 
 let begin_batch t = Tfrc.Loss_history.loss_events t.lh
 
-let[@vtp.hot] push_cover t ~seq ~sent_at ~was_retx ~rtt ~x_recv ~packet_size =
+let[@vtp.hot] push_cover t ~seq ~sent_at ~was_retx ~rtt ~x_recv =
   (* Clamp to keep the virtual clock monotone even when covers from
      reordered feedback interleave. *)
   let arrival = Float.max t.clock.last_arrival (sent_at +. rtt) in
   t.clock.last_arrival <- arrival;
   Tfrc.Loss_history.on_packet t.lh ~seq ~arrival ~rtt ~is_retx:was_retx;
-  maybe_seed t ~rtt ~x_recv ~packet_size
+  maybe_seed t ~rtt ~x_recv
 
 let end_batch t before = trace_new_events t ~before
 
-let on_covers t ~covers ~rtt ~x_recv ~packet_size =
-  let before = begin_batch t in
-  List.iter
-    (fun (c : Sack.Scoreboard.cover) ->
-      push_cover t ~seq:c.cov_seq ~sent_at:c.cov_sent_at
-        ~was_retx:c.cov_was_retx ~rtt ~x_recv ~packet_size)
-    covers;
-  end_batch t before
-
-let on_ce_marks t ~new_marks ~rtt ~x_recv ~packet_size =
+let on_ce_marks t ~new_marks ~rtt ~x_recv =
   if new_marks > 0 then begin
     let before = Tfrc.Loss_history.loss_events t.lh in
     let seq =
@@ -82,21 +73,21 @@ let on_ce_marks t ~new_marks ~rtt ~x_recv ~packet_size =
     in
     Tfrc.Loss_history.on_congestion_mark t.lh ~marks:new_marks ~seq
       ~arrival:t.clock.last_arrival ~rtt;
-    maybe_seed t ~rtt ~x_recv ~packet_size;
+    maybe_seed t ~rtt ~x_recv;
     trace_new_events t ~before
   end
 
 (* Handover: the reconstructed history follows the same policy as a
    standard receiver's.  After [`Reset] the §6.3.1 seeding may run
    again on the new path's first loss event. *)
-let on_handover t ~policy ~packet_size ~(link : Tfrc.Handover.link_info) =
+let on_handover t ~policy ~(link : Tfrc.Handover.link_info) =
   match (policy : Tfrc.Handover.policy) with
   | `Keep -> ()
   | `Reset ->
       Tfrc.Loss_history.reseed t.lh 0.0;
       t.seeded <- false
   | `Informed ->
-      let p = Tfrc.Handover.informed_p ~s:(Stdlib.max 1 packet_size) link in
+      let p = Tfrc.Handover.informed_p ~s:Vtp_wire.packet_size link in
       Tfrc.Loss_history.reseed t.lh (if p > 0.0 then 1.0 /. p else 0.0);
       t.seeded <- true
 

@@ -21,26 +21,15 @@ val create : ?cost:Stats.Cost.t -> ?trace:Trace.Sink.t -> unit -> t
 (** [trace] records a sender-side loss event whenever a replay batch
     opens one. *)
 
-val on_covers :
-  t ->
-  covers:Sack.Scoreboard.cover list ->
-  rtt:float ->
-  x_recv:float ->
-  packet_size:int ->
-  unit
-(** Replay the numbers newly known received (ascending; merged
-    cumulative + SACK coverage).  [x_recv] and [packet_size] are used to
-    seed the synthetic first interval exactly as an RFC 3448 receiver
-    would (§6.3.1). *)
+(** {2 Replay}
 
-(** {2 Streaming replay}
-
-    The list-free twin of {!on_covers}, fed directly from
-    {!Sack.Scoreboard.iter_feedback}: open a batch, push each cover in
-    ascending sequence order, close the batch.  Closing performs the
-    once-per-feedback trace accounting {!on_covers} does at its end;
-    seeding (§6.3.1) still happens immediately at the first loss event,
-    mid-batch, exactly as the list path did. *)
+    Fed directly from {!Sack.Scoreboard.iter_feedback}: open a batch,
+    push each number newly known received (merged cumulative + SACK
+    coverage) in ascending sequence order, close the batch.  Closing
+    traces a sender-side loss event if the batch opened one.  [x_recv]
+    and the segment size {!Vtp_wire.packet_size} seed the synthetic
+    first interval exactly as an RFC 3448 receiver would (§6.3.1), at
+    the first loss event, mid-batch. *)
 
 type batch
 
@@ -53,7 +42,6 @@ val push_cover :
   was_retx:bool ->
   rtt:float ->
   x_recv:float ->
-  packet_size:int ->
   unit
 
 val end_batch : t -> batch -> unit
@@ -63,7 +51,6 @@ val on_ce_marks :
   new_marks:int ->
   rtt:float ->
   x_recv:float ->
-  packet_size:int ->
   unit
 (** Account ECN Congestion-Experienced signals echoed by the receiver
     (the cumulative counter increased by [new_marks] since the previous
@@ -72,11 +59,7 @@ val on_ce_marks :
     single congestion event. *)
 
 val on_handover :
-  t ->
-  policy:Tfrc.Handover.policy ->
-  packet_size:int ->
-  link:Tfrc.Handover.link_info ->
-  unit
+  t -> policy:Tfrc.Handover.policy -> link:Tfrc.Handover.link_info -> unit
 (** Apply the loss-history component of a handover policy to the
     reconstructed history — [`Keep] no-op, [`Reset] clear (§6.3.1
     seeding will run again on the new path's first loss event),

@@ -1,5 +1,8 @@
 (** VTP segments as simulator frame bodies, and frame construction. *)
 
+let packet_size = 1500
+let payload = packet_size - Packet.Header.data_header_bytes
+
 type Netsim.Frame.body += Vtp of Packet.Segment.t
 
 let frame_of ~sim ~flow_id segment =

@@ -39,15 +39,3 @@ let[@vtp.hot] pop t =
   t.head <- (if t.head + 1 = Array.length t.arr then 0 else t.head + 1);
   t.n <- t.n - 1;
   x
-
-let iter f t =
-  let cap = Array.length t.arr in
-  for k = 0 to t.n - 1 do
-    let i = t.head + k in
-    f t.arr.(if i >= cap then i - cap else i)
-  done
-
-let clear t =
-  Array.fill t.arr 0 (Array.length t.arr) t.dummy;
-  t.head <- 0;
-  t.n <- 0

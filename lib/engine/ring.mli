@@ -20,8 +20,3 @@ val push : 'a t -> 'a -> unit
 
 val pop : 'a t -> 'a
 (** Remove the head.  Raises [Invalid_argument] when empty. *)
-
-val iter : ('a -> unit) -> 'a t -> unit
-(** Head-to-tail iteration. *)
-
-val clear : 'a t -> unit

@@ -41,8 +41,6 @@ let create ?(seed = 42) ?(sched = `Wheel) () =
     idle = Event.make_dummy ();
   }
 
-let sched t = match t.queue with Q_heap _ -> `Heap | Q_wheel _ -> `Wheel
-
 let now t = t.clock
 
 let rng t = t.root_rng

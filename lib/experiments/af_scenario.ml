@@ -87,6 +87,5 @@ let run ~seed ~g_mbps ~proto ?(bottleneck_mbps = 10.0) ?(excess_mbps = 8.0)
       let conn = Qtp.Connection.create ~sim ~endpoint:ep cfg in
       Engine.Sim.run ~until:duration sim;
       let rate = measure (Qtp.Connection.goodput conn) in
-      let payload = 1500 - Packet.Header.data_header_bytes in
-      finish rate ~wire:1500 ~payload
+      finish rate ~wire:Qtp.Vtp_wire.packet_size ~payload:Qtp.Vtp_wire.payload
         ~retx:(Qtp.Connection.retransmissions conn)

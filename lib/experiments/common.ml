@@ -127,6 +127,12 @@ let sink_background (ep : Netsim.Topology.endpoint) =
 let measured_rate series =
   Stats.Series.rate_bps series ~from_:warmup ~until:duration
 
+let tcp_wire_rate flow =
+  let payload = Tcp.Tcp_sender.packet_size in
+  measured_rate (Tcp.Flow.goodput_series flow)
+  *. float_of_int (Tcp.Tcp_wire.seg_size ~payload)
+  /. float_of_int payload
+
 (* ------------------------------------------------------------------ *)
 (* Endpoint probes: per-packet measurement and receiver misbehaviour,
    wrapped around an endpoint instead of living in Qtp.Connection. *)

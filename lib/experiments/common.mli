@@ -84,6 +84,10 @@ val sink_background : Netsim.Topology.endpoint -> unit
 val measured_rate : Stats.Series.t -> float
 (** Rate in bits/s over [warmup, duration). *)
 
+val tcp_wire_rate : Tcp.Flow.t -> float
+(** {!measured_rate} of a TCP flow's goodput, scaled from payload to
+    wire bytes so that it compares with a QTP flow's wire rate. *)
+
 (** {1 Endpoint probes}
 
     Per-packet measurement and receiver misbehaviour, kept out of

@@ -41,9 +41,9 @@ let run_group ~seed ~qtp =
       Engine.Sim.run ~until:Common.duration sim;
       Array.map
         (fun c ->
-          let payload = 1500 - Packet.Header.data_header_bytes in
           Common.measured_rate (Qtp.Connection.goodput c)
-          *. 1500.0 /. float_of_int payload)
+          *. float_of_int Qtp.Vtp_wire.packet_size
+          /. float_of_int Qtp.Vtp_wire.payload)
         conns
     end
     else begin
@@ -54,10 +54,7 @@ let run_group ~seed ~qtp =
           targets_mbps
       in
       Engine.Sim.run ~until:Common.duration sim;
-      Array.map
-        (fun f ->
-          Common.measured_rate (Tcp.Flow.goodput_series f) *. 1500.0 /. 1460.0)
-        flows
+      Array.map Common.tcp_wire_rate flows
     end
   in
   rates

@@ -47,15 +47,10 @@ let run_case ~seed ~long_is_tfrc =
         Tcp.Flow.create ~sim ~endpoint:(Netsim.Topology.endpoint topo 0) ()
       in
       Engine.Sim.run ~until:Common.duration sim;
-      Common.measured_rate (Tcp.Flow.goodput_series flow) *. 1500.0 /. 1460.0
+      Common.tcp_wire_rate flow
     end
   in
-  let cross_rates =
-    List.map
-      (fun f ->
-        Common.measured_rate (Tcp.Flow.goodput_series f) *. 1500.0 /. 1460.0)
-      cross
-  in
+  let cross_rates = List.map Common.tcp_wire_rate cross in
   (long_rate, cross_rates)
 
 let run ?(seed = 42) () =

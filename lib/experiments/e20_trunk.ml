@@ -55,14 +55,14 @@ let run_trunk ~seed ~discipline =
       ~source:(Trunk.Mux.source mux)
       (Qtp.Connection.config ~initial_rtt:0.2 agreed)
   in
-  Trunk.Mux.attach mux ~conn
-    ~seg_payload:(1500 - Packet.Header.data_header_bytes);
+  Trunk.Mux.attach mux ~conn ~seg_payload:Qtp.Vtp_wire.payload;
   let workloads = Array.make n_users workload_bytes in
   ignore (Trunk.Mux.feed mux ~sim ~workloads ~stop_at:Common.duration ());
   Engine.Sim.run ~until:Common.duration sim;
-  let payload = 1500 - Packet.Header.data_header_bytes in
   let wire_rate =
-    measure (Qtp.Connection.goodput conn) *. 1500.0 /. float_of_int payload
+    measure (Qtp.Connection.goodput conn)
+    *. float_of_int Qtp.Vtp_wire.packet_size
+    /. float_of_int Qtp.Vtp_wire.payload
   in
   {
     label = "QTP_AF trunk";

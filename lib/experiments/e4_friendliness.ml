@@ -28,14 +28,8 @@ let run_one ~seed ~n =
   let tfrc_rates =
     Array.of_list (List.map Common.measured_rate tfrc_arrivals)
   in
-  let tcp_rates =
-    Array.of_list
-      (List.map
-         (fun f ->
-           (* Scale payload goodput to wire bytes for a fair comparison. *)
-           Common.measured_rate (Tcp.Flow.goodput_series f) *. 1500.0 /. 1460.0)
-         tcp_flows)
-  in
+  (* TCP's payload goodput scaled to wire bytes, for a fair comparison. *)
+  let tcp_rates = Array.of_list (List.map Common.tcp_wire_rate tcp_flows) in
   (tfrc_rates, tcp_rates)
 
 let run ?(seed = 42) () =

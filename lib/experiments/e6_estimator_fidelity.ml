@@ -29,28 +29,20 @@ let receiver_side_p pattern =
 (* Replay the same survivals as per-RTT SACK coverage batches. *)
 let sender_side_p pattern =
   let lr = Qtp.Loss_reconstructor.create () in
-  let batch = ref [] in
   let per_batch = int_of_float (rtt /. pkt_gap) in
-  let flush () =
-    if !batch <> [] then begin
-      Qtp.Loss_reconstructor.on_covers lr ~covers:(List.rev !batch) ~rtt
-        ~x_recv:(1500.0 /. pkt_gap) ~packet_size:1500;
-      batch := []
-    end
-  in
+  let batch = ref (Qtp.Loss_reconstructor.begin_batch lr) in
   Array.iteri
     (fun i alive ->
       if alive then
-        batch :=
-          {
-            Sack.Scoreboard.cov_seq = Packet.Serial.of_int i;
-            cov_sent_at = float_of_int i *. pkt_gap;
-            cov_was_retx = false;
-          }
-          :: !batch;
-      if (i + 1) mod per_batch = 0 then flush ())
+        Qtp.Loss_reconstructor.push_cover lr ~seq:(Packet.Serial.of_int i)
+          ~sent_at:(float_of_int i *. pkt_gap) ~was_retx:false ~rtt
+          ~x_recv:(1500.0 /. pkt_gap);
+      if (i + 1) mod per_batch = 0 then begin
+        Qtp.Loss_reconstructor.end_batch lr !batch;
+        batch := Qtp.Loss_reconstructor.begin_batch lr
+      end)
     pattern;
-  flush ();
+  Qtp.Loss_reconstructor.end_batch lr !batch;
   Qtp.Loss_reconstructor.loss_event_rate lr
 
 let cases =

@@ -12,8 +12,7 @@ let run_tcp ~seed ~loss =
     Tcp.Flow.create ~sim ~endpoint:(Netsim.Topology.endpoint topo 0) ()
   in
   Engine.Sim.run ~until:Common.duration sim;
-  ( Common.measured_rate (Tcp.Flow.goodput_series flow) *. 1500.0 /. 1460.0
-      /. 1e6,
+  ( Common.tcp_wire_rate flow /. 1e6,
     Tcp.Tcp_sender.timeouts (Tcp.Flow.sender flow) )
 
 let run_qtp ~seed ~loss ~light =

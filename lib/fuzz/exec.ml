@@ -120,7 +120,8 @@ let build_topology ~sim ~rng (sc : Scenario.t) ~n_total =
         ~reverse ?committed_rates ()
   | Scenario.Chain h ->
       let hops = forward :: List.init (h - 1) (fun _ -> plain_hop) in
-      Netsim.Topology.chain ~sim ~n_flows:n_total ~hops ~reverse ()
+      Netsim.Topology.parking_lot ~sim ~hops ~paths:(Array.make n_total (0, h))
+        ~reverse ()
   | Scenario.Parking_lot h ->
       let hops = forward :: List.init (h - 1) (fun _ -> plain_hop) in
       (* Flow 0 crosses every hop; flow 1 is a single-hop cross flow on
@@ -265,8 +266,7 @@ let run ?sched (sc : Scenario.t) : report =
   in
   (match trunk_mux with
   | Some (mux, workloads) ->
-      Trunk.Mux.attach mux ~conn:conns.(0)
-        ~seg_payload:(1500 - Packet.Header.data_header_bytes);
+      Trunk.Mux.attach mux ~conn:conns.(0) ~seg_payload:Qtp.Vtp_wire.payload;
       ignore
         (Trunk.Mux.feed mux ~sim ~workloads ~stop_at:sc.Scenario.duration ())
   | None -> ());

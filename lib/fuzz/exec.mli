@@ -75,8 +75,4 @@ val run : ?sched:Engine.Sim.sched -> Scenario.t -> report
 
 val passed : report -> bool
 
-val drain_slack : float
-(** Virtual seconds allowed after [close] for connections to drain. *)
-
-val pp_failure : Format.formatter -> failure -> unit
 val pp_report : Format.formatter -> report -> unit

@@ -260,7 +260,3 @@ let find name = List.find_opt (fun e -> e.name = name) corpus
 
 let capture ?sched entry =
   Trace.Recorder.with_recorder (fun () -> Exec.run ?sched entry.scenario)
-
-let canonical ?sched entry =
-  let _, recorder = capture ?sched entry in
-  Trace.Export.canonical recorder

@@ -27,6 +27,3 @@ val capture : ?sched:Engine.Sim.sched -> entry -> Exec.report * Trace.Recorder.t
 (** Replay the entry's scenario with the flight recorder installed
     (default backend [`Wheel]) and return the run report with the
     filled recorder. *)
-
-val canonical : ?sched:Engine.Sim.sched -> entry -> string
-(** The canonical trace text of one replay. *)

@@ -195,7 +195,7 @@ let generate_in ~band ~seed =
   in
   let buffer_pkts =
     (* Upper bound keeps the worst-case queueing delay (buffer drained
-       at the slowest LFN rate) small enough that {!Exec.drain_slack}
+       at the slowest LFN rate) small enough that [Exec]'s drain slack
        still covers the close driver's 200-poll horizon. *)
     if lfn then 500 + Engine.Rng.int rng 1001 else 10 + Engine.Rng.int rng 111
   in

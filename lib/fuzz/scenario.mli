@@ -38,7 +38,7 @@ type workload =
     A handover scenario runs one flow over a set of heterogeneous
     paths (WiFi / cellular / satellite) and migrates it between them
     mid-connection on a seeded schedule, exercising
-    {!Netsim.Topology.migrate_flow} and the {!Tfrc.Handover} rate
+    {!Netsim.Topology.apply_schedule} and the {!Tfrc.Handover} rate
     policies. *)
 
 type link_class = Wifi | Cellular | Satellite
@@ -136,5 +136,3 @@ val pp : Format.formatter -> t -> unit
 
 val summary : t -> string
 (** One line: seed, shape, profile, loss, duration. *)
-
-val pp_profile : Format.formatter -> profile -> unit

@@ -10,8 +10,6 @@ let schema = "vtp-analysis-baseline-1"
 
 type t = (string, int) Hashtbl.t
 
-let empty () : t = Hashtbl.create 8
-
 let of_entries (entries : Report.entry list) : t =
   let tbl = Hashtbl.create 64 in
   List.iter

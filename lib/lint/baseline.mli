@@ -7,12 +7,7 @@ exception Malformed of string
 (** Unparsable JSON, wrong schema tag, or findings without
     fingerprints.  The CLI maps this to exit code 2. *)
 
-val schema : string
-(** ["vtp-analysis-baseline-1"]. *)
-
 type t
-
-val empty : unit -> t
 
 val of_entries : Report.entry list -> t
 

@@ -12,11 +12,6 @@ type entry = {
   fingerprint : string;  (** MD5 over rule|path|context|message *)
 }
 
-val fingerprint :
-  rule:string -> path:string -> context:string -> message:string -> string
-(** Line-insensitive, so edits above a finding don't churn the
-    baseline. *)
-
 val make :
   rule:string ->
   family:string ->

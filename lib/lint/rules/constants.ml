@@ -109,7 +109,7 @@ let table =
     {
       cid = "rfc3448.nofeedback-backoff";
       cfile = "lib/tfrc/sender.ml";
-      anchor = "nofeedback_timer";
+      anchor = "restart_nofeedback";
       cdoc =
         "nofeedback timer: halve the rate, re-arm at max(4R, 2s/X) \
          (RFC 3448 §4.4)";

@@ -33,7 +33,3 @@ let fresh_uid () =
 let copy t = { t with uid = fresh_uid () }
 
 let dummy = make ~uid:0 ~flow_id:(-1) ~size:0 ~born:0.0 (Raw (-1))
-
-let pp fmt t =
-  Format.fprintf fmt "frame#%d flow=%d %dB %a hops=%d" t.uid t.flow_id t.size
-    Mark.pp t.mark t.hops

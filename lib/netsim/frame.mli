@@ -38,5 +38,3 @@ val copy : t -> t
 val dummy : t
 (** Inert zero-size frame (uid 0, flow -1) used to pad preallocated
     container slots.  Never enqueue or transmit it. *)
-
-val pp : Format.formatter -> t -> unit

@@ -148,7 +148,6 @@ let sever t =
   end
 
 let restore t = t.severed <- false
-let severed t = t.severed
 
 let stats t = t.st
 let qdisc t = t.qdisc

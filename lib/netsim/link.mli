@@ -51,8 +51,6 @@ val restore : t -> unit
 (** Undo {!sever}: subsequent traffic flows normally.  Frames dropped
     while severed stay dropped. *)
 
-val severed : t -> bool
-
 val stats : t -> stats
 val qdisc : t -> Qdisc.t
 

@@ -75,11 +75,3 @@ let expected_loss_rate = function
   | Gilbert g ->
       let pi_b = g.p_gb /. (g.p_gb +. g.p_bg) in
       (pi_b *. g.loss_bad) +. ((1.0 -. pi_b) *. g.loss_good)
-
-let pp fmt = function
-  | None_ -> Format.pp_print_string fmt "lossless"
-  | Custom { expected; _ } -> Format.fprintf fmt "custom(~%.4f)" expected
-  | Bernoulli { p; _ } -> Format.fprintf fmt "bernoulli(%.4f)" p
-  | Gilbert g ->
-      Format.fprintf fmt "gilbert(gb=%.3f,bg=%.3f,lg=%.3f,lb=%.3f)" g.p_gb
-        g.p_bg g.loss_good g.loss_bad

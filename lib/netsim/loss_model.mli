@@ -49,5 +49,3 @@ val drops : t -> bool
 
 val expected_loss_rate : t -> float
 (** Stationary loss probability of the model. *)
-
-val pp : Format.formatter -> t -> unit

@@ -4,10 +4,3 @@ let equal a b =
   match (a, b) with
   | Green, Green | Red, Red | Best_effort, Best_effort -> true
   | (Green | Red | Best_effort), _ -> false
-
-let to_string = function
-  | Green -> "green"
-  | Red -> "red"
-  | Best_effort -> "be"
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

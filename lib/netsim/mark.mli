@@ -9,5 +9,3 @@
 type t = Green | Red | Best_effort
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
-val to_string : t -> string

@@ -26,12 +26,6 @@ let mark t frame =
     t.red <- t.red + 1
   end
 
-let wrap t sink frame =
-  mark t frame;
-  sink frame
-
-let committed_rate_bps t = Token_bucket.rate_bps t.bucket
-
 let green_count t = t.green
 
 let red_count t = t.red

@@ -13,10 +13,5 @@ val create : sim:Engine.Sim.t -> committed_rate_bps:float -> burst:int -> t
 val mark : t -> Frame.t -> unit
 (** Colour the frame in place according to current conformance. *)
 
-val wrap : t -> (Frame.t -> unit) -> Frame.t -> unit
-(** [wrap m sink] is a sink that marks then forwards. *)
-
-val committed_rate_bps : t -> float
-
 val green_count : t -> int
 val red_count : t -> int

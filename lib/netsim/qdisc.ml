@@ -31,7 +31,6 @@ type discipline =
     }
 
 type t = {
-  name : string;
   disc : discipline;
   fifo : Frame.t Engine.Ring.t;
   mutable bytes : int;
@@ -41,7 +40,6 @@ type t = {
 let droptail ~capacity_pkts =
   assert (capacity_pkts > 0);
   {
-    name = "droptail";
     disc = Droptail { capacity = capacity_pkts };
     fifo = Engine.Ring.create ~dummy:Frame.dummy;
     bytes = 0;
@@ -55,7 +53,6 @@ let red ?capacity_pkts ?(ecn = false) ~params ~rng () =
     | None -> int_of_float (2.5 *. params.Red.max_th)
   in
   {
-    name = "red";
     disc = Red_q { capacity; ecn; red = Red.create params ~rng };
     fifo = Engine.Ring.create ~dummy:Frame.dummy;
     bytes = 0;
@@ -69,7 +66,6 @@ let rio ?capacity_pkts ?(ecn = false) ~in_params ~out_params ~rng () =
     | None -> int_of_float (2.5 *. in_params.Red.max_th)
   in
   {
-    name = "rio";
     disc =
       Rio
         {
@@ -83,8 +79,6 @@ let rio ?capacity_pkts ?(ecn = false) ~in_params ~out_params ~rng () =
     bytes = 0;
     st = fresh_stats ();
   }
-
-let name t = t.name
 
 let length_pkts t = Engine.Ring.length t.fifo
 

@@ -42,8 +42,6 @@ val rio :
   unit ->
   t
 
-val name : t -> string
-
 val enqueue : t -> now:float -> Frame.t -> bool
 (** [false] = the frame was dropped (tail or early). *)
 

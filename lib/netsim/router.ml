@@ -7,12 +7,11 @@ let no_route (_ : Frame.t) = ()
 type t = {
   name : string;
   mutable routes : (Frame.t -> unit) array;
-  mutable default : (Frame.t -> unit) option;
   mutable unroutable : int;
 }
 
 let create ?(name = "router") () =
-  { name; routes = [||]; default = None; unroutable = 0 }
+  { name; routes = [||]; unroutable = 0 }
 
 let add_route t ~flow_id sink =
   if flow_id < 0 then
@@ -26,19 +25,15 @@ let add_route t ~flow_id sink =
   end;
   t.routes.(flow_id) <- sink
 
-let set_default t sink = t.default <- Some sink
-
 let forward t frame =
   let id = frame.Frame.flow_id in
   let sink =
     if id >= 0 && id < Array.length t.routes then t.routes.(id) else no_route
   in
   if sink != no_route then sink frame
-  else
-    match t.default with
-    | Some sink -> sink frame
-    | None ->
-        t.unroutable <- t.unroutable + 1;
-        Logs.debug (fun m -> m "%s: no route for flow %d" t.name id)
+  else begin
+    t.unroutable <- t.unroutable + 1;
+    Logs.debug (fun m -> m "%s: no route for flow %d" t.name id)
+  end
 
 let unroutable t = t.unroutable

@@ -32,5 +32,3 @@ let conform t ~now ~bytes =
 let level t ~now =
   refill t ~now;
   t.tokens
-
-let rate_bps t = t.rate_bytes *. 8.0

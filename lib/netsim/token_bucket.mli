@@ -16,5 +16,3 @@ val conform : t -> now:float -> bytes:int -> bool
 
 val level : t -> now:float -> float
 (** Current token level in bytes (after refill). *)
-
-val rate_bps : t -> float

@@ -179,54 +179,6 @@ let parking_lot ~sim ~hops ~paths ?reverse () =
     links = rev :: Array.to_list links;
   }
 
-let chain ~sim ~n_flows ~hops ?reverse () =
-  if hops = [] then invalid_arg "Topology.chain: no hops";
-  let first_hop = List.hd hops in
-  let reverse_spec =
-    match reverse with Some r -> r | None -> default_reverse_of first_hop
-  in
-  let links =
-    List.mapi
-      (fun i s -> link_of_spec ~sim ~name:(Printf.sprintf "hop-%d" i) s)
-      hops
-  in
-  let rev = link_of_spec ~sim ~name:"reverse" reverse_spec in
-  let fwd_router = Router.create ~name:"fwd-router" () in
-  let rev_router = Router.create ~name:"rev-router" () in
-  (* Wire hop i into hop i+1; the last hop feeds the demux. *)
-  let rec wire = function
-    | [] -> ()
-    | [ last ] -> Link.connect last (Router.forward fwd_router)
-    | a :: (b :: _ as rest) ->
-        Link.connect a (Link.send b);
-        wire rest
-  in
-  wire links;
-  Link.connect rev (Router.forward rev_router);
-  let entry = List.hd links in
-  let bottleneck =
-    List.fold_left
-      (fun best l -> if Link.rate_bps l < Link.rate_bps best then l else best)
-      entry links
-  in
-  let make_endpoint i =
-    {
-      flow_id = i;
-      to_receiver = Link.send entry;
-      to_sender = Link.send rev;
-      on_receiver_rx = (fun sink -> Router.add_route fwd_router ~flow_id:i sink);
-      on_sender_rx = (fun sink -> Router.add_route rev_router ~flow_id:i sink);
-      marker = None;
-    }
-  in
-  {
-    sim;
-    bottleneck;
-    reverse = rev;
-    endpoints = Array.init n_flows make_endpoint;
-    links = rev :: links;
-  }
-
 let endpoint t i = t.endpoints.(i)
 
 (* ---- Mobility: a single flow re-homed between heterogeneous paths ---- *)

@@ -78,21 +78,11 @@ val parking_lot :
     before hop [fst paths.(i)] and leaves after hop [snd paths.(i) - 1]
     (half-open hop range, which must be non-empty and within bounds).
     One long flow crossing all hops competing with single-hop cross
-    traffic is the standard multi-bottleneck fairness scenario.
-    [t.bottleneck] is the slowest hop. *)
-
-val chain :
-  sim:Engine.Sim.t ->
-  n_flows:int ->
-  hops:spec list ->
-  ?reverse:spec ->
-  unit ->
-  t
-(** Multi-hop path: every flow's forward traffic traverses the [hops]
-    links in order (e.g. a wired segment followed by a wireless one);
-    one shared reverse link carries feedback.  [t.bottleneck] is the
-    smallest-rate hop.  Raises [Invalid_argument] on an empty hop
-    list. *)
+    traffic is the standard multi-bottleneck fairness scenario; a
+    multi-hop chain is the lot whose every path is [(0, n_hops)].  The
+    router after each hop hands a frame on synchronously, and one shared
+    reverse link carries feedback.  [t.bottleneck] is the slowest hop.
+    Raises [Invalid_argument] on an empty hop list or a bad range. *)
 
 val endpoint : t -> int -> endpoint
 
@@ -127,17 +117,14 @@ val mobile_net : mobile -> t
     every path's forward and reverse links so observers can register
     drop hooks on all of them.  [bottleneck]/[reverse] are path 0. *)
 
-val migrate_flow : mobile -> to_:int -> mode:handover_mode -> unit
-(** Atomically re-home the flow onto path [to_]: the old path is
-    severed iff [mode = `Cut], the target path is restored (it may have
-    been severed by an earlier cut), a [Handover] trace event is
-    emitted and the migration hook runs.  Migrating to the already
-    active path is a complete no-op — no severing, no trace event, no
-    hook — so degenerate schedules are observationally identical to no
-    schedule. *)
-
 val apply_schedule : mobile -> handover_schedule -> unit
-(** Post one simulation event per entry invoking {!migrate_flow}. *)
+(** Post one simulation event per entry, which atomically re-homes the
+    flow onto path [to_]: the old path is severed iff [mode = `Cut], the
+    target path is restored (it may have been severed by an earlier
+    cut), a [Handover] trace event is emitted and the migration hook
+    runs.  Migrating to the already active path is a complete no-op —
+    no severing, no trace event, no hook — so degenerate schedules are
+    observationally identical to no schedule. *)
 
 val on_migrate : mobile -> (int -> unit) -> unit
 (** Register the hook called with the new path index after each actual

@@ -10,5 +10,3 @@ let size t = Header.wire_size t.hdr ~payload:t.payload
 let is_data t = match t.hdr with Header.Data _ -> true | _ -> false
 
 let seq t = Header.seq_of t.hdr
-
-let pp fmt t = Format.fprintf fmt "%a payload=%dB" Header.pp t.hdr t.payload

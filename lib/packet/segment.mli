@@ -19,5 +19,3 @@ val size : t -> int
 val is_data : t -> bool
 
 val seq : t -> Serial.t option
-
-val pp : Format.formatter -> t -> unit

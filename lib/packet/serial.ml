@@ -36,7 +36,6 @@ let ( >= ) a b = compare a b >= 0
 let equal (a : t) (b : t) = Stdlib.( = ) a b
 let max a b = if Stdlib.( >= ) (compare a b) 0 then a else b
 let min a b = if Stdlib.( <= ) (compare a b) 0 then a else b
-let hash (t : t) = Hashtbl.hash t
 
 let pp fmt t = Format.fprintf fmt "%u" t
 

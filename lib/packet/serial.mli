@@ -34,7 +34,6 @@ val ( >= ) : t -> t -> bool
 val equal : t -> t -> bool
 val max : t -> t -> t
 val min : t -> t -> t
-val hash : t -> int
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 

@@ -42,11 +42,11 @@ val apply_fwd_point : t -> Packet.Serial.t -> unit
 val cum_ack : t -> Packet.Serial.t
 (** Next expected sequence number (0 initially). *)
 
-val sack_blocks : t -> Blocks.t list
+val sack_blocks : t -> Packet.Header.sack_block list
 (** Blocks for the next report (normalised subset, recency-ordered,
     at most [max_blocks]). *)
 
-val all_ranges : t -> Blocks.t list
+val all_ranges : t -> Packet.Header.sack_block list
 (** Every out-of-order range currently held (normalised, ascending). *)
 
 val highest_expected : t -> Packet.Serial.t

@@ -112,8 +112,6 @@ let fwd_point t ~highest_sent =
   Runs.trim_below t.gone (Scoreboard.pos sb (Scoreboard.una sb));
   fwd
 
-let policy t = t.policy
-
 let abandoned t = t.abandoned
 
 let abandoned_held t =

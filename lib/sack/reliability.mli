@@ -39,8 +39,6 @@ val create :
   t
 (** [trace] makes the engine record each abandon decision. *)
 
-val policy : t -> policy
-
 val on_loss : t -> now:float -> Packet.Serial.t -> unit
 (** Feed one fresh loss inference from the scoreboard — the streaming
     twin of {!on_losses} for call sites that hold losses in a scratch

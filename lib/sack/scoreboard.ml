@@ -17,12 +17,6 @@ module Runs = Packet.Runs
    anchor moves only forward (cumulative ack, abandon), so positions
    never wrap even though serials do. *)
 
-type cover = {
-  cov_seq : Serial.t;
-  cov_sent_at : float;
-  cov_was_retx : bool;
-}
-
 type t = {
   cost : Stats.Cost.t option;
   trace : Trace.Sink.t option;

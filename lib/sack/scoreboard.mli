@@ -14,13 +14,6 @@
     after the repair's has been cumulatively acked or SACKed.  So each
     repair is sent once per loss, not once per report. *)
 
-type cover = {
-  cov_seq : Packet.Serial.t;
-  cov_sent_at : float;  (** first transmission time *)
-  cov_was_retx : bool;  (** was ever retransmitted *)
-}
-(** A sequence number newly known to have reached the receiver. *)
-
 type t
 
 val create :
@@ -66,7 +59,7 @@ type feedback_summary = {
 val iter_feedback :
   t ->
   cum_ack:Packet.Serial.t ->
-  blocks:Blocks.t list ->
+  blocks:Packet.Header.sack_block list ->
   reo_wnd:float ->
   on_ack:(seq:Packet.Serial.t -> sent_at:float -> was_retx:bool -> unit) ->
   on_sack:(seq:Packet.Serial.t -> sent_at:float -> was_retx:bool -> unit) ->

@@ -9,8 +9,6 @@ type t = { mutable buf : float array; mutable len : int }
 
 let create () = { buf = Array.make 16 0.0; len = 0 }
 
-let length t = t.len
-
 let[@vtp.hot] push t v =
   if t.len = Array.length t.buf then begin
     let buf = Array.make (2 * t.len) 0.0 in
@@ -19,10 +17,6 @@ let[@vtp.hot] push t v =
   end;
   Array.unsafe_set t.buf t.len v;
   t.len <- t.len + 1
-
-let get t i =
-  if i < 0 || i >= t.len then invalid_arg "Fvec.get";
-  t.buf.(i)
 
 let to_array t = Array.sub t.buf 0 t.len
 

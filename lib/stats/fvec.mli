@@ -8,12 +8,7 @@ type t
 val create : unit -> t
 (** An empty vector with room for 16 samples. *)
 
-val length : t -> int
-
 val push : t -> float -> unit
-
-val get : t -> int -> float
-(** Raises [Invalid_argument] out of bounds. *)
 
 val to_array : t -> float array
 (** The samples in insertion order (a fresh array). *)

@@ -79,8 +79,6 @@ let to_channel oc v =
   output_string oc (to_string v);
   output_char oc '\n'
 
-let pp fmt v = Format.pp_print_string fmt (to_string v)
-
 (* ------------------------------------------------------------------ *)
 (* Parsing.
 

@@ -24,8 +24,6 @@ val to_string : t -> string
 val to_channel : out_channel -> t -> unit
 (** [to_string] plus a trailing newline. *)
 
-val pp : Format.formatter -> t -> unit
-
 exception Parse_error of string
 (** Raised by {!of_string} with an offset and a description. *)
 

@@ -31,7 +31,3 @@ let percentile xs q =
     let frac = pos -. float_of_int lo in
     (sorted.(lo) *. (1.0 -. frac)) +. (sorted.(hi) *. frac)
   end
-
-let pp fmt t =
-  Format.fprintf fmt "n=%d mean=%.4g sd=%.4g min=%.4g max=%.4g" t.n t.mean
-    t.stddev t.min t.max

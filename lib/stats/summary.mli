@@ -19,5 +19,3 @@ val percentile : float array -> float -> float
 (** [percentile xs q] for [q] in [\[0,1\]], linear interpolation between
     order statistics.  Sorts a copy; raises [Invalid_argument] on empty
     input or q outside [0,1]. *)
-
-val pp : Format.formatter -> t -> unit

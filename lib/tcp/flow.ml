@@ -81,5 +81,3 @@ let goodput_series t = t.goodput
 
 let goodput_bps t ~from_ ~until =
   Stats.Series.rate_bps t.goodput ~from_ ~until
-
-let flow_id t = t.flow_id

@@ -21,5 +21,3 @@ val goodput_series : t -> Stats.Series.t
 (** In-order delivered bytes at the receiver (time-stamped). *)
 
 val goodput_bps : t -> from_:float -> until:float -> float
-
-val flow_id : t -> int

@@ -21,6 +21,4 @@ let cum_ack t = Sack.Rcv_tracker.cum_ack t.tracker
 
 let segments_received t = Sack.Rcv_tracker.packets t.tracker
 
-let duplicates t = Sack.Rcv_tracker.duplicates t.tracker
-
 let acks_sent t = t.acks

@@ -13,5 +13,4 @@ val cum_ack : t -> Packet.Serial.t
 (** Next expected segment = segments delivered in order so far. *)
 
 val segments_received : t -> int
-val duplicates : t -> int
 val acks_sent : t -> int

@@ -178,10 +178,6 @@ let start t =
     fill_window t
   end
 
-let stop t =
-  t.running <- false;
-  disarm_rto t
-
 let[@vtp.hot] on_ack t (ack : Tcp_wire.ack) =
   if Serial.( > ) ack.cum_ack t.snd_una then begin
     (* New data acknowledged.  Acked slots need no cleanup: the ring

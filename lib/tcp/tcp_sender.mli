@@ -20,7 +20,6 @@ val create :
   t
 
 val start : t -> unit
-val stop : t -> unit
 
 val on_ack : t -> Tcp_wire.ack -> unit
 

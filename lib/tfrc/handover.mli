@@ -7,12 +7,12 @@
       unchanged; the feedback loop discovers the new path the slow way
       (and overshoots badly on a downgrade).
     - [`Reset] — restart as if the connection were new: slow start, the
-      RFC 3448 initial window of {!reset_segments} segments per
-      declared RTT, empty loss history.
+      RFC 3448 initial window of two segments per declared RTT, empty
+      loss history.
     - [`Informed] — re-seed from the new link's declaration: the rate
-      starts at {!informed_share} of the declared bandwidth, the RTT
-      estimate at the declared RTT, and the loss history at the
-      interval whose equation rate matches that target. *)
+      starts at half the declared bandwidth, the RTT estimate at the
+      declared RTT, and the loss history at the interval whose equation
+      rate matches that target. *)
 
 type policy = [ `Keep | `Reset | `Informed ]
 
@@ -23,15 +23,6 @@ type link_info = {
 
 val policy_name : policy -> string
 (** ["keep"] / ["reset"] / ["informed"]. *)
-
-val informed_share : float
-(** Fraction of the declared bandwidth the informed policy claims
-    initially (0.5 — conservative, leaves room for unknown cross
-    traffic). *)
-
-val reset_segments : float
-(** Initial window of the reset policy, segments per declared RTT (2.0,
-    RFC 3448 §4.2). *)
 
 val reset_rate : s:float -> rtt:float -> float
 (** Reset starting rate, bytes/s, for segment size [s] bytes. *)

@@ -173,4 +173,3 @@ let loss_event_rate t = Loss_history.loss_event_rate t.lh
 let loss_events t = Loss_history.loss_events t.lh
 let packets_received t = t.packets
 let feedbacks_sent t = t.feedbacks
-let history t = t.lh

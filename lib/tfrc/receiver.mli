@@ -44,6 +44,3 @@ val loss_events : t -> int
 val packets_received : t -> int
 
 val feedbacks_sent : t -> int
-
-val history : t -> Loss_history.t
-(** The underlying loss history (read-only use intended). *)

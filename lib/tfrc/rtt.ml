@@ -38,7 +38,3 @@ let smoothed t = t.estimate
 let min_rtt t = t.min_sample
 
 let has_sample t = t.count > 0.0
-
-let t_rto t = 4.0 *. t.estimate
-
-let samples t = int_of_float t.count

@@ -1,9 +1,9 @@
 (** Sender-side round-trip-time estimator (RFC 3448 §4.3).
 
-    [R = q*R + (1-q)*R_sample] with [q = 0.9].  The timeout value
-    [t_RTO] is the RFC 3448 simplification [4*R] (TFRC uses it only in
-    the throughput equation and the nofeedback timer, not for
-    retransmission). *)
+    [R = q*R + (1-q)*R_sample] with [q = 0.9].  RFC 3448's timeout
+    value [t_RTO = 4*R] is written where TFRC uses it, in the throughput
+    equation ({!Equation.rate}) and the sender's nofeedback timer; it is
+    not a retransmission timer. *)
 
 type t
 
@@ -28,8 +28,3 @@ val min_rtt : t -> float
     quarter of it (RFC 8985 §6.2). *)
 
 val has_sample : t -> bool
-
-val t_rto : t -> float
-(** [4 * smoothed]. *)
-
-val samples : t -> int

@@ -118,30 +118,28 @@ let pull_in_tick t ~now =
     then Engine.Timer.start tick ~after:gap
   end
 
-let nofeedback_timer t =
-  match t.nofeedback with
-  | Some tm -> tm
-  | None ->
-      let tm =
-        Engine.Timer.create t.sim ~on_expire:(fun () ->
-            (* RFC 3448 §4.4: no report for a while — halve the rate.
-               The gTFRC floor still applies via [clamp]: the AF
-               reservation remains paid for while the connection lives. *)
-            t.nfb_expiries <- t.nfb_expiries + 1;
-            charge t "send.nofeedback";
-            t.st.x <- clamp t (t.st.x /. 2.0);
-            trace_rate t ~x_calc:0.0 ~x_recv:0.0 ~p:t.st.last_p;
-            let tm2 = Option.get t.nofeedback in
-            Engine.Timer.start tm2
-              ~after:
-                (Float.max (4.0 *. Rtt.smoothed t.rtt)
-                   (2.0 *. s_float t /. t.st.x)))
-      in
-      t.nofeedback <- Some tm;
-      tm
-
-let restart_nofeedback t =
-  let tm = nofeedback_timer t in
+(* (Re-)arm the nofeedback timer at max(4R, 2s/X) (RFC 3448 §4.4),
+   creating it on first use. *)
+let rec restart_nofeedback t =
+  let tm =
+    match t.nofeedback with
+    | Some tm -> tm
+    | None ->
+        let tm =
+          Engine.Timer.create t.sim ~on_expire:(fun () ->
+              (* No report for a while — halve the rate and re-arm.  The
+                 gTFRC floor still applies via [clamp]: the AF
+                 reservation remains paid for while the connection
+                 lives. *)
+              t.nfb_expiries <- t.nfb_expiries + 1;
+              charge t "send.nofeedback";
+              t.st.x <- clamp t (t.st.x /. 2.0);
+              trace_rate t ~x_calc:0.0 ~x_recv:0.0 ~p:t.st.last_p;
+              restart_nofeedback t)
+        in
+        t.nofeedback <- Some tm;
+        tm
+  in
   Engine.Timer.start tm
     ~after:(Float.max (4.0 *. Rtt.smoothed t.rtt) (2.0 *. s_float t /. t.st.x))
 

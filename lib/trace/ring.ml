@@ -67,8 +67,6 @@ let create ~capacity =
     str_ids = Hashtbl.create 8;
   }
 
-let capacity t = t.capacity
-
 let chunk_for t slot =
   let c = slot lsr chunk_shift in
   let ch = t.chunks.(c) in

@@ -41,8 +41,6 @@ val note_dropped : t -> int -> unit
     materialising a per-flow view of a partially-evicted journal, so
     the view's {!dropped} still reports the full history shed. *)
 
-val capacity : t -> int
-
 val iter : (entry -> unit) -> t -> unit
 (** Oldest to newest. *)
 

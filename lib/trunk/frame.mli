@@ -59,10 +59,6 @@ val valid_at : Bytes.t -> pos:int -> limit:int -> bool
 (** Does a structurally valid sub-frame (header check passes, [len >= 1],
     payload fits before [limit]) start at [pos]? *)
 
-val user : Bytes.t -> pos:int -> int
-
-val length : Bytes.t -> pos:int -> int
-
 val iter :
   Bytes.t ->
   pos:int ->

@@ -130,7 +130,6 @@ type t = {
   sched : Sched.t;
   queues : Q.t array;
   src : Qtp.Source.t;
-  mutable conn : Qtp.Connection.t option;
   mutable seg_payload : int;  (* 0 until attached *)
   admitted : int array;
   shipped : int array;
@@ -243,7 +242,6 @@ let create ?weights cfg =
           ~users:cfg.users ();
       queues = Array.init cfg.users (fun _ -> Q.create ());
       src;
-      conn = None;
       seg_payload = 0;
       admitted = Array.make cfg.users 0;
       shipped = Array.make cfg.users 0;
@@ -270,10 +268,7 @@ let attach t ~conn ~seg_payload =
   if seg_payload <= Frame.header_bytes then
     invalid_arg "Trunk.Mux.attach: seg_payload must exceed frame header";
   t.seg_payload <- Stdlib.min seg_payload (Bytes.length (Frame.scratch ()));
-  t.conn <- Some conn;
   Qtp.Connection.set_on_deliver conn (deliver t)
-
-let connection t = t.conn
 
 let admit t ~user ~src ~pos ~len =
   if user < 0 || user >= t.cfg.users then
@@ -342,8 +337,6 @@ let feed t ~sim ~workloads ?(chunk = 4096) ?(period = 0.05) ?(seed = 0)
   sent
 
 let users t = t.cfg.users
-
-let backlog t = Sched.total t.sched
 
 let backlog_user t ~user = Q.length t.queues.(user)
 

@@ -87,8 +87,6 @@ val attach : t -> conn:Qtp.Connection.t -> seg_payload:int -> unit
     the delivery tap.  Raises [Invalid_argument] if [seg_payload] is
     not strictly larger than {!Frame.header_bytes}. *)
 
-val connection : t -> Qtp.Connection.t option
-
 val set_on_data : t -> (user:int -> buf:Bytes.t -> pos:int -> len:int -> unit) -> unit
 (** Per-user delivery callback: [buf.[pos .. pos+len)] is the delivered
     sub-frame payload, read-only and valid only during the call.  [buf]
@@ -117,9 +115,6 @@ val feed :
 (** {2 Accounting} *)
 
 val users : t -> int
-
-val backlog : t -> int
-(** Total queued bytes across users. *)
 
 val backlog_user : t -> user:int -> int
 val admitted_bytes : t -> user:int -> int

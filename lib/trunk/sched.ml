@@ -78,10 +78,6 @@ let create ?(quantum = default_quantum) ?weights knd ~users () =
     total = 0;
   }
 
-let kind t = t.knd
-
-let users t = t.n
-
 let backlog t ~user = t.backlog.(user)
 
 let total t = t.total

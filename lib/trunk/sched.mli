@@ -31,10 +31,6 @@ val create : ?quantum:int -> ?weights:int array -> kind -> users:int -> unit -> 
     values [< 1] count as 1.  Raises [Invalid_argument] when
     [users < 1] or [quantum < 1]. *)
 
-val kind : t -> kind
-
-val users : t -> int
-
 val enqueue : t -> user:int -> int -> unit
 (** Add backlog bytes for a user (admission). *)
 

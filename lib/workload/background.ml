@@ -10,9 +10,6 @@ type t = {
   mutable uid : int;
 }
 
-let make ~sim ~sink ~flow_id ~packet_size ~mark ~stop_at =
-  { sim; sink; flow_id; packet_size; mark; stop_at; packets = 0; bytes = 0; uid = 0 }
-
 let active t =
   match t.stop_at with
   | Some stop -> Engine.Sim.now t.sim < stop
@@ -29,57 +26,35 @@ let emit t =
   t.bytes <- t.bytes + t.packet_size;
   t.sink frame
 
-(* Loop [next_gap] forever (until stop_at), emitting one frame per gap. *)
-let run_loop t ~start_at ~next_gap =
-  let rec tick () =
-    if active t then begin
-      emit t;
-      ignore (Engine.Sim.schedule_after t.sim (next_gap ()) tick)
-    end
-  in
-  ignore (Engine.Sim.schedule_at t.sim start_at tick)
-
-let cbr ~sim ~sink ~flow_id ~rate_bps ~packet_size
-    ?(mark = Netsim.Mark.Best_effort) ?(start_at = 0.0) ?stop_at () =
-  assert (rate_bps > 0.0);
-  let t = make ~sim ~sink ~flow_id ~packet_size ~mark ~stop_at in
-  let gap = 8.0 *. float_of_int packet_size /. rate_bps in
-  run_loop t ~start_at ~next_gap:(fun () -> gap);
-  t
-
+(* One frame per tick, then the next tick an exponential gap later,
+   until [stop_at]. *)
 let poisson ~sim ~sink ~flow_id ~rng ~rate_bps ~packet_size
     ?(mark = Netsim.Mark.Best_effort) ?(start_at = 0.0) ?stop_at () =
   assert (rate_bps > 0.0);
-  let t = make ~sim ~sink ~flow_id ~packet_size ~mark ~stop_at in
+  let t =
+    {
+      sim;
+      sink;
+      flow_id;
+      packet_size;
+      mark;
+      stop_at;
+      packets = 0;
+      bytes = 0;
+      uid = 0;
+    }
+  in
   let mean_gap = 8.0 *. float_of_int packet_size /. rate_bps in
-  run_loop t ~start_at ~next_gap:(fun () ->
-      Engine.Dist.exponential rng ~mean:mean_gap);
-  t
-
-let exp_on_off ~sim ~sink ~flow_id ~rng ~peak_rate_bps ~mean_on ~mean_off
-    ~packet_size ?(mark = Netsim.Mark.Best_effort) ?(start_at = 0.0) ?stop_at
-    () =
-  assert (peak_rate_bps > 0.0 && mean_on > 0.0 && mean_off > 0.0);
-  let t = make ~sim ~sink ~flow_id ~packet_size ~mark ~stop_at in
-  let gap = 8.0 *. float_of_int packet_size /. peak_rate_bps in
-  (* Alternate ON bursts (packet count from the exponential duration)
-     with exponential OFF silences. *)
-  let rec on_period () =
-    if active t then begin
-      let duration = Engine.Dist.exponential rng ~mean:mean_on in
-      let count = Stdlib.max 1 (int_of_float (duration /. gap)) in
-      burst count
-    end
-  and burst n =
+  let rec tick () =
     if active t then begin
       emit t;
-      if n > 1 then ignore (Engine.Sim.schedule_after t.sim gap (fun () -> burst (n - 1)))
-      else
-        let off = Engine.Dist.exponential rng ~mean:mean_off in
-        ignore (Engine.Sim.schedule_after t.sim off on_period)
+      ignore
+        (Engine.Sim.schedule_after sim
+           (Engine.Dist.exponential rng ~mean:mean_gap)
+           tick)
     end
   in
-  ignore (Engine.Sim.schedule_at t.sim start_at on_period);
+  ignore (Engine.Sim.schedule_at sim start_at tick);
   t
 
 let packets_sent t = t.packets

@@ -1,24 +1,11 @@
-(** Unresponsive background traffic injectors.
+(** Unresponsive background traffic.
 
     DiffServ assurance experiments need controllable *excess* load that
     does not react to congestion (out-of-profile aggregates, other
-    classes' leakage).  These injectors push raw frames straight into a
-    sink at a configured pattern; they never listen. *)
+    classes' leakage).  The injector pushes raw frames straight into a
+    sink with exponential inter-arrivals; it never listens. *)
 
 type t
-
-val cbr :
-  sim:Engine.Sim.t ->
-  sink:(Netsim.Frame.t -> unit) ->
-  flow_id:int ->
-  rate_bps:float ->
-  packet_size:int ->
-  ?mark:Netsim.Mark.t ->
-  ?start_at:float ->
-  ?stop_at:float ->
-  unit ->
-  t
-(** Constant bit rate frames of [packet_size] bytes. *)
 
 val poisson :
   sim:Engine.Sim.t ->
@@ -33,22 +20,6 @@ val poisson :
   unit ->
   t
 (** Exponential inter-arrivals with the given average rate. *)
-
-val exp_on_off :
-  sim:Engine.Sim.t ->
-  sink:(Netsim.Frame.t -> unit) ->
-  flow_id:int ->
-  rng:Engine.Rng.t ->
-  peak_rate_bps:float ->
-  mean_on:float ->
-  mean_off:float ->
-  packet_size:int ->
-  ?mark:Netsim.Mark.t ->
-  ?start_at:float ->
-  ?stop_at:float ->
-  unit ->
-  t
-(** CBR at [peak_rate_bps] during exponentially-distributed ON periods. *)
 
 val packets_sent : t -> int
 val bytes_sent : t -> int

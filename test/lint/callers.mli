@@ -1,0 +1,22 @@
+(** The dead-export guard: each value a [lib/] interface exports must be
+    named by some other file of the tree.
+
+    A reference counts through a qualified path, a [module X = ...]
+    alias, an [include], or an [open], [let open] or [M.( ... )] scope;
+    a module passed whole to a functor, or packed as a first-class
+    value, uses every value it exports.  A name written in the
+    exporting module's own [.ml] does not count. *)
+
+val dead_exports : (string * string) list -> string list
+(** [dead_exports files] takes [(path, contents)] pairs, paths relative
+    to the repository root: every [.ml] and [.mli] of the tree, and the
+    [lib/<dir>/dune] files that name each library.  It returns
+    ["path: value"] for each [val] of a [lib/] interface that no other
+    file references, in path order, then interface order.
+    @raise Syntaxerr.Error (or the lexer's error) on a file the OCaml
+    parser rejects. *)
+
+val read_tree : roots:string list -> skip:string list -> (string * string) list
+(** The [.ml] and [.mli] files under [roots], and the [lib/<dir>/dune]
+    files, skipping dot- and underscore-prefixed entries and the
+    directories in [skip]. *)

@@ -524,19 +524,70 @@ let test_syntax_error () =
       Alcotest.(check int) "and the line" 1 line
   | _ -> Alcotest.fail "an unparsable file must raise Syntax_error"
 
+(* dune runs this runner in _build/default/test/lint, beside the copies
+   of the source trees its stanza depends on; run by hand, it starts at
+   the root.  Either way the paths it reads are relative to the root. *)
+let in_tree f =
+  let cwd = Sys.getcwd () in
+  Sys.chdir (if Sys.file_exists "../../test/lint/dune" then "../.." else ".");
+  Fun.protect ~finally:(fun () -> Sys.chdir cwd) f
+
 let test_tree_is_clean () =
   (* The repository's own sources must stay analyzer-clean (the
-     committed baseline is empty); only assert when the tree is
-     visible — dune sandboxes test execution. *)
-  if Sys.file_exists "lib" && Sys.file_exists "bin" then begin
-    let fs = Check.run_tree ~roots:[ "lib"; "bin" ] in
-    List.iter
-      (fun (f : Pass.finding) ->
-        Printf.eprintf "unexpected: %s:%d %s %s\n" f.Pass.path f.Pass.line
-          f.Pass.rule f.Pass.message)
-      fs;
-    Alcotest.(check int) "no structural findings in tree" 0 (List.length fs)
-  end
+     committed baseline is empty). *)
+  let fs = in_tree (fun () -> Check.run_tree ~roots:[ "lib"; "bin" ]) in
+  List.iter
+    (fun (f : Pass.finding) ->
+      Printf.eprintf "unexpected: %s:%d %s %s\n" f.Pass.path f.Pass.line
+        f.Pass.rule f.Pass.message)
+    fs;
+  Alcotest.(check int) "no structural findings in tree" 0 (List.length fs)
+
+(* ------------------------------------------------------------------ *)
+(* Every export has a caller *)
+
+let test_dead_export_resolution () =
+  let files =
+    [
+      ("lib/x/dune", "(library\n (name xlib))\n");
+      ( "lib/x/a.mli",
+        "val by_path : int\nval by_alias : int\nval by_open : int\n\
+         val by_let_open : int\nval by_scope : int\nval by_include : int\n\
+         val by_sibling : int\nval own_only : int\nval nowhere : int\n" );
+      ( "lib/x/a.ml",
+        "let by_path = 1 let by_alias = 2 let by_open = 3 let by_let_open = 4\n\
+         let by_scope = 5 let by_include = 6 let by_sibling = 7\n\
+         let own_only = 8 let nowhere = own_only\n" );
+      ("lib/x/b.mli", "val f : int\nval g : int\n");
+      ("lib/x/b.ml", "let f = A.by_sibling let g = 0\n");
+      ("test/inc.ml", "include Xlib.A\n");
+      ( "test/t.ml",
+        "module M = Xlib.A\n\
+         module F (X : sig val f : int end) = struct let v = X.f end\n\
+         module Applied = F (Xlib.B)\n\
+         let a = Xlib.A.by_path + M.by_alias\n\
+         let b = let open Xlib.A in by_let_open\n\
+         let c = Xlib.A.(by_scope) + Inc.by_include\n\
+         open Xlib\n\
+         open A\n\
+         let d = by_open\n" );
+    ]
+  in
+  Alcotest.(check (list string))
+    "only the exports no other file names"
+    [ "lib/x/a.mli: own_only"; "lib/x/a.mli: nowhere" ]
+    (Callers.dead_exports files)
+
+let test_every_export_has_a_caller () =
+  let files =
+    in_tree (fun () ->
+        Callers.read_tree
+          ~roots:[ "lib"; "bin"; "bench"; "perfbench"; "examples"; "test" ]
+          ~skip:[ "test/lint/unparsable" ])
+  in
+  Alcotest.(check (list string))
+    "lib/ exports that no other file names" []
+    (Callers.dead_exports files)
 
 let suite =
   [
@@ -571,6 +622,8 @@ let suite =
     ("sarif shape", `Quick, test_sarif_shape);
     ("syntax error", `Quick, test_syntax_error);
     ("tree is clean", `Quick, test_tree_is_clean);
+    ("dead-export resolution", `Quick, test_dead_export_resolution);
+    ("every export has a caller", `Quick, test_every_export_has_a_caller);
   ]
 
 (* The suite keeps the name it had in the main runner, so its test ids

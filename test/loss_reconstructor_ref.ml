@@ -62,7 +62,7 @@ let end_batch t before = trace_new_events t ~before
 let on_covers t ~covers ~rtt ~x_recv ~packet_size =
   let before = begin_batch t in
   List.iter
-    (fun (c : Sack.Scoreboard.cover) ->
+    (fun (c : Scoreboard_lists.cover) ->
       push_cover t ~seq:c.cov_seq ~sent_at:c.cov_sent_at
         ~was_retx:c.cov_was_retx ~rtt ~x_recv ~packet_size)
     covers;

@@ -27,7 +27,7 @@ val create : ?cost:Stats.Cost.t -> ?trace:Trace.Sink.t -> unit -> t
 
 val on_covers :
   t ->
-  covers:Sack.Scoreboard.cover list ->
+  covers:Scoreboard_lists.cover list ->
   rtt:float ->
   x_recv:float ->
   packet_size:int ->

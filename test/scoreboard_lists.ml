@@ -1,5 +1,11 @@
 include Sack.Scoreboard
 
+type cover = {
+  cov_seq : Packet.Serial.t;
+  cov_sent_at : float;
+  cov_was_retx : bool;
+}
+
 type feedback_result = {
   newly_acked : cover list;
   newly_sacked : cover list;

@@ -6,6 +6,13 @@ include module type of struct
   include Sack.Scoreboard
 end
 
+type cover = {
+  cov_seq : Packet.Serial.t;
+  cov_sent_at : float;  (** first transmission time *)
+  cov_was_retx : bool;  (** was ever retransmitted *)
+}
+(** A sequence number newly known to have reached the receiver. *)
+
 type feedback_result = {
   newly_acked : cover list;  (** cumulative-ack advance, ascending seq *)
   newly_sacked : cover list;  (** new SACK coverage, ascending seq *)
@@ -16,7 +23,7 @@ type feedback_result = {
 val on_feedback :
   t ->
   cum_ack:Packet.Serial.t ->
-  blocks:Sack.Blocks.t list ->
+  blocks:Packet.Header.sack_block list ->
   reo_wnd:float ->
   feedback_result
 (** {!Sack.Scoreboard.iter_feedback}, with what it streams collected

@@ -1,5 +1,3 @@
-open Sack
-
 module Serial = Packet.Serial
 
 type entry = {
@@ -145,7 +143,7 @@ let on_feedback t ~cum_ack ~blocks ~reo_wnd =
   (* 2. SACK coverage. *)
   let newly_sacked = ref [] in
   List.iter
-    (fun (b : Blocks.t) ->
+    (fun (b : Packet.Header.sack_block) ->
       Serial.iter_range
         (fun s ->
           match find t s with

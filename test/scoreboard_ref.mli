@@ -13,8 +13,6 @@
     last-resort loss detector when SACK information stalls.  Each entry
     carries its own flags and every feedback re-walks the window. *)
 
-open Sack
-
 type cover = {
   cov_seq : Packet.Serial.t;
   cov_sent_at : float;  (** first transmission time *)
@@ -50,7 +48,7 @@ val una : t -> Packet.Serial.t
 val on_feedback :
   t ->
   cum_ack:Packet.Serial.t ->
-  blocks:Blocks.t list ->
+  blocks:Packet.Header.sack_block list ->
   reo_wnd:float ->
   feedback_result
 

@@ -1,4 +1,5 @@
-(* Netsim.Topology.chain and Netsim.Topology.parking_lot. *)
+(* Netsim.Topology.parking_lot, and the chain: a lot whose one flow
+   crosses every hop. *)
 
 let frame ?(flow = 0) uid =
   Netsim.Frame.make ~uid ~flow_id:flow ~size:1000 ~born:0.0
@@ -9,13 +10,12 @@ let spec ?(rate = 1e6) ?(delay = 0.01) ?loss () =
   | None -> Netsim.Topology.spec ~rate_bps:rate ~delay ()
   | Some l -> Netsim.Topology.spec ~rate_bps:rate ~delay ~loss:l ()
 
+let chain ~sim hops =
+  Netsim.Topology.parking_lot ~sim ~hops ~paths:[| (0, List.length hops) |] ()
+
 let test_chain_traverses_all_hops () =
   let sim = Engine.Sim.create () in
-  let topo =
-    Netsim.Topology.chain ~sim ~n_flows:1
-      ~hops:[ spec (); spec (); spec () ]
-      ()
-  in
+  let topo = chain ~sim [ spec (); spec (); spec () ] in
   let ep = Netsim.Topology.endpoint topo 0 in
   let hops_seen = ref (-1) in
   ep.Netsim.Topology.on_receiver_rx (fun f -> hops_seen := f.Netsim.Frame.hops);
@@ -25,11 +25,7 @@ let test_chain_traverses_all_hops () =
 
 let test_chain_delay_accumulates () =
   let sim = Engine.Sim.create () in
-  let topo =
-    Netsim.Topology.chain ~sim ~n_flows:1
-      ~hops:[ spec ~delay:0.01 (); spec ~delay:0.02 () ]
-      ()
-  in
+  let topo = chain ~sim [ spec ~delay:0.01 (); spec ~delay:0.02 () ] in
   let ep = Netsim.Topology.endpoint topo 0 in
   let at = ref 0.0 in
   ep.Netsim.Topology.on_receiver_rx (fun _ -> at := Engine.Sim.now sim);
@@ -41,9 +37,7 @@ let test_chain_delay_accumulates () =
 let test_chain_bottleneck_is_slowest () =
   let sim = Engine.Sim.create () in
   let topo =
-    Netsim.Topology.chain ~sim ~n_flows:1
-      ~hops:[ spec ~rate:1e7 (); spec ~rate:2e6 (); spec ~rate:5e6 () ]
-      ()
+    chain ~sim [ spec ~rate:1e7 (); spec ~rate:2e6 (); spec ~rate:5e6 () ]
   in
   Alcotest.(check (float 1.0)) "slowest hop" 2e6
     (Netsim.Link.rate_bps topo.Netsim.Topology.bottleneck)
@@ -52,7 +46,7 @@ let test_chain_rejects_empty () =
   let sim = Engine.Sim.create () in
   Alcotest.(check bool) "empty hops rejected" true
     (try
-       ignore (Netsim.Topology.chain ~sim ~n_flows:1 ~hops:[] ());
+       ignore (chain ~sim []);
        false
      with Invalid_argument _ -> true)
 
@@ -66,7 +60,7 @@ let test_chain_loss_compounds () =
         Netsim.Loss_model.bernoulli ~p:0.1 ~rng:(Engine.Rng.split rng))
       ()
   in
-  let topo = Netsim.Topology.chain ~sim ~n_flows:1 ~hops:[ lossy (); lossy () ] () in
+  let topo = chain ~sim [ lossy (); lossy () ] in
   let ep = Netsim.Topology.endpoint topo 0 in
   let got = ref 0 in
   ep.Netsim.Topology.on_receiver_rx (fun _ -> incr got);

@@ -11,7 +11,7 @@ module D = Fuzz.Driver
 (* --- degenerate handover: byte-identical traces ------------------- *)
 
 (* Re-selecting the already active path is a complete no-op inside
-   [Netsim.Topology.migrate_flow] — no severing, no trace event, no
+   [Netsim.Topology.apply_schedule] — no severing, no trace event, no
    policy hook.  The only residue of such a schedule is the posted
    simulation events themselves, which shift event sequence numbers
    uniformly at setup time without reordering any ties, so the

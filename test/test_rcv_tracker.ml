@@ -8,7 +8,7 @@ let feed t xs = List.iter (fun i -> T.on_data t ~seq:(S.of_int i)) xs
 
 let blocks_ints t =
   List.map
-    (fun (b : Sack.Blocks.t) ->
+    (fun (b : Packet.Header.sack_block) ->
       (S.to_int b.Packet.Header.block_start, S.to_int b.Packet.Header.block_end))
     (T.all_ranges t)
 
@@ -166,7 +166,7 @@ let prop_tracker_vs_reference =
 
 module TR = Rcv_tracker_ref
 
-let block_ints (b : Sack.Blocks.t) =
+let block_ints (b : Packet.Header.sack_block) =
   (S.to_int b.Packet.Header.block_start, S.to_int b.Packet.Header.block_end)
 
 let differential_tracker_run ~seed ~steps =

@@ -15,7 +15,7 @@ let feed t xs = List.iter (fun i -> T.on_data t ~seq:(S.of_int i)) xs
 (* Numbers received but not yet delivered. *)
 let buffered t =
   List.fold_left
-    (fun acc (b : Sack.Blocks.t) ->
+    (fun acc (b : Packet.Header.sack_block) ->
       acc + S.diff b.Packet.Header.block_end b.Packet.Header.block_start)
     0 (T.all_ranges t)
 

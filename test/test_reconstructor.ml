@@ -5,15 +5,22 @@ module S = Packet.Serial
 
 let cover ?(retx = false) ?(gap = 0.001) i =
   {
-    Sack.Scoreboard.cov_seq = S.of_int i;
+    Scoreboard_lists.cov_seq = S.of_int i;
     cov_sent_at = float_of_int i *. gap;
     cov_was_retx = retx;
   }
 
 let rtt = 0.05
 
+(* One feedback's worth of covers, as the connection replays them. *)
 let feed lr covers =
-  LR.on_covers lr ~covers ~rtt ~x_recv:1.0e6 ~packet_size:1500
+  let batch = LR.begin_batch lr in
+  List.iter
+    (fun (c : Scoreboard_lists.cover) ->
+      LR.push_cover lr ~seq:c.cov_seq ~sent_at:c.cov_sent_at
+        ~was_retx:c.cov_was_retx ~rtt ~x_recv:1.0e6)
+    covers;
+  LR.end_batch lr batch
 
 let test_no_loss () =
   let lr = LR.create () in
@@ -163,7 +170,7 @@ let test_push_cover_allocation () =
   let batch = LR.begin_batch lr in
   let push i =
     LR.push_cover lr ~seq:(S.of_int i) ~sent_at:1.0 ~was_retx:false ~rtt
-      ~x_recv:1.0e6 ~packet_size:1500
+      ~x_recv:1.0e6
   in
   for i = 0 to n - 1 do
     push i
@@ -185,8 +192,7 @@ let test_ce_claim_is_constant_time () =
   let lr = LR.create () in
   feed lr (List.init 10 cover);
   let t0 = Sys.time () in
-  LR.on_ce_marks lr ~new_marks:(1 lsl 28) ~rtt ~x_recv:1.0e6
-    ~packet_size:1500;
+  LR.on_ce_marks lr ~new_marks:(1 lsl 28) ~rtt ~x_recv:1.0e6;
   let took = Sys.time () -. t0 in
   if took >= 0.1 then Alcotest.failf "2^28 marks took %.3f s of CPU" took;
   Alcotest.(check int) "marks counted" (1 lsl 28)

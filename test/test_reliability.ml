@@ -5,7 +5,7 @@ module SB = Scoreboard_lists
 module RL = Sack.Reliability
 module S = Packet.Serial
 
-let blk a b = Sack.Blocks.make (S.of_int a) (S.of_int b)
+let blk a b = { Packet.Header.block_start = S.of_int a; block_end = S.of_int b }
 
 let setup policy =
   let sb = SB.create () in

@@ -26,16 +26,15 @@ let test_converges () =
   Alcotest.(check bool) "converges to steady input" true
     (Float.abs (Tfrc.Rtt.smoothed r -. 0.05) < 0.001)
 
-let test_t_rto () =
-  let r = Tfrc.Rtt.create ~initial:0.5 () in
-  Tfrc.Rtt.sample r 0.1;
-  Alcotest.(check (float 1e-9)) "4R" 0.4 (Tfrc.Rtt.t_rto r)
-
+(* The count of samples is what [has_sample] reads: it grows with each
+   sample, and a reseed forgets it. *)
 let test_sample_count () =
   let r = Tfrc.Rtt.create ~initial:0.5 () in
   Tfrc.Rtt.sample r 0.1;
   Tfrc.Rtt.sample r 0.1;
-  Alcotest.(check int) "counted" 2 (Tfrc.Rtt.samples r)
+  Alcotest.(check bool) "counted" true (Tfrc.Rtt.has_sample r);
+  Tfrc.Rtt.reseed r 0.6;
+  Alcotest.(check bool) "forgotten on reseed" false (Tfrc.Rtt.has_sample r)
 
 (* The minimum holds the seed until the first sample, which replaces
    it even when larger; later samples only lower it; a reseed (a
@@ -61,7 +60,6 @@ let suite =
     Alcotest.test_case "first sample" `Quick test_first_sample_replaces_seed;
     Alcotest.test_case "ewma" `Quick test_ewma;
     Alcotest.test_case "convergence" `Quick test_converges;
-    Alcotest.test_case "t_rto" `Quick test_t_rto;
     Alcotest.test_case "sample count" `Quick test_sample_count;
     Alcotest.test_case "minimum" `Quick test_min_rtt;
   ]

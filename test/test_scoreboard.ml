@@ -4,7 +4,7 @@
 module SB = Scoreboard_lists
 module S = Packet.Serial
 
-let blk a b = Sack.Blocks.make (S.of_int a) (S.of_int b)
+let blk a b = { Packet.Header.block_start = S.of_int a; block_end = S.of_int b }
 
 let send_n sb ?(start = 0) ?(t0 = 0.0) n =
   for i = start to start + n - 1 do

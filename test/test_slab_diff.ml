@@ -312,7 +312,7 @@ let prop_reconstructor_parity =
     (fun ops ->
       let a = LR.create () in
       let b = LRR.create () in
-      let packet_size = 1500 in
+      let packet_size = Qtp.Vtp_wire.packet_size in
       let now = ref 0.0 and seq = ref 0 in
       List.for_all
         (fun op ->
@@ -329,9 +329,9 @@ let prop_reconstructor_parity =
                     seq := !seq + gap;
                     let sent_at = Float.max 0.0 (!now -. rtt) in
                     LR.push_cover a ~seq:(Packet.Serial.of_int !seq) ~sent_at
-                      ~was_retx ~rtt ~x_recv ~packet_size;
+                      ~was_retx ~rtt ~x_recv;
                     {
-                      Sack.Scoreboard.cov_seq = Packet.Serial.of_int !seq;
+                      Scoreboard_lists.cov_seq = Packet.Serial.of_int !seq;
                       cov_sent_at = sent_at;
                       cov_was_retx = was_retx;
                     })
@@ -340,11 +340,11 @@ let prop_reconstructor_parity =
               LR.end_batch a batch;
               LRR.on_covers b ~covers:cl ~rtt ~x_recv ~packet_size
           | L_ce { marks; rtt; x_recv } ->
-              LR.on_ce_marks a ~new_marks:marks ~rtt ~x_recv ~packet_size;
+              LR.on_ce_marks a ~new_marks:marks ~rtt ~x_recv;
               LRR.on_ce_marks b ~new_marks:marks ~rtt ~x_recv ~packet_size
           | L_handover { policy; bw; link_rtt } ->
               let link = link_of (bw, link_rtt) in
-              LR.on_handover a ~policy:(policy_of policy) ~packet_size ~link;
+              LR.on_handover a ~policy:(policy_of policy) ~link;
               LRR.on_handover b ~policy:(policy_of policy) ~packet_size ~link);
           feq (LR.loss_event_rate a) (LRR.loss_event_rate b)
           && LR.loss_events a = LRR.loss_events b)

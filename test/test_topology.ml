@@ -14,19 +14,21 @@ let test_router_routes_by_flow () =
   Alcotest.(check int) "flow 1" 2 !a;
   Alcotest.(check int) "flow 2" 1 !b
 
-let test_router_default_and_unroutable () =
+(* A frame of a flow with no route is counted and dropped; a route
+   added later takes the flow's next frame. *)
+let test_router_unroutable () =
   let r = Netsim.Router.create () in
   Netsim.Router.forward r (frame ~flow:9 1);
   Alcotest.(check int) "unroutable counted" 1 (Netsim.Router.unroutable r);
   let d = ref 0 in
-  Netsim.Router.set_default r (fun _ -> incr d);
+  Netsim.Router.add_route r ~flow_id:9 (fun _ -> incr d);
   Netsim.Router.forward r (frame ~flow:9 2);
-  Alcotest.(check int) "default used" 1 !d;
+  Alcotest.(check int) "route used" 1 !d;
   Alcotest.(check int) "no new unroutable" 1 (Netsim.Router.unroutable r)
 
 (* Routes are indexed by flow id: a negative id is refused when routed
-   and falls to the default when forwarded, as does an id past the
-   table; a sparse id grows the table without disturbing the others. *)
+   and counted unroutable when forwarded, as is an id past the table; a
+   sparse id grows the table without disturbing the others. *)
 let test_router_ids () =
   let r = Netsim.Router.create () in
   Alcotest.check_raises "negative flow_id"
@@ -39,24 +41,19 @@ let test_router_ids () =
   Netsim.Router.forward r (frame ~flow:1_000_000 3);
   Alcotest.(check int) "negative, unset and past the table: unroutable" 3
     (Netsim.Router.unroutable r);
-  let d = ref 0 in
-  Netsim.Router.set_default r (fun _ -> incr d);
-  Netsim.Router.forward r (frame ~flow:(-1) 4);
-  Netsim.Router.forward r (frame ~flow:1_000_000 5);
-  Alcotest.(check int) "negative and past the table: default" 2 !d;
   Netsim.Router.add_route r ~flow_id:5_000 (fun _ -> incr sparse);
-  Netsim.Router.forward r (frame ~flow:5_000 6);
-  Netsim.Router.forward r (frame ~flow:4_999 7);
-  Netsim.Router.forward r (frame ~flow:0 8);
+  Netsim.Router.forward r (frame ~flow:5_000 4);
+  Netsim.Router.forward r (frame ~flow:4_999 5);
+  Netsim.Router.forward r (frame ~flow:0 6);
   Alcotest.(check int) "sparse id routed" 1 !sparse;
-  Alcotest.(check int) "gap below it: default" 3 !d;
+  Alcotest.(check int) "gap below it: unroutable" 4
+    (Netsim.Router.unroutable r);
   Alcotest.(check int) "earlier route kept" 1 !a;
-  Alcotest.(check int) "no new unroutable" 3 (Netsim.Router.unroutable r);
   let fresh = Netsim.Router.create () in
   let s = ref 0 in
   Netsim.Router.add_route fresh ~flow_id:5_000 (fun _ -> incr s);
-  Netsim.Router.forward fresh (frame ~flow:5_000 9);
-  Netsim.Router.forward fresh (frame ~flow:0 10);
+  Netsim.Router.forward fresh (frame ~flow:5_000 7);
+  Netsim.Router.forward fresh (frame ~flow:0 8);
   Alcotest.(check int) "sparse id on a fresh router" 1 !s;
   Alcotest.(check int) "below it, unroutable" 1 (Netsim.Router.unroutable fresh)
 
@@ -152,7 +149,7 @@ let test_dumbbell_markers () =
 let suite =
   [
     Alcotest.test_case "router by flow" `Quick test_router_routes_by_flow;
-    Alcotest.test_case "router default" `Quick test_router_default_and_unroutable;
+    Alcotest.test_case "router default" `Quick test_router_unroutable;
     Alcotest.test_case "router ids" `Quick test_router_ids;
     Alcotest.test_case "marker colours" `Quick test_marker_colours;
     Alcotest.test_case "duplex round trip" `Quick test_duplex_path_round_trip;

@@ -22,7 +22,7 @@ let connect mux ~sim ~topo offer =
       (Qtp.Connection.config ~initial_rtt:0.2
          (Qtp.Profile.agreed_exn offer (Qtp.Profile.anything ())))
   in
-  M.attach mux ~conn ~seg_payload:(1500 - Packet.Header.data_header_bytes);
+  M.attach mux ~conn ~seg_payload:Qtp.Vtp_wire.payload;
   conn
 
 (* One trunked QTP_AF connection over a clean dumbbell; the per-user

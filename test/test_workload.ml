@@ -5,32 +5,6 @@ let collect_sink () =
   let sink f = frames := f :: !frames in
   (sink, frames)
 
-let test_cbr_rate () =
-  let sim = Engine.Sim.create () in
-  let sink, frames = collect_sink () in
-  let bg =
-    Workload.Background.cbr ~sim ~sink ~flow_id:7 ~rate_bps:8.0e5
-      ~packet_size:1000 ~stop_at:10.0 ()
-  in
-  Engine.Sim.run ~until:11.0 sim;
-  (* 0.8 Mb/s = 100 pkt/s of 1000 B over 10 s = ~1000 packets. *)
-  let n = List.length !frames in
-  Alcotest.(check bool) (Printf.sprintf "%d ~ 1000" n) true (abs (n - 1000) <= 2);
-  Alcotest.(check int) "stats agree" n (Workload.Background.packets_sent bg);
-  Alcotest.(check int) "bytes" (n * 1000) (Workload.Background.bytes_sent bg);
-  Alcotest.(check bool) "flow id stamped" true
-    (List.for_all (fun f -> f.Netsim.Frame.flow_id = 7) !frames)
-
-let test_cbr_stops () =
-  let sim = Engine.Sim.create () in
-  let sink, frames = collect_sink () in
-  ignore
-    (Workload.Background.cbr ~sim ~sink ~flow_id:0 ~rate_bps:8.0e5
-       ~packet_size:1000 ~stop_at:1.0 ());
-  Engine.Sim.run ~until:5.0 sim;
-  let n = List.length !frames in
-  Alcotest.(check bool) "stopped" true (n <= 101)
-
 let test_poisson_rate () =
   let sim = Engine.Sim.create ~seed:111 () in
   let rng = Engine.Sim.split_rng sim in
@@ -39,35 +13,52 @@ let test_poisson_rate () =
     (Workload.Background.poisson ~sim ~sink ~flow_id:0 ~rng ~rate_bps:8.0e5
        ~packet_size:1000 ~stop_at:20.0 ());
   Engine.Sim.run ~until:21.0 sim;
+  (* 0.8 Mb/s = 100 pkt/s of 1000 B over 20 s = ~2000 packets. *)
   let n = List.length !frames in
   Alcotest.(check bool)
     (Printf.sprintf "%d ~ 2000 +- 10%%" n)
     true
     (n > 1800 && n < 2200)
 
-let test_on_off_duty_cycle () =
+(* Packet and byte counts agree with the frames, and each carries the
+   flow id. *)
+let test_poisson_counts () =
+  let sim = Engine.Sim.create ~seed:114 () in
+  let rng = Engine.Sim.split_rng sim in
+  let sink, frames = collect_sink () in
+  let bg =
+    Workload.Background.poisson ~sim ~sink ~flow_id:7 ~rng ~rate_bps:8.0e5
+      ~packet_size:1000 ~stop_at:2.0 ()
+  in
+  Engine.Sim.run ~until:3.0 sim;
+  let n = List.length !frames in
+  Alcotest.(check bool) "sent" true (n > 0);
+  Alcotest.(check int) "stats agree" n (Workload.Background.packets_sent bg);
+  Alcotest.(check int) "bytes" (n * 1000) (Workload.Background.bytes_sent bg);
+  Alcotest.(check bool) "flow id stamped" true
+    (List.for_all (fun f -> f.Netsim.Frame.flow_id = 7) !frames)
+
+let test_poisson_stops () =
+  let sim = Engine.Sim.create ~seed:112 () in
+  let rng = Engine.Sim.split_rng sim in
+  let sink, frames = collect_sink () in
+  ignore
+    (Workload.Background.poisson ~sim ~sink ~flow_id:0 ~rng ~rate_bps:8.0e5
+       ~packet_size:1000 ~stop_at:1.0 ());
+  Engine.Sim.run ~until:5.0 sim;
+  Alcotest.(check bool) "sent before the stop" true (!frames <> []);
+  Alcotest.(check bool) "nothing born after it" true
+    (List.for_all (fun f -> f.Netsim.Frame.born < 1.0) !frames)
+
+let test_marking () =
   let sim = Engine.Sim.create ~seed:113 () in
   let rng = Engine.Sim.split_rng sim in
   let sink, frames = collect_sink () in
   ignore
-    (Workload.Background.exp_on_off ~sim ~sink ~flow_id:0 ~rng
-       ~peak_rate_bps:8.0e5 ~mean_on:0.5 ~mean_off:0.5 ~packet_size:1000
-       ~stop_at:40.0 ());
-  Engine.Sim.run ~until:41.0 sim;
-  let n = List.length !frames in
-  (* ~50% duty: expect ~2000; accept a broad band. *)
-  Alcotest.(check bool)
-    (Printf.sprintf "%d within duty-cycle band" n)
-    true
-    (n > 1000 && n < 3200)
-
-let test_marking () =
-  let sim = Engine.Sim.create () in
-  let sink, frames = collect_sink () in
-  ignore
-    (Workload.Background.cbr ~sim ~sink ~flow_id:0 ~rate_bps:8.0e5
+    (Workload.Background.poisson ~sim ~sink ~flow_id:0 ~rng ~rate_bps:8.0e5
        ~packet_size:1000 ~mark:Netsim.Mark.Red ~stop_at:0.1 ());
   Engine.Sim.run ~until:0.2 sim;
+  Alcotest.(check bool) "sent" true (!frames <> []);
   Alcotest.(check bool) "marked red" true
     (List.for_all
        (fun f -> Netsim.Mark.equal f.Netsim.Frame.mark Netsim.Mark.Red)
@@ -127,10 +118,9 @@ let test_media_gop_structure () =
 
 let suite =
   [
-    Alcotest.test_case "cbr rate" `Quick test_cbr_rate;
-    Alcotest.test_case "cbr stops" `Quick test_cbr_stops;
     Alcotest.test_case "poisson rate" `Quick test_poisson_rate;
-    Alcotest.test_case "on/off duty" `Quick test_on_off_duty_cycle;
+    Alcotest.test_case "poisson counts" `Quick test_poisson_counts;
+    Alcotest.test_case "poisson stops" `Quick test_poisson_stops;
     Alcotest.test_case "marking" `Quick test_marking;
     Alcotest.test_case "media rate" `Quick test_media_rate_and_packets;
     Alcotest.test_case "media GoP" `Quick test_media_gop_structure;
