@@ -126,12 +126,13 @@ let render_one ~proto ~rate ~delay ~loss ~burstiness ~g ~duration ~reliability
       let flow =
         Tcp.Flow.create ~sim ~endpoint:(Netsim.Topology.endpoint topo 0) ()
       in
+      let goodput = Experiments.Common.tap_tcp_goodput ~sim flow in
       Engine.Sim.run ~until:duration sim;
       let s = Tcp.Flow.sender flow in
       Format.asprintf
         "TCP: goodput %.2f Mb/s over [1s,%gs); sent %d, retx %d, timeouts %d, \
          cwnd %.1f@."
-        (Tcp.Flow.goodput_bps flow ~from_:1.0 ~until:duration /. 1e6)
+        (Stats.Series.rate_bps goodput ~from_:1.0 ~until:duration /. 1e6)
         duration
         (Tcp.Tcp_sender.segments_sent s)
         (Tcp.Tcp_sender.retransmits s)

@@ -97,7 +97,6 @@ type t = {
   mutable responder_offer : Capabilities.offer option;
   snd : sender_side;
   rcv : receiver_side;
-  goodput : Stats.Series.t;
   mutable feedback_packets : int;
   mutable feedback_bytes : int;
   mutable handshake_packets : int;
@@ -676,11 +675,8 @@ let build ~sim ~endpoint ?cost_sender ?cost_receiver ?source ~start_at
   let t_ref = ref None in
   let deliver seq =
     match !t_ref with
-    | Some t -> (
-        Stats.Series.record t.goodput ~time:(Engine.Sim.now sim)
-          ~bytes:Vtp_wire.payload;
-        match t.on_deliver with Some f -> f ~seq | None -> ())
-    | None -> ()
+    | Some { on_deliver = Some f; _ } -> f ~seq
+    | Some { on_deliver = None; _ } | None -> ()
   in
   let cc =
     Tfrc.Sender.create ~sim ?cost:cost_sender ~trace
@@ -739,7 +735,6 @@ let build ~sim ~endpoint ?cost_sender ?cost_receiver ?source ~start_at
           ce_count = 0;
           sack_timer = None;
         };
-      goodput = Stats.Series.create ();
       feedback_packets = 0;
       feedback_bytes = 0;
       handshake_packets = 0;
@@ -865,7 +860,11 @@ let set_on_deliver t f =
             g ~seq;
             f ~seq)
 
-let goodput t = t.goodput
+let goodput t =
+  let s = Stats.Series.create () in
+  Stats.Series.record s ~time:(Engine.Sim.now t.sim)
+    ~bytes:(Sack.Rcv_tracker.delivered t.rcv.tracker * Vtp_wire.payload);
+  s
 
 let current_rate_bps t = Tfrc.Sender.rate_bps t.snd.cc
 

@@ -104,17 +104,22 @@ val close : t -> unit
 
 (** {2 Observation}
 
-    A connection records protocol state and counters; its one
-    per-packet log is {!goodput}.  Other per-packet measurement and any
-    misbehaviour belong to the harness, at the endpoint: wrap the
+    A connection records protocol state and counters and holds no
+    per-packet log.  Per-packet measurement and any misbehaviour belong
+    to the harness, at the endpoint: wrap the
     {!Netsim.Topology.endpoint} before {!create} — its [on_receiver_rx]
     sees every arrival, its [to_receiver] every first send, its
     [to_sender] every report — and pair it with {!set_on_deliver} for
     in-order delivery.  [Experiments.Common]'s endpoint probes (arrival
-    log, delivery delays, a selfish receiver) are built this way. *)
+    log, delivery delays, a selfish receiver) and its goodput tap are
+    built this way. *)
 
 val goodput : t -> Stats.Series.t
-(** Payload bytes delivered in order to the receiving application. *)
+(** The payload bytes delivered in order so far ({!delivered} times
+    {!Vtp_wire.payload}), as a fresh one-sample series stamped at the
+    current simulated time.  It exists for the benchmark, which reads
+    only its total; goodput over a window comes from a
+    {!set_on_deliver} tap. *)
 
 val current_rate_bps : t -> float
 

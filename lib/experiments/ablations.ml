@@ -55,7 +55,7 @@ let loss_event_grouping ?(seed = 42) () =
       let p_u = Tfrc.Loss_history.loss_event_rate ungrouped in
       let eq p =
         if p <= 0.0 then nan
-        else Tfrc.Equation.rate_bps ~s:1500 ~r:rtt ~p /. 1e6
+        else Tfrc.Equation.rate_bps ~s:Qtp.Vtp_wire.packet_size ~r:rtt ~p /. 1e6
       in
       Stats.Table.add_row table
         [

@@ -71,8 +71,9 @@ let run ~seed ~g_mbps ~proto ?(bottleneck_mbps = 10.0) ?(excess_mbps = 8.0)
   match proto with
   | Tcp_newreno ->
       let flow = Tcp.Flow.create ~sim ~endpoint:ep () in
+      let goodput = Common.tap_tcp_goodput ~sim flow in
       Engine.Sim.run ~until:duration sim;
-      let rate = measure (Tcp.Flow.goodput_series flow) in
+      let rate = measure goodput in
       let payload = Tcp.Tcp_sender.packet_size in
       finish rate ~wire:(Tcp.Tcp_wire.seg_size ~payload) ~payload
         ~retx:(Tcp.Tcp_sender.retransmits (Tcp.Flow.sender flow))
@@ -85,7 +86,8 @@ let run ~seed ~g_mbps ~proto ?(bottleneck_mbps = 10.0) ?(excess_mbps = 8.0)
       let agreed = Qtp.Profile.agreed_exn offer (Qtp.Profile.anything ()) in
       let cfg = Qtp.Connection.config ~initial_rtt:0.2 agreed in
       let conn = Qtp.Connection.create ~sim ~endpoint:ep cfg in
+      let goodput = Common.tap_goodput ~sim conn in
       Engine.Sim.run ~until:duration sim;
-      let rate = measure (Qtp.Connection.goodput conn) in
+      let rate = measure goodput in
       finish rate ~wire:Qtp.Vtp_wire.packet_size ~payload:Qtp.Vtp_wire.payload
         ~retx:(Qtp.Connection.retransmissions conn)

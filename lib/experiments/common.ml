@@ -127,11 +127,24 @@ let sink_background (ep : Netsim.Topology.endpoint) =
 let measured_rate series =
   Stats.Series.rate_bps series ~from_:warmup ~until:duration
 
-let tcp_wire_rate flow =
+let tcp_wire_rate goodput =
   let payload = Tcp.Tcp_sender.packet_size in
-  measured_rate (Tcp.Flow.goodput_series flow)
+  measured_rate goodput
   *. float_of_int (Tcp.Tcp_wire.seg_size ~payload)
   /. float_of_int payload
+
+let tap_goodput ~sim conn =
+  let series = Stats.Series.create () in
+  Qtp.Connection.set_on_deliver conn (fun ~seq:_ ->
+      Stats.Series.record series ~time:(Engine.Sim.now sim)
+        ~bytes:Qtp.Vtp_wire.payload);
+  series
+
+let tap_tcp_goodput ~sim flow =
+  let series = Stats.Series.create () in
+  Tcp.Flow.set_on_deliver flow (fun ~bytes ->
+      Stats.Series.record series ~time:(Engine.Sim.now sim) ~bytes);
+  series
 
 (* ------------------------------------------------------------------ *)
 (* Endpoint probes: per-packet measurement and receiver misbehaviour,

@@ -84,9 +84,25 @@ val sink_background : Netsim.Topology.endpoint -> unit
 val measured_rate : Stats.Series.t -> float
 (** Rate in bits/s over [warmup, duration). *)
 
-val tcp_wire_rate : Tcp.Flow.t -> float
-(** {!measured_rate} of a TCP flow's goodput, scaled from payload to
-    wire bytes so that it compares with a QTP flow's wire rate. *)
+val tcp_wire_rate : Stats.Series.t -> float
+(** {!measured_rate} of a TCP flow's goodput (from {!tap_tcp_goodput}),
+    scaled from payload to wire bytes so that it compares with a QTP
+    flow's wire rate. *)
+
+(** {1 Goodput taps}
+
+    Neither transport logs its deliveries; a caller that reads goodput
+    over a window installs one of these taps before the simulation
+    runs.  Each records the (time, payload bytes) of every in-order
+    delivery into the series it returns. *)
+
+val tap_goodput : sim:Engine.Sim.t -> Qtp.Connection.t -> Stats.Series.t
+(** Add a {!Qtp.Connection.set_on_deliver} tap (earlier taps are kept):
+    one sample of {!Qtp.Vtp_wire.payload} bytes per delivered segment. *)
+
+val tap_tcp_goodput : sim:Engine.Sim.t -> Tcp.Flow.t -> Stats.Series.t
+(** Add a {!Tcp.Flow.set_on_deliver} tap (earlier taps are kept): one
+    sample per advance of the receiver's cumulative point. *)
 
 (** {1 Endpoint probes}
 

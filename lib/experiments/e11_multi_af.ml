@@ -25,7 +25,7 @@ let run_group ~seed ~qtp =
   done;
   let rates =
     if qtp then begin
-      let conns =
+      let goodputs =
         Array.mapi
           (fun i g ->
             let agreed =
@@ -33,28 +33,32 @@ let run_group ~seed ~qtp =
                 (Qtp.Profile.qtp_af ~g_bps:(Common.mbps g) ())
                 (Qtp.Profile.anything ())
             in
-            Qtp.Connection.create ~sim
-              ~endpoint:(Netsim.Topology.endpoint topo i)
-              (Qtp.Connection.config ~initial_rtt:0.2 agreed))
+            Common.tap_goodput ~sim
+              (Qtp.Connection.create ~sim
+                 ~endpoint:(Netsim.Topology.endpoint topo i)
+                 (Qtp.Connection.config ~initial_rtt:0.2 agreed)))
           targets_mbps
       in
       Engine.Sim.run ~until:Common.duration sim;
       Array.map
-        (fun c ->
-          Common.measured_rate (Qtp.Connection.goodput c)
+        (fun goodput ->
+          Common.measured_rate goodput
           *. float_of_int Qtp.Vtp_wire.packet_size
           /. float_of_int Qtp.Vtp_wire.payload)
-        conns
+        goodputs
     end
     else begin
-      let flows =
+      let goodputs =
         Array.mapi
           (fun i _ ->
-            Tcp.Flow.create ~sim ~endpoint:(Netsim.Topology.endpoint topo i) ())
+            Common.tap_tcp_goodput ~sim
+              (Tcp.Flow.create ~sim
+                 ~endpoint:(Netsim.Topology.endpoint topo i)
+                 ()))
           targets_mbps
       in
       Engine.Sim.run ~until:Common.duration sim;
-      Array.map Common.tcp_wire_rate flows
+      Array.map Common.tcp_wire_rate goodputs
     end
   in
   rates

@@ -38,6 +38,7 @@ let run_case ~seed ~light ~ecn =
       (Qtp.Connection.config ~initial_rtt:0.2 agreed)
   in
   Common.attach_delays probe conn;
+  let goodput = Common.tap_goodput ~sim conn in
   Engine.Sim.run ~until:Common.duration sim;
   let st = Netsim.Qdisc.stats (Netsim.Link.qdisc topo.Netsim.Topology.bottleneck) in
   let delays = Common.delivery_delays probe in
@@ -45,7 +46,7 @@ let run_case ~seed ~light ~ecn =
     if Array.length delays = 0 then nan
     else 1000.0 *. Stats.Summary.percentile delays 0.99
   in
-  ( Common.measured_rate (Qtp.Connection.goodput conn) /. 1e6,
+  ( Common.measured_rate goodput /. 1e6,
     st.Netsim.Qdisc.dropped,
     st.Netsim.Qdisc.ce_marked,
     Qtp.Connection.retransmissions conn,

@@ -23,9 +23,10 @@ let run_case ~seed ~long_is_tfrc =
   (* Cross traffic: greedy TCP on every hop. *)
   let cross =
     List.init n_hops (fun i ->
-        Tcp.Flow.create ~sim
-          ~endpoint:(Netsim.Topology.endpoint topo (i + 1))
-          ())
+        Common.tap_tcp_goodput ~sim
+          (Tcp.Flow.create ~sim
+             ~endpoint:(Netsim.Topology.endpoint topo (i + 1))
+             ()))
   in
   let long_rate =
     if long_is_tfrc then begin
@@ -43,11 +44,12 @@ let run_case ~seed ~long_is_tfrc =
       Common.measured_rate arrivals
     end
     else begin
-      let flow =
-        Tcp.Flow.create ~sim ~endpoint:(Netsim.Topology.endpoint topo 0) ()
+      let goodput =
+        Common.tap_tcp_goodput ~sim
+          (Tcp.Flow.create ~sim ~endpoint:(Netsim.Topology.endpoint topo 0) ())
       in
       Engine.Sim.run ~until:Common.duration sim;
-      Common.tcp_wire_rate flow
+      Common.tcp_wire_rate goodput
     end
   in
   let cross_rates = List.map Common.tcp_wire_rate cross in

@@ -20,6 +20,9 @@ let duration = 40.0
 
 let warmup = 15.0
 
+(* The BDP's and the window column's unit: one QTP segment, in bits. *)
+let segment_bits = 8.0 *. float_of_int Qtp.Vtp_wire.packet_size
+
 type flow_result = {
   proto : proto;
   achieved_bps : float;
@@ -32,7 +35,7 @@ let run_mix ~seed ~delay ~bottleneck_mbps =
   let g_mbps = bottleneck_mbps /. 4.0 in
   (* Buffer the bottleneck at half a BDP so the AF class can absorb a
      full RTT of feedback lag without tail-dropping green packets. *)
-  let bdp_pkts = Common.mbps bottleneck_mbps *. rtt /. (8.0 *. 1500.0) in
+  let bdp_pkts = Common.mbps bottleneck_mbps *. rtt /. segment_bits in
   let capacity_pkts = max 100 (int_of_float (0.5 *. bdp_pkts)) in
   let sim, topo =
     Common.af_dumbbell ~capacity_pkts ~seed ~n_flows:3 ~bottleneck_mbps
@@ -43,7 +46,10 @@ let run_mix ~seed ~delay ~bottleneck_mbps =
   let mk_qtp i offer =
     let agreed = Qtp.Profile.agreed_exn offer (Qtp.Profile.anything ()) in
     let cfg = Qtp.Connection.config ~initial_rtt:rtt agreed in
-    Qtp.Connection.create ~sim ~endpoint:(Netsim.Topology.endpoint topo i) cfg
+    let conn =
+      Qtp.Connection.create ~sim ~endpoint:(Netsim.Topology.endpoint topo i) cfg
+    in
+    (conn, Common.tap_goodput ~sim conn)
   in
   let af = mk_qtp 0 (Qtp.Profile.qtp_af ~g_bps:(Common.mbps g_mbps) ()) in
   let light =
@@ -51,11 +57,12 @@ let run_mix ~seed ~delay ~bottleneck_mbps =
       (Qtp.Profile.qtp_light ~reliability:[ Qtp.Capabilities.R_full ] ())
   in
   let tcp = Tcp.Flow.create ~sim ~endpoint:(Netsim.Topology.endpoint topo 2) () in
+  let tcp_goodput = Common.tap_tcp_goodput ~sim tcp in
   Engine.Sim.run ~until:duration sim;
   let measure series = Stats.Series.rate_bps series ~from_:warmup ~until:duration in
-  let window_pkts achieved = achieved *. rtt /. (8.0 *. 1500.0) in
-  let qtp proto conn =
-    let achieved = measure (Qtp.Connection.goodput conn) in
+  let window_pkts achieved = achieved *. rtt /. segment_bits in
+  let qtp proto (conn, goodput) =
+    let achieved = measure goodput in
     {
       proto;
       achieved_bps = achieved;
@@ -63,7 +70,7 @@ let run_mix ~seed ~delay ~bottleneck_mbps =
       retx = Qtp.Connection.retransmissions conn;
     }
   in
-  let tcp_achieved = measure (Tcp.Flow.goodput_series tcp) in
+  let tcp_achieved = measure tcp_goodput in
   ( g_mbps,
     [
       qtp Af af;

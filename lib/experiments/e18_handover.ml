@@ -78,6 +78,7 @@ let run_one ~seed ~dir ~policy =
   let conn =
     Qtp.Connection.create ~sim ~endpoint:(Netsim.Topology.endpoint topo 0) cfg
   in
+  let goodput = Common.tap_goodput ~sim conn in
   Netsim.Topology.on_migrate m (fun idx ->
       Qtp.Connection.notify_migration conn ~link:(Common.declared_link m idx));
   Netsim.Topology.apply_schedule m [ (t_ho1, 1, `Drain); (t_ho2, 2, `Drain) ];
@@ -92,7 +93,6 @@ let run_one ~seed ~dir ~policy =
   sample 2 t_ho2;
   sample 3 (t_ho2 +. 2.0);
   Engine.Sim.run ~until:duration sim;
-  let goodput = Qtp.Connection.goodput conn in
   let rate ~from_ ~until = Stats.Series.rate_bps goodput ~from_ ~until in
   let cap i = Common.mbps (fst (List.nth paths i)) in
   let floor_min =

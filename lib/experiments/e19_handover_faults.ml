@@ -43,13 +43,14 @@ let run_one ~seed ~mangle ~policy =
   let conn =
     Qtp.Connection.create ~sim ~endpoint:(Netsim.Topology.endpoint topo 0) cfg
   in
+  let goodput = Common.tap_goodput ~sim conn in
   Netsim.Topology.on_migrate m (fun idx ->
       Qtp.Connection.notify_migration conn ~link:(Common.declared_link m idx));
   Netsim.Topology.apply_schedule m schedule;
   Engine.Sim.run ~until:duration sim;
   Qtp.Connection.close conn;
   Engine.Sim.run ~until:(duration +. drain) sim;
-  conn
+  (conn, goodput)
 
 let run ?(seed = 42) () =
   let table =
@@ -74,7 +75,7 @@ let run ?(seed = 42) () =
     (fun (mname, mangle) ->
       List.iter
         (fun policy ->
-          let conn = run_one ~seed ~mangle ~policy in
+          let conn, goodput = run_one ~seed ~mangle ~policy in
           let sent = Qtp.Connection.data_sent conn in
           let delivered = Qtp.Connection.delivered conn in
           let closed =
@@ -92,9 +93,7 @@ let run ?(seed = 42) () =
               mname;
               Tfrc.Handover.policy_name policy;
               Stats.Table.cell_f
-                (Stats.Series.rate_bps
-                   (Qtp.Connection.goodput conn)
-                   ~from_:1.0 ~until:duration
+                (Stats.Series.rate_bps goodput ~from_:1.0 ~until:duration
                 /. 1e6);
               Stats.Table.cell_i sent;
               Stats.Table.cell_i (Qtp.Connection.retransmissions conn);

@@ -55,12 +55,13 @@ let run_trunk ~seed ~discipline =
       ~source:(Trunk.Mux.source mux)
       (Qtp.Connection.config ~initial_rtt:0.2 agreed)
   in
+  let goodput = Common.tap_goodput ~sim conn in
   Trunk.Mux.attach mux ~conn ~seg_payload:Qtp.Vtp_wire.payload;
   let workloads = Array.make n_users workload_bytes in
   ignore (Trunk.Mux.feed mux ~sim ~workloads ~stop_at:Common.duration ());
   Engine.Sim.run ~until:Common.duration sim;
   let wire_rate =
-    measure (Qtp.Connection.goodput conn)
+    measure goodput
     *. float_of_int Qtp.Vtp_wire.packet_size
     /. float_of_int Qtp.Vtp_wire.payload
   in
@@ -74,20 +75,19 @@ let run_trunk ~seed ~discipline =
 let run_tcp ~seed =
   let committed = Array.make n_users (g_mbps /. float_of_int n_users) in
   let sim, topo = build ~seed ~committed in
-  let flows =
+  let goodputs =
     Array.init n_users (fun i ->
-        Tcp.Flow.create ~sim ~endpoint:(Netsim.Topology.endpoint topo i) ())
+        Common.tap_tcp_goodput ~sim
+          (Tcp.Flow.create ~sim ~endpoint:(Netsim.Topology.endpoint topo i) ()))
   in
   Engine.Sim.run ~until:Common.duration sim;
   let payload = Tcp.Tcp_sender.packet_size in
   let wire = Tcp.Tcp_wire.seg_size ~payload in
   let rates =
     Array.map
-      (fun f ->
-        measure (Tcp.Flow.goodput_series f)
-        *. float_of_int wire
-        /. float_of_int payload)
-      flows
+      (fun goodput ->
+        measure goodput *. float_of_int wire /. float_of_int payload)
+      goodputs
   in
   {
     label = "TCP per-flow";

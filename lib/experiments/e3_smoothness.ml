@@ -33,8 +33,9 @@ let run_tcp ~seed ~loss =
   let flow =
     Tcp.Flow.create ~sim ~endpoint:(Netsim.Topology.endpoint topo 0) ()
   in
+  let goodput = Common.tap_tcp_goodput ~sim flow in
   Engine.Sim.run ~until:Common.duration sim;
-  cov_of (Tcp.Flow.goodput_series flow)
+  cov_of goodput
 
 let run ?(seed = 42) () =
   let table =

@@ -20,16 +20,19 @@ let run_one ~seed ~n =
              (Qtp.Connection.config ~initial_rtt:0.2 agreed));
         arrivals)
   in
-  let tcp_flows =
+  let tcp_goodputs =
     List.init n (fun i ->
-        Tcp.Flow.create ~sim ~endpoint:(Netsim.Topology.endpoint topo (n + i)) ())
+        Common.tap_tcp_goodput ~sim
+          (Tcp.Flow.create ~sim
+             ~endpoint:(Netsim.Topology.endpoint topo (n + i))
+             ()))
   in
   Engine.Sim.run ~until:Common.duration sim;
   let tfrc_rates =
     Array.of_list (List.map Common.measured_rate tfrc_arrivals)
   in
   (* TCP's payload goodput scaled to wire bytes, for a fair comparison. *)
-  let tcp_rates = Array.of_list (List.map Common.tcp_wire_rate tcp_flows) in
+  let tcp_rates = Array.of_list (List.map Common.tcp_wire_rate tcp_goodputs) in
   (tfrc_rates, tcp_rates)
 
 let run ?(seed = 42) () =

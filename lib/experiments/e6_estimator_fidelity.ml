@@ -36,7 +36,7 @@ let sender_side_p pattern =
       if alive then
         Qtp.Loss_reconstructor.push_cover lr ~seq:(Packet.Serial.of_int i)
           ~sent_at:(float_of_int i *. pkt_gap) ~was_retx:false ~rtt
-          ~x_recv:(1500.0 /. pkt_gap);
+          ~x_recv:(float_of_int Qtp.Vtp_wire.packet_size /. pkt_gap);
       if (i + 1) mod per_batch = 0 then begin
         Qtp.Loss_reconstructor.end_batch lr !batch;
         batch := Qtp.Loss_reconstructor.begin_batch lr
@@ -88,7 +88,7 @@ let run ?(seed = 42) () =
       in
       let eq p =
         if p <= 0.0 then nan
-        else Tfrc.Equation.rate_bps ~s:1500 ~r:rtt ~p /. 1e6
+        else Tfrc.Equation.rate_bps ~s:Qtp.Vtp_wire.packet_size ~r:rtt ~p /. 1e6
       in
       Stats.Table.add_row table
         [

@@ -11,8 +11,9 @@ let run_tcp ~seed ~loss =
   let flow =
     Tcp.Flow.create ~sim ~endpoint:(Netsim.Topology.endpoint topo 0) ()
   in
+  let goodput = Common.tap_tcp_goodput ~sim flow in
   Engine.Sim.run ~until:Common.duration sim;
-  ( Common.tcp_wire_rate flow /. 1e6,
+  ( Common.tcp_wire_rate goodput /. 1e6,
     Tcp.Tcp_sender.timeouts (Tcp.Flow.sender flow) )
 
 let run_qtp ~seed ~loss ~light =

@@ -3,7 +3,9 @@ type t = {
   flow_id : int;
   sender : Tcp_sender.t;
   receiver : Tcp_receiver.t;
-  goodput : Stats.Series.t;
+  mutable delivered_bytes : int;
+  (* In-order delivery tap; [None] costs one branch per advance. *)
+  mutable on_deliver : (bytes:int -> unit) option;
 }
 
 (* Domain-local (not shared) so parallel simulations never race; a
@@ -17,9 +19,8 @@ let uid () =
 
 let create ~sim ~endpoint ?(start_at = 0.0) () =
   let flow_id = endpoint.Netsim.Topology.flow_id in
-  let goodput = Stats.Series.create () in
   (* Receiver side: deliver segments, emit ACK frames on the reverse
-     path, and log in-order progress as goodput. *)
+     path, and count in-order progress as goodput. *)
   let last_cum = ref Packet.Serial.zero in
   let send_ack ack =
     let frame =
@@ -45,6 +46,9 @@ let create ~sim ~endpoint ?(start_at = 0.0) () =
     endpoint.Netsim.Topology.to_receiver frame
   in
   let sender = Tcp_sender.create ~sim ~transmit () in
+  let t =
+    { sim; flow_id; sender; receiver; delivered_bytes = 0; on_deliver = None }
+  in
   (* Delivery plumbing. *)
   endpoint.Netsim.Topology.on_receiver_rx (fun frame ->
       match frame.Netsim.Frame.body with
@@ -53,8 +57,9 @@ let create ~sim ~endpoint ?(start_at = 0.0) () =
           let cum = Tcp_receiver.cum_ack receiver in
           let advance = Packet.Serial.diff cum !last_cum in
           if advance > 0 then begin
-            Stats.Series.record goodput ~time:(Engine.Sim.now sim)
-              ~bytes:(advance * Tcp_sender.packet_size);
+            let bytes = advance * Tcp_sender.packet_size in
+            t.delivered_bytes <- t.delivered_bytes + bytes;
+            (match t.on_deliver with Some f -> f ~bytes | None -> ());
             last_cum := cum
           end
       | _ -> ());
@@ -73,11 +78,22 @@ let create ~sim ~endpoint ?(start_at = 0.0) () =
       | _ -> ());
   ignore
     (Engine.Sim.schedule_at sim start_at (fun () -> Tcp_sender.start sender));
-  { sim; flow_id; sender; receiver; goodput }
+  t
 
 let sender t = t.sender
 let receiver t = t.receiver
-let goodput_series t = t.goodput
 
-let goodput_bps t ~from_ ~until =
-  Stats.Series.rate_bps t.goodput ~from_ ~until
+let set_on_deliver t f =
+  t.on_deliver <-
+    Some
+      (match t.on_deliver with
+      | None -> f
+      | Some g ->
+          fun ~bytes ->
+            g ~bytes;
+            f ~bytes)
+
+let goodput_series t =
+  let s = Stats.Series.create () in
+  Stats.Series.record s ~time:(Engine.Sim.now t.sim) ~bytes:t.delivered_bytes;
+  s

@@ -1,8 +1,9 @@
 (** A complete TCP connection wired onto a {!Netsim.Topology.endpoint}.
 
-    The flow owns both ends, converts segments/ACKs to simulator frames,
-    and records the receiver's in-order (goodput) byte arrivals into a
-    {!Stats.Series} for analysis. *)
+    The flow owns both ends and converts segments/ACKs to simulator
+    frames.  It counts the receiver's in-order (goodput) bytes and keeps
+    no per-packet log: a caller that needs goodput over a time window
+    records it through {!set_on_deliver}. *)
 
 type t
 
@@ -17,7 +18,15 @@ val create :
 val sender : t -> Tcp_sender.t
 val receiver : t -> Tcp_receiver.t
 
-val goodput_series : t -> Stats.Series.t
-(** In-order delivered bytes at the receiver (time-stamped). *)
+val set_on_deliver : t -> (bytes:int -> unit) -> unit
+(** Install an in-order delivery tap on the receiving side: called each
+    time the receiver's cumulative point advances, with the advance in
+    payload bytes ({!Tcp_sender.packet_size} per segment).  Taps
+    accumulate: a later call runs its tap after the ones already
+    installed and never replaces them. *)
 
-val goodput_bps : t -> from_:float -> until:float -> float
+val goodput_series : t -> Stats.Series.t
+(** The in-order payload bytes delivered so far, as a fresh one-sample
+    series stamped at the current simulated time.  It exists for the
+    benchmark, which reads only its total; goodput over a window comes
+    from a {!set_on_deliver} tap. *)

@@ -262,6 +262,85 @@ let test_far_forward_point_is_cheap () =
   Alcotest.(check int) "delivered" 2 (Qtp.Connection.delivered conn);
   Alcotest.(check int) "skipped" ((1 lsl 20) - 2) (Qtp.Connection.skipped conn)
 
+(* --- goodput as a counter --------------------------------------------- *)
+
+let live_words () =
+  Gc.full_major ();
+  (Gc.stat ()).Gc.live_words
+
+(* A connection keeps no per-delivery state: past its warm-up, a clean
+   transfer's live heap stays flat while it delivers some 20,000 more
+   segments.  A log of two words per delivery would add 40,000.  The
+   warm-up is 40 s because the engine's timer-wheel slots keep their
+   largest size, and on this path they stop growing only after about
+   30 s; what moves after that is the frames in flight. *)
+let test_heap_flat_while_delivering () =
+  let sim, topo = duplex ~loss:0.0 () in
+  let conn =
+    Qtp.Connection.create ~sim
+      ~endpoint:(Netsim.Topology.endpoint topo 0)
+      (Qtp.Connection.config ~initial_rtt:0.2
+         (agreed_of (Qtp.Profile.qtp_full ()) (Qtp.Profile.anything ())))
+  in
+  Engine.Sim.run ~until:40.0 sim;
+  let delivered = Qtp.Connection.delivered conn in
+  let words = live_words () in
+  Engine.Sim.run ~until:65.0 sim;
+  let grew = live_words () - words
+  and more = Qtp.Connection.delivered conn - delivered in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d more segments delivered" more)
+    true (more >= 15_000);
+  Alcotest.(check bool)
+    (Printf.sprintf "live heap moved %d words" grew)
+    true
+    (abs grew < 2_000)
+
+(* The totals the benchmark reads: [goodput]'s one sample is the
+   delivered count times the payload, and a tap installed before the
+   run records the same bytes, one sample per delivery. *)
+let check_goodput_totals ~label ?(until = 10.0) ~loss offer responder =
+  let sim, topo = duplex ~loss () in
+  let conn =
+    Qtp.Connection.create ~sim
+      ~endpoint:(Netsim.Topology.endpoint topo 0)
+      (Qtp.Connection.config ~initial_rtt:0.2 (agreed_of offer responder))
+  in
+  let tap = Experiments.Common.tap_goodput ~sim conn in
+  Engine.Sim.run ~until sim;
+  let delivered = Qtp.Connection.delivered conn in
+  let total = Stats.Series.total_bytes (Qtp.Connection.goodput conn) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: %d delivered" label delivered)
+    true (delivered > 100);
+  Alcotest.(check int)
+    (label ^ ": goodput = delivered x payload")
+    (delivered * Qtp.Vtp_wire.payload)
+    total;
+  Alcotest.(check int) (label ^ ": tap total") total
+    (Stats.Series.total_bytes tap);
+  Alcotest.(check int) (label ^ ": tap count") delivered
+    (Stats.Series.count tap);
+  conn
+
+let test_goodput_totals () =
+  ignore
+    (check_goodput_totals ~label:"standard" ~loss:0.02
+       (Qtp.Profile.qtp_full ()) (Qtp.Profile.anything ()));
+  ignore
+    (check_goodput_totals ~label:"light" ~loss:0.02
+       (Qtp.Profile.qtp_light ~reliability:[ Qtp.Capabilities.R_full ] ())
+       (Qtp.Profile.mobile_receiver ()));
+  let partial =
+    check_goodput_totals ~label:"partial" ~until:20.0 ~loss:0.3
+      (Qtp.Profile.qtp_light ~reliability:[ Qtp.Capabilities.R_partial ] ())
+      (Qtp.Profile.mobile_receiver ())
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "partial: %d skipped" (Qtp.Connection.skipped partial))
+    true
+    (Qtp.Connection.skipped partial > 0)
+
 let suite =
   [
     Alcotest.test_case "clean path fills link" `Quick test_clean_path_fills_link;
@@ -287,4 +366,7 @@ let suite =
       test_feedback_flows_both_planes;
     Alcotest.test_case "far forward point is cheap" `Quick
       test_far_forward_point_is_cheap;
+    Alcotest.test_case "heap flat while delivering" `Quick
+      test_heap_flat_while_delivering;
+    Alcotest.test_case "goodput totals" `Quick test_goodput_totals;
   ]

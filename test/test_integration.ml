@@ -158,11 +158,12 @@ let test_wireless_tfrc_beats_tcp () =
         ~loss:(fun rng -> Netsim.Loss_model.gilbert ~loss ~burstiness:0.6 ~rng)
         ()
     in
-    let flow =
-      Tcp.Flow.create ~sim ~endpoint:(Netsim.Topology.endpoint topo 0) ()
+    let goodput =
+      Experiments.Common.tap_tcp_goodput ~sim
+        (Tcp.Flow.create ~sim ~endpoint:(Netsim.Topology.endpoint topo 0) ())
     in
     Engine.Sim.run ~until:40.0 sim;
-    Tcp.Flow.goodput_bps flow ~from_:5.0 ~until:40.0
+    Stats.Series.rate_bps goodput ~from_:5.0 ~until:40.0
   in
   let tfrc = run_tfrc () and tcp = run_tcp () in
   Alcotest.(check bool)

@@ -18,8 +18,9 @@ let duplex ?(rate_bps = 8.0e6) ?(delay = 0.01) ?loss ?(seed = 81) () =
 let test_clean_transfer_fills_pipe () =
   let sim, ep = duplex () in
   let flow = Tcp.Flow.create ~sim ~endpoint:ep () in
+  let goodput = Experiments.Common.tap_tcp_goodput ~sim flow in
   Engine.Sim.run ~until:20.0 sim;
-  let rate = Tcp.Flow.goodput_bps flow ~from_:5.0 ~until:20.0 in
+  let rate = Stats.Series.rate_bps goodput ~from_:5.0 ~until:20.0 in
   Alcotest.(check bool)
     (Printf.sprintf "goodput %f ~ link rate" rate)
     true
@@ -105,6 +106,56 @@ let test_one_ack_per_segment () =
     true
     (acks >= segs - 1)
 
+(* --- goodput as a counter --------------------------------------------- *)
+
+let live_words () =
+  Gc.full_major ();
+  (Gc.stat ()).Gc.live_words
+
+let cum_ack flow =
+  Packet.Serial.to_int (Tcp.Tcp_receiver.cum_ack (Tcp.Flow.receiver flow))
+
+(* A flow keeps no per-delivery state: past its warm-up, a clean
+   transfer's live heap stays flat while it delivers some 20,000 more
+   segments.  A log of two words per delivery would add 40,000.  The
+   warm-up is 40 s because the engine's timer-wheel slots keep their
+   largest size, and on this path they stop growing only after about
+   30 s. *)
+let test_heap_flat_while_delivering () =
+  let sim, ep = duplex () in
+  let flow = Tcp.Flow.create ~sim ~endpoint:ep () in
+  Engine.Sim.run ~until:40.0 sim;
+  let delivered = cum_ack flow in
+  let words = live_words () in
+  Engine.Sim.run ~until:70.0 sim;
+  let grew = live_words () - words and more = cum_ack flow - delivered in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d more segments delivered" more)
+    true (more >= 15_000);
+  Alcotest.(check bool)
+    (Printf.sprintf "live heap moved %d words" grew)
+    true
+    (abs grew < 2_000)
+
+(* The total the benchmark reads is the cumulative point times the
+   payload; a tap installed before the run records the same bytes, and
+   a second tap runs after it on every advance. *)
+let test_goodput_totals () =
+  let sim, ep = duplex ~loss:0.02 () in
+  let flow = Tcp.Flow.create ~sim ~endpoint:ep () in
+  let tap = Experiments.Common.tap_tcp_goodput ~sim flow in
+  let advances = ref 0 in
+  Tcp.Flow.set_on_deliver flow (fun ~bytes:_ -> incr advances);
+  Engine.Sim.run ~until:10.0 sim;
+  let total = Stats.Series.total_bytes (Tcp.Flow.goodput_series flow) in
+  Alcotest.(check bool) "delivered" true (cum_ack flow > 1000);
+  Alcotest.(check int) "goodput = cum x payload"
+    (cum_ack flow * Tcp.Tcp_sender.packet_size)
+    total;
+  Alcotest.(check int) "tap total" total (Stats.Series.total_bytes tap);
+  Alcotest.(check int) "both taps run on every advance" !advances
+    (Stats.Series.count tap)
+
 let suite =
   [
     Alcotest.test_case "one ack per segment" `Quick test_one_ack_per_segment;
@@ -116,4 +167,7 @@ let suite =
       test_receiver_delivers_everything_in_order;
     Alcotest.test_case "rto on blackout" `Quick test_rto_on_blackout;
     Alcotest.test_case "srtt estimation" `Quick test_srtt_estimation;
+    Alcotest.test_case "heap flat while delivering" `Quick
+      test_heap_flat_while_delivering;
+    Alcotest.test_case "goodput totals" `Quick test_goodput_totals;
   ]

@@ -137,6 +137,45 @@ let test_ring_wrap_and_phase () =
        ~period:0.005 ~feed_seed:777 ~discipline:Trunk.Sched.Fifo ~users:8
        ~per_user:60_000 ())
 
+(* A goodput tap installed before the trunk's demultiplex tap sees every
+   delivery, and the demultiplexer still gets each one after it. *)
+let test_tap_before_demux () =
+  let sim, topo =
+    Experiments.Common.af_dumbbell ~seed:9 ~n_flows:1 ~bottleneck_mbps:10.0
+      ~committed_mbps:[| 5.0 |] ()
+  in
+  let users = 4 in
+  let mux = M.create (M.config ~users ()) in
+  let conn =
+    Qtp.Connection.create ~sim
+      ~endpoint:(Netsim.Topology.endpoint topo 0)
+      ~source:(M.source mux)
+      (Qtp.Connection.config ~initial_rtt:0.2
+         (Qtp.Profile.agreed_exn
+            (Qtp.Profile.qtp_af ~g_bps:5e6 ())
+            (Qtp.Profile.anything ())))
+  in
+  let tap = Experiments.Common.tap_goodput ~sim conn in
+  M.attach mux ~conn ~seg_payload:Qtp.Vtp_wire.payload;
+  ignore
+    (M.feed mux ~sim ~workloads:(Array.make users 40_000) ~stop_at:duration
+       ());
+  Engine.Sim.run ~until:duration sim;
+  Qtp.Connection.close conn;
+  Engine.Sim.run ~until:(duration +. drain) sim;
+  let delivered = Qtp.Connection.delivered conn in
+  Alcotest.(check bool) "delivered" true (delivered > 0);
+  Alcotest.(check int) "tap count" delivered (Stats.Series.count tap);
+  Alcotest.(check int) "tap total"
+    (Stats.Series.total_bytes (Qtp.Connection.goodput conn))
+    (Stats.Series.total_bytes tap);
+  for u = 0 to users - 1 do
+    Alcotest.(check int)
+      (Printf.sprintf "user %d delivered = shipped" u)
+      (M.shipped_bytes mux ~user:u)
+      (M.delivered_bytes mux ~user:u)
+  done
+
 (* --- bounded segment window over long runs ------------------------ *)
 
 (* A 16-user trunk over an 80 Mb/s path that drops 2% of its segments;
@@ -273,6 +312,8 @@ let suite =
     Alcotest.test_case "weighted DRR shares" `Quick test_weighted_shares;
     Alcotest.test_case "admission ring wraps, grows, keeps the feed phase"
       `Quick test_ring_wrap_and_phase;
+    Alcotest.test_case "goodput tap before the demultiplexer" `Quick
+      test_tap_before_demux;
     Alcotest.test_case "segment window bounded: full reliability" `Quick
       test_window_bounded_full;
     Alcotest.test_case "segment window bounded: partial reliability" `Quick
