@@ -231,17 +231,6 @@ let bench_rng =
     (let rng = Engine.Rng.create ~seed:7 in
      Staged.stage @@ fun () -> ignore (Engine.Rng.bits64 rng))
 
-let bench_heap =
-  Test.make ~name:"engine.heap.add_pop_100"
-    (Staged.stage @@ fun () ->
-     let h = Engine.Heap.create ~compare:Float.compare in
-     for i = 0 to 99 do
-       Engine.Heap.add h (float_of_int ((i * 7919) mod 100))
-     done;
-     for _ = 0 to 99 do
-       ignore (Engine.Heap.pop_min h)
-     done)
-
 (* The flight recorder's per-segment cost: build the [Seg_send] event,
    then one packed journal write plus the per-flow count bump, cycling
    over 64 flows so the tag word varies like a real mixed-flow run. *)
@@ -282,7 +271,6 @@ let bench_end_to_end =
 let micro_tests =
   [
     bench_rng;
-    bench_heap;
     bench_equation;
     bench_equation_inverse;
     bench_loss_history;

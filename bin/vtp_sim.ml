@@ -47,8 +47,15 @@ let proto =
 let rate =
   Arg.(value & opt float 10e6 & info [ "rate" ] ~docv:"BPS" ~doc:"Link rate (b/s).")
 
+(* [--delay] and [--burstiness] are [None] when absent, so that
+   --proto af, whose bottleneck delay and loss model are fixed, can
+   refuse them when given. *)
+let default_delay = 0.04
+
 let delay =
-  Arg.(value & opt float 0.04 & info [ "delay" ] ~docv:"S" ~doc:"One-way delay (s).")
+  Arg.(value & opt (some' ~none:default_delay float) None
+       & info [ "delay" ] ~docv:"S"
+           ~doc:"One-way delay (s); not with --proto af (30 ms).")
 
 let loss =
   Arg.(value & opt float 0.0
@@ -57,10 +64,10 @@ let loss =
                  below 0.5 (above a third only with enough burstiness).")
 
 let burstiness =
-  Arg.(value & opt float 0.0
+  Arg.(value & opt (some' ~none:0.0 float) None
        & info [ "burstiness" ] ~docv:"B"
            ~doc:"0 = random (Bernoulli); in (0, 1] = Gilbert-Elliott \
-                 burstiness.")
+                 burstiness; not with --proto af (Bernoulli).")
 
 let g =
   Arg.(value & opt float 2e6
@@ -97,16 +104,30 @@ let loss_model ~loss ~burstiness rng =
   else if burstiness <= 0.0 then Netsim.Loss_model.bernoulli ~p:loss ~rng
   else Netsim.Loss_model.gilbert ~loss ~burstiness ~rng
 
+(* The duplex path that every protocol but AF runs on: one droptail-50
+   forward link with the requested loss model. *)
+let duplex_path ~seed ~rate ~delay ~loss ~burstiness =
+  let sim = Engine.Sim.create ~seed () in
+  let rng = Engine.Sim.split_rng sim in
+  let forward =
+    Netsim.Topology.spec ~rate_bps:rate ~delay
+      ~qdisc:(fun () -> Netsim.Qdisc.droptail ~capacity_pkts:50)
+      ~loss:(fun () -> loss_model ~loss ~burstiness (Engine.Rng.split rng))
+      ()
+  in
+  let topo = Netsim.Topology.duplex_path ~sim ~forward () in
+  (sim, Netsim.Topology.endpoint topo 0)
+
 (* One scenario on one seed, rendered to a string so a --seeds sweep can
    run scenarios concurrently and still print in seed order. *)
 let render_one ~proto ~rate ~delay ~loss ~burstiness ~g ~duration ~reliability
     ~seed =
-  let loss_of = loss_model ~loss ~burstiness in
   match proto with
   | P_af ->
       let r =
         Experiments.Af_scenario.run ~seed ~g_mbps:(g /. 1e6)
-          ~proto:Experiments.Af_scenario.Qtp_af ()
+          ~proto:Experiments.Af_scenario.Qtp_af
+          ~bottleneck_mbps:(rate /. 1e6) ~link_loss:loss ~duration ()
       in
       Format.asprintf
         "QTP_AF on the AF dumbbell: achieved %.2f Mb/s (%.0f%% of g), retx %d@."
@@ -114,18 +135,8 @@ let render_one ~proto ~rate ~delay ~loss ~burstiness ~g ~duration ~reliability
         (100.0 *. r.Experiments.Af_scenario.achieved_wire_bps /. g)
         r.Experiments.Af_scenario.retransmissions
   | P_tcp ->
-      let sim = Engine.Sim.create ~seed () in
-      let rng = Engine.Sim.split_rng sim in
-      let forward =
-        Netsim.Topology.spec ~rate_bps:rate ~delay
-          ~qdisc:(fun () -> Netsim.Qdisc.droptail ~capacity_pkts:50)
-          ~loss:(fun () -> loss_of (Engine.Rng.split rng))
-          ()
-      in
-      let topo = Netsim.Topology.duplex_path ~sim ~forward () in
-      let flow =
-        Tcp.Flow.create ~sim ~endpoint:(Netsim.Topology.endpoint topo 0) ()
-      in
+      let sim, endpoint = duplex_path ~seed ~rate ~delay ~loss ~burstiness in
+      let flow = Tcp.Flow.create ~sim ~endpoint () in
       let goodput = Experiments.Common.tap_tcp_goodput ~sim flow in
       Engine.Sim.run ~until:duration sim;
       let s = Tcp.Flow.sender flow in
@@ -139,15 +150,7 @@ let render_one ~proto ~rate ~delay ~loss ~burstiness ~g ~duration ~reliability
         (Tcp.Tcp_sender.timeouts s)
         (Tcp.Tcp_sender.cwnd s)
   | P_tfrc | P_light | P_full ->
-      let sim = Engine.Sim.create ~seed () in
-      let rng = Engine.Sim.split_rng sim in
-      let forward =
-        Netsim.Topology.spec ~rate_bps:rate ~delay
-          ~qdisc:(fun () -> Netsim.Qdisc.droptail ~capacity_pkts:50)
-          ~loss:(fun () -> loss_of (Engine.Rng.split rng))
-          ()
-      in
-      let topo = Netsim.Topology.duplex_path ~sim ~forward () in
+      let sim, endpoint = duplex_path ~seed ~rate ~delay ~loss ~burstiness in
       let offer, responder =
         match proto with
         | P_tfrc -> (Qtp.Profile.qtp_tfrc (), Qtp.Profile.anything ())
@@ -158,7 +161,7 @@ let render_one ~proto ~rate ~delay ~loss ~burstiness ~g ~duration ~reliability
       in
       let agreed = Qtp.Profile.agreed_exn offer responder in
       let endpoint, arrivals =
-        Experiments.Common.probe_arrivals ~sim (Netsim.Topology.endpoint topo 0)
+        Experiments.Common.probe_arrivals ~sim endpoint
       in
       let conn =
         Qtp.Connection.create ~sim ~endpoint
@@ -211,11 +214,33 @@ let check_loss ~loss ~burstiness =
         Error
           (Printf.sprintf "--loss %g --burstiness %g: %s" loss burstiness msg)
 
-let run proto rate delay loss burstiness g duration seed seeds jobs reliability
-    =
+(* The AF dumbbell's bottleneck delay (30 ms) and Bernoulli link loss
+   are part of the scenario. *)
+let check_af ~proto ~delay ~burstiness =
+  match (proto, delay, burstiness) with
+  | P_af, Some d, _ ->
+      Error
+        (Printf.sprintf
+           "--delay %g: --proto af runs the AF dumbbell, whose bottleneck \
+            delay is fixed at 30 ms"
+           d)
+  | P_af, None, Some b ->
+      Error
+        (Printf.sprintf
+           "--burstiness %g: --proto af runs the AF dumbbell, whose link \
+            loss is Bernoulli"
+           b)
+  | _ -> Ok ()
+
+let run proto rate delay_flag loss burstiness_flag g duration seed seeds jobs
+    reliability =
+  let delay = Option.value delay_flag ~default:default_delay in
+  let burstiness = Option.value burstiness_flag ~default:0.0 in
+  let ( let* ) = Result.bind in
   match
-    Result.bind (check_numbers ~rate ~delay ~g ~duration ~seeds)
-      (fun () -> check_loss ~loss ~burstiness)
+    let* () = check_numbers ~rate ~delay ~g ~duration ~seeds in
+    let* () = check_loss ~loss ~burstiness in
+    check_af ~proto ~delay:delay_flag ~burstiness:burstiness_flag
   with
   | Error msg -> `Error (true, msg)
   | Ok () ->

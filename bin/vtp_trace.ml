@@ -8,7 +8,7 @@
    Examples:
      vtp_trace --list
      vtp_trace --run light_headline --digest
-     vtp_trace --run af_headline --sched heap --export af.trace
+     vtp_trace --run af_headline --export af.trace
      vtp_trace --seed 123 --json out.qlog
      vtp_trace --diff a.trace b.trace
      vtp_trace --regen test/golden
@@ -46,13 +46,6 @@ let seed =
     & opt (some int) None
     & info [ "seed" ] ~docv:"SEED"
         ~doc:"Replay the fuzz scenario generated from this seed.")
-
-let sched =
-  Arg.(
-    value
-    & opt (enum [ ("wheel", `Wheel); ("heap", `Heap) ]) `Wheel
-    & info [ "sched" ] ~docv:"BACKEND"
-        ~doc:"Event-queue backend: $(b,wheel) (default) or $(b,heap).")
 
 let export =
   Arg.(
@@ -125,24 +118,24 @@ let warn_failed (e : Fuzz.Golden.entry) report =
     Format.eprintf "warning: %s did not pass its oracles:@.%a@." e.name
       Fuzz.Exec.pp_report report
 
-let capture_entry ~sched (e : Fuzz.Golden.entry) =
-  let report, recorder = Fuzz.Golden.capture ~sched e in
+let capture_entry (e : Fuzz.Golden.entry) =
+  let report, recorder = Fuzz.Golden.capture e in
   warn_failed e report;
   recorder
 
 (* Replay the whole corpus on [jobs] domains; entries come back — and
    the oracle warnings fire — in corpus order, so --regen/--check output
    is identical at any --jobs. *)
-let capture_corpus ~sched ~jobs =
+let capture_corpus ~jobs =
   let entries = Array.of_list Fuzz.Golden.corpus in
-  let captured = Engine.Pool.map ?jobs (Fuzz.Golden.capture ~sched) entries in
+  let captured = Engine.Pool.map ?jobs Fuzz.Golden.capture entries in
   Array.map2
     (fun e (report, recorder) ->
       warn_failed e report;
       (e, recorder))
     entries captured
 
-let do_regen ~sched ~jobs dir =
+let do_regen ~jobs dir =
   if not (Sys.file_exists dir && Sys.is_directory dir) then
     raise (Bad_path ("--regen: no such directory: " ^ dir));
   Array.iter
@@ -153,10 +146,10 @@ let do_regen ~sched ~jobs dir =
       Format.printf "%-18s %s  (%d events)@." e.name
         (Trace.Export.digest_of_string text)
         (Trace.Recorder.events recorder))
-    (capture_corpus ~sched ~jobs);
+    (capture_corpus ~jobs);
   `Ok ()
 
-let do_check ~sched ~jobs dir =
+let do_check ~jobs dir =
   let bad = ref 0 in
   Array.iter
     (fun ((e : Fuzz.Golden.entry), recorder) ->
@@ -175,12 +168,12 @@ let do_check ~sched ~jobs dir =
             Format.printf "%-18s MISMATCH@.%a" e.name
               Trace.Export.pp_divergence d
       end)
-    (capture_corpus ~sched ~jobs);
+    (capture_corpus ~jobs);
   if !bad > 0 then exit 1;
   `Ok ()
 
-let run list_only run_name seed sched export json digest diff diff_pos regen
-    check jobs =
+let run list_only run_name seed export json digest diff diff_pos regen check
+    jobs =
   if list_only then begin
     List.iter
       (fun (e : Fuzz.Golden.entry) ->
@@ -193,8 +186,8 @@ let run list_only run_name seed sched export json digest diff diff_pos regen
       match (diff, diff_pos, regen, check) with
       | Some (a, b), _, _, _ -> do_diff a b
       | None, [ a; b ], _, _ -> do_diff a b
-      | None, _, Some dir, _ -> do_regen ~sched ~jobs dir
-      | None, _, None, Some dir -> do_check ~sched ~jobs dir
+      | None, _, Some dir, _ -> do_regen ~jobs dir
+      | None, _, None, Some dir -> do_check ~jobs dir
       | None, _, None, None -> (
           let entry =
             match (run_name, seed) with
@@ -223,7 +216,7 @@ let run list_only run_name seed sched export json digest diff diff_pos regen
           match entry with
           | Error e -> `Error e
           | Ok e ->
-              let recorder = capture_entry ~sched e in
+              let recorder = capture_entry e in
               let text = Trace.Export.canonical recorder in
               (match json with
               | Some path ->
@@ -248,7 +241,7 @@ let cmd =
     (Cmd.info "vtp_trace" ~doc)
     Term.(
       ret
-        (const run $ list_flag $ run_name $ seed $ sched $ export $ json
-       $ digest $ diff $ diff_pos $ regen $ check $ jobs))
+        (const run $ list_flag $ run_name $ seed $ export $ json $ digest
+       $ diff $ diff_pos $ regen $ check $ jobs))
 
 let () = exit (Cmd.eval cmd)

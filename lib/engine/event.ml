@@ -26,6 +26,3 @@ let make_dummy () =
     where = in_none;
     pos = 0;
   }
-
-let compare a b =
-  match Float.compare a.time b.time with 0 -> Int.compare a.seq b.seq | c -> c

@@ -1,5 +1,5 @@
-(** A scheduled simulation event — the shared currency of {!Sim}'s
-    pluggable schedulers ({!Heap}-backed and {!Wheel}-backed).
+(** A scheduled simulation event — the record {!Sim} files in its
+    {!Wheel}.
 
     This is an internal engine type: records are pooled and reused by
     {!Sim}, so nothing outside the engine should retain one.  The
@@ -31,6 +31,3 @@ val in_ready : int
 
 val make_dummy : unit -> t
 (** A fresh dead record, used to pad scheduler-internal arrays. *)
-
-val compare : t -> t -> int
-(** Lexicographic [(time, seq)] — the canonical firing order. *)

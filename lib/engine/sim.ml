@@ -1,7 +1,3 @@
-type sched = [ `Heap | `Wheel ]
-
-type queue = Q_heap of Event.t Heap.t | Q_wheel of Wheel.t
-
 type handle = { ev : Event.t; h_gen : int }
 
 (* Fired and cancelled event records are recycled through a bounded
@@ -16,29 +12,24 @@ type trace_op = T_schedule of float | T_cancel of int | T_pop
 type t = {
   mutable clock : float;
   mutable next_seq : int;
-  queue : queue;
+  wheel : Wheel.t;
   root_rng : Rng.t;
   mutable pool : Event.t array;
   mutable pool_n : int;
   mutable executed : int;
   mutable tracer : (trace_op -> unit) option;
-  idle : Event.t;  (* never live: [next] on an empty heap *)
 }
 
-let create ?(seed = 42) ?(sched = `Wheel) () =
+let create ?(seed = 42) () =
   {
     clock = 0.0;
     next_seq = 0;
-    queue =
-      (match sched with
-      | `Heap -> Q_heap (Heap.create ~compare:Event.compare)
-      | `Wheel -> Q_wheel (Wheel.create ()));
+    wheel = Wheel.create ();
     root_rng = Rng.create ~seed;
     pool = [||];
     pool_n = 0;
     executed = 0;
     tracer = None;
-    idle = Event.make_dummy ();
   }
 
 let now t = t.clock
@@ -101,9 +92,7 @@ let enqueue t time run =
       (Printf.sprintf "Sim.schedule_at: time %g is before now %g" time t.clock);
   let ev = alloc t time run in
   (match t.tracer with Some f -> f (T_schedule time) | None -> ());
-  (match t.queue with
-  | Q_heap h -> Heap.add h ev
-  | Q_wheel w -> Wheel.add w ev);
+  Wheel.add t.wheel ev;
   ev
 
 let schedule_at t time run =
@@ -128,38 +117,23 @@ let post_after t delay run =
   if delay < 0.0 then invalid_arg "Sim.post_after: negative delay";
   post_at t (t.clock +. delay) run
 
+(* A cancelled event never runs and never advances the clock.  One
+   still staged in the wheel's ready heap stays there, dead, until it
+   surfaces; the wheel drops it then. *)
 let cancel_ev t ev ~gen =
   if ev.Event.gen = gen && ev.Event.live then begin
     ev.Event.live <- false;
     (match t.tracer with Some f -> f (T_cancel ev.Event.seq) | None -> ());
-    match t.queue with
-    | Q_heap _ -> () (* lazily collected when it reaches the top *)
-    | Q_wheel w -> if Wheel.remove w ev then release t ev
+    if Wheel.remove t.wheel ev then release t ev
   end
 
 let cancel t { ev; h_gen } = cancel_ev t ev ~gen:h_gen
 
-(* The next live event, or a dead record when none is left.  Cancelled
-   events never run and never advance the clock, under either
-   scheduler: the heap sheds its cancelled entries as they surface. *)
-let[@vtp.hot] rec next t =
-  match t.queue with
-  | Q_wheel w -> Wheel.peek w
-  | Q_heap h -> (
-      match Heap.min h with
-      | Some ev when not ev.Event.live ->
-          ignore (Heap.pop_min h);
-          release t ev;
-          next t
-      | Some ev -> ev
-      | None -> t.idle)
-
-(* Remove [ev], just returned live by [next], from the queue and run it.
-   On the wheel this and [next] allocate nothing. *)
+(* Run [ev], just returned live by {!Wheel.peek}: take it from the
+   wheel, advance the clock and recycle the record before its thunk
+   runs.  This and the peek allocate nothing. *)
 let[@vtp.hot] fire t (ev : Event.t) =
-  (match t.queue with
-  | Q_wheel w -> Wheel.take w ev
-  | Q_heap h -> ignore (Heap.pop_min h));
+  Wheel.take t.wheel ev;
   t.clock <- ev.Event.time;
   t.executed <- t.executed + 1;
   (match t.tracer with Some f -> f T_pop | None -> ());
@@ -168,7 +142,7 @@ let[@vtp.hot] fire t (ev : Event.t) =
   run ()
 
 let[@vtp.hot] step t =
-  let ev = next t in
+  let ev = Wheel.peek t.wheel in
   ev.Event.live
   && begin
        fire t ev;
@@ -176,7 +150,7 @@ let[@vtp.hot] step t =
      end
 
 let[@vtp.hot] rec run_until t horizon =
-  let ev = next t in
+  let ev = Wheel.peek t.wheel in
   if ev.Event.live && ev.Event.time <= horizon then begin
     fire t ev;
     run_until t horizon

@@ -5,25 +5,20 @@
     broken by insertion order so runs are fully deterministic.  Time is
     in seconds (float).
 
-    Two interchangeable schedulers sit behind the queue: a hierarchical
-    timer wheel ({!Wheel}, the default — O(1) amortized insert/cancel)
-    and a binary heap ({!Heap} — O(log n), kept as the differential
-    reference).  Both fire events in identical (time, insertion) order;
-    the choice is observable only through performance. *)
+    The queue is a hierarchical timer wheel ({!Wheel}: O(1) amortized
+    insert and cancel).  The tests replay recorded operation streams
+    ({!set_tracer}) through it and through a reference binary heap,
+    which must pop the same events in the same (time, insertion)
+    order. *)
 
 type t
-
-type sched = [ `Heap | `Wheel ]
-(** Event-queue backend: [`Wheel] is the hierarchical timer wheel
-    (default), [`Heap] the reference binary heap. *)
 
 type handle
 (** Cancellation token for a scheduled event. *)
 
-val create : ?seed:int -> ?sched:sched -> unit -> t
+val create : ?seed:int -> unit -> t
 (** Fresh simulation at time 0.  [seed] (default 42) seeds the root RNG
-    from which components should [split] their own streams.  [sched]
-    picks the queue backend (default [`Wheel]). *)
+    from which components should [split] their own streams. *)
 
 val now : t -> float
 (** Current virtual time. *)
@@ -86,8 +81,11 @@ type trace_op =
   | T_pop  (** the next live event fired *)
 
 val set_tracer : t -> (trace_op -> unit) option -> unit
-(** Observe the raw scheduler operation stream.  The benchmark
+(** Observe the raw scheduler operation stream.  Sequence numbers are
+    assigned in schedule order from 0, so a tracer installed before the
+    first schedule sees a self-contained stream.  The benchmark
     (perfbench) records a run's stream once, then replays it through a
-    bare {!Wheel} to price the scheduler apart from the protocol
-    work.  [None] (the default) disables tracing; the hook
-    costs one branch per operation when unset. *)
+    bare {!Wheel} to price the scheduler apart from the protocol work;
+    the tests replay streams through the wheel and a reference heap.
+    [None] (the default) disables tracing; the hook costs one branch
+    per operation when unset. *)

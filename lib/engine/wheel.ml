@@ -13,18 +13,17 @@
    Firing order: the next occupied level-0 slot is drained into a small
    "ready" binary heap ordered by (time, seq), which resolves both
    sub-tick ordering (several float times can share a tick) and FIFO
-   ties — so the observable event order is byte-identical to the
-   reference binary-heap scheduler.  The ready heap is private: a flat
-   [Event.t] array compared inline, with no comparison closure and no
-   option per peek, so {!Sim} fires an event with one [peek] and one
-   [take] and allocates nothing.
+   ties — so events pop in exactly (time, seq) order, the one a plain
+   binary heap of all pending events would give.  The ready heap
+   is private: a flat [Event.t] array compared inline, with no
+   comparison closure and no option per peek, so {!Sim} fires an event
+   with one [peek] and one [take] and allocates nothing.
 
    Cancellation is eager: every event knows its bucket and index, so a
    cancel is an O(1) swap-remove and the record can be recycled
-   immediately.  The reference heap, by contrast, keeps cancelled
-   entries until they are popped — under timer churn (RTO restarted on
-   every ACK) that is the difference between holding the live set and
-   holding the whole scheduled history. *)
+   immediately.  A heap that kept cancelled entries until they were
+   popped would, under timer churn (RTO restarted on every ACK), hold
+   the whole scheduled history instead of the live set. *)
 
 let slot_bits = 5
 
@@ -78,8 +77,9 @@ let create () =
 
 let length t = t.size
 
-(* The ready heap.  [earlier] is {!Event.compare}'s (time, seq) order,
-   inline; [seq] is unique, so any heap pops the one canonical order. *)
+(* The ready heap.  [earlier] is the canonical (time, seq) order, by
+   [Float.compare] on times; [seq] is unique, so any heap pops the one
+   canonical order. *)
 let[@inline] earlier (a : Event.t) (b : Event.t) =
   let c = Float.compare a.Event.time b.Event.time in
   c < 0 || (c = 0 && a.Event.seq < b.Event.seq)

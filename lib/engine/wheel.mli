@@ -1,4 +1,4 @@
-(** Hierarchical timer wheel — {!Sim}'s default scheduler.
+(** Hierarchical timer wheel — {!Sim}'s event queue.
 
     Stores {!Event.t} records keyed by their [time], quantised to 1 µs
     ticks across nine levels of 32 slots (≈400 virtual days of horizon;
@@ -11,10 +11,13 @@
     and {!peek} and {!take} allocate nothing: {!Sim} fires each event
     with one of each.
 
-    Events pop in exactly the (time, seq) order of the reference
-    {!Heap}-based scheduler; the two are differentially tested.  Unlike
-    the heap, cancellation removes the event immediately (swap-remove in
-    its bucket), so the wheel only ever holds live events. *)
+    Events pop in exactly (time, seq) order, [seq] breaking ties of
+    [Float.compare] on times: the tests replay recorded operation
+    streams through the wheel and a reference binary heap and compare
+    every pop.  Cancellation removes
+    the event immediately (swap-remove in its bucket), except for one
+    already staged in the ready heap, which stays there dead until it
+    surfaces. *)
 
 type t
 

@@ -13,8 +13,11 @@ type result = {
   bottleneck_total_drops : int;
 }
 
+(* Poisson aggregates carrying the excess load. *)
+let n_excess_flows = 4
+
 let run ~seed ~g_mbps ~proto ?(bottleneck_mbps = 10.0) ?(excess_mbps = 8.0)
-    ?(n_excess_flows = 4) ?(link_loss = 0.0) ?(duration = Common.duration) () =
+    ?(link_loss = 0.0) ?(duration = Common.duration) () =
   let measure series =
     Stats.Series.rate_bps series
       ~from_:(Float.min Common.warmup (0.2 *. duration))

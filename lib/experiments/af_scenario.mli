@@ -27,14 +27,15 @@ val run :
   proto:proto ->
   ?bottleneck_mbps:float ->
   ?excess_mbps:float ->
-  ?n_excess_flows:int ->
   ?link_loss:float ->
   ?duration:float ->
   unit ->
   result
 (** [duration] (default {!Common.duration}) is the virtual run length —
-    the examples' smoke tests shorten it.  [link_loss] adds random
-    non-congestion loss on the bottleneck (a
+    the examples' smoke tests shorten it.  The bottleneck runs at
+    [bottleneck_mbps] (default 10) with a 30 ms delay; [excess_mbps]
+    (default 8) of excess load arrives as four Poisson aggregates.
+    [link_loss] adds random non-congestion loss on the bottleneck (a
     lossy AF path, e.g. a wireless segment inside the class): green
     packets die too, TFRC's equation share drops below [g], and only the
     gTFRC floor preserves the assurance. *)

@@ -80,13 +80,12 @@ let af_dumbbell ?capacity_pkts ~seed ~n_flows ~bottleneck_mbps
   instrument topo;
   (sim, topo)
 
-let plain_dumbbell ~seed ~n_flows ~bottleneck_mbps ?(bottleneck_delay = 0.03)
-    ?(buffer_pkts = 85) () =
+let plain_dumbbell ~seed ~n_flows ~bottleneck_mbps ?(buffer_pkts = 85) () =
   let sim = Engine.Sim.create ~seed () in
   let bottleneck =
     Netsim.Topology.spec
       ~rate_bps:(mbps bottleneck_mbps)
-      ~delay:bottleneck_delay
+      ~delay:0.03
       ~qdisc:(fun () -> Netsim.Qdisc.droptail ~capacity_pkts:buffer_pkts)
       ()
   in
@@ -224,8 +223,7 @@ let selfish_receiver ~p_factor (ep : Netsim.Topology.endpoint) =
    delay); reverse links take the per-path default, so feedback
    latency jumps with every migration. *)
 
-let mobile_path ~seed ~paths ?(buffer_pkts = 60)
-    ?(mangle = Netsim.Mangler.none) () =
+let mobile_path ~seed ~paths ?(mangle = Netsim.Mangler.none) () =
   let sim = Engine.Sim.create ~seed () in
   let rng = Engine.Sim.split_rng sim in
   let mangle_f () =
@@ -235,7 +233,7 @@ let mobile_path ~seed ~paths ?(buffer_pkts = 60)
   in
   let spec_of (rate_mbps, delay) =
     Netsim.Topology.spec ~rate_bps:(mbps rate_mbps) ~delay
-      ~qdisc:(fun () -> Netsim.Qdisc.droptail ~capacity_pkts:buffer_pkts)
+      ~qdisc:(fun () -> Netsim.Qdisc.droptail ~capacity_pkts:60)
       ~mangle:mangle_f ()
   in
   let m = Netsim.Topology.mobile ~sim ~paths:(List.map spec_of paths) () in

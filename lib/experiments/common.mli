@@ -59,11 +59,11 @@ val plain_dumbbell :
   seed:int ->
   n_flows:int ->
   bottleneck_mbps:float ->
-  ?bottleneck_delay:float ->
   ?buffer_pkts:int ->
   unit ->
   Engine.Sim.t * Netsim.Topology.t
-(** Droptail dumbbell for fairness/smoothness experiments. *)
+(** Droptail dumbbell for fairness/smoothness experiments: a 30 ms
+    bottleneck with [buffer_pkts] (default 85) of buffer. *)
 
 val lossy_path :
   seed:int ->
@@ -145,14 +145,13 @@ val selfish_receiver :
 val mobile_path :
   seed:int ->
   paths:(float * float) list ->
-  ?buffer_pkts:int ->
   ?mangle:Netsim.Mangler.profile ->
   unit ->
   Engine.Sim.t * Netsim.Topology.mobile
 (** Single-flow mobile topology over [(rate_mbps, one-way delay)]
-    duplex paths (path 0 active first; droptail queues; the mangler
-    profile, if active, applies to every forward path).  Instrumented
-    for checked mode like every other builder. *)
+    duplex paths (path 0 active first; 60-packet droptail queues; the
+    mangler profile, if active, applies to every forward path).
+    Instrumented for checked mode like every other builder. *)
 
 val declared_link : Netsim.Topology.mobile -> int -> Tfrc.Handover.link_info
 (** The declared bandwidth / RTT of path [i] — what an informed

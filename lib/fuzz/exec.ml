@@ -213,8 +213,8 @@ let source ~sim ~rng (sc : Scenario.t) ~fair_bps =
       Qtp.Source.on_off ~sim ~rng:(Engine.Rng.split rng) ~mean_on:1.0
         ~mean_off:0.5 ~rate_bps:(frac *. fair_bps) ~packet_size:1500 ()
 
-let run ?sched (sc : Scenario.t) : report =
-  let sim = Engine.Sim.create ~seed:sc.Scenario.seed ?sched () in
+let run (sc : Scenario.t) : report =
+  let sim = Engine.Sim.create ~seed:sc.Scenario.seed () in
   let rng = Engine.Sim.split_rng sim in
   let n_vtp =
     match sc.Scenario.handover with

@@ -68,10 +68,9 @@ type report = {
   checker_events : int;
 }
 
-val run : ?sched:Engine.Sim.sched -> Scenario.t -> report
-(** [sched] selects the simulation's event-queue backend (default
-    [`Wheel]); the determinism regression replays the same scenario
-    under both and compares report digests. *)
+val run : Scenario.t -> report
+(** Build and run the scenario's simulation, then check its
+    oracles. *)
 
 val passed : report -> bool
 

@@ -258,5 +258,5 @@ let corpus =
 
 let find name = List.find_opt (fun e -> e.name = name) corpus
 
-let capture ?sched entry =
-  Trace.Recorder.with_recorder (fun () -> Exec.run ?sched entry.scenario)
+let capture entry =
+  Trace.Recorder.with_recorder (fun () -> Exec.run entry.scenario)

@@ -5,12 +5,10 @@
     headline AF and QTP_light scenarios the paper's claims rest on,
     plus a slice of the fuzz smoke corpus with shortened durations.
 
-    Each corpus entry replayed under both event-queue backends must
-    produce the identical canonical trace — PR 3's determinism claim
-    turned into an enforced regression gate — and must match the file
-    committed under [test/golden/], so any behavioural drift in the
-    protocol stack shows up as a trace diff rather than a silent
-    number change. *)
+    Each corpus entry's canonical trace must match the file committed
+    under [test/golden/], so any behavioural drift in the protocol
+    stack shows up as a trace diff rather than a silent number
+    change. *)
 
 type entry = {
   name : string;  (** corpus key; also the committed file's basename *)
@@ -23,7 +21,6 @@ val corpus : entry list
 
 val find : string -> entry option
 
-val capture : ?sched:Engine.Sim.sched -> entry -> Exec.report * Trace.Recorder.t
-(** Replay the entry's scenario with the flight recorder installed
-    (default backend [`Wheel]) and return the run report with the
-    filled recorder. *)
+val capture : entry -> Exec.report * Trace.Recorder.t
+(** Replay the entry's scenario with the flight recorder installed and
+    return the run report with the filled recorder. *)

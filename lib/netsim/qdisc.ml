@@ -24,7 +24,6 @@ type discipline =
   | Red_q of { capacity : int; ecn : bool; red : Red.t }
   | Rio of {
       capacity : int;
-      ecn : bool;
       red_in : Red.t;
       red_out : Red.t;
       mutable green_pkts : int;
@@ -59,7 +58,7 @@ let red ?capacity_pkts ?(ecn = false) ~params ~rng () =
     st = fresh_stats ();
   }
 
-let rio ?capacity_pkts ?(ecn = false) ~in_params ~out_params ~rng () =
+let rio ?capacity_pkts ~in_params ~out_params ~rng () =
   let capacity =
     match capacity_pkts with
     | Some c -> c
@@ -70,7 +69,6 @@ let rio ?capacity_pkts ?(ecn = false) ~in_params ~out_params ~rng () =
       Rio
         {
           capacity;
-          ecn;
           red_in = Red.create in_params ~rng;
           red_out = Red.create out_params ~rng:(Engine.Rng.split rng);
           green_pkts = 0;
@@ -155,7 +153,9 @@ let enqueue t ~now frame =
               Red.decide r.red_out ~now ~qlen
         in
         match verdict with
-        | `Drop -> congest t ~ecn:r.ecn frame
+        | `Drop ->
+            record_drop t frame;
+            false
         | `Accept -> accept t frame
       end
 

@@ -35,12 +35,13 @@ val red :
 
 val rio :
   ?capacity_pkts:int ->
-  ?ecn:bool ->
   in_params:Red.params ->
   out_params:Red.params ->
   rng:Engine.Rng.t ->
   unit ->
   t
+(** The AF queue (capacity default 2.5x the in-profile max_th).  Its
+    early decisions drop: it marks no frame CE. *)
 
 val enqueue : t -> now:float -> Frame.t -> bool
 (** [false] = the frame was dropped (tail or early). *)

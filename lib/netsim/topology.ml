@@ -52,14 +52,12 @@ let default_access_of bottleneck =
     mangle = no_mangler;
   }
 
-let dumbbell ~sim ~n_flows ~bottleneck ?reverse ?access ?committed_rates () =
+let dumbbell ~sim ~n_flows ~bottleneck ?reverse ?committed_rates () =
   assert (n_flows > 0);
   let reverse_spec =
     match reverse with Some r -> r | None -> default_reverse_of bottleneck
   in
-  let access_spec =
-    match access with Some a -> a | None -> default_access_of bottleneck
-  in
+  let access_spec = default_access_of bottleneck in
   let bneck = link_of_spec ~sim ~name:"bottleneck" bottleneck in
   let rev = link_of_spec ~sim ~name:"reverse" reverse_spec in
   let fwd_router = Router.create ~name:"fwd-router" () in
@@ -198,17 +196,10 @@ type handover_schedule = (float * int * handover_mode) list
 
 let ignore_migrate (_ : int) = ()
 
-let mobile ~sim ~paths:specs ?reverse () =
+let mobile ~sim ~paths:specs () =
   if specs = [] then invalid_arg "Topology.mobile: no paths";
   let specs = Array.of_list specs in
-  let rev_specs =
-    match reverse with
-    | Some rs ->
-        if List.length rs <> Array.length specs then
-          invalid_arg "Topology.mobile: reverse/paths length mismatch";
-        Array.of_list rs
-    | None -> Array.map default_reverse_of specs
-  in
+  let rev_specs = Array.map default_reverse_of specs in
   let fwd_router = Router.create ~name:"fwd-router" () in
   let rev_router = Router.create ~name:"rev-router" () in
   let paths =

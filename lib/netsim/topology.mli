@@ -48,7 +48,6 @@ val dumbbell :
   n_flows:int ->
   bottleneck:spec ->
   ?reverse:spec ->
-  ?access:spec ->
   ?committed_rates:float array ->
   unit ->
   t
@@ -57,7 +56,7 @@ val dumbbell :
 
     - [reverse] defaults to the bottleneck rate with the same delay and a
       large droptail buffer — feedback is not the bottleneck.
-    - [access] defaults to 10x the bottleneck rate, 1 ms, large buffer.
+    - Access links run at 10x the bottleneck rate, 1 ms, large buffer.
     - [committed_rates.(i)], when given and positive, installs a DiffServ
       edge marker with that committed rate on flow [i]'s forward path
       (burst: 4 packets at 1500 B). *)
@@ -103,14 +102,11 @@ type mobile
 type handover_schedule = (float * int * handover_mode) list
 (** Time-triggered switches: [(at, target path index, mode)]. *)
 
-val mobile :
-  sim:Engine.Sim.t -> paths:spec list -> ?reverse:spec list -> unit -> mobile
+val mobile : sim:Engine.Sim.t -> paths:spec list -> unit -> mobile
 (** One flow (flow 0) over [List.length paths] duplex paths; path 0 is
-    active initially.  [reverse] gives per-path reverse specs (same
-    length); by default each path's reverse mirrors its forward rate and
-    delay with an ample buffer, so feedback latency tracks the path.
-    Raises [Invalid_argument] on an empty path list or a length
-    mismatch. *)
+    active initially.  Each path's reverse link mirrors its forward rate
+    and delay with an ample buffer, so feedback latency tracks the path.
+    Raises [Invalid_argument] on an empty path list. *)
 
 val mobile_net : mobile -> t
 (** The underlying topology view: one endpoint (flow 0), [links] lists

@@ -3,9 +3,7 @@ type t = {
   rng : Engine.Rng.t;
   ladder : float list;  (* ascending *)
   transport_rate_bps : unit -> float;
-  headroom : float;
   fps : float;
-  payload : int;
   push : int -> unit;
   stop_at : float option;
   mutable rung : float;
@@ -13,8 +11,13 @@ type t = {
   mutable frames : int;
   mutable rung_since : float;
   mutable rung_time : (float * float) list;  (* rung -> accumulated secs *)
-  mutable started_at : float;
 }
+
+(* Encode below the transport estimate, at this share of it. *)
+let headroom = 0.85
+
+(* Transport payload bytes per packet. *)
+let payload = 1431
 
 let account_rung_time t ~now =
   let elapsed = now -. t.rung_since in
@@ -26,7 +29,7 @@ let account_rung_time t ~now =
   t.rung_since <- now
 
 let pick_rung t =
-  let budget = t.headroom *. t.transport_rate_bps () in
+  let budget = headroom *. t.transport_rate_bps () in
   let best =
     List.fold_left
       (fun acc rung -> if rung <= budget then rung else acc)
@@ -39,8 +42,8 @@ let active t =
   | Some stop -> Engine.Sim.now t.sim < stop
   | None -> true
 
-let start ~sim ~rng ~ladder_bps ~transport_rate_bps ?(headroom = 0.85)
-    ?(fps = 25.0) ?(payload = 1431) ~push ?(start_at = 0.0) ?stop_at () =
+let start ~sim ~rng ~ladder_bps ~transport_rate_bps ?(fps = 25.0) ~push
+    ?stop_at () =
   if ladder_bps = [] then invalid_arg "Adaptive_media.start: empty ladder";
   let ladder = List.sort Float.compare ladder_bps in
   let t =
@@ -49,17 +52,14 @@ let start ~sim ~rng ~ladder_bps ~transport_rate_bps ?(headroom = 0.85)
       rng;
       ladder;
       transport_rate_bps;
-      headroom;
       fps;
-      payload;
       push;
       stop_at;
       rung = List.hd ladder;
       switches = 0;
       frames = 0;
-      rung_since = start_at;
+      rung_since = 0.0;
       rung_time = [];
-      started_at = start_at;
     }
   in
   (* Start at the rung the transport can already carry — the initial
@@ -85,14 +85,14 @@ let start ~sim ~rng ~ladder_bps ~transport_rate_bps ?(headroom = 0.85)
       let bytes_per_frame = t.rung /. 8.0 /. t.fps in
       let noise = Engine.Dist.uniform_range rng ~lo:0.9 ~hi:1.1 in
       let size = Stdlib.max 200 (int_of_float (bytes_per_frame *. noise)) in
-      let pkts = (size + t.payload - 1) / t.payload in
+      let pkts = (size + payload - 1) / payload in
       t.frames <- t.frames + 1;
       push pkts;
       ignore (Engine.Sim.schedule_after sim (1.0 /. t.fps) frame_tick)
     end
   in
-  ignore (Engine.Sim.schedule_at sim start_at adapt);
-  ignore (Engine.Sim.schedule_at sim start_at frame_tick);
+  ignore (Engine.Sim.schedule_at sim 0.0 adapt);
+  ignore (Engine.Sim.schedule_at sim 0.0 frame_tick);
   t
 
 let current_rung_bps t = t.rung

@@ -15,17 +15,15 @@ val start :
   rng:Engine.Rng.t ->
   ladder_bps:float list ->
   transport_rate_bps:(unit -> float) ->
-  ?headroom:float ->
   ?fps:float ->
-  ?payload:int ->
   push:(int -> unit) ->
-  ?start_at:float ->
   ?stop_at:float ->
   unit ->
   t
-(** [ladder_bps] must be non-empty; sorted internally.  [headroom]
-    defaults to 0.85 (encode below the transport estimate), [fps] to 25,
-    [payload] to 1431 bytes/packet. *)
+(** Start at time 0.  [ladder_bps] must be non-empty; sorted
+    internally.  The headroom is 0.85 (encode below the transport
+    estimate), packets carry 1431 payload bytes, and [fps] defaults to
+    25. *)
 
 val current_rung_bps : t -> float
 

@@ -29,7 +29,7 @@ let emit t =
 (* One frame per tick, then the next tick an exponential gap later,
    until [stop_at]. *)
 let poisson ~sim ~sink ~flow_id ~rng ~rate_bps ~packet_size
-    ?(mark = Netsim.Mark.Best_effort) ?(start_at = 0.0) ?stop_at () =
+    ?(mark = Netsim.Mark.Best_effort) ?stop_at () =
   assert (rate_bps > 0.0);
   let t =
     {
@@ -54,7 +54,7 @@ let poisson ~sim ~sink ~flow_id ~rng ~rate_bps ~packet_size
            tick)
     end
   in
-  ignore (Engine.Sim.schedule_at sim start_at tick);
+  ignore (Engine.Sim.schedule_at sim 0.0 tick);
   t
 
 let packets_sent t = t.packets

@@ -15,11 +15,11 @@ val poisson :
   rate_bps:float ->
   packet_size:int ->
   ?mark:Netsim.Mark.t ->
-  ?start_at:float ->
   ?stop_at:float ->
   unit ->
   t
-(** Exponential inter-arrivals with the given average rate. *)
+(** Exponential inter-arrivals with the given average rate, from
+    time 0. *)
 
 val packets_sent : t -> int
 val bytes_sent : t -> int

@@ -46,7 +46,7 @@ let frame_size t =
   in
   Stdlib.max 200 (int_of_float (mean *. noise))
 
-let start ~sim ~rng p ~push ?(start_at = 0.0) ?stop_at () =
+let start ~sim ~rng p ~push ?stop_at () =
   assert (p.fps > 0.0 && p.gop >= 1 && p.payload > 0);
   let t =
     { sim; rng; p; push; stop_at; frame_no = 0; frames = 0; bytes = 0 }
@@ -68,7 +68,7 @@ let start ~sim ~rng p ~push ?(start_at = 0.0) ?stop_at () =
       ignore (Engine.Sim.schedule_after sim gap tick)
     end
   in
-  ignore (Engine.Sim.schedule_at sim start_at tick);
+  ignore (Engine.Sim.schedule_at sim 0.0 tick);
   t
 
 let frames_emitted t = t.frames

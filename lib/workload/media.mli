@@ -26,12 +26,11 @@ val start :
   rng:Engine.Rng.t ->
   params ->
   push:(int -> unit) ->
-  ?start_at:float ->
   ?stop_at:float ->
   unit ->
   t
 (** Drive [push] (from [Qtp.Source.queued]) with the packetised frame
-    schedule. *)
+    schedule, from time 0. *)
 
 val frames_emitted : t -> int
 val bytes_emitted : t -> int

@@ -1,4 +1,6 @@
-(** Imperative binary min-heap.
+(** Imperative binary min-heap: the reference the timer wheel is
+    checked against ([Test_sched] replays recorded scheduler operation
+    streams through both).
 
     The heap is polymorphic in its element type; the ordering is fixed at
     creation time by a [compare] function following the convention of

@@ -1,12 +1,11 @@
-(* Golden-trace conformance: every corpus scenario replayed under both
-   event-queue backends must produce the canonical trace committed
-   under test/golden/, byte for byte.
+(* Golden-trace conformance: every corpus scenario replayed must
+   produce the canonical trace committed under test/golden/, byte for
+   byte.
 
-   This turns the scheduler-determinism claim into a regression gate:
-   any behavioural drift anywhere in the protocol stack — segment
-   scheduling, loss inference, rate updates, negotiation — changes
-   trace bytes and shows up as a pinpointed line diff rather than a
-   silent number change.
+   This is a regression gate: any behavioural drift anywhere in the
+   protocol stack — segment scheduling, loss inference, rate updates,
+   negotiation — changes trace bytes and shows up as a pinpointed line
+   diff rather than a silent number change.
 
    Regenerate after an intentional behaviour change with:
      dune exec bin/vtp_trace.exe -- --regen test/golden *)
@@ -18,55 +17,35 @@ let read_file path = In_channel.with_open_bin path In_channel.input_all
 let pp_failure name (d : Trace.Export.divergence) =
   Alcotest.failf "%s: %a" name Trace.Export.pp_divergence d
 
-(* One replay per (entry, backend), shared across the test cases so the
-   corpus is not re-simulated for every assertion.  All captures fan
-   out through one [Engine.Pool.map] on first use; each capture's
-   recorder is ambient per domain, so concurrent replays never share
-   state. *)
+(* One replay per entry, shared across the test cases so the corpus is
+   not re-simulated for every assertion.  All captures fan out through
+   one [Engine.Pool.map] on first use; each capture's recorder is
+   ambient per domain, so concurrent replays never share state. *)
 let captured = Hashtbl.create 16
 
 let populate () =
   if Hashtbl.length captured = 0 then begin
-    let work =
-      List.concat_map
-        (fun (e : Fuzz.Golden.entry) -> [ (e, `Wheel); (e, `Heap) ])
-        Fuzz.Golden.corpus
-    in
-    let results =
-      Engine.Pool.map
-        (fun (e, sched) -> (e, sched, Fuzz.Golden.capture ~sched e))
-        (Array.of_list work)
-    in
-    Array.iter
-      (fun ((e : Fuzz.Golden.entry), sched, (report, recorder)) ->
+    let entries = Array.of_list Fuzz.Golden.corpus in
+    let results = Engine.Pool.map Fuzz.Golden.capture entries in
+    Array.iter2
+      (fun (e : Fuzz.Golden.entry) (report, recorder) ->
         (* A scenario that stops passing its oracles would silently
            turn the golden file into a record of broken behaviour. *)
         if not (Fuzz.Exec.passed report) then
           Alcotest.failf "%s: scenario no longer passes:@.%a"
             e.Fuzz.Golden.name Fuzz.Exec.pp_report report;
-        Hashtbl.replace captured
-          (e.Fuzz.Golden.name, sched)
+        Hashtbl.replace captured e.Fuzz.Golden.name
           (Trace.Export.canonical recorder))
-      results
+      entries results
   end
 
-let canonical ~sched (e : Fuzz.Golden.entry) =
+let canonical (e : Fuzz.Golden.entry) =
   populate ();
-  match Hashtbl.find_opt captured (e.Fuzz.Golden.name, sched) with
+  match Hashtbl.find_opt captured e.Fuzz.Golden.name with
   | Some text -> text
   | None ->
       Alcotest.failf "%s: capture missing from corpus fan-out"
         e.Fuzz.Golden.name
-
-let test_backends_agree () =
-  List.iter
-    (fun (e : Fuzz.Golden.entry) ->
-      let wheel = canonical ~sched:`Wheel e in
-      let heap = canonical ~sched:`Heap e in
-      match Trace.Export.diff heap wheel with
-      | None -> ()
-      | Some d -> pp_failure (e.Fuzz.Golden.name ^ " (heap vs wheel)") d)
-    Fuzz.Golden.corpus
 
 let test_matches_committed () =
   List.iter
@@ -77,7 +56,7 @@ let test_matches_committed () =
           "%s: missing committed trace %s (regenerate with vtp_trace --regen)"
           e.Fuzz.Golden.name path;
       let want = read_file path in
-      let got = canonical ~sched:`Wheel e in
+      let got = canonical e in
       match Trace.Export.diff want got with
       | None -> ()
       | Some d -> pp_failure (e.Fuzz.Golden.name ^ " (vs committed)") d)
@@ -87,7 +66,7 @@ let test_digest_stability () =
   (* The committed digest is a pure function of the committed bytes;
      check one entry end to end so digest plumbing cannot rot. *)
   let e = List.hd Fuzz.Golden.corpus in
-  let text = canonical ~sched:`Wheel e in
+  let text = canonical e in
   Alcotest.(check string)
     "digest matches committed file"
     (Trace.Export.digest_of_string (read_file (golden_path e.Fuzz.Golden.name)))
@@ -124,8 +103,6 @@ let test_corpus_names_unique () =
 
 let suite =
   [
-    Alcotest.test_case "heap and wheel replay byte-identically" `Slow
-      test_backends_agree;
     Alcotest.test_case "replay matches committed corpus" `Slow
       test_matches_committed;
     Alcotest.test_case "digest stability" `Slow test_digest_stability;

@@ -1,8 +1,8 @@
 (* Mobility: the degenerate-handover differential (a self-migration
-   schedule must leave the canonical trace byte-identical under both
-   event-queue backends), frame conservation through [`Drain]/[`Cut]
-   migrations, campaign determinism across worker counts, and the
-   draw-position independence of derived handover schedules. *)
+   schedule must leave the canonical trace byte-identical), frame
+   conservation through [`Drain]/[`Cut] migrations, campaign
+   determinism across worker counts, and the draw-position independence
+   of derived handover schedules. *)
 
 module S = Fuzz.Scenario
 module E = Fuzz.Exec
@@ -30,10 +30,8 @@ let degenerate_pair ~seed =
       in
       (with_ self, with_ [])
 
-let trace_digest ~sched sc =
-  let report, recorder =
-    Trace.Recorder.with_recorder (fun () -> E.run ~sched sc)
-  in
+let trace_digest sc =
+  let report, recorder = Trace.Recorder.with_recorder (fun () -> E.run sc) in
   if not (E.passed report) then
     Alcotest.failf "scenario failed under recorder:@\n%a" E.pp_report report;
   Trace.Export.digest recorder
@@ -42,13 +40,9 @@ let test_degenerate_identical () =
   List.iter
     (fun seed ->
       let self_mig, no_sched = degenerate_pair ~seed in
-      List.iter
-        (fun (sched, label) ->
-          Alcotest.(check string)
-            (Printf.sprintf "seed %d, %s backend" seed label)
-            (trace_digest ~sched no_sched)
-            (trace_digest ~sched self_mig))
-        [ (`Wheel, "wheel"); (`Heap, "heap") ])
+      Alcotest.(check string)
+        (Printf.sprintf "seed %d" seed)
+        (trace_digest no_sched) (trace_digest self_mig))
     [ 42; 77 ]
 
 (* --- frame conservation through migrate_flow ---------------------- *)

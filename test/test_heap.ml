@@ -1,22 +1,22 @@
-(* Engine.Heap: ordering, stability of size accounting, qcheck sort. *)
+(* Heap_ref: ordering, stability of size accounting, qcheck sort. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
 let test_empty () =
-  let h = Engine.Heap.create ~compare:Int.compare in
-  check_int "length" 0 (Engine.Heap.length h);
-  check_bool "is_empty" true (Engine.Heap.is_empty h);
-  Alcotest.(check (option int)) "min" None (Engine.Heap.min h);
-  Alcotest.(check (option int)) "pop" None (Engine.Heap.pop_min h)
+  let h = Heap_ref.create ~compare:Int.compare in
+  check_int "length" 0 (Heap_ref.length h);
+  check_bool "is_empty" true (Heap_ref.is_empty h);
+  Alcotest.(check (option int)) "min" None (Heap_ref.min h);
+  Alcotest.(check (option int)) "pop" None (Heap_ref.pop_min h)
 
 let test_ordering () =
-  let h = Engine.Heap.create ~compare:Int.compare in
-  List.iter (Engine.Heap.add h) [ 5; 1; 4; 1; 3; 9; 0 ];
-  check_int "length" 7 (Engine.Heap.length h);
+  let h = Heap_ref.create ~compare:Int.compare in
+  List.iter (Heap_ref.add h) [ 5; 1; 4; 1; 3; 9; 0 ];
+  check_int "length" 7 (Heap_ref.length h);
   let drained = ref [] in
   let rec drain () =
-    match Engine.Heap.pop_min h with
+    match Heap_ref.pop_min h with
     | Some x ->
         drained := x :: !drained;
         drain ()
@@ -28,28 +28,28 @@ let test_ordering () =
     (List.rev !drained)
 
 let test_min_not_removed () =
-  let h = Engine.Heap.create ~compare:Int.compare in
-  Engine.Heap.add h 2;
-  Engine.Heap.add h 1;
-  Alcotest.(check (option int)) "min" (Some 1) (Engine.Heap.min h);
-  check_int "length unchanged" 2 (Engine.Heap.length h)
+  let h = Heap_ref.create ~compare:Int.compare in
+  Heap_ref.add h 2;
+  Heap_ref.add h 1;
+  Alcotest.(check (option int)) "min" (Some 1) (Heap_ref.min h);
+  check_int "length unchanged" 2 (Heap_ref.length h)
 
 let test_clear () =
-  let h = Engine.Heap.create ~compare:Int.compare in
-  List.iter (Engine.Heap.add h) [ 3; 2; 1 ];
-  Engine.Heap.clear h;
-  check_int "cleared" 0 (Engine.Heap.length h);
-  Engine.Heap.add h 7;
-  Alcotest.(check (option int)) "usable after clear" (Some 7) (Engine.Heap.pop_min h)
+  let h = Heap_ref.create ~compare:Int.compare in
+  List.iter (Heap_ref.add h) [ 3; 2; 1 ];
+  Heap_ref.clear h;
+  check_int "cleared" 0 (Heap_ref.length h);
+  Heap_ref.add h 7;
+  Alcotest.(check (option int)) "usable after clear" (Some 7) (Heap_ref.pop_min h)
 
 let prop_heap_sorts =
   QCheck.Test.make ~name:"heap drains sorted" ~count:200
     QCheck.(list int)
     (fun xs ->
-      let h = Engine.Heap.create ~compare:Int.compare in
-      List.iter (Engine.Heap.add h) xs;
+      let h = Heap_ref.create ~compare:Int.compare in
+      List.iter (Heap_ref.add h) xs;
       let rec drain acc =
-        match Engine.Heap.pop_min h with
+        match Heap_ref.pop_min h with
         | Some x -> drain (x :: acc)
         | None -> List.rev acc
       in
@@ -59,10 +59,10 @@ let prop_custom_order =
   QCheck.Test.make ~name:"heap honours custom compare (max-heap)" ~count:100
     QCheck.(list small_int)
     (fun xs ->
-      let h = Engine.Heap.create ~compare:(fun a b -> Int.compare b a) in
-      List.iter (Engine.Heap.add h) xs;
+      let h = Heap_ref.create ~compare:(fun a b -> Int.compare b a) in
+      List.iter (Heap_ref.add h) xs;
       let rec drain acc =
-        match Engine.Heap.pop_min h with
+        match Heap_ref.pop_min h with
         | Some x -> drain (x :: acc)
         | None -> List.rev acc
       in

@@ -1,30 +1,235 @@
-(* Cross-scheduler tests: the wheel and the heap backends of Engine.Sim
-   must be observationally identical (pending-count accounting aside).
+(* The timer wheel against its reference.
 
-   - boundary behaviours pinned under each backend, due times past
-     the wheel's tick range and a refused NaN among them;
-   - qcheck differential properties replaying random scheduler programs
-     under both and comparing the full firing traces byte for byte, one
-     of them with due times at every wheel level and past its horizon;
-   - a white-box census property over the wheel's internal accounting;
-   - a determinism regression: every fuzz smoke-corpus seed must
-     produce digest-identical reports under both backends. *)
+   Engine.Sim files every event in one hierarchical timer wheel.  Its
+   reference is [Heap_ref], a plain binary heap of every pending event
+   in (time, seq) order.  The check records a simulation's scheduler
+   operation stream (Engine.Sim.set_tracer) and replays it into a fresh
+   wheel and into the reference: at every pop both must yield the same
+   live event.
 
-let scheds = [ ("wheel", `Wheel); ("heap", `Heap) ]
+   - boundary behaviours of Engine.Sim, due times past the wheel's
+     tick range and a refused NaN among them;
+   - qcheck properties running random scheduler programs through
+     Engine.Sim and the replay, one of them with due times at every
+     wheel level and past its horizon;
+   - the replay's own teeth: three queues, each wrong on purpose, it
+     must catch, and a stream recorded too late to number its events;
+   - the recorded streams of three real simulations: an AF dumbbell
+     carrying QTP_AF, QTP_light and TCP flows over Poisson background,
+     a mobile path through a cutting handover, and a long fat network
+     with hundreds of frames in flight;
+   - a white-box census property over the wheel's internal accounting. *)
 
 (* ------------------------------------------------------------------ *)
-(* Boundary behaviours, one copy per backend. *)
+(* The recorded stream, in flat arrays: [ops.(i)] is [op_pop],
+   [op_schedule] (its due time is the next entry of [times]) or the seq
+   of a cancelled event.  It is perfbench's [Oprec] encoding, kept here
+   rather than shared: [Oprec] keeps a capped prefix to time, and this
+   check needs the whole stream and each due time's lead on the
+   clock. *)
 
-let test_horizon_event_fires sched () =
-  let sim = Engine.Sim.create ~sched () in
+let op_pop = -1
+
+let op_schedule = -2
+
+type stream = {
+  mutable ops : int array;
+  mutable n_ops : int;
+  mutable times : float array;
+  mutable n_times : int;
+  mutable cancels : int;
+  mutable max_lead : float;  (** furthest a due time lay past the clock *)
+  mutable pending : int;
+  mutable peak_pending : int;  (** most events pending at once *)
+}
+
+let push_op s v =
+  if s.n_ops = Array.length s.ops then begin
+    let grown = Array.make (2 * s.n_ops) 0 in
+    Array.blit s.ops 0 grown 0 s.n_ops;
+    s.ops <- grown
+  end;
+  s.ops.(s.n_ops) <- v;
+  s.n_ops <- s.n_ops + 1
+
+let push_time s x =
+  if s.n_times = Array.length s.times then begin
+    let grown = Array.create_float (2 * s.n_times) in
+    Array.blit s.times 0 grown 0 s.n_times;
+    s.times <- grown
+  end;
+  s.times.(s.n_times) <- x;
+  s.n_times <- s.n_times + 1
+
+(* Record [sim]'s stream from here on.  Install it before the first
+   schedule: Engine.Sim numbers events in schedule order from 0, and
+   the replay numbers them the same way. *)
+let record sim =
+  let s =
+    {
+      ops = Array.make 1024 0;
+      n_ops = 0;
+      times = Array.create_float 1024;
+      n_times = 0;
+      cancels = 0;
+      max_lead = 0.0;
+      pending = 0;
+      peak_pending = 0;
+    }
+  in
+  Engine.Sim.set_tracer sim
+    (Some
+       (function
+       | Engine.Sim.T_schedule time ->
+           push_op s op_schedule;
+           push_time s time;
+           s.max_lead <- Float.max s.max_lead (time -. Engine.Sim.now sim);
+           s.pending <- s.pending + 1;
+           s.peak_pending <- Stdlib.max s.peak_pending s.pending
+       | Engine.Sim.T_cancel seq ->
+           s.cancels <- s.cancels + 1;
+           s.pending <- s.pending - 1;
+           push_op s seq
+       | Engine.Sim.T_pop ->
+           s.pending <- s.pending - 1;
+           push_op s op_pop));
+  s
+
+(* ------------------------------------------------------------------ *)
+(* The replay.  Seqs are taken in schedule order, as Engine.Sim assigns
+   them.  A cancel marks its event dead in both the queue under test
+   and the reference: the queue unlinks it or drops it when it
+   surfaces, the reference sheds it when it surfaces.  At each pop both
+   must yield the same live seq; after the last op both are drained and
+   compared the same way.  [Ok pops] holds the seqs of the stream's
+   pops, in order; [Error] names the first op at which the two parted.
+
+   The queue under test is the wheel, except in the negative controls
+   below, which hand the replay a queue that is wrong on purpose.
+   [remove] is Engine.Wheel.remove's contract: [true] means the record
+   left the queue and may be reused. *)
+
+type queue = {
+  add : Engine.Event.t -> unit;
+  remove : Engine.Event.t -> bool;
+  pop_min : unit -> Engine.Event.t option;
+}
+
+let wheel () =
+  let w = Engine.Wheel.create () in
+  {
+    add = Engine.Wheel.add w;
+    remove = Engine.Wheel.remove w;
+    pop_min = (fun () -> Engine.Wheel.pop_min w);
+  }
+
+exception Diverged of string
+
+let replay_into q s =
+  let times = s.times in
+  let reference =
+    Heap_ref.create ~compare:(fun a b ->
+        match Float.compare times.(a) times.(b) with
+        | 0 -> Int.compare a b
+        | c -> c)
+  in
+  let by_seq = Array.make s.n_times (Engine.Event.make_dummy ()) in
+  let dead = Bytes.make s.n_times '\000' in
+  let is_dead seq = Bytes.get dead seq <> '\000' in
+  let free = ref [] in
+  let next_seq = ref 0 in
+  let fail at fmt =
+    Printf.ksprintf
+      (fun msg ->
+        raise
+          (Diverged
+             (if at < s.n_ops then Printf.sprintf "op %d: %s" at msg
+              else
+                Printf.sprintf "drain pop %d after the last op (%d): %s"
+                  (at - s.n_ops) s.n_ops msg)))
+      fmt
+  in
+  let rec reference_pop () =
+    match Heap_ref.pop_min reference with
+    | Some seq when is_dead seq -> reference_pop ()
+    | r -> r
+  in
+  let pop at =
+    match (reference_pop (), q.pop_min ()) with
+    | None, None -> None
+    | Some seq, Some ev when ev.Engine.Event.seq = seq ->
+        Bytes.set dead seq '\001';
+        free := ev :: !free;
+        Some seq
+    | Some seq, Some ev ->
+        fail at "the queue pops seq %d (t = %.17g), the reference seq %d \
+                 (t = %.17g)"
+          ev.Engine.Event.seq ev.Engine.Event.time seq times.(seq)
+    | Some seq, None ->
+        fail at "the queue is empty, the reference pops seq %d (t = %.17g)"
+          seq times.(seq)
+    | None, Some ev ->
+        fail at "the queue pops seq %d (t = %.17g), the reference is empty"
+          ev.Engine.Event.seq ev.Engine.Event.time
+  in
+  let pops = ref [] in
+  match
+    for i = 0 to s.n_ops - 1 do
+      let op = s.ops.(i) in
+      if op = op_schedule then begin
+        let seq = !next_seq in
+        incr next_seq;
+        let ev =
+          match !free with
+          | ev :: rest ->
+              free := rest;
+              ev
+          | [] -> Engine.Event.make_dummy ()
+        in
+        ev.Engine.Event.time <- times.(seq);
+        ev.Engine.Event.seq <- seq;
+        ev.Engine.Event.live <- true;
+        by_seq.(seq) <- ev;
+        q.add ev;
+        Heap_ref.add reference seq
+      end
+      else if op = op_pop then (
+        match pop i with
+        | Some seq -> pops := seq :: !pops
+        | None -> fail i "a pop, but no event is pending")
+      else begin
+        if op >= !next_seq || is_dead op then
+          fail i "a cancel of seq %d, which is not pending" op;
+        Bytes.set dead op '\001';
+        let ev = by_seq.(op) in
+        ev.Engine.Event.live <- false;
+        if q.remove ev then free := ev :: !free
+      end
+    done;
+    let rec drain at = if pop at <> None then drain (at + 1) in
+    drain s.n_ops
+  with
+  | () -> Ok (Array.of_list (List.rev !pops))
+  | exception Diverged msg -> Error msg
+
+let replay s = replay_into (wheel ()) s
+
+let replay_exn s =
+  match replay s with Ok pops -> pops | Error msg -> Alcotest.fail msg
+
+(* ------------------------------------------------------------------ *)
+(* Boundary behaviours. *)
+
+let test_horizon_event_fires () =
+  let sim = Engine.Sim.create () in
   let fired = ref false in
   ignore (Engine.Sim.schedule_at sim 5.0 (fun () -> fired := true));
   Engine.Sim.run ~until:5.0 sim;
   Alcotest.(check bool) "event exactly at the horizon fires" true !fired;
   Alcotest.(check (float 1e-9)) "clock at horizon" 5.0 (Engine.Sim.now sim)
 
-let test_cancel_after_fire sched () =
-  let sim = Engine.Sim.create ~sched () in
+let test_cancel_after_fire () =
+  let sim = Engine.Sim.create () in
   let n = ref 0 in
   let h = Engine.Sim.schedule_at sim 1.0 (fun () -> incr n) in
   Engine.Sim.run sim;
@@ -37,8 +242,8 @@ let test_cancel_after_fire sched () =
   Engine.Sim.run sim;
   Alcotest.(check int) "both events ran despite stale cancels" 2 !n
 
-let test_past_rejected sched () =
-  let sim = Engine.Sim.create ~sched () in
+let test_past_rejected () =
+  let sim = Engine.Sim.create () in
   ignore
     (Engine.Sim.schedule_at sim 2.0 (fun () ->
          Alcotest.check_raises "past is invalid"
@@ -46,8 +251,8 @@ let test_past_rejected sched () =
            (fun () -> ignore (Engine.Sim.schedule_at sim 1.0 ignore))));
   Engine.Sim.run sim
 
-let test_horizon_reached_on_early_drain sched () =
-  let sim = Engine.Sim.create ~sched () in
+let test_horizon_reached_on_early_drain () =
+  let sim = Engine.Sim.create () in
   ignore (Engine.Sim.schedule_at sim 1.0 ignore);
   Engine.Sim.run ~until:10.0 sim;
   Alcotest.(check (float 1e-9))
@@ -58,9 +263,9 @@ let test_horizon_reached_on_early_drain sched () =
    schedules C 100 µs later.  Draining A carries the cursor across the
    boundary, and B, filed at level l, must be cascaded down then, or C
    would be drained first. *)
-let test_carry_every_level sched () =
+let test_carry_every_level () =
   for l = 1 to 8 do
-    let sim = Engine.Sim.create ~sched () in
+    let sim = Engine.Sim.create () in
     let log = ref [] in
     let boundary = 32.0 ** float_of_int l in
     let at_tick tick = (tick +. 0.5) *. 1e-6 in
@@ -84,12 +289,13 @@ let test_carry_every_level sched () =
 
 (* Due times past the wheel's tick range: 5e12 s lies past its 2^45
    ticks of horizon, 1e300 s and infinity past the int range, and an
-   event at 2 s schedules one more 1e299 s later.  Both backends must
-   fire them in time order, so the clock never runs backwards.  A NaN
-   time compares false both ways: it is refused, and an event already
-   due at 1 s still fires. *)
-let far_future_trace sched =
-  let sim = Engine.Sim.create ~sched () in
+   event at 2 s schedules one more 1e299 s later.  They must fire in
+   time order, so the clock never runs backwards, and the replay must
+   agree.  A NaN time compares false both ways: it is refused, and an
+   event already due at 1 s still fires. *)
+let test_far_future_and_nan () =
+  let sim = Engine.Sim.create () in
+  let s = record sim in
   let log = ref [] in
   let note name () =
     log := Printf.sprintf "%s@%g" name (Engine.Sim.now sim) :: !log
@@ -107,83 +313,221 @@ let far_future_trace sched =
          note "e" ();
          ignore (Engine.Sim.schedule_after sim 1e299 (note "f"))));
   Engine.Sim.run sim;
-  List.rev !log
-
-let test_far_future_and_nan () =
-  List.iter
-    (fun (name, sched) ->
-      Alcotest.(check (list string))
-        (Printf.sprintf "time order past the tick range [%s]" name)
-        [ "e@2"; "a@5e+12"; "f@1e+299"; "b@1e+300"; "c@inf"; "d@inf" ]
-        (far_future_trace sched);
-      let sim = Engine.Sim.create ~sched () in
-      let fired = ref false in
-      ignore (Engine.Sim.schedule_at sim 1.0 (fun () -> fired := true));
-      (match Engine.Sim.schedule_at sim Float.nan ignore with
-      | _ -> Alcotest.failf "NaN time accepted [%s]" name
-      | exception Invalid_argument _ -> ());
-      Engine.Sim.run ~until:5.0 sim;
-      Alcotest.(check bool)
-        (Printf.sprintf "event at 1 s fired [%s]" name)
-        true !fired)
-    scheds
+  Alcotest.(check (list string))
+    "time order past the tick range"
+    [ "e@2"; "a@5e+12"; "f@1e+299"; "b@1e+300"; "c@inf"; "d@inf" ]
+    (List.rev !log);
+  Alcotest.(check (array int))
+    "the reference pops the same order" [| 4; 0; 5; 1; 2; 3 |] (replay_exn s);
+  let sim = Engine.Sim.create () in
+  let s = record sim in
+  let fired = ref false in
+  ignore (Engine.Sim.schedule_at sim 1.0 (fun () -> fired := true));
+  (match Engine.Sim.schedule_at sim Float.nan ignore with
+  | _ -> Alcotest.fail "NaN time accepted"
+  | exception Invalid_argument _ -> ());
+  Engine.Sim.run ~until:5.0 sim;
+  Alcotest.(check bool) "event at 1 s fired" true !fired;
+  Alcotest.(check (array int))
+    "the refused NaN left no op" [| 0 |] (replay_exn s)
 
 (* ------------------------------------------------------------------ *)
-(* Differential property.  A program is a list of (tag, arg) pairs —
-   integers so qcheck can shrink both the list and the elements —
-   decoded into schedule_at / schedule_after / cancel / step /
-   run ~until operations.  Delays are divisions by primes, giving due
-   times with awkward binary fractions that stress the wheel's 1 µs
-   tick quantisation.  The trace records every firing (id and clock)
-   plus the final clock and executed count; both backends must produce
-   it byte-identically. *)
+(* The replay's teeth.  Each small simulation below is replayed into
+   the wheel, then into a queue that is wrong on purpose, which must be
+   caught at the first pop it gets wrong, named by its op. *)
 
-let run_trace ~sched prog =
-  let buf = Buffer.create 256 in
-  let sim = Engine.Sim.create ~sched () in
-  let handles = ref [] in
-  let next_id = ref 0 in
-  let note id () =
-    Buffer.add_string buf
-      (Printf.sprintf "%d@%.17g;" id (Engine.Sim.now sim))
+(* Three events tied at 1 s and one at 2 s, the middle tie cancelled:
+   the four schedules (ops 0-3), the cancel (op 4), three pops (ops
+   5-7). *)
+let tie_stream () =
+  let sim = Engine.Sim.create () in
+  let s = record sim in
+  let tied = List.init 3 (fun _ -> Engine.Sim.schedule_at sim 1.0 ignore) in
+  ignore (Engine.Sim.schedule_at sim 2.0 ignore);
+  Engine.Sim.cancel sim (List.nth tied 1);
+  Engine.Sim.run sim;
+  s
+
+(* Seq 0 filed 1.5 s ahead (op 0) and seq 1 at 0.9 s (op 1); seq 1 pops
+   (op 2) and files seq 2 at 1.9 s, 1 s ahead (op 3); seq 0 pops (op 4)
+   before seq 2 (op 5). *)
+let far_stream () =
+  let sim = Engine.Sim.create () in
+  let s = record sim in
+  ignore (Engine.Sim.schedule_at sim 1.5 ignore);
+  ignore
+    (Engine.Sim.schedule_at sim 0.9 (fun () ->
+         ignore (Engine.Sim.schedule_at sim 1.9 ignore)));
+  Engine.Sim.run sim;
+  s
+
+let by_time_then (tie : int -> int -> int) (a : Engine.Event.t)
+    (b : Engine.Event.t) =
+  match Float.compare a.Engine.Event.time b.Engine.Event.time with
+  | 0 -> tie a.Engine.Event.seq b.Engine.Event.seq
+  | c -> c
+
+let rec pop_live h =
+  match Heap_ref.pop_min h with
+  | Some ev when not ev.Engine.Event.live -> pop_live h
+  | r -> r
+
+(* A binary heap in [order] that keeps a cancelled event until it
+   surfaces, then drops it, or pops it anyway when [pops_dead]. *)
+let heap_queue ~order ~pops_dead =
+  let h = Heap_ref.create ~compare:order in
+  {
+    add = Heap_ref.add h;
+    remove = (fun _ -> false);
+    pop_min =
+      (fun () -> if pops_dead then Heap_ref.pop_min h else pop_live h);
+  }
+
+(* Events filed more than 1 s past the last pop wait in a far heap that
+   joins the near one only when the near one runs dry: the shape of a
+   wheel that skips a far slot's cascade as its cursor enters the
+   slot's window. *)
+let uncascaded () =
+  let order = by_time_then Int.compare in
+  let near = Heap_ref.create ~compare:order in
+  let far = Heap_ref.create ~compare:order in
+  let clock = ref 0.0 in
+  let rec pop_min () =
+    match pop_live near with
+    | Some ev ->
+        clock := ev.Engine.Event.time;
+        Some ev
+    | None when Heap_ref.is_empty far -> None
+    | None ->
+        let rec cascade () =
+          match Heap_ref.pop_min far with
+          | Some ev ->
+              Heap_ref.add near ev;
+              cascade ()
+          | None -> ()
+        in
+        cascade ();
+        pop_min ()
   in
+  {
+    add =
+      (fun ev ->
+        Heap_ref.add (if ev.Engine.Event.time -. !clock > 1.0 then far else near)
+          ev);
+    remove = (fun _ -> false);
+    pop_min;
+  }
+
+let check_caught stream ~pops ~at queue =
+  Alcotest.(check (array int)) "the wheel replays it" pops
+    (replay_exn (stream ()));
+  match replay_into queue (stream ()) with
+  | Ok _ -> Alcotest.fail "the broken queue passed the replay"
+  | Error msg ->
+      let want = Printf.sprintf "op %d: " at in
+      if not (String.starts_with ~prefix:want msg) then
+        Alcotest.failf "want the failure at op %d, got %S" at msg
+
+(* Ties broken latest seq first: the first pop takes seq 2. *)
+let test_catches_reversed_ties () =
+  check_caught tie_stream ~pops:[| 0; 2; 3 |] ~at:5
+    (heap_queue ~order:(by_time_then (fun a b -> Int.compare b a))
+       ~pops_dead:false)
+
+(* A cancel that does not take: the second pop takes the cancelled
+   seq 1. *)
+let test_catches_cancelled_pop () =
+  check_caught tie_stream ~pops:[| 0; 2; 3 |] ~at:6
+    (heap_queue ~order:(by_time_then Int.compare) ~pops_dead:true)
+
+(* Seq 0 waits in the far heap while seq 2, near, pops first. *)
+let test_catches_uncascaded () =
+  check_caught far_stream ~pops:[| 1; 0; 2 |] ~at:4 (uncascaded ())
+
+(* A stream recorded from after the first schedule numbers its events
+   one short of Engine.Sim's, so its cancel of Sim's seq 1 names an
+   event the replay never saw scheduled. *)
+let test_late_stream_refused () =
+  let sim = Engine.Sim.create () in
+  ignore (Engine.Sim.schedule_at sim 1.0 ignore);
+  let s = record sim in
+  Engine.Sim.cancel sim (Engine.Sim.schedule_at sim 2.0 ignore);
+  Engine.Sim.run sim;
+  match replay s with
+  | Ok _ -> Alcotest.fail "a stream recorded late replayed"
+  | Error msg ->
+      Alcotest.(check string)
+        "the cancel is refused" "op 1: a cancel of seq 1, which is not pending"
+        msg
+
+(* ------------------------------------------------------------------ *)
+(* Random programs.  Each runs on a fresh Engine.Sim with its stream
+   recorded.  It schedules only through [schedule_at time run], which
+   numbers its events in schedule order as the simulation does and logs
+   each number as it fires.  The replay must pass, and the simulation
+   must have fired exactly the reference's pops: the replay's own wheel
+   sees no peek that stopped short of a horizon, the simulation's
+   does. *)
+
+let check_program program =
+  let sim = Engine.Sim.create () in
+  let s = record sim in
+  let fired = ref [] in
+  let next_seq = ref 0 in
+  let schedule_at time run =
+    let seq = !next_seq in
+    incr next_seq;
+    Engine.Sim.schedule_at sim time (fun () ->
+        fired := seq :: !fired;
+        run ())
+  in
+  program sim ~schedule_at;
+  Engine.Sim.run sim;
+  match replay s with
+  | Error msg -> QCheck.Test.fail_report msg
+  | Ok pops ->
+      let fired = Array.of_list (List.rev !fired) in
+      let n = Stdlib.min (Array.length fired) (Array.length pops) in
+      let rec first i =
+        if i < n && fired.(i) = pops.(i) then first (i + 1) else i
+      in
+      if fired <> pops then
+        QCheck.Test.fail_reportf
+          "Engine.Sim fired %d events, the reference popped %d, first \
+           difference at pop %d"
+          (Array.length fired) (Array.length pops) (first 0);
+      true
+
+(* A program is a list of (tag, arg) pairs — integers so qcheck can
+   shrink both the list and the elements — decoded into schedule /
+   cancel / step / run ~until operations.  Delays are
+   divisions by primes, giving due times with awkward binary fractions
+   that stress the wheel's 1 µs tick quantisation. *)
+let random_program prog sim ~schedule_at =
+  let handles = ref [] in
   let delay prime a = float_of_int a /. float_of_int prime in
   List.iter
     (fun (tag, a) ->
       match tag mod 5 with
       | 0 ->
-          let id = !next_id in
-          incr next_id;
           handles :=
-            Engine.Sim.schedule_at sim
-              (Engine.Sim.now sim +. delay 97 a)
-              (note id)
-            :: !handles
+            schedule_at (Engine.Sim.now sim +. delay 97 a) ignore :: !handles
       | 1 ->
-          let id = !next_id in
-          incr next_id;
           handles :=
-            Engine.Sim.schedule_after sim (delay 89 a) (note id) :: !handles
+            schedule_at (Engine.Sim.now sim +. delay 89 a) ignore :: !handles
       | 2 -> (
           match !handles with
           | [] -> ()
           | l -> Engine.Sim.cancel sim (List.nth l (a mod List.length l)))
       | 3 -> ignore (Engine.Sim.step sim : bool)
-      | _ ->
-          Engine.Sim.run ~until:(Engine.Sim.now sim +. delay 83 a) sim)
-    prog;
-  Engine.Sim.run sim;
-  Buffer.add_string buf
-    (Printf.sprintf "end@%.17g#%d" (Engine.Sim.now sim)
-       (Engine.Sim.executed sim));
-  Buffer.contents buf
+      | _ -> Engine.Sim.run ~until:(Engine.Sim.now sim +. delay 83 a) sim)
+    prog
 
 let arb_program = QCheck.(list (pair small_nat small_nat))
 
-let prop_differential =
-  QCheck.Test.make ~count:300 ~name:"random programs: wheel trace = heap trace"
-    arb_program (fun prog ->
-      String.equal (run_trace ~sched:`Wheel prog) (run_trace ~sched:`Heap prog))
+let prop_random_programs =
+  QCheck.Test.make ~count:300 ~name:"random programs: wheel = reference replay"
+    arb_program (fun prog -> check_program (random_program prog))
 
 (* Far levels.  Delays of the random programs above are about a second
    at most, so they file at wheel levels 0 to 3 only.  Here element
@@ -193,9 +537,7 @@ let prop_differential =
    elements are scheduled up front; each firing schedules the next odd
    one, so far slots are filed at many cursor positions and cascade
    down through every level. *)
-let far_trace ~sched prog =
-  let buf = Buffer.create 256 in
-  let sim = Engine.Sim.create ~sched () in
+let far_program prog sim ~schedule_at =
   let prog = Array.of_list prog in
   let delay i =
     let level, m = prog.(i) in
@@ -205,31 +547,137 @@ let far_trace ~sched prog =
     *. 1e-6
   in
   let next_odd = ref 1 in
-  let rec note id () =
-    Buffer.add_string buf
-      (Printf.sprintf "%d@%.17g;" id (Engine.Sim.now sim));
-    if !next_odd < Array.length prog then begin
-      let i = !next_odd in
-      next_odd := i + 2;
-      ignore (Engine.Sim.schedule_after sim (delay i) (note i))
-    end
+  let rec arm i =
+    ignore
+      (schedule_at
+         (Engine.Sim.now sim +. delay i)
+         (fun () ->
+           if !next_odd < Array.length prog then begin
+             let j = !next_odd in
+             next_odd := j + 2;
+             arm j
+           end))
   in
-  Array.iteri
-    (fun i _ ->
-      if i mod 2 = 0 then
-        ignore (Engine.Sim.schedule_after sim (delay i) (note i)))
-    prog;
-  Engine.Sim.run sim;
-  Buffer.add_string buf
-    (Printf.sprintf "end@%.17g#%d" (Engine.Sim.now sim)
-       (Engine.Sim.executed sim));
-  Buffer.contents buf
+  Array.iteri (fun i _ -> if i mod 2 = 0 then arm i) prog
 
 let prop_far_levels =
   QCheck.Test.make ~count:200
-    ~name:"every level and the overflow: wheel trace = heap trace"
-    arb_program (fun prog ->
-      String.equal (far_trace ~sched:`Wheel prog) (far_trace ~sched:`Heap prog))
+    ~name:"every level and the overflow: wheel = reference replay"
+    arb_program (fun prog -> check_program (far_program prog))
+
+(* ------------------------------------------------------------------ *)
+(* Real traffic: three simulations built here, recorded from their
+   first schedule and replayed.  Each stream must be big enough to mean
+   something: 10^5 operations, 10^3 cancels (TCP's retransmission timer
+   restarts, TFRC's send ticks) and at least one event filed 2 s or
+   more past the clock, at wheel level 4 or higher. *)
+
+let check_stream name s =
+  Printf.printf "%s: %d ops, %d cancels, furthest lead %g s, %d pending at \
+                 most\n"
+    name s.n_ops s.cancels s.max_lead s.peak_pending;
+  ignore (replay_exn s : int array);
+  if s.n_ops < 100_000 then Alcotest.failf "%s: only %d ops" name s.n_ops;
+  if s.cancels < 1_000 then
+    Alcotest.failf "%s: only %d cancels" name s.cancels;
+  if s.max_lead < 2.0 then
+    Alcotest.failf "%s: no event filed 2 s ahead (furthest %g s)" name
+      s.max_lead
+
+let agreed offer = Qtp.Profile.agreed_exn offer (Qtp.Profile.anything ())
+
+(* 30 flows on the AF dumbbell for 20 s: 10 QTP_AF flows at g = 0.3
+   Mb/s, 10 QTP_light flows, 6 TCP flows and 4 Poisson aggregates. *)
+let test_af_dumbbell_stream () =
+  let n_af = 10 and n_light = 10 and n_tcp = 6 and n_bg = 4 in
+  let n_flows = n_af + n_light + n_tcp + n_bg in
+  let sim, topo =
+    Experiments.Common.af_dumbbell ~seed:42 ~n_flows ~bottleneck_mbps:10.0
+      ~committed_mbps:
+        (Array.init n_flows (fun i -> if i < n_af then 0.3 else 0.0))
+      ()
+  in
+  let s = record sim in
+  let rng = Engine.Sim.split_rng sim in
+  for i = 0 to n_flows - 1 do
+    let endpoint = Netsim.Topology.endpoint topo i in
+    let connect offer =
+      ignore
+        (Qtp.Connection.create ~sim ~endpoint
+           (Qtp.Connection.config ~initial_rtt:0.2 (agreed offer)))
+    in
+    if i < n_af then
+      connect (Qtp.Profile.qtp_af ~g_bps:(Experiments.Common.mbps 0.3) ())
+    else if i < n_af + n_light then connect (Qtp.Profile.qtp_light ())
+    else if i < n_af + n_light + n_tcp then
+      ignore (Tcp.Flow.create ~sim ~endpoint ())
+    else begin
+      Experiments.Common.sink_background endpoint;
+      ignore
+        (Workload.Background.poisson ~sim
+           ~sink:endpoint.Netsim.Topology.to_receiver ~flow_id:i
+           ~rng:(Engine.Rng.split rng) ~rate_bps:1e6 ~packet_size:1000 ())
+    end
+  done;
+  Engine.Sim.run ~until:20.0 sim;
+  check_stream "AF dumbbell" s
+
+(* One QTP_light flow moving every 4 s between a 20 Mb/s, 8 ms path and
+   a 10 Mb/s, 30 ms one for 28 s, the first five moves hard cuts: the
+   severed path's links keep firing their timers for the frames they
+   held.  The six moves are posted at set-up, 4 to 24 s ahead. *)
+let test_mobile_cut_stream () =
+  let sim, m =
+    Experiments.Common.mobile_path ~seed:42
+      ~paths:[ (20.0, 0.008); (10.0, 0.030) ]
+      ()
+  in
+  let s = record sim in
+  let conn =
+    Qtp.Connection.create ~sim
+      ~endpoint:(Netsim.Topology.endpoint (Netsim.Topology.mobile_net m) 0)
+      (Qtp.Connection.config ~initial_rtt:0.05 ~handover:`Reset
+         (agreed (Qtp.Profile.qtp_light ())))
+  in
+  Netsim.Topology.on_migrate m (fun idx ->
+      Qtp.Connection.notify_migration conn
+        ~link:(Experiments.Common.declared_link m idx));
+  Netsim.Topology.apply_schedule m
+    (List.init 6 (fun k ->
+         let mode = if k < 5 then `Cut else `Drain in
+         (4.0 *. float_of_int (k + 1), (k + 1) mod 2, mode)));
+  Engine.Sim.run ~until:28.0 sim;
+  check_stream "mobile path with a cut" s
+
+(* E17's mix on a long fat network: QTP_AF at g = 5 Mb/s, QTP_light
+   with full reliability and TCP on a 20 Mb/s AF bottleneck with 250 ms
+   of one-way delay and half a bandwidth-delay product of buffer, for
+   25 s.  Hundreds of frames are in flight at once, each a pending link
+   event filed a quarter second ahead: at least 500 events must be
+   pending at some point, where the other streams peak below 200. *)
+let test_lfn_stream () =
+  let sim, topo =
+    Experiments.Common.af_dumbbell ~capacity_pkts:416 ~seed:42 ~n_flows:3
+      ~bottleneck_mbps:20.0 ~bottleneck_delay:0.25
+      ~committed_mbps:[| 5.0; 0.0; 0.0 |]
+      ()
+  in
+  let s = record sim in
+  let connect i offer =
+    ignore
+      (Qtp.Connection.create ~sim
+         ~endpoint:(Netsim.Topology.endpoint topo i)
+         (Qtp.Connection.config ~initial_rtt:0.5 (agreed offer)))
+  in
+  connect 0 (Qtp.Profile.qtp_af ~g_bps:(Experiments.Common.mbps 5.0) ());
+  connect 1
+    (Qtp.Profile.qtp_light ~reliability:[ Qtp.Capabilities.R_full ] ());
+  ignore (Tcp.Flow.create ~sim ~endpoint:(Netsim.Topology.endpoint topo 2) ());
+  Engine.Sim.run ~until:25.0 sim;
+  check_stream "long fat network" s;
+  if s.peak_pending < 500 then
+    Alcotest.failf "long fat network: at most %d events pending at once"
+      s.peak_pending
 
 (* ------------------------------------------------------------------ *)
 (* White-box census: after every operation on a bare wheel, events held
@@ -309,57 +757,33 @@ let prop_census =
           check ())
         prog)
 
-(* ------------------------------------------------------------------ *)
-(* Determinism regression: the 25-seed fuzz smoke corpus replayed under
-   each backend; the rendered reports must digest identically. *)
-
-let digest_report ~sched seed =
-  let sc = Fuzz.Scenario.generate ~seed in
-  let report = Fuzz.Exec.run ~sched sc in
-  Digest.to_hex (Digest.string (Format.asprintf "%a" Fuzz.Exec.pp_report report))
-
-let test_fuzz_corpus_digests () =
-  List.iter
-    (fun seed ->
-      Alcotest.(check string)
-        (Printf.sprintf "seed %d report digest" seed)
-        (digest_report ~sched:`Heap seed)
-        (digest_report ~sched:`Wheel seed))
-    Fuzz.Driver.smoke_corpus
-
 let suite =
-  List.concat_map
-    (fun (name, sched) ->
-      [
-        Alcotest.test_case
-          (Printf.sprintf "event at horizon fires [%s]" name)
-          `Quick
-          (test_horizon_event_fires sched);
-        Alcotest.test_case
-          (Printf.sprintf "cancel after fire is a no-op [%s]" name)
-          `Quick
-          (test_cancel_after_fire sched);
-        Alcotest.test_case
-          (Printf.sprintf "past scheduling rejected [%s]" name)
-          `Quick (test_past_rejected sched);
-        Alcotest.test_case
-          (Printf.sprintf "horizon reached on early drain [%s]" name)
-          `Quick
-          (test_horizon_reached_on_early_drain sched);
-        Alcotest.test_case
-          (Printf.sprintf "carry into every level [%s]" name)
-          `Quick
-          (test_carry_every_level sched);
-      ])
-    scheds
-  @ [
-      QCheck_alcotest.to_alcotest prop_differential;
-      QCheck_alcotest.to_alcotest prop_far_levels;
-      QCheck_alcotest.to_alcotest prop_census;
-      Alcotest.test_case "take checks the peeked event" `Quick
-        test_take_checks;
-      Alcotest.test_case "far-future times in order, NaN refused" `Quick
-        test_far_future_and_nan;
-      Alcotest.test_case "fuzz smoke corpus digests (wheel = heap)" `Quick
-        test_fuzz_corpus_digests;
-    ]
+  [
+    Alcotest.test_case "event at horizon fires" `Quick test_horizon_event_fires;
+    Alcotest.test_case "cancel after fire is a no-op" `Quick
+      test_cancel_after_fire;
+    Alcotest.test_case "past scheduling rejected" `Quick test_past_rejected;
+    Alcotest.test_case "horizon reached on early drain" `Quick
+      test_horizon_reached_on_early_drain;
+    Alcotest.test_case "carry into every level" `Quick test_carry_every_level;
+    QCheck_alcotest.to_alcotest prop_random_programs;
+    QCheck_alcotest.to_alcotest prop_far_levels;
+    QCheck_alcotest.to_alcotest prop_census;
+    Alcotest.test_case "take checks the peeked event" `Quick test_take_checks;
+    Alcotest.test_case "far-future times in order, NaN refused" `Quick
+      test_far_future_and_nan;
+    Alcotest.test_case "replay catches ties popped out of seq order" `Quick
+      test_catches_reversed_ties;
+    Alcotest.test_case "replay catches a cancelled event popped" `Quick
+      test_catches_cancelled_pop;
+    Alcotest.test_case "replay catches a far event left uncascaded" `Quick
+      test_catches_uncascaded;
+    Alcotest.test_case "replay refuses a stream recorded late" `Quick
+      test_late_stream_refused;
+    Alcotest.test_case "recorded stream: AF dumbbell, 30 flows" `Quick
+      test_af_dumbbell_stream;
+    Alcotest.test_case "recorded stream: mobile path through a cut" `Quick
+      test_mobile_cut_stream;
+    Alcotest.test_case "recorded stream: long fat network" `Quick
+      test_lfn_stream;
+  ]
