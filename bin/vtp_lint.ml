@@ -2,45 +2,20 @@
 
    Examples:
      vtp_lint lib bin                       # scan (the default roots)
-     vtp_lint --baseline analysis/BASELINE.json lib bin bench
-     vtp_lint --json report.sarif lib       # SARIF-style JSON report
-     vtp_lint --update-baseline --baseline analysis/BASELINE.json lib bin
+     vtp_lint lib bin bench                 # what `dune build @lint` runs
      vtp_lint --rule hot-closure lib        # one rule only
      vtp_lint --explain hashtbl-order       # rationale + offender/fix
      vtp_lint --list-rules
 
-   Exit codes: 0 clean (no new gating findings), 1 new findings,
-   2 usage error / unknown rule id / a root that is missing or not a
-   directory / a file the OCaml parser rejects or that cannot be read /
-   malformed baseline / unwritable --json report or baseline. *)
+   Exit codes: 0 no finding, 1 at least one finding, 2 an unknown rule
+   id / a root that is missing or not a directory / a file the OCaml
+   parser rejects or that cannot be read (an option cmdliner cannot
+   parse exits 124). *)
 
 open Cmdliner
 
 let list_rules =
   Arg.(value & flag & info [ "list-rules" ] ~doc:"List the rule table and exit.")
-
-let json_out =
-  Arg.(
-    value & opt (some string) None
-    & info [ "json" ] ~docv:"FILE"
-        ~doc:"Write a SARIF-style JSON report to $(docv) ($(b,-) for \
-              stdout, suppressing the text report).  An unwritable \
-              $(docv) exits 2.")
-
-let baseline_file =
-  Arg.(
-    value & opt (some string) None
-    & info [ "baseline" ] ~docv:"FILE"
-        ~doc:"Suppress (but keep tracking) the findings recorded in \
-              $(docv); only new findings gate.  A missing or malformed \
-              baseline exits 2.")
-
-let update_baseline =
-  Arg.(
-    value & flag
-    & info [ "update-baseline" ]
-        ~doc:"Rewrite the $(b,--baseline) file from the current scan and \
-              exit 0.  An unwritable file exits 2.")
 
 let rule_filter =
   Arg.(
@@ -93,83 +68,25 @@ let do_explain rid =
       0
   | None -> unknown_rule rid
 
-let rule_meta () =
-  List.map
-    (fun (p : Lint.Pass.t) -> (p.Lint.Pass.id, p.Lint.Pass.doc))
-    Lint.Check.passes
-
-let write_file path contents =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc contents)
-
-let report ~json_out classified =
-  let json_to_stdout = match json_out with Some "-" -> true | _ -> false in
-  let write_json () =
-    match json_out with
-    | None -> ()
-    | Some dest ->
-        let doc = Lint.Report.sarif ~rules:(rule_meta ()) classified in
-        let text = Stats.Json.to_string doc ^ "\n" in
-        if json_to_stdout then print_string text else write_file dest text
+(* Check.run_tree returns the findings sorted by (path, line, rule,
+   message), so the report is a function of the tree alone. *)
+let scan ~rule_filter roots =
+  let findings =
+    List.filter
+      (fun (f : Lint.Pass.finding) ->
+        rule_filter = [] || List.mem f.Lint.Pass.rule rule_filter)
+      (Lint.Check.run_tree ~roots)
   in
-  match write_json () with
-  | exception Sys_error msg ->
-      Format.eprintf "vtp_lint: cannot write --json report: %s@." msg;
-      2
-  | () ->
-      let new_gating = List.filter snd classified in
-      if not json_to_stdout then begin
-        List.iter (fun c -> Format.printf "%a@." Lint.Report.pp_entry c)
-          classified;
-        Format.printf "vtp_lint: %d finding(s), %d baselined, %d gating@."
-          (List.length classified)
-          (List.length classified - List.length new_gating)
-          (List.length new_gating)
-      end;
-      if new_gating = [] then 0 else 1
-
-let scan ~json_out ~baseline_file ~update_baseline ~rule_filter roots =
-  (* Check.run_tree sorts by (path, line, rule, message), the order
-     Baseline.classify needs. *)
-  let entries = Lint.Report.of_check (Lint.Check.run_tree ~roots) in
-  let entries =
-    match rule_filter with
-    | [] -> entries
-    | rs ->
-        List.filter
-          (fun (e : Lint.Report.entry) -> List.mem e.Lint.Report.rule rs)
-          entries
-  in
-  if update_baseline then begin
-    let path = Option.value baseline_file ~default:"analysis/BASELINE.json" in
-    match Lint.Baseline.save path entries with
-    | exception Sys_error msg ->
-        Format.eprintf "vtp_lint: cannot write baseline: %s@." msg;
-        2
-    | () ->
-        Format.printf "vtp_lint: baseline updated: %d finding(s) -> %s@."
-          (List.length entries) path;
-        0
-  end
-  else
-    match baseline_file with
-    | None -> report ~json_out (List.map (fun e -> (e, true)) entries)
-    | Some p -> (
-        match Lint.Baseline.load p with
-        | bl -> report ~json_out (Lint.Baseline.classify bl entries)
-        | exception Lint.Baseline.Malformed m ->
-            Format.eprintf "vtp_lint: malformed baseline %s: %s@." p m;
-            2)
+  List.iter (Format.printf "%a@." Lint.Pass.pp_finding) findings;
+  Format.printf "vtp_lint: %d finding(s)@." (List.length findings);
+  if findings = [] then 0 else 1
 
 let bad_root r =
   if not (Sys.file_exists r) then Some ("no such directory: " ^ r)
   else if not (Sys.is_directory r) then Some ("not a directory: " ^ r)
   else None
 
-let run list_only json_out baseline_file update_baseline rule_filter explain
-    roots =
+let run list_only rule_filter explain roots =
   match explain with
   | Some rid -> do_explain rid
   | None -> (
@@ -187,10 +104,7 @@ let run list_only json_out baseline_file update_baseline rule_filter explain
                 Format.eprintf "vtp_lint: %s@." msg;
                 2
             | None -> (
-                match
-                  scan ~json_out ~baseline_file ~update_baseline ~rule_filter
-                    roots
-                with
+                match scan ~rule_filter roots with
                 | code -> code
                 | exception Lint.Pass.Syntax_error { path; line; message } ->
                     Format.eprintf "vtp_lint: %s:%d: %s@." path line message;
@@ -206,8 +120,6 @@ let cmd =
   in
   Cmd.v
     (Cmd.info "vtp_lint" ~doc)
-    Term.(
-      const run $ list_rules $ json_out
-      $ baseline_file $ update_baseline $ rule_filter $ explain $ roots)
+    Term.(const run $ list_rules $ rule_filter $ explain $ roots)
 
 let () = exit (Cmd.eval' cmd)

@@ -47,9 +47,9 @@ let proto =
 let rate =
   Arg.(value & opt float 10e6 & info [ "rate" ] ~docv:"BPS" ~doc:"Link rate (b/s).")
 
-(* [--delay] and [--burstiness] are [None] when absent, so that
-   --proto af, whose bottleneck delay and loss model are fixed, can
-   refuse them when given. *)
+(* [--delay], [--burstiness], [-g] and [--reliability] are [None] when
+   absent, so that a protocol that would ignore one can refuse it when
+   given. *)
 let default_delay = 0.04
 
 let delay =
@@ -69,10 +69,13 @@ let burstiness =
            ~doc:"0 = random (Bernoulli); in (0, 1] = Gilbert-Elliott \
                  burstiness; not with --proto af (Bernoulli).")
 
+let default_g = 2e6
+
 let g =
-  Arg.(value & opt float 2e6
+  Arg.(value & opt (some' ~none:default_g float) None
        & info [ "g" ] ~docv:"BPS"
-           ~doc:"AF target rate for --proto af (b/s), finite and above 0.")
+           ~doc:"AF target rate (b/s), finite and above 0; only with \
+                 --proto af.")
 
 let duration =
   Arg.(value & opt float 30.0
@@ -96,8 +99,9 @@ let jobs =
           Output is identical at any value."
 
 let reliability =
-  Arg.(value & opt rel_conv Qtp.Capabilities.R_none
-       & info [ "reliability" ] ~docv:"MODE" ~doc:"none | partial | full (for --proto light).")
+  Arg.(value & opt (some' ~none:Qtp.Capabilities.R_none rel_conv) None
+       & info [ "reliability" ] ~docv:"MODE"
+           ~doc:"none | partial | full; only with --proto light.")
 
 let loss_model ~loss ~burstiness rng =
   if loss <= 0.0 then Netsim.Loss_model.none
@@ -214,33 +218,55 @@ let check_loss ~loss ~burstiness =
         Error
           (Printf.sprintf "--loss %g --burstiness %g: %s" loss burstiness msg)
 
-(* The AF dumbbell's bottleneck delay (30 ms) and Bernoulli link loss
-   are part of the scenario. *)
-let check_af ~proto ~delay ~burstiness =
-  match (proto, delay, burstiness) with
-  | P_af, Some d, _ ->
+(* A flag the protocol would ignore is refused, so no report looks
+   shaped by a flag that changed nothing.  The AF dumbbell's bottleneck
+   delay (30 ms), Bernoulli link loss and QTP_AF's full reliability are
+   part of the scenario; -g is its target rate alone, and --reliability
+   is negotiated by QTP_light alone. *)
+let check_ignored ~proto ~delay ~burstiness ~g ~reliability =
+  match (proto, delay, burstiness, g, reliability) with
+  | P_af, Some d, _, _, _ ->
       Error
         (Printf.sprintf
            "--delay %g: --proto af runs the AF dumbbell, whose bottleneck \
             delay is fixed at 30 ms"
            d)
-  | P_af, None, Some b ->
+  | P_af, None, Some b, _, _ ->
       Error
         (Printf.sprintf
            "--burstiness %g: --proto af runs the AF dumbbell, whose link \
             loss is Bernoulli"
            b)
+  | P_af, None, None, _, Some m ->
+      Error
+        (Format.asprintf
+           "--reliability %a: --proto af runs QTP_AF, whose reliability is \
+            full"
+           Qtp.Capabilities.pp_mode m)
+  | (P_tcp | P_tfrc | P_light | P_full), _, _, Some g, _ ->
+      Error (Printf.sprintf "-g %g: only --proto af has an AF target rate" g)
+  | (P_tcp | P_tfrc | P_full), _, _, None, Some m ->
+      Error
+        (Format.asprintf
+           "--reliability %a: only --proto light negotiates a reliability \
+            mode"
+           Qtp.Capabilities.pp_mode m)
   | _ -> Ok ()
 
-let run proto rate delay_flag loss burstiness_flag g duration seed seeds jobs
-    reliability =
+let run proto rate delay_flag loss burstiness_flag g_flag duration seed seeds
+    jobs reliability_flag =
   let delay = Option.value delay_flag ~default:default_delay in
   let burstiness = Option.value burstiness_flag ~default:0.0 in
+  let g = Option.value g_flag ~default:default_g in
+  let reliability =
+    Option.value reliability_flag ~default:Qtp.Capabilities.R_none
+  in
   let ( let* ) = Result.bind in
   match
     let* () = check_numbers ~rate ~delay ~g ~duration ~seeds in
     let* () = check_loss ~loss ~burstiness in
-    check_af ~proto ~delay:delay_flag ~burstiness:burstiness_flag
+    check_ignored ~proto ~delay:delay_flag ~burstiness:burstiness_flag ~g:g_flag
+      ~reliability:reliability_flag
   with
   | Error msg -> `Error (true, msg)
   | Ok () ->

@@ -7,29 +7,29 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 
 type config = {
   agreed : Capabilities.agreed;
-  initial_rtt : float;
-  max_rate_bps : float option;
+  params : Tfrc.Sender.params;
   sack_blocks : int;
-  oscillation_damping : bool;
   handover : Tfrc.Handover.policy;
 }
 
-(* Configs are immutable and shared by every flow of a scenario
-   profile: intern them so 10k flows hold one record (and one inner
-   [agreed]) instead of 10k copies. *)
-let config_pool : config Engine.Intern.pool = Engine.Intern.pool ()
-
+(* The sender's params are built here, once per config, and every
+   connection built from the config shares them: 10k flows opened from
+   one profile hold one config record and one params record. *)
 let config ?(initial_rtt = 0.5) ?max_rate_bps ?(sack_blocks = 4)
     ?(oscillation_damping = false) ?(handover = `Keep) agreed =
-  Engine.Intern.share config_pool
-    {
-      agreed;
-      initial_rtt;
-      max_rate_bps;
-      sack_blocks;
-      oscillation_damping;
-      handover;
-    }
+  {
+    agreed;
+    params =
+      {
+        Tfrc.Sender.packet_size = Vtp_wire.packet_size;
+        initial_rtt;
+        min_rate_bps = agreed.Capabilities.target_bps;
+        max_rate_bps;
+        oscillation_damping;
+      };
+    sack_blocks;
+    handover;
+  }
 
 type state =
   | Negotiating
@@ -229,7 +229,7 @@ let inspect_sample t ~x_recv ~p =
           x_recv_bps = 8.0 *. x_recv;
           p;
           g_bps = t.cfg.agreed.Capabilities.target_bps;
-          cap_bps = t.cfg.max_rate_bps;
+          cap_bps = prm.Tfrc.Sender.max_rate_bps;
           mbi_floor_bps = 8.0 *. float_of_int s /. Tfrc.Sender.t_mbi;
           slow_start = Tfrc.Sender.in_slow_start cc;
         }
@@ -328,7 +328,8 @@ let arm_expiry_timer t =
       let tm = Engine.Timer.create t.sim ~on_expire:fire in
       timer := Some tm;
       t.snd.expiry_timer <- Some tm;
-      Engine.Timer.start tm ~after:(Float.max t.cfg.initial_rtt 0.05)
+      Engine.Timer.start tm
+        ~after:(Float.max t.cfg.params.Tfrc.Sender.initial_rtt 0.05)
   | None -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -461,7 +462,10 @@ let stop_hs_timer t =
    (the responder answers every SYN statelessly, so duplicate SYNs and a
    lost final ACK are harmless). *)
 let send_syn_with_retry t offer =
-  let backoff tries = Float.min 8.0 (t.cfg.initial_rtt *. (2.0 ** float_of_int tries)) in
+  let backoff tries =
+    Float.min 8.0
+      (t.cfg.params.Tfrc.Sender.initial_rtt *. (2.0 ** float_of_int tries))
+  in
   let timer =
     match t.hs_timer with
     | Some tm -> tm
@@ -679,14 +683,7 @@ let build ~sim ~endpoint ?cost_sender ?cost_receiver ?source ~start_at
     | Some { on_deliver = None; _ } | None -> ()
   in
   let cc =
-    Tfrc.Sender.create ~sim ?cost:cost_sender ~trace
-      {
-        Tfrc.Sender.packet_size = Vtp_wire.packet_size;
-        initial_rtt = cfg.initial_rtt;
-        min_rate_bps = agreed.Capabilities.target_bps;
-        max_rate_bps = cfg.max_rate_bps;
-        oscillation_damping = cfg.oscillation_damping;
-      }
+    Tfrc.Sender.create ~sim ?cost:cost_sender ~trace cfg.params
       ~on_transmit:(fun () ->
         match !t_ref with
         | Some t -> transmit_opportunity t
@@ -728,7 +725,7 @@ let build ~sim ~endpoint ?cost_sender ?cost_receiver ?source ~start_at
               x_recv = 0.0;
               last_tstamp = 0.0;
               last_arrival = 0.0;
-              last_rtt = cfg.initial_rtt;
+              last_rtt = cfg.params.Tfrc.Sender.initial_rtt;
             };
           window_bytes = 0;
           has_last = false;

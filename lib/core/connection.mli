@@ -23,20 +23,19 @@
       retransmissions; abandoned holes propagate to the receiver through
       the data-header forward point. *)
 
-type config = {
-  agreed : Capabilities.agreed;
-  initial_rtt : float;
-  max_rate_bps : float option;
-  sack_blocks : int;  (** SACK blocks carried per report (default 4) *)
-  oscillation_damping : bool;  (** RFC 3448 §4.5 (default off) *)
-  handover : Tfrc.Handover.policy;
-      (** rate-policy applied on {!notify_migration} (default [`Keep]) *)
-}
+type config
 
 val config : ?initial_rtt:float -> ?max_rate_bps:float -> ?sack_blocks:int ->
   ?oscillation_damping:bool -> ?handover:Tfrc.Handover.policy ->
   Capabilities.agreed -> config
-(** Every data segment is {!Vtp_wire.packet_size} B on the wire. *)
+(** The seed RTT [initial_rtt] (default 0.5 s), the application ceiling
+    [max_rate_bps] (default none), the SACK blocks carried per report
+    [sack_blocks] (default 4), RFC 3448 §4.5 [oscillation_damping]
+    (default off) and the rate policy applied on {!notify_migration},
+    [handover] (default [`Keep]).  Every data segment is
+    {!Vtp_wire.packet_size} B on the wire.  The config holds the
+    sender's {!Tfrc.Sender.params}, built here once, and every
+    connection built from it shares that record. *)
 
 type state =
   | Negotiating

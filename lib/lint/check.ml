@@ -65,7 +65,7 @@ let run_source (sc : Pass.source_ctx) =
             | None -> ()
             | Some message ->
                 out :=
-                  Pass.finding ~rule:p.id ~family:p.family ~path:sc.sc_path
+                  Pass.finding ~rule:p.id ~path:sc.sc_path
                     ~line:(Pass.line (anchor e)) ~message ~context
                   :: !out)
           expr_tests);

@@ -5,7 +5,6 @@
 
 type finding = {
   rule : string;
-  family : string;
   path : string;
   line : int;
   message : string;
@@ -180,5 +179,8 @@ let written_cons (e : Parsetree.expression) =
       Some loc
   | _ -> None
 
-let finding ~rule ~family ~path ~line ~message ~context =
-  { rule; family; path; line; message; context }
+let finding ~rule ~path ~line ~message ~context =
+  { rule; path; line; message; context }
+
+let pp_finding fmt f =
+  Format.fprintf fmt "%s:%d: [%s] error: %s" f.path f.line f.rule f.message

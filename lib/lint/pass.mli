@@ -4,7 +4,6 @@
 
 type finding = {
   rule : string;
-  family : string;
   path : string;
   line : int;
   message : string;
@@ -93,9 +92,12 @@ val line : Location.t -> int
 
 val finding :
   rule:string ->
-  family:string ->
   path:string ->
   line:int ->
   message:string ->
   context:string ->
   finding
+
+val pp_finding : Format.formatter -> finding -> unit
+(** [path:line: \[rule\] error: message]; every rule is error
+    severity. *)

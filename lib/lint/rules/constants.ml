@@ -241,7 +241,7 @@ let run (sc : Pass.source_ctx) =
         with
         | None ->
             Some
-              (Pass.finding ~rule:"proto-const" ~family ~path:sc.sc_path
+              (Pass.finding ~rule:"proto-const" ~path:sc.sc_path
                  ~line:1
                  ~message:
                    (Printf.sprintf
@@ -254,7 +254,7 @@ let run (sc : Pass.source_ctx) =
             if has_run (literal_run b e.proj) e.expect then None
             else
               Some
-                (Pass.finding ~rule:"proto-const" ~family ~path:sc.sc_path
+                (Pass.finding ~rule:"proto-const" ~path:sc.sc_path
                    ~line:b.line
                    ~message:
                      (Printf.sprintf

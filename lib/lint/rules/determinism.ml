@@ -36,7 +36,7 @@ let run_top_state (sc : Pass.source_ctx) =
         if !alloc = "" || !dls then None
         else
           Some
-            (Pass.finding ~rule:"top-level-state" ~family ~path:sc.sc_path
+            (Pass.finding ~rule:"top-level-state" ~path:sc.sc_path
                ~line:b.line
                ~message:
                  (Printf.sprintf
@@ -102,7 +102,7 @@ let run_hashtbl_order (sc : Pass.source_ctx) =
         | Some (_, sink) when not !sorted ->
             List.rev_map
               (fun (e : Parsetree.expression) ->
-                Pass.finding ~rule:"hashtbl-order" ~family ~path:sc.sc_path
+                Pass.finding ~rule:"hashtbl-order" ~path:sc.sc_path
                   ~line:(Pass.line e.pexp_loc)
                   ~message:
                     (Printf.sprintf

@@ -24,7 +24,7 @@ let hot_pass ~rule judge (sc : Pass.source_ctx) =
             match judge b e with
             | Some (loc, message) ->
                 out :=
-                  Pass.finding ~rule ~family ~path:sc.sc_path
+                  Pass.finding ~rule ~path:sc.sc_path
                     ~line:(Pass.line loc) ~message ~context:b.context
                   :: !out
             | None -> ())

@@ -100,7 +100,7 @@ let run_missing_mli files =
         && not (List.mem (f ^ "i") files)
       then
         Some
-          (Pass.finding ~rule:"missing-mli" ~family ~path:f ~line:1
+          (Pass.finding ~rule:"missing-mli" ~path:f ~line:1
              ~message:"library module has no .mli interface" ~context:"")
       else None)
     files
@@ -153,7 +153,7 @@ let run_exports (sc : Pass.source_ctx) =
               match Option.bind (sc.sc_interface mli) declared with
               | Some names when not (List.mem value names) ->
                   out :=
-                    Pass.finding ~rule:"undeclared-export" ~family
+                    Pass.finding ~rule:"undeclared-export"
                       ~path:sc.sc_path ~line:(Pass.line e.pexp_loc)
                       ~message:
                         (Printf.sprintf

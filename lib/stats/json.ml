@@ -82,8 +82,8 @@ let to_channel oc v =
 (* ------------------------------------------------------------------ *)
 (* Parsing.
 
-   A recursive-descent reader for standard JSON, so in-repo tooling
-   (Lint.Baseline, perfbench) can read back what this module writes.
+   A recursive-descent reader for standard JSON, so perfbench can read
+   BENCHMARK.json.
    Numbers without '.', 'e' or a leading '-that-overflows' parse as
    [Int]; everything else numeric parses as [Float].  \uXXXX escapes
    decode below 0x80 and degrade to '?' above (the emitter never

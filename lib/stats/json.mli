@@ -5,9 +5,8 @@
     Serialisation is deterministic (object fields print in the order
     given), NaN and infinities are emitted as [null] so the output
     always parses, and strings are escaped per RFC 8259.  The reader
-    ({!of_string}) exists so in-repo tooling ([Lint.Baseline],
-    perfbench) can load what this module writes back in; it accepts
-    standard JSON, not just our own output. *)
+    ({!of_string}) exists so perfbench can load [BENCHMARK.json]; it
+    accepts standard JSON, not just our own output. *)
 
 type t =
   | Null

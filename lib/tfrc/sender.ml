@@ -25,10 +25,6 @@ let default_params =
 (* RFC 3448 §4.3: the maximum backoff interval, in seconds. *)
 let t_mbi = 64.0
 
-(* Params records are immutable and overwhelmingly shared across a
-   scenario's flows: intern them so 10k flows hold one copy. *)
-let params_pool : params Engine.Intern.pool = Engine.Intern.pool ()
-
 type state = {
   mutable x : float;  (* allowed rate, bytes/s *)
   mutable last_p : float;
@@ -145,7 +141,6 @@ let rec restart_nofeedback t =
 
 let create ~sim ?cost ?trace p ~on_transmit () =
   assert (p.packet_size > 0 && p.initial_rtt > 0.0);
-  let p = Engine.Intern.share params_pool p in
   let rtt = Rtt.create ~initial:p.initial_rtt () in
   let t =
     {

@@ -3,7 +3,6 @@ type t = {
   sink : Netsim.Frame.t -> unit;
   flow_id : int;
   packet_size : int;
-  mark : Netsim.Mark.t;
   stop_at : float option;
   mutable packets : int;
   mutable bytes : int;
@@ -19,7 +18,7 @@ let emit t =
   t.uid <- t.uid + 1;
   let frame =
     Netsim.Frame.make ~uid:(t.flow_id * 10_000_000 + t.uid) ~flow_id:t.flow_id
-      ~size:t.packet_size ~mark:t.mark ~born:(Engine.Sim.now t.sim)
+      ~size:t.packet_size ~born:(Engine.Sim.now t.sim)
       (Netsim.Frame.Raw t.uid)
   in
   t.packets <- t.packets + 1;
@@ -28,8 +27,7 @@ let emit t =
 
 (* One frame per tick, then the next tick an exponential gap later,
    until [stop_at]. *)
-let poisson ~sim ~sink ~flow_id ~rng ~rate_bps ~packet_size
-    ?(mark = Netsim.Mark.Best_effort) ?stop_at () =
+let poisson ~sim ~sink ~flow_id ~rng ~rate_bps ~packet_size ?stop_at () =
   assert (rate_bps > 0.0);
   let t =
     {
@@ -37,7 +35,6 @@ let poisson ~sim ~sink ~flow_id ~rng ~rate_bps ~packet_size
       sink;
       flow_id;
       packet_size;
-      mark;
       stop_at;
       packets = 0;
       bytes = 0;

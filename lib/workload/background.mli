@@ -14,12 +14,11 @@ val poisson :
   rng:Engine.Rng.t ->
   rate_bps:float ->
   packet_size:int ->
-  ?mark:Netsim.Mark.t ->
   ?stop_at:float ->
   unit ->
   t
 (** Exponential inter-arrivals with the given average rate, from
-    time 0. *)
+    time 0; every frame is [Best_effort]. *)
 
 val packets_sent : t -> int
 val bytes_sent : t -> int

@@ -1,13 +1,11 @@
 (* The analyzer: the let-binding walk, one firing and one
    structurally-similar clean fixture per pass, the pass registry,
-   report rendering, fingerprints, baseline gating and syntax errors —
+   the rendered report line and syntax errors —
    all driven through [Check.run_string] / [Check.run_files] so no files
    need creating. *)
 
 module Pass = Lint.Pass
 module Check = Lint.Check
-module Report = Lint.Report
-module Baseline = Lint.Baseline
 
 let bindings src = (Check.source_ctx ~path:"lib/x/fixture.ml" src).sc_bindings
 
@@ -430,82 +428,14 @@ let test_registry () =
     Check.passes
 
 let test_rendered_line () =
-  match Report.of_check (assert_false_findings "let f () = assert false\n") with
-  | [ e ] ->
+  match assert_false_findings "let f () = assert false\n" with
+  | [ f ] ->
       Alcotest.(check string) "machine-readable rendering"
         "lib/tfrc/fixture.ml:1: [assert-false] error: bare 'assert false'; \
          raise an informative error (invalid_arg/failwith with a message) \
          instead"
-        (Format.asprintf "%a" Report.pp_entry (e, true))
+        (Format.asprintf "%a" Pass.pp_finding f)
   | _ -> Alcotest.fail "expected exactly one finding"
-
-(* ------------------------------------------------------------------ *)
-(* Report + baseline *)
-
-let entry ?(line = 10) ?(rule = "hot-box") ?(msg = "boxing") () =
-  Report.make ~rule ~family:"hot-path" ~path:"lib/engine/wheel.ml" ~line
-    ~message:msg ~context:"Wheel.pop"
-
-let test_fingerprints () =
-  (* line-insensitive: edits above a finding don't churn the baseline *)
-  Alcotest.(check string) "same identity, different line"
-    (entry ~line:10 ()).Report.fingerprint
-    (entry ~line:99 ()).Report.fingerprint;
-  Alcotest.(check bool) "message is part of identity" false
-    ((entry ()).Report.fingerprint
-    = (entry ~msg:"other" ()).Report.fingerprint)
-
-let test_baseline_classify () =
-  let old = entry () in
-  let moved = entry ~line:42 () in
-  let fresh = entry ~rule:"hot-list" ~msg:"consing" () in
-  let bl = Baseline.of_entries [ old ] in
-  (match Baseline.classify bl (Report.sort [ moved; fresh ]) with
-  | [ (_, n1); (_, n2) ] ->
-      let news =
-        List.sort compare
-          [ (if n1 then 1 else 0); (if n2 then 1 else 0) ]
-      in
-      Alcotest.(check (list int)) "moved absorbed, fresh gates" [ 0; 1 ] news
-  | _ -> Alcotest.fail "classify changed arity");
-  (* multiset: one baselined copy absorbs exactly one occurrence *)
-  (match Baseline.classify bl (Report.sort [ moved; entry ~line:50 () ]) with
-  | [ (_, a); (_, b) ] ->
-      Alcotest.(check bool) "second copy still gates" true (a || b);
-      Alcotest.(check bool) "first copy absorbed" false (a && b)
-  | _ -> Alcotest.fail "classify changed arity")
-
-let test_baseline_malformed () =
-  let raises s =
-    match Baseline.of_string s with
-    | exception Baseline.Malformed _ -> true
-    | _ -> false
-  in
-  Alcotest.(check bool) "garbage" true (raises "not json at all");
-  Alcotest.(check bool) "wrong schema" true
-    (raises "{\"schema\": \"something-else\", \"findings\": []}");
-  Alcotest.(check bool) "finding without fingerprint" true
-    (raises
-       "{\"schema\": \"vtp-analysis-baseline-1\", \"findings\": [{\"rule\": \
-        \"x\"}]}");
-  (* the round trip through to_json parses back clean *)
-  let json = Stats.Json.to_string (Baseline.to_json [ entry () ]) in
-  Alcotest.(check bool) "round trip" false (raises json)
-
-let test_sarif_shape () =
-  let doc =
-    Report.sarif
-      ~rules:[ ("hot-box", "boxing in hot bodies") ]
-      [ (entry (), true); (entry ~msg:"old boxing" (), false) ]
-  in
-  let s = Stats.Json.to_string doc in
-  let has sub = Pass.contains_sub ~sub s in
-  Alcotest.(check bool) "driver name" true (has "\"vtp_lint\"");
-  Alcotest.(check bool) "ruleId" true (has "\"ruleId\": \"hot-box\"");
-  Alcotest.(check bool) "new finding" true (has "\"baselineState\": \"new\"");
-  Alcotest.(check bool) "baselined finding" true
-    (has "\"baselineState\": \"unchanged\"");
-  Alcotest.(check bool) "fingerprints" true (has "\"vtp/v1\"")
 
 (* ------------------------------------------------------------------ *)
 (* Files the OCaml parser rejects *)
@@ -533,8 +463,7 @@ let in_tree f =
   Fun.protect ~finally:(fun () -> Sys.chdir cwd) f
 
 let test_tree_is_clean () =
-  (* The repository's own sources must stay analyzer-clean (the
-     committed baseline is empty). *)
+  (* The repository's own sources must stay analyzer-clean. *)
   let fs = in_tree (fun () -> Check.run_tree ~roots:[ "lib"; "bin" ]) in
   List.iter
     (fun (f : Pass.finding) ->
@@ -583,7 +512,7 @@ let test_every_export_has_a_caller () =
     in_tree (fun () ->
         Callers.read_tree
           ~roots:[ "lib"; "bin"; "bench"; "perfbench"; "examples"; "test" ]
-          ~skip:[ "test/lint/unparsable" ])
+          ~skip:[ "test/lint/unparsable"; "test/lint/offending" ])
   in
   Alcotest.(check (list string))
     "lib/ exports that no other file names" []
@@ -616,10 +545,6 @@ let suite =
     ("parse-tree blind spots", `Quick, test_parse_tree_blind_spots);
     ("registry", `Quick, test_registry);
     ("rendered line", `Quick, test_rendered_line);
-    ("fingerprints", `Quick, test_fingerprints);
-    ("baseline classify", `Quick, test_baseline_classify);
-    ("baseline malformed", `Quick, test_baseline_malformed);
-    ("sarif shape", `Quick, test_sarif_shape);
     ("syntax error", `Quick, test_syntax_error);
     ("tree is clean", `Quick, test_tree_is_clean);
     ("dead-export resolution", `Quick, test_dead_export_resolution);

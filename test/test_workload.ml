@@ -21,7 +21,7 @@ let test_poisson_rate () =
     (n > 1800 && n < 2200)
 
 (* Packet and byte counts agree with the frames, and each carries the
-   flow id. *)
+   flow id and the best-effort mark. *)
 let test_poisson_counts () =
   let sim = Engine.Sim.create ~seed:114 () in
   let rng = Engine.Sim.split_rng sim in
@@ -36,7 +36,11 @@ let test_poisson_counts () =
   Alcotest.(check int) "stats agree" n (Workload.Background.packets_sent bg);
   Alcotest.(check int) "bytes" (n * 1000) (Workload.Background.bytes_sent bg);
   Alcotest.(check bool) "flow id stamped" true
-    (List.for_all (fun f -> f.Netsim.Frame.flow_id = 7) !frames)
+    (List.for_all (fun f -> f.Netsim.Frame.flow_id = 7) !frames);
+  Alcotest.(check bool) "best effort" true
+    (List.for_all
+       (fun f -> Netsim.Mark.equal f.Netsim.Frame.mark Netsim.Mark.Best_effort)
+       !frames)
 
 let test_poisson_stops () =
   let sim = Engine.Sim.create ~seed:112 () in
@@ -49,20 +53,6 @@ let test_poisson_stops () =
   Alcotest.(check bool) "sent before the stop" true (!frames <> []);
   Alcotest.(check bool) "nothing born after it" true
     (List.for_all (fun f -> f.Netsim.Frame.born < 1.0) !frames)
-
-let test_marking () =
-  let sim = Engine.Sim.create ~seed:113 () in
-  let rng = Engine.Sim.split_rng sim in
-  let sink, frames = collect_sink () in
-  ignore
-    (Workload.Background.poisson ~sim ~sink ~flow_id:0 ~rng ~rate_bps:8.0e5
-       ~packet_size:1000 ~mark:Netsim.Mark.Red ~stop_at:0.1 ());
-  Engine.Sim.run ~until:0.2 sim;
-  Alcotest.(check bool) "sent" true (!frames <> []);
-  Alcotest.(check bool) "marked red" true
-    (List.for_all
-       (fun f -> Netsim.Mark.equal f.Netsim.Frame.mark Netsim.Mark.Red)
-       !frames)
 
 let test_media_rate_and_packets () =
   let sim = Engine.Sim.create ~seed:115 () in
@@ -121,7 +111,6 @@ let suite =
     Alcotest.test_case "poisson rate" `Quick test_poisson_rate;
     Alcotest.test_case "poisson counts" `Quick test_poisson_counts;
     Alcotest.test_case "poisson stops" `Quick test_poisson_stops;
-    Alcotest.test_case "marking" `Quick test_marking;
     Alcotest.test_case "media rate" `Quick test_media_rate_and_packets;
     Alcotest.test_case "media GoP" `Quick test_media_gop_structure;
   ]
