@@ -13,21 +13,33 @@
    Every run is a pure function of its seeds — whatever --jobs is: the
    per-seed executions fan out over an Engine.Pool but reporting is in
    seed order, so the same invocation prints the same bytes at --jobs 1
-   and --jobs N.  Exit code 0 iff no scenario failed. *)
+   and --jobs N.  Exit code 0 iff no scenario failed.  A flag the chosen
+   mode ignores is a usage error (exit 124) naming it: --replay runs one
+   seed and --smoke the fixed corpus, so neither takes --seeds or
+   --base, and --matrix draws every cell from the std band, so it takes
+   no --band. *)
 
 open Cmdliner
 
+let default_seeds = 50
+
 let seeds =
   Arg.(
-    value & opt int 50
+    value
+    & opt (some' ~none:default_seeds int) None
     & info [ "seeds" ] ~docv:"N"
         ~doc:"Number of scenarios to run (with $(b,--matrix): total across \
-              the six cells).")
+              the six cells); not with $(b,--smoke) or $(b,--replay).")
+
+let default_base = 1
 
 let base =
   Arg.(
-    value & opt int 1
-    & info [ "base" ] ~docv:"SEED" ~doc:"First seed of the sweep.")
+    value
+    & opt (some' ~none:default_base int) None
+    & info [ "base" ] ~docv:"SEED"
+        ~doc:"First seed of the sweep; not with $(b,--smoke) or \
+              $(b,--replay).")
 
 let replay =
   Arg.(
@@ -67,18 +79,19 @@ let band =
   Arg.(
     value
     & opt
-        (enum
-           [
-             ("std", `Std); ("lfn", `Lfn); ("handover", `Handover);
-             ("trunk", `Trunk);
-           ])
-        `Std
+        (some' ~none:`Std
+           (enum
+              [
+                ("std", `Std); ("lfn", `Lfn); ("handover", `Handover);
+                ("trunk", `Trunk);
+              ]))
+        None
     & info [ "band" ] ~docv:"BAND"
         ~doc:"Generation band: $(b,std) (classic short paths), $(b,lfn) \
               (long-fat networks), $(b,handover) (single flow migrating \
               across a heterogeneous WiFi/cellular/satellite path triple) or \
               $(b,trunk) (10..1000 user micro-flows multiplexed over one \
-              gTFRC connection).")
+              gTFRC connection); not with $(b,--matrix).")
 
 let jobs =
   Vtp_cli.jobs
@@ -164,9 +177,31 @@ let fuzz seeds base band replay shrink matrix smoke digest jobs verbose =
         summarise ~digest
           (Fuzz.Driver.soak ~base ~band ~shrink ?progress ?jobs ~seeds ())
 
+let check_ignored ~seeds ~base ~band ~replay ~smoke ~matrix =
+  let fixed =
+    match replay with
+    | Some _ -> Some "--replay runs one seed"
+    | None -> if smoke then Some "--smoke runs the fixed corpus" else None
+  in
+  match (fixed, seeds, base, band) with
+  | Some why, Some n, _, _ -> Error (Printf.sprintf "--seeds %d: %s" n why)
+  | Some why, None, Some b, _ -> Error (Printf.sprintf "--base %d: %s" b why)
+  | None, _, _, Some _ when matrix ->
+      Error "--band: --matrix draws every cell from the std band"
+  | _ -> Ok ()
+
 let run seeds base band replay shrink matrix smoke digest jobs verbose =
-  if seeds < 1 then `Error (true, Printf.sprintf "--seeds %d is below 1" seeds)
-  else `Ok (fuzz seeds base band replay shrink matrix smoke digest jobs verbose)
+  match check_ignored ~seeds ~base ~band ~replay ~smoke ~matrix with
+  | Error msg -> `Error (true, msg)
+  | Ok () ->
+      let seeds = Option.value seeds ~default:default_seeds
+      and base = Option.value base ~default:default_base
+      and band = Option.value band ~default:`Std in
+      if seeds < 1 then
+        `Error (true, Printf.sprintf "--seeds %d is below 1" seeds)
+      else
+        `Ok
+          (fuzz seeds base band replay shrink matrix smoke digest jobs verbose)
 
 let cmd =
   let doc =

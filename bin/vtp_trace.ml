@@ -1,15 +1,15 @@
 (* CLI: the flight-recorder trace tool.
 
    Replays golden-corpus entries (or any fuzz seed) with the flight
-   recorder live and serialises the result: canonical text, digest, or
-   qlog-style JSON.  Also diffs two canonical traces and regenerates /
+   recorder live and serialises the result: canonical text or its
+   digest.  Also diffs two canonical traces and regenerates /
    checks the committed corpus under test/golden/.
 
    Examples:
      vtp_trace --list
      vtp_trace --run light_headline --digest
      vtp_trace --run af_headline --export af.trace
-     vtp_trace --seed 123 --json out.qlog
+     vtp_trace --seed 123
      vtp_trace --diff a.trace b.trace
      vtp_trace --regen test/golden
      vtp_trace --check test/golden
@@ -52,13 +52,6 @@ let export =
     value
     & opt (some string) None
     & info [ "export" ] ~docv:"FILE" ~doc:"Write the canonical trace to FILE.")
-
-let json =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "json" ] ~docv:"FILE"
-        ~doc:"Write a qlog-style JSON export to FILE.")
 
 let digest =
   Arg.(
@@ -172,7 +165,7 @@ let do_check ~jobs dir =
   if !bad > 0 then exit 1;
   `Ok ()
 
-let run list_only run_name seed export json digest diff diff_pos regen check
+let run list_only run_name seed export digest diff diff_pos regen check
     jobs =
   if list_only then begin
     List.iter
@@ -218,20 +211,12 @@ let run list_only run_name seed export json digest diff diff_pos regen check
           | Ok e ->
               let recorder = capture_entry e in
               let text = Trace.Export.canonical recorder in
-              (match json with
-              | Some path ->
-                  write_file ~flag:"--json" path
-                    (Stats.Json.to_string
-                       (Trace.Export.to_json
-                          ~meta:[ ("entry", Stats.Json.String e.name) ]
-                          recorder))
-              | None -> ());
               (match export with
               | Some path -> write_file ~flag:"--export" path text
               | None -> ());
               if digest then
                 Format.printf "%s@." (Trace.Export.digest_of_string text)
-              else if export = None && json = None then print_string text;
+              else if export = None then print_string text;
               `Ok ())
     with Bad_path msg -> `Error (false, msg)
 
@@ -241,7 +226,7 @@ let cmd =
     (Cmd.info "vtp_trace" ~doc)
     Term.(
       ret
-        (const run $ list_flag $ run_name $ seed $ export $ json $ digest
+        (const run $ list_flag $ run_name $ seed $ export $ digest
        $ diff $ diff_pos $ regen $ check $ jobs))
 
 let () = exit (Cmd.eval cmd)

@@ -41,11 +41,10 @@ let () =
       ()
   in
   let topo = Netsim.Topology.duplex_path ~sim ~forward () in
-  ignore
-    (Engine.Sim.schedule_at sim (0.5 *. duration) (fun () ->
-         Format.printf "t=%5.1fs  -- channel degrades to 6%% bursty loss --@."
-           (0.5 *. duration);
-         regime := harsh));
+  Engine.Sim.post_at sim (0.5 *. duration) (fun () ->
+      Format.printf "t=%5.1fs  -- channel degrades to 6%% bursty loss --@."
+        (0.5 *. duration);
+      regime := harsh);
   let agreed =
     Qtp.Profile.agreed_exn
       (Qtp.Profile.qtp_light ~reliability:[ Qtp.Capabilities.R_partial ] ())
@@ -70,9 +69,9 @@ let () =
       (Qtp.Connection.current_rate_bps conn /. 1e6)
       (Workload.Adaptive_media.current_rung_bps media /. 1e6);
     if Engine.Sim.now sim < duration -. 5.0 then
-      ignore (Engine.Sim.schedule_after sim 5.0 log)
+      Engine.Sim.post_after sim 5.0 log
   in
-  ignore (Engine.Sim.schedule_at sim 5.0 log);
+  Engine.Sim.post_at sim 5.0 log;
   Engine.Sim.run ~until:duration sim;
   Format.printf "@.%d frames, %d quality switches@."
     (Workload.Adaptive_media.frames_emitted media)

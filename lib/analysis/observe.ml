@@ -42,10 +42,10 @@ let instrument checker (topo : Netsim.Topology.t) =
   (* Sub-cases inside one experiment reuse flow ids with fresh
      connections; reset the per-flow feedback state. *)
   feed Invariants.Epoch;
-  (* Only the protocol under test is tracked: VTP frame uids come from
-     one global counter, so they are unique across flows and
-     directions; TCP / background frames use separate counters and
-     would collide. *)
+  (* Only the protocol under test is tracked: the checks are stated over
+     VTP connections.  Every frame allocator draws from
+     [Frame.fresh_uid], so uids are unique across flows, directions and
+     transports. *)
   let hi_sent : (int, int) Hashtbl.t = Hashtbl.create 8 in
   let note_sent flow (frame : Frame.t) =
     match frame.Frame.body with

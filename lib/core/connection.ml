@@ -1,10 +1,6 @@
 module Header = Packet.Header
 module Serial = Packet.Serial
 
-let log_src = Logs.Src.create "qtp.connection" ~doc:"VTP connection events"
-
-module Log = (val Logs.src_log log_src : Logs.LOG)
-
 type config = {
   agreed : Capabilities.agreed;
   params : Tfrc.Sender.params;
@@ -93,8 +89,8 @@ type t = {
   mutable state : state;
   (* [responder_offer] is consulted by the receiver half during the
      handshake; [initiator_offer] is what the SYN carries. *)
-  mutable initiator_offer : Capabilities.offer option;
-  mutable responder_offer : Capabilities.offer option;
+  initiator_offer : Capabilities.offer option;
+  responder_offer : Capabilities.offer option;
   snd : sender_side;
   rcv : receiver_side;
   mutable feedback_packets : int;
@@ -119,13 +115,11 @@ let uses_sack cfg =
 
 let send_forward t segment =
   t.endpoint.Netsim.Topology.to_receiver
-    (Vtp_wire.frame_of ~sim:t.sim ~flow_id:t.endpoint.Netsim.Topology.flow_id
-       segment)
+    (Vtp_wire.frame_of ~flow_id:t.endpoint.Netsim.Topology.flow_id segment)
 
 let send_reverse t segment =
   t.endpoint.Netsim.Topology.to_sender
-    (Vtp_wire.frame_of ~sim:t.sim ~flow_id:t.endpoint.Netsim.Topology.flow_id
-       segment)
+    (Vtp_wire.frame_of ~flow_id:t.endpoint.Netsim.Topology.flow_id segment)
 
 (* ------------------------------------------------------------------ *)
 (* Sender side *)
@@ -152,8 +146,7 @@ let emit_data t ~seq ~is_retx =
   in
   let segment = Packet.Segment.make ~hdr ~payload:Vtp_wire.payload in
   let frame =
-    Vtp_wire.frame_of ~sim:t.sim ~flow_id:t.endpoint.Netsim.Topology.flow_id
-      segment
+    Vtp_wire.frame_of ~flow_id:t.endpoint.Netsim.Topology.flow_id segment
   in
   frame.Netsim.Frame.ect <- t.cfg.agreed.Capabilities.use_ecn;
   if Trace.Sink.on t.trace then
@@ -499,9 +492,6 @@ let send_syn_with_retry t offer =
 let establish t agreed =
   stop_hs_timer t;
   t.state <- Established agreed;
-  Log.info (fun m ->
-      m "flow %d established: %a" t.endpoint.Netsim.Topology.flow_id
-        Capabilities.pp_agreed agreed);
   if Trace.Sink.on t.trace then
     Trace.Sink.emit t.trace
       (Trace.Event.Negotiated
@@ -549,7 +539,6 @@ let handle_handshake_at_receiver t (h : Header.handshake) =
 let finish_close t =
   if t.state <> Closed then begin
     t.state <- Closed;
-    Log.info (fun m -> m "flow %d closed" t.endpoint.Netsim.Topology.flow_id);
     if Trace.Sink.on t.trace then
       Trace.Sink.emit t.trace (Trace.Event.Conn_state { state = "closed" });
     (match t.close_timer with
@@ -579,9 +568,6 @@ let handle_handshake_at_sender t (h : Header.handshake) =
               else "malformed SYN-ACK"
             in
             stop_hs_timer t;
-            Log.warn (fun m ->
-                m "flow %d negotiation failed: %s"
-                  t.endpoint.Netsim.Topology.flow_id reason);
             t.state <- Failed reason;
             if Trace.Sink.on t.trace then
               Trace.Sink.emit t.trace (Trace.Event.Nego_failed { reason }))
@@ -776,17 +762,16 @@ let build ~sim ~endpoint ?cost_sender ?cost_receiver ?source ~start_at
           | Header.Handshake h -> handle_handshake_at_sender t h
           | Header.Data _ -> ())
       | _ -> ());
-  ignore
-    (Engine.Sim.schedule_at sim start_at (fun () ->
-         match t.state with
-         | Established _ ->
-             arm_expiry_timer t;
-             Tfrc.Sender.start t.snd.cc
-         | Negotiating -> (
-             match t.initiator_offer with
-             | Some offer -> send_syn_with_retry t offer
-             | None -> t.state <- Failed "no initiator offer")
-         | Closing | Closed | Failed _ -> ()));
+  Engine.Sim.post_at sim start_at (fun () ->
+      match t.state with
+      | Established _ ->
+          arm_expiry_timer t;
+          Tfrc.Sender.start t.snd.cc
+      | Negotiating -> (
+          match t.initiator_offer with
+          | Some offer -> send_syn_with_retry t offer
+          | None -> t.state <- Failed "no initiator offer")
+      | Closing | Closed | Failed _ -> ());
   t
 
 let create ~sim ~endpoint ?cost_sender ?cost_receiver ?source

@@ -59,9 +59,8 @@ let shaped ~sim ~rate_bps ~packet_size ~active =
     else begin
       if active () then begin
         let wait = ((need -. !credit) /. bytes_per_s) +. 1e-6 in
-        ignore
-          (Engine.Sim.schedule_after sim (Float.max wait 1e-6) (fun () ->
-               t.notify ()))
+        Engine.Sim.post_after sim (Float.max wait 1e-6) (fun () ->
+            t.notify ())
       end;
       false
     end
@@ -106,16 +105,11 @@ let on_off ~sim ~rng ~mean_on ~mean_off ~rate_bps ~packet_size () =
   let rec toggle () =
     on := not !on;
     let mean = if !on then mean_on else mean_off in
-    ignore
-      (Engine.Sim.schedule_after sim
-         (Engine.Dist.exponential rng ~mean)
-         toggle);
+    Engine.Sim.post_after sim (Engine.Dist.exponential rng ~mean) toggle;
     if !on then
       match !t_ref with Some t -> t.notify () | None -> ()
   in
-  ignore
-    (Engine.Sim.schedule_after sim (Engine.Dist.exponential rng ~mean:mean_on)
-       toggle);
+  Engine.Sim.post_after sim (Engine.Dist.exponential rng ~mean:mean_on) toggle;
   let take_impl = shaped ~sim ~rate_bps ~packet_size ~active:(fun () -> !on) in
   let t = { take_impl; notify = ignore; offered = 0 } in
   t_ref := Some t;

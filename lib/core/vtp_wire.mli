@@ -13,5 +13,4 @@ val payload : int
 
 type Netsim.Frame.body += Vtp of Packet.Segment.t
 
-val frame_of :
-  sim:Engine.Sim.t -> flow_id:int -> Packet.Segment.t -> Netsim.Frame.t
+val frame_of : flow_id:int -> Packet.Segment.t -> Netsim.Frame.t

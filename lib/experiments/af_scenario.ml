@@ -7,10 +7,8 @@ let proto_name = function
 
 type result = {
   achieved_wire_bps : float;
-  goodput_bps : float;
   retransmissions : int;
   bottleneck_green_drops : int;
-  bottleneck_total_drops : int;
 }
 
 (* Poisson aggregates carrying the excess load. *)
@@ -65,10 +63,8 @@ let run ~seed ~g_mbps ~proto ?(bottleneck_mbps = 10.0) ?(excess_mbps = 8.0)
     {
       achieved_wire_bps =
         goodput_bps *. float_of_int wire /. float_of_int payload;
-      goodput_bps;
       retransmissions = retx;
       bottleneck_green_drops = st.Netsim.Qdisc.dropped_green;
-      bottleneck_total_drops = st.Netsim.Qdisc.dropped;
     }
   in
   match proto with

@@ -15,10 +15,8 @@ val proto_name : proto -> string
 
 type result = {
   achieved_wire_bps : float;  (** delivered goodput scaled to wire bytes *)
-  goodput_bps : float;  (** application payload rate *)
   retransmissions : int;
   bottleneck_green_drops : int;
-  bottleneck_total_drops : int;
 }
 
 val run :

@@ -84,9 +84,8 @@ let run_one ~seed ~dir ~policy =
   Netsim.Topology.apply_schedule m [ (t_ho1, 1, `Drain); (t_ho2, 2, `Drain) ];
   let retx_at = Array.make 4 0 in
   let sample slot at =
-    ignore
-      (Engine.Sim.schedule_at sim at (fun () ->
-           retx_at.(slot) <- Qtp.Connection.retransmissions conn))
+    Engine.Sim.post_at sim at (fun () ->
+        retx_at.(slot) <- Qtp.Connection.retransmissions conn)
   in
   sample 0 t_ho1;
   sample 1 (t_ho1 +. 2.0);

@@ -1,6 +1,5 @@
 type outcome = {
   plane : string;
-  packets : int;
   recv_ops : int;
   recv_ops_per_pkt : float;
   recv_lh_entries : int;
@@ -33,7 +32,6 @@ let run_plane ~seed ~loss ~light =
   let recv_ops = Stats.Cost.total_ops cost_receiver in
   {
     plane = (if light then "QTP_light" else "standard TFRC");
-    packets;
     recv_ops;
     recv_ops_per_pkt =
       (if packets = 0 then nan else float_of_int recv_ops /. float_of_int packets);

@@ -8,7 +8,6 @@ type failure =
 type flow_stats = {
   flow : int;
   final : string;
-  established : bool;
   data_sent : int;
   retx : int;
   delivered : int;
@@ -322,7 +321,6 @@ let run (sc : Scenario.t) : report =
     Array.to_list
       (Array.mapi
          (fun i c ->
-           let established = agreed_at_close.(i) <> None in
            let st = Qtp.Connection.state c in
            (match st with
            | _ when crash <> None ->
@@ -410,7 +408,6 @@ let run (sc : Scenario.t) : report =
            {
              flow = i;
              final = state_str (Qtp.Connection.state c);
-             established;
              data_sent = Qtp.Connection.data_sent c;
              retx = Qtp.Connection.retransmissions c;
              delivered = Qtp.Connection.delivered c;

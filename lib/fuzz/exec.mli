@@ -38,7 +38,6 @@ type failure =
 type flow_stats = {
   flow : int;
   final : string;  (** connection state at the drain horizon *)
-  established : bool;  (** negotiation had completed when close was called *)
   data_sent : int;  (** distinct data segments *)
   retx : int;
   delivered : int;

@@ -10,12 +10,10 @@ type t = {
   mutable ect : bool;
   mutable ce : bool;
   body : body;
-  born : float;
-  mutable hops : int;
 }
 
-let make ~uid ~flow_id ~size ?(mark = Mark.Best_effort) ~born body =
-  { uid; flow_id; size; mark; ect = false; ce = false; body; born; hops = 0 }
+let make ~uid ~flow_id ~size ?(mark = Mark.Best_effort) body =
+  { uid; flow_id; size; mark; ect = false; ce = false; body }
 
 (* One stream per domain keeps frame uids unique across every
    allocator (transport frames, in-network duplicates) of every
@@ -32,4 +30,4 @@ let fresh_uid () =
 
 let copy t = { t with uid = fresh_uid () }
 
-let dummy = make ~uid:0 ~flow_id:(-1) ~size:0 ~born:0.0 (Raw (-1))
+let dummy = make ~uid:0 ~flow_id:(-1) ~size:0 (Raw (-1))

@@ -17,19 +17,16 @@ type t = {
   mutable ect : bool;  (** ECN-capable transport (RFC 3168 ECT) *)
   mutable ce : bool;  (** congestion experienced: set by an ECN queue *)
   body : body;
-  born : float;  (** virtual time the frame entered the network *)
-  mutable hops : int;  (** links traversed so far *)
 }
 
-val make :
-  uid:int -> flow_id:int -> size:int -> ?mark:Mark.t -> born:float ->
-  body -> t
+val make : uid:int -> flow_id:int -> size:int -> ?mark:Mark.t -> body -> t
 
 val fresh_uid : unit -> int
-(** Next value of the process-wide uid stream.  Every frame allocator
-    (transports, the {!Mangler}'s duplicates) must draw from this one
-    stream so that uids stay globally unique — the packet-conservation
-    invariant keys on them. *)
+(** Next value of the domain's uid stream.  Every frame allocator
+    (VTP and TCP endpoints, background traffic, the {!Mangler}'s
+    duplicates) must draw from this one stream so that uids stay unique
+    within a simulation — the packet-conservation invariant keys on
+    them. *)
 
 val copy : t -> t
 (** Byte-identical clone carrying a {!fresh_uid} — an in-network

@@ -39,7 +39,6 @@ let deliver t frame =
   match t.sink with
   | None -> failwith (t.name ^ ": link has no sink")
   | Some sink ->
-      frame.Frame.hops <- frame.Frame.hops + 1;
       t.st.delivered <- t.st.delivered + 1;
       sink frame
 

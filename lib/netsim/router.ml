@@ -5,13 +5,11 @@
 let no_route (_ : Frame.t) = ()
 
 type t = {
-  name : string;
   mutable routes : (Frame.t -> unit) array;
   mutable unroutable : int;
 }
 
-let create ?(name = "router") () =
-  { name; routes = [||]; unroutable = 0 }
+let create () = { routes = [||]; unroutable = 0 }
 
 let add_route t ~flow_id sink =
   if flow_id < 0 then
@@ -30,10 +28,6 @@ let forward t frame =
   let sink =
     if id >= 0 && id < Array.length t.routes then t.routes.(id) else no_route
   in
-  if sink != no_route then sink frame
-  else begin
-    t.unroutable <- t.unroutable + 1;
-    Logs.debug (fun m -> m "%s: no route for flow %d" t.name id)
-  end
+  if sink != no_route then sink frame else t.unroutable <- t.unroutable + 1
 
 let unroutable t = t.unroutable

@@ -11,7 +11,7 @@
 
 type t
 
-val create : ?name:string -> unit -> t
+val create : unit -> t
 
 val add_route : t -> flow_id:int -> (Frame.t -> unit) -> unit
 (** Route [flow_id]'s frames to the sink, replacing any earlier route.

@@ -19,13 +19,11 @@ type endpoint = {
   to_sender : Frame.t -> unit;
   on_receiver_rx : (Frame.t -> unit) -> unit;
   on_sender_rx : (Frame.t -> unit) -> unit;
-  marker : Marker.t option;
 }
 
 type t = {
   sim : Engine.Sim.t;
   bottleneck : Link.t;
-  reverse : Link.t;
   endpoints : endpoint array;
   links : Link.t list;  (** every link in the topology, access links included *)
 }
@@ -60,8 +58,8 @@ let dumbbell ~sim ~n_flows ~bottleneck ?reverse ?committed_rates () =
   let access_spec = default_access_of bottleneck in
   let bneck = link_of_spec ~sim ~name:"bottleneck" bottleneck in
   let rev = link_of_spec ~sim ~name:"reverse" reverse_spec in
-  let fwd_router = Router.create ~name:"fwd-router" () in
-  let rev_router = Router.create ~name:"rev-router" () in
+  let fwd_router = Router.create () in
+  let rev_router = Router.create () in
   Link.connect bneck (Router.forward fwd_router);
   Link.connect rev (Router.forward rev_router);
   let make_endpoint i =
@@ -88,7 +86,6 @@ let dumbbell ~sim ~n_flows ~bottleneck ?reverse ?committed_rates () =
         on_receiver_rx =
           (fun sink -> Router.add_route fwd_router ~flow_id:i sink);
         on_sender_rx = (fun sink -> Router.add_route rev_router ~flow_id:i sink);
-        marker;
       },
       access )
   in
@@ -96,7 +93,6 @@ let dumbbell ~sim ~n_flows ~bottleneck ?reverse ?committed_rates () =
   {
     sim;
     bottleneck = bneck;
-    reverse = rev;
     endpoints = Array.map fst pairs;
     links = bneck :: rev :: Array.to_list (Array.map snd pairs);
   }
@@ -107,8 +103,8 @@ let duplex_path ~sim ~forward ?reverse () =
   in
   let fwd = link_of_spec ~sim ~name:"forward" forward in
   let rev = link_of_spec ~sim ~name:"reverse" reverse_spec in
-  let fwd_router = Router.create ~name:"fwd-router" () in
-  let rev_router = Router.create ~name:"rev-router" () in
+  let fwd_router = Router.create () in
+  let rev_router = Router.create () in
   Link.connect fwd (Router.forward fwd_router);
   Link.connect rev (Router.forward rev_router);
   let ep =
@@ -119,10 +115,9 @@ let duplex_path ~sim ~forward ?reverse () =
       on_receiver_rx =
         (fun sink -> Router.add_route fwd_router ~flow_id:0 sink);
       on_sender_rx = (fun sink -> Router.add_route rev_router ~flow_id:0 sink);
-      marker = None;
     }
   in
-  { sim; bottleneck = fwd; reverse = rev; endpoints = [| ep |]; links = [ fwd; rev ] }
+  { sim; bottleneck = fwd; endpoints = [| ep |]; links = [ fwd; rev ] }
 
 let parking_lot ~sim ~hops ~paths ?reverse () =
   if hops = [] then invalid_arg "Topology.parking_lot: no hops";
@@ -145,9 +140,9 @@ let parking_lot ~sim ~hops ~paths ?reverse () =
   let rev = link_of_spec ~sim ~name:"reverse" reverse_spec in
   (* One router after each hop decides, per flow, whether the frame
      continues to the next hop or terminates here. *)
-  let routers = Array.init n_hops (fun i -> Router.create ~name:(Printf.sprintf "router-%d" i) ()) in
+  let routers = Array.init n_hops (fun _ -> Router.create ()) in
   Array.iteri (fun i link -> Link.connect link (Router.forward routers.(i))) links;
-  let rev_router = Router.create ~name:"rev-router" () in
+  let rev_router = Router.create () in
   Link.connect rev (Router.forward rev_router);
   let bottleneck =
     Array.fold_left
@@ -166,13 +161,11 @@ let parking_lot ~sim ~hops ~paths ?reverse () =
       on_receiver_rx =
         (fun sink -> Router.add_route routers.(exit_ - 1) ~flow_id:i sink);
       on_sender_rx = (fun sink -> Router.add_route rev_router ~flow_id:i sink);
-      marker = None;
     }
   in
   {
     sim;
     bottleneck;
-    reverse = rev;
     endpoints = Array.mapi make_endpoint paths;
     links = rev :: Array.to_list links;
   }
@@ -200,8 +193,8 @@ let mobile ~sim ~paths:specs () =
   if specs = [] then invalid_arg "Topology.mobile: no paths";
   let specs = Array.of_list specs in
   let rev_specs = Array.map default_reverse_of specs in
-  let fwd_router = Router.create ~name:"fwd-router" () in
-  let rev_router = Router.create ~name:"rev-router" () in
+  let fwd_router = Router.create () in
+  let rev_router = Router.create () in
   let paths =
     Array.init (Array.length specs) (fun i ->
         let fwd =
@@ -225,7 +218,6 @@ let mobile ~sim ~paths:specs () =
       on_receiver_rx =
         (fun sink -> Router.add_route fwd_router ~flow_id:0 sink);
       on_sender_rx = (fun sink -> Router.add_route rev_router ~flow_id:0 sink);
-      marker = None;
     }
   in
   let links =
@@ -235,7 +227,6 @@ let mobile ~sim ~paths:specs () =
     {
       sim;
       bottleneck = paths.(0).fwd;
-      reverse = paths.(0).rev;
       endpoints = [| ep |];
       links;
     }

@@ -29,13 +29,11 @@ type endpoint = {
   to_sender : Frame.t -> unit;  (** receiver-side injection (reverse) *)
   on_receiver_rx : (Frame.t -> unit) -> unit;  (** receiver delivery hook *)
   on_sender_rx : (Frame.t -> unit) -> unit;  (** sender delivery hook *)
-  marker : Marker.t option;  (** edge marker on the forward path, if any *)
 }
 
 type t = {
   sim : Engine.Sim.t;
   bottleneck : Link.t;  (** shared forward bottleneck *)
-  reverse : Link.t;  (** shared reverse path *)
   endpoints : endpoint array;
   links : Link.t list;
       (** every link in the topology, access links included — lets an
@@ -111,7 +109,7 @@ val mobile : sim:Engine.Sim.t -> paths:spec list -> unit -> mobile
 val mobile_net : mobile -> t
 (** The underlying topology view: one endpoint (flow 0), [links] lists
     every path's forward and reverse links so observers can register
-    drop hooks on all of them.  [bottleneck]/[reverse] are path 0. *)
+    drop hooks on all of them.  [bottleneck] is path 0's forward link. *)
 
 val apply_schedule : mobile -> handover_schedule -> unit
 (** Post one simulation event per entry, which atomically re-homes the

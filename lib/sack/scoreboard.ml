@@ -183,11 +183,7 @@ let[@vtp.hot] on_send t ~seq ~now ~size ~is_retx =
     t.snd_nxt <- Serial.succ seq;
     t.sent <- t.sent + 1;
     t.unsacked_bytes <- t.unsacked_bytes + size
-  end;
-  match t.cost with
-  | Some c ->
-      Stats.Cost.watermark c "send.scoreboard.entries" (t.nxt_abs - t.una_abs)
-  | None -> ()
+  end
 
 let next_seq t = t.snd_nxt
 
@@ -201,7 +197,6 @@ type feedback_summary = {
   fb_acked : int;
   fb_sacked : int;
   fb_lost : int;
-  fb_cum_advanced : bool;
 }
 
 (* The streaming feedback digest.  Covers are pushed to the callbacks in
@@ -394,9 +389,8 @@ let[@vtp.hot] iter_feedback t ~cum_ack ~blocks ~reo_wnd ~on_ack ~on_sack
   charge t "send.scoreboard.feedback";
   (* 1. Cumulative advance: every not-yet-SACKed position up to the
      (clipped) ack point is a fresh cover. *)
-  let cum_advanced = Serial.( > ) cum_ack t.snd_una in
   let n_acked =
-    if cum_advanced then begin
+    if Serial.( > ) cum_ack t.snd_una then begin
       let target = Stdlib.min (abs_of t cum_ack) t.nxt_abs in
       let n =
         cover_gaps t on_ack (Runs.seek t.sacked t.una_abs) t.una_abs target 0
@@ -448,12 +442,7 @@ let[@vtp.hot] iter_feedback t ~cum_ack ~blocks ~reo_wnd ~on_ack ~on_sack
       done
     done;
   let n_lost = report_lost t on_lost 0 nfresh 0 in
-  {
-    fb_acked = n_acked;
-    fb_sacked = n_sacked;
-    fb_lost = n_lost;
-    fb_cum_advanced = cum_advanced;
-  }
+  { fb_acked = n_acked; fb_sacked = n_sacked; fb_lost = n_lost }
 
 let lost_pending t =
   let acc = ref [] in

@@ -51,7 +51,6 @@ type feedback_summary = {
   fb_acked : int;
   fb_sacked : int;
   fb_lost : int;
-  fb_cum_advanced : bool;
 }
 (** Counts of what one feedback digest uncovered — everything the hot
     path needs that is not already streamed through the callbacks. *)

@@ -17,11 +17,8 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-val to_string : t -> string
-(** Render with a 2-space indent. *)
-
 val to_channel : out_channel -> t -> unit
-(** [to_string] plus a trailing newline. *)
+(** Render with a 2-space indent, plus a trailing newline. *)
 
 exception Parse_error of string
 (** Raised by {!of_string} with an offset and a description. *)

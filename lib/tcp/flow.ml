@@ -1,21 +1,11 @@
 type t = {
   sim : Engine.Sim.t;
-  flow_id : int;
   sender : Tcp_sender.t;
   receiver : Tcp_receiver.t;
   mutable delivered_bytes : int;
   (* In-order delivery tap; [None] costs one branch per advance. *)
   mutable on_deliver : (bytes:int -> unit) option;
 }
-
-(* Domain-local (not shared) so parallel simulations never race; a
-   frame uid only needs to be unique within its own simulation. *)
-let next_uid = Domain.DLS.new_key (fun () -> ref 0)
-
-let uid () =
-  let c = Domain.DLS.get next_uid in
-  incr c;
-  !c
 
 let create ~sim ~endpoint ?(start_at = 0.0) () =
   let flow_id = endpoint.Netsim.Topology.flow_id in
@@ -24,8 +14,8 @@ let create ~sim ~endpoint ?(start_at = 0.0) () =
   let last_cum = ref Packet.Serial.zero in
   let send_ack ack =
     let frame =
-      Netsim.Frame.make ~uid:(uid ()) ~flow_id ~size:Tcp_wire.ack_size
-        ~born:(Engine.Sim.now sim) (Tcp_wire.Ack ack)
+      Netsim.Frame.make ~uid:(Netsim.Frame.fresh_uid ()) ~flow_id
+        ~size:Tcp_wire.ack_size (Tcp_wire.Ack ack)
     in
     endpoint.Netsim.Topology.to_sender frame
   in
@@ -39,15 +29,15 @@ let create ~sim ~endpoint ?(start_at = 0.0) () =
         (Trace.Event.Tcp_send
            { seq = seg.Tcp_wire.seq; retx = seg.Tcp_wire.is_retx });
     let frame =
-      Netsim.Frame.make ~uid:(uid ()) ~flow_id
+      Netsim.Frame.make ~uid:(Netsim.Frame.fresh_uid ()) ~flow_id
         ~size:(Tcp_wire.seg_size ~payload:Tcp_sender.packet_size)
-        ~born:(Engine.Sim.now sim) (Tcp_wire.Seg seg)
+        (Tcp_wire.Seg seg)
     in
     endpoint.Netsim.Topology.to_receiver frame
   in
   let sender = Tcp_sender.create ~sim ~transmit () in
   let t =
-    { sim; flow_id; sender; receiver; delivered_bytes = 0; on_deliver = None }
+    { sim; sender; receiver; delivered_bytes = 0; on_deliver = None }
   in
   (* Delivery plumbing. *)
   endpoint.Netsim.Topology.on_receiver_rx (fun frame ->
@@ -76,8 +66,7 @@ let create ~sim ~endpoint ?(start_at = 0.0) () =
                    ssthresh = Tcp_sender.ssthresh sender;
                  })
       | _ -> ());
-  ignore
-    (Engine.Sim.schedule_at sim start_at (fun () -> Tcp_sender.start sender));
+  Engine.Sim.post_at sim start_at (fun () -> Tcp_sender.start sender);
   t
 
 let sender t = t.sender

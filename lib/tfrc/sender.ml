@@ -81,11 +81,15 @@ let rate_bps t = 8.0 *. t.st.x
 
 (* §4.5: the instantaneous rate is damped by sqrt(R_sample)/R_sqmean; a
    rising RTT (queue building) slows the sender below X before the next
-   equation update, and vice versa. *)
+   equation update, and vice versa.  A falling RTT may raise it above X
+   but never above the ceiling. *)
 let[@vtp.hot] instantaneous_rate t =
   let r_sqmean = t.st.r_sqmean and r_sample_last = t.st.r_sample_last in
   if t.p.oscillation_damping && r_sqmean > 0.0 && r_sample_last > 0.0 then
-    t.st.x *. r_sqmean /. sqrt r_sample_last
+    let x_inst = t.st.x *. r_sqmean /. sqrt r_sample_last in
+    match t.p.max_rate_bps with
+    | Some cap -> Float.min x_inst (cap /. 8.0)
+    | None -> x_inst
   else t.st.x
 
 let instantaneous_rate_bps t = 8.0 *. instantaneous_rate t

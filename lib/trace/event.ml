@@ -39,27 +39,6 @@ type t =
   | Tcp_ack_rcvd of { cum_ack : Serial.t; cwnd : float; ssthresh : float }
   | Handover of { from_path : string; to_path : string; cut : bool }
 
-let name = function
-  | Seg_send _ -> "segment_sent"
-  | Seg_recv _ -> "segment_received"
-  | Sack_sent _ -> "sack_sent"
-  | Sack_rcvd _ -> "sack_received"
-  | Fb_sent _ -> "feedback_sent"
-  | Fb_rcvd _ -> "feedback_received"
-  | Loss_event _ -> "loss_event"
-  | Loss_inferred _ -> "loss_inferred"
-  | Rate_change _ -> "rate_change"
-  | Rtt_sample _ -> "rtt_sample"
-  | Retransmit _ -> "retransmit"
-  | Abandoned _ -> "abandoned"
-  | Negotiated _ -> "negotiated"
-  | Nego_failed _ -> "negotiation_failed"
-  | Conn_state _ -> "connection_state"
-  | Drop _ -> "drop"
-  | Tcp_send _ -> "tcp_segment_sent"
-  | Tcp_ack_rcvd _ -> "tcp_ack_received"
-  | Handover _ -> "handover"
-
 let side_str = function S_sender -> "sender" | S_receiver -> "receiver"
 
 let infer_str = function I_dupthresh -> "dupthresh" | I_timeout -> "timeout"
@@ -121,78 +100,3 @@ let pp_canonical fmt ev =
   | Handover { from_path; to_path; cut } ->
       Format.fprintf fmt "handover from=%s to=%s cut=%d" from_path to_path
         (bool01 cut)
-
-let to_json ev =
-  let module J = Stats.Json in
-  let seq s = ("seq", J.Int (Serial.to_int s)) in
-  let data =
-    match ev with
-    | Seg_send { seq = s; size; retx } ->
-        [ seq s; ("size", J.Int size); ("retx", J.Bool retx) ]
-    | Seg_recv { seq = s; size; ce; retx } ->
-        [ seq s; ("size", J.Int size); ("ce", J.Bool ce); ("retx", J.Bool retx) ]
-    | Sack_sent { cum_ack; blocks; x_recv } ->
-        [
-          ("cum_ack", J.Int (Serial.to_int cum_ack));
-          ("blocks", J.Int blocks);
-          ("x_recv", J.Float x_recv);
-        ]
-    | Sack_rcvd { cum_ack; blocks; acked; sacked; lost } ->
-        [
-          ("cum_ack", J.Int (Serial.to_int cum_ack));
-          ("blocks", J.Int blocks);
-          ("acked", J.Int acked);
-          ("sacked", J.Int sacked);
-          ("lost", J.Int lost);
-        ]
-    | Fb_sent { x_recv; p } | Fb_rcvd { x_recv; p } ->
-        [ ("x_recv", J.Float x_recv); ("p", J.Float p) ]
-    | Loss_event { side; events; p } ->
-        [
-          ("side", J.String (side_str side));
-          ("events", J.Int events);
-          ("p", J.Float p);
-        ]
-    | Loss_inferred { seq = s; by } ->
-        [ seq s; ("by", J.String (infer_str by)) ]
-    | Rate_change { x_bps; x_calc_bps; x_recv_bps; p; slow_start } ->
-        [
-          ("x_bps", J.Float x_bps);
-          ("x_calc_bps", J.Float x_calc_bps);
-          ("x_recv_bps", J.Float x_recv_bps);
-          ("p", J.Float p);
-          ("slow_start", J.Bool slow_start);
-        ]
-    | Rtt_sample { sample; srtt } ->
-        [ ("sample", J.Float sample); ("srtt", J.Float srtt) ]
-    | Retransmit { seq = s; count } -> [ seq s; ("count", J.Int count) ]
-    | Abandoned { seq = s } -> [ seq s ]
-    | Negotiated { plane; mode; g_bps } ->
-        [
-          ("plane", J.String plane);
-          ("mode", J.String mode);
-          ("g_bps", J.Float g_bps);
-        ]
-    | Nego_failed { reason } -> [ ("reason", J.String reason) ]
-    | Conn_state { state } -> [ ("state", J.String state) ]
-    | Drop { link; reason; size } ->
-        [
-          ("link", J.String link);
-          ("reason", J.String (drop_str reason));
-          ("size", J.Int size);
-        ]
-    | Tcp_send { seq = s; retx } -> [ seq s; ("retx", J.Bool retx) ]
-    | Tcp_ack_rcvd { cum_ack; cwnd; ssthresh } ->
-        [
-          ("cum_ack", J.Int (Serial.to_int cum_ack));
-          ("cwnd", J.Float cwnd);
-          ("ssthresh", J.Float ssthresh);
-        ]
-    | Handover { from_path; to_path; cut } ->
-        [
-          ("from", J.String from_path);
-          ("to", J.String to_path);
-          ("cut", J.Bool cut);
-        ]
-  in
-  (name ev, J.Obj data)

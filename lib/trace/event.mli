@@ -8,17 +8,15 @@
     negotiation, teardown, in-network drops and the TCP baseline's
     send/ack stream.
 
-    Two renderings:
+    One rendering, {!pp_canonical}: a compact single-line text form
+    whose bytes are a pure function of the event value (floats print as
+    lossless hexadecimal literals), used for golden-trace digests and
+    diffs.
 
-    - {!pp_canonical} — a compact single-line text form whose bytes are
-      a pure function of the event value (floats print as lossless
-      hexadecimal literals), used for golden-trace digests and diffs;
-    - {!to_json} — a qlog-style [(name, data)] pair for the JSON
-      exporter.
-
-    Events deliberately carry no frame uids: uids are drawn from a
-    process-global stream, so including them would make an otherwise
-    deterministic trace differ between two runs in one process. *)
+    Events deliberately carry no frame uids: uids are drawn from one
+    stream per domain that runs on across simulations, so including
+    them would make an otherwise deterministic trace differ between two
+    runs in one process. *)
 
 type side = S_sender | S_receiver
 (** Where a loss event was detected: the RFC 3448 receiver, or the
@@ -76,12 +74,6 @@ type t =
       (** the flow's path migrated between named link pairs; [cut]
           distinguishes [`Cut] (old path severed) from [`Drain] *)
 
-val name : t -> string
-(** Short stable event name (also the qlog event name). *)
-
 val pp_canonical : Format.formatter -> t -> unit
 (** The canonical single-line body (no timestamp).  Floats render as
     lossless hex literals, so equal bytes iff equal values. *)
-
-val to_json : t -> string * Stats.Json.t
-(** [(name, data)] for the qlog-style exporter. *)

@@ -1,5 +1,3 @@
-module J = Stats.Json
-
 let magic = "# vtp-trace-1"
 
 let canonical rec_ =
@@ -25,34 +23,6 @@ let canonical rec_ =
 let digest_of_string s = Digest.to_hex (Digest.string s)
 
 let digest rec_ = digest_of_string (canonical rec_)
-
-let to_json ?(meta = []) rec_ =
-  let flow_json flow =
-    match Recorder.ring rec_ ~flow with
-    | None -> J.Null
-    | Some ring ->
-        let events = ref [] in
-        Ring.iter
-          (fun { Ring.at; ev } ->
-            let name, data = Event.to_json ev in
-            events :=
-              J.Obj [ ("time", J.Float at); ("name", J.String name); ("data", data) ]
-              :: !events)
-          ring;
-        J.Obj
-          [
-            ("flow", J.Int flow);
-            ("events", J.Int (Ring.total ring));
-            ("dropped", J.Int (Ring.dropped ring));
-            ("records", J.List (List.rev !events));
-          ]
-  in
-  J.Obj
-    [
-      ("format", J.String "vtp-qlog-1");
-      ("meta", J.Obj meta);
-      ("traces", J.List (List.map flow_json (Recorder.flows rec_)));
-    ]
 
 type divergence = { line : int; left : string option; right : string option }
 

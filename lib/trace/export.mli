@@ -1,5 +1,4 @@
-(** Trace serialisation: canonical text, digests, qlog-style JSON and a
-    line diff.
+(** Trace serialisation: canonical text, digests and a line diff.
 
     The canonical form is the conformance artefact: a small line-based
     text whose bytes are a pure function of the recorded events, so two
@@ -28,10 +27,6 @@ val digest : Recorder.t -> string
 
 val digest_of_string : string -> string
 (** Digest of an already-serialised canonical trace. *)
-
-val to_json : ?meta:(string * Stats.Json.t) list -> Recorder.t -> Stats.Json.t
-(** qlog-style export: a header object (format tag plus [meta]) and one
-    trace per flow with [(time, name, data)] event records. *)
 
 type divergence = {
   line : int;  (** 1-based line number of the first difference *)

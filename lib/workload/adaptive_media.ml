@@ -1,10 +1,8 @@
 type t = {
   sim : Engine.Sim.t;
-  rng : Engine.Rng.t;
   ladder : float list;  (* ascending *)
   transport_rate_bps : unit -> float;
   fps : float;
-  push : int -> unit;
   stop_at : float option;
   mutable rung : float;
   mutable switches : int;
@@ -49,11 +47,9 @@ let start ~sim ~rng ~ladder_bps ~transport_rate_bps ?(fps = 25.0) ~push
   let t =
     {
       sim;
-      rng;
       ladder;
       transport_rate_bps;
       fps;
-      push;
       stop_at;
       rung = List.hd ladder;
       switches = 0;
@@ -75,7 +71,7 @@ let start ~sim ~rng ~ladder_bps ~transport_rate_bps ?(fps = 25.0) ~push
         t.rung <- next;
         t.switches <- t.switches + 1
       end;
-      ignore (Engine.Sim.schedule_after sim 1.0 adapt)
+      Engine.Sim.post_after sim 1.0 adapt
     end
   in
   (* Frame clock: bytes per frame follow the current rung (with ±10%
@@ -88,11 +84,11 @@ let start ~sim ~rng ~ladder_bps ~transport_rate_bps ?(fps = 25.0) ~push
       let pkts = (size + payload - 1) / payload in
       t.frames <- t.frames + 1;
       push pkts;
-      ignore (Engine.Sim.schedule_after sim (1.0 /. t.fps) frame_tick)
+      Engine.Sim.post_after sim (1.0 /. t.fps) frame_tick
     end
   in
-  ignore (Engine.Sim.schedule_at sim 0.0 adapt);
-  ignore (Engine.Sim.schedule_at sim 0.0 frame_tick);
+  Engine.Sim.post_at sim 0.0 adapt;
+  Engine.Sim.post_at sim 0.0 frame_tick;
   t
 
 let current_rung_bps t = t.rung

@@ -6,7 +6,6 @@ type t = {
   stop_at : float option;
   mutable packets : int;
   mutable bytes : int;
-  mutable uid : int;
 }
 
 let active t =
@@ -15,11 +14,10 @@ let active t =
   | None -> true
 
 let emit t =
-  t.uid <- t.uid + 1;
+  let uid = Netsim.Frame.fresh_uid () in
   let frame =
-    Netsim.Frame.make ~uid:(t.flow_id * 10_000_000 + t.uid) ~flow_id:t.flow_id
-      ~size:t.packet_size ~born:(Engine.Sim.now t.sim)
-      (Netsim.Frame.Raw t.uid)
+    Netsim.Frame.make ~uid ~flow_id:t.flow_id ~size:t.packet_size
+      (Netsim.Frame.Raw uid)
   in
   t.packets <- t.packets + 1;
   t.bytes <- t.bytes + t.packet_size;
@@ -30,28 +28,18 @@ let emit t =
 let poisson ~sim ~sink ~flow_id ~rng ~rate_bps ~packet_size ?stop_at () =
   assert (rate_bps > 0.0);
   let t =
-    {
-      sim;
-      sink;
-      flow_id;
-      packet_size;
-      stop_at;
-      packets = 0;
-      bytes = 0;
-      uid = 0;
-    }
+    { sim; sink; flow_id; packet_size; stop_at; packets = 0; bytes = 0 }
   in
   let mean_gap = 8.0 *. float_of_int packet_size /. rate_bps in
   let rec tick () =
     if active t then begin
       emit t;
-      ignore
-        (Engine.Sim.schedule_after sim
-           (Engine.Dist.exponential rng ~mean:mean_gap)
-           tick)
+      Engine.Sim.post_after sim
+        (Engine.Dist.exponential rng ~mean:mean_gap)
+        tick
     end
   in
-  ignore (Engine.Sim.schedule_at sim 0.0 tick);
+  Engine.Sim.post_at sim 0.0 tick;
   t
 
 let packets_sent t = t.packets

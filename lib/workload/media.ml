@@ -18,10 +18,8 @@ let default_params =
   }
 
 type t = {
-  sim : Engine.Sim.t;
   rng : Engine.Rng.t;
   p : params;
-  push : int -> unit;
   stop_at : float option;
   mutable frame_no : int;
   mutable frames : int;
@@ -48,9 +46,7 @@ let frame_size t =
 
 let start ~sim ~rng p ~push ?stop_at () =
   assert (p.fps > 0.0 && p.gop >= 1 && p.payload > 0);
-  let t =
-    { sim; rng; p; push; stop_at; frame_no = 0; frames = 0; bytes = 0 }
-  in
+  let t = { rng; p; stop_at; frame_no = 0; frames = 0; bytes = 0 } in
   let gap = 1.0 /. p.fps in
   let active () =
     match t.stop_at with
@@ -65,10 +61,10 @@ let start ~sim ~rng p ~push ?stop_at () =
       t.frames <- t.frames + 1;
       t.bytes <- t.bytes + size;
       push pkts;
-      ignore (Engine.Sim.schedule_after sim gap tick)
+      Engine.Sim.post_after sim gap tick
     end
   in
-  ignore (Engine.Sim.schedule_at sim 0.0 tick);
+  Engine.Sim.post_at sim 0.0 tick;
   t
 
 let frames_emitted t = t.frames

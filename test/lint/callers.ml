@@ -295,6 +295,74 @@ let dead_exports files =
         vals)
     (List.sort (fun (a, _) (b, _) -> String.compare a b) !interfaces)
 
+(* ------------------------------------------------------------------ *)
+(* Every exported record field is read *)
+
+(* [(type.label, label)] for each record label an interface declares,
+   inline records of constructors included, in declaration order. *)
+let declared_labels sg =
+  let acc = ref [] and ty = ref "" in
+  let type_declaration self (td : Parsetree.type_declaration) =
+    ty := td.ptype_name.txt;
+    Ast_iterator.default_iterator.type_declaration self td
+  in
+  let label_declaration _ (ld : Parsetree.label_declaration) =
+    acc := (!ty ^ "." ^ ld.pld_name.txt, ld.pld_name.txt) :: !acc
+  in
+  let it =
+    { Ast_iterator.default_iterator with type_declaration; label_declaration }
+  in
+  it.signature it sg;
+  List.rev !acc
+
+(* Every label an implementation reads: a field access, or a record
+   pattern that binds or tests the field ([{ f = _ }] does neither).
+   Writing a field, building a record and [{ r with f = ... }] read
+   nothing. *)
+let read_labels reads ast =
+  let read (lid : Longident.t Location.loc) =
+    Hashtbl.replace reads (Longident.last lid.txt) ()
+  in
+  let expr self (e : Parsetree.expression) =
+    (match e.pexp_desc with Pexp_field (_, lid) -> read lid | _ -> ());
+    Ast_iterator.default_iterator.expr self e
+  in
+  let pat self (p : Parsetree.pattern) =
+    (match p.ppat_desc with
+    | Ppat_record (fields, _) ->
+        List.iter
+          (fun (lid, (q : Parsetree.pattern)) ->
+            match q.ppat_desc with Ppat_any -> () | _ -> read lid)
+          fields
+    | _ -> ());
+    Ast_iterator.default_iterator.pat self p
+  in
+  let it = { Ast_iterator.default_iterator with expr; pat } in
+  it.structure it ast
+
+let unread_fields files =
+  let reads = Hashtbl.create 1024 in
+  let declared =
+    List.filter_map
+      (fun (path, src) ->
+        if Filename.check_suffix path ".ml" then begin
+          read_labels reads (parse Parse.implementation ~path src);
+          None
+        end
+        else if
+          Filename.check_suffix path ".mli" && Option.is_some (lib_dir path)
+        then Some (path, declared_labels (parse Parse.interface ~path src))
+        else None)
+      files
+  in
+  List.concat_map
+    (fun (path, labels) ->
+      List.filter_map
+        (fun (shown, label) ->
+          if Hashtbl.mem reads label then None else Some (path ^ ": " ^ shown))
+        labels)
+    (List.sort (fun (a, _) (b, _) -> String.compare a b) declared)
+
 let rec files_under skip dir =
   Array.fold_left
     (fun acc e ->

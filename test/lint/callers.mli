@@ -16,6 +16,20 @@ val dead_exports : (string * string) list -> string list
     @raise Syntaxerr.Error (or the lexer's error) on a file the OCaml
     parser rejects. *)
 
+val unread_fields : (string * string) list -> string list
+(** The exported-field guard, which the compiler's unused-field warning
+    cannot be, since it does not see past an interface.  [unread_fields
+    files] takes the same pairs as {!dead_exports} and returns
+    ["path: type.label"] for each record label a [lib/] interface
+    declares (inline records included) that no implementation reads, in
+    path order, then declaration order.  A read is a field access
+    ([r.label]) or a record pattern that binds or tests the label;
+    building a record, [{ r with label = ... }] and [r.label <- v] are
+    not.  Labels match by name alone, so a label that shares its name
+    with a read one counts as read.
+    @raise Syntaxerr.Error (or the lexer's error) on a file the OCaml
+    parser rejects. *)
+
 val read_tree : roots:string list -> skip:string list -> (string * string) list
 (** The [.ml] and [.mli] files under [roots], and the [lib/<dir>/dune]
     files, skipping dot- and underscore-prefixed entries and the

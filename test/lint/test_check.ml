@@ -518,6 +518,46 @@ let test_every_export_has_a_caller () =
     "lib/ exports that no other file names" []
     (Callers.dead_exports files)
 
+(* ------------------------------------------------------------------ *)
+(* Every exported record field is read *)
+
+let test_every_field_is_read () =
+  (* What counts as a read, on a tree small enough to name every case. *)
+  let files =
+    [
+      ( "lib/x/a.mli",
+        "type t = { accessed : int; bound : int; tested : int; \
+         wildcard : int; built : int; copied : int; written : int }\n\
+         type e = Ev of { inline : int } | Other of { unseen : int }\n" );
+      ( "lib/x/a.ml",
+        "let f r = r.accessed\n\
+         let g { bound; tested = 0; wildcard = _; _ } = bound\n\
+         let h r = { r with copied = 1 }\n\
+         let i r = r.written <- 2\n\
+         let j = function Ev { inline } -> inline | Other _ -> 0\n" );
+      ( "test/t.ml",
+        "let k = { accessed = 1; bound = 2; tested = 3; wildcard = 4; \
+         built = 5; copied = 6; written = 7 }\n" );
+    ]
+  in
+  Alcotest.(check (list string))
+    "only the labels nothing reads"
+    [
+      "lib/x/a.mli: t.wildcard"; "lib/x/a.mli: t.built";
+      "lib/x/a.mli: t.copied"; "lib/x/a.mli: t.written";
+      "lib/x/a.mli: e.unseen";
+    ]
+    (Callers.unread_fields files);
+  let files =
+    in_tree (fun () ->
+        Callers.read_tree
+          ~roots:[ "lib"; "bin"; "bench"; "perfbench"; "examples"; "test" ]
+          ~skip:[ "test/lint/unparsable"; "test/lint/offending" ])
+  in
+  Alcotest.(check (list string))
+    "lib/ record fields that nothing reads" []
+    (Callers.unread_fields files)
+
 let suite =
   [
     ("parser structure", `Quick, test_parser_structure);
@@ -549,6 +589,7 @@ let suite =
     ("tree is clean", `Quick, test_tree_is_clean);
     ("dead-export resolution", `Quick, test_dead_export_resolution);
     ("every export has a caller", `Quick, test_every_export_has_a_caller);
+    ("every exported record field is read", `Quick, test_every_field_is_read);
   ]
 
 (* The suite keeps the name it had in the main runner, so its test ids

@@ -7,7 +7,6 @@ type range = {
 }
 
 type t = {
-  max_blocks : int;
   cost : Stats.Cost.t option;
   mutable cum : Serial.t;
   mutable ranges : range list;  (* ascending, disjoint, above cum *)
@@ -22,7 +21,6 @@ let dummy_range = { lo = Serial.zero; hi = Serial.zero; touched = -1 }
 let create ?(max_blocks = 4) ?cost () =
   assert (max_blocks >= 1);
   {
-    max_blocks;
     cost;
     cum = Serial.zero;
     ranges = [];

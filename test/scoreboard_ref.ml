@@ -92,10 +92,7 @@ let[@vtp.hot] on_send t ~seq ~now ~size ~is_retx =
       };
     t.snd_nxt <- Serial.succ seq;
     t.sent <- t.sent + 1
-  end;
-  match t.cost with
-  | Some c -> Stats.Cost.watermark c "send.scoreboard.entries" (Hashtbl.length t.tbl)
-  | None -> ()
+  end
 
 let next_seq t = t.snd_nxt
 

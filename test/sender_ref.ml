@@ -82,7 +82,10 @@ let rate_bps t = 8.0 *. t.x
    equation update, and vice versa. *)
 let instantaneous_rate t =
   if t.p.oscillation_damping && t.r_sqmean > 0.0 && t.r_sample_last > 0.0 then
-    t.x *. t.r_sqmean /. sqrt t.r_sample_last
+    let x_inst = t.x *. t.r_sqmean /. sqrt t.r_sample_last in
+    match t.p.max_rate_bps with
+    | Some cap -> Float.min x_inst (cap /. 8.0)
+    | None -> x_inst
   else t.x
 
 let instantaneous_rate_bps t = 8.0 *. instantaneous_rate t

@@ -2,8 +2,7 @@
    crosses every hop. *)
 
 let frame ?(flow = 0) uid =
-  Netsim.Frame.make ~uid ~flow_id:flow ~size:1000 ~born:0.0
-    (Netsim.Frame.Raw uid)
+  Netsim.Frame.make ~uid ~flow_id:flow ~size:1000 (Netsim.Frame.Raw uid)
 
 let spec ?(rate = 1e6) ?(delay = 0.01) ?loss () =
   match loss with
@@ -13,15 +12,27 @@ let spec ?(rate = 1e6) ?(delay = 0.01) ?loss () =
 let chain ~sim hops =
   Netsim.Topology.parking_lot ~sim ~hops ~paths:[| (0, List.length hops) |] ()
 
+(* Frames each hop of a parking lot (links "hop-0", "hop-1", ...) has
+   handed on, in hop order. *)
+let delivered_per_hop topo =
+  List.filter_map
+    (fun l ->
+      if String.starts_with ~prefix:"hop-" (Netsim.Link.name l) then
+        Some (Netsim.Link.stats l).Netsim.Link.delivered
+      else None)
+    topo.Netsim.Topology.links
+
 let test_chain_traverses_all_hops () =
   let sim = Engine.Sim.create () in
   let topo = chain ~sim [ spec (); spec (); spec () ] in
   let ep = Netsim.Topology.endpoint topo 0 in
-  let hops_seen = ref (-1) in
-  ep.Netsim.Topology.on_receiver_rx (fun f -> hops_seen := f.Netsim.Frame.hops);
+  let arrived = ref 0 in
+  ep.Netsim.Topology.on_receiver_rx (fun _ -> incr arrived);
   ep.Netsim.Topology.to_receiver (frame 1);
   Engine.Sim.run sim;
-  Alcotest.(check int) "three hops" 3 !hops_seen
+  Alcotest.(check int) "arrived" 1 !arrived;
+  Alcotest.(check (list int)) "crossed all three hops" [ 1; 1; 1 ]
+    (delivered_per_hop topo)
 
 let test_chain_delay_accumulates () =
   let sim = Engine.Sim.create () in
@@ -88,18 +99,21 @@ let test_parking_lot_paths () =
       ~paths:[| (0, 3); (1, 2); (1, 3) |]
       ()
   in
-  let hops_seen = Array.make 3 (-1) in
+  let arrived = Array.make 3 0 in
   Array.iteri
     (fun i (ep : Netsim.Topology.endpoint) ->
       ep.Netsim.Topology.on_receiver_rx (fun f ->
-          hops_seen.(i) <- f.Netsim.Frame.hops))
+          if f.Netsim.Frame.flow_id = i then arrived.(i) <- arrived.(i) + 1))
     topo.Netsim.Topology.endpoints;
   Array.iteri
     (fun i (ep : Netsim.Topology.endpoint) ->
       ep.Netsim.Topology.to_receiver (frame ~flow:i (100 + i)))
     topo.Netsim.Topology.endpoints;
   Engine.Sim.run sim;
-  Alcotest.(check (array int)) "hop counts per path" [| 3; 1; 2 |] hops_seen
+  Alcotest.(check (array int)) "one arrival per path" [| 1; 1; 1 |] arrived;
+  (* Hop 0 carries flow 0 only, hop 1 all three, hop 2 flows 0 and 2. *)
+  Alcotest.(check (list int)) "frames per hop" [ 1; 3; 2 ]
+    (delivered_per_hop topo)
 
 let test_parking_lot_shared_middle_hop () =
   let sim = Engine.Sim.create () in

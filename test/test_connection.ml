@@ -228,7 +228,6 @@ let test_far_forward_point_is_cheap () =
       to_sender = ignore;
       on_receiver_rx = (fun f -> rx := f);
       on_sender_rx = ignore;
-      marker = None;
     }
   in
   let conn =
@@ -239,7 +238,7 @@ let test_far_forward_point_is_cheap () =
             (Qtp.Profile.mobile_receiver ())))
   in
   let data seq fwd =
-    Qtp.Vtp_wire.frame_of ~sim ~flow_id:0
+    Qtp.Vtp_wire.frame_of ~flow_id:0
       (Packet.Segment.make ~payload:1000
          ~hdr:
            (Packet.Header.Data

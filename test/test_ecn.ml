@@ -13,8 +13,7 @@ let red_params =
 
 let frame ?(ect = true) uid =
   let f =
-    Netsim.Frame.make ~uid ~flow_id:0 ~size:1000 ~born:0.0
-      (Netsim.Frame.Raw uid)
+    Netsim.Frame.make ~uid ~flow_id:0 ~size:1000 (Netsim.Frame.Raw uid)
   in
   f.Netsim.Frame.ect <- ect;
   f

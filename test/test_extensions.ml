@@ -48,6 +48,40 @@ let test_damping_off_means_equal () =
     (Tfrc.Sender.rate_bps sender)
     (Tfrc.Sender.instantaneous_rate_bps sender)
 
+(* The ceiling bounds the damped rate too.  An RTT sample of 1e-9 s
+   after one of 0.1 s scales X by R_sqmean / sqrt(R_sample), about
+   9,000 here: without the cap the sender spaces packets at hundreds of
+   Mb/s under a 1 Mb/s ceiling. *)
+let test_damping_respects_ceiling () =
+  let sim = Engine.Sim.create () in
+  let ceiling = 1e6 in
+  let params =
+    {
+      Tfrc.Sender.default_params with
+      packet_size = 1000;
+      initial_rtt = 0.1;
+      oscillation_damping = true;
+      max_rate_bps = Some ceiling;
+    }
+  in
+  let sender = Tfrc.Sender.create ~sim params ~on_transmit:(fun () -> true) () in
+  Tfrc.Sender.start sender;
+  Engine.Sim.post_at sim 0.1 (fun () ->
+      Tfrc.Sender.on_feedback sender ~tstamp_echo:0.0 ~t_delay:0.0 ~x_recv:1e6
+        ~p:0.01);
+  Engine.Sim.post_at sim 0.2 (fun () ->
+      Tfrc.Sender.on_feedback sender ~tstamp_echo:0.1 ~t_delay:(0.1 -. 1e-9)
+        ~x_recv:1e6 ~p:0.01);
+  Engine.Sim.run ~until:0.3 sim;
+  let allowed = Tfrc.Sender.rate_bps sender in
+  let inst = Tfrc.Sender.instantaneous_rate_bps sender in
+  Alcotest.(check bool)
+    (Printf.sprintf "allowed %.0f within the ceiling" allowed)
+    true (allowed <= ceiling);
+  Alcotest.(check bool)
+    (Printf.sprintf "instantaneous %.0f within the ceiling" inst)
+    true (inst <= ceiling)
+
 let lossy_nego ~seed ~loss =
   let sim, topo =
     Experiments.Common.lossy_path ~seed ~rate_mbps:10.0
@@ -122,6 +156,8 @@ let suite =
       test_damping_slows_on_rtt_rise;
     Alcotest.test_case "damping off = identity" `Quick
       test_damping_off_means_equal;
+    Alcotest.test_case "damping respects the ceiling" `Quick
+      test_damping_respects_ceiling;
     Alcotest.test_case "handshake survives 30% loss" `Slow
       test_handshake_survives_loss;
     Alcotest.test_case "handshake never hangs" `Quick

@@ -71,9 +71,8 @@ let test_repair_arrives_once () =
 (* --- the checker fed from a mangled link's taps -------------------- *)
 
 let mk_frame i =
-  Netsim.Frame.make
-    ~uid:(Netsim.Frame.fresh_uid ())
-    ~flow_id:0 ~size:1000 ~born:0.0 (Netsim.Frame.Raw i)
+  Netsim.Frame.make ~uid:(Netsim.Frame.fresh_uid ()) ~flow_id:0 ~size:1000
+    (Netsim.Frame.Raw i)
 
 (* Drive 200 frames over a link whose mangler duplicates aggressively,
    feeding injections, deliveries and drops straight into a fresh

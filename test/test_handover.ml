@@ -48,9 +48,8 @@ let test_degenerate_identical () =
 (* --- frame conservation through migrate_flow ---------------------- *)
 
 let mk_frame i =
-  Netsim.Frame.make
-    ~uid:(Netsim.Frame.fresh_uid ())
-    ~flow_id:0 ~size:1000 ~born:0.0 (Netsim.Frame.Raw i)
+  Netsim.Frame.make ~uid:(Netsim.Frame.fresh_uid ()) ~flow_id:0 ~size:1000
+    (Netsim.Frame.Raw i)
 
 (* Drive raw frames through a two-path mobile while a migration fires
    mid-stream, counting injections, deliveries and drops over every

@@ -1,7 +1,7 @@
 (* Netsim.Link: serialisation timing, queueing, loss, utilisation. *)
 
 let frame ?(size = 1000) uid =
-  Netsim.Frame.make ~uid ~flow_id:0 ~size ~born:0.0 (Netsim.Frame.Raw uid)
+  Netsim.Frame.make ~uid ~flow_id:0 ~size (Netsim.Frame.Raw uid)
 
 let make_link ?(rate_bps = 8.0e5) ?(delay = 0.1) ?loss ?(cap = 10) sim =
   Netsim.Link.create ~sim ~rate_bps ~delay
@@ -92,10 +92,14 @@ let test_hop_count () =
   let l2 = make_link ~delay:0.01 sim in
   let final = ref None in
   Netsim.Link.connect l1 (Netsim.Link.send l2);
-  Netsim.Link.connect l2 (fun f -> final := Some f.Netsim.Frame.hops);
+  Netsim.Link.connect l2 (fun f -> final := Some f.Netsim.Frame.uid);
   Netsim.Link.send l1 (frame 1);
   Engine.Sim.run sim;
-  Alcotest.(check (option int)) "two hops" (Some 2) !final
+  Alcotest.(check (option int)) "arrived" (Some 1) !final;
+  Alcotest.(check (list int)) "one delivery on each of two hops" [ 1; 1 ]
+    (List.map
+       (fun l -> (Netsim.Link.stats l).Netsim.Link.delivered)
+       [ l1; l2 ])
 
 let test_no_sink_fails () =
   let sim = Engine.Sim.create () in

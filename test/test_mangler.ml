@@ -6,7 +6,7 @@ module M = Netsim.Mangler
 module F = Netsim.Frame
 
 let mk_frame i =
-  F.make ~uid:(F.fresh_uid ()) ~flow_id:0 ~size:1000 ~born:0.0 (F.Raw i)
+  F.make ~uid:(F.fresh_uid ()) ~flow_id:0 ~size:1000 (F.Raw i)
 
 (* Identify an emission by the id baked into its body (uids differ for
    duplicates) and whether the mangler wrapped it. *)

@@ -10,7 +10,7 @@ let test_samples_occupancy () =
          for i = 1 to 3 do
            ignore
              (Netsim.Qdisc.enqueue q ~now:0.35
-                (Netsim.Frame.make ~uid:i ~flow_id:0 ~size:100 ~born:0.35
+                (Netsim.Frame.make ~uid:i ~flow_id:0 ~size:100
                    (Netsim.Frame.Raw i)))
          done));
   Engine.Sim.run ~until:2.0 sim;

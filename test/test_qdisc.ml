@@ -1,8 +1,7 @@
 (* Netsim.Qdisc: FIFO order, capacities, RIO colour differentiation. *)
 
 let frame ?(mark = Netsim.Mark.Best_effort) ?(size = 1000) uid =
-  Netsim.Frame.make ~uid ~flow_id:0 ~size ~mark ~born:0.0
-    (Netsim.Frame.Raw uid)
+  Netsim.Frame.make ~uid ~flow_id:0 ~size ~mark (Netsim.Frame.Raw uid)
 
 let test_droptail_fifo () =
   let q = Netsim.Qdisc.droptail ~capacity_pkts:10 in

@@ -456,8 +456,6 @@ let test_iter_feedback_ordering () =
   Alcotest.(check int) "fb_sacked" (List.length r.SB.newly_sacked)
     sum.SB.fb_sacked;
   Alcotest.(check int) "fb_lost" (List.length r.SB.newly_lost) sum.SB.fb_lost;
-  Alcotest.(check bool) "fb_cum_advanced" r.SB.cum_advanced
-    sum.SB.fb_cum_advanced;
   Alcotest.(check bool) "losses were actually inferred" true
     (sum.SB.fb_lost > 0)
 

@@ -105,32 +105,6 @@ let test_series_partial_window_discarded () =
   Alcotest.(check (float 1e-9)) "bin 0" 800.0 w.(0);
   Alcotest.(check (float 1e-9)) "bin 1" 1600.0 w.(1)
 
-let test_histogram_empty () =
-  let h = Stats.Histogram.create ~lo:0.0 ~hi:1.0 ~bins:4 in
-  Alcotest.(check int) "count" 0 (Stats.Histogram.count h);
-  Alcotest.(check (array int)) "all bins zero" [| 0; 0; 0; 0 |]
-    (Stats.Histogram.bin_counts h);
-  (* Render must not divide by the (zero) fullest bin. *)
-  Alcotest.(check bool) "renders" true
-    (String.length (Stats.Histogram.render h) > 0)
-
-let test_histogram_single_sample () =
-  let h = Stats.Histogram.create ~lo:0.0 ~hi:4.0 ~bins:4 in
-  Stats.Histogram.add h 1.0;
-  Alcotest.(check (array int)) "lands in its bin" [| 0; 1; 0; 0 |]
-    (Stats.Histogram.bin_counts h);
-  let bounds = Stats.Histogram.bin_bounds h in
-  Alcotest.(check (float 1e-9)) "bin lo" 1.0 (fst bounds.(1));
-  Alcotest.(check (float 1e-9)) "bin hi" 2.0 (snd bounds.(1))
-
-let test_histogram_edge_samples () =
-  (* Bins partition [lo, hi): lo lands in bin 0, hi (out of range, as
-     is anything beyond) is folded into the last bin. *)
-  let h = Stats.Histogram.create ~lo:0.0 ~hi:4.0 ~bins:4 in
-  List.iter (Stats.Histogram.add h) [ 0.0; 4.0 ];
-  Alcotest.(check (array int)) "edges" [| 1; 0; 0; 1 |]
-    (Stats.Histogram.bin_counts h)
-
 let test_series_rate () =
   let s = Stats.Series.create () in
   Stats.Series.record s ~time:1.0 ~bytes:1000;
@@ -243,40 +217,10 @@ let test_csv () =
   Alcotest.(check string) "quoted row" "\"has,comma\",\"say \"\"hi\"\"\""
     (List.nth lines 3)
 
-let test_histogram_binning () =
-  let h = Stats.Histogram.create ~lo:0.0 ~hi:10.0 ~bins:5 in
-  List.iter (Stats.Histogram.add h) [ 0.5; 1.9; 2.0; 9.9; 4.0; -3.0; 42.0 ];
-  Alcotest.(check int) "count" 7 (Stats.Histogram.count h);
-  (* bins: [0,2) [2,4) [4,6) [6,8) [8,10); out-of-range clamps. *)
-  Alcotest.(check (array int)) "bin counts" [| 3; 1; 1; 0; 2 |]
-    (Stats.Histogram.bin_counts h)
-
-let test_histogram_of_samples () =
-  let samples = Array.init 100 (fun i -> float_of_int i) in
-  let h = Stats.Histogram.of_samples ~bins:10 samples in
-  Alcotest.(check int) "all binned" 100 (Stats.Histogram.count h);
-  Alcotest.(check (array int)) "uniform" (Array.make 10 10)
-    (Stats.Histogram.bin_counts h);
-  let r = Stats.Histogram.render h in
-  Alcotest.(check int) "ten lines" 10
-    (List.length (List.filter (fun s -> s <> "") (String.split_on_char '\n' r)))
-
-let test_histogram_degenerate () =
-  let h = Stats.Histogram.of_samples [| 5.0; 5.0; 5.0 |] in
-  Alcotest.(check int) "count" 3 (Stats.Histogram.count h);
-  Alcotest.(check bool) "empty input rejected" true
-    (try
-       ignore (Stats.Histogram.of_samples [||]);
-       false
-     with Invalid_argument _ -> true)
-
 let suite =
   [
     Alcotest.test_case "summary moments" `Quick test_summary_moments;
     Alcotest.test_case "csv export" `Quick test_csv;
-    Alcotest.test_case "histogram binning" `Quick test_histogram_binning;
-    Alcotest.test_case "histogram of_samples" `Quick test_histogram_of_samples;
-    Alcotest.test_case "histogram degenerate" `Quick test_histogram_degenerate;
     Alcotest.test_case "summary empty" `Quick test_summary_empty;
     Alcotest.test_case "summary single" `Quick test_summary_single;
     Alcotest.test_case "cov" `Quick test_cov;
@@ -288,11 +232,6 @@ let suite =
       test_series_single_sample;
     Alcotest.test_case "series partial window" `Quick
       test_series_partial_window_discarded;
-    Alcotest.test_case "histogram empty" `Quick test_histogram_empty;
-    Alcotest.test_case "histogram single sample" `Quick
-      test_histogram_single_sample;
-    Alcotest.test_case "histogram edge samples" `Quick
-      test_histogram_edge_samples;
     Alcotest.test_case "series rate" `Quick test_series_rate;
     Alcotest.test_case "series windows" `Quick test_series_windows;
     Alcotest.test_case "series interarrival" `Quick test_series_interarrival;

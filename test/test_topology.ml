@@ -1,7 +1,7 @@
 (* Netsim.Topology and Router/Marker: routing, marking, plumbing. *)
 
 let frame ?(flow = 0) ?(size = 1000) uid =
-  Netsim.Frame.make ~uid ~flow_id:flow ~size ~born:0.0 (Netsim.Frame.Raw uid)
+  Netsim.Frame.make ~uid ~flow_id:flow ~size (Netsim.Frame.Raw uid)
 
 let test_router_routes_by_flow () =
   let r = Netsim.Router.create () in
@@ -132,19 +132,18 @@ let test_dumbbell_markers () =
     Netsim.Topology.dumbbell ~sim ~n_flows:2 ~bottleneck
       ~committed_rates:[| 1e6; 0.0 |] ()
   in
-  let ep0 = Netsim.Topology.endpoint topo 0 in
-  let ep1 = Netsim.Topology.endpoint topo 1 in
-  Alcotest.(check bool) "flow 0 has marker" true
-    (ep0.Netsim.Topology.marker <> None);
-  Alcotest.(check bool) "flow 1 has none" true
-    (ep1.Netsim.Topology.marker = None);
-  let seen_mark = ref Netsim.Mark.Best_effort in
-  ep0.Netsim.Topology.on_receiver_rx (fun f ->
-      seen_mark := f.Netsim.Frame.mark);
-  ep0.Netsim.Topology.to_receiver (frame ~flow:0 1);
+  let seen = Array.make 2 [] in
+  Array.iteri
+    (fun i (ep : Netsim.Topology.endpoint) ->
+      ep.Netsim.Topology.on_receiver_rx (fun f ->
+          seen.(i) <- f.Netsim.Frame.mark :: seen.(i));
+      ep.Netsim.Topology.to_receiver (frame ~flow:i (i + 1)))
+    topo.Netsim.Topology.endpoints;
   Engine.Sim.run sim;
-  Alcotest.(check bool) "in-profile marked green" true
-    (Netsim.Mark.equal !seen_mark Netsim.Mark.Green)
+  Alcotest.(check bool) "flow 0: in-profile marked green" true
+    (seen.(0) = [ Netsim.Mark.Green ]);
+  Alcotest.(check bool) "flow 1: no marker, best effort" true
+    (seen.(1) = [ Netsim.Mark.Best_effort ])
 
 let suite =
   [
