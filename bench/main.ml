@@ -159,10 +159,11 @@ let[@vtp.ambient] bench_scoreboard_fragmented =
 
 (* One SACK report from a receiver holding 500 out-of-order ranges
    whose recency rises with sequence number, as in a large-window
-   transfer: the newest-first scan meets the top blocks first. *)
+   transfer: the report reads the four newest arrival entries. *)
 let[@vtp.ambient] bench_sack_blocks =
   (* ambient: the tracker is filled once here; the measured closure
-     only reads it (its top-k scratch is reset on every call). *)
+     only reads it (a report drops dead arrival entries, and this
+     tracker holds none). *)
   Test.make ~name:"sack.rcv_tracker.sack_blocks.500ranges"
     (let tr = Sack.Rcv_tracker.create ~deliver:ignore () in
      for i = 1 to 500 do

@@ -17,7 +17,8 @@
    mode ignores is a usage error (exit 124) naming it: --replay runs one
    seed and --smoke the fixed corpus, so neither takes --seeds or
    --base, and --matrix draws every cell from the std band, so it takes
-   no --band. *)
+   no --band.  The modes exclude one another the same way: --replay
+   takes neither --smoke nor --matrix, and --smoke takes no --matrix. *)
 
 open Cmdliner
 
@@ -58,14 +59,15 @@ let matrix =
     value & flag
     & info [ "matrix" ]
         ~doc:"Sweep the six profile/reliability compositions instead of \
-              free-sampling profiles.")
+              free-sampling profiles; not with $(b,--smoke) or \
+              $(b,--replay).")
 
 let smoke =
   Arg.(
     value & flag
     & info [ "smoke" ]
         ~doc:"Run the fixed 25-seed corpus (what dune's @fuzz-smoke alias \
-              executes).")
+              executes); not with $(b,--replay).")
 
 let digest =
   Arg.(
@@ -184,6 +186,9 @@ let check_ignored ~seeds ~base ~band ~replay ~smoke ~matrix =
     | None -> if smoke then Some "--smoke runs the fixed corpus" else None
   in
   match (fixed, seeds, base, band) with
+  | Some why, _, _, _ when smoke && Option.is_some replay ->
+      Error ("--smoke: " ^ why)
+  | Some why, _, _, _ when matrix -> Error ("--matrix: " ^ why)
   | Some why, Some n, _, _ -> Error (Printf.sprintf "--seeds %d: %s" n why)
   | Some why, None, Some b, _ -> Error (Printf.sprintf "--base %d: %s" b why)
   | None, _, _, Some _ when matrix ->

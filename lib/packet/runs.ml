@@ -1,17 +1,25 @@
 (* Sorted, coalesced, half-open [lo, hi) runs over absolute positions,
-   each with one tag, in growable parallel arrays.  Live runs sit at
-   [fst, len): dropping the lowest run moves the front offset, and the
-   dead front is reclaimed before the arrays grow. *)
+   each with one tag unless the set is untagged, in growable parallel
+   arrays.  Live runs sit at [fst, len): dropping the lowest run moves
+   the front offset, an edit moves whichever side of it is shorter, and
+   the dead front is reclaimed before the arrays grow.  Runs move by
+   typed [int] loops, which compile to plain stores: [Array.blit] goes
+   through the write barrier once an array is in the major heap. *)
 
 type t = {
   mutable lo : int array;
   mutable hi : int array;
   mutable tag : int array;
+  tagged : bool;
   mutable fst : int;
   mutable len : int;
 }
 
-let create () = { lo = [||]; hi = [||]; tag = [||]; fst = 0; len = 0 }
+let make tagged = { lo = [||]; hi = [||]; tag = [||]; tagged; fst = 0; len = 0 }
+
+let create () = make true
+
+let create_untagged () = make false
 
 let length t = t.len - t.fst
 
@@ -31,21 +39,35 @@ let[@vtp.hot] mem t x =
   let i = seek t x in
   i < t.len && Array.unsafe_get t.lo i <= x
 
-(* Move the [n] runs at [src] to [dst], tags with them. *)
-let blit t src dst n =
-  Array.blit t.lo src t.lo dst n;
-  Array.blit t.hi src t.hi dst n;
-  Array.blit t.tag src t.tag dst n
+(* Move the [n] elements of [a] at [src] to [dst]; the ranges may
+   overlap.  Callers keep both inside the array. *)
+let[@vtp.hot] move (a : int array) src dst n =
+  if dst < src then
+    for k = 0 to n - 1 do
+      Array.unsafe_set a (dst + k) (Array.unsafe_get a (src + k))
+    done
+  else
+    for k = n - 1 downto 0 do
+      Array.unsafe_set a (dst + k) (Array.unsafe_get a (src + k))
+    done
 
-let grown a cap n =
+(* Move the [n] runs at [src] to [dst], tags with them. *)
+let[@vtp.hot] blit t src dst n =
+  move t.lo src dst n;
+  move t.hi src dst n;
+  if t.tagged then move t.tag src dst n
+
+let grown (a : int array) cap n =
   let b = Array.make cap 0 in
-  Array.blit a 0 b 0 n;
+  for k = 0 to n - 1 do
+    Array.unsafe_set b k (Array.unsafe_get a k)
+  done;
   b
 
-(* Make room for one more run when the arrays are full: move the live
-   runs down over the dead front, or, when there is none, double (from
-   empty to 8 runs).  Either way indices move, so the index [i] taken
-   before is returned as it stands after. *)
+(* Make room for one more run above the live ones when the arrays are
+   full: move the live runs down over the dead front, or, when there is
+   none, double (from empty to 8 runs).  Either way indices move, so the
+   index [i] taken before is returned as it stands after. *)
 let reserve t i =
   let cap = Array.length t.lo in
   if t.len < cap then i
@@ -60,23 +82,40 @@ let reserve t i =
     let ncap = Stdlib.max 8 (2 * cap) in
     t.lo <- grown t.lo ncap t.len;
     t.hi <- grown t.hi ncap t.len;
-    t.tag <- grown t.tag ncap t.len;
+    if t.tagged then t.tag <- grown t.tag ncap t.len;
     i
   end
 
-(* Open a slot at index [i], moving the runs from [i] up by one (the
-   slot keeps a copy of the run that was there); returns the slot's
-   index. *)
-let open_slot t i =
-  let i = reserve t i in
-  blit t i (i + 1) (t.len - i);
-  t.len <- t.len + 1;
-  i
+(* Open a slot for one run just before the run at index [i] and return
+   the slot's index; the slot keeps a copy of that run, which follows
+   it.  The shorter side moves: when the runs below [i] are fewer than
+   those from [i] up and the dead front has room, they and run [i] move
+   down one; otherwise the runs from [i] up move up one. *)
+let[@vtp.hot] open_slot t i =
+  if t.fst > 0 && i - t.fst < t.len - i then begin
+    blit t t.fst (t.fst - 1) (i - t.fst + 1);
+    t.fst <- t.fst - 1;
+    i - 1
+  end
+  else begin
+    let i = reserve t i in
+    blit t i (i + 1) (t.len - i);
+    t.len <- t.len + 1;
+    i
+  end
 
-(* Delete the runs [i, j). *)
-let close_up t i j =
-  blit t j i (t.len - j);
-  t.len <- t.len - (j - i)
+(* Delete the runs [i, j), moving the shorter side over them: the runs
+   below [i] up, advancing the front, or the runs from [j] down. *)
+let[@vtp.hot] close_up t i j =
+  let d = j - i in
+  if i - t.fst < t.len - j then begin
+    blit t t.fst (t.fst + d) (i - t.fst);
+    t.fst <- t.fst + d
+  end
+  else begin
+    blit t j i (t.len - j);
+    t.len <- t.len - d
+  end
 
 (* First index from [j] whose run starts beyond [h]. *)
 let[@vtp.hot] rec starts_past t h j =
@@ -88,6 +127,8 @@ let[@vtp.hot] rec ends_past t h j =
   if j < t.len && Array.unsafe_get t.hi j <= h then ends_past t h (j + 1)
   else j
 
+(* Cover [l, h); the run that ends up holding it takes [tag] when the
+   set is tagged. *)
 let[@vtp.hot] add t l h ~tag =
   if l < h then begin
     let i = seek t (l - 1) in
@@ -96,16 +137,18 @@ let[@vtp.hot] add t l h ~tag =
       let i = open_slot t i in
       t.lo.(i) <- l;
       t.hi.(i) <- h;
-      t.tag.(i) <- tag
+      if t.tagged then t.tag.(i) <- tag
     end
     else begin
       (* the runs [i, j) touch [l, h): they coalesce into run [i] *)
       t.lo.(i) <- Stdlib.min l t.lo.(i);
       t.hi.(i) <- Stdlib.max h t.hi.(j - 1);
-      t.tag.(i) <- tag;
+      if t.tagged then t.tag.(i) <- tag;
       if j > i + 1 then close_up t (i + 1) j
     end
   end
+
+let[@vtp.hot] cover t l h = add t l h ~tag:0
 
 let[@vtp.hot] remove t l h =
   if l >= h then false

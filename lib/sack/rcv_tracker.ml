@@ -4,11 +4,23 @@ module Runs = Packet.Runs
 (* Run-length receiver tracking: the out-of-order ranges are a run set
    ([Packet.Runs]) over absolute positions, each range tagged with the
    recency stamp of the arrival that last touched it, so the
-   per-segment paths are a binary search plus O(1) amortised editing
-   instead of a list walk.  The list implementation lives on as the
-   differential oracle in test/rcv_tracker_ref.ml, and the hashtable
-   reassembly this set replaced as the delivery oracle in
+   per-segment paths are a binary search plus editing the shorter side
+   of the set instead of a list walk.  The list implementation lives on
+   as the differential oracle in test/rcv_tracker_ref.ml, and the
+   hashtable reassembly this set replaced as the delivery oracle in
    test/reassembly_ref.ml.
+
+   A SACK report names the [max_blocks] ranges with the newest tags.
+   Rather than scan every range for them, the tracker keeps its
+   out-of-order arrivals as (position, stamp) entries in arrival order.
+   An entry is live while the range holding its position carries its
+   stamp: tags are unique stamps and a range takes the stamp of each
+   arrival that touches it, so every range has exactly one live entry,
+   and an entry once dead stays dead.  The report walks back from the
+   newest entry and stops at the [max_blocks]-th live one, dropping the
+   dead ones it crosses; the entries are kept within 2 × ranges + 16 by
+   compacting them whole, so a report costs O([max_blocks] · log
+   ranges) amortised, however many ranges there are.
 
    Absolute positions are anchored at the cumulative ack:
    [abs = cum_abs + Serial.diff s cum]; the anchor only moves forward,
@@ -24,10 +36,11 @@ type t = {
      until the first out-of-order arrival, so an in-order flow never
      allocates their arrays *)
   runs : Runs.t;
-  (* reused top-k buffers for {!sack_blocks} *)
-  s_lo : int array;
-  s_hi : int array;
-  s_touch : int array;
+  (* the out-of-order arrivals, oldest first: entry [e] is a position
+     at [2e] and its stamp at [2e + 1], for [e < entries]; empty until
+     the first out-of-order arrival *)
+  mutable arrivals : int array;
+  mutable entries : int;
   mutable stamp : int;
   mutable packets : int;
   mutable duplicates : int;
@@ -44,9 +57,8 @@ let create ?(max_blocks = 4) ?cost ~deliver () =
     cum = Serial.zero;
     cum_abs = 0;
     runs = Runs.create ();
-    s_lo = Array.make max_blocks 0;
-    s_hi = Array.make max_blocks 0;
-    s_touch = Array.make max_blocks (-1);
+    arrivals = [||];
+    entries = 0;
     stamp = 0;
     packets = 0;
     duplicates = 0;
@@ -97,6 +109,70 @@ let[@vtp.hot] rec advance_cum t =
     advance_cum t
   end
 
+(* The index of the range that carries entry [e]'s stamp, or -1 when
+   the entry is dead. *)
+let[@vtp.hot] live_range t e =
+  let r = t.runs in
+  let p = Array.unsafe_get t.arrivals (2 * e) in
+  let i = Runs.seek r p in
+  if
+    i < r.Runs.len
+    && Array.unsafe_get r.Runs.lo i <= p
+    && Array.unsafe_get r.Runs.tag i = Array.unsafe_get t.arrivals ((2 * e) + 1)
+  then i
+  else -1
+
+let[@vtp.hot] set_entry t e p stamp =
+  Array.unsafe_set t.arrivals (2 * e) p;
+  Array.unsafe_set t.arrivals ((2 * e) + 1) stamp
+
+let[@vtp.hot] copy_entry t src dst =
+  set_entry t dst
+    (Array.unsafe_get t.arrivals (2 * src))
+    (Array.unsafe_get t.arrivals ((2 * src) + 1))
+
+(* Pack the live entries from [e] up down to [w] on, in order; returns
+   the count kept. *)
+let rec compact t e w =
+  if e >= t.entries then w
+  else if live_range t e >= 0 then begin
+    copy_entry t e w;
+    compact t (e + 1) (w + 1)
+  end
+  else compact t (e + 1) w
+
+(* Keep the entries within 2 × ranges + 16: none when no range is left,
+   else, past the bound, only the live ones. *)
+let[@vtp.hot] bound t =
+  let n = Runs.length t.runs in
+  if n = 0 then t.entries <- 0
+  else if t.entries > (2 * n) + 16 then t.entries <- compact t 0 0
+
+(* Record the out-of-order arrival at [a], which took the current
+   stamp.  When the newest entry lies in the range now holding [a], that
+   entry died with this arrival and the new one takes its place. *)
+let[@vtp.hot] note_arrival t a =
+  let r = t.runs in
+  let k = t.entries in
+  if
+    k > 0
+    &&
+    let p = Array.unsafe_get t.arrivals (2 * (k - 1)) in
+    let i = Runs.seek r a in
+    Array.unsafe_get r.Runs.lo i <= p && p < Array.unsafe_get r.Runs.hi i
+  then set_entry t (k - 1) a t.stamp
+  else begin
+    if 2 * k = Array.length t.arrivals then begin
+      let grown = Array.make (Stdlib.max 16 (4 * k)) 0 in
+      for x = 0 to (2 * k) - 1 do
+        Array.unsafe_set grown x (Array.unsafe_get t.arrivals x)
+      done;
+      t.arrivals <- grown
+    end;
+    set_entry t k a t.stamp;
+    t.entries <- k + 1
+  end
+
 let[@vtp.hot] on_data t ~seq =
   charge t "recv.light.packet";
   t.packets <- t.packets + 1;
@@ -111,8 +187,10 @@ let[@vtp.hot] on_data t ~seq =
     (* a fresh point opens a range, extends a touching one, or closes
        a one-wide gap by merging two; the range takes the new stamp *)
     let a = abs_of t seq in
-    Runs.add t.runs a (a + 1) ~tag:t.stamp
-  end
+    Runs.add t.runs a (a + 1) ~tag:t.stamp;
+    note_arrival t a
+  end;
+  bound t
 
 (* Walk the cumulative point up to [target] a gap and a range at a
    time: skip to the next range (or to [target]), counting the gap, and
@@ -133,7 +211,10 @@ let rec skip_to t target =
   if t.cum_abs < target then skip_to t target
 
 let apply_fwd_point t fwd =
-  if Serial.( > ) fwd t.cum then skip_to t (t.cum_abs + Serial.diff fwd t.cum)
+  if Serial.( > ) fwd t.cum then begin
+    skip_to t (t.cum_abs + Serial.diff fwd t.cum);
+    bound t
+  end
 
 let block t lo hi =
   { Packet.Header.block_start = ser_of t lo; block_end = ser_of t hi }
@@ -150,41 +231,40 @@ let highest_expected t =
   let r = t.runs in
   if Runs.length r > 0 then ser_of t r.Runs.hi.(r.Runs.len - 1) else t.cum
 
-(* Most-recently-touched [max_blocks] ranges, newest first (recency
-   stamps are unique, so the selection is deterministic and does not
-   depend on scan order).  A bounded insertion pass over reused scratch
-   arrays: only the returned blocks are allocated.  The scan runs from
-   the highest range down because stamps mostly rise with sequence
-   number: the top k are then usually met first, and every later range
-   costs one comparison against the k-th stamp instead of an insertion
-   through the whole buffer. *)
+(* The blocks of the [want] newest live entries from entry [e] down,
+   newest first.  The live entries met are packed down below [w] (the
+   ones kept so far sit at [w, entries)) and the dead ones dropped;
+   where the walk stops, the kept entries close the gap over the dropped
+   ones, so a pick moves at most [max_blocks] entries. *)
+let rec pick t e w want =
+  if want = 0 || e < 0 then begin
+    let d = w - (e + 1) in
+    if d > 0 then begin
+      for x = w to t.entries - 1 do
+        copy_entry t x (x - d)
+      done;
+      t.entries <- t.entries - d
+    end;
+    []
+  end
+  else begin
+    let i = live_range t e in
+    if i < 0 then pick t (e - 1) w want
+    else begin
+      let w = w - 1 in
+      copy_entry t e w;
+      let r = t.runs in
+      let b = block t r.Runs.lo.(i) r.Runs.hi.(i) in
+      b :: pick t (e - 1) w (want - 1)
+    end
+  end
+
+(* Most-recently-touched [max_blocks] ranges, newest first: each
+   range's one live entry, met in stamp order from the newest. *)
 let sack_blocks t =
   charge t "recv.light.feedback";
-  let k = t.max_blocks in
-  let count = ref 0 in
-  let r = t.runs in
-  for idx = r.Runs.len - 1 downto r.Runs.fst do
-    let tch = r.Runs.tag.(idx) in
-    if !count < k || tch > t.s_touch.(k - 1) then begin
-      let i = ref (Stdlib.min !count (k - 1)) in
-      while !i > 0 && t.s_touch.(!i - 1) < tch do
-        t.s_lo.(!i) <- t.s_lo.(!i - 1);
-        t.s_hi.(!i) <- t.s_hi.(!i - 1);
-        t.s_touch.(!i) <- t.s_touch.(!i - 1);
-        decr i
-      done;
-      t.s_lo.(!i) <- r.Runs.lo.(idx);
-      t.s_hi.(!i) <- r.Runs.hi.(idx);
-      t.s_touch.(!i) <- tch;
-      if !count < k then incr count
-    end
-  done;
-  let rec build i acc =
-    if i < 0 then acc else build (i - 1) (block t t.s_lo.(i) t.s_hi.(i) :: acc)
-  in
-  let blocks = build (!count - 1) [] in
-  Array.fill t.s_touch 0 k (-1);
-  blocks
+  let want = Stdlib.min t.max_blocks (Runs.length t.runs) in
+  pick t (t.entries - 1) t.entries want
 
 let ranges_held t = Runs.length t.runs
 

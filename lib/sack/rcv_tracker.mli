@@ -13,10 +13,14 @@
     numbers a forward point passes without having received them are
     counted as skipped, a gap at a time.
 
-    Cost accounting: ["recv.light.packet"] is charged once per data
-    packet and ["recv.light.feedback"] once per report — both O(1)
-    amortised — so experiments can contrast this against the standard
-    receiver's loss-history charges. *)
+    Cost: a data packet costs a few binary seeks over the out-of-order
+    ranges, the runs on the shorter side of the one edit it makes and
+    one [deliver] per number it releases; a report costs
+    O([max_blocks] · log ranges) amortised, however many ranges are
+    held.  ["recv.light.packet"] is charged once per data packet
+    and ["recv.light.feedback"] once per report, so experiments can
+    contrast this against the standard receiver's loss-history
+    charges. *)
 
 type t
 
@@ -44,7 +48,8 @@ val cum_ack : t -> Packet.Serial.t
 
 val sack_blocks : t -> Packet.Header.sack_block list
 (** Blocks for the next report (normalised subset, recency-ordered,
-    at most [max_blocks]). *)
+    at most [max_blocks]): the [max_blocks] most recently touched
+    ranges, newest first.  O([max_blocks] · log ranges) amortised. *)
 
 val all_ranges : t -> Packet.Header.sack_block list
 (** Every out-of-order range currently held (normalised, ascending). *)

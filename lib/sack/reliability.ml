@@ -36,7 +36,7 @@ let create ?cost ?trace policy ~scoreboard () =
     trace;
     queue = Queue.create ();
     queued = Hashtbl.create 8;
-    gone = Runs.create ();
+    gone = Runs.create_untagged ();
     abandoned = 0;
   }
 
@@ -47,7 +47,7 @@ let key = Serial.to_int
 
 let abandon t seq =
   let a = Scoreboard.pos t.scoreboard seq in
-  Runs.add t.gone a (a + 1) ~tag:0;
+  Runs.cover t.gone a (a + 1);
   t.abandoned <- t.abandoned + 1;
   charge t "send.reliability.abandon";
   if Trace.Sink.on t.trace then

@@ -4,12 +4,12 @@ module Runs = Packet.Runs
 (* Run-length scoreboard: instead of one hashtable entry per in-flight
    sequence number, per-packet metadata (send times, size, retransmit
    count) lives in ring arrays indexed by an absolute position, and the
-   SACKed / inferred-lost state lives in two sorted, coalesced run sets
-   ([Packet.Runs], untagged: every run carries tag 0).  Feedback for a
-   large-BDP window (tens of thousands of packets) then costs what it
-   changes — the newly covered positions and the new dupthresh span —
-   instead of the window's width or its number of holes.  The
-   per-entry implementation lives on as the differential oracle in
+   SACKed / inferred-lost state lives in two sorted, coalesced,
+   untagged run sets ([Packet.Runs]).  Feedback for a large-BDP window
+   (tens of thousands of packets) then costs what it changes — the
+   newly covered positions and the new dupthresh span — instead of the
+   window's width or its number of holes.  The per-entry
+   implementation lives on as the differential oracle in
    test/scoreboard_ref.ml.
 
    Sequence numbers are mapped to monotone absolute positions through
@@ -93,8 +93,8 @@ let create ?(capacity = 16) ?cost ?trace () =
     nxt_abs = 0;
     snd_una = Serial.zero;
     snd_nxt = Serial.zero;
-    sacked = Runs.create ();
-    lost = Runs.create ();
+    sacked = Runs.create_untagged ();
+    lost = Runs.create_untagged ();
     frontier = 0;
     newest_xmit = [| Float.neg_infinity |];
     repairs = [||];
@@ -369,7 +369,7 @@ let[@vtp.hot] rec merge_blocks t on k nclip n =
     let l = t.scr_lo.(k) and h = t.scr_hi.(k) in
     let n = cover_gaps t on (Runs.seek t.sacked l) l h n in
     ignore (Runs.remove t.lost l h : bool);
-    Runs.add t.sacked l h ~tag:0;
+    Runs.cover t.sacked l h;
     merge_blocks t on (k + 1) nclip n
   end
 
@@ -429,7 +429,7 @@ let[@vtp.hot] iter_feedback t ~cum_ack ~blocks ~reo_wnd ~on_ack ~on_sack
     else nf
   in
   for k = 0 to nfresh - 1 do
-    Runs.add t.lost t.scr_lo.(k) t.scr_hi.(k) ~tag:0
+    Runs.cover t.lost t.scr_lo.(k) t.scr_hi.(k)
   done;
   (* The reference walk marks from the top down; emit in the same
      descending order so traces stay byte-identical. *)
@@ -474,7 +474,7 @@ let mark_expired t ~now ~timeout =
   let acc = ref [] in
   for k = !nfresh - 1 downto 0 do
     let a = t.scr_lo.(k) in
-    Runs.add t.lost a (a + 1) ~tag:0;
+    Runs.cover t.lost a (a + 1);
     acc := ser_of t a :: !acc
   done;
   !acc

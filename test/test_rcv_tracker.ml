@@ -162,7 +162,9 @@ let prop_tracker_vs_reference =
    implementation: random arrival streams with gaps, reorder and
    forward points replay through both trackers, and the cumulative ack,
    the full range list, the bounded SACK report (recency order
-   included) and the counters must match exactly at every step. *)
+   included) and the counters must match exactly at every step.  A
+   report is built after every step, so the pick's own pruning of the
+   arrival entries runs between every two arrivals. *)
 
 module TR = Rcv_tracker_ref
 
@@ -191,10 +193,6 @@ let differential_tracker_run ~seed ~steps =
         let fwd = S.to_int (T.cum_ack t) + Engine.Rng.int rng 25 in
         T.apply_fwd_point t (S.of_int fwd);
         TR.apply_fwd_point r (S.of_int fwd)
-    | 9 ->
-        expect
-          (List.map block_ints (T.sack_blocks t)
-          = List.map block_ints (TR.sack_blocks r))
     | _ ->
         let s = S.to_int (T.cum_ack t) + Engine.Rng.int rng 50 in
         T.on_data t ~seq:(S.of_int s);
@@ -203,6 +201,9 @@ let differential_tracker_run ~seed ~steps =
     expect
       (List.map block_ints (T.all_ranges t)
       = List.map block_ints (TR.all_ranges r));
+    expect
+      (List.map block_ints (T.sack_blocks t)
+      = List.map block_ints (TR.sack_blocks r));
     expect (T.duplicates t = TR.duplicates r);
     expect (T.packets t = TR.packets r)
   done;
@@ -224,6 +225,101 @@ let prop_differential_vs_reference =
     ~count:250
     QCheck.(pair (int_range 1 1_000_000) (int_range 1 250))
     (fun (seed, steps) -> differential_tracker_run ~seed ~steps)
+
+(* Wide windows against the same reference: every other number of
+   [1, 200) arrives first, in a shuffled order (100 ranges), and then
+   more such arrivals over a 300-number window keep 64 ranges and more
+   among merges in the middle (the entries of the merged ranges die
+   below the newest four, so the whole-list compaction runs), runs of
+   arrivals extending the newest range (each replaces the newest entry),
+   in-order arrivals and forward points, a quarter of which pass every
+   range (emptying the entries).  The SACK report, the range list and
+   the cumulative ack must match after every step.  Returns whether they
+   did and the most ranges held at once. *)
+let wide_window_run ~seed ~steps =
+  let rng = Engine.Rng.create ~seed in
+  let t = T.create ~max_blocks:4 ~deliver:ignore () in
+  let r = TR.create ~max_blocks:4 () in
+  let ok = ref true and most = ref 0 and last = ref 0 in
+  let expect b = if not b then ok := false in
+  let arrive s =
+    last := s;
+    T.on_data t ~seq:(S.of_int s);
+    TR.on_data r ~seq:(S.of_int s)
+  in
+  let odd = Array.init 100 (fun j -> 1 + (2 * j)) in
+  for j = 99 downto 1 do
+    let k = Engine.Rng.int rng (j + 1) in
+    let x = odd.(j) in
+    odd.(j) <- odd.(k);
+    odd.(k) <- x
+  done;
+  Array.iter arrive odd;
+  most := T.ranges_held t;
+  for _ = 1 to steps do
+    let cum = S.to_int (T.cum_ack t) in
+    let top = S.to_int (T.highest_expected t) in
+    (match Engine.Rng.int rng 40 with
+    | 0 ->
+        let f =
+          if Engine.Rng.int rng 4 = 0 then top + Engine.Rng.int rng 10
+          else cum + Engine.Rng.int rng (((top - cum) / 4) + 1)
+        in
+        T.apply_fwd_point t (S.of_int f);
+        TR.apply_fwd_point r (S.of_int f)
+    | 1 -> arrive cum
+    | 2 | 3 | 4 | 5 | 6 ->
+        for _ = 1 to 1 + Engine.Rng.int rng 4 do
+          arrive (!last + 1)
+        done
+    | 7 | 8 | 9 | 10 | 11 | 12 | 13 | 14 ->
+        arrive (cum + (2 * (25 + Engine.Rng.int rng 100)))
+    | _ -> arrive (cum + 1 + (2 * Engine.Rng.int rng 150)));
+    most := Stdlib.max !most (T.ranges_held t);
+    expect (S.equal (T.cum_ack t) (TR.cum_ack r));
+    expect
+      (List.map block_ints (T.all_ranges t)
+      = List.map block_ints (TR.all_ranges r));
+    expect
+      (List.map block_ints (T.sack_blocks t)
+      = List.map block_ints (TR.sack_blocks r))
+  done;
+  (!ok, !most)
+
+let prop_wide_windows_vs_reference =
+  QCheck.Test.make ~name:"wide windows match the frozen reference" ~count:60
+    QCheck.(int_range 1 1_000_000)
+    (fun seed ->
+      let ok, most = wide_window_run ~seed ~steps:1_000 in
+      if most < 64 then
+        QCheck.Test.fail_reportf "only %d ranges held at most" most;
+      ok)
+
+(* A report costs the blocks it names, not the ranges held: 50,000
+   ranges (every other number), then 50,000 rounds of one arrival
+   extending the newest range and one report.  A scan of every range
+   per report took 6 s of CPU here; the pick takes a few hundredths. *)
+let test_report_cost_independent_of_ranges () =
+  let n = 50_000 in
+  let t0 = Sys.time () in
+  let t = T.create ~deliver:ignore () in
+  for i = 1 to n do
+    T.on_data t ~seq:(S.of_int (2 * i))
+  done;
+  for k = 1 to n do
+    T.on_data t ~seq:(S.of_int ((2 * n) + k));
+    ignore (T.sack_blocks t : Packet.Header.sack_block list)
+  done;
+  let dt = Sys.time () -. t0 in
+  Alcotest.(check int) "ranges held" n (T.ranges_held t);
+  Alcotest.(check (list (pair int int)))
+    "the newest four, newest first"
+    [ (2 * n, (3 * n) + 1); ((2 * n) - 2, (2 * n) - 1);
+      ((2 * n) - 4, (2 * n) - 3); ((2 * n) - 6, (2 * n) - 5) ]
+    (List.map block_ints (T.sack_blocks t));
+  if dt >= 0.5 then
+    Alcotest.failf "%.3f s of CPU for %d reports over %d ranges (< 0.5 s)" dt
+      n n
 
 (* ------------------------------------------------------------------ *)
 (* Delivery against the frozen hashtable reassembly: arrivals around the
@@ -357,6 +453,9 @@ let suite =
     Alcotest.test_case "on_data allocates nothing" `Quick
       test_on_data_allocation;
     QCheck_alcotest.to_alcotest prop_tracker_vs_reference;
+    Alcotest.test_case "report cost independent of ranges" `Quick
+      test_report_cost_independent_of_ranges;
     QCheck_alcotest.to_alcotest prop_differential_vs_reference;
+    QCheck_alcotest.to_alcotest prop_wide_windows_vs_reference;
     QCheck_alcotest.to_alcotest prop_delivery_vs_reassembly;
   ]

@@ -5,7 +5,9 @@
    list, each run's tag, [mem], [seek], [kth_from_top], [iter_gaps] and
    [length] must agree, as must the flag [remove] returns.  The streams
    open enough runs to grow the arrays and drop enough from the front
-   to reclaim it. *)
+   to reclaim it.  Both kinds of set are driven: an untagged one adds
+   with [cover], holds no tag array, and is compared on its runs
+   alone. *)
 
 module R = Packet.Runs
 
@@ -88,10 +90,12 @@ let model_step cover = function
 
 let fail step what = QCheck.Test.fail_reportf "step %d: %s" step what
 
+let create ~tagged = if tagged then R.create () else R.create_untagged ()
+
 (* [cover] is the model before the step: [remove]'s flag must say
    whether any position of [l, h) was covered. *)
 let apply step t cover = function
-  | Add (l, h, tag) -> R.add t l h ~tag
+  | Add (l, h, tag) -> if t.R.tagged then R.add t l h ~tag else R.cover t l h
   | Remove (l, h) ->
       let covered = ref false in
       for p = l to h - 1 do
@@ -102,10 +106,11 @@ let apply step t cover = function
   | Drop_first -> if R.length t > 0 then R.drop_first t
   | Clear -> R.clear t
 
+(* An untagged set's runs, and the model's, read tag 0. *)
 let runs_of_set t =
   List.init (R.length t) (fun k ->
       let i = t.R.fst + k in
-      (t.R.lo.(i), t.R.hi.(i), t.R.tag.(i)))
+      (t.R.lo.(i), t.R.hi.(i), if t.R.tagged then t.R.tag.(i) else 0))
 
 let gaps_of_set t l h =
   let acc = ref [] in
@@ -129,7 +134,12 @@ let model_gaps cover l h =
 
 let check_agree step t cover =
   let runs = runs_of cover in
+  let runs =
+    if t.R.tagged then runs else List.map (fun (l, h, _) -> (l, h, 0)) runs
+  in
   if runs_of_set t <> runs then fail step "run list or tags differ";
+  if (not t.R.tagged) && Array.length t.R.tag > 0 then
+    fail step "an untagged set holds a tag array";
   if R.length t <> List.length runs then fail step "length";
   for x = -1 to universe do
     let covered = x >= 0 && x < universe && cover.(x) <> None in
@@ -159,25 +169,29 @@ type reach = { mutable grew : int; mutable reclaimed : int }
 
 (* Replay [ops] through a set and the model, checking agreement after
    every step; counts the steps that grew the arrays and the ones that
-   reclaimed the dead front. *)
-let replay reach ops =
-  let t = R.create () and cover = Array.make universe None in
+   reclaimed the dead front.  An edit on the front side lowers [fst] by
+   one at most, so a fall from 2 or more to 0 is a reclamation. *)
+let replay ~tagged reach ops =
+  let t = create ~tagged and cover = Array.make universe None in
   List.iteri
     (fun step op ->
       let cap = Array.length t.R.lo and fst = t.R.fst in
       apply step t cover op;
       model_step cover op;
       if Array.length t.R.lo > cap then reach.grew <- reach.grew + 1
-      else if fst > 0 && t.R.fst = 0 && op <> Clear then
+      else if fst > 1 && t.R.fst = 0 && op <> Clear then
         reach.reclaimed <- reach.reclaimed + 1;
       check_agree step t cover)
     ops;
   true
 
-let prop_matches_model =
-  QCheck.Test.make ~name:"random streams match the model" ~count:200
-    arb_stream
-    (replay { grew = 0; reclaimed = 0 })
+let prop_matches_model ~tagged =
+  QCheck.Test.make
+    ~name:
+      (Printf.sprintf "random streams match the model (%s)"
+         (if tagged then "tagged" else "untagged"))
+    ~count:200 arb_stream
+    (replay ~tagged { grew = 0; reclaimed = 0 })
 
 (* The streams the property draws must reach both array edits that move
    indices: growth and front reclamation. *)
@@ -185,10 +199,53 @@ let test_streams_reach_growth_and_reclamation () =
   let rand = Random.State.make [| 42 |] in
   let reach = { grew = 0; reclaimed = 0 } in
   for _ = 1 to 50 do
-    ignore (replay reach (QCheck.Gen.generate1 ~rand (QCheck.gen arb_stream)))
+    ignore
+      (replay ~tagged:true reach
+         (QCheck.Gen.generate1 ~rand (QCheck.gen arb_stream)))
   done;
   if reach.grew = 0 then Alcotest.fail "no stream grew the arrays";
   if reach.reclaimed = 0 then Alcotest.fail "no stream reclaimed the front"
+
+(* Every other position of [0, 120) covered, 60 runs, then the lowest
+   10 dropped, leaving a dead front.  An edit moves the shorter side:
+   near the front the runs below it, so [fst] moves (a merge or a
+   deletion advances it, a split or an insertion takes a dead slot);
+   near the back the runs above it, so [fst] stays.  The model is
+   checked after every step, on both kinds of set. *)
+let test_edits_move_the_shorter_side () =
+  List.iter
+    (fun tagged ->
+      let t = create ~tagged and cover = Array.make universe None in
+      let step = ref 0 in
+      let run op =
+        apply !step t cover op;
+        model_step cover op;
+        check_agree !step t cover;
+        incr step
+      in
+      let moves what d op =
+        let fst = t.R.fst in
+        run op;
+        if t.R.fst - fst <> d then
+          Alcotest.failf "%s (%s): fst moved by %d, not %d" what
+            (pp_op op) (t.R.fst - fst) d
+      in
+      for k = 0 to 59 do
+        run (Add (2 * k, (2 * k) + 1, k))
+      done;
+      for _ = 1 to 10 do
+        run Drop_first
+      done;
+      (* the live runs are [20, 21), [22, 23), ..., [118, 119) *)
+      moves "front merge" 1 (Add (23, 24, 500));
+      moves "front split" (-1) (Remove (23, 24));
+      moves "front delete" 1 (Remove (24, 25));
+      moves "front insert" (-1) (Add (24, 25, 501));
+      moves "back merge" 0 (Add (115, 116, 502));
+      moves "back split" 0 (Remove (115, 116));
+      moves "back delete" 0 (Remove (116, 117));
+      moves "back insert" 0 (Add (116, 117, 503)))
+    [ true; false ]
 
 let test_empty_until_first_insertion () =
   let t = R.create () in
@@ -203,5 +260,8 @@ let suite =
       test_empty_until_first_insertion;
     Alcotest.test_case "streams reach growth and reclamation" `Quick
       test_streams_reach_growth_and_reclamation;
-    QCheck_alcotest.to_alcotest prop_matches_model;
+    Alcotest.test_case "edits move the shorter side" `Quick
+      test_edits_move_the_shorter_side;
+    QCheck_alcotest.to_alcotest (prop_matches_model ~tagged:true);
+    QCheck_alcotest.to_alcotest (prop_matches_model ~tagged:false);
   ]
