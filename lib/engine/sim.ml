@@ -42,9 +42,10 @@ let executed t = t.executed
 
 let set_tracer t f = t.tracer <- f
 
-let alloc t time run =
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
+(* A record for the event numbered [seq], which the caller has taken
+   from [next_seq]: at the schedule itself, or earlier for a line's
+   head (see [line]). *)
+let alloc t time seq run =
   if t.pool_n > 0 then begin
     let n = t.pool_n - 1 in
     t.pool_n <- n;
@@ -90,7 +91,9 @@ let enqueue t time run =
   if not (time >= t.clock) then
     invalid_arg
       (Printf.sprintf "Sim.schedule_at: time %g is before now %g" time t.clock);
-  let ev = alloc t time run in
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  let ev = alloc t time seq run in
   (match t.tracer with Some f -> f (T_schedule time) | None -> ());
   Wheel.add t.wheel ev;
   ev
@@ -157,7 +160,101 @@ let[@vtp.hot] rec run_until t horizon =
   end
   else t.clock <- Stdlib.max t.clock horizon
 
+(* A NaN horizon is refused like a NaN due time: [max clock nan] is
+   NaN, and a clock of NaN refuses every later schedule. *)
 let run ?until t =
   match until with
   | None -> while step t do () done
-  | Some horizon -> run_until t horizon
+  | Some horizon ->
+      if Float.is_nan horizon then invalid_arg "Sim.run: until is NaN";
+      run_until t horizon
+
+(* A delay line: items leave in the order they were sent, each [delay]
+   after its send.  An item takes its seq (and the tracer sees its
+   [T_schedule]) at the send, exactly as [post_after] would number it,
+   but only the line's head is filed in the wheel; firing the head
+   files the next item under the seq that item already holds.  Due
+   times never decrease along the line and seqs rise, so the head is
+   the line's least (time, seq) and events fire in the order
+   [post_after] per item gives.  The items wait in one circular buffer
+   over three flat arrays (due times unboxed), allocated at the first
+   send and doubled when full; a delivered slot gets [dummy] back, so
+   the line never pins an item. *)
+type 'a line = {
+  sim : t;
+  delay : float;
+  dummy : 'a;
+  deliver : 'a -> unit;
+  mutable due : float array;
+  mutable seqs : int array;
+  mutable items : 'a array;
+  mutable head : int;  (** slot of the oldest item *)
+  mutable n : int;
+  fire_head : unit -> unit;  (** the head record's [run], one per line *)
+}
+
+(* Capacities are powers of two, so a slot index wraps by a mask. *)
+let grow l =
+  let cap = Array.length l.seqs in
+  let cap' = Stdlib.max 8 (2 * cap) in
+  let due = Array.make cap' 0.0
+  and seqs = Array.make cap' 0
+  and items = Array.make cap' l.dummy in
+  for k = 0 to l.n - 1 do
+    let i = (l.head + k) land (cap - 1) in
+    due.(k) <- l.due.(i);
+    seqs.(k) <- l.seqs.(i);
+    items.(k) <- l.items.(i)
+  done;
+  l.due <- due;
+  l.seqs <- seqs;
+  l.items <- items;
+  l.head <- 0
+
+let[@vtp.hot] file_head l =
+  let i = l.head in
+  Wheel.add l.sim.wheel (alloc l.sim l.due.(i) l.seqs.(i) l.fire_head)
+
+(* The head is due: take it, file the next item, then deliver, so an
+   item the delivery sends queues behind the filed head. *)
+let[@vtp.hot] pop_head l =
+  let i = l.head in
+  let item = l.items.(i) in
+  l.items.(i) <- l.dummy;
+  l.head <- (i + 1) land (Array.length l.items - 1);
+  l.n <- l.n - 1;
+  if l.n > 0 then file_head l;
+  l.deliver item
+
+let line sim ~delay ~dummy deliver =
+  if not (delay >= 0.0) then
+    invalid_arg (Printf.sprintf "Sim.line: delay %g is not 0 or more" delay);
+  let rec l =
+    {
+      sim;
+      delay;
+      dummy;
+      deliver;
+      due = [||];
+      seqs = [||];
+      items = [||];
+      head = 0;
+      n = 0;
+      fire_head = (fun () -> pop_head l);
+    }
+  in
+  l
+
+let[@vtp.hot] send l item =
+  let t = l.sim in
+  let time = t.clock +. l.delay in
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  (match t.tracer with Some f -> f (T_schedule time) | None -> ());
+  if l.n = Array.length l.seqs then grow l;
+  let i = (l.head + l.n) land (Array.length l.seqs - 1) in
+  l.due.(i) <- time;
+  l.seqs.(i) <- seq;
+  l.items.(i) <- item;
+  l.n <- l.n + 1;
+  if l.n = 1 then file_head l

@@ -9,7 +9,9 @@
     insert and cancel).  The tests replay recorded operation streams
     ({!set_tracer}) through it and through a reference binary heap,
     which must pop the same events in the same (time, insertion)
-    order. *)
+    order.  A delay {!line} keeps constant-delay FIFO traffic (a link's
+    frames in propagation) out of the wheel but for its head, with no
+    change to that order. *)
 
 type t
 
@@ -38,11 +40,34 @@ val schedule_after : t -> float -> (unit -> unit) -> handle
 
 val post_at : t -> float -> (unit -> unit) -> unit
 (** Fire-and-forget {!schedule_at}: no cancellation handle is built, so
-    hot paths that never cancel (link transmission, propagation) avoid
-    the per-event handle allocation. *)
+    hot paths that never cancel (link serialisation, source ticks)
+    avoid the per-event handle allocation. *)
 
 val post_after : t -> float -> (unit -> unit) -> unit
 (** Fire-and-forget {!schedule_after}. *)
+
+type 'a line
+(** A FIFO delay line: each item sent is delivered a fixed delay after
+    its send, in send order — a link's propagation stage. *)
+
+val line : t -> delay:float -> dummy:'a -> ('a -> unit) -> 'a line
+(** [line t ~delay ~dummy deliver] is an empty line whose items reach
+    [deliver] [delay] seconds after they are sent.  [dummy] fills the
+    slots no item holds; it is never delivered.  Raises
+    [Invalid_argument] unless [delay >= 0] (so NaN is refused). *)
+
+val send : 'a line -> 'a -> unit
+(** [send l x] is [post_after t delay (fun () -> deliver x)] in every
+    way the simulation can observe: the item takes its sequence number
+    now, the tracer sees [T_schedule] now, and it fires in the same
+    (time, seq) order among all events, ties included.  Only the
+    line's head is filed in the wheel: firing it files the next item
+    under the seq that item took at its send, then delivers.  So a
+    line holds one wheel entry however many items it carries, and
+    neither it nor the item is boxed, closed over or tupled: what an
+    item costs is the boxed due time of the head's record (2 words),
+    as a [post_after] does.  The buffer is allocated at the first send
+    and doubles when full; a delivered item's slot is cleared. *)
 
 val schedule_after_ev : t -> float -> (unit -> unit) -> Event.t
 (** Handle-free {!schedule_after} for owners that keep the event record
@@ -68,9 +93,10 @@ val executed : t -> int
 val run : ?until:float -> t -> unit
 (** Drain the event queue in time order.  With [until], stops once the
     next live event is strictly later than [until] and advances the
-    clock to [until].  Without it, runs until the queue empties.  On
-    the wheel, each event is peeked and taken once ({!Wheel.peek},
-    {!Wheel.take}) and firing it allocates nothing in the engine. *)
+    clock to [until]; a NaN [until] raises [Invalid_argument].  Without
+    it, runs until the queue empties.  On the wheel, each event is
+    peeked and taken once ({!Wheel.peek}, {!Wheel.take}) and firing it
+    allocates nothing in the engine. *)
 
 val step : t -> bool
 (** Execute the single next live event. [false] if none remain. *)
@@ -83,9 +109,13 @@ type trace_op =
 val set_tracer : t -> (trace_op -> unit) option -> unit
 (** Observe the raw scheduler operation stream.  Sequence numbers are
     assigned in schedule order from 0, so a tracer installed before the
-    first schedule sees a self-contained stream.  The benchmark
-    (perfbench) records a run's stream once, then replays it through a
-    bare {!Wheel} to price the scheduler apart from the protocol work;
-    the tests replay streams through the wheel and a reference heap.
+    first schedule sees a self-contained stream.  An item sent on a
+    {!line} is one [T_schedule] at its send and one [T_pop] at its
+    delivery, as a {!post_after} would be; filing the line's next head
+    is no op.  The benchmark (perfbench) records a run's stream once,
+    then replays it through a bare {!Wheel} to price the scheduler
+    apart from the protocol work, so the replay files every line item
+    the simulation keeps out of its wheel; the tests replay streams
+    through the wheel and a reference heap.
     [None] (the default) disables tracing; the hook costs one branch
     per operation when unset. *)

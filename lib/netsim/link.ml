@@ -18,9 +18,10 @@ type t = {
   mutable severed : bool;  (** [`Cut] handover: discard all traffic *)
   mutable busy : bool;
   mutable tx_frame : Frame.t;  (** frame being serialized while [busy] *)
-  flight : Frame.t Engine.Ring.t;  (** launched frames in propagation *)
-  mutable tx_done : unit -> unit;  (** reused serialization-done thunk *)
-  mutable arrival : unit -> unit;  (** reused propagation-done thunk *)
+  tx_done : unit -> unit;  (** reused serialization-done thunk *)
+  wire : Frame.t Engine.Sim.line Lazy.t;
+      (** propagation: the frames in flight.  Made at the first launch,
+          since its delivery closes over the link itself. *)
   st : stats;
 }
 
@@ -42,21 +43,22 @@ let deliver t frame =
       t.st.delivered <- t.st.delivered + 1;
       sink frame
 
-(* Propagation complete: frames launched onto the wire arrive in FIFO
-   order (the delay is constant), so the arrival thunk just pops the
-   flight ring.  The mangler stage, when present, sits between the wire
-   and the sink (it may hold, clone or damage the frame). *)
-let arrive t =
-  let frame = Engine.Ring.pop t.flight in
+(* Propagation complete: the wire is the sim's delay line, which hands
+   back frames in launch order (the delay is constant).  The mangler
+   stage, when present, sits between the wire and the sink (it may
+   hold, clone or damage the frame). *)
+let arrive t frame =
   if t.severed then dropped t ~reason:Trace.Event.D_cut frame
   else
     match t.mangler with
     | Some m -> Mangler.push m ~emit:(fun f -> deliver t f) frame
     | None -> deliver t frame
 
-(* Serialization and propagation reuse one preallocated thunk each
-   ([tx_done] / [arrival]); the frame travels via [tx_frame] and the
-   flight ring, so a forwarded frame costs zero closure allocations. *)
+(* Serialization reuses one preallocated thunk ([tx_done]) and the
+   frame waits in [tx_frame]; propagation is a send on the wire, which
+   files only its head in the wheel.  A forwarded frame costs no
+   closure, and at most two of a link's events are in the wheel at
+   once: its serialization and its wire's head. *)
 let rec transmit t frame =
   t.busy <- true;
   t.tx_frame <- frame;
@@ -73,10 +75,7 @@ and complete t =
     t.st.lost_frames <- t.st.lost_frames + 1;
     dropped t ~reason:Trace.Event.D_loss frame
   end
-  else begin
-    Engine.Ring.push t.flight frame;
-    Engine.Sim.post_after t.sim t.delay t.arrival
-  end;
+  else Engine.Sim.send (Lazy.force t.wire) frame;
   match Qdisc.dequeue t.qdisc ~now:(Engine.Sim.now t.sim) with
   | Some next -> transmit t next
   | None -> t.busy <- false
@@ -88,7 +87,7 @@ let create ~sim ~rate_bps ~delay ~qdisc ?(loss = Loss_model.none) ?mangler
       (Printf.sprintf "Link.create: rate_bps %g is not above 0" rate_bps);
   if not (delay >= 0.0) then
     invalid_arg (Printf.sprintf "Link.create: delay %g is not 0 or more" delay);
-  let t =
+  let rec t =
     {
       sim;
       rate_bps;
@@ -102,14 +101,11 @@ let create ~sim ~rate_bps ~delay ~qdisc ?(loss = Loss_model.none) ?mangler
       severed = false;
       busy = false;
       tx_frame = Frame.dummy;
-      flight = Engine.Ring.create ~dummy:Frame.dummy;
-      tx_done = Engine.Event.noop;
-      arrival = Engine.Event.noop;
+      tx_done = (fun () -> complete t);
+      wire = lazy (Engine.Sim.line sim ~delay ~dummy:Frame.dummy (arrive t));
       st = { tx_frames = 0; tx_bytes = 0; lost_frames = 0; delivered = 0 };
     }
   in
-  t.tx_done <- (fun () -> complete t);
-  t.arrival <- (fun () -> arrive t);
   t
 
 let send t frame =
@@ -128,11 +124,12 @@ let send t frame =
           failwith (t.name ^ ": qdisc accepted a frame but dequeued none")
   end
 
-(* Severing keeps event timing intact — the busy transmitter and the
-   frames already in propagation still fire their timers, but every
-   frame is routed through [dropped] (reason [D_cut]) instead of the
-   sink, so the invariant checker's conservation accounting stays
-   exact.  Queued frames are discarded right away. *)
+(* Severing keeps event timing intact — the busy transmitter still
+   fires its timer and the frames already on the wire still arrive at
+   their times, but every frame is routed through [dropped] (reason
+   [D_cut]) instead of the sink, so the invariant checker's
+   conservation accounting stays exact.  Queued frames are discarded
+   right away. *)
 let sever t =
   if not t.severed then begin
     t.severed <- true;

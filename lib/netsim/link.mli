@@ -4,7 +4,12 @@
 
     The link is work-conserving: a frame arriving at an idle transmitter
     starts serialising immediately; otherwise it is offered to the
-    qdisc.  Propagation overlaps with the next transmission. *)
+    qdisc.  Propagation overlaps with the next transmission: the wire is
+    an {!Engine.Sim.line}, so a frame launched at [t] arrives at
+    [t + delay] in the same (time, seq) order a per-frame event would
+    give, while the link keeps at most two events in the sim's wheel
+    (the frame serialising, the wire's head) however many frames are in
+    flight. *)
 
 type stats = {
   mutable tx_frames : int;  (** frames fully serialised *)
@@ -43,9 +48,10 @@ val send : t -> Frame.t -> unit
 
 val sever : t -> unit
 (** Sever the link ([`Cut]-mode handover): queued frames are dropped
-    immediately and every frame still serialising or in propagation is
-    dropped when its timer fires — all through the {!on_drop} hook with
-    reason [D_cut], so conservation accounting stays exact.  Idempotent. *)
+    immediately, the frame still serialising when its serialisation
+    ends, and every frame in propagation at its arrival time — all
+    through the {!on_drop} hook with reason [D_cut], so conservation
+    accounting stays exact.  Idempotent. *)
 
 val restore : t -> unit
 (** Undo {!sever}: subsequent traffic flows normally.  Frames dropped

@@ -12,6 +12,9 @@
    - qcheck properties running random scheduler programs through
      Engine.Sim and the replay, one of them with due times at every
      wheel level and past its horizon;
+   - delay lines (Engine.Sim.line) against a post_after per item: the
+     same firing order and op stream, and a line that numbers its
+     items late must part;
    - the replay's own teeth: three queues, each wrong on purpose, it
      must catch, and a stream recorded too late to number its events;
    - the recorded streams of three real simulations: an AF dumbbell
@@ -292,7 +295,9 @@ let test_carry_every_level () =
    event at 2 s schedules one more 1e299 s later.  They must fire in
    time order, so the clock never runs backwards, and the replay must
    agree.  A NaN time compares false both ways: it is refused, and an
-   event already due at 1 s still fires. *)
+   event already due at 1 s still fires.  So is a NaN horizon: [run
+   ~until:nan] would set the clock to [max 0 nan], NaN, and every later
+   schedule would be refused as before it. *)
 let test_far_future_and_nan () =
   let sim = Engine.Sim.create () in
   let s = record sim in
@@ -326,6 +331,11 @@ let test_far_future_and_nan () =
   (match Engine.Sim.schedule_at sim Float.nan ignore with
   | _ -> Alcotest.fail "NaN time accepted"
   | exception Invalid_argument _ -> ());
+  (match Engine.Sim.run ~until:Float.nan sim with
+  | () -> Alcotest.failf "NaN horizon accepted, now %g" (Engine.Sim.now sim)
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check (float 0.0)) "the clock stayed at 0" 0.0 (Engine.Sim.now sim);
+  Alcotest.(check bool) "nothing fired yet" false !fired;
   Engine.Sim.run ~until:5.0 sim;
   Alcotest.(check bool) "event at 1 s fired" true !fired;
   Alcotest.(check (array int))
@@ -570,6 +580,167 @@ let prop_far_levels =
     (fun prog -> check_program (far_program prog))
 
 (* ------------------------------------------------------------------ *)
+(* Delay lines.  A send on an [Engine.Sim.line] must be, to the rest of
+   the simulation, a [post_after] of the item's delivery: the same seq,
+   taken at the send, so the same firing order among ties, and the same
+   recorded op stream.  Random programs run on 1-4 lines whose delays,
+   like the delays of the events they post, come from {0, 1/4, 1/2, 1}
+   s, so due times collide often, zero delays included.  Each program
+   runs once on lines and once with every send replaced by a
+   [post_after] of the item's handler; the fired order and the op
+   stream must be equal.
+
+   A program is a list of instructions run from a shared cursor: the
+   first quarter of them (at least one) at time 0 before the run, then
+   one per fired event, so handlers send and post from inside
+   handlers.  Each instruction is [(tag, a)]: tags 0-1 send a fresh
+   item on line [a], 2 posts an event [post_after] a delay, 3 posts
+   one [post_at] the same delay ahead, 4 runs the next two
+   instructions, and 5, run before the run, advances the clock by a
+   delay with [run ~until]. *)
+
+let line_delays = [| 0.0; 0.25; 0.5; 1.0 |]
+
+let line_delay a = line_delays.(a mod Array.length line_delays)
+
+(* A way to carry items: [sender sim ~delays ~deliver] returns the send
+   of item [x] on line [k]. *)
+type sender =
+  Engine.Sim.t -> delays:float array -> deliver:(int -> unit) -> int -> int ->
+  unit
+
+let on_lines : sender =
+ fun sim ~delays ~deliver ->
+  let lines =
+    Array.map
+      (fun delay -> Engine.Sim.line sim ~delay ~dummy:(-1) deliver)
+      delays
+  in
+  fun k x -> Engine.Sim.send lines.(k) x
+
+let by_post_after : sender =
+ fun sim ~delays ~deliver k x ->
+  Engine.Sim.post_after sim delays.(k) (fun () -> deliver x)
+
+(* Wrong on purpose: each line holds its items in a queue and posts
+   the next one from the previous one's handler, so an item takes its
+   seq when it is filed, not when it is sent. *)
+let filed_late : sender =
+ fun sim ~delays ~deliver ->
+  let queues = Array.map (fun _ -> Queue.create ()) delays in
+  let rec fire k () =
+    let q = queues.(k) in
+    let _, x = Queue.pop q in
+    (match Queue.peek_opt q with
+    | Some (due, _) -> Engine.Sim.post_at sim due (fire k)
+    | None -> ());
+    deliver x
+  in
+  fun k x ->
+    let q = queues.(k) in
+    let due = Engine.Sim.now sim +. delays.(k) in
+    Queue.push (due, x) q;
+    if Queue.length q = 1 then Engine.Sim.post_at sim due (fire k)
+
+(* Run [(lines, prog)] with [sender]: the ids fired, in order, and the
+   op stream.  [lines] holds each line's delay index; none means one
+   line of delay 0. *)
+let run_lines (sender : sender) (lines, prog) =
+  let sim = Engine.Sim.create () in
+  let ops = ref [] in
+  Engine.Sim.set_tracer sim (Some (fun op -> ops := op :: !ops));
+  let prog = Array.of_list prog in
+  let cursor = ref 0 and next_id = ref 0 and fired = ref [] in
+  let delays =
+    Array.of_list (List.map line_delay (if lines = [] then [ 0 ] else lines))
+  in
+  let send = ref (fun _ _ -> ()) in
+  let fresh () =
+    let id = !next_id in
+    incr next_id;
+    id
+  in
+  let rec exec ~top =
+    if !cursor < Array.length prog then begin
+      let tag, a = prog.(!cursor) in
+      incr cursor;
+      match tag mod 6 with
+      | 0 | 1 -> !send (a mod Array.length delays) (fresh ())
+      | 2 ->
+          let id = fresh () in
+          Engine.Sim.post_after sim (line_delay a) (fun () -> deliver id)
+      | 3 ->
+          let id = fresh () in
+          Engine.Sim.post_at sim
+            (Engine.Sim.now sim +. line_delay a)
+            (fun () -> deliver id)
+      | 4 ->
+          exec ~top;
+          exec ~top
+      | _ ->
+          if top then
+            Engine.Sim.run ~until:(Engine.Sim.now sim +. line_delay a) sim
+    end
+  and deliver id =
+    fired := id :: !fired;
+    exec ~top:false
+  in
+  send := sender sim ~delays ~deliver;
+  let top = Stdlib.min (Array.length prog) (Stdlib.max 1 (Array.length prog / 4)) in
+  while !cursor < top do
+    exec ~top:true
+  done;
+  Engine.Sim.run sim;
+  (List.rev !fired, List.rev !ops)
+
+let arb_lines =
+  QCheck.(
+    set_shrink
+      Shrink.(pair nil list_spine)
+      (pair
+         (list_of_size Gen.(1 -- 4) small_nat)
+         (list (pair small_nat small_nat))))
+
+let ids fired = String.concat " " (List.map string_of_int fired)
+
+let prop_lines =
+  QCheck.Test.make ~count:300
+    ~name:"delay lines fire and trace as post_after per item" arb_lines
+    (fun program ->
+      let fired, ops = run_lines on_lines program
+      and fired', ops' = run_lines by_post_after program in
+      if fired <> fired' then
+        QCheck.Test.fail_reportf "fired %s on lines, %s by post_after"
+          (ids fired) (ids fired');
+      if ops <> ops' then
+        QCheck.Test.fail_reportf "the op streams differ (%d and %d ops)"
+          (List.length ops) (List.length ops');
+      true)
+
+(* The property's teeth: a line whose items take their seqs when they
+   are filed fires some tie out of order.  300 programs from a fixed
+   seed; the first that parts suffices. *)
+let test_lines_catch_late_seqs () =
+  let programs =
+    QCheck.Gen.generate ~rand:(Random.State.make [| 39 |]) ~n:300
+      (QCheck.gen arb_lines)
+  in
+  let parts program =
+    fst (run_lines filed_late program) <> fst (run_lines by_post_after program)
+  in
+  if not (List.exists parts programs) then
+    Alcotest.fail "a line that takes seqs when it files fired in order"
+
+let test_line_refuses_delay () =
+  let sim = Engine.Sim.create () in
+  List.iter
+    (fun delay ->
+      match Engine.Sim.line sim ~delay ~dummy:0 ignore with
+      | _ -> Alcotest.failf "delay %g accepted" delay
+      | exception Invalid_argument _ -> ())
+    [ -1e-9; Float.nan; Float.neg_infinity ]
+
+(* ------------------------------------------------------------------ *)
 (* Real traffic: three simulations built here, recorded from their
    first schedule and replayed.  Each stream must be big enough to mean
    something: 10^5 operations, 10^3 cancels (TCP's retransmission timer
@@ -656,9 +827,11 @@ let test_mobile_cut_stream () =
 (* E17's mix on a long fat network: QTP_AF at g = 5 Mb/s, QTP_light
    with full reliability and TCP on a 20 Mb/s AF bottleneck with 250 ms
    of one-way delay and half a bandwidth-delay product of buffer, for
-   25 s.  Hundreds of frames are in flight at once, each a pending link
-   event filed a quarter second ahead: at least 500 events must be
-   pending at some point, where the other streams peak below 200. *)
+   25 s.  Hundreds of frames are in flight at once, each an arrival
+   that took its seq when it was sent, a quarter second ahead: in the
+   op stream at least 500 events must be pending at some point, where
+   the other streams peak below 200.  The simulation's own wheel holds
+   only each link's head of them (Engine.Sim.line), a handful. *)
 let test_lfn_stream () =
   let sim, topo =
     Experiments.Common.af_dumbbell ~capacity_pkts:416 ~seed:42 ~n_flows:3
@@ -773,6 +946,11 @@ let suite =
     QCheck_alcotest.to_alcotest prop_random_programs;
     QCheck_alcotest.to_alcotest prop_far_levels;
     QCheck_alcotest.to_alcotest prop_census;
+    QCheck_alcotest.to_alcotest prop_lines;
+    Alcotest.test_case "lines: seqs taken when filed are caught" `Quick
+      test_lines_catch_late_seqs;
+    Alcotest.test_case "lines: a negative or NaN delay is refused" `Quick
+      test_line_refuses_delay;
     Alcotest.test_case "take checks the peeked event" `Quick test_take_checks;
     Alcotest.test_case "far-future times in order, NaN refused" `Quick
       test_far_future_and_nan;

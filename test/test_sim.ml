@@ -131,6 +131,37 @@ let test_fire_allocation () =
   if per_event > 3.0 then
     Alcotest.failf "%.2f minor words per fired event (at most 3)" per_event
 
+(* A line carries its items in flat arrays and files only its head,
+   so a send and its delivery allocate what a [post_after] does: the
+   boxed due time of the head's engine record (2 words), however many
+   items are in flight.  1,000 items circulate on one line with a 1 s
+   delay, 1 ms apart, each sent again as it is delivered. *)
+let test_line_allocation () =
+  let sim = Engine.Sim.create () in
+  let self = ref None and delivered = ref 0 in
+  let line =
+    Engine.Sim.line sim ~delay:1.0 ~dummy:(ref (-1)) (fun item ->
+        incr delivered;
+        match !self with Some l -> Engine.Sim.send l item | None -> ())
+  in
+  self := Some line;
+  for i = 0 to 999 do
+    let item = ref i in
+    Engine.Sim.post_at sim (0.001 *. float_of_int i) (fun () ->
+        Engine.Sim.send line item)
+  done;
+  Engine.Sim.run ~until:2.0 sim;
+  let delivered0 = !delivered and words0 = Gc.minor_words () in
+  Engine.Sim.run ~until:12.0 sim;
+  let words = Gc.minor_words () -. words0 in
+  let items = !delivered - delivered0 in
+  Alcotest.(check int) "1,000 in flight, each delivered once a second"
+    10_000 items;
+  let per_item = words /. float_of_int items in
+  if per_item > 3.0 then
+    Alcotest.failf "%.2f minor words per item sent and delivered (at most 3)"
+      per_item
+
 let suite =
   [
     Alcotest.test_case "time order" `Quick test_runs_in_time_order;
@@ -145,4 +176,6 @@ let suite =
     Alcotest.test_case "cascading events" `Quick test_cascading_events;
     Alcotest.test_case "firing allocates at most 3 words" `Quick
       test_fire_allocation;
+    Alcotest.test_case "a line allocates at most 3 words per item" `Quick
+      test_line_allocation;
   ]
